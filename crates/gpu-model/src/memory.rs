@@ -93,24 +93,6 @@ impl<T: Default + Clone> DeviceBuffer<T> {
 }
 
 impl<T> DeviceBuffer<T> {
-    /// Wrap an existing host allocation as a device buffer, charging the
-    /// pool for its footprint — the recycled-buffer fast path of a state
-    /// pool: no allocation, no zeroing, the **contents are whatever the
-    /// previous owner left** and the caller must reinitialise them.
-    ///
-    /// On capacity exhaustion the vector is handed back alongside the
-    /// error so the caller can return it to its pool instead of losing it.
-    pub(crate) fn adopt(
-        data: Vec<T>,
-        pool: Arc<Mutex<MemoryPool>>,
-    ) -> Result<Self, (GpuError, Vec<T>)> {
-        let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        if let Err(e) = pool.lock().reserve(bytes) {
-            return Err((e, data));
-        }
-        Ok(DeviceBuffer { data, bytes, pool })
-    }
-
     /// Free the device allocation but keep the host memory: releases the
     /// pool accounting and returns the backing vector for recycling.
     pub fn into_vec(mut self) -> Vec<T> {
@@ -164,26 +146,15 @@ mod tests {
     }
 
     #[test]
-    fn adopt_and_into_vec_recycle_without_reallocating() {
+    fn into_vec_releases_accounting_and_keeps_the_memory() {
         let p = pool(1024);
-        let v: Vec<u64> = vec![7; 64];
-        let addr = v.as_ptr();
-        let b = DeviceBuffer::adopt(v, p.clone()).unwrap();
-        // Same backing memory, same accounting as a fresh hipMalloc…
-        assert_eq!(b.as_slice().as_ptr(), addr);
-        assert_eq!(b.bytes(), 512);
+        let mut b = DeviceBuffer::<u64>::new(64, p.clone()).unwrap();
+        b.as_mut_slice()[0] = 7;
+        let addr = b.as_slice().as_ptr();
         assert_eq!(p.lock().allocated(), 512);
-        // …contents preserved (adopt must not zero)…
-        assert_eq!(b.as_slice()[0], 7);
-        // …and into_vec releases accounting while keeping the memory.
         let back = b.into_vec();
         assert_eq!(back.as_ptr(), addr);
-        assert_eq!(p.lock().allocated(), 0);
-
-        // Capacity exhaustion hands the vector back.
-        let (err, recovered) = DeviceBuffer::adopt(vec![0u8; 2048], p.clone()).unwrap_err();
-        assert!(matches!(err, GpuError::OutOfMemory { .. }));
-        assert_eq!(recovered.len(), 2048);
+        assert_eq!(back[0], 7);
         assert_eq!(p.lock().allocated(), 0);
     }
 

@@ -307,15 +307,6 @@ impl Gpu {
     pub fn reset_peak_memory(&self) {
         self.pool.lock().reset_peak();
     }
-
-    /// Adopt an existing host allocation as a device buffer — the
-    /// recycled-state-buffer path of `hipMalloc` reuse: the pool is
-    /// charged for the footprint but nothing is allocated or zeroed, and
-    /// the contents are the previous owner's garbage. On OOM the vector
-    /// rides back with the error for the caller to recycle.
-    pub fn adopt_vec<T>(&self, data: Vec<T>) -> Result<DeviceBuffer<T>, (GpuError, Vec<T>)> {
-        DeviceBuffer::adopt(data, self.pool.clone())
-    }
 }
 
 #[cfg(test)]

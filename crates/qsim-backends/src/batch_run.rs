@@ -4,42 +4,20 @@
 //! fixed costs — pre-run analysis, fusion accounting, matrix conversion,
 //! SIMD/gate-plan construction, matrix uploads — not by amplitude
 //! arithmetic. `run_batch` takes a gang of sub-jobs, groups them by
-//! [`FusedCircuit::content_hash`], and executes each hash-equal group in
-//! one pass of the `run_with` loop over a [`StateBatch`]: analysis runs
-//! once, each gate's matrix is converted and uploaded once, one
-//! [`qsim_core::sweep::PreparedRun`] is built per cache-blocked run and
-//! swept across every state (the cuQuantum-style batched gate
-//! application).
-//!
-//! Per-state arithmetic goes through exactly the single-state kernels
-//! ([`apply_run_gang`] / [`qsim_core::batch::apply_gate_gang`]), each
-//! sub-job gets its own seeded RNG for measurements and sampling, and
-//! cancellation stays per sub-job: a fired token extracts that slot's
-//! buffer mid-gang while the rest keep running. Results are therefore
-//! bit-for-bit identical to N sequential [`SimBackend::run_with`] calls
-//! (proven by `tests/batch_equivalence.rs`).
+//! [`FusedCircuit::content_hash`], and hands each hash-equal group to the
+//! plan walker ([`crate::walker`]) as one gang of states, so those costs
+//! land once per gang. Results are bit-for-bit identical to N sequential
+//! [`SimBackend::run_with`] calls (proven by `tests/batch_equivalence.rs`).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use qsim_core::types::Float;
+use qsim_core::StateVector;
+use qsim_fusion::FusedCircuit;
 
-use gpu_model::runtime::{KernelDesc, StreamId};
-use gpu_model::GpuError;
-use qsim_core::batch::{apply_gate_gang, apply_run_gang, StateBatch};
-use qsim_core::cancel::CancelToken;
-use qsim_core::statespace::measure_slice;
-use qsim_core::sweep::{PassTracker, SweepExecutor};
-use qsim_core::types::{Cplx, Float};
-use qsim_core::{GateMatrix, StateVector};
-use qsim_fusion::{FusedCircuit, FusedOp, FusionStrategy};
-
-use crate::report::{GateClassCount, KernelStat, RunOptions, RunReport};
-use crate::sim_backend::{
-    bump, count_gate_class, BackendError, RunContext, RunFailure, SimBackend,
-};
+use crate::report::{RunOptions, RunReport};
+use crate::sim_backend::{BackendError, RunContext, RunFailure, SimBackend};
+use crate::walker::SubIn;
 
 /// Process-wide batch identifier source, so concurrent workers' gangs stay
 /// distinguishable in metrics.
@@ -70,62 +48,12 @@ impl<'a, F: Float> BatchJob<'a, F> {
 /// [`SimBackend::run_with`] contract (buffers ride back on failure).
 pub type BatchResult<F> = Result<(StateVector<F>, RunReport), RunFailure<F>>;
 
-/// Per-sub-job bookkeeping while its state lives in the gang.
-struct Sub {
-    /// Index into the caller's `jobs` vector.
-    job: usize,
-    /// Slot in the [`StateBatch`].
-    slot: usize,
-    opts: RunOptions,
-    cancel: Option<CancelToken>,
-    rng: StdRng,
-    reused: bool,
-    measurements: Vec<(Vec<usize>, usize)>,
-    samples: Vec<u64>,
-}
-
-/// Multiply a kernel descriptor's charged work by the gang width: one
-/// batched launch moves N states' bytes and flops.
-fn scale_for_gang(desc: &mut KernelDesc, gang: usize) {
-    let k = gang as f64;
-    desc.work.bytes *= k;
-    desc.work.flops *= k;
-    desc.work.passes *= k;
-    desc.blocks = desc.blocks.saturating_mul(gang as u64).max(1);
-}
-
-/// Apply and clear the pending run of block-local gates across the whole
-/// gang: one [`SweepExecutor::prepare_run`] (SimdPlans + GatePlans built
-/// once), swept over every active state. Slots whose cancel token fired
-/// mid-run are failed with `at_op` and their buffers extracted.
-fn flush_gang<F: Float>(
-    sweep: &SweepExecutor,
-    batch: &mut StateBatch<F>,
-    pending: &mut Vec<(Vec<usize>, GateMatrix<F>)>,
-    cancels: &[Option<CancelToken>],
-    at_op: usize,
-    slot_jobs: &[usize],
-    out: &mut [Option<BatchResult<F>>],
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let prepared =
-        sweep.prepare_run(batch.state_len(), pending.iter().map(|(q, m)| (q.as_slice(), m)));
-    for (slot, cause) in apply_run_gang(&prepared, batch, cancels) {
-        let buffer = batch.take(slot);
-        out[slot_jobs[slot]] =
-            Some(Err(RunFailure { error: BackendError::Cancelled { cause, at_op }, buffer }));
-    }
-    pending.clear();
-}
-
 impl SimBackend {
     /// Run N sub-jobs as a batch, returning one [`BatchResult`] per
     /// sub-job in input order. Hash-equal plans form gangs that share one
-    /// trip through the run loop (analysis, matrix conversion + upload,
-    /// and sweep-plan construction amortized across the gang); every
-    /// report carries a shared `batch_id` and the call's `batch_size`.
+    /// walk (analysis, matrix conversion + upload, and sweep-plan
+    /// construction amortized across the gang); every report carries a
+    /// shared `batch_id` and the call's `batch_size`.
     ///
     /// Each sub-job's functional result — final state, measurement
     /// outcomes, samples — is bit-for-bit what `run_with` would produce
@@ -140,8 +68,8 @@ impl SimBackend {
 
         // Group by plan content, preserving submission order within and
         // across groups (first occurrence fixes a group's rank).
-        type SubIn<F> = (usize, RunOptions, RunContext<F>);
-        let mut groups: Vec<(u64, &FusedCircuit, Vec<SubIn<F>>)> = Vec::new();
+        type Member<F> = (usize, SubIn<F>);
+        let mut groups: Vec<(u64, &FusedCircuit, Vec<Member<F>>)> = Vec::new();
         for (i, job) in jobs.into_iter().enumerate() {
             let Some(fused) = job.fused else {
                 out[i] = Some(Err(RunFailure {
@@ -152,355 +80,17 @@ impl SimBackend {
             };
             let h = fused.content_hash();
             match groups.iter_mut().find(|(gh, _, _)| *gh == h) {
-                Some((_, _, subs)) => subs.push((i, job.opts, job.ctx)),
-                None => groups.push((h, fused, vec![(i, job.opts, job.ctx)])),
+                Some((_, _, subs)) => subs.push((i, (job.opts, job.ctx))),
+                None => groups.push((h, fused, vec![(i, (job.opts, job.ctx))])),
             }
         }
-        for (_, fused, subs) in groups {
-            self.run_gang(fused, subs, batch_id, batch_size, &mut out);
+        for (_, fused, members) in groups {
+            let (at, subs): (Vec<usize>, Vec<SubIn<F>>) = members.into_iter().unzip();
+            let walked = self.walk(fused, Some(subs), (Some(batch_id), batch_size));
+            for (i, result) in at.into_iter().zip(walked.subs) {
+                out[i] = Some(result);
+            }
         }
         out.into_iter().map(|r| r.expect("every batch sub-job resolves")).collect()
-    }
-
-    /// Execute one hash-equal group of sub-jobs as a gang, writing each
-    /// sub-job's result into `out` at its original index.
-    fn run_gang<F: Float>(
-        &self,
-        fused: &FusedCircuit,
-        subs_in: Vec<(usize, RunOptions, RunContext<F>)>,
-        batch_id: u64,
-        batch_size: usize,
-        out: &mut [Option<BatchResult<F>>],
-    ) {
-        let n = fused.num_qubits;
-        if n == 0 || n > qsim_core::statevec::MAX_QUBITS {
-            for (job, _, mut ctx) in subs_in {
-                out[job] = Some(Err(RunFailure {
-                    error: BackendError::InvalidCircuit(format!("unsupported qubit count {n}")),
-                    buffer: ctx.reuse_buffer.take(),
-                }));
-            }
-            return;
-        }
-        let analysis_warnings = match self.analyze_pre_run(fused) {
-            Ok(w) => w,
-            Err(error) => {
-                for (job, _, mut ctx) in subs_in {
-                    out[job] = Some(Err(RunFailure {
-                        error: error.clone(),
-                        buffer: ctx.reuse_buffer.take(),
-                    }));
-                }
-                return;
-            }
-        };
-        let wall_start = Instant::now();
-        let len = 1usize << n;
-        let amp_bytes = F::PRECISION.amplitude_bytes();
-        let double_precision = F::PRECISION == qsim_core::types::Precision::Double;
-        let spec = self.gpu.spec().clone();
-        let state_bytes = (len * amp_bytes) as u64;
-
-        // Modeled-memory admission for the aggregate gang: the gang's
-        // state buffers are host allocations flowing pool → gang → pool,
-        // outside the device model's allocator, so the footprint is
-        // checked against the modeled capacity explicitly (conservatively
-        // counting sub-jobs that may yet fail buffer validation).
-        let gang_bytes = subs_in.len() as u64 * state_bytes;
-        if gang_bytes > spec.memory_bytes {
-            for (job, _, mut ctx) in subs_in {
-                out[job] = Some(Err(RunFailure {
-                    error: BackendError::Gpu(GpuError::OutOfMemory {
-                        requested_bytes: gang_bytes,
-                        free_bytes: spec.memory_bytes,
-                    }),
-                    buffer: ctx.reuse_buffer.take(),
-                }));
-            }
-            return;
-        }
-
-        self.gpu.reset_peak_memory();
-
-        // ---- timed region: like `run_with`, but the fusion charge and
-        // every per-gate fixed cost land once per *gang*. ----
-        let t0 = self.gpu.synchronize();
-        let fusion_stats = fused.stats();
-        let fusion_us = Self::fusion_cost_us(&fusion_stats);
-        self.gpu.advance_host_us(fusion_us);
-
-        let mut batch = StateBatch::<F>::new(n);
-        let mut subs: Vec<Sub> = Vec::new();
-        let mut cancels: Vec<Option<CancelToken>> = Vec::new();
-        let mut slot_jobs: Vec<usize> = Vec::new();
-        for (job, opts, mut ctx) in subs_in {
-            let reuse = ctx.reuse_buffer.take();
-            let reused = reuse.is_some();
-            match batch.push_state(reuse) {
-                Ok(slot) => {
-                    cancels.push(ctx.cancel.clone());
-                    slot_jobs.push(job);
-                    subs.push(Sub {
-                        job,
-                        slot,
-                        rng: StdRng::seed_from_u64(opts.seed),
-                        opts,
-                        cancel: ctx.cancel,
-                        reused,
-                        measurements: Vec::new(),
-                        samples: Vec::new(),
-                    });
-                }
-                Err(buf) => {
-                    out[job] = Some(Err(RunFailure {
-                        error: BackendError::InvalidCircuit(format!(
-                            "recycled buffer has {} amplitudes, want 2^{n}",
-                            buf.len()
-                        )),
-                        buffer: Some(buf),
-                    }));
-                }
-            }
-        }
-        if subs.is_empty() {
-            return;
-        }
-
-        // A modeled-runtime error (bad launch, matrix-buffer OOM) fails
-        // every still-running sub-job, handing their buffers back.
-        macro_rules! charge {
-            ($r:expr) => {
-                match $r {
-                    Ok(v) => v,
-                    Err(e) => {
-                        let error = BackendError::Gpu(e);
-                        for sub in &subs {
-                            if out[sub.job].is_none() {
-                                out[sub.job] = Some(Err(RunFailure {
-                                    error: error.clone(),
-                                    buffer: batch.take(sub.slot),
-                                }));
-                            }
-                        }
-                        return;
-                    }
-                }
-            };
-        }
-
-        let mut kernel_stats: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-        let isa = qsim_core::simd::active_isa();
-        let lane_qubits = isa.lane_qubits(F::PRECISION);
-        let mut class_grid = [[0u64; 2]; 2];
-
-        // One batched init launch covers the whole gang (`push_state`
-        // already wrote |0…0⟩ into every slot).
-        let mut init = self.init_desc(len, amp_bytes, double_precision);
-        scale_for_gang(&mut init, subs.len());
-        let r = self.gpu.charge_launch(&init, StreamId::DEFAULT);
-        let (s, e) = charge!(r);
-        bump(&mut kernel_stats, &init.name, e - s);
-        let setup_seconds = wall_start.elapsed().as_secs_f64();
-
-        let copy_stream =
-            if self.flavor.uploads_matrices() { Some(self.gpu.create_stream()) } else { None };
-        let mut tracker = PassTracker::new(&self.effective_sweep(), n);
-        let mut pending: Vec<(Vec<usize>, GateMatrix<F>)> = Vec::new();
-
-        for (op_index, op) in fused.ops.iter().enumerate() {
-            // Per-sub cancellation boundary, as in `run_with`.
-            for si in 0..subs.len() {
-                if !batch.is_active(subs[si].slot) {
-                    continue;
-                }
-                if let Some(cause) = subs[si].cancel.as_ref().and_then(CancelToken::cause) {
-                    let buffer = batch.take(subs[si].slot);
-                    out[subs[si].job] = Some(Err(RunFailure {
-                        error: BackendError::Cancelled { cause, at_op: op_index },
-                        buffer,
-                    }));
-                }
-            }
-            if batch.active_count() == 0 {
-                pending.clear();
-                break;
-            }
-            match op {
-                FusedOp::Unitary(g) => {
-                    // Converted once, uploaded once, applied N times —
-                    // the batched amortization.
-                    let matrix = g.matrix_as::<F>();
-                    if let Some(cs) = copy_stream {
-                        let r = self.gpu.malloc::<Cplx<F>>(matrix.dim() * matrix.dim());
-                        let mut mbuf = charge!(r);
-                        let r = self.gpu.memcpy_h2d_async(&mut mbuf, matrix.as_slice(), cs);
-                        charge!(r);
-                        let r = self.gpu.record_event(cs);
-                        let ev = charge!(r);
-                        let r = self.gpu.stream_wait_event(StreamId::DEFAULT, ev);
-                        charge!(r);
-                    }
-                    count_gate_class(&mut class_grid, &g.qubits, lane_qubits);
-                    let new_pass = tracker.on_gate(&g.qubits);
-                    let mut desc = self.gate_desc(n, &g.qubits, amp_bytes, double_precision);
-                    desc.work.passes = if new_pass { 1.0 } else { 0.0 };
-                    self.tune_host_charge(&mut desc, n, &g.qubits, lane_qubits, new_pass);
-                    scale_for_gang(&mut desc, batch.active_count());
-                    if tracker.in_run() {
-                        let r = self.gpu.charge_launch(&desc, StreamId::DEFAULT);
-                        let (s, e) = charge!(r);
-                        bump(&mut kernel_stats, &desc.name, e - s);
-                        pending.push((g.qubits.clone(), matrix));
-                    } else {
-                        flush_gang(
-                            &self.sweep,
-                            &mut batch,
-                            &mut pending,
-                            &cancels,
-                            op_index,
-                            &slot_jobs,
-                            out,
-                        );
-                        let r = self.gpu.launch(&desc, StreamId::DEFAULT, || {
-                            apply_gate_gang(&mut batch, &g.qubits, &matrix);
-                        });
-                        let (s, e, ()) = charge!(r);
-                        bump(&mut kernel_stats, &desc.name, e - s);
-                    }
-                }
-                FusedOp::Measurement { qubits, .. } => {
-                    tracker.on_barrier();
-                    flush_gang(
-                        &self.sweep,
-                        &mut batch,
-                        &mut pending,
-                        &cancels,
-                        op_index,
-                        &slot_jobs,
-                        out,
-                    );
-                    // The modeled D2H/H2D round trip of `run_with`, once
-                    // per gang at the aggregate size; measurement itself
-                    // collapses each state in place with its own RNG
-                    // (numerically identical to copy-measure-copy).
-                    let active_bytes = state_bytes * batch.active_count() as u64;
-                    let r = self.gpu.charge_memcpy(
-                        gpu_model::trace::SpanKind::MemcpyD2H,
-                        active_bytes,
-                        StreamId::DEFAULT,
-                    );
-                    charge!(r);
-                    for sub in &mut subs {
-                        if let Some(amps) = batch.state_mut(sub.slot) {
-                            let outcome = measure_slice(amps, qubits, &mut sub.rng);
-                            sub.measurements.push((qubits.clone(), outcome));
-                        }
-                    }
-                    let r = self.gpu.charge_memcpy(
-                        gpu_model::trace::SpanKind::MemcpyH2D,
-                        active_bytes,
-                        StreamId::DEFAULT,
-                    );
-                    charge!(r);
-                    bump(&mut kernel_stats, "Measure(D2H+H2D)", 0.0);
-                }
-            }
-        }
-        tracker.on_barrier();
-        flush_gang(
-            &self.sweep,
-            &mut batch,
-            &mut pending,
-            &cancels,
-            fused.ops.len(),
-            &slot_jobs,
-            out,
-        );
-
-        // Final sampling: one gang-scaled SampleKernel, each sub drawing
-        // from its own state with its own RNG.
-        let sampling =
-            subs.iter().filter(|s| s.opts.sample_count > 0 && batch.is_active(s.slot)).count();
-        if sampling > 0 {
-            let tpb = self.flavor.threads_per_block(qsim_core::kernels::KernelClass::High);
-            let mut desc = KernelDesc {
-                name: "SampleKernel".into(),
-                blocks: ((len as u64) / 2 / tpb as u64).max(1),
-                threads_per_block: tpb,
-                shared_mem_bytes: 0,
-                work: gpu_model::runtime::KernelWork {
-                    bytes: (len * amp_bytes) as f64,
-                    flops: len as f64 * 4.0,
-                    passes: 1.0,
-                },
-                double_precision,
-            };
-            let name = desc.name.clone();
-            scale_for_gang(&mut desc, sampling);
-            let r = self.gpu.launch(&desc, StreamId::DEFAULT, || {
-                for sub in &mut subs {
-                    if sub.opts.sample_count == 0 {
-                        continue;
-                    }
-                    if let Some(amps) = batch.state(sub.slot) {
-                        sub.samples = qsim_core::statespace::sample_slice(
-                            amps,
-                            sub.opts.sample_count,
-                            &mut sub.rng,
-                        );
-                    }
-                }
-            });
-            let (s, e, ()) = charge!(r);
-            bump(&mut kernel_stats, &name, e - s);
-        }
-
-        let t_end = self.gpu.synchronize();
-
-        // The gang's shares: modeled and wall durations divided across
-        // the sub-jobs that actually completed.
-        let completed = batch.active_count().max(1) as f64;
-        let peak_state_bytes = gang_bytes + self.gpu.memory_usage().1;
-        let kernels: Vec<KernelStat> = kernel_stats
-            .into_iter()
-            .map(|(name, (count, time_us))| KernelStat { name, count, time_us })
-            .collect();
-        let wall_seconds = wall_start.elapsed().as_secs_f64();
-        let state_passes = tracker.stats().full_passes;
-        for sub in subs {
-            if out[sub.job].is_some() {
-                continue;
-            }
-            let Some(amps) = batch.take(sub.slot) else { continue };
-            let state = StateVector::from_amplitudes(amps);
-            let report = RunReport {
-                backend: self.flavor.label().into(),
-                device: spec.name.clone(),
-                precision: F::PRECISION,
-                num_qubits: n,
-                max_fused_qubits: fused.max_fused_qubits,
-                fused_gates: fused.num_unitaries(),
-                fusion_strategy: FusionStrategy::Greedy.label().into(),
-                predicted_cost_seconds: 0.0,
-                fusion_stats,
-                simulated_seconds: (t_end - t0) * 1e-6 / completed,
-                fusion_seconds: fusion_us * 1e-6 / completed,
-                wall_seconds: wall_seconds / completed,
-                setup_seconds: setup_seconds / completed,
-                kernels: kernels.clone(),
-                measurements: sub.measurements,
-                samples: sub.samples,
-                state_bytes,
-                peak_state_bytes,
-                buffer_reused: sub.reused,
-                state_passes,
-                analysis_warnings: analysis_warnings.clone(),
-                isa: isa.name().into(),
-                gate_class_counts: GateClassCount::from_grid(class_grid),
-                batch_id: Some(batch_id),
-                batch_size,
-            };
-            out[sub.job] = Some(Ok((state, report)));
-        }
     }
 }

@@ -25,6 +25,7 @@ pub mod report;
 pub mod sim_backend;
 pub mod trajectories;
 pub mod variational;
+mod walker;
 
 pub use batch_run::{BatchJob, BatchResult};
 pub use flavor::Flavor;
@@ -35,5 +36,5 @@ pub use qsim_fusion::{
     TrafficEstimate,
 };
 pub use report::{KernelStat, RunOptions, RunReport};
-pub use sim_backend::{Backend, BackendError, PlanOptions, RunContext, RunFailure, SimBackend};
+pub use sim_backend::{BackendError, PlanOptions, RunContext, RunFailure, SimBackend};
 pub use trajectories::{NoiseSpec, TrajectoryRunner};

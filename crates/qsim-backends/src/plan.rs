@@ -27,6 +27,26 @@ pub fn init_kernel_desc(
     }
 }
 
+/// Kernel descriptor for sampling bitstrings from an `len`-amplitude state
+/// on-device (qsim's `SampleKernel`: one cumulative pass over the
+/// probabilities).
+pub fn sample_kernel_desc(
+    flavor: Flavor,
+    len: usize,
+    amp_bytes: usize,
+    double_precision: bool,
+) -> KernelDesc {
+    let tpb = flavor.threads_per_block(KernelClass::High);
+    KernelDesc {
+        name: "SampleKernel".into(),
+        blocks: ((len as u64) / 2 / tpb as u64).max(1),
+        threads_per_block: tpb,
+        shared_mem_bytes: 0,
+        work: KernelWork { bytes: (len * amp_bytes) as f64, flops: len as f64 * 4.0, passes: 1.0 },
+        double_precision,
+    }
+}
+
 /// Kernel descriptor for one fused-gate pass over an `n`-qubit state:
 /// qsim's block geometry (each thread owns two amplitudes; 32-thread
 /// blocks for L-class, 64 for H-class) and the roofline work accounting,

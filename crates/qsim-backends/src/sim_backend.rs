@@ -1,41 +1,24 @@
-//! The backend run loop: executes a fused circuit on a modeled device.
-//!
-//! One generic loop serves all four flavors (exactly as the hipified HIP
-//! backend is a line-for-line port of the CUDA backend): per fused gate it
-//!
-//! 1. uploads the gate matrix with an async copy on a dedicated copy
-//!    stream (the `hipMemcpyAsync` activity of Figures 1 and 6),
-//! 2. makes the compute stream wait on the copy via an event,
-//! 3. launches `ApplyGateH_Kernel` or `ApplyGateL_Kernel` depending on
-//!    whether the gate touches a qubit below index 5 (qsim's shared-memory
-//!    tile design), with the flavor's block geometry,
-//!
-//! computing the real amplitudes on host threads while the device model
-//! charges the modeled duration to the virtual timeline.
+//! The single-device backend: a flavor (launch policy) bound to a modeled
+//! device, how circuits are planned for it, and the entry points —
+//! [`SimBackend::estimate`], [`SimBackend::run_with`] and
+//! [`SimBackend::run_batch`](crate::batch_run) — into the one traversal
+//! that executes a fused circuit on it ([`crate::walker`]).
 
-use std::collections::BTreeMap;
-use std::time::Instant;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use gpu_model::runtime::{Gpu, KernelDesc, StreamId};
+use gpu_model::runtime::{Gpu, KernelDesc};
 use gpu_model::specs::DeviceSpec;
 use gpu_model::trace::TraceSink;
 use gpu_model::GpuError;
 use qsim_core::cancel::{CancelCause, CancelToken};
-use qsim_core::kernels::apply_gate_slice_par;
-use qsim_core::statespace::measure_slice;
-use qsim_core::sweep::{PassTracker, SweepConfig, SweepExecutor};
-use qsim_core::types::{Cplx, Float};
-use qsim_core::{GateMatrix, StateVector};
+use qsim_core::sweep::{SweepConfig, SweepExecutor};
+use qsim_core::types::{Cplx, Float, Precision};
+use qsim_core::StateVector;
 use qsim_fusion::{
-    CpuCostModel, FusedCircuit, FusedOp, FusionCostModel, FusionPlan, FusionStats, FusionStrategy,
+    CpuCostModel, FusedCircuit, FusionCostModel, FusionPlan, FusionStats, FusionStrategy,
     GpuCostModel, LANE_SHUFFLE_FLOPS, SWEPT_JOIN_TRAFFIC_SHARE,
 };
 
 use crate::flavor::Flavor;
-use crate::report::{GateClassCount, KernelStat, RunOptions, RunReport};
+use crate::report::{RunOptions, RunReport};
 
 /// How a source circuit is planned into a fused circuit for a backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,38 +125,6 @@ pub struct RunFailure<F: Float> {
     pub buffer: Option<Vec<Cplx<F>>>,
 }
 
-impl<F: Float> RunFailure<F> {
-    fn early(error: BackendError) -> Self {
-        RunFailure { error, buffer: None }
-    }
-}
-
-impl<F: Float> From<GpuError> for RunFailure<F> {
-    fn from(e: GpuError) -> Self {
-        RunFailure::early(BackendError::Gpu(e))
-    }
-}
-
-/// Object-safe backend interface for harnesses that iterate over flavors.
-pub trait Backend: Send + Sync {
-    /// Short label (`cpu`, `cuda`, `custatevec`, `hip`).
-    fn label(&self) -> &'static str;
-    /// Modeled device name.
-    fn device_name(&self) -> String;
-    /// Run in single precision.
-    fn run_f32(
-        &self,
-        fused: &FusedCircuit,
-        opts: &RunOptions,
-    ) -> Result<(StateVector<f32>, RunReport), BackendError>;
-    /// Run in double precision.
-    fn run_f64(
-        &self,
-        fused: &FusedCircuit,
-        opts: &RunOptions,
-    ) -> Result<(StateVector<f64>, RunReport), BackendError>;
-}
-
 /// A backend: a flavor (launch policy) bound to a modeled device.
 pub struct SimBackend {
     pub(crate) flavor: Flavor,
@@ -182,7 +133,7 @@ pub struct SimBackend {
     /// "redesigned ApplyGateL" ablation (what the paper calls the
     /// "significant algorithmic overhaul" that 64-thread L blocks would
     /// need).
-    low_overhead_override: Option<f64>,
+    pub(crate) low_overhead_override: Option<f64>,
     /// Cache-blocked sweep executor for the CPU flavor: runs of
     /// consecutive low-qubit fused gates apply to cache-sized blocks in a
     /// single pass over the state (see [`qsim_core::sweep`]). GPU flavors
@@ -277,35 +228,6 @@ impl SimBackend {
     /// This backend's flavor.
     pub fn flavor(&self) -> Flavor {
         self.flavor
-    }
-
-    /// Kernel descriptor for initialising the state vector on-device.
-    pub(crate) fn init_desc(
-        &self,
-        len: usize,
-        amp_bytes: usize,
-        double_precision: bool,
-    ) -> KernelDesc {
-        crate::plan::init_kernel_desc(self.flavor, len, amp_bytes, double_precision)
-    }
-
-    /// Kernel descriptor for one fused-gate pass (see
-    /// [`crate::plan::gate_kernel_desc`]).
-    pub(crate) fn gate_desc(
-        &self,
-        n: usize,
-        qubits: &[usize],
-        amp_bytes: usize,
-        double_precision: bool,
-    ) -> KernelDesc {
-        crate::plan::gate_kernel_desc(
-            self.flavor,
-            n,
-            qubits,
-            amp_bytes,
-            double_precision,
-            self.low_overhead_override,
-        )
     }
 
     /// Align a gate launch's charged work with the host execution model
@@ -412,119 +334,17 @@ impl SimBackend {
     /// This is how the benchmark harnesses evaluate the paper's 30-qubit
     /// configurations: a 30-qubit state (8–16 GiB) fits the modeled GPUs
     /// but is unnecessary (and slow) to compute when only the timing model
-    /// is of interest. `run()` at reduced qubit counts cross-validates
-    /// that functional execution and this estimate traverse identical
-    /// launch sequences.
+    /// is of interest. It is the same walk `run` makes, handed no states,
+    /// so the two traverse identical launch sequences by construction.
     pub fn estimate(
         &self,
         fused: &FusedCircuit,
-        precision: qsim_core::types::Precision,
+        precision: Precision,
     ) -> Result<RunReport, BackendError> {
-        let n = fused.num_qubits;
-        if n == 0 || n > qsim_core::statevec::MAX_QUBITS {
-            return Err(BackendError::InvalidCircuit(format!("unsupported qubit count {n}")));
+        match precision {
+            Precision::Single => self.walk::<f32>(fused, None, (None, 1)).report,
+            Precision::Double => self.walk::<f64>(fused, None, (None, 1)).report,
         }
-        let analysis_warnings = self.analyze_pre_run(fused)?;
-        let wall_start = Instant::now();
-        let len = 1usize << n;
-        let amp_bytes = precision.amplitude_bytes();
-        let double_precision = precision == qsim_core::types::Precision::Double;
-        let spec = self.gpu.spec().clone();
-        let state_bytes = (len * amp_bytes) as u64;
-        if state_bytes > spec.memory_bytes {
-            return Err(BackendError::Gpu(GpuError::OutOfMemory {
-                requested_bytes: state_bytes,
-                free_bytes: spec.memory_bytes,
-            }));
-        }
-        let mut kernel_stats: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-        let isa = qsim_core::simd::active_isa();
-        let lane_qubits = isa.lane_qubits(precision);
-        let mut class_grid = [[0u64; 2]; 2];
-
-        let t0 = self.gpu.synchronize();
-        let fusion_stats = fused.stats();
-        let fusion_us = Self::fusion_cost_us(&fusion_stats);
-        self.gpu.advance_host_us(fusion_us);
-
-        let init = self.init_desc(len, amp_bytes, double_precision);
-        let (s, e) = self.gpu.charge_launch(&init, StreamId::DEFAULT)?;
-        bump(&mut kernel_stats, &init.name, e - s);
-
-        let copy_stream =
-            if self.flavor.uploads_matrices() { Some(self.gpu.create_stream()) } else { None };
-        let mut tracker = PassTracker::new(&self.effective_sweep(), n);
-
-        for op in &fused.ops {
-            match op {
-                FusedOp::Unitary(g) => {
-                    if let Some(cs) = copy_stream {
-                        let dim = 1u64 << g.qubits.len();
-                        self.gpu.charge_memcpy(
-                            gpu_model::trace::SpanKind::MemcpyH2D,
-                            dim * dim * amp_bytes as u64,
-                            cs,
-                        )?;
-                        let ev = self.gpu.record_event(cs)?;
-                        self.gpu.stream_wait_event(StreamId::DEFAULT, ev)?;
-                    }
-                    count_gate_class(&mut class_grid, &g.qubits, lane_qubits);
-                    let new_pass = tracker.on_gate(&g.qubits);
-                    let mut desc = self.gate_desc(n, &g.qubits, amp_bytes, double_precision);
-                    desc.work.passes = if new_pass { 1.0 } else { 0.0 };
-                    self.tune_host_charge(&mut desc, n, &g.qubits, lane_qubits, new_pass);
-                    let (s, e) = self.gpu.charge_launch(&desc, StreamId::DEFAULT)?;
-                    bump(&mut kernel_stats, &desc.name, e - s);
-                }
-                FusedOp::Measurement { .. } => {
-                    tracker.on_barrier();
-                    self.gpu.charge_memcpy(
-                        gpu_model::trace::SpanKind::MemcpyD2H,
-                        state_bytes,
-                        StreamId::DEFAULT,
-                    )?;
-                    self.gpu.charge_memcpy(
-                        gpu_model::trace::SpanKind::MemcpyH2D,
-                        state_bytes,
-                        StreamId::DEFAULT,
-                    )?;
-                    bump(&mut kernel_stats, "Measure(D2H+H2D)", 0.0);
-                }
-            }
-        }
-        let t_end = self.gpu.synchronize();
-
-        let kernels = kernel_stats
-            .into_iter()
-            .map(|(name, (count, time_us))| KernelStat { name, count, time_us })
-            .collect();
-        Ok(RunReport {
-            backend: self.flavor.label().into(),
-            device: spec.name.clone(),
-            precision,
-            num_qubits: n,
-            max_fused_qubits: fused.max_fused_qubits,
-            fused_gates: fused.num_unitaries(),
-            fusion_strategy: FusionStrategy::Greedy.label().into(),
-            predicted_cost_seconds: 0.0,
-            fusion_stats,
-            simulated_seconds: (t_end - t0) * 1e-6,
-            fusion_seconds: fusion_us * 1e-6,
-            wall_seconds: wall_start.elapsed().as_secs_f64(),
-            setup_seconds: 0.0,
-            kernels,
-            measurements: Vec::new(),
-            samples: Vec::new(),
-            state_bytes,
-            peak_state_bytes: state_bytes,
-            buffer_reused: false,
-            state_passes: tracker.stats().full_passes,
-            analysis_warnings,
-            isa: isa.name().into(),
-            gate_class_counts: GateClassCount::from_grid(class_grid),
-            batch_id: None,
-            batch_size: 1,
-        })
     }
 
     /// Run a fused circuit at precision `F` from `|0…0⟩`, returning the
@@ -544,313 +364,15 @@ impl SimBackend {
     /// every gate-application boundary (and, on the CPU flavor, at every
     /// sweep cache block). On failure the state allocation rides back in
     /// [`RunFailure::buffer`] whenever it was acquired, so callers can
-    /// recycle it.
+    /// recycle it. The walk is a gang of one.
     pub fn run_with<F: Float>(
         &self,
         fused: &FusedCircuit,
         opts: &RunOptions,
-        mut ctx: RunContext<F>,
+        ctx: RunContext<F>,
     ) -> Result<(StateVector<F>, RunReport), RunFailure<F>> {
-        let n = fused.num_qubits;
-        if n == 0 || n > qsim_core::statevec::MAX_QUBITS {
-            return Err(RunFailure {
-                error: BackendError::InvalidCircuit(format!("unsupported qubit count {n}")),
-                buffer: ctx.reuse_buffer.take(),
-            });
-        }
-        // Static analysis replaces the old ad-hoc qubit-range loop: a
-        // malformed or non-unitary plan is rejected here, before the
-        // state vector is allocated.
-        let analysis_warnings = match self.analyze_pre_run(fused) {
-            Ok(w) => w,
-            Err(error) => return Err(RunFailure { error, buffer: ctx.reuse_buffer.take() }),
-        };
-        let wall_start = Instant::now();
-        let len = 1usize << n;
-        let amp_bytes = F::PRECISION.amplitude_bytes();
-        let double_precision = F::PRECISION == qsim_core::types::Precision::Double;
-        let spec = self.gpu.spec().clone();
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-        let mut kernel_stats: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-        let mut measurements = Vec::new();
-        let isa = qsim_core::simd::active_isa();
-        let lane_qubits = isa.lane_qubits(F::PRECISION);
-        let mut class_grid = [[0u64; 2]; 2];
-        let cancel = ctx.cancel.clone();
-
-        // Per-run peak-memory accounting (the device may be long-lived).
-        self.gpu.reset_peak_memory();
-
-        // ---- timed region starts here (like the paper, it includes the
-        // gate-fusion step, charged at its modeled host cost) ----
-        let t0 = self.gpu.synchronize();
-        let fusion_stats = fused.stats();
-        let fusion_us = Self::fusion_cost_us(&fusion_stats);
-        self.gpu.advance_host_us(fusion_us);
-
-        // hipMalloc the state vector (this is where a 31-qubit double run
-        // genuinely exceeds the modeled A100's 40 GB) — or adopt the
-        // caller's recycled buffer, skipping the allocation entirely.
-        let buffer_reused = ctx.reuse_buffer.is_some();
-        let mut state_buf = match ctx.reuse_buffer.take() {
-            Some(buf) if buf.len() == len => match self.gpu.adopt_vec(buf) {
-                Ok(b) => b,
-                Err((e, buf)) => {
-                    return Err(RunFailure { error: BackendError::Gpu(e), buffer: Some(buf) })
-                }
-            },
-            Some(buf) => {
-                return Err(RunFailure {
-                    error: BackendError::InvalidCircuit(format!(
-                        "recycled buffer has {} amplitudes, want 2^{n}",
-                        buf.len()
-                    )),
-                    buffer: Some(buf),
-                })
-            }
-            None => self.gpu.malloc::<Cplx<F>>(len)?,
-        };
-        let state_bytes = state_buf.bytes();
-
-        // Initialise |0…0⟩ on-device. A fresh hipMalloc is already
-        // zeroed; an adopted buffer holds the previous job's amplitudes
-        // and pays the full clearing sweep (still far cheaper than
-        // faulting in fresh pages).
-        let init = self.init_desc(len, amp_bytes, double_precision);
-        let (s, e, ()) = self.gpu.launch(&init, StreamId::DEFAULT, || {
-            let amps = state_buf.as_mut_slice();
-            if buffer_reused {
-                amps.fill(Cplx::zero());
-            }
-            amps[0] = Cplx::one();
-        })?;
-        bump(&mut kernel_stats, &init.name, e - s);
-        let setup_seconds = wall_start.elapsed().as_secs_f64();
-
-        // Dedicated copy stream so matrix uploads overlap compute
-        // (Figures 1 and 6).
-        let copy_stream =
-            if self.flavor.uploads_matrices() { Some(self.gpu.create_stream()) } else { None };
-
-        // Cache-blocked sweep state: block-local gates are charged to the
-        // modeled timeline as usual but their functional application is
-        // deferred so a whole run applies to each cache block in one pass
-        // (no sweeping on GPU flavors — `effective_sweep` disables it, the
-        // tracker then marks every gate a barrier and `pending` stays
-        // empty).
-        let mut tracker = PassTracker::new(&self.effective_sweep(), n);
-        let mut pending: Vec<(Vec<usize>, GateMatrix<F>)> = Vec::new();
-
-        for (op_index, op) in fused.ops.iter().enumerate() {
-            // The cooperative-cancellation boundary: between fused gate
-            // applications (never inside a kernel). A service's timeout
-            // watchdog and its `cancel` verb both land here.
-            if let Some(cause) = cancel.as_ref().and_then(CancelToken::cause) {
-                return Err(RunFailure {
-                    error: BackendError::Cancelled { cause, at_op: op_index },
-                    buffer: Some(state_buf.into_vec()),
-                });
-            }
-            match op {
-                FusedOp::Unitary(g) => {
-                    let matrix = g.matrix_as::<F>();
-
-                    // Ship the fused matrix to the device.
-                    if let Some(cs) = copy_stream {
-                        let mut mbuf = self.gpu.malloc::<Cplx<F>>(matrix.dim() * matrix.dim())?;
-                        self.gpu.memcpy_h2d_async(&mut mbuf, matrix.as_slice(), cs)?;
-                        let ev = self.gpu.record_event(cs)?;
-                        self.gpu.stream_wait_event(StreamId::DEFAULT, ev)?;
-                    }
-
-                    count_gate_class(&mut class_grid, &g.qubits, lane_qubits);
-                    let new_pass = tracker.on_gate(&g.qubits);
-                    let mut desc = self.gate_desc(n, &g.qubits, amp_bytes, double_precision);
-                    desc.work.passes = if new_pass { 1.0 } else { 0.0 };
-                    self.tune_host_charge(&mut desc, n, &g.qubits, lane_qubits, new_pass);
-                    if tracker.in_run() {
-                        // Block-local: charge the launch now, apply with
-                        // the rest of the run when it flushes.
-                        let (s, e) = self.gpu.charge_launch(&desc, StreamId::DEFAULT)?;
-                        bump(&mut kernel_stats, &desc.name, e - s);
-                        pending.push((g.qubits.clone(), matrix));
-                    } else {
-                        // Barrier gate: flush the open run, then go
-                        // through the ordinary strided kernel.
-                        if let Err(cause) = flush_run(
-                            &self.sweep,
-                            state_buf.as_mut_slice(),
-                            &mut pending,
-                            cancel.as_ref(),
-                        ) {
-                            return Err(RunFailure {
-                                error: BackendError::Cancelled { cause, at_op: op_index },
-                                buffer: Some(state_buf.into_vec()),
-                            });
-                        }
-                        let (s, e, ()) = self.gpu.launch(&desc, StreamId::DEFAULT, || {
-                            apply_gate_slice_par(state_buf.as_mut_slice(), &g.qubits, &matrix);
-                        })?;
-                        bump(&mut kernel_stats, &desc.name, e - s);
-                        debug_assert_norm(state_buf.as_slice(), &desc.name);
-                    }
-                }
-                FusedOp::Measurement { qubits, .. } => {
-                    tracker.on_barrier();
-                    if let Err(cause) = flush_run(
-                        &self.sweep,
-                        state_buf.as_mut_slice(),
-                        &mut pending,
-                        cancel.as_ref(),
-                    ) {
-                        return Err(RunFailure {
-                            error: BackendError::Cancelled { cause, at_op: op_index },
-                            buffer: Some(state_buf.into_vec()),
-                        });
-                    }
-                    // qsim measures on-device; we model the equivalent
-                    // traffic with an explicit round trip: D2H, host
-                    // measurement + collapse, H2D.
-                    let mut host: Vec<Cplx<F>> = vec![Cplx::zero(); len];
-                    self.gpu.memcpy_d2h_async(&mut host, &state_buf, StreamId::DEFAULT)?;
-                    self.gpu.sync_stream(StreamId::DEFAULT)?;
-                    let outcome = measure_slice(&mut host, qubits, &mut rng);
-                    measurements.push((qubits.clone(), outcome));
-                    self.gpu.memcpy_h2d_async(&mut state_buf, &host, StreamId::DEFAULT)?;
-                    bump(&mut kernel_stats, "Measure(D2H+H2D)", 0.0);
-                }
-            }
-        }
-        tracker.on_barrier();
-        if let Err(cause) =
-            flush_run(&self.sweep, state_buf.as_mut_slice(), &mut pending, cancel.as_ref())
-        {
-            return Err(RunFailure {
-                error: BackendError::Cancelled { cause, at_op: fused.ops.len() },
-                buffer: Some(state_buf.into_vec()),
-            });
-        }
-
-        // Final sampling on-device (qsim's `SampleKernel`: one cumulative
-        // pass over the probabilities).
-        let mut samples = Vec::new();
-        if opts.sample_count > 0 {
-            let tpb = self.flavor.threads_per_block(qsim_core::kernels::KernelClass::High);
-            let desc = KernelDesc {
-                name: "SampleKernel".into(),
-                blocks: ((len as u64) / 2 / tpb as u64).max(1),
-                threads_per_block: tpb,
-                shared_mem_bytes: 0,
-                work: gpu_model::runtime::KernelWork {
-                    bytes: (len * amp_bytes) as f64,
-                    flops: len as f64 * 4.0,
-                    passes: 1.0,
-                },
-                double_precision,
-            };
-            let (s, e, drawn) = self.gpu.launch(&desc, StreamId::DEFAULT, || {
-                qsim_core::statespace::sample_slice(
-                    state_buf.as_slice(),
-                    opts.sample_count,
-                    &mut rng,
-                )
-            })?;
-            bump(&mut kernel_stats, &desc.name, e - s);
-            samples = drawn;
-        }
-
-        let t_end = self.gpu.synchronize();
-        // ---- timed region ends. ----
-
-        // Move the amplitudes out instead of copying: releases the device
-        // accounting while keeping the allocation alive inside the
-        // returned state, whose buffer the caller may recycle via
-        // `StateVector::into_amplitudes`.
-        let peak_state_bytes = self.gpu.memory_usage().1;
-        let state = StateVector::from_amplitudes(state_buf.into_vec());
-
-        let kernels = kernel_stats
-            .into_iter()
-            .map(|(name, (count, time_us))| KernelStat { name, count, time_us })
-            .collect();
-
-        let report = RunReport {
-            backend: self.flavor.label().into(),
-            device: spec.name.clone(),
-            precision: F::PRECISION,
-            num_qubits: n,
-            max_fused_qubits: fused.max_fused_qubits,
-            fused_gates: fused.num_unitaries(),
-            fusion_strategy: FusionStrategy::Greedy.label().into(),
-            predicted_cost_seconds: 0.0,
-            fusion_stats,
-            simulated_seconds: (t_end - t0) * 1e-6,
-            fusion_seconds: fusion_us * 1e-6,
-            wall_seconds: wall_start.elapsed().as_secs_f64(),
-            setup_seconds,
-            kernels,
-            measurements,
-            samples,
-            state_bytes,
-            peak_state_bytes,
-            buffer_reused,
-            state_passes: tracker.stats().full_passes,
-            analysis_warnings,
-            isa: isa.name().into(),
-            gate_class_counts: GateClassCount::from_grid(class_grid),
-            batch_id: None,
-            batch_size: 1,
-        };
-        Ok((state, report))
-    }
-}
-
-pub(crate) fn bump(stats: &mut BTreeMap<String, (u64, f64)>, name: &str, dur_us: f64) {
-    let entry = stats.entry(name.to_string()).or_insert((0, 0.0));
-    entry.0 += 1;
-    entry.1 += dur_us;
-}
-
-/// Tally one fused unitary into the `[gpu][cpu]` class grid (index 0 =
-/// High, 1 = Low) that flattens into [`RunReport::gate_class_counts`].
-pub(crate) fn count_gate_class(grid: &mut [[u64; 2]; 2], qubits: &[usize], lane_qubits: usize) {
-    use qsim_core::kernels::{classify_gate, classify_gate_at, KernelClass};
-    let gpu = (classify_gate(qubits) == KernelClass::Low) as usize;
-    let cpu = (classify_gate_at(qubits, lane_qubits) == KernelClass::Low) as usize;
-    grid[gpu][cpu] += 1;
-}
-
-/// Apply and clear the pending run of block-local gates (no-op when the
-/// run is empty). The cancel token, when present, is polled at every
-/// sweep cache block; a cancelled run leaves `amps` partially updated and
-/// reports the cause.
-fn flush_run<F: Float>(
-    sweep: &SweepExecutor,
-    amps: &mut [Cplx<F>],
-    pending: &mut Vec<(Vec<usize>, GateMatrix<F>)>,
-    cancel: Option<&CancelToken>,
-) -> Result<(), CancelCause> {
-    if !pending.is_empty() {
-        sweep.apply_run_cancellable(
-            amps,
-            pending.iter().map(|(q, m)| (q.as_slice(), m)),
-            cancel,
-        )?;
-        pending.clear();
-        debug_assert_norm(amps, "cache-blocked sweep run");
-    }
-    Ok(())
-}
-
-/// Debug-build invariant checked after every fused-gate application: the
-/// plan's unitaries passed the pre-run analysis, so any norm drift beyond
-/// rounding means a kernel bug, not a bad circuit. Compiles to nothing in
-/// release builds.
-fn debug_assert_norm<F: Float>(amps: &[Cplx<F>], what: &str) {
-    if cfg!(debug_assertions) {
-        let norm_sqr = qsim_core::statespace::norm_sqr_slice(amps);
-        let tol = if F::PRECISION == qsim_core::types::Precision::Double { 1e-9 } else { 1e-3 };
-        assert!((norm_sqr - 1.0).abs() < tol, "state norm² drifted to {norm_sqr} after {what}");
+        let mut walked = self.walk(fused, Some(vec![(*opts, ctx)]), (None, 1));
+        walked.subs.pop().expect("a walk resolves every state it was handed")
     }
 }
 
@@ -868,40 +390,14 @@ const _: () = {
     assert_send_sync::<RunFailure<f64>>();
 };
 
-impl Backend for SimBackend {
-    fn label(&self) -> &'static str {
-        self.flavor.label()
-    }
-
-    fn device_name(&self) -> String {
-        self.gpu.spec().name.clone()
-    }
-
-    fn run_f32(
-        &self,
-        fused: &FusedCircuit,
-        opts: &RunOptions,
-    ) -> Result<(StateVector<f32>, RunReport), BackendError> {
-        self.run::<f32>(fused, opts)
-    }
-
-    fn run_f64(
-        &self,
-        fused: &FusedCircuit,
-        opts: &RunOptions,
-    ) -> Result<(StateVector<f64>, RunReport), BackendError> {
-        self.run::<f64>(fused, opts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qsim_circuit::library;
     use qsim_circuit::{generate_rqc, RqcOptions};
     use qsim_core::kernels::{classify_gate, KernelClass};
-    use qsim_core::types::Precision;
-    use qsim_fusion::fuse;
+    use qsim_core::GateMatrix;
+    use qsim_fusion::{fuse, FusedOp};
 
     fn run_flavor<F: Float>(flavor: Flavor, fused: &FusedCircuit) -> (StateVector<F>, RunReport) {
         SimBackend::new(flavor).run::<F>(fused, &RunOptions::default()).unwrap()
@@ -1137,6 +633,58 @@ mod tests {
                 assert!((a.time_us - b.time_us).abs() < 1e-6, "{flavor:?} {}", a.name);
             }
             assert!((run.simulated_seconds - est.simulated_seconds).abs() < 1e-9, "{flavor:?}");
+        }
+    }
+
+    #[test]
+    fn estimate_and_run_agree_across_a_measurement() {
+        use gpu_model::trace::{SpanKind, TraceSink, TraceSpan};
+        use qsim_circuit::gates::GateKind;
+        use qsim_circuit::Circuit;
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Default)]
+        struct Spans(Mutex<Vec<TraceSpan>>);
+        impl TraceSink for Spans {
+            fn record(&self, span: TraceSpan) {
+                self.0.lock().unwrap().push(span);
+            }
+        }
+
+        // A register so small that a fused matrix (8×8) outweighs the
+        // state (8 amplitudes): the copy stream is the critical path, so
+        // the host sync between a measurement's D2H and H2D, which holds
+        // every later upload behind the D2H, moves the total. The dry walk
+        // must make the same sync.
+        let mut c = Circuit::new(3);
+        c.add(0, GateKind::H, &[0]);
+        c.add(1, GateKind::Cnot, &[0, 1]);
+        c.add(2, GateKind::Measurement, &[0]);
+        for (t, (a, b)) in [(0, 1), (1, 2), (0, 2), (0, 1), (1, 2)].into_iter().enumerate() {
+            c.add(3 + 2 * t, GateKind::H, &[a]);
+            c.add(4 + 2 * t, GateKind::Cnot, &[a, b]);
+        }
+        let fused = fuse(&c, 3);
+        for flavor in [Flavor::Cuda, Flavor::Hip] {
+            let (ran, dry) = (Arc::new(Spans::default()), Arc::new(Spans::default()));
+            let (_, run) = SimBackend::with_trace(flavor, ran.clone())
+                .run::<f64>(&fused, &RunOptions::default())
+                .unwrap();
+            let est = SimBackend::with_trace(flavor, dry.clone())
+                .estimate(&fused, Precision::Double)
+                .unwrap();
+            assert_eq!(run.simulated_seconds, est.simulated_seconds, "{flavor:?}");
+            let ran = ran.0.lock().unwrap();
+            assert_eq!(*ran, *dry.0.lock().unwrap(), "{flavor:?}");
+
+            let d2h = ran.iter().find(|s| s.kind == SpanKind::MemcpyD2H).expect("one measurement");
+            let measured_at = ran.iter().position(|s| s.kind == SpanKind::MemcpyD2H).unwrap();
+            let later_uploads: Vec<_> =
+                ran[measured_at..].iter().filter(|s| s.stream != 0).collect();
+            assert!(!later_uploads.is_empty(), "{flavor:?}");
+            for upload in later_uploads {
+                assert!(upload.start_us >= d2h.start_us + d2h.dur_us, "{flavor:?} {upload:?}");
+            }
         }
     }
 
@@ -1415,11 +963,39 @@ mod tests {
         let fused = fuse(&library::bell(), 2);
         let stale = vec![Cplx::<f64>::zero(); 8]; // 3-qubit buffer for a 2-qubit run
         let ctx = RunContext { reuse_buffer: Some(stale), cancel: None };
-        let failure = SimBackend::new(Flavor::Cuda)
-            .run_with(&fused, &RunOptions::default(), ctx)
-            .unwrap_err();
+        let backend = SimBackend::new(Flavor::Cuda);
+        let failure = backend.run_with(&fused, &RunOptions::default(), ctx).unwrap_err();
         assert!(matches!(failure.error, BackendError::InvalidCircuit(_)));
         assert_eq!(failure.buffer.expect("buffer must survive rejection").len(), 8);
+        // Nothing was launched or charged for the refused state.
+        assert_eq!(backend.gpu().synchronize(), 0.0);
+    }
+
+    #[test]
+    fn device_error_after_acquisition_returns_the_buffer() {
+        // A device whose block limit is below the flavor's geometry refuses
+        // the very first launch (SetStateKernel) — after the recycled
+        // buffer was acquired. The pool's allocation must ride back.
+        let fused = fuse(&library::bell(), 2);
+        let mut spec = Flavor::Hip.default_spec();
+        spec.max_threads_per_block = 16;
+        let backend = SimBackend::with_spec(Flavor::Hip, spec);
+        let recycled = vec![Cplx::<f32>::zero(); 4];
+        let addr = recycled.as_ptr();
+        let ctx = RunContext { reuse_buffer: Some(recycled), cancel: None };
+        let failure = backend.run_with(&fused, &RunOptions::default(), ctx).unwrap_err();
+        assert!(
+            matches!(failure.error, BackendError::Gpu(GpuError::InvalidLaunch(_))),
+            "{:?}",
+            failure.error
+        );
+        let buffer = failure.buffer.expect("a device error must hand the pooled buffer back");
+        assert_eq!(buffer.as_ptr(), addr, "the same allocation");
+        // The dry walk meets the same refusal.
+        assert!(matches!(
+            backend.estimate(&fused, Precision::Single),
+            Err(BackendError::Gpu(GpuError::InvalidLaunch(_)))
+        ));
     }
 
     #[test]

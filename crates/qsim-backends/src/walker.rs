@@ -1,0 +1,508 @@
+//! The plan walker: the one traversal of a fused circuit on a modeled
+//! device.
+//!
+//! One generic loop serves all four flavors (exactly as the hipified HIP
+//! backend is a line-for-line port of the CUDA backend): per fused gate it
+//!
+//! 1. uploads the gate matrix with an async copy on a dedicated copy
+//!    stream (the `hipMemcpyAsync` activity of Figures 1 and 6),
+//! 2. makes the compute stream wait on the copy via an event,
+//! 3. launches `ApplyGateH_Kernel` or `ApplyGateL_Kernel` depending on
+//!    whether the gate touches a qubit below index 5 (qsim's shared-memory
+//!    tile design), with the flavor's block geometry.
+//!
+//! Every launch and copy is charged to the device model's virtual
+//! timeline; kernel bodies run on host threads **only when the walk is
+//! handed states**. The three entry points differ in nothing else:
+//! [`SimBackend::estimate`] walks with no states,
+//! [`SimBackend::run_with`] with a gang of one, and
+//! [`SimBackend::run_batch`] with one gang per hash-equal group of
+//! sub-jobs — the cuQuantum-style batched gate application, where
+//! analysis runs once, each gate's matrix is converted and uploaded once,
+//! and one [`qsim_core::sweep::PreparedRun`] per cache-blocked run is swept
+//! across every state. A launch over `k` states is charged `k` states'
+//! bytes and flops; the dry walk is charged as one state.
+//!
+//! Per-state arithmetic is the single-state kernels' ([`apply_run_gang`] /
+//! [`apply_gate_gang`]), each state has its own seeded RNG for
+//! measurements and sampling, and cancellation stays per state: a fired
+//! token extracts that slot's buffer mid-gang while the rest keep running.
+//! Whatever stops a state — cancellation, a bad buffer, a modeled-runtime
+//! error — its allocation rides back in [`RunFailure::buffer`].
+
+use std::collections::BTreeMap;
+use std::time::Instant;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use gpu_model::runtime::{KernelDesc, StreamId};
+use gpu_model::trace::SpanKind;
+use gpu_model::GpuError;
+use qsim_core::batch::{apply_gate_gang, apply_run_gang, StateBatch};
+use qsim_core::cancel::CancelToken;
+use qsim_core::statespace::{measure_slice, norm_sqr_slice, sample_slice};
+use qsim_core::sweep::{PassTracker, SweepExecutor};
+use qsim_core::types::{Cplx, Float, Precision};
+use qsim_core::{GateMatrix, StateVector};
+use qsim_fusion::{FusedCircuit, FusedOp, FusionStrategy};
+
+use crate::batch_run::BatchResult;
+use crate::plan::{gate_kernel_desc, init_kernel_desc, sample_kernel_desc};
+use crate::report::{GateClassCount, KernelStat, RunOptions, RunReport};
+use crate::sim_backend::{BackendError, RunContext, RunFailure, SimBackend};
+
+/// One state's inputs to a walk: the per-run options and service-layer
+/// context `run_with` takes.
+pub(crate) type SubIn<F> = (RunOptions, RunContext<F>);
+
+/// The pending run of block-local gates: charged when met, applied
+/// together when the run flushes.
+type PendingRun<'a, F> = Vec<(&'a [usize], GateMatrix<F>)>;
+
+/// What a walk produced.
+pub(crate) struct Walked<F: Float> {
+    /// The modeled report of the walk, as one completed state's share
+    /// (without any per-state outcome), or the error that stopped it.
+    pub report: Result<RunReport, BackendError>,
+    /// One result per state handed in, in input order (empty for a dry
+    /// walk).
+    pub subs: Vec<BatchResult<F>>,
+}
+
+/// A walk refused before any state was acquired: every recycled buffer
+/// goes straight back to its caller.
+fn rejected<F: Float>(error: BackendError, subs_in: Option<Vec<SubIn<F>>>) -> Walked<F> {
+    let subs = subs_in
+        .into_iter()
+        .flatten()
+        .map(|(_, ctx)| Err(RunFailure { error: error.clone(), buffer: ctx.reuse_buffer }))
+        .collect();
+    Walked { report: Err(error), subs }
+}
+
+/// Per-state bookkeeping while its amplitudes live in the gang.
+struct Sub {
+    /// Position in the caller's list of states (and in [`Walked::subs`]).
+    job: usize,
+    opts: RunOptions,
+    rng: StdRng,
+    reused: bool,
+    measurements: Vec<(Vec<usize>, usize)>,
+    samples: Vec<u64>,
+}
+
+/// The functional side of a walk: the states kernel bodies run on.
+struct Gang<F: Float> {
+    batch: StateBatch<F>,
+    /// Indexed by batch slot, as is `cancels`.
+    subs: Vec<Sub>,
+    cancels: Vec<Option<CancelToken>>,
+    /// Indexed by caller position; `None` while the state is still live.
+    out: Vec<Option<BatchResult<F>>>,
+}
+
+impl<F: Float> Gang<F> {
+    /// Move every state into the gang as `|0…0⟩`, recycling the caller's
+    /// buffers. A buffer of the wrong size resolves its state at once.
+    fn acquire(n: usize, subs_in: Vec<SubIn<F>>) -> Self {
+        let mut gang = Gang {
+            batch: StateBatch::new(n),
+            subs: Vec::new(),
+            cancels: Vec::new(),
+            out: Vec::new(),
+        };
+        gang.out.resize_with(subs_in.len(), || None);
+        for (job, (opts, ctx)) in subs_in.into_iter().enumerate() {
+            let reused = ctx.reuse_buffer.is_some();
+            match gang.batch.push_state(ctx.reuse_buffer) {
+                Ok(_) => {
+                    gang.cancels.push(ctx.cancel);
+                    gang.subs.push(Sub {
+                        job,
+                        rng: StdRng::seed_from_u64(opts.seed),
+                        opts,
+                        reused,
+                        measurements: Vec::new(),
+                        samples: Vec::new(),
+                    });
+                }
+                Err(buf) => {
+                    gang.out[job] = Some(Err(RunFailure {
+                        error: BackendError::InvalidCircuit(format!(
+                            "recycled buffer has {} amplitudes, want 2^{n}",
+                            buf.len()
+                        )),
+                        buffer: Some(buf),
+                    }));
+                }
+            }
+        }
+        gang
+    }
+
+    /// Resolve `slot` as failed, handing its buffer back.
+    fn fail(&mut self, slot: usize, error: BackendError) {
+        let buffer = self.batch.take(slot);
+        self.out[self.subs[slot].job] = Some(Err(RunFailure { error, buffer }));
+    }
+
+    /// The cooperative-cancellation boundary: between fused gate
+    /// applications (never inside a kernel). A service's timeout watchdog
+    /// and its `cancel` verb both land here.
+    fn poll_cancels(&mut self, at_op: usize) {
+        for slot in 0..self.subs.len() {
+            if !self.batch.is_active(slot) {
+                continue;
+            }
+            if let Some(cause) = self.cancels[slot].as_ref().and_then(CancelToken::cause) {
+                self.fail(slot, BackendError::Cancelled { cause, at_op });
+            }
+        }
+    }
+
+    /// Apply and clear the pending run of block-local gates across the
+    /// whole gang: one [`SweepExecutor::prepare_run`] (SimdPlans +
+    /// GatePlans built once), swept over every live state. Each state's
+    /// token is polled at every sweep cache block; a state cancelled
+    /// mid-run fails with `at_op`.
+    fn flush(&mut self, sweep: &SweepExecutor, pending: &mut PendingRun<'_, F>, at_op: usize) {
+        if pending.is_empty() {
+            return;
+        }
+        let prepared =
+            sweep.prepare_run(self.batch.state_len(), pending.iter().map(|(q, m)| (*q, m)));
+        for (slot, cause) in apply_run_gang(&prepared, &mut self.batch, &self.cancels) {
+            self.fail(slot, BackendError::Cancelled { cause, at_op });
+        }
+        pending.clear();
+        self.debug_assert_norms("cache-blocked sweep run");
+    }
+
+    /// Debug-build invariant checked on every live state after every
+    /// fused-gate application: the plan's unitaries passed the pre-run
+    /// analysis, so any norm drift beyond rounding means a kernel bug, not
+    /// a bad circuit. Compiles to nothing in release builds.
+    fn debug_assert_norms(&self, what: &str) {
+        if cfg!(debug_assertions) {
+            let tol = if F::PRECISION == Precision::Double { 1e-9 } else { 1e-3 };
+            for amps in (0..self.subs.len()).filter_map(|slot| self.batch.state(slot)) {
+                let norm_sqr = norm_sqr_slice(amps);
+                assert!(
+                    (norm_sqr - 1.0).abs() < tol,
+                    "state norm² drifted to {norm_sqr} after {what}"
+                );
+            }
+        }
+    }
+
+    /// Resolve every state still live: with the walk's report it completed
+    /// (its amplitudes move out instead of being copied, and its report is
+    /// the walk's plus its own outcomes); with the walk's error it failed
+    /// and its buffer rides back.
+    fn finish(self, walk: &Result<RunReport, BackendError>) -> Vec<BatchResult<F>> {
+        let Gang { mut batch, subs, mut out, .. } = self;
+        for (slot, sub) in subs.into_iter().enumerate() {
+            let Some(amps) = batch.take(slot) else { continue };
+            out[sub.job] = Some(match walk {
+                Ok(report) => Ok((
+                    StateVector::from_amplitudes(amps),
+                    RunReport {
+                        measurements: sub.measurements,
+                        samples: sub.samples,
+                        buffer_reused: sub.reused,
+                        ..report.clone()
+                    },
+                )),
+                Err(error) => Err(RunFailure { error: error.clone(), buffer: Some(amps) }),
+            });
+        }
+        out.into_iter().map(|r| r.expect("every state of a walk resolves")).collect()
+    }
+}
+
+/// States a launch covers: the gang's live states, or one for a dry walk.
+fn width<F: Float>(gang: &Option<Gang<F>>) -> usize {
+    gang.as_ref().map_or(1, |g| g.batch.active_count())
+}
+
+/// Multiply a kernel descriptor's charged work by the states it covers:
+/// one batched launch moves N states' bytes and flops.
+fn scale_for_gang(desc: &mut KernelDesc, gang: usize) {
+    let k = gang as f64;
+    desc.work.bytes *= k;
+    desc.work.flops *= k;
+    desc.work.passes *= k;
+    desc.blocks = desc.blocks.saturating_mul(gang as u64).max(1);
+}
+
+fn bump(stats: &mut BTreeMap<String, (u64, f64)>, name: &str, dur_us: f64) {
+    let entry = stats.entry(name.to_string()).or_insert((0, 0.0));
+    entry.0 += 1;
+    entry.1 += dur_us;
+}
+
+/// Tally one fused unitary into the `[gpu][cpu]` class grid (index 0 =
+/// High, 1 = Low) that flattens into [`RunReport::gate_class_counts`].
+fn count_gate_class(grid: &mut [[u64; 2]; 2], qubits: &[usize], lane_qubits: usize) {
+    use qsim_core::kernels::{classify_gate, classify_gate_at, KernelClass};
+    let gpu = (classify_gate(qubits) == KernelClass::Low) as usize;
+    let cpu = (classify_gate_at(qubits, lane_qubits) == KernelClass::Low) as usize;
+    grid[gpu][cpu] += 1;
+}
+
+impl SimBackend {
+    /// Walk `fused` at precision `F`: over the states of `subs_in` when
+    /// given, as a dry run otherwise. `batch` is the `(batch_id,
+    /// batch_size)` stamped on every report.
+    pub(crate) fn walk<F: Float>(
+        &self,
+        fused: &FusedCircuit,
+        subs_in: Option<Vec<SubIn<F>>>,
+        batch: (Option<u64>, usize),
+    ) -> Walked<F> {
+        let n = fused.num_qubits;
+        if n == 0 || n > qsim_core::statevec::MAX_QUBITS {
+            let error = BackendError::InvalidCircuit(format!("unsupported qubit count {n}"));
+            return rejected(error, subs_in);
+        }
+        // A malformed or non-unitary plan is rejected here, before any
+        // state vector is allocated.
+        let analysis_warnings = match self.analyze_pre_run(fused) {
+            Ok(w) => w,
+            Err(error) => return rejected(error, subs_in),
+        };
+        let wall_start = Instant::now();
+
+        // Modeled-memory admission (this is where a 31-qubit double run
+        // genuinely exceeds the modeled A100's 40 GB): state buffers are
+        // host allocations flowing pool → gang → pool, outside the device
+        // model's allocator, so the footprint is checked against the
+        // modeled capacity explicitly (conservatively counting states
+        // that may yet fail buffer validation).
+        let state_bytes = (F::PRECISION.amplitude_bytes() as u64) << n;
+        let gang_bytes = subs_in.as_ref().map_or(1, Vec::len) as u64 * state_bytes;
+        let capacity = self.gpu.spec().memory_bytes;
+        if gang_bytes > capacity {
+            let oom = GpuError::OutOfMemory { requested_bytes: gang_bytes, free_bytes: capacity };
+            return rejected(BackendError::Gpu(oom), subs_in);
+        }
+
+        let mut gang = subs_in.map(|subs| Gang::acquire(n, subs));
+        let report = if width(&gang) == 0 {
+            // Every state was refused at acquisition: nothing is launched
+            // or charged.
+            Err(BackendError::InvalidCircuit("no state left to walk".into()))
+        } else {
+            self.walk_timeline(fused, &mut gang, wall_start, gang_bytes, analysis_warnings, batch)
+                .map_err(BackendError::Gpu)
+        };
+        let subs = gang.map_or_else(Vec::new, |g| g.finish(&report));
+        Walked { report, subs }
+    }
+
+    /// The timed region of a walk, and its report. Like the paper's, the
+    /// region includes the gate-fusion step, charged at its modeled host
+    /// cost; fusion and every per-gate fixed cost land once per gang. A
+    /// modeled-runtime error (bad launch, matrix-buffer OOM) stops the
+    /// walk for every state still live.
+    fn walk_timeline<'a, F: Float>(
+        &self,
+        fused: &'a FusedCircuit,
+        gang: &mut Option<Gang<F>>,
+        wall_start: Instant,
+        gang_bytes: u64,
+        analysis_warnings: Vec<String>,
+        batch: (Option<u64>, usize),
+    ) -> Result<RunReport, GpuError> {
+        let n = fused.num_qubits;
+        let len = 1usize << n;
+        let amp_bytes = F::PRECISION.amplitude_bytes();
+        let double_precision = F::PRECISION == Precision::Double;
+        let mut kernel_stats: BTreeMap<String, (u64, f64)> = BTreeMap::new();
+        let isa = qsim_core::simd::active_isa();
+        let lane_qubits = isa.lane_qubits(F::PRECISION);
+        let mut class_grid = [[0u64; 2]; 2];
+
+        // Per-walk peak-memory accounting (the device may be long-lived).
+        self.gpu.reset_peak_memory();
+        let t0 = self.gpu.synchronize();
+        let fusion_stats = fused.stats();
+        let fusion_us = Self::fusion_cost_us(&fusion_stats);
+        self.gpu.advance_host_us(fusion_us);
+
+        // One batched init launch covers the whole gang (acquisition
+        // already wrote |0…0⟩ into every slot).
+        let mut init = init_kernel_desc(self.flavor, len, amp_bytes, double_precision);
+        scale_for_gang(&mut init, width(gang));
+        let (s, e) = self.gpu.charge_launch(&init, StreamId::DEFAULT)?;
+        bump(&mut kernel_stats, &init.name, e - s);
+        let setup_seconds = if gang.is_some() { wall_start.elapsed().as_secs_f64() } else { 0.0 };
+
+        // Dedicated copy stream so matrix uploads overlap compute
+        // (Figures 1 and 6).
+        let copy_stream = self.flavor.uploads_matrices().then(|| self.gpu.create_stream());
+
+        // Cache-blocked sweep state: block-local gates are charged to the
+        // modeled timeline as usual but their functional application is
+        // deferred so a whole run applies to each cache block in one pass
+        // (no sweeping on GPU flavors — `effective_sweep` disables it, the
+        // tracker then marks every gate a barrier and `pending` stays
+        // empty).
+        let mut tracker = PassTracker::new(&self.effective_sweep(), n);
+        let mut pending: PendingRun<'a, F> = Vec::new();
+
+        for (op_index, op) in fused.ops.iter().enumerate() {
+            if let Some(gang) = gang.as_mut() {
+                gang.poll_cancels(op_index);
+                if gang.batch.active_count() == 0 {
+                    pending.clear();
+                    break;
+                }
+            }
+            match op {
+                FusedOp::Unitary(g) => {
+                    // Converted once, uploaded once, applied N times —
+                    // the batched amortization.
+                    let matrix = gang.is_some().then(|| g.matrix_as::<F>());
+                    if let Some(cs) = copy_stream {
+                        // Ship the fused matrix to the device; a dry walk
+                        // has no matrix to move and charges the same copy.
+                        match &matrix {
+                            Some(m) => {
+                                let mut mbuf = self.gpu.malloc::<Cplx<F>>(m.dim() * m.dim())?;
+                                self.gpu.memcpy_h2d_async(&mut mbuf, m.as_slice(), cs)?;
+                            }
+                            None => {
+                                let dim = 1usize << g.qubits.len();
+                                let bytes = (dim * dim * amp_bytes) as u64;
+                                self.gpu.charge_memcpy(SpanKind::MemcpyH2D, bytes, cs)?;
+                            }
+                        }
+                        let ev = self.gpu.record_event(cs)?;
+                        self.gpu.stream_wait_event(StreamId::DEFAULT, ev)?;
+                    }
+                    count_gate_class(&mut class_grid, &g.qubits, lane_qubits);
+                    let new_pass = tracker.on_gate(&g.qubits);
+                    let mut desc = gate_kernel_desc(
+                        self.flavor,
+                        n,
+                        &g.qubits,
+                        amp_bytes,
+                        double_precision,
+                        self.low_overhead_override,
+                    );
+                    desc.work.passes = if new_pass { 1.0 } else { 0.0 };
+                    self.tune_host_charge(&mut desc, n, &g.qubits, lane_qubits, new_pass);
+                    scale_for_gang(&mut desc, width(gang));
+                    let (s, e) = if tracker.in_run() {
+                        // Block-local: charge the launch now, apply with
+                        // the rest of the run when it flushes.
+                        pending.extend(matrix.map(|m| (g.qubits.as_slice(), m)));
+                        self.gpu.charge_launch(&desc, StreamId::DEFAULT)?
+                    } else {
+                        // Barrier gate: flush the open run, then go
+                        // through the ordinary strided kernel.
+                        if let Some(gang) = gang.as_mut() {
+                            gang.flush(&self.sweep, &mut pending, op_index);
+                        }
+                        let (s, e, ()) = self.gpu.launch(&desc, StreamId::DEFAULT, || {
+                            if let (Some(gang), Some(matrix)) = (gang.as_mut(), &matrix) {
+                                apply_gate_gang(&mut gang.batch, &g.qubits, matrix);
+                                gang.debug_assert_norms(&desc.name);
+                            }
+                        })?;
+                        (s, e)
+                    };
+                    bump(&mut kernel_stats, &desc.name, e - s);
+                }
+                FusedOp::Measurement { qubits, .. } => {
+                    tracker.on_barrier();
+                    if let Some(gang) = gang.as_mut() {
+                        gang.flush(&self.sweep, &mut pending, op_index);
+                    }
+                    // qsim measures on-device; we model the equivalent
+                    // traffic as a D2H + H2D round trip, once per gang at
+                    // the aggregate size, with the host waiting on the
+                    // D2H before it measures. Each state collapses in
+                    // place with its own RNG.
+                    let bytes = (len * amp_bytes * width(gang)) as u64;
+                    self.gpu.charge_memcpy(SpanKind::MemcpyD2H, bytes, StreamId::DEFAULT)?;
+                    self.gpu.sync_stream(StreamId::DEFAULT)?;
+                    if let Some(gang) = gang.as_mut() {
+                        for (slot, sub) in gang.subs.iter_mut().enumerate() {
+                            if let Some(amps) = gang.batch.state_mut(slot) {
+                                let outcome = measure_slice(amps, qubits, &mut sub.rng);
+                                sub.measurements.push((qubits.clone(), outcome));
+                            }
+                        }
+                    }
+                    self.gpu.charge_memcpy(SpanKind::MemcpyH2D, bytes, StreamId::DEFAULT)?;
+                    bump(&mut kernel_stats, "Measure(D2H+H2D)", 0.0);
+                }
+            }
+        }
+        tracker.on_barrier();
+        if let Some(gang) = gang.as_mut() {
+            gang.flush(&self.sweep, &mut pending, fused.ops.len());
+        }
+
+        // Final sampling on-device: one gang-scaled launch, each state
+        // drawing with its own RNG.
+        let sampling = gang.as_ref().map_or(0, |g| {
+            let draws = |slot: &usize| g.subs[*slot].opts.sample_count > 0;
+            (0..g.subs.len()).filter(|slot| g.batch.is_active(*slot)).filter(draws).count()
+        });
+        if let (Some(gang), true) = (gang.as_mut(), sampling > 0) {
+            let mut desc = sample_kernel_desc(self.flavor, len, amp_bytes, double_precision);
+            scale_for_gang(&mut desc, sampling);
+            let (s, e, ()) = self.gpu.launch(&desc, StreamId::DEFAULT, || {
+                for (slot, sub) in gang.subs.iter_mut().enumerate() {
+                    let draws = sub.opts.sample_count;
+                    if let Some(amps) = gang.batch.state(slot).filter(|_| draws > 0) {
+                        sub.samples = sample_slice(amps, draws, &mut sub.rng);
+                    }
+                }
+            })?;
+            bump(&mut kernel_stats, &desc.name, e - s);
+        }
+        let t_end = self.gpu.synchronize();
+
+        // Modeled and wall durations are shares: the whole walk's divided
+        // across the states that completed.
+        let completed = width(gang).max(1) as f64;
+        let kernels = kernel_stats
+            .into_iter()
+            .map(|(name, (count, time_us))| KernelStat { name, count, time_us })
+            .collect();
+        Ok(RunReport {
+            backend: self.flavor.label().into(),
+            device: self.gpu.spec().name.clone(),
+            precision: F::PRECISION,
+            num_qubits: n,
+            max_fused_qubits: fused.max_fused_qubits,
+            fused_gates: fused.num_unitaries(),
+            fusion_strategy: FusionStrategy::Greedy.label().into(),
+            predicted_cost_seconds: 0.0,
+            fusion_stats,
+            simulated_seconds: (t_end - t0) * 1e-6 / completed,
+            fusion_seconds: fusion_us * 1e-6 / completed,
+            wall_seconds: wall_start.elapsed().as_secs_f64() / completed,
+            setup_seconds: setup_seconds / completed,
+            kernels,
+            measurements: Vec::new(),
+            samples: Vec::new(),
+            state_bytes: (len * amp_bytes) as u64,
+            // The states, plus the widest transient in the device model's
+            // allocator (matrix upload buffers).
+            peak_state_bytes: gang_bytes + self.gpu.memory_usage().1,
+            buffer_reused: false,
+            state_passes: tracker.stats().full_passes,
+            analysis_warnings,
+            isa: isa.name().into(),
+            gate_class_counts: GateClassCount::from_grid(class_grid),
+            batch_id: batch.0,
+            batch_size: batch.1,
+        })
+    }
+}

@@ -2,7 +2,9 @@
 //! random circuits must be **bit-for-bit** equal to N sequential
 //! `run_with` calls — same final amplitudes, same measurement records,
 //! same samples — in both precisions, and cancelling one sub-job mid-batch
-//! must leave every other sub-job's result untouched.
+//! must leave every other sub-job's result untouched. `run_with` is itself
+//! a gang of one through the same walker, so a third case checks gang
+//! members against an oracle that shares no code with it.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -12,8 +14,10 @@ use qsim_backends::batch_run::BatchJob;
 use qsim_backends::{BackendError, CancelToken, Flavor, RunContext, RunOptions, SimBackend};
 use qsim_circuit::circuit::Circuit;
 use qsim_circuit::gates::GateKind;
+use qsim_core::kernels::apply_gate_seq;
 use qsim_core::types::Float;
-use qsim_fusion::{fuse, FusedCircuit};
+use qsim_core::{statespace, StateVector};
+use qsim_fusion::{fuse, FusedCircuit, FusedOp};
 
 /// A random circuit mixing one-qubit gates, two-qubit gates, and
 /// mid-circuit measurements (measurements exercise the per-sub RNG split).
@@ -102,8 +106,59 @@ fn assert_batch_matches_sequential<F: Float>(
     Ok(())
 }
 
+/// The walker-independent oracle: the plan's ops applied one by one
+/// through the sequential reference kernel on a fresh state, measurements
+/// collapsing under the member's own seed.
+fn oracle(fused: &FusedCircuit, seed: u64) -> (StateVector<f64>, Vec<(Vec<usize>, usize)>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut state = StateVector::<f64>::new(fused.num_qubits);
+    let mut measurements = Vec::new();
+    for op in &fused.ops {
+        match op {
+            FusedOp::Unitary(g) => apply_gate_seq(&mut state, &g.qubits, &g.matrix),
+            FusedOp::Measurement { qubits, .. } => {
+                let outcome = statespace::measure(&mut state, qubits, &mut rng);
+                measurements.push((qubits.clone(), outcome));
+            }
+        }
+    }
+    (state, measurements)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every member of a gang of N matches the oracle: same measurement
+    /// record for its seed, same final amplitudes up to kernel rounding
+    /// (the oracle is scalar and per-gate; the walker sweeps SIMD blocks).
+    #[test]
+    fn gang_members_match_the_sequential_oracle(
+        n in 3usize..=7,
+        ops in 6usize..=24,
+        circuit_seed in 0u64..300,
+        gang in 2usize..=4,
+        seed0 in 0u64..40,
+    ) {
+        let fused = fuse(&random_circuit(n, ops, circuit_seed), 3);
+        for flavor in [Flavor::CpuAvx, Flavor::Hip] {
+            let jobs: Vec<BatchJob<'_, f64>> = (0..gang as u64)
+                .map(|i| BatchJob {
+                    fused: Some(&fused),
+                    opts: RunOptions { seed: seed0 + 5 * i, sample_count: 0 },
+                    ctx: RunContext::default(),
+                })
+                .collect();
+            let results = SimBackend::new(flavor).run_batch::<f64>(jobs);
+            for (i, result) in results.into_iter().enumerate() {
+                let (state, report) = result
+                    .map_err(|f| TestCaseError::fail(format!("sub {i} failed: {}", f.error)))?;
+                let (want, measurements) = oracle(&fused, seed0 + 5 * i as u64);
+                prop_assert_eq!(&report.measurements, &measurements);
+                let diff = want.max_abs_diff(&state);
+                prop_assert!(diff < 1e-12, "{:?} sub {} off the oracle by {}", flavor, i, diff);
+            }
+        }
+    }
 
     /// run_batch ≡ N × run_with, bit for bit, in both precisions — over
     /// random circuits (some hash-equal within the batch, some distinct),

@@ -9,7 +9,7 @@
 
 use std::process::ExitCode;
 
-use qsim_backends::{Backend, Flavor, RunOptions, SimBackend};
+use qsim_backends::{Flavor, RunOptions, SimBackend};
 use qsim_circuit::parser::parse_circuit;
 use qsim_cli::args::{parse_backend, parse_max_fused};
 use qsim_fusion::fuse;
@@ -96,7 +96,7 @@ fn run() -> Result<(), String> {
 
     let fused = fuse(&circuit, max_fused);
     let (state, report) = SimBackend::new(backend)
-        .run_f32(&fused, &RunOptions::default())
+        .run::<f32>(&fused, &RunOptions::default())
         .map_err(|e| e.to_string())?;
 
     eprintln!(

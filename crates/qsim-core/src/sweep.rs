@@ -248,28 +248,8 @@ impl SweepExecutor {
         I: IntoIterator<Item = (&'g [usize], &'g GateMatrix<F>)>,
     {
         // Without a token the run cannot be interrupted.
-        let done = self.apply_run_cancellable(amps, gates, None);
+        let done = self.prepare_run(amps.len(), gates).apply_to(amps, None);
         debug_assert!(done.is_ok());
-    }
-
-    /// [`SweepExecutor::apply_run`] with a cooperative-cancellation hook:
-    /// the token is polled once per cache block before the run is applied
-    /// to it. On cancellation the remaining blocks are skipped and the
-    /// cause is returned — the state is then partially updated and only
-    /// good for recycling, which is exactly the service-shutdown /
-    /// job-timeout path this exists for.
-    pub fn apply_run_cancellable<'g, F, I>(
-        &self,
-        amps: &mut [Cplx<F>],
-        gates: I,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), CancelCause>
-    where
-        F: Float + 'g,
-        I: IntoIterator<Item = (&'g [usize], &'g GateMatrix<F>)>,
-    {
-        assert!(amps.len().is_power_of_two() && amps.len() >= 2, "state length must be 2^n");
-        self.prepare_run(amps.len(), gates).apply_to(amps, cancel)
     }
 
     /// Build the per-run execution plan for a run of block-local gates on
@@ -394,11 +374,13 @@ impl<'g, F: Float> PreparedRun<'g, F> {
     }
 
     /// Apply the whole run to one state: each aligned cache block receives
-    /// every gate while cache-hot, exactly as
-    /// [`SweepExecutor::apply_run_cancellable`] (which is implemented on
-    /// top of this). The cancel token, when present, is polled once per
-    /// cache block; on cancellation the remaining blocks are skipped,
-    /// `amps` is left partially updated, and the cause is returned.
+    /// every gate while cache-hot ([`SweepExecutor::apply_run`] is
+    /// implemented on top of this). The cancel token, when present, is
+    /// polled once per cache block before the run is applied to it; on
+    /// cancellation the remaining blocks are skipped and the cause is
+    /// returned — the state is then partially updated and only good for
+    /// recycling, which is exactly the service-shutdown / job-timeout path
+    /// this exists for.
     pub fn apply_to(
         &self,
         amps: &mut [Cplx<F>],
@@ -532,7 +514,8 @@ mod tests {
         // A live token does not perturb the result.
         let token = CancelToken::new();
         let mut sv = StateVector::<f64>::new(n);
-        exec.apply_run_cancellable(sv.amplitudes_mut(), runs.iter().copied(), Some(&token))
+        exec.prepare_run(1 << n, runs.iter().copied())
+            .apply_to(sv.amplitudes_mut(), Some(&token))
             .expect("live token must not cancel");
         let reference = reference_state(n, &gates);
         assert!(reference.max_abs_diff(&sv) < 1e-12);
@@ -541,7 +524,8 @@ mod tests {
         token.cancel();
         let mut sv = StateVector::<f64>::new(n);
         let err = exec
-            .apply_run_cancellable(sv.amplitudes_mut(), runs.iter().copied(), Some(&token))
+            .prepare_run(1 << n, runs.iter().copied())
+            .apply_to(sv.amplitudes_mut(), Some(&token))
             .unwrap_err();
         assert_eq!(err, CancelCause::Requested);
         // No block was touched: still |0…0⟩.

@@ -16,17 +16,15 @@
 //! single-device flavors play with `hipMemcpyAsync` matrix uploads), so
 //! link time hides behind compute instead of serializing.
 //!
-//! `run` and `estimate` drive the **identical** charging helper over the
-//! identical schedule, so a dry-run prices exactly what a functional run
-//! pays — the invariant the timing tests pin down.
+//! `run` and `estimate` are one walk over the schedule — the dry run is
+//! the walk without shard buffers — so it prices exactly what a functional
+//! run pays, the invariant the timing tests pin down.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use qsim_backends::plan::{gate_kernel_desc, init_kernel_desc};
-use qsim_backends::{
-    Backend, BackendError, Flavor, KernelStat, PlanOptions, RunOptions, RunReport,
-};
+use qsim_backends::plan::{gate_kernel_desc, init_kernel_desc, sample_kernel_desc};
+use qsim_backends::{BackendError, Flavor, KernelStat, PlanOptions, RunOptions, RunReport};
 use qsim_circuit::gates::permute_matrix_bits;
 use qsim_core::kernels::apply_gate_slice_par;
 use qsim_core::matrix::GateMatrix;
@@ -223,25 +221,27 @@ impl MultiGcdBackend {
         }
     }
 
-    /// The gate's matrix re-expressed over its (sorted) physical slots.
+    /// The gate's (sorted) physical slots and, when `matrix` is given, the
+    /// matrix re-expressed over them.
     fn physical_matrix<F: Float>(
         layout: &QubitLayout,
         qubits: &[usize],
-        matrix: &GateMatrix<f64>,
-    ) -> (Vec<usize>, GateMatrix<F>) {
+        matrix: Option<&GateMatrix<f64>>,
+    ) -> (Vec<usize>, Option<GateMatrix<F>>) {
         let slots: Vec<usize> = qubits.iter().map(|&q| layout.slot_of(q)).collect();
         let mut sorted = slots.clone();
         sorted.sort_unstable();
-        let m64 = if sorted == slots {
-            matrix.clone()
-        } else {
+        let matrix = matrix.map(|matrix| {
+            if sorted == slots {
+                return matrix.cast();
+            }
             let perm: Vec<usize> = slots
                 .iter()
                 .map(|s| sorted.iter().position(|x| x == s).expect("slot present"))
                 .collect();
-            permute_matrix_bits(matrix, &perm)
-        };
-        (sorted, m64.cast())
+            permute_matrix_bits(matrix, &perm).cast()
+        });
+        (sorted, matrix)
     }
 
     fn makespan(&self) -> f64 {
@@ -271,10 +271,7 @@ impl MultiGcdBackend {
     }
 
     /// Charge one fused-gate pass — optionally preceded by `exchange_us`
-    /// of link traffic — to every device's timeline. This is the single
-    /// charging path shared verbatim by [`MultiGcdBackend::run`] and
-    /// [`MultiGcdBackend::estimate`], so dry-run and functional timing
-    /// agree by construction.
+    /// of link traffic — to every device's timeline.
     ///
     /// Serialized mode queues the exchange ahead of the kernel on the
     /// compute stream. Overlapped mode splits both into
@@ -288,13 +285,7 @@ impl MultiGcdBackend {
         stats: &mut BTreeMap<String, (u64, f64)>,
     ) -> Result<(), BackendError> {
         if exchange_us <= 0.0 {
-            for gpu in &self.devices {
-                let (s, e) = gpu.charge_launch(desc, StreamId::DEFAULT)?;
-                if std::ptr::eq(gpu, &self.devices[0]) {
-                    bump(stats, &desc.name, e - s);
-                }
-            }
-            return Ok(());
+            return self.charge_all(desc, stats);
         }
         if !self.options.overlap {
             for gpu in &self.devices {
@@ -343,9 +334,9 @@ impl MultiGcdBackend {
         Ok(())
     }
 
-    /// Per-op exchange accounting shared by run and estimate: replays the
-    /// op's epochs against `layout` (optionally moving shard data),
-    /// returning the modeled link microseconds to charge.
+    /// Per-op exchange accounting: replays the op's epochs against
+    /// `layout` (moving shard data when given `buffers`), returning the
+    /// modeled link microseconds to charge.
     #[allow(clippy::too_many_arguments)]
     fn apply_epochs<F: Float>(
         &self,
@@ -381,31 +372,65 @@ impl MultiGcdBackend {
         fused: &FusedCircuit,
         opts: &RunOptions,
     ) -> Result<(StateVector<F>, DistReport), BackendError> {
+        let (state, report) = self.walk::<F>(fused, Some(opts))?;
+        Ok((state.expect("a functional walk gathers the final state"), report))
+    }
+
+    /// Dry run: modeled timing without allocating or computing — the walk
+    /// [`MultiGcdBackend::run`] makes, without shard buffers.
+    pub fn estimate(
+        &self,
+        fused: &FusedCircuit,
+        precision: Precision,
+    ) -> Result<DistReport, BackendError> {
+        Ok(match precision {
+            Precision::Single => self.walk::<f32>(fused, None)?.1,
+            Precision::Double => self.walk::<f64>(fused, None)?.1,
+        })
+    }
+
+    /// The one traversal of the schedule at precision `F`: every kernel,
+    /// exchange and copy is charged to the device timelines; shard data
+    /// moves, and the final state is gathered, only under `opts` (a
+    /// functional run).
+    fn walk<F: Float>(
+        &self,
+        fused: &FusedCircuit,
+        opts: Option<&RunOptions>,
+    ) -> Result<(Option<StateVector<F>>, DistReport), BackendError> {
         let (_, m) = self.validate(fused)?;
         let schedule = self.plan_swaps(fused, m)?;
         let shard_len = 1usize << m;
         let amp_bytes = F::PRECISION.amplitude_bytes();
         let dp = F::PRECISION == Precision::Double;
-        let mut rng = StdRng::seed_from_u64(opts.seed);
+        let shard_bytes = (shard_len * amp_bytes) as u64;
+        let spec_mem = self.devices[0].spec().memory_bytes;
+        if shard_bytes > spec_mem {
+            return Err(BackendError::Gpu(GpuError::OutOfMemory {
+                requested_bytes: shard_bytes,
+                free_bytes: spec_mem,
+            }));
+        }
         let mut layout = QubitLayout::new(fused.num_qubits, m);
         let mut measurements = Vec::new();
         let mut stats: BTreeMap<String, (u64, f64)> = BTreeMap::new();
         let mut tally = ExchangeTally::default();
 
         let t0 = self.makespan();
-        let mut buffers: Vec<DeviceBuffer<Cplx<F>>> = self
-            .devices
-            .iter()
-            .map(|g| g.malloc::<Cplx<F>>(shard_len))
-            .collect::<Result<_, GpuError>>()?;
-        buffers[0].as_mut_slice()[0] = Cplx::one();
-        let init = init_kernel_desc(self.flavor, shard_len, amp_bytes, dp);
-        for gpu in &self.devices {
-            let (s, e) = gpu.charge_launch(&init, StreamId::DEFAULT)?;
-            if std::ptr::eq(gpu, &self.devices[0]) {
-                bump(&mut stats, &init.name, e - s);
+        let mut run = match opts {
+            Some(opts) => {
+                let mut buffers: Vec<DeviceBuffer<Cplx<F>>> = self
+                    .devices
+                    .iter()
+                    .map(|g| g.malloc::<Cplx<F>>(shard_len))
+                    .collect::<Result<_, GpuError>>()?;
+                buffers[0].as_mut_slice()[0] = Cplx::one();
+                Some((buffers, StdRng::seed_from_u64(opts.seed), opts.sample_count))
             }
-        }
+            None => None,
+        };
+        let init = init_kernel_desc(self.flavor, shard_len, amp_bytes, dp);
+        self.charge_all(&init, &mut stats)?;
 
         for (i, op) in fused.ops.iter().enumerate() {
             match op {
@@ -416,102 +441,88 @@ impl MultiGcdBackend {
                         &mut layout,
                         m,
                         amp_bytes,
-                        Some(&mut buffers),
+                        run.as_mut().map(|(buffers, ..)| buffers.as_mut_slice()),
                         &mut tally,
                     );
-                    let (slots, matrix) = Self::physical_matrix::<F>(&layout, &g.qubits, &g.matrix);
+                    let (slots, matrix) = Self::physical_matrix::<F>(
+                        &layout,
+                        &g.qubits,
+                        run.is_some().then_some(&g.matrix),
+                    );
                     let desc = gate_kernel_desc(self.flavor, m, &slots, amp_bytes, dp, None);
                     self.charge_gate_timeline(&desc, exchange_us, &mut stats)?;
-                    for buf in &mut buffers {
-                        apply_gate_slice_par(buf.as_mut_slice(), &slots, &matrix);
+                    if let (Some((buffers, ..)), Some(matrix)) = (run.as_mut(), &matrix) {
+                        for buf in buffers {
+                            apply_gate_slice_par(buf.as_mut_slice(), &slots, matrix);
+                        }
                     }
                 }
                 FusedOp::Measurement { qubits, .. } => {
-                    // Gather to host in logical order, measure, scatter
-                    // back; charged as one full D2H + H2D round trip.
-                    let mut logical = self.gather_logical(&buffers, &layout, m);
+                    // Charged as one full D2H + H2D round trip; the
+                    // functional side gathers to host in logical order,
+                    // measures, and scatters back.
                     self.charge_measurement(shard_len, amp_bytes, &mut stats)?;
-                    let outcome = measure_slice(&mut logical, qubits, &mut rng);
-                    measurements.push((qubits.clone(), outcome));
-                    self.scatter_logical(&mut buffers, &layout, m, &logical);
+                    if let Some((buffers, rng, _)) = run.as_mut() {
+                        let mut logical = self.gather_logical(buffers, &layout, m);
+                        let outcome = measure_slice(&mut logical, qubits, rng);
+                        measurements.push((qubits.clone(), outcome));
+                        self.scatter_logical(buffers, &layout, m, &logical);
+                    }
                 }
             }
         }
 
-        let state = StateVector::from_amplitudes(self.gather_logical(&buffers, &layout, m));
+        let mut state = None;
         let mut samples = Vec::new();
-        if opts.sample_count > 0 {
-            self.charge_sample(shard_len, amp_bytes, dp, &mut stats)?;
-            samples = qsim_core::statespace::sample(&state, opts.sample_count, &mut rng);
+        if let Some((buffers, rng, sample_count)) = run.as_mut() {
+            let gathered = StateVector::from_amplitudes(self.gather_logical(buffers, &layout, m));
+            if *sample_count > 0 {
+                // Every device makes one cumulative sweep over its shard.
+                let desc = sample_kernel_desc(self.flavor, shard_len, amp_bytes, dp);
+                self.charge_all(&desc, &mut stats)?;
+                samples = qsim_core::statespace::sample(&gathered, *sample_count, rng);
+            }
+            state = Some(gathered);
         }
         let simulated = (self.makespan() - t0) * 1e-6;
 
-        let report =
-            self.dist_report::<F>(fused, m, &tally, simulated, measurements, samples, stats);
+        let kernels = stats
+            .into_iter()
+            .map(|(name, (count, time_us))| KernelStat { name, count, time_us })
+            .collect();
+        let report = DistReport {
+            backend: self.flavor.label().into(),
+            devices: self.devices.len(),
+            local_qubits: m,
+            num_qubits: fused.num_qubits,
+            precision: F::PRECISION,
+            fused_gates: fused.num_unitaries(),
+            swaps: tally.swaps,
+            swap_epochs: tally.epochs,
+            exchanged_bytes_per_device: tally.bytes,
+            exchange_seconds: tally.us * 1e-6,
+            simulated_seconds: simulated,
+            state_bytes_total: shard_bytes * self.devices.len() as u64,
+            measurements,
+            samples,
+            kernels,
+        };
         Ok((state, report))
     }
 
-    /// Dry run: modeled timing without allocating or computing. Traverses
-    /// the identical schedule and charging path as [`MultiGcdBackend::run`].
-    pub fn estimate(
+    /// Charge one launch of `desc` to every device's default stream.
+    fn charge_all(
         &self,
-        fused: &FusedCircuit,
-        precision: Precision,
-    ) -> Result<DistReport, BackendError> {
-        let (_, m) = self.validate(fused)?;
-        let schedule = self.plan_swaps(fused, m)?;
-        let shard_len = 1usize << m;
-        let amp_bytes = precision.amplitude_bytes();
-        let dp = precision == Precision::Double;
-        let shard_bytes = (shard_len * amp_bytes) as u64;
-        let spec_mem = self.devices[0].spec().memory_bytes;
-        if shard_bytes > spec_mem {
-            return Err(BackendError::Gpu(GpuError::OutOfMemory {
-                requested_bytes: shard_bytes,
-                free_bytes: spec_mem,
-            }));
-        }
-        let mut layout = QubitLayout::new(fused.num_qubits, m);
-        let mut stats: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-        let mut tally = ExchangeTally::default();
-
-        let t0 = self.makespan();
-        let init = init_kernel_desc(self.flavor, shard_len, amp_bytes, dp);
+        desc: &KernelDesc,
+        stats: &mut BTreeMap<String, (u64, f64)>,
+    ) -> Result<(), BackendError> {
         for gpu in &self.devices {
-            let (s, e) = gpu.charge_launch(&init, StreamId::DEFAULT)?;
+            let (s, e) = gpu.charge_launch(desc, StreamId::DEFAULT)?;
             if std::ptr::eq(gpu, &self.devices[0]) {
-                bump(&mut stats, &init.name, e - s);
+                bump(stats, &desc.name, e - s);
             }
         }
-        for (i, op) in fused.ops.iter().enumerate() {
-            match op {
-                FusedOp::Unitary(g) => {
-                    let exchange_us = self.apply_epochs::<f32>(
-                        &schedule,
-                        i,
-                        &mut layout,
-                        m,
-                        amp_bytes,
-                        None,
-                        &mut tally,
-                    );
-                    let mut slots: Vec<usize> =
-                        g.qubits.iter().map(|&q| layout.slot_of(q)).collect();
-                    slots.sort_unstable();
-                    let desc = gate_kernel_desc(self.flavor, m, &slots, amp_bytes, dp, None);
-                    self.charge_gate_timeline(&desc, exchange_us, &mut stats)?;
-                }
-                FusedOp::Measurement { .. } => {
-                    self.charge_measurement(shard_len, amp_bytes, &mut stats)?;
-                }
-            }
-        }
-        let simulated = (self.makespan() - t0) * 1e-6;
-        let mut report =
-            self.dist_report::<f32>(fused, m, &tally, simulated, Vec::new(), Vec::new(), stats);
-        report.precision = precision;
-        report.state_bytes_total = shard_bytes * self.devices.len() as u64;
-        Ok(report)
+        Ok(())
     }
 
     fn charge_measurement(
@@ -534,72 +545,6 @@ impl MultiGcdBackend {
         }
         bump(stats, "Measure(D2H+H2D)", 0.0);
         Ok(())
-    }
-
-    /// Model the final-state sampling pass: every device makes one
-    /// cumulative sweep over its shard (qsim's `SampleKernel`).
-    fn charge_sample(
-        &self,
-        shard_len: usize,
-        amp_bytes: usize,
-        dp: bool,
-        stats: &mut BTreeMap<String, (u64, f64)>,
-    ) -> Result<(), BackendError> {
-        let tpb = self.flavor.threads_per_block(qsim_core::kernels::KernelClass::High);
-        let desc = KernelDesc {
-            name: "SampleKernel".into(),
-            blocks: ((shard_len as u64) / 2 / u64::from(tpb)).max(1),
-            threads_per_block: tpb,
-            shared_mem_bytes: 0,
-            work: gpu_model::runtime::KernelWork {
-                bytes: (shard_len * amp_bytes) as f64,
-                flops: shard_len as f64 * 4.0,
-                passes: 1.0,
-            },
-            double_precision: dp,
-        };
-        for gpu in &self.devices {
-            let (s, e) = gpu.charge_launch(&desc, StreamId::DEFAULT)?;
-            if std::ptr::eq(gpu, &self.devices[0]) {
-                bump(stats, &desc.name, e - s);
-            }
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dist_report<F: Float>(
-        &self,
-        fused: &FusedCircuit,
-        m: usize,
-        tally: &ExchangeTally,
-        simulated: f64,
-        measurements: Vec<(Vec<usize>, usize)>,
-        samples: Vec<u64>,
-        stats: BTreeMap<String, (u64, f64)>,
-    ) -> DistReport {
-        let kernels = stats
-            .into_iter()
-            .map(|(name, (count, time_us))| KernelStat { name, count, time_us })
-            .collect();
-        DistReport {
-            backend: self.flavor.label().into(),
-            devices: self.devices.len(),
-            local_qubits: m,
-            num_qubits: fused.num_qubits,
-            precision: F::PRECISION,
-            fused_gates: fused.num_unitaries(),
-            swaps: tally.swaps,
-            swap_epochs: tally.epochs,
-            exchanged_bytes_per_device: tally.bytes,
-            exchange_seconds: tally.us * 1e-6,
-            simulated_seconds: simulated,
-            state_bytes_total: ((1u64 << m) * F::PRECISION.amplitude_bytes() as u64)
-                * self.devices.len() as u64,
-            measurements,
-            samples,
-            kernels,
-        }
     }
 
     /// Collect shards into a logically-ordered amplitude vector.
@@ -760,38 +705,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<MultiGcdBackend>();
 };
-
-impl Backend for MultiGcdBackend {
-    fn label(&self) -> &'static str {
-        self.flavor.label()
-    }
-
-    fn device_name(&self) -> String {
-        format!("{}x {}", self.devices.len(), self.devices[0].spec().name)
-    }
-
-    fn run_f32(
-        &self,
-        fused: &FusedCircuit,
-        opts: &RunOptions,
-    ) -> Result<(StateVector<f32>, RunReport), BackendError> {
-        let wall = Instant::now();
-        let (state, dist) = self.run::<f32>(fused, opts)?;
-        let report = self.run_report(&dist, fused, wall.elapsed().as_secs_f64());
-        Ok((state, report))
-    }
-
-    fn run_f64(
-        &self,
-        fused: &FusedCircuit,
-        opts: &RunOptions,
-    ) -> Result<(StateVector<f64>, RunReport), BackendError> {
-        let wall = Instant::now();
-        let (state, dist) = self.run::<f64>(fused, opts)?;
-        let report = self.run_report(&dist, fused, wall.elapsed().as_secs_f64());
-        Ok((state, report))
-    }
-}
 
 #[cfg(test)]
 mod tests {

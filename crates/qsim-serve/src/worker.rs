@@ -19,8 +19,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use qsim_backends::batch_run::BatchJob;
-use qsim_backends::{BackendError, Flavor, RunContext, RunOptions, SimBackend};
+use qsim_backends::batch_run::{BatchJob, BatchResult};
+use qsim_backends::{BackendError, Flavor, RunContext, RunFailure, RunOptions, SimBackend};
 use qsim_core::types::Precision;
 use qsim_distributed::MultiGcdBackend;
 
@@ -175,25 +175,20 @@ fn worker_loop(inner: &ServiceInner) {
     }
 }
 
-/// Execute one job at precision `F`, recycling the state buffer through
-/// the pool on every exit path. The fusion plan rides in the job —
-/// planning happened once, at submission.
-fn run_job<F: StateSlot>(
-    backend: &SimBackend,
+/// Settle one job's run: a finished run is stamped with the job's plan
+/// (planning happened once, at submission) and its state kept for the
+/// submitter or released to the pool — the result verb only needs the
+/// report, so the allocation is worth more as the next job's warm buffer;
+/// a failed run releases whatever buffer rode back.
+fn settle<F: StateSlot>(
     pool: &StateBufferPool,
     job: &QueuedJob,
+    result: BatchResult<F>,
 ) -> JobOutcome {
-    let len = 1usize << job.spec.circuit.num_qubits;
-    let run_opts = RunOptions { seed: job.spec.seed, sample_count: job.spec.sample_count };
-    let ctx =
-        RunContext::<F> { reuse_buffer: pool.acquire::<F>(len), cancel: Some(job.cancel.clone()) };
-    match backend.run_with::<F>(&job.plan.fused, &run_opts, ctx) {
+    match result {
         Ok((state, mut report)) => {
             report.fusion_strategy = job.plan.strategy.label().into();
             report.predicted_cost_seconds = job.plan.predicted_cost_seconds;
-            // The result verb only needs the report; unless the submitter
-            // asked to keep the state, its allocation is worth more as the
-            // next job's warm buffer.
             let kept = if job.spec.keep_state {
                 Some(F::wrap(state.into_amplitudes()))
             } else {
@@ -214,6 +209,20 @@ fn run_job<F: StateSlot>(
     }
 }
 
+/// Execute one job at precision `F`, recycling the state buffer through
+/// the pool on every exit path.
+fn run_job<F: StateSlot>(
+    backend: &SimBackend,
+    pool: &StateBufferPool,
+    job: &QueuedJob,
+) -> JobOutcome {
+    let len = 1usize << job.spec.circuit.num_qubits;
+    let run_opts = RunOptions { seed: job.spec.seed, sample_count: job.spec.sample_count };
+    let ctx =
+        RunContext::<F> { reuse_buffer: pool.acquire::<F>(len), cancel: Some(job.cancel.clone()) };
+    settle(pool, job, backend.run_with::<F>(&job.plan.fused, &run_opts, ctx))
+}
+
 /// Execute one admission-routed sharded job on the multi-GCD backend.
 ///
 /// The state never fits a pooled buffer as one allocation path — the
@@ -232,18 +241,8 @@ fn run_sharded<F: StateSlot + Float>(
         return JobOutcome::Cancelled(cause);
     }
     let run_opts = RunOptions { seed: job.spec.seed, sample_count: job.spec.sample_count };
-    match backend.run_plan::<F>(&job.plan, &run_opts) {
-        Ok((state, report)) => {
-            let kept = if job.spec.keep_state {
-                Some(F::wrap(state.into_amplitudes()))
-            } else {
-                inner.pool.release(state.into_amplitudes());
-                None
-            };
-            JobOutcome::Done(Box::new(report), kept)
-        }
-        Err(error) => JobOutcome::Failed(error.to_string()),
-    }
+    let result = backend.run_plan::<F>(&job.plan, &run_opts);
+    settle(&inner.pool, job, result.map_err(|error| RunFailure { error, buffer: None }))
 }
 
 /// Execute a gang of gang-compatible jobs through `run_batch`: every
@@ -271,30 +270,6 @@ fn run_gang<F: StateSlot>(
     let results = backend.run_batch::<F>(batch);
     jobs.iter()
         .zip(results)
-        .map(|(job, result)| {
-            let outcome = match result {
-                Ok((state, mut report)) => {
-                    report.fusion_strategy = job.plan.strategy.label().into();
-                    report.predicted_cost_seconds = job.plan.predicted_cost_seconds;
-                    let kept = if job.spec.keep_state {
-                        Some(F::wrap(state.into_amplitudes()))
-                    } else {
-                        inner.pool.release(state.into_amplitudes());
-                        None
-                    };
-                    JobOutcome::Done(Box::new(report), kept)
-                }
-                Err(failure) => {
-                    if let Some(buffer) = failure.buffer {
-                        inner.pool.release(buffer);
-                    }
-                    match failure.error {
-                        BackendError::Cancelled { cause, .. } => JobOutcome::Cancelled(cause),
-                        error => JobOutcome::Failed(error.to_string()),
-                    }
-                }
-            };
-            (job.id, outcome)
-        })
+        .map(|(job, result)| (job.id, settle(&inner.pool, job, result)))
         .collect()
 }

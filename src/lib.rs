@@ -58,7 +58,7 @@ pub fn simulate<F: Float>(
 /// Everything a typical user needs in scope.
 pub mod prelude {
     pub use crate::backends::{
-        Backend, Flavor, NoiseSpec, RunOptions, RunReport, SimBackend, TrajectoryRunner,
+        Flavor, NoiseSpec, RunOptions, RunReport, SimBackend, TrajectoryRunner,
     };
     pub use crate::circuit::{gates::GateKind, Circuit, CircuitBuilder, GateOp, RqcOptions};
     pub use crate::distributed::MultiGcdBackend;
