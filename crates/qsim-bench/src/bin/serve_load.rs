@@ -25,11 +25,10 @@
 //! - `serve_load mux [ci]` is the connection-scaling benchmark for the
 //!   multiplexed front end: a repeat-heavy workload (8 distinct circuits
 //!   resubmitted verbatim) driven at 64 and 1000 concurrent sockets from
-//!   a single-threaded nonblocking client loop, against both front ends
-//!   and with the result cache on and off, written to
-//!   `results/serve_mux.csv`. With `ci` it is a gate: mux@64 must hold
-//!   ≥ 0.8× the threaded baseline, the 1000-client hit rate must be
-//!   ≥ 0.9, and the cached p50 must sit ≥ 5× below the uncached p50.
+//!   a single-threaded nonblocking client loop, with the result cache on
+//!   and off, written to `results/serve_mux.csv`. With `ci` it is a
+//!   gate: the 1000-client hit rate must be ≥ 0.9, and the cached p50
+//!   must sit ≥ 5× below the uncached p50.
 //!
 //! - `serve_load ci` is the CI gate: a quick batched-vs-unbatched run
 //!   (writing `results/serve_batched.csv`, batched must win) plus a
@@ -602,9 +601,7 @@ fn mux_circuits() -> Vec<String> {
 
 #[derive(Debug)]
 struct MuxCell {
-    mode: &'static str,
     clients: usize,
-    io_threads: usize,
     cached: bool,
     requests: usize,
     hit_rate: f64,
@@ -614,16 +611,13 @@ struct MuxCell {
 }
 
 /// Connection-scaling benchmark for the multiplexed front end, and the
-/// `mux ci` gate. Four cells, all on the same repeat-heavy workload:
+/// `mux ci` gate. Three cells, all on the same repeat-heavy workload:
 ///
-/// - `threaded` @ 64 clients, cache on — the thread-per-connection
-///   baseline at the scale it can reasonably serve.
-/// - `mux` @ 64 clients, cache on — must hold ≥ 0.8× the threaded
-///   throughput (the multiplexer may not tax the small case).
-/// - `mux` @ 1000 clients, cache on — the headline cell: one process,
-///   four I/O threads, a thousand live sockets; hit rate must be ≥ 0.9.
-/// - `mux` @ 1000 clients, cache off — the same workload recomputed
-///   every time; its p50 must be ≥ 5× the cached p50.
+/// - 64 clients, cache on — the small case.
+/// - 1000 clients, cache on — the headline cell: one process, four I/O
+///   threads, a thousand live sockets; hit rate must be ≥ 0.9.
+/// - 1000 clients, cache off — the same workload recomputed every
+///   time; its p50 must be ≥ 5× the cached p50.
 ///
 /// Writes `results/serve_mux.csv`; in ci mode any violated bound exits
 /// non-zero.
@@ -631,31 +625,21 @@ fn mux_bench(ci: bool) -> Result<(), String> {
     println!(
         "mux: repeat-heavy workload, {MUX_CIRCUITS} distinct ghz circuits × {MUX_SAMPLES} shots"
     );
-    let threaded64 = mux_cell("threaded", 64, true, MUX_REQUESTS_SMALL)?;
-    let mux64 = mux_cell("mux", 64, true, MUX_REQUESTS_SMALL)?;
-    let mux1k = mux_cell("mux", 1000, true, MUX_REQUESTS_LARGE)?;
-    let mux1k_cold = mux_cell("mux", 1000, false, MUX_REQUESTS_LARGE)?;
+    let mux64 = mux_cell(64, true, MUX_REQUESTS_SMALL)?;
+    let mux1k = mux_cell(1000, true, MUX_REQUESTS_LARGE)?;
+    let mux1k_cold = mux_cell(1000, false, MUX_REQUESTS_LARGE)?;
 
     let mut csv =
-        String::from("mode,clients,io_threads,cache,requests,hit_rate,jobs_per_sec,p50_s,p99_s\n");
+        String::from("clients,io_threads,cache,requests,hit_rate,jobs_per_sec,p50_s,p99_s\n");
     println!(
-        "{:>9} {:>8} {:>11} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "mode",
-        "clients",
-        "io_threads",
-        "cache",
-        "requests",
-        "hit_rate",
-        "jobs/s",
-        "p50_s",
-        "p99_s"
+        "{:>8} {:>11} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "clients", "io_threads", "cache", "requests", "hit_rate", "jobs/s", "p50_s", "p99_s"
     );
-    for cell in [&threaded64, &mux64, &mux1k, &mux1k_cold] {
+    for cell in [&mux64, &mux1k, &mux1k_cold] {
         println!(
-            "{:>9} {:>8} {:>11} {:>6} {:>9} {:>9.3} {:>9.1} {:>9.4} {:>9.4}",
-            cell.mode,
+            "{:>8} {:>11} {:>6} {:>9} {:>9.3} {:>9.1} {:>9.4} {:>9.4}",
             cell.clients,
-            cell.io_threads,
+            MUX_IO_THREADS,
             if cell.cached { "on" } else { "off" },
             cell.requests,
             cell.hit_rate,
@@ -664,10 +648,9 @@ fn mux_bench(ci: bool) -> Result<(), String> {
             cell.p99_s
         );
         csv.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{}\n",
-            cell.mode,
+            "{},{},{},{},{},{},{},{}\n",
             cell.clients,
-            cell.io_threads,
+            MUX_IO_THREADS,
             if cell.cached { "on" } else { "off" },
             cell.requests,
             cell.hit_rate,
@@ -682,12 +665,6 @@ fn mux_bench(ci: bool) -> Result<(), String> {
     println!("wrote {path}");
 
     if ci {
-        if mux64.jobs_per_sec < 0.8 * threaded64.jobs_per_sec {
-            return Err(format!(
-                "mux@64 degrades vs threaded@64: {:.1} vs {:.1} jobs/s",
-                mux64.jobs_per_sec, threaded64.jobs_per_sec
-            ));
-        }
         if mux1k.hit_rate < 0.9 {
             return Err(format!(
                 "repeat-heavy hit rate at 1000 clients is {:.3}, want >= 0.9",
@@ -701,8 +678,7 @@ fn mux_bench(ci: bool) -> Result<(), String> {
             ));
         }
         println!(
-            "mux ci OK: mux@64 {:.2}x threaded, hit_rate {:.3}, cached p50 {:.1}x below uncached",
-            mux64.jobs_per_sec / threaded64.jobs_per_sec,
+            "mux ci OK: hit_rate {:.3}, cached p50 {:.1}x below uncached",
             mux1k.hit_rate,
             mux1k_cold.p50_s / mux1k.p50_s
         );
@@ -710,17 +686,12 @@ fn mux_bench(ci: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// One cell: start a service (+ front end), warm the plan cache — and
+/// One cell: start a service and its front end, warm the plan cache — and
 /// the result cache when it is on — with one in-process run of each
 /// circuit, then drive `clients` concurrent sockets from a
 /// single-threaded nonblocking event loop, each submitting
 /// `requests_per_client` repeat jobs and polling each to `done`.
-fn mux_cell(
-    mode: &'static str,
-    clients: usize,
-    cached: bool,
-    requests_per_client: usize,
-) -> Result<MuxCell, String> {
+fn mux_cell(clients: usize, cached: bool, requests_per_client: usize) -> Result<MuxCell, String> {
     let service = Arc::new(Service::start(ServiceConfig {
         workers: 2,
         result_cache_budget_bytes: if cached { qsim_serve::DEFAULT_RESULT_CACHE_BUDGET } else { 0 },
@@ -751,19 +722,11 @@ fn mux_cell(
     }
     let warm_metrics = service.metrics();
 
-    let (addr, handle, server_thread) = if mode == "mux" {
-        let server = qsim_serve::MuxServer::bind("127.0.0.1:0", service.clone(), MUX_IO_THREADS)
-            .map_err(|e| format!("bind: {e}"))?;
-        let addr = server.local_addr().map_err(|e| format!("local_addr: {e}"))?;
-        let handle = server.shutdown_handle();
-        (addr, handle, std::thread::spawn(move || server.serve()))
-    } else {
-        let server = qsim_serve::Server::bind("127.0.0.1:0", service.clone())
-            .map_err(|e| format!("bind: {e}"))?;
-        let addr = server.local_addr().map_err(|e| format!("local_addr: {e}"))?;
-        let handle = server.shutdown_handle();
-        (addr, handle, std::thread::spawn(move || server.serve()))
-    };
+    let server = qsim_serve::MuxServer::bind("127.0.0.1:0", service.clone(), MUX_IO_THREADS)
+        .map_err(|e| format!("bind: {e}"))?;
+    let addr = server.local_addr().map_err(|e| format!("local_addr: {e}"))?;
+    let handle = server.shutdown_handle();
+    let server_thread = std::thread::spawn(move || server.serve());
 
     let start = Instant::now();
     let latencies = drive_mux_clients(addr, &circuits, clients, requests_per_client)?;
@@ -786,9 +749,7 @@ fn mux_cell(
     sorted.sort_by(f64::total_cmp);
     let requests = clients * requests_per_client;
     Ok(MuxCell {
-        mode,
         clients,
-        io_threads: if mode == "mux" { MUX_IO_THREADS } else { 0 },
         cached,
         requests,
         hit_rate,

@@ -278,13 +278,6 @@ impl Circuit {
             Err(diags)
         }
     }
-
-    /// String-typed shim over [`Circuit::validate`] for callers that
-    /// predate typed diagnostics: joins every finding into one message.
-    #[deprecated(since = "0.1.0", note = "use validate(), which returns typed diagnostics")]
-    pub fn validate_str(&self) -> Result<(), String> {
-        self.validate().map_err(|diags| qsim_core::diag::render_list(&diags))
-    }
 }
 
 /// Stable diagnostic codes for [`Circuit::validate`] (range `QC00xx`; see
@@ -437,16 +430,6 @@ mod tests {
         c.add(0, GateKind::H, &[0]); // time regression
         let codes = codes_of(&c);
         assert_eq!(codes, vec![codes::QUBIT_OUT_OF_RANGE, codes::TIME_REGRESSION]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn validate_str_shim_renders_codes() {
-        let mut c = Circuit::new(2);
-        c.add(0, GateKind::H, &[2]);
-        let msg = c.validate_str().unwrap_err();
-        assert!(msg.contains("QC0002"), "{msg}");
-        assert!(msg.contains("out of range"), "{msg}");
     }
 
     #[test]

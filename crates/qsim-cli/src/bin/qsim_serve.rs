@@ -7,17 +7,16 @@
 
 use std::sync::Arc;
 
-use qsim_serve::{MuxServer, Server, Service, ServiceConfig};
+use qsim_serve::{MuxServer, Service, ServiceConfig, DEFAULT_IO_THREADS};
 
 const USAGE: &str = "\
 usage: qsim_serve [options]
   --host HOST       bind address (default 127.0.0.1)
   --port PORT       bind port; 0 picks an ephemeral port (default 0)
   --workers N       worker threads (default 4)
-  --io-threads N    serve connections from a fixed pool of N multiplexed
-                    I/O threads (many nonblocking connections per thread,
-                    streamed sample frames); 0 keeps the legacy
-                    thread-per-connection front end (default 0)
+  --io-threads N    multiplexed I/O threads serving the connections (many
+                    nonblocking connections per thread, streamed sample
+                    frames) (default 4)
   --budget-gib GIB  state-memory admission budget in GiB (default 16)
   --cache-budget MIB
                     result-cache budget in MiB, charged against the
@@ -43,8 +42,12 @@ struct Args {
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args =
-        Args { host: "127.0.0.1".into(), port: 0, io_threads: 0, config: ServiceConfig::default() };
+    let mut args = Args {
+        host: "127.0.0.1".into(),
+        port: 0,
+        io_threads: DEFAULT_IO_THREADS,
+        config: ServiceConfig::default(),
+    };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -64,31 +67,22 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--io-threads" => {
                 args.io_threads =
                     take(&mut it, flag)?.parse().map_err(|e| format!("bad --io-threads: {e}"))?;
+                if args.io_threads == 0 {
+                    return Err("--io-threads must be at least 1".into());
+                }
             }
             "--cache-budget" => {
-                let mib: u64 =
-                    take(&mut it, flag)?.parse().map_err(|e| format!("bad --cache-budget: {e}"))?;
-                args.config.result_cache_budget_bytes = mib << 20;
+                args.config.result_cache_budget_bytes = take_bytes(&mut it, flag, MIB)?;
             }
             "--plan-cache-budget" => {
-                let mib: u64 = take(&mut it, flag)?
-                    .parse()
-                    .map_err(|e| format!("bad --plan-cache-budget: {e}"))?;
-                args.config.plan_cache_budget_bytes = mib << 20;
+                args.config.plan_cache_budget_bytes = take_bytes(&mut it, flag, MIB)?;
             }
-            "--budget-gib" => {
-                let gib: u64 =
-                    take(&mut it, flag)?.parse().map_err(|e| format!("bad --budget-gib: {e}"))?;
-                args.config.memory_budget_bytes = gib << 30;
-            }
+            "--budget-gib" => args.config.memory_budget_bytes = take_bytes(&mut it, flag, GIB)?,
             "--bandwidth-gib" => {
-                let gib: u64 = take(&mut it, flag)?
-                    .parse()
-                    .map_err(|e| format!("bad --bandwidth-gib: {e}"))?;
-                if gib == 0 {
+                args.config.bandwidth_budget_bps = take_bytes(&mut it, flag, GIB)?;
+                if args.config.bandwidth_budget_bps == 0 {
                     return Err("--bandwidth-gib must be at least 1".into());
                 }
-                args.config.bandwidth_budget_bps = gib << 30;
             }
             "--max-batch" => {
                 let n: usize =
@@ -112,6 +106,17 @@ fn take<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a Str
     it.next().ok_or_else(|| format!("{flag} needs a value"))
 }
 
+const MIB: u64 = 1 << 20;
+const GIB: u64 = 1 << 30;
+
+/// The value of a size flag given in units of `unit` bytes, as bytes. A
+/// count too large for 64 bits is refused: wrapping would start the
+/// service with a budget near zero instead of the huge one asked for.
+fn take_bytes(it: &mut std::slice::Iter<'_, String>, flag: &str, unit: u64) -> Result<u64, String> {
+    let count: u64 = take(it, flag)?.parse().map_err(|e| format!("bad {flag}: {e}"))?;
+    count.checked_mul(unit).ok_or_else(|| format!("bad {flag}: {count} does not fit in 64 bits"))
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
@@ -124,36 +129,14 @@ fn main() {
 
     let service = Arc::new(Service::start(args.config));
     let bind_addr = format!("{}:{}", args.host, args.port);
-    let serve_result = if args.io_threads > 0 {
-        let server = match MuxServer::bind(&bind_addr, service, args.io_threads) {
-            Ok(server) => server,
-            Err(e) => {
-                eprintln!("qsim_serve: bind failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        announce(server.local_addr());
-        server.serve()
-    } else {
-        let server = match Server::bind(&bind_addr, service) {
-            Ok(server) => server,
-            Err(e) => {
-                eprintln!("qsim_serve: bind failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        announce(server.local_addr());
-        server.serve()
+    let server = match MuxServer::bind(&bind_addr, service, args.io_threads) {
+        Ok(server) => server,
+        Err(e) => {
+            eprintln!("qsim_serve: bind failed: {e}");
+            std::process::exit(1);
+        }
     };
-    if let Err(e) = serve_result {
-        eprintln!("qsim_serve: {e}");
-        std::process::exit(1);
-    }
-    println!("drained, exiting");
-}
-
-fn announce(addr: std::io::Result<std::net::SocketAddr>) {
-    match addr {
+    match server.local_addr() {
         Ok(addr) => {
             // Scripts parse this line to learn the ephemeral port; keep
             // the format stable.
@@ -166,4 +149,9 @@ fn announce(addr: std::io::Result<std::net::SocketAddr>) {
             std::process::exit(1);
         }
     }
+    if let Err(e) = server.serve() {
+        eprintln!("qsim_serve: {e}");
+        std::process::exit(1);
+    }
+    println!("drained, exiting");
 }

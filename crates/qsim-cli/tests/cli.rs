@@ -448,3 +448,57 @@ fn qsim_lint_emits_the_diagnostics_registry() {
     }
     assert!(text.contains("| `QL0308` |"), "{text}");
 }
+
+/// Run `qsim_serve` with flags it must refuse and return its stderr. A
+/// refused flag exits at once with the usage status; an accepted one
+/// starts a service that listens until told to stop, so the wait is
+/// bounded and a live service is killed and reported.
+fn qsim_serve_refuses(args: &[&str]) -> String {
+    use std::io::Read;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qsim_serve"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run qsim_serve");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll qsim_serve") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().expect("kill qsim_serve");
+            child.wait().expect("reap qsim_serve");
+            panic!("qsim_serve {args:?} started a service instead of refusing the flag");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(status.code(), Some(2), "qsim_serve {args:?}");
+    let mut text = String::new();
+    child.stderr.take().expect("piped stderr").read_to_string(&mut text).expect("read stderr");
+    text
+}
+
+#[test]
+fn qsim_serve_size_flags_reject_overflow() {
+    // 2^34 GiB and 2^44 MiB are 2^64 bytes: one past what a u64 holds. A
+    // wrapping shift would start the service with a 0-byte budget.
+    for (flag, count) in [
+        ("--budget-gib", "17179869184"),
+        ("--bandwidth-gib", "17179869184"),
+        ("--cache-budget", "17592186044416"),
+        ("--plan-cache-budget", "17592186044416"),
+    ] {
+        let text = qsim_serve_refuses(&[flag, count]);
+        assert!(text.contains(&format!("bad {flag}")), "{flag}: {text}");
+    }
+}
+
+#[test]
+fn qsim_serve_needs_an_io_thread() {
+    let text = qsim_serve_refuses(&["--io-threads", "0"]);
+    assert!(text.contains("--io-threads must be at least 1"), "{text}");
+}

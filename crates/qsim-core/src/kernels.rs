@@ -481,36 +481,11 @@ pub fn apply_controlled_gate_slice_seq<F: Float>(
     apply_plan_seq_scalar(amps, &p, matrix);
 }
 
-/// Apply a pre-planned gate to `amps` sequentially, dispatching to the
-/// active SIMD ISA when one is available (see [`crate::simd`]) and to the
-/// scalar kernels otherwise.
-///
-/// `amps` must be `2^n` long for the `n` the plan was built with — either
-/// the full register, or one aligned cache block when the plan was built
-/// for the block size (the cache-blocked sweep's hot path; the sweep
-/// executor caches the SIMD tile plan across blocks rather than paying
-/// the rebuild here per block).
-pub fn apply_plan_seq<F: Float>(amps: &mut [Cplx<F>], p: &GatePlan, matrix: &GateMatrix<F>) {
-    debug_assert_eq!(amps.len(), 1usize << p.n, "amplitude slice does not match the plan");
-    assert_eq!(matrix.dim(), p.dim, "matrix dimension does not match the plan");
-    if crate::simd::try_apply_controlled(
-        amps,
-        &p.qubits,
-        &p.controls,
-        p.control_values,
-        matrix,
-        false,
-    ) {
-        return;
-    }
-    apply_plan_seq_scalar(amps, p, matrix);
-}
-
-/// Scalar-only body of [`apply_plan_seq`]: every group of the plan's
-/// decomposition gets the `dim × dim` matrix-vector product, with the gate
-/// dimension monomorphized exactly as in the one-shot kernels. This is the
-/// reference path the SIMD kernels are validated against, so it never
-/// dispatches to SIMD.
+/// Apply a pre-planned gate to `amps` sequentially with the scalar
+/// kernels: every group of the plan's decomposition gets the `dim × dim`
+/// matrix-vector product, with the gate dimension monomorphized exactly
+/// as in the one-shot kernels. This is the reference path the SIMD
+/// kernels are validated against, so it never dispatches to SIMD.
 pub fn apply_plan_seq_scalar<F: Float>(amps: &mut [Cplx<F>], p: &GatePlan, matrix: &GateMatrix<F>) {
     debug_assert_eq!(amps.len(), 1usize << p.n, "amplitude slice does not match the plan");
     assert_eq!(matrix.dim(), p.dim, "matrix dimension does not match the plan");
@@ -568,24 +543,6 @@ pub fn apply_gate_par<F: Float>(
     apply_controlled_gate_slice_par(state.amplitudes_mut(), qubits, &[], 0, matrix);
 }
 
-/// Parallel controlled-gate application; see [`apply_controlled_gate_seq`]
-/// for the semantics.
-pub fn apply_controlled_gate_par<F: Float>(
-    state: &mut StateVector<F>,
-    qubits: &[usize],
-    controls: &[usize],
-    control_values: usize,
-    matrix: &GateMatrix<F>,
-) {
-    apply_controlled_gate_slice_par(
-        state.amplitudes_mut(),
-        qubits,
-        controls,
-        control_values,
-        matrix,
-    );
-}
-
 /// Slice-based variant of [`apply_gate_par`].
 pub fn apply_gate_slice_par<F: Float>(
     amps: &mut [Cplx<F>],
@@ -595,7 +552,8 @@ pub fn apply_gate_slice_par<F: Float>(
     apply_controlled_gate_slice_par(amps, qubits, &[], 0, matrix);
 }
 
-/// Slice-based variant of [`apply_controlled_gate_par`].
+/// Parallel controlled-gate application on a bare amplitude slice; see
+/// [`apply_controlled_gate_seq`] for the semantics.
 pub fn apply_controlled_gate_slice_par<F: Float>(
     amps: &mut [Cplx<F>],
     qubits: &[usize],
@@ -818,7 +776,7 @@ mod tests {
         assert!(seq.max_abs_diff(&par) < 1e-13);
 
         apply_controlled_gate_seq(&mut seq, &[3], &[10, 11], 0b11, &x_matrix());
-        apply_controlled_gate_par(&mut par, &[3], &[10, 11], 0b11, &x_matrix());
+        apply_controlled_gate_slice_par(par.amplitudes_mut(), &[3], &[10, 11], 0b11, &x_matrix());
         assert!(seq.max_abs_diff(&par) < 1e-13);
     }
 

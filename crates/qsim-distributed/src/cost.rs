@@ -16,13 +16,13 @@
 //! The per-gate [`FusionCostModel::gate_cost`] is necessarily
 //! context-free (the planner probes candidate merges one gate at a time),
 //! so it prices a gate's globals as individual pairwise exchanges — the
-//! eager upper bound. [`FusionCostModel::plan_cost`] re-prices the whole
-//! plan through the real scheduler, so batched epochs and reuse-aware
-//! eviction show up exactly where plans are compared.
+//! eager upper bound. [`FusionCostModel::plan_traffic`] re-prices the
+//! whole plan through the real scheduler, so batched epochs and
+//! reuse-aware eviction show up exactly where plans are compared.
 
 use qsim_backends::{Flavor, SimBackend};
 use qsim_core::types::Precision;
-use qsim_fusion::{FusedCircuit, FusionCostModel, TrafficEstimate};
+use qsim_fusion::{FusionCostModel, TrafficEstimate};
 
 use crate::interconnect::Topology;
 use crate::layout::QubitLayout;
@@ -87,12 +87,6 @@ impl DistCostModel {
         slots.sort_unstable();
         slots
     }
-
-    /// The scheduled swap plan for `plan`, when it fits the geometry.
-    fn schedule(&self, plan: &FusedCircuit) -> Option<(SwapSchedule, usize)> {
-        let m = self.local_qubits(plan.num_qubits)?;
-        SwapSchedule::plan(plan, m, self.policy).ok().map(|s| (s, m))
-    }
 }
 
 impl FusionCostModel for DistCostModel {
@@ -129,37 +123,6 @@ impl FusionCostModel for DistCostModel {
         cost
     }
 
-    fn plan_cost(&self, plan: &FusedCircuit) -> f64 {
-        let Some((schedule, m)) = self.schedule(plan) else {
-            return f64::INFINITY;
-        };
-        let shard_len = 1usize << m;
-        let amp_bytes = self.precision.amplitude_bytes();
-        // Exchange seconds from the real schedule...
-        let mut cost: f64 = schedule
-            .epochs
-            .iter()
-            .flatten()
-            .map(|e| e.seconds(&self.topology, m, shard_len, amp_bytes))
-            .sum();
-        // ...plus each pass priced at the slots the replayed layout
-        // actually executes it on.
-        let mut layout = QubitLayout::new(plan.num_qubits, m);
-        for (i, op) in plan.ops.iter().enumerate() {
-            for epoch in &schedule.epochs[i] {
-                for &(local_slot, global_slot) in &epoch.pairs {
-                    layout.swap_slots(local_slot, global_slot);
-                }
-            }
-            if let qsim_fusion::FusedOp::Unitary(g) = op {
-                let mut slots: Vec<usize> = g.qubits.iter().map(|&q| layout.slot_of(q)).collect();
-                slots.sort_unstable();
-                cost += self.inner.gate_cost(m, &slots);
-            }
-        }
-        cost
-    }
-
     fn gate_traffic(&self, num_qubits: usize, qubits: &[usize]) -> f64 {
         let Some(m) = self.local_qubits(num_qubits) else {
             return f64::INFINITY;
@@ -174,27 +137,41 @@ impl FusionCostModel for DistCostModel {
         self.devices as f64 * (self.inner.gate_traffic(m, &slots) + globals as f64 * half_shard)
     }
 
-    fn plan_traffic(&self, plan: &FusedCircuit) -> TrafficEstimate {
-        let Some((schedule, m)) = self.schedule(plan) else {
-            return TrafficEstimate { bytes: f64::INFINITY, seconds: f64::INFINITY };
+    /// Whole-plan pricing through the real scheduler, computed once:
+    /// exchange seconds and bytes from the schedule, plus each pass priced
+    /// at the slots the replayed layout actually executes it on.
+    fn plan_traffic(&self, num_qubits: usize, ops: &[Option<&[usize]>]) -> TrafficEstimate {
+        let unschedulable = TrafficEstimate { bytes: f64::INFINITY, seconds: f64::INFINITY };
+        let Some(m) = self.local_qubits(num_qubits) else {
+            return unschedulable;
+        };
+        let Ok(schedule) = SwapSchedule::plan_shapes(num_qubits, ops, m, self.policy) else {
+            return unschedulable;
         };
         let shard_len = 1usize << m;
         let amp_bytes = self.precision.amplitude_bytes();
+        let mut seconds: f64 = schedule
+            .epochs
+            .iter()
+            .flatten()
+            .map(|e| e.seconds(&self.topology, m, shard_len, amp_bytes))
+            .sum();
         let mut bytes = schedule.bytes_per_device(shard_len, amp_bytes) as f64;
-        let mut layout = QubitLayout::new(plan.num_qubits, m);
-        for (i, op) in plan.ops.iter().enumerate() {
-            for epoch in &schedule.epochs[i] {
+        let mut layout = QubitLayout::new(num_qubits, m);
+        for (op, epochs) in ops.iter().zip(&schedule.epochs) {
+            for epoch in epochs {
                 for &(local_slot, global_slot) in &epoch.pairs {
                     layout.swap_slots(local_slot, global_slot);
                 }
             }
-            if let qsim_fusion::FusedOp::Unitary(g) = op {
-                let mut slots: Vec<usize> = g.qubits.iter().map(|&q| layout.slot_of(q)).collect();
+            if let Some(qubits) = op {
+                let mut slots: Vec<usize> = qubits.iter().map(|&q| layout.slot_of(q)).collect();
                 slots.sort_unstable();
+                seconds += self.inner.gate_cost(m, &slots);
                 bytes += self.inner.gate_traffic(m, &slots);
             }
         }
-        TrafficEstimate { bytes: self.devices as f64 * bytes, seconds: self.plan_cost(plan) }
+        TrafficEstimate { bytes: self.devices as f64 * bytes, seconds }
     }
 }
 
@@ -240,7 +217,7 @@ mod tests {
             Precision::Single,
             SwapPolicy::Lookahead,
         )
-        .plan_cost(&wide)
+        .plan_cost(wide.num_qubits, &wide.op_shapes())
         .is_infinite());
     }
 
@@ -253,16 +230,18 @@ mod tests {
         let m = model(8);
         let gate_sum: f64 =
             fused.unitaries().map(|g| m.gate_cost(fused.num_qubits, &g.qubits)).sum();
-        let plan = m.plan_cost(&fused);
+        let plan = m.plan_cost(fused.num_qubits, &fused.op_shapes());
         assert!(plan.is_finite());
+        let traffic = m.plan_traffic(fused.num_qubits, &fused.op_shapes());
+        assert_eq!(plan.to_bits(), traffic.seconds.to_bits());
         assert!(plan <= gate_sum * (1.0 + 1e-9), "plan {plan} vs gate sum {gate_sum}");
     }
 
     #[test]
     fn traffic_counts_every_device() {
         let fused = fuse(&library::qft(9), 3);
-        let t1 = model(2).plan_traffic(&fused);
-        let t2 = model(4).plan_traffic(&fused);
+        let t1 = model(2).plan_traffic(fused.num_qubits, &fused.op_shapes());
+        let t2 = model(4).plan_traffic(fused.num_qubits, &fused.op_shapes());
         assert!(t1.bytes.is_finite() && t2.bytes.is_finite());
         assert!(t1.bytes > 0.0);
         assert!(t1.seconds > 0.0 && t2.seconds > 0.0);

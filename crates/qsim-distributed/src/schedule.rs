@@ -26,7 +26,7 @@
 
 use std::fmt;
 
-use qsim_fusion::{FusedCircuit, FusedOp};
+use qsim_fusion::FusedCircuit;
 
 use crate::interconnect::{LinkSpec, Topology};
 use crate::layout::QubitLayout;
@@ -193,11 +193,27 @@ impl SwapSchedule {
         m: usize,
         policy: SwapPolicy,
     ) -> Result<SwapSchedule, ScheduleError> {
+        SwapSchedule::plan_shapes(fused.num_qubits, &fused.op_shapes(), m, policy)
+    }
+
+    /// [`SwapSchedule::plan`] from op shapes alone (`ops[i]` = the qubits
+    /// unitary `i` must have local, `None` for ops like measurements that
+    /// execute on any layout) — all the scheduler reads of a plan, so the
+    /// distributed cost model can schedule a layout before it is built.
+    pub(crate) fn plan_shapes(
+        num_qubits: usize,
+        ops: &[Option<&[usize]>],
+        m: usize,
+        policy: SwapPolicy,
+    ) -> Result<SwapSchedule, ScheduleError> {
+        if let Some(width) = ops.iter().flatten().map(|q| q.len()).find(|&w| w > m) {
+            return Err(ScheduleError::GateTooWide { width, local_qubits: m });
+        }
         match policy {
-            SwapPolicy::Eager => eager(fused, m),
+            SwapPolicy::Eager => Ok(eager(num_qubits, ops, m)),
             SwapPolicy::Lookahead => {
-                let naive = eager(fused, m)?;
-                let ahead = lookahead(fused, m)?;
+                let naive = eager(num_qubits, ops, m);
+                let ahead = lookahead(num_qubits, ops, m);
                 // The fallback *guarantees* swaps ≤ naive; batched epochs
                 // then guarantee bytes ≤ naive too, since an epoch of k
                 // pairs moves (1 − 2⁻ᵏ) ≤ k/2 shards.
@@ -217,34 +233,15 @@ impl SwapSchedule {
     }
 }
 
-/// The qubit set a unitary op must have local, or `None` for ops (like
-/// measurements) that execute on any layout.
-fn unitary_qubits(op: &FusedOp) -> Option<&[usize]> {
-    match op {
-        FusedOp::Unitary(g) => Some(&g.qubits),
-        FusedOp::Measurement { .. } => None,
-    }
-}
-
-fn check_width(fused: &FusedCircuit, m: usize) -> Result<(), ScheduleError> {
-    for g in fused.unitaries() {
-        if g.qubits.len() > m {
-            return Err(ScheduleError::GateTooWide { width: g.qubits.len(), local_qubits: m });
-        }
-    }
-    Ok(())
-}
-
 /// The naive baseline: mirror of the original backend loop — one epoch
 /// per global qubit, in gate-qubit order, highest-slot victim.
-fn eager(fused: &FusedCircuit, m: usize) -> Result<SwapSchedule, ScheduleError> {
-    check_width(fused, m)?;
-    let mut layout = QubitLayout::new(fused.num_qubits, m);
-    let mut epochs = Vec::with_capacity(fused.ops.len());
+fn eager(num_qubits: usize, ops: &[Option<&[usize]>], m: usize) -> SwapSchedule {
+    let mut layout = QubitLayout::new(num_qubits, m);
+    let mut epochs = Vec::with_capacity(ops.len());
     let mut swaps = 0usize;
-    for op in &fused.ops {
+    for op in ops {
         let mut here = Vec::new();
-        if let Some(qubits) = unitary_qubits(op) {
+        if let Some(qubits) = *op {
             for &q in qubits {
                 if layout.is_local(q) {
                     continue;
@@ -258,14 +255,14 @@ fn eager(fused: &FusedCircuit, m: usize) -> Result<SwapSchedule, ScheduleError> 
         }
         epochs.push(here);
     }
-    Ok(SwapSchedule { epochs, swaps })
+    SwapSchedule { epochs, swaps }
 }
 
 /// Op indices at which each qubit is used by a unitary, ascending.
-fn unitary_uses(fused: &FusedCircuit) -> Vec<Vec<usize>> {
-    let mut uses = vec![Vec::new(); fused.num_qubits];
-    for (i, op) in fused.ops.iter().enumerate() {
-        if let Some(qubits) = unitary_qubits(op) {
+fn unitary_uses(num_qubits: usize, ops: &[Option<&[usize]>]) -> Vec<Vec<usize>> {
+    let mut uses = vec![Vec::new(); num_qubits];
+    for (i, op) in ops.iter().enumerate() {
+        if let Some(qubits) = *op {
             for &q in qubits {
                 uses[q].push(i);
             }
@@ -309,17 +306,15 @@ fn pick_victim_belady(
 
 /// The lookahead scheduler: batch every swap an op needs (plus
 /// soon-needed prefetches) into one epoch, evicting by farthest next use.
-fn lookahead(fused: &FusedCircuit, m: usize) -> Result<SwapSchedule, ScheduleError> {
-    check_width(fused, m)?;
-    let n = fused.num_qubits;
+fn lookahead(n: usize, ops: &[Option<&[usize]>], m: usize) -> SwapSchedule {
     let d = n - m; // global id bits; an epoch holds at most d pairs
-    let uses = unitary_uses(fused);
+    let uses = unitary_uses(n, ops);
     let mut layout = QubitLayout::new(n, m);
-    let mut epochs = Vec::with_capacity(fused.ops.len());
+    let mut epochs = Vec::with_capacity(ops.len());
     let mut swaps = 0usize;
-    for (i, op) in fused.ops.iter().enumerate() {
+    for (i, op) in ops.iter().enumerate() {
         let mut here = Vec::new();
-        if let Some(qubits) = unitary_qubits(op) {
+        if let Some(qubits) = *op {
             let mut pairs = Vec::new();
             // Demand fetches: everything this gate touches.
             for &q in qubits {
@@ -339,12 +334,12 @@ fn lookahead(fused: &FusedCircuit, m: usize) -> Result<SwapSchedule, ScheduleErr
             // strictly later than the prefetched qubit — never trading a
             // sooner need for a later one.
             if !pairs.is_empty() {
-                let horizon = fused.ops.len().min(i + 1 + LOOKAHEAD_OPS);
-                for j in i + 1..horizon {
+                let horizon = ops.len().min(i + 1 + LOOKAHEAD_OPS);
+                for future in &ops[i + 1..horizon] {
                     if pairs.len() >= d {
                         break;
                     }
-                    let Some(future) = unitary_qubits(&fused.ops[j]) else { continue };
+                    let Some(future) = *future else { continue };
                     for &g in future {
                         if pairs.len() >= d || layout.is_local(g) {
                             continue;
@@ -366,14 +361,14 @@ fn lookahead(fused: &FusedCircuit, m: usize) -> Result<SwapSchedule, ScheduleErr
         }
         epochs.push(here);
     }
-    Ok(SwapSchedule { epochs, swaps })
+    SwapSchedule { epochs, swaps }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use qsim_circuit::{generate_rqc, library, RqcOptions};
-    use qsim_fusion::fuse;
+    use qsim_fusion::{fuse, FusedOp};
 
     /// Replay a schedule and assert every unitary's qubits are local when
     /// its op executes; returns the total swap count replayed.
@@ -381,7 +376,7 @@ mod tests {
         assert_eq!(schedule.epochs.len(), fused.ops.len());
         let mut layout = QubitLayout::new(fused.num_qubits, m);
         let mut swaps = 0;
-        for (i, op) in fused.ops.iter().enumerate() {
+        for (i, op) in fused.op_shapes().into_iter().enumerate() {
             for epoch in &schedule.epochs[i] {
                 let mut globals: Vec<usize> = Vec::new();
                 let mut locals: Vec<usize> = Vec::new();
@@ -399,7 +394,7 @@ mod tests {
                 assert_eq!(globals.len(), epoch.pairs.len(), "global slots distinct");
                 assert_eq!(locals.len(), epoch.pairs.len(), "victim slots distinct");
             }
-            if let Some(qubits) = unitary_qubits(op) {
+            if let Some(qubits) = op {
                 for &q in qubits {
                     assert!(layout.is_local(q), "op {i}: qubit {q} not local");
                 }

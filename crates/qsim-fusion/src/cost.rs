@@ -29,13 +29,16 @@ use qsim_core::kernels::{classify_gate_at, fused_gate_work, KernelClass};
 use qsim_core::sweep::{is_block_local, PassTracker, SweepConfig};
 use qsim_core::types::Precision;
 
-use crate::{FusedCircuit, FusedOp};
-
 /// Prices fused-gate passes for one backend, in modeled seconds.
+///
+/// A model reads nothing of a plan but its op shapes — per op, the sorted
+/// qubits of a unitary or `None` for a measurement barrier
+/// ([`FusedCircuit::op_shapes`](crate::FusedCircuit::op_shapes)) — so the
+/// planner prices candidate layouts before any matrix exists.
 ///
 /// Implementations must be consistent under growth: the planner accounts
 /// a merge as `gate_cost(union) − gate_cost(existing)`, so the total cost
-/// of a plan telescopes to [`FusionCostModel::plan_cost`]'s default sum
+/// of a plan telescopes to [`FusionCostModel::plan_traffic`]'s default sum
 /// regardless of the merge order that produced it.
 pub trait FusionCostModel: Send + Sync {
     /// Stable lowercase model name, for reports.
@@ -47,11 +50,6 @@ pub trait FusionCostModel: Send + Sync {
     /// rewarded.
     fn gate_cost(&self, num_qubits: usize, qubits: &[usize]) -> f64;
 
-    /// Modeled seconds for a whole plan: the sum of its unitary passes.
-    fn plan_cost(&self, plan: &FusedCircuit) -> f64 {
-        plan.unitaries().map(|g| self.gate_cost(plan.num_qubits, &g.qubits)).sum()
-    }
-
     /// Modeled main-memory traffic of one fused-gate pass, bytes. The
     /// default is a conservative full-state read + write at double
     /// precision; the built-in models override it with the same calibrated
@@ -61,15 +59,24 @@ pub trait FusionCostModel: Send + Sync {
         2.0 * 16.0 * (1u64 << num_qubits) as f64
     }
 
-    /// Modeled traffic and duration for a whole plan — the pair whose
-    /// ratio is the plan's sustained bytes/s demand, which is what the
-    /// serve layer's bandwidth-aware admission ledger charges per running
-    /// job (qHiPSTER-style bandwidth-centric accounting).
-    fn plan_traffic(&self, plan: &FusedCircuit) -> TrafficEstimate {
+    /// Modeled traffic and duration for a whole plan, given as its op
+    /// shapes: by default the sums over its unitary passes. This is the
+    /// model's one whole-plan walk; a model whose passes depend on their
+    /// neighbours overrides it. The pair's ratio is the plan's sustained
+    /// bytes/s demand, which is what the serve layer's bandwidth-aware
+    /// admission ledger charges per running job (qHiPSTER-style
+    /// bandwidth-centric accounting).
+    fn plan_traffic(&self, num_qubits: usize, ops: &[Option<&[usize]>]) -> TrafficEstimate {
+        let passes = || ops.iter().flatten();
         TrafficEstimate {
-            bytes: plan.unitaries().map(|g| self.gate_traffic(plan.num_qubits, &g.qubits)).sum(),
-            seconds: self.plan_cost(plan),
+            bytes: passes().map(|qubits| self.gate_traffic(num_qubits, qubits)).sum(),
+            seconds: passes().map(|qubits| self.gate_cost(num_qubits, qubits)).sum(),
         }
+    }
+
+    /// Modeled seconds for a whole plan: [`Self::plan_traffic`]'s.
+    fn plan_cost(&self, num_qubits: usize, ops: &[Option<&[usize]>]) -> f64 {
+        self.plan_traffic(num_qubits, ops).seconds
     }
 }
 
@@ -80,7 +87,7 @@ pub trait FusionCostModel: Send + Sync {
 pub struct TrafficEstimate {
     /// Modeled bytes moved through main memory over the whole plan.
     pub bytes: f64,
-    /// Modeled execution seconds of the plan ([`FusionCostModel::plan_cost`]).
+    /// Modeled execution seconds of the plan.
     pub seconds: f64,
 }
 
@@ -234,27 +241,6 @@ impl FusionCostModel for CpuCostModel {
         self.pass_cost(num_qubits, qubits, traffic_share)
     }
 
-    /// Run-aware plan pricing: walk the plan with the same
-    /// [`PassTracker`] the backend's timeline charging uses, so a gate
-    /// that joins an open cache-blocked run pays only
-    /// [`SWEPT_JOIN_TRAFFIC_SHARE`] of the full-state traffic, exactly as
-    /// it will be charged at launch time.
-    fn plan_cost(&self, plan: &FusedCircuit) -> f64 {
-        let mut tracker = PassTracker::new(&self.sweep, plan.num_qubits);
-        let mut total = 0.0;
-        for op in &plan.ops {
-            match op {
-                FusedOp::Unitary(g) => {
-                    let share =
-                        if tracker.on_gate(&g.qubits) { 1.0 } else { SWEPT_JOIN_TRAFFIC_SHARE };
-                    total += self.pass_cost(plan.num_qubits, &g.qubits, share);
-                }
-                FusedOp::Measurement { .. } => tracker.on_barrier(),
-            }
-        }
-        total
-    }
-
     fn gate_traffic(&self, num_qubits: usize, qubits: &[usize]) -> f64 {
         let traffic_share = if is_block_local(qubits, self.block_qubits(num_qubits)) {
             SWEPT_TRAFFIC_SHARE
@@ -264,21 +250,23 @@ impl FusionCostModel for CpuCostModel {
         self.pass_traffic(num_qubits, qubits, traffic_share)
     }
 
-    /// Run-aware traffic: the same [`PassTracker`] walk as
-    /// [`Self::plan_cost`], accumulating bytes and seconds in one pass so
-    /// the ratio reflects what the timeline will actually charge.
-    fn plan_traffic(&self, plan: &FusedCircuit) -> TrafficEstimate {
-        let mut tracker = PassTracker::new(&self.sweep, plan.num_qubits);
+    /// Run-aware plan pricing: walk the plan with the same
+    /// [`PassTracker`] the backend's timeline charging uses, so a gate
+    /// that joins an open cache-blocked run pays only
+    /// [`SWEPT_JOIN_TRAFFIC_SHARE`] of the full-state traffic, exactly as
+    /// it will be charged at launch time.
+    fn plan_traffic(&self, num_qubits: usize, ops: &[Option<&[usize]>]) -> TrafficEstimate {
+        let mut tracker = PassTracker::new(&self.sweep, num_qubits);
         let mut est = TrafficEstimate::default();
-        for op in &plan.ops {
+        for op in ops {
             match op {
-                FusedOp::Unitary(g) => {
+                Some(qubits) => {
                     let share =
-                        if tracker.on_gate(&g.qubits) { 1.0 } else { SWEPT_JOIN_TRAFFIC_SHARE };
-                    est.bytes += self.pass_traffic(plan.num_qubits, &g.qubits, share);
-                    est.seconds += self.pass_cost(plan.num_qubits, &g.qubits, share);
+                        if tracker.on_gate(qubits) { 1.0 } else { SWEPT_JOIN_TRAFFIC_SHARE };
+                    est.bytes += self.pass_traffic(num_qubits, qubits, share);
+                    est.seconds += self.pass_cost(num_qubits, qubits, share);
                 }
-                FusedOp::Measurement { .. } => tracker.on_barrier(),
+                None => tracker.on_barrier(),
             }
         }
         est
@@ -460,11 +448,11 @@ mod tests {
             SweepConfig::default(),
             Precision::Single,
         );
-        let t24 = m.plan_traffic(&fused24);
-        let t20 = m.plan_traffic(&fused20);
+        let t24 = m.plan_traffic(24, &fused24.op_shapes());
+        let t20 = m.plan_traffic(20, &fused20.op_shapes());
         // Seconds agree with the run-aware plan cost, bytes/s is a real rate,
         // and a 16×-larger state moves far more bytes per pass.
-        assert_eq!(t24.seconds, m.plan_cost(&fused24));
+        assert_eq!(t24.seconds.to_bits(), m.plan_cost(24, &fused24.op_shapes()).to_bits());
         assert!(t24.bytes_per_second() > 0.0);
         assert!(t24.bytes > 8.0 * t20.bytes, "24q {} vs 20q {}", t24.bytes, t20.bytes);
 
@@ -480,10 +468,12 @@ mod tests {
         use qsim_circuit::library;
         let fused = crate::fuse(&library::bell(), 2);
         let m = a100_model();
-        let total = m.plan_cost(&fused);
+        let total = m.plan_cost(fused.num_qubits, &fused.op_shapes());
         let by_hand: f64 =
             fused.unitaries().map(|g| m.gate_cost(fused.num_qubits, &g.qubits)).sum();
         assert_eq!(total, by_hand);
         assert!(total > 0.0);
+        let traffic = m.plan_traffic(fused.num_qubits, &fused.op_shapes());
+        assert_eq!(total.to_bits(), traffic.seconds.to_bits());
     }
 }

@@ -15,13 +15,15 @@
 //! parallelism (`2^{n-k}` groups) take over; qsim (and this
 //! reproduction) find the optimum at 4 fused qubits.
 //!
-//! The default fuser is a greedy, order-preserving scan (the
-//! `MultiQubitGateFuser` strategy): each gate merges into the most recent
-//! fused gate that already owns its qubit frontier whenever the merged
-//! qubit set still fits in `max_fused_qubits`; measurements are fusion
-//! barriers. The [`planner`] module layers a cost-model-driven strategy
-//! on the same scan, pricing each legal merge with a per-backend
-//! [`cost::FusionCostModel`] instead of always taking it.
+//! The fuser decides, then builds. One order-preserving frontier scan in
+//! [`planner`] (the `MultiQubitGateFuser` strategy) settles, on qubit sets
+//! alone, which gates share a fused gate: a gate may merge into the most
+//! recent fused gate that already owns its qubit frontier whenever the
+//! merged qubit set still fits in `max_fused_qubits`; measurements are
+//! fusion barriers. The default policy takes every such merge; the
+//! cost-model-driven strategies price each one with a per-backend
+//! [`cost::FusionCostModel`] first. [`build`] then composes the matrices
+//! of the one layout that was chosen.
 
 use qsim_circuit::circuit::Circuit;
 use qsim_core::matrix::GateMatrix;
@@ -34,10 +36,7 @@ pub use cost::{
     CpuCostModel, FusionCostModel, GpuCostModel, TrafficEstimate, LANE_SHUFFLE_FLOPS,
     SWEPT_JOIN_TRAFFIC_SHARE,
 };
-pub use planner::{
-    fuse_auto, fuse_with_lookahead, fuse_with_model, plan, FusionPlan, FusionStrategy,
-    DEFAULT_LOOKAHEAD,
-};
+pub use planner::{plan, FusionPlan, FusionStrategy};
 
 /// A fused unitary acting on a sorted set of qubits.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,14 +146,21 @@ impl FusedCircuit {
         &self,
         config: &qsim_core::sweep::SweepConfig,
     ) -> qsim_core::sweep::SweepStats {
-        qsim_core::sweep::sweep_stats(
-            self.ops.iter().map(|op| match op {
+        qsim_core::sweep::sweep_stats(self.op_shapes(), config, self.num_qubits)
+    }
+
+    /// The plan reduced to what pass accounting, cost models and swap
+    /// scheduling read: per op, the sorted qubits of a unitary or `None`
+    /// for a measurement barrier (the [`qsim_core::sweep::sweep_stats`]
+    /// convention).
+    pub fn op_shapes(&self) -> Vec<Option<&[usize]>> {
+        self.ops
+            .iter()
+            .map(|op| match op {
                 FusedOp::Unitary(g) => Some(g.qubits.as_slice()),
                 FusedOp::Measurement { .. } => None,
-            }),
-            config,
-            self.num_qubits,
-        )
+            })
+            .collect()
     }
 
     /// Order-sensitive hash of the plan's *functional* content: qubit
@@ -225,148 +231,63 @@ impl FusionStats {
     }
 }
 
-/// Internal builder state for one in-progress fused gate.
-struct Builder {
-    qubits: Vec<usize>,
-    matrix: GateMatrix<f64>,
-    source_gates: usize,
-    time_range: (usize, usize),
-}
-
-/// Frontier marker per qubit: which output op last touched it.
-#[derive(Clone, Copy, PartialEq)]
-enum Frontier {
-    /// Untouched so far.
-    Free,
-    /// Output op index (a fusable `Builder` lives there).
-    Op(usize),
-    /// A measurement barrier at this output index: nothing merges into it.
-    Barrier(usize),
-}
-
 /// Fuse `circuit` with the given `max_fused_qubits` (1..=6; qsim default 2,
-/// paper optimum 4).
+/// paper optimum 4), taking every legal merge.
 ///
 /// Semantics are preserved exactly: the emitted op sequence applies the
 /// same unitary (and the same measurements, in order) as the source
 /// circuit. Gates wider than `max_fused_qubits` pass through unfused.
 pub fn fuse(circuit: &Circuit, max_fused_qubits: usize) -> FusedCircuit {
-    assert!(
-        (1..=qsim_core::kernels::MAX_GATE_QUBITS).contains(&max_fused_qubits),
-        "max_fused_qubits must be in 1..={}, got {max_fused_qubits}",
-        qsim_core::kernels::MAX_GATE_QUBITS
-    );
-    if let Err(diags) = circuit.validate() {
-        panic!("fuse() requires a valid circuit:\n{}", qsim_core::diag::render_list(&diags));
-    }
+    planner::check(circuit, max_fused_qubits);
+    build(circuit, &planner::decide(circuit, max_fused_qubits, planner::Policy::Greedy))
+}
 
-    // Output slots: either a live Builder or a flushed op.
-    enum Slot {
-        Building(Builder),
-        Done(FusedOp),
-    }
-    let mut slots: Vec<Slot> = Vec::with_capacity(circuit.ops.len());
-    let mut frontier = vec![Frontier::Free; circuit.num_qubits];
-
-    for op in &circuit.ops {
+/// Replay a decided `layout` over `circuit`, composing each output slot's
+/// matrix in source-op order — the only place fused matrices are built,
+/// whatever strategy chose the layout.
+fn build(circuit: &Circuit, layout: &planner::Layout) -> FusedCircuit {
+    let mut ops: Vec<FusedOp> = Vec::with_capacity(circuit.ops.len());
+    for (op, action) in circuit.ops.iter().zip(&layout.actions) {
         if op.is_measurement() {
-            let idx = slots.len();
             let mut qs = op.qubits.clone();
             qs.sort_unstable();
-            for &q in &qs {
-                frontier[q] = Frontier::Barrier(idx);
-            }
-            slots.push(Slot::Done(FusedOp::Measurement { qubits: qs, time: op.time }));
+            ops.push(FusedOp::Measurement { qubits: qs, time: op.time });
             continue;
         }
 
         let (sorted_qubits, matrix) =
             op.sorted_matrix::<f64>().expect("non-measurement gates have matrices");
-        // Extra controls make a gate opaque to this fuser: emit it as its
-        // own fused gate over targets+controls with the expanded matrix.
+        // Extra controls make a gate opaque to the fuser: it enters as a
+        // plain unitary over targets+controls with the expanded matrix.
         let (sorted_qubits, matrix) = if op.controls.is_empty() {
             (sorted_qubits, matrix)
         } else {
             expand_controlled(&sorted_qubits, &op.controls, &matrix)
         };
 
-        // A gate may merge into the *latest* output op among its qubits'
-        // frontiers: every other frontier is strictly earlier, and no op
-        // after the target touches any of this gate's qubits (otherwise
-        // that op would itself be the latest frontier). A barrier that is
-        // the latest frontier blocks merging entirely.
-        let mut merge_target: Option<usize> = None;
-        let mut latest_barrier: Option<usize> = None;
-        for &q in &sorted_qubits {
-            match frontier[q] {
-                Frontier::Free => {}
-                Frontier::Op(i) => {
-                    if merge_target.is_none_or(|m| i > m) {
-                        merge_target = Some(i);
-                    }
-                }
-                Frontier::Barrier(i) => {
-                    if latest_barrier.is_none_or(|m| i > m) {
-                        latest_barrier = Some(i);
-                    }
-                }
-            }
-        }
-        if let (Some(t), Some(b)) = (merge_target, latest_barrier) {
-            if b > t {
-                merge_target = None;
-            }
-        }
-
-        let mut placed = None;
-        if let Some(t) = merge_target {
-            if let Slot::Building(b) = &mut slots[t] {
+        match *action {
+            planner::Action::Merge(t) => {
+                let FusedOp::Unitary(b) = &mut ops[t] else {
+                    unreachable!("merge target is a gate slot")
+                };
                 let union = union_sorted(&b.qubits, &sorted_qubits);
-                if union.len() <= max_fused_qubits {
-                    // matrix_new = expand(gate) · expand(existing)
-                    let eg = matrix.expand_to(&sorted_qubits, &union);
-                    let eb = b.matrix.expand_to(&b.qubits, &union);
-                    b.matrix = eg.matmul(&eb);
-                    b.qubits = union;
-                    b.source_gates += 1;
-                    b.time_range.1 = op.time;
-                    placed = Some(t);
-                }
+                // matrix_new = expand(gate) · expand(existing)
+                let eg = matrix.expand_to(&sorted_qubits, &union);
+                let eb = b.matrix.expand_to(&b.qubits, &union);
+                b.matrix = eg.matmul(&eb);
+                b.qubits = union;
+                b.source_gates += 1;
+                b.time_range.1 = op.time;
             }
-        }
-
-        let idx = match placed {
-            Some(t) => t,
-            None => {
-                let idx = slots.len();
-                slots.push(Slot::Building(Builder {
-                    qubits: sorted_qubits.clone(),
-                    matrix,
-                    source_gates: 1,
-                    time_range: (op.time, op.time),
-                }));
-                idx
-            }
-        };
-        for &q in &sorted_qubits {
-            frontier[q] = Frontier::Op(idx);
+            planner::Action::New => ops.push(FusedOp::Unitary(FusedGate {
+                qubits: sorted_qubits,
+                matrix,
+                source_gates: 1,
+                time_range: (op.time, op.time),
+            })),
         }
     }
-
-    let ops = slots
-        .into_iter()
-        .map(|s| match s {
-            Slot::Done(op) => op,
-            Slot::Building(b) => FusedOp::Unitary(FusedGate {
-                qubits: b.qubits,
-                matrix: b.matrix,
-                source_gates: b.source_gates,
-                time_range: b.time_range,
-            }),
-        })
-        .collect();
-
-    FusedCircuit { num_qubits: circuit.num_qubits, ops, max_fused_qubits }
+    FusedCircuit { num_qubits: circuit.num_qubits, ops, max_fused_qubits: layout.max_fused_qubits }
 }
 
 /// Expand a gate with extra always-one controls into a plain unitary over

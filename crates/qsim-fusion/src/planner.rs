@@ -1,38 +1,41 @@
-//! Cost-model-driven fusion planning.
+//! Fusion planning: decide on qubit sets, then build one plan.
 //!
-//! The greedy fuser in [`crate::fuse`] always takes the first legal merge.
-//! That is blind to what the merge costs downstream: absorbing a gate can
-//! push a fused gate from the cheap Low-kernel / SIMD-lane class into the
-//! strided High path, or (on a HIP-like device) widen a low-qubit gate
-//! whose `ApplyGateL_Kernel`-style pass pays a steep per-low-qubit
-//! traffic overhead. The planner here keeps the greedy scan's order
-//! semantics — a gate may only merge into the *latest* output op among
-//! its qubits' frontiers — but prices that single legal merge against
-//! starting a fresh pass with a [`FusionCostModel`], looking ahead a
-//! sliding window of upcoming gates before committing.
+//! Fusing is one order-preserving frontier scan over the source gates
+//! ([`decide`]). A gate may only merge into the *latest* output op among
+//! its qubits' frontiers, so each gate poses a binary choice — take that
+//! unique legal merge or open a fresh slot — and the scan never needs a
+//! matrix to make it: it tracks qubit sets only ([`Shadow`]) and records
+//! a [`Layout`]. [`crate::build`] then replays the chosen layout over the
+//! circuit, which is the only place matrices are composed. Cost models
+//! price layouts from the same qubit sets, so however many candidate
+//! layouts a strategy weighs, planning materialises exactly one plan.
 //!
-//! Because the only legal merge target is unique, each gate poses a
-//! binary choice (merge vs. new slot). The planner simulates both
-//! branches on a cheap *shadow* of the fuser state (qubit sets only, no
-//! matrices) for the next [`DEFAULT_LOOKAHEAD`] source gates, accounting
-//! each step incrementally: a merge costs
-//! `gate_cost(union) − gate_cost(existing)`, a fresh slot costs
-//! `gate_cost(gate)`. These deltas telescope, so the branch sums compare
-//! exactly the model's [`FusionCostModel::plan_cost`] of the two
+//! The [`Policy`] is what differs between strategies. `Greedy` takes
+//! every legal merge. That is blind to what the merge costs downstream:
+//! absorbing a gate can push a fused gate from the cheap Low-kernel /
+//! SIMD-lane class into the strided High path, or (on a HIP-like device)
+//! widen a low-qubit gate whose `ApplyGateL_Kernel`-style pass pays a
+//! steep per-low-qubit traffic overhead. `Lookahead` prices the merge
+//! against a fresh pass with a [`FusionCostModel`]: it plays both
+//! branches forward on clones of the shadow for the next
+//! [`DEFAULT_LOOKAHEAD`] source gates, accounting each step
+//! incrementally — a merge costs `gate_cost(union) − gate_cost(existing)`,
+//! a fresh slot costs `gate_cost(gate)`. These deltas telescope, so the
+//! branch sums compare exactly the model's context-free price of the two
 //! futures restricted to the window.
 //!
 //! [`FusionStrategy::Auto`] is the in-code analogue of the paper's
-//! fusion sweep (Figures 7 and 9): it plans at every
+//! fusion sweep (Figures 7 and 9): it decides at every
 //! max-fused ∈ 2..=[`MAX_GATE_QUBITS`] and keeps the cheapest predicted
-//! plan, preferring narrower budgets when the model sees no benefit from
-//! widening — which is how a HIP-like spec settles on a smaller fusion
-//! width than an A100-like one.
+//! layout, preferring narrower budgets when the model sees no benefit
+//! from widening — which is how a HIP-like spec settles on a smaller
+//! fusion width than an A100-like one.
 
 use qsim_circuit::circuit::Circuit;
 use qsim_core::kernels::MAX_GATE_QUBITS;
 
 use crate::cost::{FusionCostModel, TrafficEstimate};
-use crate::{fuse, Builder, Frontier, FusedCircuit, FusedGate, FusedOp};
+use crate::{build, union_sorted, FusedCircuit};
 
 /// How a circuit is turned into a fused plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,9 +88,9 @@ impl std::fmt::Display for FusionStrategy {
 /// Source gates the planner simulates ahead before committing a merge
 /// decision. Zero degenerates to the local rule (compare the merge delta
 /// against a standalone pass).
-pub const DEFAULT_LOOKAHEAD: usize = 8;
+const DEFAULT_LOOKAHEAD: usize = 8;
 
-/// Relative slack under which [`fuse_auto`] prefers a narrower budget: if
+/// Relative slack under which `Auto` prefers a narrower budget: if
 /// widening improves the predicted cost by less than this, the narrower
 /// plan (smaller matrices, cheaper fusion pass) wins.
 const AUTO_TOLERANCE: f64 = 0.005;
@@ -113,43 +116,75 @@ pub struct FusionPlan {
 /// and `Cost`; `Auto` sweeps its own range and ignores it.
 ///
 /// # Panics
-/// As [`fuse`]: on an out-of-range `max_fused_qubits` (for the strategies
-/// that use it) or an invalid circuit.
+/// As [`crate::fuse`]: on an out-of-range `max_fused_qubits` (for the
+/// strategies that use it) or an invalid circuit.
 pub fn plan(
     circuit: &Circuit,
     strategy: FusionStrategy,
     max_fused_qubits: usize,
     model: &dyn FusionCostModel,
 ) -> FusionPlan {
-    let fused = match strategy {
-        FusionStrategy::Greedy => fuse(circuit, max_fused_qubits),
-        FusionStrategy::Cost => fuse_with_model(circuit, max_fused_qubits, model),
-        FusionStrategy::Auto => fuse_auto(circuit, model),
+    // `Auto` sweeps its own budgets; the widest is the one to check.
+    check(
+        circuit,
+        if strategy == FusionStrategy::Auto { MAX_GATE_QUBITS } else { max_fused_qubits },
+    );
+    let (layout, predicted_traffic) = match strategy {
+        FusionStrategy::Greedy => priced(circuit, max_fused_qubits, Policy::Greedy, model),
+        FusionStrategy::Cost => decide_with_model(circuit, max_fused_qubits, model),
+        FusionStrategy::Auto => decide_auto(circuit, model),
     };
     FusionPlan {
-        predicted_cost_seconds: model.plan_cost(&fused),
-        predicted_traffic: model.plan_traffic(&fused),
-        fused,
+        fused: build(circuit, &layout),
         strategy,
+        predicted_cost_seconds: predicted_traffic.seconds,
+        predicted_traffic,
     }
 }
 
-/// Fuse with the cost model at the default lookahead window.
+/// The fuser's preconditions, checked once per entry point before the
+/// scan: a budget the kernels can apply and a valid circuit.
+pub(crate) fn check(circuit: &Circuit, max_fused_qubits: usize) {
+    assert!(
+        (1..=MAX_GATE_QUBITS).contains(&max_fused_qubits),
+        "max_fused_qubits must be in 1..={MAX_GATE_QUBITS}, got {max_fused_qubits}"
+    );
+    if let Err(diags) = circuit.validate() {
+        panic!("fusion requires a valid circuit:\n{}", qsim_core::diag::render_list(&diags));
+    }
+}
+
+/// A decided layout with the model's whole-plan price for it.
+type Priced = (Layout, TrafficEstimate);
+
+fn priced(
+    circuit: &Circuit,
+    max_fused_qubits: usize,
+    policy: Policy,
+    model: &dyn FusionCostModel,
+) -> Priced {
+    let layout = decide(circuit, max_fused_qubits, policy);
+    let traffic = model.plan_traffic(circuit.num_qubits, &layout.op_shapes());
+    (layout, traffic)
+}
+
+/// Decide with the cost model at the default lookahead window.
 ///
 /// The lookahead rule is a bounded-horizon heuristic: declining a merge
 /// reshapes the frontier for every later gate, and on pass-dominated
 /// devices those cascades can occasionally price worse than first-legal
 /// merging. The planner must never lose to greedy *by its own metric*, so
-/// when the lookahead plan scores above the greedy baseline the greedy
-/// plan is returned instead.
-pub fn fuse_with_model(
+/// when the lookahead layout scores above the greedy baseline the greedy
+/// layout is returned instead.
+fn decide_with_model(
     circuit: &Circuit,
     max_fused_qubits: usize,
     model: &dyn FusionCostModel,
-) -> FusedCircuit {
-    let planned = fuse_with_lookahead(circuit, max_fused_qubits, model, DEFAULT_LOOKAHEAD);
-    let greedy = fuse(circuit, max_fused_qubits);
-    if model.plan_cost(&planned) <= model.plan_cost(&greedy) {
+) -> Priced {
+    let policy = Policy::Lookahead { model, window: DEFAULT_LOOKAHEAD };
+    let planned = priced(circuit, max_fused_qubits, policy, model);
+    let greedy = priced(circuit, max_fused_qubits, Policy::Greedy, model);
+    if planned.1.seconds <= greedy.1.seconds {
         planned
     } else {
         greedy
@@ -157,60 +192,98 @@ pub fn fuse_with_model(
 }
 
 /// Sweep max-fused ∈ 2..=[`MAX_GATE_QUBITS`] with the cost planner and
-/// return the cheapest predicted plan (narrowest within
+/// return the cheapest predicted layout (narrowest within
 /// [`AUTO_TOLERANCE`] of the minimum).
-pub fn fuse_auto(circuit: &Circuit, model: &dyn FusionCostModel) -> FusedCircuit {
-    let mut plans: Vec<(f64, FusedCircuit)> = (2..=MAX_GATE_QUBITS)
-        .map(|f| {
-            let fused = fuse_with_model(circuit, f, model);
-            (model.plan_cost(&fused), fused)
-        })
-        .collect();
-    let min = plans.iter().map(|(c, _)| *c).fold(f64::INFINITY, f64::min);
+fn decide_auto(circuit: &Circuit, model: &dyn FusionCostModel) -> Priced {
+    let mut plans: Vec<Priced> =
+        (2..=MAX_GATE_QUBITS).map(|f| decide_with_model(circuit, f, model)).collect();
+    let min = plans.iter().map(|(_, t)| t.seconds).fold(f64::INFINITY, f64::min);
     let chosen = plans
         .iter()
-        .position(|(c, _)| *c <= min * (1.0 + AUTO_TOLERANCE))
+        .position(|(_, t)| t.seconds <= min * (1.0 + AUTO_TOLERANCE))
         .expect("auto sweep is non-empty");
-    plans.swap_remove(chosen).1
+    plans.swap_remove(chosen)
+}
+
+/// Which legal merges the scan takes.
+#[derive(Clone, Copy)]
+pub(crate) enum Policy<'a> {
+    /// Every one: the classic qsim fuser.
+    Greedy,
+    /// Those `model` prices no higher than a fresh slot once both
+    /// branches are played `window` source ops forward; ties merge
+    /// (denser plans, like greedy).
+    Lookahead { model: &'a dyn FusionCostModel, window: usize },
+}
+
+/// What the scan decided for one source op.
+#[derive(Clone, Copy)]
+pub(crate) enum Action {
+    /// Merge into output slot `t` (the unique legal target).
+    Merge(usize),
+    /// Open a fresh output slot (every measurement does).
+    New,
+}
+
+/// The scan's output: everything [`crate::build`] needs to compose the
+/// plan and everything a cost model needs to price it.
+pub(crate) struct Layout {
+    pub(crate) max_fused_qubits: usize,
+    /// One per source op, in circuit order.
+    pub(crate) actions: Vec<Action>,
+    /// One per output op: its final sorted qubit set (`None` marks a
+    /// measurement barrier).
+    slots: Vec<Option<Vec<usize>>>,
+}
+
+impl Layout {
+    /// The plan's op shapes, as [`FusedCircuit::op_shapes`] will report
+    /// them once built.
+    fn op_shapes(&self) -> Vec<Option<&[usize]>> {
+        self.slots.iter().map(Option::as_deref).collect()
+    }
 }
 
 /// Per-op planning metadata: the full sorted qubit set (targets ∪
-/// controls for gates), precomputed once so lookahead never touches
+/// controls for gates), precomputed once so the scan never touches
 /// matrices.
 enum OpQubits {
     Gate(Vec<usize>),
     Measurement(Vec<usize>),
 }
 
-/// What the planner decided for one gate.
-#[derive(Clone, Copy)]
-enum Action {
-    /// Merge into output slot `t` (the unique legal target).
-    Merge(usize),
-    /// Open a fresh output slot.
-    New,
+/// Frontier marker per qubit: which output op last touched it.
+#[derive(Clone, Copy, PartialEq)]
+enum Frontier {
+    /// Untouched so far.
+    Free,
+    /// Output op index (a fusable gate slot lives there).
+    Op(usize),
+    /// A measurement barrier at this output index: nothing merges into it.
+    Barrier(usize),
 }
 
-/// Matrix-free mirror of the fuser state, cheap enough to clone per
-/// branch: the qubit frontier plus each output slot's qubit set (`None`
-/// marks a measurement barrier).
+/// Matrix-free fuser state, cheap enough to clone per lookahead branch:
+/// the qubit frontier plus each output slot's qubit set (`None` marks a
+/// measurement barrier).
 #[derive(Clone)]
 struct Shadow {
+    max_fused_qubits: usize,
     frontier: Vec<Frontier>,
     slots: Vec<Option<Vec<usize>>>,
 }
 
 impl Shadow {
-    fn new(num_qubits: usize) -> Shadow {
-        Shadow { frontier: vec![Frontier::Free; num_qubits], slots: Vec::new() }
-    }
-
-    /// The unique legal merge target for a gate on `qubits`, with the
-    /// merged qubit set, if one exists under `max_fused_qubits`. Mirrors
-    /// the frontier rule of [`fuse`]: the latest op among the gate's
-    /// frontiers, unless a later barrier blocks it or the union bursts
-    /// the budget.
-    fn candidate(&self, qubits: &[usize], max_fused_qubits: usize) -> Option<(usize, Vec<usize>)> {
+    /// The unique legal merge target for a gate on `qubits`, if one
+    /// exists under the budget.
+    ///
+    /// A gate may merge into the *latest* output op among its qubits'
+    /// frontiers: every other frontier is strictly earlier, and no op
+    /// after the target touches any of this gate's qubits (otherwise that
+    /// op would itself be the latest frontier). A barrier that is the
+    /// latest frontier blocks merging entirely, as does a union that
+    /// bursts the budget.
+    fn candidate(&self, qubits: &[usize]) -> Option<usize> {
         let mut merge_target: Option<usize> = None;
         let mut latest_barrier: Option<usize> = None;
         for &q in qubits {
@@ -233,38 +306,37 @@ impl Shadow {
             return None;
         }
         let existing = self.slots[t].as_ref().expect("op frontier points at a gate slot");
-        let union = crate::union_sorted(existing, qubits);
-        (union.len() <= max_fused_qubits).then_some((t, union))
+        (union_sorted(existing, qubits).len() <= self.max_fused_qubits).then_some(t)
     }
 
-    /// Apply `action` for a gate on `qubits`, returning the incremental
-    /// modeled cost (merge delta or standalone pass).
-    fn apply_gate(
-        &mut self,
-        qubits: &[usize],
-        action: Action,
-        model: &dyn FusionCostModel,
-        num_qubits: usize,
-    ) -> f64 {
-        let (idx, delta) = match action {
+    /// Incremental modeled cost of `action` for a gate on `qubits`: the
+    /// merge delta, or a standalone pass.
+    fn delta(&self, qubits: &[usize], action: Action, model: &dyn FusionCostModel) -> f64 {
+        let n = self.frontier.len();
+        match action {
             Action::Merge(t) => {
-                let existing = self.slots[t].take().expect("merge target is a gate slot");
-                let union = crate::union_sorted(&existing, qubits);
-                let delta =
-                    model.gate_cost(num_qubits, &union) - model.gate_cost(num_qubits, &existing);
-                self.slots[t] = Some(union);
-                (t, delta)
+                let existing = self.slots[t].as_ref().expect("merge target is a gate slot");
+                model.gate_cost(n, &union_sorted(existing, qubits)) - model.gate_cost(n, existing)
+            }
+            Action::New => model.gate_cost(n, qubits),
+        }
+    }
+
+    fn apply_gate(&mut self, qubits: &[usize], action: Action) {
+        let idx = match action {
+            Action::Merge(t) => {
+                let existing = self.slots[t].as_ref().expect("merge target is a gate slot");
+                self.slots[t] = Some(union_sorted(existing, qubits));
+                t
             }
             Action::New => {
-                let idx = self.slots.len();
                 self.slots.push(Some(qubits.to_vec()));
-                (idx, model.gate_cost(num_qubits, qubits))
+                self.slots.len() - 1
             }
         };
         for &q in qubits {
             self.frontier[q] = Frontier::Op(idx);
         }
-        delta
     }
 
     fn apply_barrier(&mut self, qubits: &[usize]) {
@@ -277,80 +349,53 @@ impl Shadow {
 
     /// The local (no-lookahead) rule: merge iff the merge delta does not
     /// exceed a standalone pass; ties merge, matching greedy compression.
-    fn local_action(
-        &self,
+    fn local_action(&self, qubits: &[usize], model: &dyn FusionCostModel) -> Action {
+        match self.candidate(qubits) {
+            Some(t)
+                if self.delta(qubits, Action::Merge(t), model)
+                    <= self.delta(qubits, Action::New, model) =>
+            {
+                Action::Merge(t)
+            }
+            _ => Action::New,
+        }
+    }
+
+    /// Cost of taking `action` now and then playing the `window` of
+    /// upcoming ops forward under the local rule.
+    fn branch_cost(
+        mut self,
         qubits: &[usize],
-        max_fused_qubits: usize,
+        action: Action,
+        window: &[OpQubits],
         model: &dyn FusionCostModel,
-        num_qubits: usize,
-    ) -> Action {
-        match self.candidate(qubits, max_fused_qubits) {
-            None => Action::New,
-            Some((t, union)) => {
-                let existing = self.slots[t].as_ref().expect("merge target is a gate slot");
-                let delta =
-                    model.gate_cost(num_qubits, &union) - model.gate_cost(num_qubits, existing);
-                if delta <= model.gate_cost(num_qubits, qubits) {
-                    Action::Merge(t)
-                } else {
-                    Action::New
+    ) -> f64 {
+        let first = self.delta(qubits, action, model);
+        self.apply_gate(qubits, action);
+        let mut rest = 0.0;
+        for op in window {
+            match op {
+                OpQubits::Gate(qs) => {
+                    let action = self.local_action(qs, model);
+                    rest += self.delta(qs, action, model);
+                    self.apply_gate(qs, action);
                 }
+                OpQubits::Measurement(qs) => self.apply_barrier(qs),
             }
         }
+        first + rest
     }
 }
 
-/// Cost of playing the next `window` ops forward from `shadow` under the
-/// local rule.
-fn lookahead_cost(
-    mut shadow: Shadow,
-    window: &[OpQubits],
-    max_fused_qubits: usize,
-    model: &dyn FusionCostModel,
-    num_qubits: usize,
-) -> f64 {
-    let mut total = 0.0;
-    for op in window {
-        match op {
-            OpQubits::Gate(qs) => {
-                let action = shadow.local_action(qs, max_fused_qubits, model, num_qubits);
-                total += shadow.apply_gate(qs, action, model, num_qubits);
-            }
-            OpQubits::Measurement(qs) => shadow.apply_barrier(qs),
-        }
-    }
-    total
-}
-
-/// Fuse with the cost model, simulating `lookahead` source gates ahead of
-/// each merge decision.
+/// The frontier scan: walk `circuit` once in source order and decide, per
+/// gate, between its unique legal merge and a fresh slot under `policy`.
 ///
-/// Order semantics are identical to [`fuse`] — same legal merge targets,
-/// same measurement barriers — so every plan this produces is equivalent
-/// to the greedy one; only *which* legal merges are taken differs.
-///
-/// # Panics
-/// As [`fuse`]: `max_fused_qubits` out of `1..=`[`MAX_GATE_QUBITS`] or an
-/// invalid circuit.
-pub fn fuse_with_lookahead(
-    circuit: &Circuit,
-    max_fused_qubits: usize,
-    model: &dyn FusionCostModel,
-    lookahead: usize,
-) -> FusedCircuit {
-    assert!(
-        (1..=MAX_GATE_QUBITS).contains(&max_fused_qubits),
-        "max_fused_qubits must be in 1..={MAX_GATE_QUBITS}, got {max_fused_qubits}"
-    );
-    if let Err(diags) = circuit.validate() {
-        panic!(
-            "fuse_with_lookahead() requires a valid circuit:\n{}",
-            qsim_core::diag::render_list(&diags)
-        );
-    }
-    let n = circuit.num_qubits;
-
-    // Qubit sets up front, so branch simulation never builds a matrix.
+/// Order semantics do not depend on the policy — same legal merge
+/// targets, same measurement barriers — so every layout this produces
+/// builds a plan equivalent to the source circuit; only *which* legal
+/// merges are taken differs. A gate wider than the budget never has a
+/// legal merge and passes through unfused. Callers run [`check`] first.
+pub(crate) fn decide(circuit: &Circuit, max_fused_qubits: usize, policy: Policy) -> Layout {
     let infos: Vec<OpQubits> = circuit
         .ops
         .iter()
@@ -366,96 +411,43 @@ pub fn fuse_with_lookahead(
         })
         .collect();
 
-    enum Slot {
-        Building(Builder),
-        Done(FusedOp),
-    }
-    let mut slots: Vec<Slot> = Vec::with_capacity(circuit.ops.len());
-    let mut shadow = Shadow::new(n);
-
-    for (i, op) in circuit.ops.iter().enumerate() {
-        let qs = match &infos[i] {
+    let frontier = vec![Frontier::Free; circuit.num_qubits];
+    let mut shadow = Shadow { max_fused_qubits, frontier, slots: Vec::new() };
+    let mut actions = Vec::with_capacity(infos.len());
+    for (i, info) in infos.iter().enumerate() {
+        let action = match info {
             OpQubits::Measurement(qs) => {
                 shadow.apply_barrier(qs);
-                slots.push(Slot::Done(FusedOp::Measurement { qubits: qs.clone(), time: op.time }));
-                continue;
+                Action::New
             }
-            OpQubits::Gate(qs) => qs,
-        };
-
-        // Decide merge-vs-new by simulating both branches over the
-        // lookahead window; ties merge (denser plans, like greedy).
-        let action = match shadow.candidate(qs, max_fused_qubits) {
-            None => Action::New,
-            Some((t, _union)) => {
-                let window = &infos[i + 1..(i + 1 + lookahead).min(infos.len())];
-                let mut merged = shadow.clone();
-                let cost_merge = merged.apply_gate(qs, Action::Merge(t), model, n)
-                    + lookahead_cost(merged, window, max_fused_qubits, model, n);
-                let mut fresh = shadow.clone();
-                let cost_new = fresh.apply_gate(qs, Action::New, model, n)
-                    + lookahead_cost(fresh, window, max_fused_qubits, model, n);
-                if cost_merge <= cost_new {
-                    Action::Merge(t)
-                } else {
-                    Action::New
-                }
-            }
-        };
-        shadow.apply_gate(qs, action, model, n);
-
-        // Mirror the decision onto the real (matrix-carrying) slots.
-        let (sorted_qubits, matrix) =
-            op.sorted_matrix::<f64>().expect("non-measurement gates have matrices");
-        let (sorted_qubits, matrix) = if op.controls.is_empty() {
-            (sorted_qubits, matrix)
-        } else {
-            crate::expand_controlled(&sorted_qubits, &op.controls, &matrix)
-        };
-        match action {
-            Action::Merge(t) => {
-                let Slot::Building(b) = &mut slots[t] else {
-                    unreachable!("merge target is a live builder")
+            OpQubits::Gate(qs) => {
+                let action = match (shadow.candidate(qs), policy) {
+                    (None, _) => Action::New,
+                    (Some(t), Policy::Greedy) => Action::Merge(t),
+                    (Some(t), Policy::Lookahead { model, window }) => {
+                        let window = &infos[i + 1..(i + 1 + window).min(infos.len())];
+                        let branch = |action| shadow.clone().branch_cost(qs, action, window, model);
+                        if branch(Action::Merge(t)) <= branch(Action::New) {
+                            Action::Merge(t)
+                        } else {
+                            Action::New
+                        }
+                    }
                 };
-                let union = crate::union_sorted(&b.qubits, &sorted_qubits);
-                let eg = matrix.expand_to(&sorted_qubits, &union);
-                let eb = b.matrix.expand_to(&b.qubits, &union);
-                b.matrix = eg.matmul(&eb);
-                b.qubits = union;
-                b.source_gates += 1;
-                b.time_range.1 = op.time;
+                shadow.apply_gate(qs, action);
+                action
             }
-            Action::New => {
-                slots.push(Slot::Building(Builder {
-                    qubits: sorted_qubits,
-                    matrix,
-                    source_gates: 1,
-                    time_range: (op.time, op.time),
-                }));
-            }
-        }
+        };
+        actions.push(action);
     }
-
-    let ops = slots
-        .into_iter()
-        .map(|s| match s {
-            Slot::Done(op) => op,
-            Slot::Building(b) => FusedOp::Unitary(FusedGate {
-                qubits: b.qubits,
-                matrix: b.matrix,
-                source_gates: b.source_gates,
-                time_range: b.time_range,
-            }),
-        })
-        .collect();
-
-    FusedCircuit { num_qubits: circuit.num_qubits, ops, max_fused_qubits }
+    Layout { max_fused_qubits, actions, slots: shadow.slots }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::{CpuCostModel, GpuCostModel};
+    use crate::{fuse, FusedGate, FusedOp};
     use gpu_model::specs::DeviceSpec;
     use qsim_circuit::gates::GateKind;
     use qsim_circuit::library;
@@ -472,6 +464,18 @@ mod tests {
 
     fn cpu_model() -> CpuCostModel {
         CpuCostModel::new(DeviceSpec::epyc_trento(), 2, SweepConfig::default(), Precision::Single)
+    }
+
+    fn fuse_with_model(c: &Circuit, f: usize, model: &dyn FusionCostModel) -> FusedCircuit {
+        plan(c, FusionStrategy::Cost, f, model).fused
+    }
+
+    fn fuse_auto(c: &Circuit, model: &dyn FusionCostModel) -> FusedCircuit {
+        plan(c, FusionStrategy::Auto, MAX_GATE_QUBITS, model).fused
+    }
+
+    fn plan_cost(model: &dyn FusionCostModel, fused: &FusedCircuit) -> f64 {
+        model.plan_cost(fused.num_qubits, &fused.op_shapes())
     }
 
     /// Final unitary of `fused` must match the unfused reference.
@@ -533,8 +537,8 @@ mod tests {
         let c = qsim_circuit::generate_rqc(&qsim_circuit::RqcOptions::for_qubits(14, 10, 5));
         for model in [&hip_model() as &dyn FusionCostModel, &a100_model()] {
             for f in 2..=6 {
-                let greedy = model.plan_cost(&fuse(&c, f));
-                let cost = model.plan_cost(&fuse_with_model(&c, f, model));
+                let greedy = plan_cost(model, &fuse(&c, f));
+                let cost = plan_cost(model, &fuse_with_model(&c, f, model));
                 assert!(
                     cost <= greedy * 1.02,
                     "f={f} {}: cost-planned {cost} vs greedy {greedy}",
@@ -575,9 +579,9 @@ mod tests {
     fn auto_matches_best_fixed_width_by_model_metric() {
         let c = qsim_circuit::generate_rqc(&qsim_circuit::RqcOptions::for_qubits(12, 10, 21));
         for model in [&hip_model() as &dyn FusionCostModel, &a100_model(), &cpu_model()] {
-            let auto = model.plan_cost(&fuse_auto(&c, model));
+            let auto = plan_cost(model, &fuse_auto(&c, model));
             let best_fixed =
-                (2..=6).map(|f| model.plan_cost(&fuse(&c, f))).fold(f64::INFINITY, f64::min);
+                (2..=6).map(|f| plan_cost(model, &fuse(&c, f))).fold(f64::INFINITY, f64::min);
             assert!(
                 auto <= best_fixed * (1.0 + AUTO_TOLERANCE),
                 "{}: auto {auto} vs best fixed greedy {best_fixed}",
@@ -601,7 +605,8 @@ mod tests {
     #[test]
     fn zero_lookahead_degenerates_to_local_rule() {
         let c = library::random_dense(8, 40, 3);
-        let fused = fuse_with_lookahead(&c, 4, &hip_model(), 0);
+        let policy = Policy::Lookahead { model: &hip_model(), window: 0 };
+        let fused = build(&c, &decide(&c, 4, policy));
         assert_equivalent(&c, &fused);
     }
 
@@ -628,7 +633,7 @@ mod tests {
             let p = plan(&c, s, 2, &model);
             assert_eq!(p.strategy, s);
             assert!(p.predicted_cost_seconds > 0.0);
-            assert_eq!(p.predicted_cost_seconds, model.plan_cost(&p.fused));
+            assert_eq!(p.predicted_cost_seconds, plan_cost(&model, &p.fused));
         }
     }
 

@@ -32,11 +32,10 @@
 //!   (bytes/s), dispatch caps the aggregate streaming rate of running
 //!   jobs, and a deep backlog sheds load with the typed
 //!   [`AdmissionError::Saturated`].
-//! - the wire protocol ([`protocol`]) and two TCP front ends — the
-//!   thread-per-connection [`server`] and the multiplexed [`mux`]
-//!   server (a fixed pool of I/O threads, each owning many nonblocking
-//!   connections, with streamed sample frames and per-connection write
-//!   backpressure). Verbs: `submit`, `status`, `result`, `cancel`,
+//! - the wire protocol ([`protocol`]) and its TCP front end, the
+//!   multiplexed [`mux`] server (a fixed pool of I/O threads, each owning
+//!   many nonblocking connections, with streamed sample frames and
+//!   per-connection write backpressure). Verbs: `submit`, `status`, `result`, `cancel`,
 //!   `metrics`, `shutdown`; `result` returns the run's
 //!   [`qsim_backends::RunReport`] JSON.
 //! - content-addressed caching ([`qsim_cache`]) — a byte-budgeted plan
@@ -56,7 +55,6 @@ pub mod mux;
 pub mod pool;
 pub mod protocol;
 pub mod queue;
-pub mod server;
 pub mod service;
 pub mod worker;
 
@@ -65,10 +63,9 @@ pub use admission::{
     DEFAULT_BANDWIDTH_BUDGET_BPS,
 };
 pub use job::{JobId, JobSpec, JobState, Priority};
-pub use mux::{MuxServer, DEFAULT_IO_THREADS};
+pub use mux::{MuxServer, ShutdownHandle, DEFAULT_IO_THREADS};
 pub use pool::{BucketStats, PoolStats, StateBufferPool};
 pub use queue::{JobQueue, WorkUnit, RESIDENT_BYTES};
-pub use server::{Server, ShutdownHandle};
 pub use service::{
     FinalState, JobStatus, Metrics, Service, ServiceConfig, SubmitError, DEFAULT_MAX_BATCH,
     DEFAULT_PLAN_CACHE_BUDGET, DEFAULT_RESULT_CACHE_BUDGET,

@@ -1,9 +1,9 @@
 //! The multiplexed TCP front end: many connections per I/O thread.
 //!
-//! The thread-per-connection [`crate::server`] is simple and fine up to
-//! a few hundred clients, but a thousand mostly-idle connections cost a
-//! thousand parked threads (stacks, scheduler load, one context switch
-//! per request). [`MuxServer`] instead runs a **fixed pool of I/O
+//! A thread per connection is simple and fine up to a few hundred
+//! clients, but a thousand mostly-idle connections cost a thousand
+//! parked threads (stacks, scheduler load, one context switch per
+//! request). [`MuxServer`] instead runs a **fixed pool of I/O
 //! threads**, each owning a set of nonblocking connections it services
 //! in a readiness loop:
 //!
@@ -31,10 +31,6 @@
 //! in chunks of [`STREAM_CHUNK`], so the client neither polls `result`
 //! nor parses one giant line. Frames may interleave with responses to
 //! other requests on the same connection; `id` disambiguates.
-//!
-//! The protocol and the service are byte-identical to the threaded
-//! server's — a client cannot tell which front end it talks to unless
-//! it asks for streaming.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -48,7 +44,6 @@ use serde_json::json;
 
 use crate::job::JobId;
 use crate::protocol::handle_line;
-use crate::server::ShutdownHandle;
 use crate::service::Service;
 
 /// I/O threads when the embedder does not choose: enough that one slow
@@ -74,6 +69,25 @@ const IDLE_SLEEP: Duration = Duration::from_micros(300);
 /// Grace period after shutdown for flushing pending responses to slow
 /// clients before connections are dropped.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
+
+/// Remote stop control for a running [`MuxServer::serve`] loop.
+#[derive(Debug, Clone)]
+pub struct ShutdownHandle {
+    stop: Arc<AtomicBool>,
+    addr: Option<SocketAddr>,
+}
+
+impl ShutdownHandle {
+    /// Stop the accept loop. Safe to call more than once.
+    pub fn shutdown(&self) {
+        self.stop.store(true, Ordering::Release);
+        // The accept loop blocks in `incoming()`; poke it awake with a
+        // throwaway connection so it observes the flag.
+        if let Some(addr) = self.addr {
+            let _ = TcpStream::connect(addr);
+        }
+    }
+}
 
 /// A listening multiplexed endpoint bound to a local address.
 #[derive(Debug)]
@@ -108,7 +122,7 @@ impl MuxServer {
 
     /// A handle that makes the accept loop exit from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle::new(self.stop.clone(), self.listener.local_addr().ok())
+        ShutdownHandle { stop: self.stop.clone(), addr: self.listener.local_addr().ok() }
     }
 
     /// Accept connections until a `shutdown` verb (or
@@ -435,7 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_matches_threaded_server_protocol() {
+    fn tcp_round_trip_and_graceful_shutdown() {
         let (service, addr, _stop, thread) = start_mux(2);
         let mut conn = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(conn.try_clone().unwrap());

@@ -27,7 +27,7 @@
 //! the multiplexed server ([`crate::mux`]) to push the job's sampled
 //! bitstrings as `{"event":"samples","id":…,"seq":…,"samples":[…],
 //! "last":…}` frames once the job completes, instead of the client
-//! polling `result`. The thread-per-connection server ignores the flag.
+//! polling `result`.
 //!
 //! [`RunReport`]: qsim_backends::RunReport
 
