@@ -25,7 +25,7 @@ use crate::{
 
 /// Structural invariants: arity, qubit ranges, duplicate operands,
 /// control/target overlap, time monotonicity — delegated to
-/// [`Circuit::validate`], which owns the `QC00xx` codes.
+/// [`qsim_circuit::Circuit::validate`], which owns the `QC00xx` codes.
 pub struct Structure;
 
 impl CircuitRule for Structure {
@@ -424,7 +424,7 @@ impl PlanRule for PlanSourceAccounting {
 
 /// Sweep-barrier sanity: re-derive the block-local / barrier split from
 /// [`qsim_core::sweep::is_block_local`] and check it against the pass
-/// accounting of [`FusedCircuit::sweep_stats`] — the executor and the
+/// accounting of [`qsim_fusion::FusedCircuit::sweep_stats`] — the executor and the
 /// analyzer must agree on what a barrier is. Also emits a performance
 /// note when barriers dominate.
 pub struct PlanSweep;

@@ -183,8 +183,7 @@ impl SimBackend {
     }
 
     /// Configure the cache-blocked sweep (CPU flavor only; GPU flavors
-    /// model per-gate kernels regardless). Replacing the configuration
-    /// drops the cached gate plans.
+    /// model per-gate kernels regardless).
     pub fn set_sweep_config(&mut self, config: SweepConfig) {
         self.sweep = SweepExecutor::new(config);
     }

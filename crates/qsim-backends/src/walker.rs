@@ -41,7 +41,7 @@ use gpu_model::trace::SpanKind;
 use gpu_model::GpuError;
 use qsim_core::batch::{apply_gate_gang, apply_run_gang, StateBatch};
 use qsim_core::cancel::CancelToken;
-use qsim_core::statespace::{measure_slice, norm_sqr_slice, sample_slice};
+use qsim_core::statespace::{measure, norm_sqr, sample};
 use qsim_core::sweep::{PassTracker, SweepExecutor};
 use qsim_core::types::{Cplx, Float, Precision};
 use qsim_core::{GateMatrix, StateVector};
@@ -162,8 +162,8 @@ impl<F: Float> Gang<F> {
     }
 
     /// Apply and clear the pending run of block-local gates across the
-    /// whole gang: one [`SweepExecutor::prepare_run`] (SimdPlans +
-    /// GatePlans built once), swept over every live state. Each state's
+    /// whole gang: one [`SweepExecutor::prepare_run`] (each gate planned
+    /// once), swept over every live state. Each state's
     /// token is polled at every sweep cache block; a state cancelled
     /// mid-run fails with `at_op`.
     fn flush(&mut self, sweep: &SweepExecutor, pending: &mut PendingRun<'_, F>, at_op: usize) {
@@ -187,11 +187,8 @@ impl<F: Float> Gang<F> {
         if cfg!(debug_assertions) {
             let tol = if F::PRECISION == Precision::Double { 1e-9 } else { 1e-3 };
             for amps in (0..self.subs.len()).filter_map(|slot| self.batch.state(slot)) {
-                let norm_sqr = norm_sqr_slice(amps);
-                assert!(
-                    (norm_sqr - 1.0).abs() < tol,
-                    "state norm² drifted to {norm_sqr} after {what}"
-                );
+                let norm = norm_sqr(amps);
+                assert!((norm - 1.0).abs() < tol, "state norm² drifted to {norm} after {what}");
             }
         }
     }
@@ -432,7 +429,7 @@ impl SimBackend {
                     if let Some(gang) = gang.as_mut() {
                         for (slot, sub) in gang.subs.iter_mut().enumerate() {
                             if let Some(amps) = gang.batch.state_mut(slot) {
-                                let outcome = measure_slice(amps, qubits, &mut sub.rng);
+                                let outcome = measure(amps, qubits, &mut sub.rng);
                                 sub.measurements.push((qubits.clone(), outcome));
                             }
                         }
@@ -460,7 +457,7 @@ impl SimBackend {
                 for (slot, sub) in gang.subs.iter_mut().enumerate() {
                     let draws = sub.opts.sample_count;
                     if let Some(amps) = gang.batch.state(slot).filter(|_| draws > 0) {
-                        sub.samples = sample_slice(amps, draws, &mut sub.rng);
+                        sub.samples = sample(amps, draws, &mut sub.rng);
                     }
                 }
             })?;

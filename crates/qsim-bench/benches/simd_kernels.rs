@@ -15,9 +15,9 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use qsim_core::kernels::{apply_gate_slice_seq, KernelClass};
+use qsim_core::kernels::{apply_gate_seq, classify_gate_at, KernelClass};
 use qsim_core::matrix::GateMatrix;
-use qsim_core::simd::{detected_isa, lane_class, Isa, SimdPlan};
+use qsim_core::simd::{detected_isa, Isa, SimdPlan};
 use qsim_core::types::{Cplx, Float};
 use qsim_core::StateVector;
 
@@ -101,7 +101,7 @@ fn measure_precision<F: Float>(rows: &mut Vec<String>, reps: usize, samples: usi
             if diagonal { diag_matrix::<F>(qubits.len()) } else { dense_matrix::<F>(qubits.len()) };
         let mut sv = StateVector::<F>::new(N);
         let scalar_ns = time_ns(sv.amplitudes_mut(), reps, samples, |amps| {
-            apply_gate_slice_seq(amps, &qubits, &matrix);
+            apply_gate_seq(amps, &qubits, &matrix);
         });
         for &tier in &tiers {
             let Some(plan) = SimdPlan::new_with_isa(tier, N, &qubits, &[], 0, &matrix) else {
@@ -112,7 +112,7 @@ fn measure_precision<F: Float>(rows: &mut Vec<String>, reps: usize, samples: usi
             let class = if diagonal {
                 "diag"
             } else {
-                match lane_class(&qubits, tier.lane_qubits(F::PRECISION)) {
+                match classify_gate_at(&qubits, tier.lane_qubits(F::PRECISION)) {
                     KernelClass::Low => "low",
                     KernelClass::High => "high",
                 }
@@ -149,7 +149,7 @@ fn bench_simd_kernels(c: &mut Criterion) {
     let m32 = dense_matrix::<f32>(2);
     group.bench_function(BenchmarkId::new("scalar", "f32"), |b| {
         let mut sv = StateVector::<f32>::new(N);
-        b.iter(|| apply_gate_slice_seq(sv.amplitudes_mut(), &qubits, &m32));
+        b.iter(|| apply_gate_seq(sv.amplitudes_mut(), &qubits, &m32));
     });
     if let Some(plan) = SimdPlan::new_with_isa(detected_isa(), N, &qubits, &[], 0, &m32) {
         group.bench_function(BenchmarkId::new(detected_isa().name(), "f32"), |b| {
@@ -160,7 +160,7 @@ fn bench_simd_kernels(c: &mut Criterion) {
     let m64 = dense_matrix::<f64>(2);
     group.bench_function(BenchmarkId::new("scalar", "f64"), |b| {
         let mut sv = StateVector::<f64>::new(N);
-        b.iter(|| apply_gate_slice_seq(sv.amplitudes_mut(), &qubits, &m64));
+        b.iter(|| apply_gate_seq(sv.amplitudes_mut(), &qubits, &m64));
     });
     if let Some(plan) = SimdPlan::new_with_isa(detected_isa(), N, &qubits, &[], 0, &m64) {
         group.bench_function(BenchmarkId::new(detected_isa().name(), "f64"), |b| {

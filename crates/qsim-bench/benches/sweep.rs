@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use qsim_circuit::{generate_rqc, RqcOptions};
-use qsim_core::kernels::apply_gate_slice_par;
+use qsim_core::kernels::apply_gate_par;
 use qsim_core::matrix::GateMatrix;
 use qsim_core::sweep::{SweepConfig, SweepExecutor, SweepStats};
 use qsim_core::StateVector;
@@ -47,7 +47,7 @@ fn bench_sweep(c: &mut Criterion) {
             let mut sv = StateVector::<f64>::new(n);
             b.iter(|| {
                 for (qs, m) in gs {
-                    apply_gate_slice_par(sv.amplitudes_mut(), qs, m);
+                    apply_gate_par(sv.amplitudes_mut(), qs, m);
                 }
             });
         });

@@ -10,11 +10,12 @@
 //! so a cancelled sub-job's buffer can leave the gang mid-run), and the
 //! gang entry points [`apply_run_gang`] / [`apply_gate_gang`] reuse the
 //! [`crate::sweep`] block walker and [`crate::simd`] lane kernels so a
-//! single [`crate::sweep::PreparedRun`] — one set of `SimdPlan`s and
-//! `GatePlan`s — is built once and swept across every state.
+//! single [`crate::sweep::PreparedRun`] — one
+//! [`kernels::PreparedGate`] per gate — is built once and swept across
+//! every state.
 //!
 //! Per-state arithmetic is exactly the single-state path's
-//! ([`PreparedRun::apply_to`] for runs, [`kernels::apply_gate_slice_par`]
+//! ([`PreparedRun::apply_to`] for runs, [`kernels::apply_gate_par`]
 //! for barrier gates), and states never read each other, so a gang run is
 //! bit-for-bit identical to N sequential runs regardless of how the
 //! cross-state parallelism interleaves.
@@ -34,7 +35,7 @@ use crate::types::{Cplx, Float};
 /// gangs run inline and rely on worker-level parallelism instead. 2^17
 /// amplitudes (~2 MiB of f64 pairs) per piece keeps the spawn cost under a
 /// percent of the sweep it covers.
-pub const PAR_GRAIN_AMPS: usize = 1 << 17;
+const GANG_PIECE_AMPS: usize = 1 << 17;
 
 /// N same-size state vectors, each in its own recyclable allocation.
 ///
@@ -124,7 +125,7 @@ impl<F: Float> StateBatch<F> {
 
     /// Run `op` over every active slot and collect `(slot, result)`
     /// pairs. States are processed in parallel only when each piece
-    /// carries at least [`PAR_GRAIN_AMPS`] amplitudes of work — below
+    /// carries at least `GANG_PIECE_AMPS` (2^17) amplitudes of work — below
     /// that, fork/join overhead (the offline rayon spawns scoped threads
     /// per call) dwarfs the arithmetic of a small gang, and the gang runs
     /// inline on the calling worker thread, whose outer-level parallelism
@@ -134,7 +135,7 @@ impl<F: Float> StateBatch<F> {
         R: Send,
         OP: Fn(usize, &mut [Cplx<F>]) -> R + Sync,
     {
-        let grain_states = (PAR_GRAIN_AMPS >> self.num_qubits).max(1);
+        let grain_states = (GANG_PIECE_AMPS >> self.num_qubits).max(1);
         let mut results: Vec<Option<R>> = (0..self.slots.len()).map(|_| None).collect();
         self.slots
             .par_iter_mut()
@@ -151,8 +152,8 @@ impl<F: Float> StateBatch<F> {
 }
 
 /// Apply one prepared run of block-local gates to every active state of
-/// the gang: the [`PreparedRun`] (one `SimdPlan` + `GatePlan` set) is
-/// shared by all states. Each state's cancel token — `cancels[i]`, when
+/// the gang: the [`PreparedRun`] (one [`kernels::PreparedGate`] per gate)
+/// is shared by all states. Each state's cancel token — `cancels[i]`, when
 /// the slice is long enough — is polled per cache block exactly as in the
 /// single-state path; slots whose token fired are returned with the cause
 /// (their states are partially updated, good only for recycling).
@@ -173,7 +174,7 @@ pub fn apply_run_gang<F: Float>(
 
 /// Apply one barrier (non-block-local) gate to every active state through
 /// the ordinary strided parallel kernel — the same
-/// [`kernels::apply_gate_slice_par`] call the single-state run loop makes,
+/// [`kernels::apply_gate_par`] call the single-state run loop makes,
 /// so per-state results are bit-identical. The matrix is converted once by
 /// the caller and shared across the gang.
 pub fn apply_gate_gang<F: Float>(
@@ -181,7 +182,7 @@ pub fn apply_gate_gang<F: Float>(
     qubits: &[usize],
     matrix: &GateMatrix<F>,
 ) {
-    batch.for_each_active(|_, amps| kernels::apply_gate_slice_par(amps, qubits, matrix));
+    batch.for_each_active(|_, amps| kernels::apply_gate_par(amps, qubits, matrix));
 }
 
 #[cfg(test)]
@@ -237,7 +238,7 @@ mod tests {
         // Reference: the single-state executor.
         let mut reference = StateVector::<f64>::new(n);
         exec.apply_run(reference.amplitudes_mut(), runs.iter().copied());
-        kernels::apply_gate_slice_par(reference.amplitudes_mut(), &[5], &h_matrix());
+        kernels::apply_gate_par(reference.amplitudes_mut(), &[5], &h_matrix());
 
         // Gang of 3: same run + barrier gate on every state.
         let mut batch = StateBatch::<f64>::new(n);

@@ -11,7 +11,7 @@
 //! applications — `U` on the row qubits and `conj(U)` on the column
 //! qubits — reusing the state-vector kernels unchanged.
 
-use crate::kernels::{apply_gate_slice_par, MAX_GATE_QUBITS};
+use crate::kernels::{apply_gate_par, MAX_GATE_QUBITS};
 use crate::matrix::GateMatrix;
 use crate::noise::KrausChannel;
 use crate::observables::{PauliString, PauliSum};
@@ -105,11 +105,11 @@ impl<F: Float> DensityMatrix<F> {
         assert!(qubits.iter().all(|&q| q < self.num_qubits), "qubit out of range");
         let n = self.num_qubits;
         // Row side: U on the low register.
-        apply_gate_slice_par(&mut self.data, qubits, matrix);
+        apply_gate_par(&mut self.data, qubits, matrix);
         // Column side: conj(U) on the high register.
         let conj = conjugate(matrix);
         let col_qubits: Vec<usize> = qubits.iter().map(|&q| q + n).collect();
-        apply_gate_slice_par(&mut self.data, &col_qubits, &conj);
+        apply_gate_par(&mut self.data, &col_qubits, &conj);
     }
 
     /// Apply a Kraus channel exactly: `ρ → Σ_i K_i ρ K_i†`.

@@ -8,8 +8,19 @@
 //! (paper §2.2, Figure 4).
 //!
 //! Because groups are disjoint, the loop over groups is embarrassingly
-//! parallel: [`apply_gate_par`] fans it across cores with rayon, mirroring
-//! how qsim's CUDA/HIP kernels assign groups to GPU threads.
+//! parallel, mirroring how qsim's CUDA/HIP kernels assign groups to GPU
+//! threads.
+//!
+//! **One ladder.** Every call into these kernels goes through a
+//! [`PreparedGate`], which picks once — SIMD tile plan, else diagonal sweep,
+//! else scalar groups — and then applies itself to `2^n` slices sequentially
+//! or across cores. Four functions wrap it: the dispatching entry
+//! ([`apply_gate_par`], [`apply_controlled_gate_slice_par`]) and the
+//! sequential scalar reference ([`apply_gate_seq`],
+//! [`apply_controlled_gate_seq`]), which is the prepared gate built without
+//! its tile rung — the only path on a scalar ISA, and the oracle the SIMD
+//! tiers are tested against. Amplitude slices are the one argument type; a
+//! [`crate::StateVector`] derefs to one.
 //!
 //! The module also exposes the **high/low kernel split** used by the GPU
 //! backends: gates whose targets are all `≥ 5` map to qsim's
@@ -20,7 +31,7 @@
 use rayon::prelude::*;
 
 use crate::matrix::GateMatrix;
-use crate::statevec::StateVector;
+use crate::simd::SimdPlan;
 use crate::types::{Cplx, Float};
 use crate::LOW_QUBIT_THRESHOLD;
 
@@ -29,13 +40,15 @@ use crate::LOW_QUBIT_THRESHOLD;
 /// the kernels are sized accordingly (`2^6 = 64` amplitudes).
 pub const MAX_GATE_QUBITS: usize = 6;
 
-/// Unified parallel granularity, in amplitudes.
+/// Parallel granularity of one gate on one state, in amplitudes.
 ///
-/// This one constant governs every parallel-vs-sequential decision in the
-/// CPU kernels: slices shorter than this run sequentially (rayon task
+/// It governs the parallel-vs-sequential decisions of the gate kernels and
+/// the sweep: slices shorter than this run sequentially (rayon task
 /// overhead would dominate the handful of groups), and parallel loops are
 /// chunked so each rayon task touches at least this many amplitudes
-/// (`with_min_len(PAR_GRAIN_AMPS / amps_per_item)`). 2^12 amplitudes is
+/// (`with_min_len(PAR_GRAIN_AMPS / amps_per_item)`). How many *states* of a
+/// gang share a task is a separate quantity, private to [`crate::batch`].
+/// 2^12 amplitudes is
 /// 32–64 KiB — about one L1 cache worth of work per task, large enough to
 /// amortize work-stealing overhead and small enough to load-balance.
 pub const PAR_GRAIN_AMPS: usize = 1 << 12;
@@ -178,8 +191,8 @@ fn group_offsets(qubits: &[usize]) -> Vec<usize> {
 }
 
 /// Validate gate-application arguments; panics with a diagnostic message
-/// on malformed input. Shared by the scalar plans ([`GatePlan::new`]) and
-/// the SIMD tile plans so both paths reject bad input identically.
+/// on malformed input. Shared by [`PreparedGate`] and the SIMD tile plans so
+/// every rung rejects bad input identically.
 pub(crate) fn validate_gate_args(
     n: usize,
     qubits: &[usize],
@@ -204,55 +217,39 @@ pub(crate) fn validate_gate_args(
         "control qubits must not overlap target qubits"
     );
     assert!(
+        controls.iter().enumerate().all(|(j, c)| !controls[..j].contains(c)),
+        "control qubits must be distinct: {controls:?}"
+    );
+    assert!(
         control_values < (1usize << controls.len().max(1)) || controls.is_empty(),
         "control_values has bits beyond the control count"
     );
 }
 
-/// Validated gate-application parameters shared by all kernel variants.
-///
-/// A plan depends only on the register size and the qubit indices — not on
-/// the matrix entries or the scalar precision — so it can be built once and
-/// reused across trajectories, repeated circuit layers, and precisions
-/// (see [`crate::sweep::SweepExecutor`], which caches plans this way).
-pub struct GatePlan {
-    /// Register size the plan was built for (amplitude slice = `2^n`).
-    n: usize,
-    /// Gate dimension (`2^k` for a `k`-qubit gate).
-    dim: usize,
+/// Scalar group decomposition of a gate: which amplitudes form each of the
+/// `2^{n-k-c}` disjoint groups the `dim × dim` product is applied to. It
+/// depends only on the register size and the qubit indices — not on the
+/// matrix entries or the scalar precision. Building one is `O(2^k + n)`
+/// against the `O(2^n)` pass it serves, so [`PreparedGate`] builds it on
+/// demand and nothing caches it.
+struct GatePlan {
     /// Sorted union of targets and controls (positions to strip from the
     /// group index).
     strip: Vec<usize>,
-    /// Per-group amplitude offsets for the target qubits.
+    /// Per-group amplitude offsets for the target qubits: `2^k` of them,
+    /// the gate dimension.
     offsets: Vec<usize>,
     /// OR-mask of control bits that must be set in every touched index.
     control_mask: usize,
     /// Number of groups.
     num_groups: usize,
-    /// The gate arguments the plan was built from, retained so dispatch
-    /// layers (e.g. the SIMD tile planner) can re-derive their own
-    /// decomposition from a cached plan.
-    qubits: Vec<usize>,
-    controls: Vec<usize>,
-    control_values: usize,
 }
 
 impl GatePlan {
-    /// Validate and precompute the group decomposition of a gate on
-    /// `qubits` (with optional `controls`) over an `n`-qubit register.
-    /// `matrix_dim` is the dimension of the matrix that will be applied
-    /// (`2^k`); passing it here keeps the validation in one place without
-    /// tying the plan to a concrete matrix.
-    pub fn new(
-        n: usize,
-        qubits: &[usize],
-        controls: &[usize],
-        control_values: usize,
-        matrix_dim: usize,
-    ) -> GatePlan {
-        validate_gate_args(n, qubits, controls, control_values, matrix_dim);
-        let k = qubits.len();
-
+    /// Precompute the group decomposition of a gate on `qubits` (with
+    /// optional `controls`) over an `n`-qubit register. The arguments have
+    /// passed [`validate_gate_args`].
+    fn new(n: usize, qubits: &[usize], controls: &[usize], control_values: usize) -> GatePlan {
         let mut strip: Vec<usize> = qubits.iter().chain(controls.iter()).copied().collect();
         strip.sort_unstable();
         debug_assert!(strip.windows(2).all(|w| w[0] < w[1]));
@@ -264,78 +261,12 @@ impl GatePlan {
             }
         }
 
-        let num_groups = 1usize << (n - strip.len());
         GatePlan {
-            n,
-            dim: 1usize << k,
+            num_groups: 1usize << (n - strip.len()),
             strip,
             offsets: group_offsets(qubits),
             control_mask,
-            num_groups,
-            qubits: qubits.to_vec(),
-            controls: controls.to_vec(),
-            control_values,
         }
-    }
-
-    /// Register size (`log2` of the amplitude-slice length) this plan
-    /// decomposes.
-    pub fn num_qubits(&self) -> usize {
-        self.n
-    }
-
-    /// Number of disjoint amplitude groups.
-    pub fn num_groups(&self) -> usize {
-        self.num_groups
-    }
-
-    /// The target qubits the plan was built for (sorted ascending).
-    pub fn target_qubits(&self) -> &[usize] {
-        &self.qubits
-    }
-
-    /// The control qubits the plan was built for.
-    pub fn control_qubits(&self) -> &[usize] {
-        &self.controls
-    }
-
-    /// Required control values (bit `j` for `control_qubits()[j]`).
-    pub fn control_values(&self) -> usize {
-        self.control_values
-    }
-}
-
-fn plan<F: Float>(
-    n: usize,
-    qubits: &[usize],
-    controls: &[usize],
-    control_values: usize,
-    matrix: &GateMatrix<F>,
-) -> GatePlan {
-    GatePlan::new(n, qubits, controls, control_values, matrix.dim())
-}
-
-/// Process one amplitude group in place (dynamic gate size).
-#[inline(always)]
-fn apply_group<F: Float>(
-    amps: &mut [Cplx<F>],
-    base: usize,
-    offsets: &[usize],
-    matrix: &GateMatrix<F>,
-    scratch: &mut [Cplx<F>; 1 << MAX_GATE_QUBITS],
-) {
-    let dim = offsets.len();
-    for (m, &off) in offsets.iter().enumerate() {
-        scratch[m] = amps[base | off];
-    }
-    let mat = matrix.as_slice();
-    for (r, &off) in offsets.iter().enumerate() {
-        let row = &mat[r * dim..(r + 1) * dim];
-        let mut acc = Cplx::zero();
-        for (m, &s) in scratch[..dim].iter().enumerate() {
-            acc.mul_add_assign(row[m], s);
-        }
-        amps[base | off] = acc;
     }
 }
 
@@ -382,134 +313,24 @@ pub fn is_diagonal<F: Float>(matrix: &GateMatrix<F>) -> bool {
     true
 }
 
-/// Diagonal-gate fast path: one linear sweep, no gather/scatter, no
-/// group decomposition — each amplitude is scaled by the diagonal entry
-/// selected by its target-qubit bits (qsim's specialized diagonal
-/// kernels). Also correct on any *aligned* `2^m`-amplitude sub-block of a
-/// larger state as long as all target qubits are `< m` (the low `m` index
-/// bits are preserved within such a block), which is how the cache-blocked
-/// sweep applies diagonal gates block-locally.
-pub fn apply_diagonal_seq<F: Float>(
+/// Diagonal rung: one linear sweep, no gather/scatter, no group
+/// decomposition — each amplitude is scaled by the entry of `diag` selected
+/// by its target-qubit bits (qsim's specialized diagonal kernels). Also
+/// correct on any *aligned* `2^m`-amplitude sub-block of a larger state as
+/// long as all target qubits are `< m` (the low `m` index bits are preserved
+/// within such a block), which is how the cache-blocked sweep applies
+/// diagonal gates block-locally.
+fn apply_diagonal<F: Float>(
     amps: &mut [Cplx<F>],
     qubits: &[usize],
-    matrix: &GateMatrix<F>,
+    diag: &[Cplx<F>],
+    parallel: bool,
 ) {
-    let dim = matrix.dim();
-    let mut diag = [Cplx::<F>::zero(); 1 << MAX_GATE_QUBITS];
-    for (m, d) in diag.iter_mut().take(dim).enumerate() {
-        *d = matrix.get(m, m);
-    }
-    for (i, a) in amps.iter_mut().enumerate() {
-        *a *= diag[crate::matrix::extract_bits(i, qubits)];
-    }
-}
-
-/// Parallel diagonal fast path.
-fn apply_diagonal_par<F: Float>(amps: &mut [Cplx<F>], qubits: &[usize], matrix: &GateMatrix<F>) {
-    let dim = matrix.dim();
-    let mut diag = [Cplx::<F>::zero(); 1 << MAX_GATE_QUBITS];
-    for (m, d) in diag.iter_mut().take(dim).enumerate() {
-        *d = matrix.get(m, m);
-    }
-    amps.par_iter_mut().enumerate().with_min_len(PAR_GRAIN_AMPS).for_each(|(i, a)| {
-        *a *= diag[crate::matrix::extract_bits(i, qubits)];
-    });
-}
-
-/// Number of qubits represented by an amplitude slice (its log2 length).
-fn slice_qubits<F>(amps: &[Cplx<F>]) -> usize {
-    assert!(
-        amps.len().is_power_of_two() && amps.len() >= 2,
-        "amplitude slice length must be 2^n, got {}",
-        amps.len()
-    );
-    amps.len().trailing_zeros() as usize
-}
-
-/// Apply a `k`-qubit gate sequentially (the reference implementation every
-/// backend is validated against).
-pub fn apply_gate_seq<F: Float>(
-    state: &mut StateVector<F>,
-    qubits: &[usize],
-    matrix: &GateMatrix<F>,
-) {
-    apply_controlled_gate_slice_seq(state.amplitudes_mut(), qubits, &[], 0, matrix);
-}
-
-/// Apply a controlled `k`-qubit gate sequentially. `control_values` bit `j`
-/// gives the required value of `controls[j]` (qsim convention; all-ones for
-/// ordinary controlled gates).
-pub fn apply_controlled_gate_seq<F: Float>(
-    state: &mut StateVector<F>,
-    qubits: &[usize],
-    controls: &[usize],
-    control_values: usize,
-    matrix: &GateMatrix<F>,
-) {
-    apply_controlled_gate_slice_seq(
-        state.amplitudes_mut(),
-        qubits,
-        controls,
-        control_values,
-        matrix,
-    );
-}
-
-/// Slice-based variant of [`apply_gate_seq`] for callers that keep
-/// amplitudes in their own storage (e.g. a simulated device buffer).
-pub fn apply_gate_slice_seq<F: Float>(
-    amps: &mut [Cplx<F>],
-    qubits: &[usize],
-    matrix: &GateMatrix<F>,
-) {
-    apply_controlled_gate_slice_seq(amps, qubits, &[], 0, matrix);
-}
-
-/// Slice-based variant of [`apply_controlled_gate_seq`].
-pub fn apply_controlled_gate_slice_seq<F: Float>(
-    amps: &mut [Cplx<F>],
-    qubits: &[usize],
-    controls: &[usize],
-    control_values: usize,
-    matrix: &GateMatrix<F>,
-) {
-    let n = slice_qubits(amps);
-    let p = plan(n, qubits, controls, control_values, matrix);
-    if controls.is_empty() && is_diagonal(matrix) {
-        return apply_diagonal_seq(amps, qubits, matrix);
-    }
-    apply_plan_seq_scalar(amps, &p, matrix);
-}
-
-/// Apply a pre-planned gate to `amps` sequentially with the scalar
-/// kernels: every group of the plan's decomposition gets the `dim × dim`
-/// matrix-vector product, with the gate dimension monomorphized exactly
-/// as in the one-shot kernels. This is the reference path the SIMD
-/// kernels are validated against, so it never dispatches to SIMD.
-pub fn apply_plan_seq_scalar<F: Float>(amps: &mut [Cplx<F>], p: &GatePlan, matrix: &GateMatrix<F>) {
-    debug_assert_eq!(amps.len(), 1usize << p.n, "amplitude slice does not match the plan");
-    assert_eq!(matrix.dim(), p.dim, "matrix dimension does not match the plan");
-    fn run<F: Float, const DIM: usize>(amps: &mut [Cplx<F>], p: &GatePlan, mat: &[Cplx<F>]) {
-        for g in 0..p.num_groups {
-            let base = insert_zero_bits(g, &p.strip) | p.control_mask;
-            apply_group_fixed::<F, DIM>(amps, base, &p.offsets, mat);
-        }
-    }
-    let mat = matrix.as_slice();
-    match p.dim {
-        2 => run::<F, 2>(amps, p, mat),
-        4 => run::<F, 4>(amps, p, mat),
-        8 => run::<F, 8>(amps, p, mat),
-        16 => run::<F, 16>(amps, p, mat),
-        32 => run::<F, 32>(amps, p, mat),
-        64 => run::<F, 64>(amps, p, mat),
-        _ => {
-            let mut scratch = [Cplx::zero(); 1 << MAX_GATE_QUBITS];
-            for g in 0..p.num_groups {
-                let base = insert_zero_bits(g, &p.strip) | p.control_mask;
-                apply_group(amps, base, &p.offsets, matrix, &mut scratch);
-            }
-        }
+    let scale = |(i, a): (usize, &mut Cplx<F>)| *a *= diag[crate::matrix::extract_bits(i, qubits)];
+    if parallel {
+        amps.par_iter_mut().enumerate().with_min_len(PAR_GRAIN_AMPS).for_each(scale);
+    } else {
+        amps.iter_mut().enumerate().for_each(scale);
     }
 }
 
@@ -518,7 +339,7 @@ pub fn apply_plan_seq_scalar<F: Float>(amps: &mut [Cplx<F>], p: &GatePlan, matri
 /// wrapper is the narrow unsafe bridge that lets rayon see that.
 struct AmpsPtr<F>(*mut Cplx<F>);
 // SAFETY: the pointer is only dereferenced inside the per-group closures,
-// and each group touches a disjoint set of amplitudes (see `run` below).
+// and each group touches a disjoint set of amplitudes (see `apply_groups`).
 unsafe impl<F> Send for AmpsPtr<F> {}
 // SAFETY: shared access is read-only bookkeeping (copying the pointer);
 // writes through it target disjoint index sets per group.
@@ -533,27 +354,182 @@ impl<F> AmpsPtr<F> {
     }
 }
 
-/// Apply a `k`-qubit gate using all cores (rayon). Falls back to the
-/// sequential kernel for small states.
-pub fn apply_gate_par<F: Float>(
-    state: &mut StateVector<F>,
-    qubits: &[usize],
+/// Scalar rung: every group of the plan's decomposition gets the
+/// `dim × dim` matrix-vector product, the group range run inline or fanned
+/// out across cores. The gate dimension is monomorphized here and nowhere
+/// else. This is the arithmetic the SIMD kernels are validated against.
+fn apply_groups<F: Float>(
+    amps: &mut [Cplx<F>],
+    p: &GatePlan,
     matrix: &GateMatrix<F>,
+    parallel: bool,
 ) {
-    apply_controlled_gate_slice_par(state.amplitudes_mut(), qubits, &[], 0, matrix);
+    fn run<F: Float, const DIM: usize>(
+        amps: &mut [Cplx<F>],
+        p: &GatePlan,
+        mat: &[Cplx<F>],
+        parallel: bool,
+    ) {
+        let base = |g: usize| insert_zero_bits(g, &p.strip) | p.control_mask;
+        if !parallel {
+            for g in 0..p.num_groups {
+                apply_group_fixed::<F, DIM>(amps, base(g), &p.offsets, mat);
+            }
+            return;
+        }
+        let len = amps.len();
+        let min_groups = (PAR_GRAIN_AMPS / DIM).max(1);
+        let ptr = AmpsPtr(amps.as_mut_ptr());
+        (0..p.num_groups).into_par_iter().with_min_len(min_groups).for_each(|g| {
+            // SAFETY: distinct `g` produce disjoint index sets
+            // `{base | off}` (the stripped bits uniquely identify the
+            // group), and every index is `< len`.
+            let amps = unsafe { std::slice::from_raw_parts_mut(ptr.get(), len) };
+            apply_group_fixed::<F, DIM>(amps, base(g), &p.offsets, mat);
+        });
+    }
+    let mat = matrix.as_slice();
+    match p.offsets.len() {
+        2 => run::<F, 2>(amps, p, mat, parallel),
+        4 => run::<F, 4>(amps, p, mat, parallel),
+        8 => run::<F, 8>(amps, p, mat, parallel),
+        16 => run::<F, 16>(amps, p, mat, parallel),
+        32 => run::<F, 32>(amps, p, mat, parallel),
+        64 => run::<F, 64>(amps, p, mat, parallel),
+        dim => unreachable!(
+            "validate_gate_args bounds gates to {MAX_GATE_QUBITS} qubits, got dim {dim}"
+        ),
+    }
 }
 
-/// Slice-based variant of [`apply_gate_par`].
-pub fn apply_gate_slice_par<F: Float>(
+/// One gate, planned once for `2^n`-amplitude slices: the single place
+/// that picks how a gate is applied. The ladder, first rung that fits:
+///
+/// 1. the SIMD tile plan of the active ISA ([`SimdPlan`]);
+/// 2. the diagonal sweep, for an uncontrolled diagonal matrix;
+/// 3. the scalar group kernel — the only rung on a scalar ISA and on
+///    slices too small to tile.
+///
+/// A prepared gate applies to any number of `2^n` slices, sequentially or
+/// across cores: the cache-blocked sweep builds one per gate at block size
+/// and applies it sequentially to every block of every state of a gang;
+/// [`apply_controlled_gate_slice_par`] builds one at state size and applies
+/// it in parallel.
+pub struct PreparedGate<'g, F: Float> {
+    n: usize,
+    rung: Rung<'g, F>,
+}
+
+enum Rung<'g, F: Float> {
+    Tiles(SimdPlan<F>),
+    Diagonal { qubits: &'g [usize], diag: Vec<Cplx<F>> },
+    Groups { plan: GatePlan, matrix: &'g GateMatrix<F> },
+}
+
+impl<'g, F: Float> PreparedGate<'g, F> {
+    /// Plan a `k`-qubit gate on `qubits` (sorted ascending) over an
+    /// `n`-qubit slice. `control_values` bit `j` gives the required value of
+    /// `controls[j]` (qsim convention; all-ones for ordinary controlled
+    /// gates). Panics with a diagnostic message on malformed arguments.
+    pub fn new(
+        n: usize,
+        qubits: &'g [usize],
+        controls: &[usize],
+        control_values: usize,
+        matrix: &'g GateMatrix<F>,
+    ) -> Self {
+        Self::build(n, qubits, controls, control_values, matrix, true)
+    }
+
+    /// [`PreparedGate::new`], with the tile rung optional: without it the
+    /// gate is the scalar reference.
+    fn build(
+        n: usize,
+        qubits: &'g [usize],
+        controls: &[usize],
+        control_values: usize,
+        matrix: &'g GateMatrix<F>,
+        tiles: bool,
+    ) -> Self {
+        validate_gate_args(n, qubits, controls, control_values, matrix.dim());
+        let simd =
+            if tiles { SimdPlan::new(n, qubits, controls, control_values, matrix) } else { None };
+        let rung = match simd {
+            Some(plan) => Rung::Tiles(plan),
+            None if controls.is_empty() && is_diagonal(matrix) => Rung::Diagonal {
+                qubits,
+                diag: (0..matrix.dim()).map(|m| matrix.get(m, m)).collect(),
+            },
+            None => {
+                Rung::Groups { plan: GatePlan::new(n, qubits, controls, control_values), matrix }
+            }
+        };
+        PreparedGate { n, rung }
+    }
+
+    /// Apply to one `2^n` slice on the calling thread.
+    pub fn apply_seq(&self, amps: &mut [Cplx<F>]) {
+        self.apply(amps, false);
+    }
+
+    /// Apply to one `2^n` slice across cores, in tasks of at least
+    /// [`PAR_GRAIN_AMPS`] amplitudes.
+    pub fn apply_par(&self, amps: &mut [Cplx<F>]) {
+        self.apply(amps, true);
+    }
+
+    fn apply(&self, amps: &mut [Cplx<F>], parallel: bool) {
+        assert_eq!(amps.len(), 1usize << self.n, "gate prepared for 2^{} amplitudes", self.n);
+        match &self.rung {
+            Rung::Tiles(plan) if parallel => plan.apply_par(amps),
+            Rung::Tiles(plan) => plan.apply_seq(amps),
+            Rung::Diagonal { qubits, diag } => apply_diagonal(amps, qubits, diag, parallel),
+            Rung::Groups { plan, matrix } => apply_groups(amps, plan, matrix, parallel),
+        }
+    }
+}
+
+/// Number of qubits represented by an amplitude slice (its log2 length).
+fn slice_qubits<F>(amps: &[Cplx<F>]) -> usize {
+    assert!(
+        amps.len().is_power_of_two() && amps.len() >= 2,
+        "amplitude slice length must be 2^n, got {}",
+        amps.len()
+    );
+    amps.len().trailing_zeros() as usize
+}
+
+/// Apply a `k`-qubit gate sequentially with the scalar kernels — the
+/// reference implementation every backend and every SIMD tier is validated
+/// against. `amps` is a [`crate::StateVector`] (it derefs to its
+/// amplitudes) or any other `2^n` slice, e.g. a simulated device buffer.
+pub fn apply_gate_seq<F: Float>(amps: &mut [Cplx<F>], qubits: &[usize], matrix: &GateMatrix<F>) {
+    apply_controlled_gate_seq(amps, qubits, &[], 0, matrix);
+}
+
+/// Controlled form of [`apply_gate_seq`]; see [`PreparedGate::new`] for the
+/// control convention. Never dispatches to SIMD.
+pub fn apply_controlled_gate_seq<F: Float>(
     amps: &mut [Cplx<F>],
     qubits: &[usize],
+    controls: &[usize],
+    control_values: usize,
     matrix: &GateMatrix<F>,
 ) {
+    let n = slice_qubits(amps);
+    PreparedGate::build(n, qubits, controls, control_values, matrix, false).apply_seq(amps);
+}
+
+/// Apply a `k`-qubit gate with the fastest kernels the host has, on all
+/// cores; see [`apply_controlled_gate_slice_par`].
+pub fn apply_gate_par<F: Float>(amps: &mut [Cplx<F>], qubits: &[usize], matrix: &GateMatrix<F>) {
     apply_controlled_gate_slice_par(amps, qubits, &[], 0, matrix);
 }
 
-/// Parallel controlled-gate application on a bare amplitude slice; see
-/// [`apply_controlled_gate_seq`] for the semantics.
+/// The dispatching entry: a [`PreparedGate`] built at state size and
+/// applied across cores. A slice shorter than [`PAR_GRAIN_AMPS`] goes
+/// straight to the sequential scalar reference instead, never SIMD: it is
+/// a handful of groups, less work than planning tiles and forking for them.
 pub fn apply_controlled_gate_slice_par<F: Float>(
     amps: &mut [Cplx<F>],
     qubits: &[usize],
@@ -562,60 +538,17 @@ pub fn apply_controlled_gate_slice_par<F: Float>(
     matrix: &GateMatrix<F>,
 ) {
     if amps.len() < PAR_GRAIN_AMPS {
-        return apply_controlled_gate_slice_seq(amps, qubits, controls, control_values, matrix);
+        return apply_controlled_gate_seq(amps, qubits, controls, control_values, matrix);
     }
     let n = slice_qubits(amps);
-    if crate::simd::try_apply_controlled(amps, qubits, controls, control_values, matrix, true) {
-        return;
-    }
-    let p = plan(n, qubits, controls, control_values, matrix);
-    if controls.is_empty() && is_diagonal(matrix) {
-        return apply_diagonal_par(amps, qubits, matrix);
-    }
-
-    fn run<F: Float, const DIM: usize>(amps: &mut [Cplx<F>], p: &GatePlan, mat: &[Cplx<F>]) {
-        let len = amps.len();
-        let min_groups = (PAR_GRAIN_AMPS / DIM).max(1);
-        let ptr = AmpsPtr(amps.as_mut_ptr());
-        (0..p.num_groups).into_par_iter().with_min_len(min_groups).for_each(|g| {
-            let base = insert_zero_bits(g, &p.strip) | p.control_mask;
-            // SAFETY: distinct `g` produce disjoint index sets
-            // `{base | off}` (the stripped bits uniquely identify the
-            // group), and every index is `< len`.
-            let amps = unsafe { std::slice::from_raw_parts_mut(ptr.get(), len) };
-            apply_group_fixed::<F, DIM>(amps, base, &p.offsets, mat);
-        });
-    }
-
-    let mat = matrix.as_slice();
-    match qubits.len() {
-        1 => run::<F, 2>(amps, &p, mat),
-        2 => run::<F, 4>(amps, &p, mat),
-        3 => run::<F, 8>(amps, &p, mat),
-        4 => run::<F, 16>(amps, &p, mat),
-        5 => run::<F, 32>(amps, &p, mat),
-        6 => run::<F, 64>(amps, &p, mat),
-        _ => {
-            let len = amps.len();
-            let min_groups = (PAR_GRAIN_AMPS / p.dim).max(1);
-            let ptr = AmpsPtr(amps.as_mut_ptr());
-            (0..p.num_groups).into_par_iter().with_min_len(min_groups).for_each_init(
-                || [Cplx::zero(); 1 << MAX_GATE_QUBITS],
-                |scratch, g| {
-                    let base = insert_zero_bits(g, &p.strip) | p.control_mask;
-                    // SAFETY: as above.
-                    let amps = unsafe { std::slice::from_raw_parts_mut(ptr.get(), len) };
-                    apply_group(amps, base, &p.offsets, matrix, scratch);
-                },
-            );
-        }
-    }
+    PreparedGate::new(n, qubits, controls, control_values, matrix).apply_par(amps);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::statespace;
+    use crate::statevec::StateVector;
 
     type SV = StateVector<f64>;
 
@@ -960,6 +893,14 @@ mod tests {
     fn overlapping_control_rejected() {
         let mut sv = SV::new(3);
         apply_controlled_gate_seq(&mut sv, &[1], &[1], 1, &x_matrix());
+    }
+
+    #[test]
+    #[should_panic(expected = "must be distinct")]
+    fn duplicate_control_rejected() {
+        // Release builds used to accept this and update half the groups.
+        let mut sv = SV::new(5);
+        apply_controlled_gate_seq(&mut sv, &[1], &[3, 3], 0b11, &x_matrix());
     }
 
     #[test]

@@ -18,8 +18,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-use crate::kernels::KernelClass;
-use crate::types::{Cplx, Float, Precision};
+use crate::types::Precision;
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod avx2;
@@ -145,42 +144,4 @@ pub fn active_isa() -> Isa {
 /// Whether any SIMD tier is currently active.
 pub fn simd_enabled() -> bool {
     active_isa() != Isa::Scalar
-}
-
-/// CPU lane class of a gate: [`KernelClass::Low`] when any target sits in
-/// the `lane_qubits` lane qubits of a tile (in-register permute path),
-/// [`KernelClass::High`] otherwise (strided path). With 0 lane qubits
-/// (scalar ISA) every gate is High.
-pub fn lane_class(qubits: &[usize], lane_qubits: usize) -> KernelClass {
-    crate::kernels::classify_gate_at(qubits, lane_qubits)
-}
-
-/// Apply a (controlled) gate with the active SIMD ISA if possible.
-/// Returns `false` when the caller should fall back to the scalar
-/// kernels (scalar ISA active, state too small to tile, or unsupported
-/// precision). Validation panics match the scalar kernels.
-pub fn try_apply_controlled<F: Float>(
-    amps: &mut [Cplx<F>],
-    qubits: &[usize],
-    controls: &[usize],
-    control_values: usize,
-    matrix: &crate::matrix::GateMatrix<F>,
-    parallel: bool,
-) -> bool {
-    if active_isa() == Isa::Scalar {
-        return false;
-    }
-    let n = amps.len().trailing_zeros() as usize;
-    assert!(amps.len().is_power_of_two(), "state length must be a power of two");
-    match SimdPlan::new(n, qubits, controls, control_values, matrix) {
-        Some(plan) => {
-            if parallel {
-                plan.apply_par(amps);
-            } else {
-                plan.apply_seq(amps);
-            }
-            true
-        }
-        None => false,
-    }
 }

@@ -551,7 +551,7 @@ mod tests {
         for q in 0..n {
             let plan = SimdPlan::new_portable(n, &[q], &[], 0, &m).expect("n >= lane qubits");
             plan.apply_seq(&mut amps);
-            crate::kernels::apply_gate_slice_seq(&mut reference, &[q], &m);
+            crate::kernels::apply_gate_seq(&mut reference, &[q], &m);
         }
         assert_close(&amps, &reference);
     }
@@ -565,13 +565,13 @@ mod tests {
         // Controlled gate with one low and one high control.
         let plan = SimdPlan::new_portable(n, &[2], &[0, 4], 0b01, &m).expect("plannable");
         plan.apply_seq(&mut amps);
-        crate::kernels::apply_controlled_gate_slice_seq(&mut reference, &[2], &[0, 4], 0b01, &m);
+        crate::kernels::apply_controlled_gate_seq(&mut reference, &[2], &[0, 4], 0b01, &m);
         // Diagonal gate spanning the lane boundary.
         let mut cz = GateMatrix::<f64>::identity(4);
         cz.set(3, 3, -Cplx::one());
         let plan = SimdPlan::new_portable(n, &[1, 3], &[], 0, &cz).expect("plannable");
         plan.apply_par(&mut amps);
-        crate::kernels::apply_gate_slice_seq(&mut reference, &[1, 3], &cz);
+        crate::kernels::apply_gate_seq(&mut reference, &[1, 3], &cz);
         assert_close(&amps, &reference);
     }
 

@@ -3,6 +3,10 @@
 //! collapse, and element-wise vector arithmetic. These are the operations
 //! the paper's `state_space_cuda_kernels.h → state_space_hip_kernels.h`
 //! port contains (reductions, element setting, add/multiply, sampling).
+//!
+//! The functions the backends run on pooled buffers and gang slots
+//! ([`norm_sqr`], [`normalize`], [`sample`], [`measure`]) take an amplitude
+//! slice; a [`StateVector`] derefs to one, so `f(&state)` works for both.
 
 use rayon::prelude::*;
 
@@ -33,23 +37,13 @@ fn chunk_norm_sums<F: Float>(amps: &[Cplx<F>], chunk: usize) -> Vec<f64> {
 
 /// Squared 2-norm `Σ|c_i|²` (1.0 for a valid quantum state). Parallel
 /// reduction, accumulated in `f64` regardless of state precision.
-pub fn norm_sqr<F: Float>(state: &StateVector<F>) -> f64 {
-    norm_sqr_slice(state.amplitudes())
-}
-
-/// Slice-based variant of [`norm_sqr`].
-pub fn norm_sqr_slice<F: Float>(amps: &[Cplx<F>]) -> f64 {
+pub fn norm_sqr<F: Float>(amps: &[Cplx<F>]) -> f64 {
     amps.par_iter().with_min_len(4096).map(|a| a.norm_sqr().to_f64()).sum()
 }
 
 /// Rescale the state to unit norm. Panics on the zero vector.
-pub fn normalize<F: Float>(state: &mut StateVector<F>) {
-    normalize_slice(state.amplitudes_mut());
-}
-
-/// Slice-based variant of [`normalize`].
-pub fn normalize_slice<F: Float>(amps: &mut [Cplx<F>]) {
-    let n = norm_sqr_slice(amps);
+pub fn normalize<F: Float>(amps: &mut [Cplx<F>]) {
+    let n = norm_sqr(amps);
     assert!(n > 0.0, "cannot normalize the zero vector");
     let inv = F::from_f64(1.0 / n.sqrt());
     amps.par_iter_mut().with_min_len(4096).for_each(|a| *a = a.scale(inv));
@@ -131,21 +125,12 @@ pub fn probabilities<F: Float>(state: &StateVector<F>) -> Vec<f64> {
 /// RQC *sampling* step of the paper's benchmark. Sorting the uniforms
 /// first makes this a single cumulative pass over the state (qsim's
 /// `SampleKernel` strategy), O(N + m·log m).
-pub fn sample<F: Float, R: Rng + ?Sized>(
-    state: &StateVector<F>,
-    num_samples: usize,
-    rng: &mut R,
-) -> Vec<u64> {
-    sample_slice(state.amplitudes(), num_samples, rng)
-}
-
-/// Slice-based variant of [`sample`].
 ///
 /// Above a small-state threshold the cumulative pass is chunk-parallel:
 /// per-chunk probability masses are reduced in parallel, a sequential
 /// prefix over the (few) chunk sums assigns each sorted target to its
 /// chunk, and the chunks then resolve their own targets concurrently.
-pub fn sample_slice<F: Float, R: Rng + ?Sized>(
+pub fn sample<F: Float, R: Rng + ?Sized>(
     amps: &[Cplx<F>],
     num_samples: usize,
     rng: &mut R,
@@ -158,7 +143,7 @@ pub fn sample_slice<F: Float, R: Rng + ?Sized>(
     targets.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("uniforms are finite"));
 
     let mut out = vec![0u64; num_samples];
-    let total = norm_sqr_slice(amps); // tolerate slightly unnormalized states
+    let total = norm_sqr(amps); // tolerate slightly unnormalized states
 
     if amps.len() < PAR_THRESHOLD_AMPS {
         let mut cum = 0.0f64;
@@ -246,15 +231,6 @@ pub fn sample_slice<F: Float, R: Rng + ?Sized>(
 /// particular gates a fusion plan legally hoists across the measurement
 /// barrier) cannot change which outcome a given seed produces.
 pub fn measure<F: Float, R: Rng + ?Sized>(
-    state: &mut StateVector<F>,
-    qubits: &[usize],
-    rng: &mut R,
-) -> usize {
-    measure_slice(state.amplitudes_mut(), qubits, rng)
-}
-
-/// Slice-based variant of [`measure`].
-pub fn measure_slice<F: Float, R: Rng + ?Sized>(
     amps: &mut [Cplx<F>],
     qubits: &[usize],
     rng: &mut R,
@@ -324,7 +300,7 @@ pub fn measure_slice<F: Float, R: Rng + ?Sized>(
             *a = Cplx::zero();
         }
     });
-    normalize_slice(amps);
+    normalize(amps);
     outcome
 }
 

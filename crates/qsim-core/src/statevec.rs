@@ -160,6 +160,23 @@ impl<F: Float> StateVector<F> {
     }
 }
 
+/// A state vector is its amplitudes: every kernel and state-space function
+/// takes an amplitude slice, and `&state` / `&mut state` coerce to one.
+impl<F> std::ops::Deref for StateVector<F> {
+    type Target = [Cplx<F>];
+
+    fn deref(&self) -> &[Cplx<F>] {
+        &self.amps
+    }
+}
+
+/// Mutable access keeps the length, so the `2^n` invariant holds.
+impl<F> std::ops::DerefMut for StateVector<F> {
+    fn deref_mut(&mut self) -> &mut [Cplx<F>] {
+        &mut self.amps
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

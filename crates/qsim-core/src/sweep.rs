@@ -25,15 +25,11 @@
 //! fits a per-core L2 slice with room for the matrices; qubits 0..=15 then
 //! resolve in cache.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
 use rayon::prelude::*;
 
 use crate::cancel::{CancelCause, CancelToken};
-use crate::kernels::{self, GatePlan, PAR_GRAIN_AMPS};
+use crate::kernels::{self, PreparedGate, PAR_GRAIN_AMPS};
 use crate::matrix::GateMatrix;
-use crate::simd::SimdPlan;
 use crate::types::{Cplx, Float};
 
 /// Default sweep block size in amplitudes: 2^16 amplitudes = 512 KiB in
@@ -194,46 +190,20 @@ where
     tracker.stats()
 }
 
-/// The cache-blocked executor: owns the sweep configuration and a
-/// [`GatePlan`] cache.
-///
-/// Plans depend only on `(block qubit count, target qubits)` — not on
-/// matrix entries or precision — so across quantum trajectories, repeated
-/// circuit layers, and even `f32`/`f64` runs of the same circuit, each
-/// distinct target set is planned exactly once.
-/// Plan-cache key: `(block qubit count, target qubits)`.
-type PlanKey = (usize, Vec<usize>);
-
+/// The cache-blocked executor: a [`SweepConfig`] and the run walker over
+/// it. It holds no other state — every gate of a run is planned when the
+/// run is prepared ([`SweepExecutor::prepare_run`]).
 pub struct SweepExecutor {
     config: SweepConfig,
-    plans: Mutex<HashMap<PlanKey, Arc<GatePlan>>>,
 }
 
 impl SweepExecutor {
     pub fn new(config: SweepConfig) -> Self {
-        SweepExecutor { config, plans: Mutex::new(HashMap::new()) }
+        SweepExecutor { config }
     }
 
     pub fn config(&self) -> &SweepConfig {
         &self.config
-    }
-
-    /// Number of distinct `(register size, targets)` plans cached so far.
-    pub fn cached_plans(&self) -> usize {
-        let cache = self.plans.lock().expect("plan cache poisoned");
-        let _held = crate::lockorder::track("qsim-core::sweep::SweepExecutor.plans");
-        cache.len()
-    }
-
-    /// Fetch (or build and cache) the plan for a gate on `qubits` over a
-    /// `2^n_plan`-amplitude slice.
-    fn plan_for(&self, n_plan: usize, qubits: &[usize], dim: usize) -> Arc<GatePlan> {
-        let mut cache = self.plans.lock().expect("plan cache poisoned");
-        let _held = crate::lockorder::track("qsim-core::sweep::SweepExecutor.plans");
-        cache
-            .entry((n_plan, qubits.to_vec()))
-            .or_insert_with(|| Arc::new(GatePlan::new(n_plan, qubits, &[], 0, dim)))
-            .clone()
     }
 
     /// Apply one run of consecutive block-local gates in a single pass:
@@ -253,9 +223,8 @@ impl SweepExecutor {
     }
 
     /// Build the per-run execution plan for a run of block-local gates on
-    /// a `state_len`-amplitude register, without applying it: the SIMD
-    /// tile plans, diagonal classifications and scalar [`GatePlan`]s that
-    /// [`SweepExecutor::apply_run`] would construct. The returned
+    /// a `state_len`-amplitude register, without applying it: one
+    /// [`PreparedGate`] per gate, planned at block size. The returned
     /// [`PreparedRun`] can be applied to any number of `state_len`-sized
     /// states — the batched gang executor in [`crate::batch`] builds it
     /// once and sweeps it across every state vector of a gang, which is
@@ -276,18 +245,7 @@ impl SweepExecutor {
                     is_block_local(qubits, block_qubits),
                     "gate on {qubits:?} is not local to 2^{block_qubits}-amplitude blocks"
                 );
-                let simd = SimdPlan::new(block_qubits, qubits, &[], 0, matrix);
-                let diagonal = kernels::is_diagonal(matrix);
-                // The scalar plan is built (and cached) even when a SIMD
-                // plan exists: the cache key ignores matrix entries and
-                // precision, so it stays warm for any later run — e.g.
-                // after `set_simd_enabled(false)` mid-process.
-                let plan = if diagonal {
-                    None // diagonal fast path needs no group decomposition
-                } else {
-                    Some(self.plan_for(block_qubits, qubits, matrix.dim()))
-                };
-                PreparedGate { qubits, matrix, diagonal, plan, simd }
+                PreparedGate::new(block_qubits, qubits, &[], 0, matrix)
             })
             .collect();
         PreparedRun { state_len, block, gates }
@@ -311,7 +269,7 @@ impl SweepExecutor {
                 pending.push(i);
             } else {
                 self.flush(amps, gates, &mut pending);
-                kernels::apply_gate_slice_par(amps, qubits, matrix);
+                kernels::apply_gate_par(amps, qubits, matrix);
             }
         }
         self.flush(amps, gates, &mut pending);
@@ -332,25 +290,10 @@ impl SweepExecutor {
     }
 }
 
-/// One gate of a [`PreparedRun`]: its dispatch classification and the
-/// plans the per-block kernels need.
-struct PreparedGate<'g, F: Float> {
-    qubits: &'g [usize],
-    matrix: &'g GateMatrix<F>,
-    diagonal: bool,
-    plan: Option<Arc<GatePlan>>,
-    /// SIMD tile plan at block size, built once per run and shared by
-    /// every block (`SimdPlan` applies to any slice of its planned
-    /// length). `None` when SIMD is disabled or the block is too small to
-    /// tile — the scalar branches below run.
-    simd: Option<SimdPlan<F>>,
-}
-
 /// A run of block-local gates, fully planned and ready to sweep over any
 /// state of the length it was prepared for. Built by
 /// [`SweepExecutor::prepare_run`]; reusable across states, which is what
-/// lets a gang of state vectors share one set of `SimdPlan`s and
-/// `GatePlan`s per run.
+/// lets a gang of state vectors share one set of [`PreparedGate`]s per run.
 pub struct PreparedRun<'g, F: Float> {
     state_len: usize,
     block: usize,
@@ -405,17 +348,7 @@ impl<'g, F: Float> PreparedRun<'g, F> {
                 return;
             }
             for g in &self.gates {
-                if let Some(sp) = &g.simd {
-                    sp.apply_seq(chunk);
-                } else if g.diagonal {
-                    kernels::apply_diagonal_seq(chunk, g.qubits, g.matrix);
-                } else {
-                    kernels::apply_plan_seq_scalar(
-                        chunk,
-                        g.plan.as_ref().expect("planned"),
-                        g.matrix,
-                    );
-                }
+                g.apply_seq(chunk);
             }
         };
         if amps.len() < PAR_GRAIN_AMPS || amps.len() <= self.block {
@@ -435,7 +368,7 @@ impl<'g, F: Float> PreparedRun<'g, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::apply_gate_slice_seq;
+    use crate::kernels::apply_gate_seq;
     use crate::statespace;
     use crate::StateVector;
 
@@ -470,7 +403,7 @@ mod tests {
     fn reference_state(n: usize, gates: &[(Vec<usize>, GateMatrix<f64>)]) -> StateVector<f64> {
         let mut sv = StateVector::<f64>::new(n);
         for (qs, m) in gates {
-            apply_gate_slice_seq(sv.amplitudes_mut(), qs, m);
+            apply_gate_seq(sv.amplitudes_mut(), qs, m);
         }
         sv
     }
@@ -573,26 +506,6 @@ mod tests {
         assert_eq!(stats.block_local_gates, 0);
         let reference = reference_state(6, &gates);
         assert!(reference.max_abs_diff(&sv) < 1e-13);
-    }
-
-    #[test]
-    fn plan_cache_amortizes_repeated_layers() {
-        let n = 9;
-        let layer = mixed_gates(n);
-        let mut gates = layer.clone();
-        gates.extend(layer.iter().cloned());
-        gates.extend(layer.iter().cloned());
-        let exec = SweepExecutor::new(SweepConfig::with_block_amps(1 << 4));
-        let mut sv = StateVector::<f64>::new(n);
-        exec.execute(sv.amplitudes_mut(), &gates);
-        // Non-diagonal block-local target sets: {q} for q in 0..4 (H
-        // gates; CZs take the diagonal fast path and need no plan).
-        assert_eq!(exec.cached_plans(), 4);
-        // A second trajectory reuses every plan.
-        let mut sv2 = StateVector::<f64>::new(n);
-        exec.execute(sv2.amplitudes_mut(), &gates);
-        assert_eq!(exec.cached_plans(), 4);
-        assert!(sv.max_abs_diff(&sv2) < 1e-15);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! SIMD-vs-scalar equivalence: the vectorized tile kernels must agree
-//! with the scalar reference (`apply_controlled_gate_slice_seq`) to
+//! with the scalar reference (`apply_controlled_gate_seq`) to
 //! floating-point roundoff for every gate shape — low/high/mixed targets,
 //! controls on either side of the lane boundary, diagonal fast paths, and
 //! the sweep's block-local application pattern.
 
 use proptest::prelude::*;
 
-use qsim_core::kernels::{apply_controlled_gate_slice_seq, apply_gate_slice_par};
+use qsim_core::kernels::{apply_controlled_gate_seq, apply_gate_par, PreparedGate};
 use qsim_core::simd::{detected_isa, Isa, SimdPlan};
 use qsim_core::types::{Cplx, Float};
 use qsim_core::GateMatrix;
@@ -69,8 +69,10 @@ fn available_isas() -> Vec<Isa> {
     [Isa::Avx512, Isa::Avx2].into_iter().filter(|&i| i <= detected_isa()).collect()
 }
 
-/// Compare one gate application across: scalar reference, every available
-/// hardware ISA (seq + par), and the portable reference lanes.
+/// Compare one gate application across: scalar reference, the prepared
+/// gate's ladder under the active ISA (its diagonal and scalar rungs under
+/// `QSIM_NO_SIMD=1`), every available hardware ISA (seq + par), and the
+/// portable reference lanes.
 fn check_gate<F: Float>(
     n: usize,
     qubits: &[usize],
@@ -80,7 +82,23 @@ fn check_gate<F: Float>(
     amps: &[Cplx<F>],
 ) {
     let mut reference = amps.to_vec();
-    apply_controlled_gate_slice_seq(&mut reference, qubits, controls, control_values, matrix);
+    apply_controlled_gate_seq(&mut reference, qubits, controls, control_values, matrix);
+
+    let gate = PreparedGate::new(n, qubits, controls, control_values, matrix);
+    for parallel in [false, true] {
+        let mut laddered = amps.to_vec();
+        if parallel {
+            gate.apply_par(&mut laddered);
+        } else {
+            gate.apply_seq(&mut laddered);
+        }
+        let d = max_abs_diff(&laddered, &reference);
+        assert!(
+            d <= tol::<F>(),
+            "prepared gate (parallel: {parallel}) diverges by {d} (n={n}, qubits={qubits:?}, \
+             controls={controls:?})"
+        );
+    }
 
     for isa in available_isas() {
         let Some(plan) = SimdPlan::new_with_isa(isa, n, qubits, controls, control_values, matrix)
@@ -201,8 +219,16 @@ proptest! {
 
         let mut reference = amps.clone();
         for block in reference.chunks_mut(1 << block_qubits) {
-            apply_controlled_gate_slice_seq(block, &qubits, &[], 0, &m);
+            apply_controlled_gate_seq(block, &qubits, &[], 0, &m);
         }
+
+        let gate = PreparedGate::new(block_qubits, &qubits, &[], 0, &m);
+        let mut blocked = amps.clone();
+        for block in blocked.chunks_mut(1 << block_qubits) {
+            gate.apply_seq(block);
+        }
+        let d = max_abs_diff(&blocked, &reference);
+        prop_assert!(d <= 1e-12, "prepared gate block-local diverges by {d}");
 
         for isa in available_isas() {
             if let Some(plan) = SimdPlan::new_with_isa(isa, block_qubits, &qubits, &[], 0, &m) {
@@ -272,7 +298,7 @@ fn controls_across_lane_boundary_match() {
     }
 }
 
-/// `apply_gate_slice_par` (the backend entry point) agrees with the
+/// `apply_gate_par` (the backend entry point) agrees with the
 /// scalar reference on a state large enough to take the SIMD+rayon path.
 #[test]
 fn par_entry_point_uses_simd_and_matches() {
@@ -282,9 +308,9 @@ fn par_entry_point_uses_simd_and_matches() {
         let amps = random_state::<f64>(n, &mut rng);
         let m = random_matrix::<f64>(qubits.len(), &mut rng);
         let mut reference = amps.clone();
-        apply_controlled_gate_slice_seq(&mut reference, qubits, &[], 0, &m);
+        apply_controlled_gate_seq(&mut reference, qubits, &[], 0, &m);
         let mut par = amps.clone();
-        apply_gate_slice_par(&mut par, qubits, &m);
+        apply_gate_par(&mut par, qubits, &m);
         let d = max_abs_diff(&par, &reference);
         assert!(d <= 1e-12, "par entry diverges by {d} on {qubits:?}");
     }

@@ -26,9 +26,9 @@ use std::time::Instant;
 use qsim_backends::plan::{gate_kernel_desc, init_kernel_desc, sample_kernel_desc};
 use qsim_backends::{BackendError, Flavor, KernelStat, PlanOptions, RunOptions, RunReport};
 use qsim_circuit::gates::permute_matrix_bits;
-use qsim_core::kernels::apply_gate_slice_par;
+use qsim_core::kernels::apply_gate_par;
 use qsim_core::matrix::GateMatrix;
-use qsim_core::statespace::measure_slice;
+use qsim_core::statespace::measure;
 use qsim_core::types::{Cplx, Float, Precision};
 use qsim_core::StateVector;
 use qsim_fusion::{FusedCircuit, FusedOp, FusionCostModel, FusionPlan, FusionStrategy};
@@ -453,7 +453,7 @@ impl MultiGcdBackend {
                     self.charge_gate_timeline(&desc, exchange_us, &mut stats)?;
                     if let (Some((buffers, ..)), Some(matrix)) = (run.as_mut(), &matrix) {
                         for buf in buffers {
-                            apply_gate_slice_par(buf.as_mut_slice(), &slots, matrix);
+                            apply_gate_par(buf.as_mut_slice(), &slots, matrix);
                         }
                     }
                 }
@@ -464,7 +464,7 @@ impl MultiGcdBackend {
                     self.charge_measurement(shard_len, amp_bytes, &mut stats)?;
                     if let Some((buffers, rng, _)) = run.as_mut() {
                         let mut logical = self.gather_logical(buffers, &layout, m);
-                        let outcome = measure_slice(&mut logical, qubits, rng);
+                        let outcome = measure(&mut logical, qubits, rng);
                         measurements.push((qubits.clone(), outcome));
                         self.scatter_logical(buffers, &layout, m, &logical);
                     }

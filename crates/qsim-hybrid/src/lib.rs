@@ -19,7 +19,7 @@
 //! are simulated once (qsimh's prefix optimization).
 
 use qsim_circuit::Circuit;
-use qsim_core::kernels::apply_gate_slice_seq;
+use qsim_core::kernels::apply_gate_seq;
 use qsim_core::matrix::GateMatrix;
 use qsim_core::types::Cplx;
 use qsim_core::StateVector;
@@ -208,17 +208,17 @@ impl HybridSimulator {
             for (i, op) in ops.iter().enumerate() {
                 match op {
                     PartOp::ALocal { qubits, matrix } => {
-                        apply_gate_slice_seq(&mut state_a, qubits, matrix);
+                        apply_gate_seq(&mut state_a, qubits, matrix);
                     }
                     PartOp::BLocal { qubits, matrix } => {
-                        apply_gate_slice_seq(&mut state_b, qubits, matrix);
+                        apply_gate_seq(&mut state_b, qubits, matrix);
                     }
                     PartOp::Crossing { qa, qb, terms } => {
                         for term in terms {
                             let mut sa = state_a.clone();
                             let mut sb = state_b.clone();
-                            apply_gate_slice_seq(&mut sa, &[*qa], &term.a_op);
-                            apply_gate_slice_seq(&mut sb, &[*qb], &term.b_op);
+                            apply_gate_seq(&mut sa, &[*qa], &term.a_op);
+                            apply_gate_seq(&mut sb, &[*qb], &term.b_op);
                             walk(&ops[i + 1..], sa, sb, bitstrings, a_mask, k, out);
                         }
                         return;
