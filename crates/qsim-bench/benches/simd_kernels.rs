@@ -5,7 +5,10 @@
 //! kernels and through each SIMD tier the host supports
 //! ([`SimdPlan::new_with_isa`] pins the tier without touching the global
 //! dispatch state). Per-apply times and speedups land in
-//! `results/simd_kernels.csv`.
+//! `results/simd_kernels.csv`, with the vector FMAs the kernel issues per
+//! nanosecond (four per gate column per tile; two for a diagonal) beside a
+//! `fma_peak` row per tier: 16 independent register-to-register FMA
+//! chains, the most the core can issue.
 //!
 //! Full-length sampling happens under `cargo bench`; plain `cargo test`
 //! smoke-runs everything once with minimal repetitions.
@@ -18,7 +21,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use qsim_core::kernels::{apply_gate_seq, classify_gate_at, KernelClass};
 use qsim_core::matrix::GateMatrix;
 use qsim_core::simd::{detected_isa, Isa, SimdPlan};
-use qsim_core::types::{Cplx, Float};
+use qsim_core::types::{Cplx, Float, Precision};
 use qsim_core::StateVector;
 
 /// 2^16 amplitudes: 512 KiB in `f32`, 1 MiB in `f64` — cache-resident, so
@@ -66,9 +69,15 @@ fn cases() -> Vec<(&'static str, Vec<usize>, bool)> {
         ("low1", vec![0], false),
         ("low2", vec![0, 1], false),
         ("low3", vec![0, 1, 2], false),
+        ("low4", vec![0, 1, 2, 3], false),
         ("mixed2", vec![1, 12], false),
+        ("mixed3", vec![1, 11, 13], false),
+        ("mixed4", vec![0, 2, 11, 13], false),
         ("high1", vec![12], false),
         ("high2", vec![11, 13], false),
+        ("high3", vec![9, 11, 13], false),
+        ("high4", vec![8, 10, 12, 14], false),
+        ("high5", vec![7, 9, 11, 13, 15], false),
         ("diag_low2", vec![0, 1], true),
         ("diag_high2", vec![11, 13], true),
     ]
@@ -92,10 +101,70 @@ fn time_ns<F: Float>(
     best
 }
 
+/// Vector FMAs per nanosecond of 16 independent accumulator chains at
+/// the tier's register width: the issue-rate ceiling of a tile kernel.
+#[cfg(target_arch = "x86_64")]
+fn fma_peak_per_ns<F: Float>(tier: Isa, samples: usize) -> f64 {
+    use std::arch::x86_64::*;
+    use std::hint::black_box;
+
+    const ROUNDS: usize = 1 << 16;
+
+    macro_rules! chains {
+        ($features:literal, $vec:ty, $splat:ident, $fma:ident, $x:expr) => {{
+            #[target_feature(enable = $features)]
+            fn run(x: $vec) -> $vec {
+                // Floating-point FMAs do not reassociate, so the compiler
+                // keeps all 16 chains and every round.
+                let mut acc = [x; 16];
+                for _ in 0..ROUNDS {
+                    for a in &mut acc {
+                        *a = $fma(x, x, *a);
+                    }
+                }
+                acc.into_iter().fold(x, |s, a| $fma(s, x, a))
+            }
+            let mut best = f64::INFINITY;
+            for _ in 0..samples {
+                let t = Instant::now();
+                // SAFETY: the caller only passes tiers `detected_isa()`
+                // reports, so the enabled features exist on this CPU.
+                black_box(unsafe { run($splat(black_box($x))) });
+                best = best.min(t.elapsed().as_nanos() as f64);
+            }
+            (16 * ROUNDS) as f64 / best
+        }};
+    }
+    match (tier, F::PRECISION) {
+        (Isa::Avx512, Precision::Single) => {
+            chains!("avx512f", __m512, _mm512_set1_ps, _mm512_fmadd_ps, 1e-3f32)
+        }
+        (Isa::Avx512, Precision::Double) => {
+            chains!("avx512f", __m512d, _mm512_set1_pd, _mm512_fmadd_pd, 1e-3f64)
+        }
+        (Isa::Avx2, Precision::Single) => {
+            chains!("avx2,fma", __m256, _mm256_set1_ps, _mm256_fmadd_ps, 1e-3f32)
+        }
+        (Isa::Avx2, Precision::Double) => {
+            chains!("avx2,fma", __m256d, _mm256_set1_pd, _mm256_fmadd_pd, 1e-3f64)
+        }
+        (Isa::Scalar, _) => f64::NAN,
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn fma_peak_per_ns<F: Float>(_tier: Isa, _samples: usize) -> f64 {
+    f64::NAN
+}
+
 /// Measure every case at precision `F`, appending CSV rows.
 fn measure_precision<F: Float>(rows: &mut Vec<String>, reps: usize, samples: usize) {
     let tiers: Vec<Isa> =
         [Isa::Avx2, Isa::Avx512].into_iter().filter(|&t| t <= detected_isa()).collect();
+    for &tier in &tiers {
+        let peak = fma_peak_per_ns::<F>(tier, samples);
+        rows.push(format!("{},{},fma_peak,,peak,,,,{peak:.2}", F::PRECISION, tier.name()));
+    }
     for (label, qubits, diagonal) in cases() {
         let matrix =
             if diagonal { diag_matrix::<F>(qubits.len()) } else { dense_matrix::<F>(qubits.len()) };
@@ -117,14 +186,17 @@ fn measure_precision<F: Float>(rows: &mut Vec<String>, reps: usize, samples: usi
                     KernelClass::High => "high",
                 }
             };
+            let tiles = (1usize << N) / tier.lanes(F::PRECISION);
+            let fmas_per_tile = if diagonal { 2 } else { 4 << qubits.len() };
             let mut row = String::new();
             let _ = write!(
                 row,
-                "{},{},{label},{},{class},{scalar_ns:.1},{simd_ns:.1},{:.3}",
+                "{},{},{label},{},{class},{scalar_ns:.1},{simd_ns:.1},{:.3},{:.2}",
                 F::PRECISION,
                 tier.name(),
                 qubits.iter().map(ToString::to_string).collect::<Vec<_>>().join(";"),
-                scalar_ns / simd_ns
+                scalar_ns / simd_ns,
+                (tiles * fmas_per_tile) as f64 / simd_ns
             );
             rows.push(row);
         }
@@ -176,7 +248,8 @@ fn write_csv(rows: &[String]) -> std::io::Result<()> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     std::fs::create_dir_all(&dir)?;
     let mut csv = String::from(
-        "precision,isa,gate,qubits,lane_class,scalar_ns_per_apply,simd_ns_per_apply,speedup\n",
+        "precision,isa,gate,qubits,lane_class,scalar_ns_per_apply,simd_ns_per_apply,speedup,\
+         fma_per_ns\n",
     );
     for row in rows {
         let _ = writeln!(csv, "{row}");

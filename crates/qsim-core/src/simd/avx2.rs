@@ -18,6 +18,12 @@ use crate::types::Cplx;
 use super::kernel::{apply_diag_range, apply_mat_range, LaneVec};
 use super::plan::{DiagPlan, MatPlan};
 
+/// Of the 16 `ymm` registers, 8 hold a block's accumulators — half the
+/// AVX-512 block: 2 rows × 2 groups for a gate with a high target, 1 × 4
+/// without.
+const ACC_PAIRS: usize = 4;
+const MAX_ROWS: usize = 2;
+
 /// Lane-crossing pattern mapping the `shuffle_ps` deinterleave output
 /// `[x0 x1 x4 x5 | x2 x3 x6 x7]` to lane order — an involution, so the
 /// same pattern re-prepares vectors for interleaved stores.
@@ -43,6 +49,8 @@ pub(crate) struct F32x8(__m256);
 
 impl LaneVec<f32> for F32x8 {
     const LANES: usize = 8;
+    const ACC_PAIRS: usize = ACC_PAIRS;
+    const MAX_ROWS: usize = MAX_ROWS;
 
     type Perm = PermBits8;
 
@@ -53,6 +61,12 @@ impl LaneVec<f32> for F32x8 {
             *out = src as i32;
         }
         PermBits8(p)
+    }
+
+    fn from_fn(lane: impl FnMut(usize) -> f32) -> Self {
+        let lanes: [f32; 8] = std::array::from_fn(lane);
+        // SAFETY: same size, and every bit pattern is a valid `__m256`.
+        F32x8(unsafe { std::mem::transmute::<[f32; 8], __m256>(lanes) })
     }
 
     #[inline(always)]
@@ -91,12 +105,6 @@ impl LaneVec<f32> for F32x8 {
     }
 
     #[inline(always)]
-    unsafe fn load_coef(ptr: *const f32) -> Self {
-        // SAFETY: caller guarantees 8 float reads; AVX available.
-        F32x8(unsafe { _mm256_loadu_ps(ptr) })
-    }
-
-    #[inline(always)]
     unsafe fn permute(self, perm: &Self::Perm) -> Self {
         // SAFETY: AVX2 available per the caller contract.
         F32x8(unsafe { _mm256_permutevar8x32_ps(self.0, perm.as_vec()) })
@@ -127,6 +135,8 @@ pub(crate) struct F64x4(__m256d);
 
 impl LaneVec<f64> for F64x4 {
     const LANES: usize = 4;
+    const ACC_PAIRS: usize = ACC_PAIRS;
+    const MAX_ROWS: usize = MAX_ROWS;
 
     /// `f64` lane permutes reuse `vpermps` through a bitcast, so each
     /// double lane `p` stores float indices `[2p, 2p+1]`.
@@ -140,6 +150,12 @@ impl LaneVec<f64> for F64x4 {
             p[2 * l + 1] = 2 * src as i32 + 1;
         }
         PermBits8(p)
+    }
+
+    fn from_fn(lane: impl FnMut(usize) -> f64) -> Self {
+        let lanes: [f64; 4] = std::array::from_fn(lane);
+        // SAFETY: same size, and every bit pattern is a valid `__m256d`.
+        F64x4(unsafe { std::mem::transmute::<[f64; 4], __m256d>(lanes) })
     }
 
     #[inline(always)]
@@ -171,12 +187,6 @@ impl LaneVec<f64> for F64x4 {
             _mm256_storeu_pd(ptr.cast::<f64>(), _mm256_unpacklo_pd(rp, ip));
             _mm256_storeu_pd(ptr.cast::<f64>().add(4), _mm256_unpackhi_pd(rp, ip));
         }
-    }
-
-    #[inline(always)]
-    unsafe fn load_coef(ptr: *const f64) -> Self {
-        // SAFETY: caller guarantees 4 double reads; AVX available.
-        F64x4(unsafe { _mm256_loadu_pd(ptr) })
     }
 
     #[inline(always)]

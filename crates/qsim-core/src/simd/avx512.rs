@@ -18,6 +18,12 @@ use crate::types::Cplx;
 use super::kernel::{apply_diag_range, apply_mat_range, LaneVec};
 use super::plan::{DiagPlan, MatPlan};
 
+/// Of the 32 `zmm` registers, 16 hold a block's accumulators: 4 rows × 2
+/// groups for a gate with two or more high targets, 2 × 4 with one, 1 × 8
+/// with none.
+const ACC_PAIRS: usize = 8;
+const MAX_ROWS: usize = 4;
+
 /// Aligned 512-bit index pattern for `vpermps`/`vpermt2ps`.
 #[derive(Clone, Copy)]
 #[repr(align(64))]
@@ -64,6 +70,8 @@ pub(crate) struct F32x16(__m512);
 
 impl LaneVec<f32> for F32x16 {
     const LANES: usize = 16;
+    const ACC_PAIRS: usize = ACC_PAIRS;
+    const MAX_ROWS: usize = MAX_ROWS;
 
     type Perm = Idx16;
 
@@ -74,6 +82,12 @@ impl LaneVec<f32> for F32x16 {
             *out = src as i32;
         }
         Idx16(p)
+    }
+
+    fn from_fn(lane: impl FnMut(usize) -> f32) -> Self {
+        let lanes: [f32; 16] = std::array::from_fn(lane);
+        // SAFETY: same size, and every bit pattern is a valid `__m512`.
+        F32x16(unsafe { std::mem::transmute::<[f32; 16], __m512>(lanes) })
     }
 
     #[inline(always)]
@@ -110,12 +124,6 @@ impl LaneVec<f32> for F32x16 {
     }
 
     #[inline(always)]
-    unsafe fn load_coef(ptr: *const f32) -> Self {
-        // SAFETY: caller guarantees 16 float reads; AVX512F available.
-        F32x16(unsafe { _mm512_loadu_ps(ptr) })
-    }
-
-    #[inline(always)]
     unsafe fn permute(self, perm: &Self::Perm) -> Self {
         // SAFETY: AVX512F available per the caller contract.
         F32x16(unsafe { _mm512_permutexvar_ps(perm.as_vec(), self.0) })
@@ -146,6 +154,8 @@ pub(crate) struct F64x8(__m512d);
 
 impl LaneVec<f64> for F64x8 {
     const LANES: usize = 8;
+    const ACC_PAIRS: usize = ACC_PAIRS;
+    const MAX_ROWS: usize = MAX_ROWS;
 
     type Perm = Idx8;
 
@@ -156,6 +166,12 @@ impl LaneVec<f64> for F64x8 {
             *out = src as i64;
         }
         Idx8(p)
+    }
+
+    fn from_fn(lane: impl FnMut(usize) -> f64) -> Self {
+        let lanes: [f64; 8] = std::array::from_fn(lane);
+        // SAFETY: same size, and every bit pattern is a valid `__m512d`.
+        F64x8(unsafe { std::mem::transmute::<[f64; 8], __m512d>(lanes) })
     }
 
     #[inline(always)]
@@ -188,12 +204,6 @@ impl LaneVec<f64> for F64x8 {
                 _mm512_permutex2var_pd(re.0, IHI8.as_vec(), im.0),
             );
         }
-    }
-
-    #[inline(always)]
-    unsafe fn load_coef(ptr: *const f64) -> Self {
-        // SAFETY: caller guarantees 8 double reads; AVX512F available.
-        F64x8(unsafe { _mm512_loadu_pd(ptr) })
     }
 
     #[inline(always)]

@@ -6,18 +6,19 @@
 //! `λ = log2(LANES)` lane qubits, split a k-qubit gate's targets into low
 //! (`q < λ`) and high (`q ≥ λ`) sets. Each output tile row `r` (choice of
 //! high-target bits) is a sum over gate columns `c` of
-//! `coef[r][c][l] * permute_c(src[col_tile[c]])[l]`, where
+//! `coef[r][c][l] * permute_c(src[tile of c])[l]`, where
 //! `coef[r][c][l] = M[row(l, r), c]` resolves the matrix row from lane
 //! `l`'s low-target bits and `r`'s high-target bits, and `permute_c`
 //! replaces each lane's low-target bits with column `c`'s — in-register
 //! data movement instead of strided loads, the CPU mirror of the paper's
 //! `ApplyGateL_Kernel` shared-memory rearrangement. A gate with no low
-//! targets degenerates to splat coefficients + identity permutes, i.e. the
+//! targets degenerates to splat coefficients and no permutes, i.e. the
 //! strided High path, for free. Low *controls* fold into the same tables:
 //! lanes whose control bits mismatch get identity coefficients
 //! (`coef[r][c][l] = [c == row(l, r)]`) and pass through unchanged.
 
 use std::any::TypeId;
+use std::marker::PhantomData;
 use std::ops::Range;
 
 use crate::kernels::{validate_gate_args, PAR_GRAIN_AMPS};
@@ -43,18 +44,21 @@ pub(crate) struct MatPlan<F: Float, V: LaneVec<F>> {
     pub control_mask_t: usize,
     /// Tile-index offsets of the `2^kh` tiles of a group.
     pub tile_off: Vec<usize>,
-    /// For each gate column, which of the group's tiles sources it.
-    pub col_tile: Vec<usize>,
+    /// Gate columns ordered by the tile that sources them: tile `m`'s
+    /// are `tile_cols[m * dimk / 2^kh..][..dimk / 2^kh]`, ascending.
+    pub tile_cols: Vec<usize>,
     /// For each gate column, the lane permutation selecting the column's
     /// low-target bits (identity when `has_low_targets` is false).
     pub perms: Vec<V::Perm>,
     pub has_low_targets: bool,
-    /// Split-complex coefficient tables, laid out
-    /// `[(r * dimk + c) * LANES + l]`.
-    pub coef_re: Vec<F>,
-    pub coef_im: Vec<F>,
+    /// Split-complex coefficient tables, one lane vector per
+    /// `[r * dimk + c]` — a `Vec<V>` so every entry is a single aligned
+    /// load (a `Vec<F>` sits 16 bytes off a cache line and splits each).
+    pub coef_re: Vec<V>,
+    pub coef_im: Vec<V>,
     /// Number of tile groups: `1 << (n - λ - strip_t.len())`.
     pub num_groups: usize,
+    marker: PhantomData<F>,
 }
 
 /// Precomputed tile-level plan for an uncontrolled diagonal gate.
@@ -63,16 +67,21 @@ pub(crate) struct DiagPlan<F: Float, V: LaneVec<F>> {
     pub n: usize,
     /// Tile-coordinate positions of the high targets (ascending).
     pub hq_t: Vec<usize>,
-    /// Split-complex diagonal tables, laid out `[m * LANES + l]` where `m`
-    /// enumerates high-target bit patterns.
-    pub dre: Vec<F>,
-    pub dim: Vec<F>,
-    marker: std::marker::PhantomData<V>,
+    /// Split-complex diagonal tables, one lane vector per high-target
+    /// bit pattern `m`.
+    pub dre: Vec<V>,
+    pub dim: Vec<V>,
+    marker: PhantomData<F>,
 }
 
 /// Build a [`MatPlan`] or report `None` when the state is too small to
 /// tile (`n < λ + #high targets + #high controls`). Argument validation
 /// matches the scalar kernels exactly (same panics on malformed input).
+///
+/// Never inlined: the `SimdPlan` constructors are instantiated per
+/// precision in every crate that prepares a gate, and each site would
+/// carry a copy of this per lane backend.
+#[inline(never)]
 pub(crate) fn build_mat<F: Float, V: LaneVec<F>>(
     n: usize,
     qubits: &[usize],
@@ -125,15 +134,12 @@ pub(crate) fn build_mat<F: Float, V: LaneVec<F>>(
             off
         })
         .collect();
-    let col_tile: Vec<usize> = (0..dimk)
-        .map(|c| {
-            let mut m = 0usize;
-            for (i, &(j, _)) in high_t.iter().enumerate() {
-                m |= ((c >> j) & 1) << i;
-            }
-            m
-        })
-        .collect();
+    // The tile that sources column `c`: its high-target bits.
+    let col_tile = |c: usize| -> usize {
+        high_t.iter().enumerate().map(|(i, &(j, _))| ((c >> j) & 1) << i).sum()
+    };
+    let mut tile_cols: Vec<usize> = (0..dimk).collect();
+    tile_cols.sort_by_key(|&c| col_tile(c));
 
     let has_low_targets = !low_t.is_empty();
     let lmask: usize = low_t.iter().map(|&(_, p)| 1usize << p).sum();
@@ -156,23 +162,23 @@ pub(crate) fn build_mat<F: Float, V: LaneVec<F>>(
         }
         row
     };
-    let mut coef_re = Vec::with_capacity((1 << kh) * dimk * lanes);
-    let mut coef_im = Vec::with_capacity((1 << kh) * dimk * lanes);
+    let coef = |r: usize, c: usize, l: usize| -> Cplx<F> {
+        let row = row_of(r, l);
+        if (l & lc_mask) == lc_val {
+            matrix.get(row, c)
+        } else if c == row {
+            // Lane fails a low control: identity pass-through.
+            Cplx { re: F::ONE, im: F::ZERO }
+        } else {
+            Cplx { re: F::ZERO, im: F::ZERO }
+        }
+    };
+    let mut coef_re = Vec::with_capacity((1 << kh) * dimk);
+    let mut coef_im = Vec::with_capacity((1 << kh) * dimk);
     for r in 0..1usize << kh {
         for c in 0..dimk {
-            for l in 0..lanes {
-                let row = row_of(r, l);
-                let z = if (l & lc_mask) == lc_val {
-                    matrix.get(row, c)
-                } else if c == row {
-                    // Lane fails a low control: identity pass-through.
-                    Cplx { re: F::ONE, im: F::ZERO }
-                } else {
-                    Cplx { re: F::ZERO, im: F::ZERO }
-                };
-                coef_re.push(z.re);
-                coef_im.push(z.im);
-            }
+            coef_re.push(V::from_fn(|l| coef(r, c, l).re));
+            coef_im.push(V::from_fn(|l| coef(r, c, l).im));
         }
     }
 
@@ -184,17 +190,20 @@ pub(crate) fn build_mat<F: Float, V: LaneVec<F>>(
         strip_t,
         control_mask_t,
         tile_off,
-        col_tile,
+        tile_cols,
         perms,
         has_low_targets,
         coef_re,
         coef_im,
         num_groups,
+        marker: PhantomData,
     })
 }
 
 /// Build a [`DiagPlan`] for an uncontrolled diagonal gate, or `None` when
-/// the state has fewer qubits than SIMD lanes.
+/// the state has fewer qubits than SIMD lanes. Never inlined, as
+/// [`build_mat`].
+#[inline(never)]
 pub(crate) fn build_diag<F: Float, V: LaneVec<F>>(
     n: usize,
     qubits: &[usize],
@@ -212,23 +221,20 @@ pub(crate) fn build_diag<F: Float, V: LaneVec<F>>(
         qubits.iter().enumerate().filter(|&(_, &q)| q >= lambda).map(|(j, &q)| (j, q)).collect();
     let hq_t: Vec<usize> = high_t.iter().map(|&(_, q)| q - lambda).collect();
     let kh = high_t.len();
-    let mut dre = Vec::with_capacity((1 << kh) * lanes);
-    let mut dim = Vec::with_capacity((1 << kh) * lanes);
-    for m in 0..1usize << kh {
-        for l in 0..lanes {
-            let mut row = 0usize;
-            for (i, &(j, _)) in high_t.iter().enumerate() {
-                row |= ((m >> i) & 1) << j;
-            }
-            for &(j, p) in &low_t {
-                row |= ((l >> p) & 1) << j;
-            }
-            let z = matrix.get(row, row);
-            dre.push(z.re);
-            dim.push(z.im);
+    // The diagonal entry lane `l` of high-target pattern `m` multiplies by.
+    let entry = |m: usize, l: usize| -> Cplx<F> {
+        let mut row = 0usize;
+        for (i, &(j, _)) in high_t.iter().enumerate() {
+            row |= ((m >> i) & 1) << j;
         }
-    }
-    Some(DiagPlan { n, hq_t, dre, dim, marker: std::marker::PhantomData })
+        for &(j, p) in &low_t {
+            row |= ((l >> p) & 1) << j;
+        }
+        matrix.get(row, row)
+    };
+    let dre = (0..1usize << kh).map(|m| V::from_fn(|l| entry(m, l).re)).collect();
+    let dim = (0..1usize << kh).map(|m| V::from_fn(|l| entry(m, l).im)).collect();
+    Some(DiagPlan { n, hq_t, dre, dim, marker: PhantomData })
 }
 
 /// Reinterpret a generic `F` gate matrix as a concrete precision.
@@ -271,10 +277,16 @@ enum Inner<F: Float> {
     A5Diag64(DiagPlan<f64, super::avx512::F64x8>),
     /// Portable 4-lane reference backend: exercises the identical tile
     /// machinery in safe-by-construction arithmetic. Used by the
-    /// equivalence tests and under miri; never selected by dispatch.
-    PortableMat(MatPlan<F, P4<F>>),
-    PortableDiag(DiagPlan<F, P4<F>>),
+    /// equivalence tests and under miri; never selected by dispatch. The
+    /// kernel is a pointer taken in [`SimdPlan::new_portable`], so only a
+    /// binary that calls it carries the emulated-lane instances (every
+    /// crate that applies a `SimdPlan<F>` would otherwise compile its own).
+    PortableMat(MatPlan<F, P4<F>>, PortableKernel<F, MatPlan<F, P4<F>>>),
+    PortableDiag(DiagPlan<F, P4<F>>, PortableKernel<F, DiagPlan<F, P4<F>>>),
 }
+
+/// `kernel::apply_mat_range` or `kernel::apply_diag_range` on [`P4`] lanes.
+type PortableKernel<F, P> = unsafe fn(*mut Cplx<F>, &P, Range<usize>);
 
 impl<F: Float> SimdPlan<F> {
     /// Plan a (controlled) gate for the active ISA. `None` means the
@@ -366,9 +378,11 @@ impl<F: Float> SimdPlan<F> {
     ) -> Option<Self> {
         let diagonal = controls.is_empty() && crate::kernels::is_diagonal(matrix);
         let inner = if diagonal {
-            build_diag(n, qubits, matrix).map(Inner::PortableDiag)
+            build_diag(n, qubits, matrix)
+                .map(|p| Inner::PortableDiag(p, super::kernel::apply_diag_range::<F, P4<F>>))
         } else {
-            build_mat(n, qubits, controls, control_values, matrix).map(Inner::PortableMat)
+            build_mat(n, qubits, controls, control_values, matrix)
+                .map(|p| Inner::PortableMat(p, super::kernel::apply_mat_range::<F, P4<F>>))
         }?;
         Some(SimdPlan { inner, isa: Isa::Scalar })
     }
@@ -430,8 +444,8 @@ impl<F: Float> SimdPlan<F> {
             Inner::A5Diag32(_) => (len / 16, 16),
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             Inner::A5Diag64(_) => (len / 8, 8),
-            Inner::PortableMat(p) => (p.num_groups, (1 << p.kh) * P4::<F>::LANES),
-            Inner::PortableDiag(_) => (len / P4::<F>::LANES, P4::<F>::LANES),
+            Inner::PortableMat(p, _) => (p.num_groups, (1 << p.kh) * P4::<F>::LANES),
+            Inner::PortableDiag(..) => (len / P4::<F>::LANES, P4::<F>::LANES),
         }
     }
 
@@ -502,15 +516,15 @@ impl<F: Float> SimdPlan<F> {
                 // SAFETY: as above, with `F == f64`.
                 unsafe { super::avx512::diag_f64(amps as *mut Cplx<f64>, p, groups) }
             }
-            Inner::PortableMat(p) => {
+            Inner::PortableMat(p, kernel) => {
                 assert_eq!(len, 1 << p.n, "SimdPlan applied to mismatched state size");
                 // SAFETY: P4 uses no ISA extensions; bounds as above.
-                unsafe { super::kernel::apply_mat_range(amps, p, groups) }
+                unsafe { kernel(amps, p, groups) }
             }
-            Inner::PortableDiag(p) => {
+            Inner::PortableDiag(p, kernel) => {
                 assert_eq!(len, 1 << p.n, "SimdPlan applied to mismatched state size");
                 // SAFETY: P4 uses no ISA extensions; tiles stay in bounds.
-                unsafe { super::kernel::apply_diag_range(amps, p, groups) }
+                unsafe { kernel(amps, p, groups) }
             }
         }
     }
@@ -573,6 +587,195 @@ mod tests {
         plan.apply_par(&mut amps);
         crate::kernels::apply_gate_seq(&mut reference, &[1, 3], &cz);
         assert_close(&amps, &reference);
+    }
+
+    // ---- Block remainders and range edges --------------------------------
+    //
+    // The micro-kernel walks a group range in blocks of `G` groups and
+    // finishes one group at a time. These tests cut `0..num_groups` into
+    // pieces whose lengths are not multiples of any `G` (2, 4, 8) and that
+    // start at offsets no `G` divides, and use states with fewer groups
+    // than a block. Every lane backend must reproduce, bit for bit, the
+    // unblocked order: each amplitude the sum of its gate columns,
+    // ascending, two multiply-adds per part.
+
+    /// The arithmetic of one lane backend: `(acc + a·b, acc − a·b)`.
+    #[derive(Clone, Copy)]
+    struct Madd<F> {
+        add: fn(F, F, F) -> F,
+        sub: fn(F, F, F) -> F,
+    }
+
+    /// The portable lanes round the product, then the sum.
+    fn unfused<F: Float>() -> Madd<F> {
+        Madd { add: |acc, a, b| acc + a * b, sub: |acc, a, b| acc - a * b }
+    }
+
+    fn rng_f64(state: &mut u64) -> f64 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((*state >> 11) as f64) / (1u64 << 53) as f64 * 2.0 - 1.0
+    }
+
+    /// One output amplitude at a time, columns ascending: no tiles, no
+    /// blocks, no staging.
+    fn unblocked<F: Float>(
+        amps: &[Cplx<F>],
+        qubits: &[usize],
+        controls: &[usize],
+        control_values: usize,
+        matrix: &GateMatrix<F>,
+        madd: Madd<F>,
+    ) -> Vec<Cplx<F>> {
+        use crate::matrix::{deposit_bits, extract_bits};
+        let target_mask = deposit_bits(matrix.dim() - 1, qubits);
+        (0..amps.len())
+            .map(|i| {
+                if extract_bits(i, controls) != control_values {
+                    return amps[i];
+                }
+                let row = extract_bits(i, qubits);
+                let mut acc = Cplx { re: F::ZERO, im: F::ZERO };
+                for c in 0..matrix.dim() {
+                    let (m, s) =
+                        (matrix.get(row, c), amps[(i & !target_mask) | deposit_bits(c, qubits)]);
+                    acc.re = (madd.sub)((madd.add)(acc.re, m.re, s.re), m.im, s.im);
+                    acc.im = (madd.add)((madd.add)(acc.im, m.re, s.im), m.im, s.re);
+                }
+                acc
+            })
+            .collect()
+    }
+
+    fn bits<F: Float>(amps: &[Cplx<F>]) -> Vec<(u64, u64)> {
+        amps.iter().map(|a| (a.re.to_f64().to_bits(), a.im.to_f64().to_bits())).collect()
+    }
+
+    /// Gate shapes as `(low targets, high targets, low control, high
+    /// control)` counts; qubits are placed around the lane boundary `lambda`.
+    const EDGE_SHAPES: [(usize, usize, bool, bool); 7] = [
+        (1, 0, false, false),
+        (2, 0, true, false),
+        (0, 1, false, false),
+        (1, 1, false, true),
+        (0, 2, false, false),
+        (2, 2, false, false),
+        (0, 3, true, true),
+    ];
+
+    /// Apply every shape to states of `groups` tile groups, in ragged
+    /// pieces, and compare with the whole-state application, the
+    /// unblocked order and the scalar kernel.
+    fn check_range_edges<F: Float>(
+        lambda: usize,
+        madd: Madd<F>,
+        plan_for: impl Fn(usize, &[usize], &[usize], usize, &GateMatrix<F>) -> Option<SimdPlan<F>>,
+    ) {
+        let mut seed = 0x5eed_0000 + lambda as u64;
+        for (low, high, low_ctrl, high_ctrl) in EDGE_SHAPES {
+            if low + usize::from(low_ctrl) > lambda {
+                continue;
+            }
+            for group_qubits in [0usize, 1, 2, 5] {
+                // Low targets from qubit 0 up, the low control on the top
+                // lane qubit. The stripped high qubits (targets, then the
+                // control) take every other position above the lane
+                // boundary while the state has room, so group-counter bits
+                // sit below, between and above them.
+                let stripped = high + usize::from(high_ctrl);
+                let n = lambda + stripped + group_qubits;
+                let mut above = (0..stripped).map(|i| (lambda + 2 * i + 1).min(n - (stripped - i)));
+                let mut qubits: Vec<usize> = (0..low).collect();
+                qubits.extend(above.by_ref().take(high));
+                let mut controls = Vec::new();
+                if low_ctrl {
+                    controls.push(lambda - 1);
+                }
+                controls.extend(above);
+                let control_values = (1usize << controls.len()) - 1;
+                let dim = 1usize << qubits.len();
+                // Entries the size of a unitary's, as the tolerances assume.
+                let scale = 1.0 / (dim as f64).sqrt();
+                let entries: Vec<Cplx<F>> = (0..dim * dim)
+                    .map(|_| Cplx::from_f64(rng_f64(&mut seed) * scale, rng_f64(&mut seed) * scale))
+                    .collect();
+                let matrix = GateMatrix::from_slice(dim, &entries);
+                let state: Vec<Cplx<F>> = (0..1usize << n)
+                    .map(|_| Cplx::from_f64(rng_f64(&mut seed), rng_f64(&mut seed)))
+                    .collect();
+                let plan = plan_for(n, &qubits, &controls, control_values, &matrix)
+                    .expect("sized to tile");
+                let (num_groups, _) = plan.group_shape(state.len());
+                let what = format!("n={n} qubits={qubits:?} controls={controls:?}");
+
+                let mut whole = state.clone();
+                plan.apply_seq(&mut whole);
+                let mut par = state.clone();
+                plan.apply_par(&mut par);
+                assert_eq!(bits(&whole), bits(&par), "apply_par, {what}");
+
+                // One group, then 25 = 3·8 + 1 from offset 1, then 3 and 3:
+                // no length a multiple of 2, 4 or 8. Last piece first.
+                let mut cuts = vec![0, 1, 26, 29];
+                cuts.retain(|&c| c < num_groups);
+                cuts.push(num_groups);
+                let mut ragged = state.clone();
+                for piece in cuts.windows(2).rev() {
+                    plan.apply_range(&mut ragged, Some(piece[0]..piece[1]));
+                }
+                assert_eq!(bits(&whole), bits(&ragged), "ragged pieces {cuts:?}, {what}");
+
+                let reference =
+                    unblocked(&state, &qubits, &controls, control_values, &matrix, madd);
+                assert_eq!(bits(&whole), bits(&reference), "unblocked order, {what}");
+
+                let mut scalar = state.clone();
+                crate::kernels::apply_controlled_gate_seq(
+                    &mut scalar,
+                    &qubits,
+                    &controls,
+                    control_values,
+                    &matrix,
+                );
+                let tol = match F::PRECISION {
+                    Precision::Single => 1e-6,
+                    Precision::Double => 1e-12,
+                };
+                for (x, y) in whole.iter().zip(&scalar) {
+                    let d = (x.re.to_f64() - y.re.to_f64())
+                        .abs()
+                        .max((x.im.to_f64() - y.im.to_f64()).abs());
+                    assert!(d <= tol, "scalar kernel differs by {d}, {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn portable_block_remainders_and_range_edges() {
+        check_range_edges::<f32>(2, unfused(), SimdPlan::new_portable);
+        check_range_edges::<f64>(2, unfused(), SimdPlan::new_portable);
+    }
+
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn hardware_block_remainders_and_range_edges() {
+        for isa in [Isa::Avx2, Isa::Avx512] {
+            if isa > crate::simd::detected_isa() {
+                println!("range edges: host lacks {}, tier skipped", isa.name());
+                continue;
+            }
+            // The hardware lanes fuse: one rounding per multiply-add.
+            check_range_edges::<f32>(
+                isa.lane_qubits(Precision::Single),
+                Madd { add: |acc, a, b| a.mul_add(b, acc), sub: |acc, a, b| (-a).mul_add(b, acc) },
+                |n, q, c, v, m| SimdPlan::new_with_isa(isa, n, q, c, v, m),
+            );
+            check_range_edges::<f64>(
+                isa.lane_qubits(Precision::Double),
+                Madd { add: |acc, a, b| a.mul_add(b, acc), sub: |acc, a, b| (-a).mul_add(b, acc) },
+                |n, q, c, v, m| SimdPlan::new_with_isa(isa, n, q, c, v, m),
+            );
+        }
     }
 
     #[test]

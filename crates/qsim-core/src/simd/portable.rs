@@ -17,6 +17,9 @@ pub(crate) struct P4<F: Float>([F; 4]);
 
 impl<F: Float> LaneVec<F> for P4<F> {
     const LANES: usize = 4;
+    // The AVX-512 block shapes, so miri walks the widest instances.
+    const ACC_PAIRS: usize = 8;
+    const MAX_ROWS: usize = 4;
 
     type Perm = [u8; 4];
 
@@ -27,6 +30,10 @@ impl<F: Float> LaneVec<F> for P4<F> {
             *out = src as u8;
         }
         p
+    }
+
+    fn from_fn(lane: impl FnMut(usize) -> F) -> Self {
+        P4(std::array::from_fn(lane))
     }
 
     fn zero() -> Self {
@@ -50,15 +57,6 @@ impl<F: Float> LaneVec<F> for P4<F> {
             // SAFETY: caller guarantees `ptr` is valid for `LANES` writes.
             unsafe { *ptr.add(l) = Cplx { re: re.0[l], im: im.0[l] } };
         }
-    }
-
-    unsafe fn load_coef(ptr: *const F) -> Self {
-        let mut v = [F::ZERO; 4];
-        for (l, slot) in v.iter_mut().enumerate() {
-            // SAFETY: caller guarantees `ptr` is valid for `LANES` reads.
-            *slot = unsafe { *ptr.add(l) };
-        }
-        P4(v)
     }
 
     unsafe fn permute(self, perm: &Self::Perm) -> Self {
