@@ -111,6 +111,14 @@ pub struct RunReport {
     /// (CPU flavor) each run of consecutive block-local gates counts as
     /// one pass, so this is the memory-traffic multiplier of the run.
     pub state_passes: u64,
+    /// Amplitudes the host kernels updated, per state: the sum over fused
+    /// unitaries of the width each ran at. A state born `|0…0⟩` is exact
+    /// zeros above its highest touched qubit, so a gate runs on that live
+    /// prefix only (DESIGN.md §5.1) and this is at most `fused_gates · 2^n`,
+    /// with equality once the top qubit is touched by the first gate. The
+    /// modeled device is still charged full passes
+    /// ([`RunReport::state_passes`]).
+    pub amp_updates: u64,
     /// Warning-severity findings of the pre-run plan analysis (rendered
     /// diagnostics). Errors abort the run before allocation and never
     /// appear here.
@@ -247,6 +255,7 @@ impl RunReport {
             "peak_state_bytes": (self.peak_state_bytes),
             "buffer_reused": (self.buffer_reused),
             "state_passes": (self.state_passes),
+            "amp_updates": (self.amp_updates),
             "isa": (self.isa),
             "gate_classes": (gate_classes),
             "kernels": (kernels),
@@ -292,6 +301,7 @@ mod tests {
             peak_state_bytes: 8 << 30,
             buffer_reused: false,
             state_passes: 150,
+            amp_updates: 150 << 30,
             analysis_warnings: vec![],
             isa: "avx2".into(),
             gate_class_counts: GateClassCount::from_grid([[90, 0], [30, 30]]),

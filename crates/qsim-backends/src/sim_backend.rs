@@ -778,6 +778,41 @@ mod tests {
         }
     }
 
+    /// `amp_updates` is the live prefix made visible: one Hadamard per
+    /// qubit in ascending order runs at the floor (the 2^16 sweep block)
+    /// until a gate reaches above it, then one qubit wider per gate; the
+    /// same gates in descending order are at full width from the first.
+    /// Dry and functional walks count alike, and `state_passes` — what the
+    /// modeled device is charged — does not see the prefix.
+    #[test]
+    fn amp_updates_counts_the_live_prefix() {
+        use qsim_circuit::gates::GateKind;
+        use qsim_circuit::Circuit;
+
+        let n = 19;
+        let hadamards = |order: &mut dyn Iterator<Item = usize>| {
+            let mut c = Circuit::new(n);
+            for q in order {
+                c.push(GateKind::H, &[q]);
+            }
+            fuse(&c, 1)
+        };
+        let backend = SimBackend::new(Flavor::CpuAvx);
+
+        let ascending = hadamards(&mut (0..n));
+        let est = backend.estimate(&ascending, Precision::Single).unwrap();
+        assert_eq!(est.fused_gates, n);
+        assert_eq!(est.amp_updates, (16 << 16) + (1 << 17) + (1 << 18) + (1 << 19));
+        assert!(est.amp_updates < (est.fused_gates as u64) << n);
+        let (_, run) = backend.run::<f32>(&ascending, &RunOptions::default()).unwrap();
+        assert_eq!(run.amp_updates, est.amp_updates);
+        assert_eq!(run.state_passes, est.state_passes);
+
+        let descending = hadamards(&mut (0..n).rev());
+        let est = backend.estimate(&descending, Precision::Single).unwrap();
+        assert_eq!(est.amp_updates, (est.fused_gates as u64) << n);
+    }
+
     #[test]
     fn gpu_pass_counter_matches_report() {
         let circuit = generate_rqc(&RqcOptions::for_qubits(11, 6, 2));

@@ -23,6 +23,14 @@
 //! across every state. A launch over `k` states is charged `k` states'
 //! bytes and flops; the dry walk is charged as one state.
 //!
+//! Kernel bodies run on the **live prefix** of each state: a state born
+//! `|0…0⟩` is exact `+0` above its highest touched qubit, so the walk
+//! carries `live = max(floor, highest qubit touched so far + 1)` and hands
+//! every application, measurement and sampling scan `amps[..1 << live]` as
+//! a `live`-qubit register (DESIGN.md §5.1). The modeled device is charged
+//! full passes regardless — only host work on known zeros is skipped, and
+//! [`RunReport::amp_updates`] counts what was left.
+//!
 //! Per-state arithmetic is the single-state kernels' ([`apply_run_gang`] /
 //! [`apply_gate_gang`]), each state has its own seeded RNG for
 //! measurements and sampling, and cancellation stays per state: a fired
@@ -41,6 +49,7 @@ use gpu_model::trace::SpanKind;
 use gpu_model::GpuError;
 use qsim_core::batch::{apply_gate_gang, apply_run_gang, StateBatch};
 use qsim_core::cancel::CancelToken;
+use qsim_core::kernels::PAR_GRAIN_AMPS;
 use qsim_core::statespace::{measure, norm_sqr, sample};
 use qsim_core::sweep::{PassTracker, SweepExecutor};
 use qsim_core::types::{Cplx, Float, Precision};
@@ -162,32 +171,38 @@ impl<F: Float> Gang<F> {
     }
 
     /// Apply and clear the pending run of block-local gates across the
-    /// whole gang: one [`SweepExecutor::prepare_run`] (each gate planned
-    /// once), swept over every live state. Each state's
-    /// token is polled at every sweep cache block; a state cancelled
-    /// mid-run fails with `at_op`.
-    fn flush(&mut self, sweep: &SweepExecutor, pending: &mut PendingRun<'_, F>, at_op: usize) {
+    /// `2^live`-amplitude prefix of the whole gang: one
+    /// [`SweepExecutor::prepare_run`] (each gate planned once), swept over
+    /// every live state. Each state's token is polled at every sweep cache
+    /// block; a state cancelled mid-run fails with `at_op`.
+    fn flush(
+        &mut self,
+        sweep: &SweepExecutor,
+        pending: &mut PendingRun<'_, F>,
+        live: usize,
+        at_op: usize,
+    ) {
         if pending.is_empty() {
             return;
         }
-        let prepared =
-            sweep.prepare_run(self.batch.state_len(), pending.iter().map(|(q, m)| (*q, m)));
+        let prepared = sweep.prepare_run(1 << live, pending.iter().map(|(q, m)| (*q, m)));
         for (slot, cause) in apply_run_gang(&prepared, &mut self.batch, &self.cancels) {
             self.fail(slot, BackendError::Cancelled { cause, at_op });
         }
         pending.clear();
-        self.debug_assert_norms("cache-blocked sweep run");
+        self.debug_assert_norms(live, "cache-blocked sweep run");
     }
 
     /// Debug-build invariant checked on every live state after every
     /// fused-gate application: the plan's unitaries passed the pre-run
     /// analysis, so any norm drift beyond rounding means a kernel bug, not
-    /// a bad circuit. Compiles to nothing in release builds.
-    fn debug_assert_norms(&self, what: &str) {
+    /// a bad circuit. The whole norm sits in the `2^live` prefix. Compiles
+    /// to nothing in release builds.
+    fn debug_assert_norms(&self, live: usize, what: &str) {
         if cfg!(debug_assertions) {
             let tol = if F::PRECISION == Precision::Double { 1e-9 } else { 1e-3 };
             for amps in (0..self.subs.len()).filter_map(|slot| self.batch.state(slot)) {
-                let norm = norm_sqr(amps);
+                let norm = norm_sqr(&amps[..1 << live]);
                 assert!((norm - 1.0).abs() < tol, "state norm² drifted to {norm} after {what}");
             }
         }
@@ -346,8 +361,21 @@ impl SimBackend {
         // (no sweeping on GPU flavors — `effective_sweep` disables it, the
         // tracker then marks every gate a barrier and `pending` stays
         // empty).
-        let mut tracker = PassTracker::new(&self.effective_sweep(), n);
+        let sweep_config = self.effective_sweep();
+        let mut tracker = PassTracker::new(&sweep_config, n);
         let mut pending: PendingRun<'a, F> = Vec::new();
+
+        // Live width: every amplitude with a bit set at or above `live` is
+        // still the `+0` acquisition wrote, so kernel bodies run on
+        // `amps[..1 << live]` only. The floor keeps a prefix on the same
+        // ladder rung and sweep block as the full state (below
+        // `PAR_GRAIN_AMPS` the dispatching entry takes the scalar
+        // reference, which rounds differently), so results are the
+        // full-width run's bit for bit; it also covers every block-local
+        // gate, so only barrier gates and measurements widen `live`.
+        let floor = sweep_config.block_qubits(n).max(PAR_GRAIN_AMPS.trailing_zeros() as usize);
+        let mut live = floor.min(n);
+        let mut amp_updates = 0u64;
 
         for (op_index, op) in fused.ops.iter().enumerate() {
             if let Some(gang) = gang.as_mut() {
@@ -393,31 +421,38 @@ impl SimBackend {
                     self.tune_host_charge(&mut desc, n, &g.qubits, lane_qubits, new_pass);
                     scale_for_gang(&mut desc, width(gang));
                     let (s, e) = if tracker.in_run() {
-                        // Block-local: charge the launch now, apply with
-                        // the rest of the run when it flushes.
+                        // Block-local (so below the floor, `live` stands):
+                        // charge the launch now, apply with the rest of
+                        // the run when it flushes.
                         pending.extend(matrix.map(|m| (g.qubits.as_slice(), m)));
                         self.gpu.charge_launch(&desc, StreamId::DEFAULT)?
                     } else {
-                        // Barrier gate: flush the open run, then go
-                        // through the ordinary strided kernel.
+                        // Barrier gate: flush the open run at the width it
+                        // was met at, widen, then go through the ordinary
+                        // strided kernel.
                         if let Some(gang) = gang.as_mut() {
-                            gang.flush(&self.sweep, &mut pending, op_index);
+                            gang.flush(&self.sweep, &mut pending, live, op_index);
                         }
+                        live = live.max(g.max_qubit() + 1);
                         let (s, e, ()) = self.gpu.launch(&desc, StreamId::DEFAULT, || {
                             if let (Some(gang), Some(matrix)) = (gang.as_mut(), &matrix) {
-                                apply_gate_gang(&mut gang.batch, &g.qubits, matrix);
-                                gang.debug_assert_norms(&desc.name);
+                                apply_gate_gang(&mut gang.batch, live, &g.qubits, matrix);
+                                gang.debug_assert_norms(live, &desc.name);
                             }
                         })?;
                         (s, e)
                     };
+                    amp_updates += 1 << live;
                     bump(&mut kernel_stats, &desc.name, e - s);
                 }
                 FusedOp::Measurement { qubits, .. } => {
                     tracker.on_barrier();
                     if let Some(gang) = gang.as_mut() {
-                        gang.flush(&self.sweep, &mut pending, op_index);
+                        gang.flush(&self.sweep, &mut pending, live, op_index);
                     }
+                    // Collapse never widens the support; the prefix only
+                    // has to hold the measured qubits.
+                    live = live.max(qubits.iter().max().map_or(0, |q| q + 1));
                     // qsim measures on-device; we model the equivalent
                     // traffic as a D2H + H2D round trip, once per gang at
                     // the aggregate size, with the host waiting on the
@@ -429,7 +464,7 @@ impl SimBackend {
                     if let Some(gang) = gang.as_mut() {
                         for (slot, sub) in gang.subs.iter_mut().enumerate() {
                             if let Some(amps) = gang.batch.state_mut(slot) {
-                                let outcome = measure(amps, qubits, &mut sub.rng);
+                                let outcome = measure(&mut amps[..1 << live], qubits, &mut sub.rng);
                                 sub.measurements.push((qubits.clone(), outcome));
                             }
                         }
@@ -441,7 +476,7 @@ impl SimBackend {
         }
         tracker.on_barrier();
         if let Some(gang) = gang.as_mut() {
-            gang.flush(&self.sweep, &mut pending, fused.ops.len());
+            gang.flush(&self.sweep, &mut pending, live, fused.ops.len());
         }
 
         // Final sampling on-device: one gang-scaled launch, each state
@@ -457,7 +492,7 @@ impl SimBackend {
                 for (slot, sub) in gang.subs.iter_mut().enumerate() {
                     let draws = sub.opts.sample_count;
                     if let Some(amps) = gang.batch.state(slot).filter(|_| draws > 0) {
-                        sub.samples = sample(amps, draws, &mut sub.rng);
+                        sub.samples = sample(&amps[..1 << live], draws, &mut sub.rng);
                     }
                 }
             })?;
@@ -495,6 +530,7 @@ impl SimBackend {
             peak_state_bytes: gang_bytes + self.gpu.memory_usage().1,
             buffer_reused: false,
             state_passes: tracker.stats().full_passes,
+            amp_updates,
             analysis_warnings,
             isa: isa.name().into(),
             gate_class_counts: GateClassCount::from_grid(class_grid),

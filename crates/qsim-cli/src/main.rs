@@ -181,6 +181,13 @@ fn print_report(report: &RunReport, verbose: bool, profiler: Option<&Profiler>) 
         report.state_passes,
         report.passes_saved()
     );
+    println!(
+        "amp updates:        {} ({:.1} % of fused gates x 2^{}: zeros above the live prefix skipped)",
+        report.amp_updates,
+        100.0 * report.amp_updates as f64
+            / (report.fused_gates.max(1) as f64 * (1u64 << report.num_qubits) as f64),
+        report.num_qubits
+    );
     println!("state memory:       {:.3} GiB", report.state_bytes as f64 / (1u64 << 30) as f64);
     println!("simulated time:     {:.6} s (device model)", report.simulated_seconds);
     println!(

@@ -14,6 +14,11 @@
 //! [`kernels::PreparedGate`] per gate — is built once and swept across
 //! every state.
 //!
+//! Both entry points take the width to apply at: the walker hands them the
+//! live prefix of the states (a state born `|0…0⟩` is exact zeros above
+//! its highest touched qubit — DESIGN.md §5.1), the whole state being the
+//! widest prefix.
+//!
 //! Per-state arithmetic is exactly the single-state path's
 //! ([`PreparedRun::apply_to`] for runs, [`kernels::apply_gate_par`]
 //! for barrier gates), and states never read each other, so a gang run is
@@ -123,19 +128,21 @@ impl<F: Float> StateBatch<F> {
         self.slots.get_mut(i).and_then(Option::take)
     }
 
-    /// Run `op` over every active slot and collect `(slot, result)`
-    /// pairs. States are processed in parallel only when each piece
-    /// carries at least `GANG_PIECE_AMPS` (2^17) amplitudes of work — below
-    /// that, fork/join overhead (the offline rayon spawns scoped threads
-    /// per call) dwarfs the arithmetic of a small gang, and the gang runs
-    /// inline on the calling worker thread, whose outer-level parallelism
-    /// (many workers, many gangs) is the one that pays.
-    pub fn for_each_active<R, OP>(&mut self, op: OP) -> Vec<(usize, R)>
+    /// Run `op` over the first `len` amplitudes of every active slot and
+    /// collect `(slot, result)` pairs. States are processed in parallel
+    /// only when each piece carries at least `GANG_PIECE_AMPS` (2^17)
+    /// amplitudes of work — below that, fork/join overhead (the offline
+    /// rayon spawns scoped threads per call) dwarfs the arithmetic of a
+    /// small gang, and the gang runs inline on the calling worker thread,
+    /// whose outer-level parallelism (many workers, many gangs) is the one
+    /// that pays.
+    pub fn for_each_active<R, OP>(&mut self, len: usize, op: OP) -> Vec<(usize, R)>
     where
         R: Send,
         OP: Fn(usize, &mut [Cplx<F>]) -> R + Sync,
     {
-        let grain_states = (GANG_PIECE_AMPS >> self.num_qubits).max(1);
+        assert!(0 < len && len <= self.state_len(), "no {len}-amplitude prefix of the state");
+        let grain_states = (GANG_PIECE_AMPS / len).max(1);
         let mut results: Vec<Option<R>> = (0..self.slots.len()).map(|_| None).collect();
         self.slots
             .par_iter_mut()
@@ -144,7 +151,7 @@ impl<F: Float> StateBatch<F> {
             .with_min_len(grain_states)
             .for_each(|(i, (slot, out))| {
                 if let Some(amps) = slot.as_deref_mut() {
-                    *out = Some(op(i, amps));
+                    *out = Some(op(i, &mut amps[..len]));
                 }
             });
         results.into_iter().enumerate().filter_map(|(i, r)| r.map(|r| (i, r))).collect()
@@ -153,10 +160,14 @@ impl<F: Float> StateBatch<F> {
 
 /// Apply one prepared run of block-local gates to every active state of
 /// the gang: the [`PreparedRun`] (one [`kernels::PreparedGate`] per gate)
-/// is shared by all states. Each state's cancel token — `cancels[i]`, when
-/// the slice is long enough — is polled per cache block exactly as in the
-/// single-state path; slots whose token fired are returned with the cause
-/// (their states are partially updated, good only for recycling).
+/// is shared by all states. A run prepared for fewer amplitudes than a
+/// state holds applies to that **live prefix** of every slot — a state
+/// born `|0…0⟩` is exact zeros above its highest touched qubit, so the
+/// rest has nothing to update (DESIGN.md §5.1). Each state's cancel token —
+/// `cancels[i]`, when the slice is long enough — is polled per cache block
+/// exactly as in the single-state path; slots whose token fired are
+/// returned with the cause (their states are partially updated, good only
+/// for recycling).
 pub fn apply_run_gang<F: Float>(
     run: &PreparedRun<'_, F>,
     batch: &mut StateBatch<F>,
@@ -166,23 +177,27 @@ pub fn apply_run_gang<F: Float>(
         return Vec::new();
     }
     batch
-        .for_each_active(|i, amps| run.apply_to(amps, cancels.get(i).and_then(Option::as_ref)))
+        .for_each_active(run.state_len(), |i, amps| {
+            run.apply_to(amps, cancels.get(i).and_then(Option::as_ref))
+        })
         .into_iter()
         .filter_map(|(i, r)| r.err().map(|cause| (i, cause)))
         .collect()
 }
 
-/// Apply one barrier (non-block-local) gate to every active state through
-/// the ordinary strided parallel kernel — the same
-/// [`kernels::apply_gate_par`] call the single-state run loop makes,
-/// so per-state results are bit-identical. The matrix is converted once by
+/// Apply one barrier (non-block-local) gate to the `2^live`-amplitude live
+/// prefix of every active state (`live` = the state's qubit count for the
+/// whole state) through the ordinary strided parallel kernel — the same
+/// [`kernels::apply_gate_par`] call the single-state run loop makes, so
+/// per-state results are bit-identical. The matrix is converted once by
 /// the caller and shared across the gang.
 pub fn apply_gate_gang<F: Float>(
     batch: &mut StateBatch<F>,
+    live: usize,
     qubits: &[usize],
     matrix: &GateMatrix<F>,
 ) {
-    batch.for_each_active(|_, amps| kernels::apply_gate_par(amps, qubits, matrix));
+    batch.for_each_active(1 << live, |_, amps| kernels::apply_gate_par(amps, qubits, matrix));
 }
 
 #[cfg(test)]
@@ -194,6 +209,11 @@ mod tests {
     fn h_matrix() -> GateMatrix<f64> {
         let h = std::f64::consts::FRAC_1_SQRT_2;
         GateMatrix::from_f64_pairs(2, &[(h, 0.), (h, 0.), (h, 0.), (-h, 0.)])
+    }
+
+    /// A Hadamard on each of qubits `0..k`.
+    fn h_gates(k: usize) -> Vec<(Vec<usize>, GateMatrix<f64>)> {
+        (0..k).map(|q| (vec![q], h_matrix())).collect()
     }
 
     #[test]
@@ -229,8 +249,7 @@ mod tests {
     #[test]
     fn gang_matches_sequential_single_state_path() {
         let n = 6;
-        let gates: Vec<(Vec<usize>, GateMatrix<f64>)> =
-            (0..4).map(|q| (vec![q], h_matrix())).collect();
+        let gates = h_gates(4);
         let runs: Vec<(&[usize], &GateMatrix<f64>)> =
             gates.iter().map(|(q, m)| (q.as_slice(), m)).collect();
         let exec = SweepExecutor::new(SweepConfig::with_block_amps(1 << 4));
@@ -248,7 +267,7 @@ mod tests {
         let prepared = exec.prepare_run(1 << n, runs.iter().copied());
         let cancelled = apply_run_gang(&prepared, &mut batch, &[]);
         assert!(cancelled.is_empty());
-        apply_gate_gang(&mut batch, &[5], &h_matrix());
+        apply_gate_gang(&mut batch, n, &[5], &h_matrix());
 
         for i in 0..3 {
             let amps = batch.state(i).unwrap();
@@ -261,8 +280,7 @@ mod tests {
     #[test]
     fn per_slot_cancellation_leaves_the_rest_of_the_gang_alone() {
         let n = 8;
-        let gates: Vec<(Vec<usize>, GateMatrix<f64>)> =
-            (0..4).map(|q| (vec![q], h_matrix())).collect();
+        let gates = h_gates(4);
         let runs: Vec<(&[usize], &GateMatrix<f64>)> =
             gates.iter().map(|(q, m)| (q.as_slice(), m)).collect();
         let exec = SweepExecutor::new(SweepConfig::with_block_amps(1 << 4));
@@ -289,5 +307,76 @@ mod tests {
         }
         // Slot 1 was skipped entirely (pre-cancelled token): still |0…0⟩.
         assert!((batch.state(1).unwrap()[0].re - 1.0).abs() < 1e-15);
+    }
+
+    /// A run and a barrier gate applied to the live prefix of every slot
+    /// equal the full-width application (`==` per component: the full
+    /// width may write `-0` where the prefix leaves `+0`), and nothing
+    /// above the prefix is read or written — a sentinel planted there
+    /// survives.
+    #[test]
+    fn batch_live_prefix_matches_full_width_and_leaves_the_rest_alone() {
+        let (n, live) = (7, 5);
+        let gates = h_gates(4);
+        let runs: Vec<(&[usize], &GateMatrix<f64>)> =
+            gates.iter().map(|(q, m)| (q.as_slice(), m)).collect();
+        let exec = SweepExecutor::new(SweepConfig::with_block_amps(1 << 4));
+
+        let mut reference = StateVector::<f64>::new(n);
+        exec.apply_run(reference.amplitudes_mut(), runs.iter().copied());
+        kernels::apply_gate_par(reference.amplitudes_mut(), &[live], &h_matrix());
+
+        let mut batch = StateBatch::<f64>::new(n);
+        for _ in 0..2 {
+            batch.push_state(None).unwrap();
+        }
+        let sentinel = Cplx::new(7.0, -7.0);
+        batch.state_mut(1).unwrap()[1 << (live + 1)] = sentinel;
+
+        let prepared = exec.prepare_run(1 << live, runs.iter().copied());
+        assert!(apply_run_gang(&prepared, &mut batch, &[]).is_empty());
+        // The barrier gate on qubit `live` widens the prefix by one qubit.
+        apply_gate_gang(&mut batch, live + 1, &[live], &h_matrix());
+
+        let slot1 = batch.state_mut(1).unwrap();
+        assert_eq!(slot1[1 << (live + 1)], sentinel, "written above the live prefix");
+        slot1[1 << (live + 1)] = Cplx::zero();
+        for i in 0..2 {
+            assert_eq!(batch.state(i).unwrap(), reference.amplitudes(), "slot {i}");
+        }
+    }
+
+    /// Cancelling one slot between two prefix applications takes only that
+    /// slot out; the others go on to the full-width result.
+    #[test]
+    fn batch_live_prefix_cancel_between_widths_takes_one_slot() {
+        let (n, live) = (6, 4);
+        let gates = h_gates(3);
+        let runs: Vec<(&[usize], &GateMatrix<f64>)> =
+            gates.iter().map(|(q, m)| (q.as_slice(), m)).collect();
+        let exec = SweepExecutor::new(SweepConfig::with_block_amps(1 << 3));
+
+        let mut batch = StateBatch::<f64>::new(n);
+        for _ in 0..3 {
+            batch.push_state(None).unwrap();
+        }
+        let token = CancelToken::new();
+        let cancels = vec![None, Some(token.clone()), None];
+        let narrow = exec.prepare_run(1 << live, runs.iter().copied());
+        assert!(apply_run_gang(&narrow, &mut batch, &cancels).is_empty());
+        apply_gate_gang(&mut batch, n, &[n - 1], &h_matrix());
+
+        token.cancel();
+        let wide = exec.prepare_run(1 << n, runs.iter().copied());
+        assert_eq!(apply_run_gang(&wide, &mut batch, &cancels), vec![(1, CancelCause::Requested)]);
+        assert_eq!(batch.take(1).map(|b| b.len()), Some(1 << n));
+
+        let mut reference = StateVector::<f64>::new(n);
+        exec.apply_run(reference.amplitudes_mut(), runs.iter().copied());
+        kernels::apply_gate_par(reference.amplitudes_mut(), &[n - 1], &h_matrix());
+        exec.apply_run(reference.amplitudes_mut(), runs.iter().copied());
+        for i in [0, 2] {
+            assert_eq!(batch.state(i).unwrap(), reference.amplitudes(), "slot {i}");
+        }
     }
 }

@@ -48,6 +48,9 @@ pub const MAX_GATE_QUBITS: usize = 6;
 /// chunked so each rayon task touches at least this many amplitudes
 /// (`with_min_len(PAR_GRAIN_AMPS / amps_per_item)`). How many *states* of a
 /// gang share a task is a separate quantity, private to [`crate::batch`].
+/// A backend that applies gates to a prefix of a state must keep the
+/// prefix at least this long, or the dispatching entry switches to the
+/// scalar reference and rounds differently (DESIGN.md §5.1).
 /// 2^12 amplitudes is
 /// 32–64 KiB — about one L1 cache worth of work per task, large enough to
 /// amortize work-stealing overhead and small enough to load-balance.

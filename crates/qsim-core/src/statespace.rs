@@ -16,8 +16,7 @@ use crate::matrix::extract_bits;
 use crate::statevec::StateVector;
 use crate::types::{Cplx, Float};
 
-/// Below this state size the cumulative-scan operations (sampling,
-/// measurement pick) and `probabilities` run sequentially: the whole
+/// Below this state size `probabilities` runs sequentially: the whole
 /// state fits in cache and thread fan-out would dominate.
 const PAR_THRESHOLD_AMPS: usize = 1 << 12;
 
@@ -25,6 +24,13 @@ const PAR_THRESHOLD_AMPS: usize = 1 << 12;
 const SCAN_CHUNK_AMPS: usize = 1 << 14;
 
 /// Per-chunk `Σ|c_i|²` partial sums (in `f64`), computed in parallel.
+///
+/// Sampling and measurement fold these **in chunk order**: each sum is one
+/// add chain over a fixed index range, so the fold is the same on any
+/// thread count (a rayon reduction associates by piece) and on any
+/// zero-extension of `amps` — trailing `+0` chunks add nothing. That is
+/// what lets a backend scan only the live prefix of a state and a sharded
+/// run scan the gathered whole, and both draw the same outcomes.
 fn chunk_norm_sums<F: Float>(amps: &[Cplx<F>], chunk: usize) -> Vec<f64> {
     let mut sums = vec![0.0f64; amps.len().div_ceil(chunk)];
     sums.par_iter_mut().enumerate().with_min_len(1).for_each(|(ci, s)| {
@@ -41,9 +47,10 @@ pub fn norm_sqr<F: Float>(amps: &[Cplx<F>]) -> f64 {
     amps.par_iter().with_min_len(4096).map(|a| a.norm_sqr().to_f64()).sum()
 }
 
-/// Rescale the state to unit norm. Panics on the zero vector.
+/// Rescale the state to unit norm (taken in chunk order, see
+/// `chunk_norm_sums`). Panics on the zero vector.
 pub fn normalize<F: Float>(amps: &mut [Cplx<F>]) {
-    let n = norm_sqr(amps);
+    let n: f64 = chunk_norm_sums(amps, SCAN_CHUNK_AMPS).iter().sum();
     assert!(n > 0.0, "cannot normalize the zero vector");
     let inv = F::from_f64(1.0 / n.sqrt());
     amps.par_iter_mut().with_min_len(4096).for_each(|a| *a = a.scale(inv));
@@ -126,10 +133,13 @@ pub fn probabilities<F: Float>(state: &StateVector<F>) -> Vec<f64> {
 /// first makes this a single cumulative pass over the state (qsim's
 /// `SampleKernel` strategy), O(N + m·log m).
 ///
-/// Above a small-state threshold the cumulative pass is chunk-parallel:
-/// per-chunk probability masses are reduced in parallel, a sequential
-/// prefix over the (few) chunk sums assigns each sorted target to its
-/// chunk, and the chunks then resolve their own targets concurrently.
+/// Two passes, both chunk-parallel: per-chunk probability masses, whose
+/// prefix in chunk order gives the state's total mass and assigns each
+/// sorted target to its chunk; then the chunks resolve their own targets
+/// concurrently. The uniforms are scaled by the total once (slightly
+/// unnormalized states are tolerated) rather than every amplitude divided
+/// by it. The result is the same on any thread count and on any
+/// zero-extension of `amps`.
 pub fn sample<F: Float, R: Rng + ?Sized>(
     amps: &[Cplx<F>],
     num_samples: usize,
@@ -138,47 +148,22 @@ pub fn sample<F: Float, R: Rng + ?Sized>(
     if num_samples == 0 {
         return Vec::new();
     }
-    // (uniform, original position) sorted by uniform.
-    let mut targets: Vec<(f64, usize)> = (0..num_samples).map(|s| (rng.gen::<f64>(), s)).collect();
-    targets.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("uniforms are finite"));
-
-    let mut out = vec![0u64; num_samples];
-    let total = norm_sqr(amps); // tolerate slightly unnormalized states
-
-    if amps.len() < PAR_THRESHOLD_AMPS {
-        let mut cum = 0.0f64;
-        let mut t = 0usize;
-        for (i, a) in amps.iter().enumerate() {
-            cum += a.norm_sqr().to_f64() / total;
-            while t < num_samples && targets[t].0 < cum {
-                out[targets[t].1] = i as u64;
-                t += 1;
-            }
-            if t == num_samples {
-                break;
-            }
-        }
-        // Float round-off can leave a few targets ≥ cum; they belong to
-        // the last basis state.
-        let last = (amps.len() - 1) as u64;
-        while t < num_samples {
-            out[targets[t].1] = last;
-            t += 1;
-        }
-        return out;
-    }
-
     let chunk = SCAN_CHUNK_AMPS;
     let sums = chunk_norm_sums(amps, chunk);
-    // Exclusive prefix of the normalized chunk masses: chunk `ci` owns
-    // cumulative range [starts[ci], starts[ci + 1]).
+    // Exclusive prefix of the chunk masses: chunk `ci` owns cumulative
+    // range [starts[ci], starts[ci + 1]).
     let mut starts = Vec::with_capacity(sums.len() + 1);
-    let mut acc = 0.0f64;
+    let mut total = 0.0f64;
     for s in &sums {
-        starts.push(acc);
-        acc += s / total;
+        starts.push(total);
+        total += s;
     }
-    starts.push(acc);
+    starts.push(total);
+
+    // (uniform scaled to the total mass, original position), sorted.
+    let mut targets: Vec<(f64, usize)> =
+        (0..num_samples).map(|s| (rng.gen::<f64>() * total, s)).collect();
+    targets.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("uniforms are finite"));
 
     // Each chunk resolves its own target range (disjoint by construction)
     // into (original sample position, basis index) pairs.
@@ -200,7 +185,7 @@ pub fn sample<F: Float, R: Rng + ?Sized>(
         let mut cum = starts[ci];
         let mut t = t0;
         for (i, a) in amps[lo..hi].iter().enumerate() {
-            cum += a.norm_sqr().to_f64() / total;
+            cum += a.norm_sqr().to_f64();
             while t < t1 && targets[t].0 < cum {
                 resolved.push((targets[t].1, (lo + i) as u64));
                 t += 1;
@@ -215,6 +200,7 @@ pub fn sample<F: Float, R: Rng + ?Sized>(
             t += 1;
         }
     });
+    let mut out = vec![0u64; num_samples];
     for (pos, idx) in per_chunk.into_iter().flatten() {
         out[pos] = idx;
     }
@@ -250,33 +236,24 @@ pub fn measure<F: Float, R: Rng + ?Sized>(
     // under unitaries acting on the unmeasured qubits, so differently fused
     // plans of one circuit reproduce identical measurement records.
     let sectors = 1usize << qubits.len();
-    let masses: Vec<f64> = if amps.len() >= PAR_THRESHOLD_AMPS && sectors <= SCAN_CHUNK_AMPS {
-        amps.par_chunks(SCAN_CHUNK_AMPS)
-            .enumerate()
-            .map(|(ci, chunk)| {
-                let base = ci * SCAN_CHUNK_AMPS;
-                let mut m = vec![0.0f64; sectors];
-                for (i, a) in chunk.iter().enumerate() {
-                    m[extract_bits(base + i, qubits)] += a.norm_sqr().to_f64();
-                }
-                m
-            })
-            .reduce(
-                || vec![0.0f64; sectors],
-                |mut acc, m| {
-                    for (x, y) in acc.iter_mut().zip(m) {
-                        *x += y;
-                    }
-                    acc
-                },
-            )
-    } else {
-        let mut m = vec![0.0f64; sectors];
-        for (i, a) in amps.iter().enumerate() {
-            m[extract_bits(i, qubits)] += a.norm_sqr().to_f64();
+    // Per-chunk sector masses, folded in chunk order for the reason
+    // `chunk_norm_sums` gives. Chunks grow with the sector count so the
+    // per-chunk tables stay under a sixteenth of the amplitudes.
+    let chunk = SCAN_CHUNK_AMPS.max(sectors << 4);
+    let mut per_chunk = vec![0.0f64; amps.len().div_ceil(chunk) * sectors];
+    per_chunk.par_chunks_mut(sectors).enumerate().with_min_len(1).for_each(|(ci, m)| {
+        let lo = ci * chunk;
+        let hi = (lo + chunk).min(amps.len());
+        for (i, a) in amps[lo..hi].iter().enumerate() {
+            m[extract_bits(lo + i, qubits)] += a.norm_sqr().to_f64();
         }
-        m
-    };
+    });
+    let mut masses = vec![0.0f64; sectors];
+    for m in per_chunk.chunks(sectors) {
+        for (x, y) in masses.iter_mut().zip(m) {
+            *x += y;
+        }
+    }
     let r: f64 = rng.gen::<f64>() * masses.iter().sum::<f64>();
     let mut outcome = usize::MAX;
     let mut cum = 0.0;
@@ -554,6 +531,33 @@ mod tests {
         }
         let frac = ones as f64 / 200.0;
         assert!((frac - 0.5).abs() < 0.12, "fraction {frac}");
+    }
+
+    /// Sampling and measurement see only chunk-ordered sums, so a state and
+    /// its zero-extension (what a backend's live prefix is to the whole
+    /// buffer) draw the same samples and collapse to the same bits — on
+    /// any thread count.
+    #[test]
+    fn sample_and_measure_ignore_a_zero_extension() {
+        use rand::Rng;
+        let (n, wide) = (15, 18); // two scan chunks, extended to sixteen
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut prefix = SV::new(n);
+        for a in prefix.amplitudes_mut() {
+            *a = Cplx::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5);
+        }
+        normalize(&mut prefix);
+        let mut full = SV::new(wide);
+        full.amplitudes_mut()[..1 << n].copy_from_slice(prefix.amplitudes());
+
+        let draw = |sv: &SV| sample(sv, 500, &mut StdRng::seed_from_u64(21));
+        assert_eq!(draw(&prefix), draw(&full));
+
+        let qubits = [3, 9, 14];
+        let (mut r1, mut r2) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+        assert_eq!(measure(&mut prefix, &qubits, &mut r1), measure(&mut full, &qubits, &mut r2));
+        assert_eq!(prefix.amplitudes(), &full.amplitudes()[..1 << n]);
+        assert!(full.amplitudes()[1 << n..].iter().all(|a| *a == Cplx::zero()));
     }
 
     #[test]

@@ -675,6 +675,8 @@ impl MultiGcdBackend {
             peak_state_bytes: dist.state_bytes_total,
             buffer_reused: false,
             state_passes: dist.fused_gates as u64,
+            // The shard walk applies every gate at full width.
+            amp_updates: (dist.fused_gates as u64) << dist.num_qubits,
             analysis_warnings: Vec::new(),
             isa: isa.name().into(),
             gate_class_counts: qsim_backends::report::GateClassCount::from_grid(grid),
