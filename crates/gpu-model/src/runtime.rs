@@ -291,11 +291,6 @@ impl Gpu {
         self.timeline.lock().advance_host(us);
     }
 
-    /// Current simulated host time, µs.
-    pub fn now_us(&self) -> f64 {
-        self.timeline.lock().host_now_us()
-    }
-
     /// `(allocated, peak, free)` device memory in bytes.
     pub fn memory_usage(&self) -> (u64, u64, u64) {
         let p = self.pool.lock();

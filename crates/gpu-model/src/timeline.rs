@@ -122,12 +122,6 @@ impl Timeline {
         max
     }
 
-    /// Current host-side simulated time, µs (advances only at
-    /// synchronization points).
-    pub fn host_now_us(&self) -> f64 {
-        self.host_now_us
-    }
-
     /// Advance the host cursor by `us` of host-side work (e.g. gate
     /// fusion running on the CPU between launches).
     pub fn advance_host(&mut self, us: f64) {

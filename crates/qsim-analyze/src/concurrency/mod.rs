@@ -27,7 +27,6 @@
 //! code improves.
 
 use std::collections::HashSet;
-use std::fs;
 use std::io;
 use std::path::Path;
 
@@ -290,20 +289,6 @@ pub fn analyze_workspace(root: &Path, allowlist: &Allowlist) -> io::Result<ConcR
         );
     }
     Ok(report)
-}
-
-/// Convenience wrapper: load the allowlist file when it exists, then
-/// analyze. A missing allowlist is an empty allowlist, not an error.
-pub fn analyze_workspace_with_allowlist_file(
-    root: &Path,
-    allowlist_path: &Path,
-) -> io::Result<ConcReport> {
-    let allowlist = match fs::read_to_string(allowlist_path) {
-        Ok(text) => Allowlist::parse(&text),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Allowlist::default(),
-        Err(e) => return Err(e),
-    };
-    analyze_workspace(root, &allowlist)
 }
 
 #[cfg(test)]

@@ -212,12 +212,6 @@ impl Analyzer {
         self
     }
 
-    /// Add a custom plan rule (builder style).
-    pub fn with_plan_rule(mut self, rule: Box<dyn PlanRule>) -> Analyzer {
-        self.plan_rules.push(rule);
-        self
-    }
-
     /// Run every registered circuit rule over `circuit`.
     pub fn analyze_circuit(&self, circuit: &Circuit) -> AnalysisReport {
         let ctx = CircuitCtx { circuit };

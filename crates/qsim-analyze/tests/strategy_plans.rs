@@ -10,19 +10,36 @@ use qsim_circuit::gates::GateKind;
 use qsim_circuit::library;
 use qsim_core::sweep::SweepConfig;
 use qsim_core::types::Precision;
-use qsim_fusion::{plan, CpuCostModel, FusionCostModel, FusionStrategy, GpuCostModel};
+use qsim_fusion::{plan, FusionStrategy, LaunchCostModel, LaunchPolicy};
 
-fn models() -> Vec<Box<dyn FusionCostModel>> {
-    vec![
-        Box::new(CpuCostModel::new(
-            DeviceSpec::epyc_trento(),
-            2,
-            SweepConfig::default(),
-            Precision::Double,
-        )),
-        Box::new(GpuCostModel::new(DeviceSpec::mi250x_gcd(), 2.0, Precision::Single)),
-        Box::new(GpuCostModel::new(DeviceSpec::a100(), 0.05, Precision::Single)),
-    ]
+fn models() -> Vec<LaunchCostModel> {
+    let gpu = |spec, low_qubit_byte_overhead| LaunchCostModel {
+        spec,
+        policy: LaunchPolicy {
+            tpb_high: 64,
+            tpb_low: 32,
+            low_qubit_byte_overhead,
+            shuffle_flops_per_low_qubit: 4.0,
+            uploads_matrices: true,
+            lane_qubits: 0,
+            sweep: SweepConfig::disabled(),
+        },
+        precision: Precision::Single,
+    };
+    let cpu = LaunchCostModel {
+        spec: DeviceSpec::epyc_trento(),
+        policy: LaunchPolicy {
+            tpb_high: 128,
+            tpb_low: 128,
+            low_qubit_byte_overhead: 0.06,
+            shuffle_flops_per_low_qubit: 6.0,
+            uploads_matrices: false,
+            lane_qubits: 2,
+            sweep: SweepConfig::default(),
+        },
+        precision: Precision::Double,
+    };
+    vec![cpu, gpu(DeviceSpec::mi250x_gcd(), 2.0), gpu(DeviceSpec::a100(), 0.05)]
 }
 
 /// Every strategy × cost model × fusion budget produces a plan the full
@@ -35,12 +52,12 @@ fn every_strategy_passes_full_analysis() {
     for model in models() {
         for strategy in FusionStrategy::ALL {
             for max_fused in 2..=5 {
-                let p = plan(&circuit, strategy, max_fused, model.as_ref());
+                let p = plan(&circuit, strategy, max_fused, &model);
                 let report = analyzer.analyze_fused(&circuit, &p.fused, SweepConfig::default());
                 assert!(
                     report.passes(true),
                     "{strategy:?} f={max_fused} on {}: {report:?}",
-                    model.name()
+                    model.spec.name
                 );
             }
         }
@@ -62,9 +79,9 @@ fn cost_plans_with_measurements_pass_pre_run_gate() {
     let analyzer = Analyzer::pre_run();
     for model in models() {
         for strategy in FusionStrategy::ALL {
-            let p = plan(&circuit, strategy, 4, model.as_ref());
+            let p = plan(&circuit, strategy, 4, &model);
             let report = analyzer.analyze_plan(&p.fused, Some(&circuit), SweepConfig::default());
-            assert!(!report.has_errors(), "{strategy:?} on {}: {report:?}", model.name());
+            assert!(!report.has_errors(), "{strategy:?} on {}: {report:?}", model.spec.name);
         }
     }
 }

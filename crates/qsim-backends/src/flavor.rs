@@ -4,6 +4,9 @@
 
 use gpu_model::specs::DeviceSpec;
 use qsim_core::kernels::KernelClass;
+use qsim_core::sweep::SweepConfig;
+use qsim_core::types::Precision;
+use qsim_fusion::LaunchPolicy;
 
 /// Which qsim backend is being modeled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,24 +62,6 @@ impl Flavor {
         }
     }
 
-    /// Threads per block for a gate kernel of the given class.
-    ///
-    /// The paper (§4): *"we assign 32 threads per block for
-    /// ApplyGateL_Kernel and 64 threads per block for ApplyGateH_Kernel.
-    /// These parameters are fixed as they correspond to the size of the
-    /// shared memory arrays"* — and keeping the 32-thread `L` blocks is
-    /// exactly what underutilizes the AMD 64-lane wavefront. The CPU
-    /// flavor "block" is the OpenMP team (128 threads, two per core).
-    pub fn threads_per_block(&self, class: KernelClass) -> u32 {
-        match self {
-            Flavor::CpuAvx => 128,
-            _ => match class {
-                KernelClass::High => 64,
-                KernelClass::Low => 32,
-            },
-        }
-    }
-
     /// Kernel symbol for traces, matching what rocprof/nsys shows for each
     /// backend.
     pub fn kernel_name(&self, class: KernelClass) -> &'static str {
@@ -87,17 +72,6 @@ impl Flavor {
                 KernelClass::Low => "custatevec::applyMatrix_L",
             },
             Flavor::Cuda | Flavor::Hip => class.kernel_name(),
-        }
-    }
-
-    /// Extra arithmetic charged per amplitude per *low* target qubit in
-    /// `ApplyGateL_Kernel`-class launches: index arithmetic for the data
-    /// rearrangement the paper's §2.2(3) describes. Small on every flavor
-    /// (shuffles are register/LDS operations, not FMAs).
-    pub fn shuffle_flops_per_low_qubit(&self) -> f64 {
-        match self {
-            Flavor::CpuAvx => 6.0, // in-register shuffles of the AVX path
-            _ => 4.0,
         }
     }
 
@@ -124,11 +98,48 @@ impl Flavor {
         }
     }
 
-    /// Whether gate matrices travel over the host↔device link before each
-    /// kernel (the `hipMemcpyAsync` activity of Figures 1 and 6). The CPU
-    /// backend reads them from host memory directly.
-    pub fn uploads_matrices(&self) -> bool {
-        !matches!(self, Flavor::CpuAvx)
+    /// How this flavor launches fused-gate kernels at `precision` — the
+    /// one place a [`LaunchPolicy`] is filled in, read by the plan walkers
+    /// (through [`crate::plan::gate_kernel_desc`]) and by the fusion cost
+    /// model alike. `sweep` is the host's cache-blocked sweep setting and
+    /// `low_overhead_override` replaces [`Self::low_qubit_byte_overhead`]
+    /// (ablations).
+    ///
+    /// Block sizes are the paper's (§4): *"we assign 32 threads per block
+    /// for ApplyGateL_Kernel and 64 threads per block for
+    /// ApplyGateH_Kernel. These parameters are fixed as they correspond to
+    /// the size of the shared memory arrays"* — and keeping the 32-thread
+    /// `L` blocks is exactly what underutilizes the AMD 64-lane wavefront.
+    /// The CPU flavor's "block" is the OpenMP team (128 threads, two per
+    /// core). Only the CPU flavor runs on host SIMD lanes, executes blocked
+    /// sweeps, and reads gate matrices from host memory directly; on the
+    /// GPU flavors they travel over the host↔device link before each
+    /// kernel (the `hipMemcpyAsync` activity of Figures 1 and 6). The
+    /// shuffle flops per low target — index arithmetic for the data
+    /// rearrangement of the paper's §2.2(3) — are small everywhere
+    /// (shuffles are register/LDS operations, not FMAs).
+    pub fn launch_policy(
+        &self,
+        precision: Precision,
+        sweep: SweepConfig,
+        low_overhead_override: Option<f64>,
+    ) -> LaunchPolicy {
+        let host = *self == Flavor::CpuAvx;
+        let (tpb_high, tpb_low) = if host { (128, 128) } else { (64, 32) };
+        LaunchPolicy {
+            tpb_high,
+            tpb_low,
+            low_qubit_byte_overhead: low_overhead_override
+                .unwrap_or_else(|| self.low_qubit_byte_overhead()),
+            shuffle_flops_per_low_qubit: if host { 6.0 } else { 4.0 },
+            uploads_matrices: !host,
+            lane_qubits: if host {
+                qsim_core::simd::active_isa().lane_qubits(precision)
+            } else {
+                0
+            },
+            sweep: if host { sweep } else { SweepConfig::disabled() },
+        }
     }
 }
 
@@ -172,27 +183,51 @@ mod tests {
         assert_eq!(cusv.mem_bw_gib_s, cuda.mem_bw_gib_s);
     }
 
+    fn policy(flavor: Flavor) -> LaunchPolicy {
+        flavor.launch_policy(Precision::Single, SweepConfig::default(), None)
+    }
+
     #[test]
     fn block_sizes_match_the_paper() {
         for f in [Flavor::Cuda, Flavor::CuStateVec, Flavor::Hip] {
-            assert_eq!(f.threads_per_block(KernelClass::High), 64);
-            assert_eq!(f.threads_per_block(KernelClass::Low), 32);
+            assert_eq!((policy(f).tpb_high, policy(f).tpb_low), (64, 32));
         }
-        assert_eq!(Flavor::CpuAvx.threads_per_block(KernelClass::High), 128);
+        assert_eq!(policy(Flavor::CpuAvx).tpb_high, 128);
     }
 
     #[test]
     fn hip_low_kernel_underfills_wavefront() {
         let spec = Flavor::Hip.default_spec();
-        let tpb = Flavor::Hip.threads_per_block(KernelClass::Low);
         assert_eq!(
-            gpu_model::perf::wave_utilization(tpb, spec.wavefront_width),
+            gpu_model::perf::wave_utilization(policy(Flavor::Hip).tpb_low, spec.wavefront_width),
             0.5,
             "the paper's core architectural effect"
         );
         // ...while the CUDA flavor's L kernel fills its warp.
         let spec = Flavor::Cuda.default_spec();
-        assert_eq!(gpu_model::perf::wave_utilization(32, spec.wavefront_width), 1.0);
+        assert_eq!(
+            gpu_model::perf::wave_utilization(policy(Flavor::Cuda).tpb_low, spec.wavefront_width),
+            1.0
+        );
+    }
+
+    #[test]
+    fn only_the_host_flavor_sweeps_and_splits_lanes() {
+        let lanes = qsim_core::simd::active_isa().lane_qubits(Precision::Double);
+        let sweep = SweepConfig::with_block_amps(1 << 8);
+        let cpu = Flavor::CpuAvx.launch_policy(Precision::Double, sweep, None);
+        assert_eq!((cpu.sweep, cpu.lane_qubits, cpu.uploads_matrices), (sweep, lanes, false));
+        for f in [Flavor::Cuda, Flavor::CuStateVec, Flavor::Hip] {
+            let gpu = f.launch_policy(Precision::Double, sweep, None);
+            assert_eq!(
+                (gpu.sweep, gpu.lane_qubits, gpu.uploads_matrices),
+                (SweepConfig::disabled(), 0, true)
+            );
+        }
+        // The ablation override replaces the flavor's calibration.
+        assert_eq!(policy(Flavor::Hip).low_qubit_byte_overhead, 2.0);
+        let ablated = Flavor::Hip.launch_policy(Precision::Single, sweep, Some(0.05));
+        assert_eq!(ablated.low_qubit_byte_overhead, 0.05);
     }
 
     #[test]
@@ -212,12 +247,5 @@ mod tests {
         let err = "rocm".parse::<Flavor>().unwrap_err();
         assert!(err.contains("unknown backend 'rocm'"));
         assert!(err.contains(Flavor::NAMES));
-    }
-
-    #[test]
-    fn matrix_upload_policy() {
-        assert!(!Flavor::CpuAvx.uploads_matrices());
-        assert!(Flavor::Hip.uploads_matrices());
-        assert!(Flavor::Cuda.uploads_matrices());
     }
 }

@@ -17,6 +17,13 @@
 //! The architectural difference the paper identifies survives the port:
 //! the HIP flavor launches `ApplyGateL_Kernel` with 32-thread blocks on a
 //! 64-lane wavefront device.
+//!
+//! What a flavor's launches cost is decided in one place:
+//! [`Flavor::launch_policy`] fills in a [`LaunchPolicy`], the plan walker
+//! charges every gate through [`plan::gate_kernel_desc`] (a kernel symbol
+//! around [`LaunchPolicy::gate_profile`]), and [`SimBackend::cost_model`]
+//! is a [`LaunchCostModel`] over the same policy — so the fusion planner
+//! predicts exactly the gate seconds the timeline is then charged.
 
 pub mod batch_run;
 pub mod flavor;
@@ -32,7 +39,7 @@ pub use flavor::Flavor;
 pub use qsim_core::cancel::{CancelCause, CancelToken};
 pub use qsim_core::sweep::{SweepConfig, SweepStats};
 pub use qsim_fusion::{
-    CpuCostModel, FusionCostModel, FusionPlan, FusionStats, FusionStrategy, GpuCostModel,
+    FusionCostModel, FusionPlan, FusionStats, FusionStrategy, LaunchCostModel, LaunchPolicy,
     TrafficEstimate,
 };
 pub use report::{KernelStat, RunOptions, RunReport};

@@ -4,108 +4,112 @@
 //! flavor.
 
 use gpu_model::runtime::{KernelDesc, KernelWork};
-use qsim_core::kernels::{classify_gate, fused_gate_work, KernelClass};
+use qsim_core::kernels::classify_gate;
+use qsim_core::types::Precision;
+use qsim_fusion::LaunchPolicy;
 
 use crate::flavor::Flavor;
 
-/// Kernel descriptor for initialising an `len`-amplitude state vector
-/// on-device (`SetStateKernel`).
-pub fn init_kernel_desc(
-    flavor: Flavor,
+/// A one-pass kernel over all `len` amplitudes in High-class blocks.
+fn full_pass_desc(
+    name: &str,
+    policy: &LaunchPolicy,
     len: usize,
-    amp_bytes: usize,
-    double_precision: bool,
+    precision: Precision,
+    flops: f64,
 ) -> KernelDesc {
-    let tpb = flavor.threads_per_block(KernelClass::High);
+    let tpb = policy.tpb_high;
     KernelDesc {
-        name: "SetStateKernel".into(),
+        name: name.into(),
         blocks: ((len as u64) / 2 / tpb as u64).max(1),
         threads_per_block: tpb,
         shared_mem_bytes: 0,
-        work: KernelWork { bytes: (len * amp_bytes) as f64, flops: 0.0, passes: 1.0 },
-        double_precision,
+        work: KernelWork { bytes: (len * precision.amplitude_bytes()) as f64, flops, passes: 1.0 },
+        double_precision: precision == Precision::Double,
     }
+}
+
+/// Kernel descriptor for initialising an `len`-amplitude state vector
+/// on-device (`SetStateKernel`).
+pub fn init_kernel_desc(policy: &LaunchPolicy, len: usize, precision: Precision) -> KernelDesc {
+    full_pass_desc("SetStateKernel", policy, len, precision, 0.0)
 }
 
 /// Kernel descriptor for sampling bitstrings from an `len`-amplitude state
 /// on-device (qsim's `SampleKernel`: one cumulative pass over the
 /// probabilities).
-pub fn sample_kernel_desc(
-    flavor: Flavor,
-    len: usize,
-    amp_bytes: usize,
-    double_precision: bool,
-) -> KernelDesc {
-    let tpb = flavor.threads_per_block(KernelClass::High);
-    KernelDesc {
-        name: "SampleKernel".into(),
-        blocks: ((len as u64) / 2 / tpb as u64).max(1),
-        threads_per_block: tpb,
-        shared_mem_bytes: 0,
-        work: KernelWork { bytes: (len * amp_bytes) as f64, flops: len as f64 * 4.0, passes: 1.0 },
-        double_precision,
-    }
+pub fn sample_kernel_desc(policy: &LaunchPolicy, len: usize, precision: Precision) -> KernelDesc {
+    full_pass_desc("SampleKernel", policy, len, precision, len as f64 * 4.0)
 }
 
 /// Kernel descriptor for one fused-gate pass over an `n`-qubit state:
-/// qsim's block geometry (each thread owns two amplitudes; 32-thread
-/// blocks for L-class, 64 for H-class) and the roofline work accounting,
-/// including the shared-memory rearrangement surcharge per low qubit.
+/// the flavor's kernel symbol around [`LaunchPolicy::gate_profile`] — the
+/// grid and work the fusion planner priced the gate with, so planning and
+/// launch charging agree by construction.
 ///
 /// `qubits` are the gate's **physical slot** indices on the device (for
 /// the distributed backend these can differ from the circuit's logical
-/// qubits); `low_overhead_override` replaces
-/// [`Flavor::low_qubit_byte_overhead`] when set (ablations).
+/// qubits); `opens_pass` is whether the gate begins a pass over the state
+/// or joins the open cache-blocked run
+/// ([`qsim_core::sweep::PassTracker::on_gate`]).
 pub fn gate_kernel_desc(
     flavor: Flavor,
+    policy: &LaunchPolicy,
     n: usize,
     qubits: &[usize],
-    amp_bytes: usize,
-    double_precision: bool,
-    low_overhead_override: Option<f64>,
+    precision: Precision,
+    opens_pass: bool,
 ) -> KernelDesc {
-    let len = 1usize << n;
-    let class = classify_gate(qubits);
-    // Shared cost kernel (see [`qsim_core::kernels::fused_gate_work`] for
-    // the low-qubit surcharge rationale) — the fusion planner prices
-    // candidate merges through the same function, so planning and launch
-    // charging agree by construction.
-    let overhead = low_overhead_override.unwrap_or(flavor.low_qubit_byte_overhead());
-    let work =
-        fused_gate_work(n, qubits, amp_bytes, overhead, flavor.shuffle_flops_per_low_qubit());
-    let tpb = flavor.threads_per_block(class);
+    let profile = policy.gate_profile(n, qubits, precision, LaunchPolicy::pass_share(opens_pass));
     KernelDesc {
-        name: flavor.kernel_name(class).into(),
-        blocks: ((len as u64) / 2 / tpb as u64).max(1),
-        threads_per_block: tpb,
+        name: flavor.kernel_name(classify_gate(qubits)).into(),
+        blocks: profile.blocks,
+        threads_per_block: profile.threads_per_block,
         // Per-thread double-buffered tile through shared memory plus a
         // small fixed region for the matrix and index tables.
-        shared_mem_bytes: (tpb as usize * 4 * amp_bytes + 1024) as u32,
-        work: KernelWork { bytes: work.bytes, flops: work.flops, passes: 1.0 },
-        double_precision,
+        shared_mem_bytes: (profile.threads_per_block as usize * 4 * precision.amplitude_bytes()
+            + 1024) as u32,
+        work: KernelWork {
+            bytes: profile.bytes,
+            flops: profile.flops,
+            passes: if opens_pass { 1.0 } else { 0.0 },
+        },
+        double_precision: profile.double_precision,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsim_core::kernels::gate_work;
+    use qsim_core::sweep::SweepConfig;
+
+    fn policy(flavor: Flavor, precision: Precision, overhead: Option<f64>) -> LaunchPolicy {
+        flavor.launch_policy(precision, SweepConfig::default(), overhead)
+    }
 
     #[test]
     fn init_desc_geometry() {
-        let d = init_kernel_desc(Flavor::Hip, 1 << 20, 8, false);
+        let hip = policy(Flavor::Hip, Precision::Single, None);
+        let d = init_kernel_desc(&hip, 1 << 20, Precision::Single);
         assert_eq!(d.name, "SetStateKernel");
         assert_eq!(d.threads_per_block, 64);
         assert_eq!(d.blocks, (1 << 19) / 64);
         assert_eq!(d.work.bytes, (1u64 << 23) as f64);
+        assert_eq!(d.work.flops, 0.0);
+        let s = sample_kernel_desc(&hip, 1 << 20, Precision::Single);
+        assert_eq!(s.name, "SampleKernel");
+        assert_eq!((s.blocks, s.work.bytes), (d.blocks, d.work.bytes));
+        assert_eq!(s.work.flops, (1u64 << 22) as f64);
     }
 
     #[test]
     fn gate_desc_routes_by_class() {
-        let high = gate_kernel_desc(Flavor::Hip, 20, &[7, 12], 8, false, None);
+        let hip = policy(Flavor::Hip, Precision::Single, None);
+        let high = gate_kernel_desc(Flavor::Hip, &hip, 20, &[7, 12], Precision::Single, true);
         assert_eq!(high.name, "ApplyGateH_Kernel");
         assert_eq!(high.threads_per_block, 64);
-        let low = gate_kernel_desc(Flavor::Hip, 20, &[2, 12], 8, false, None);
+        assert_eq!(high.blocks, (1 << 19) / 64);
+        let low = gate_kernel_desc(Flavor::Hip, &hip, 20, &[2, 12], Precision::Single, true);
         assert_eq!(low.name, "ApplyGateL_Kernel");
         assert_eq!(low.threads_per_block, 32);
         // Low kernels carry extra modeled traffic.
@@ -114,17 +118,31 @@ mod tests {
 
     #[test]
     fn override_controls_low_overhead() {
-        let default = gate_kernel_desc(Flavor::Hip, 20, &[0, 1, 8, 9], 8, false, None);
-        let fixed = gate_kernel_desc(Flavor::Hip, 20, &[0, 1, 8, 9], 8, false, Some(0.0));
+        let qubits = [0, 1, 8, 9];
+        let hip = policy(Flavor::Hip, Precision::Single, None);
+        let ablated = policy(Flavor::Hip, Precision::Single, Some(0.0));
+        let default = gate_kernel_desc(Flavor::Hip, &hip, 20, &qubits, Precision::Single, true);
+        let fixed = gate_kernel_desc(Flavor::Hip, &ablated, 20, &qubits, Precision::Single, true);
         assert!(default.work.bytes > fixed.work.bytes);
-        let plain = gate_work(20, 4, 0, 8);
-        assert_eq!(fixed.work.bytes, plain.bytes);
+        assert_eq!(fixed.work.bytes, 2.0 * (1u64 << 20) as f64 * 8.0);
     }
 
     #[test]
     fn double_precision_flag_propagates() {
-        let d = gate_kernel_desc(Flavor::Cuda, 16, &[8], 16, true, None);
+        let cuda = policy(Flavor::Cuda, Precision::Double, None);
+        let d = gate_kernel_desc(Flavor::Cuda, &cuda, 16, &[8], Precision::Double, true);
         assert!(d.double_precision);
         assert_eq!(d.work.bytes, 2.0 * (1u64 << 16) as f64 * 16.0);
+    }
+
+    #[test]
+    fn a_joining_gate_opens_no_pass_and_moves_a_quarter_of_the_bytes() {
+        let cpu = policy(Flavor::CpuAvx, Precision::Single, None);
+        let opens = gate_kernel_desc(Flavor::CpuAvx, &cpu, 20, &[3, 9], Precision::Single, true);
+        let joins = gate_kernel_desc(Flavor::CpuAvx, &cpu, 20, &[3, 9], Precision::Single, false);
+        assert_eq!(opens.name, "ApplyGate_AVX_OMP");
+        assert_eq!((opens.work.passes, joins.work.passes), (1.0, 0.0));
+        assert_eq!(joins.work.bytes, opens.work.bytes * 0.25);
+        assert_eq!(joins.work.flops, opens.work.flops);
     }
 }

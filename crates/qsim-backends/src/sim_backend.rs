@@ -4,7 +4,7 @@
 //! [`SimBackend::run_batch`](crate::batch_run) — into the one traversal
 //! that executes a fused circuit on it ([`crate::walker`]).
 
-use gpu_model::runtime::{Gpu, KernelDesc};
+use gpu_model::runtime::Gpu;
 use gpu_model::specs::DeviceSpec;
 use gpu_model::trace::TraceSink;
 use gpu_model::GpuError;
@@ -13,8 +13,8 @@ use qsim_core::sweep::{SweepConfig, SweepExecutor};
 use qsim_core::types::{Cplx, Float, Precision};
 use qsim_core::StateVector;
 use qsim_fusion::{
-    CpuCostModel, FusedCircuit, FusionCostModel, FusionPlan, FusionStats, FusionStrategy,
-    GpuCostModel, LANE_SHUFFLE_FLOPS, SWEPT_JOIN_TRAFFIC_SHARE,
+    FusedCircuit, FusionCostModel, FusionPlan, FusionStats, FusionStrategy, LaunchCostModel,
+    LaunchPolicy,
 };
 
 use crate::flavor::Flavor;
@@ -193,26 +193,26 @@ impl SimBackend {
         *self.sweep.config()
     }
 
-    /// The sweep configuration that actually governs execution on this
-    /// flavor: only the CPU flavor executes blocked sweeps.
-    pub(crate) fn effective_sweep(&self) -> SweepConfig {
-        if self.flavor == Flavor::CpuAvx {
-            *self.sweep.config()
-        } else {
-            SweepConfig::disabled()
-        }
+    /// How this backend launches gate kernels at `precision`: the
+    /// flavor's policy under the configured sweep (only the CPU flavor
+    /// executes blocked sweeps) and any active
+    /// [`SimBackend::set_low_qubit_byte_overhead`] ablation. The walker
+    /// charges every gate launch through it and [`SimBackend::cost_model`]
+    /// prices plans with it.
+    pub(crate) fn launch_policy(&self, precision: Precision) -> LaunchPolicy {
+        self.flavor.launch_policy(precision, *self.sweep.config(), self.low_overhead_override)
     }
 
     /// The pre-run static-analysis gate ([`qsim_analyze::Analyzer::pre_run`]):
     /// error-severity findings reject the plan *before* any device memory
     /// is allocated; warning-severity findings are returned so the run
-    /// report can carry them.
+    /// report can carry them. `sweep` is the configuration the plan will
+    /// execute under.
     pub(crate) fn analyze_pre_run(
-        &self,
         fused: &FusedCircuit,
+        sweep: SweepConfig,
     ) -> Result<Vec<String>, BackendError> {
-        let report =
-            qsim_analyze::Analyzer::pre_run().analyze_plan(fused, None, self.effective_sweep());
+        let report = qsim_analyze::Analyzer::pre_run().analyze_plan(fused, None, sweep);
         if report.has_errors() {
             return Err(BackendError::AnalysisRejected(report.diagnostics));
         }
@@ -229,37 +229,6 @@ impl SimBackend {
         self.flavor
     }
 
-    /// Align a gate launch's charged work with the host execution model
-    /// (CPU flavor only): a lane-Low gate pays the in-register permute
-    /// arithmetic per lane-low target, and a gate that joins an open
-    /// cache-blocked run streams only the residual tile traffic. Uses the
-    /// same constants as [`CpuCostModel`], so a plan priced by the fusion
-    /// planner and a plan charged on the modeled timeline agree by
-    /// construction. GPU flavors are untouched (their sweep is disabled,
-    /// so `new_pass` is always true, and their lane split is already
-    /// inside the kernel work).
-    pub(crate) fn tune_host_charge(
-        &self,
-        desc: &mut KernelDesc,
-        n: usize,
-        qubits: &[usize],
-        lane_qubits: usize,
-        new_pass: bool,
-    ) {
-        if self.flavor != Flavor::CpuAvx {
-            return;
-        }
-        if qsim_core::kernels::classify_gate_at(qubits, lane_qubits)
-            == qsim_core::kernels::KernelClass::Low
-        {
-            let lane_low = qubits.iter().filter(|&&q| q < lane_qubits).count() as f64;
-            desc.work.flops += (1u64 << n) as f64 * lane_low * LANE_SHUFFLE_FLOPS;
-        }
-        if !new_pass {
-            desc.work.bytes *= SWEPT_JOIN_TRAFFIC_SHARE;
-        }
-    }
-
     /// Modeled host-side fusion cost for this circuit, µs.
     pub(crate) fn fusion_cost_us(stats: &FusionStats) -> f64 {
         stats.source_gates as f64 * FUSION_US_PER_SOURCE_GATE
@@ -267,25 +236,12 @@ impl SimBackend {
     }
 
     /// The fusion cost model matching this backend's launch accounting:
-    /// the CPU flavor prices SIMD lane class + sweep-block locality, the
-    /// GPU flavors price the High/Low kernel split through the same
-    /// roofline the run loop charges (including any active
-    /// [`SimBackend::set_low_qubit_byte_overhead`] ablation).
-    pub fn cost_model(&self, precision: qsim_core::types::Precision) -> Box<dyn FusionCostModel> {
-        let spec = self.gpu.spec().clone();
-        if self.flavor == Flavor::CpuAvx {
-            let lane_qubits = qsim_core::simd::active_isa().lane_qubits(precision);
-            Box::new(CpuCostModel::new(spec, lane_qubits, self.effective_sweep(), precision))
-        } else {
-            let overhead =
-                self.low_overhead_override.unwrap_or(self.flavor.low_qubit_byte_overhead());
-            let mut model = GpuCostModel::new(spec, overhead, precision);
-            model.tpb_high = self.flavor.threads_per_block(qsim_core::kernels::KernelClass::High);
-            model.tpb_low = self.flavor.threads_per_block(qsim_core::kernels::KernelClass::Low);
-            model.shuffle_flops_per_low_qubit = self.flavor.shuffle_flops_per_low_qubit();
-            model.uploads_matrices = self.flavor.uploads_matrices();
-            Box::new(model)
-        }
+    /// each pass priced as the walker will charge it, on this device under
+    /// [`Flavor::launch_policy`] (including the configured sweep and any
+    /// active [`SimBackend::set_low_qubit_byte_overhead`] ablation).
+    pub fn cost_model(&self, precision: Precision) -> Box<dyn FusionCostModel> {
+        let (spec, policy) = (self.gpu.spec().clone(), self.launch_policy(precision));
+        Box::new(LaunchCostModel { spec, policy, precision })
     }
 
     /// Plan a source circuit for this backend: fuse under the requested
@@ -294,7 +250,7 @@ impl SimBackend {
         &self,
         circuit: &qsim_circuit::Circuit,
         opts: &PlanOptions,
-        precision: qsim_core::types::Precision,
+        precision: Precision,
     ) -> FusionPlan {
         let model = self.cost_model(precision);
         qsim_fusion::plan(circuit, opts.strategy, opts.max_fused_qubits, model.as_ref())
@@ -318,7 +274,7 @@ impl SimBackend {
     pub fn estimate_plan(
         &self,
         plan: &FusionPlan,
-        precision: qsim_core::types::Precision,
+        precision: Precision,
     ) -> Result<RunReport, BackendError> {
         let mut report = self.estimate(&plan.fused, precision)?;
         report.fusion_strategy = plan.strategy.label().into();

@@ -280,7 +280,8 @@ impl SimBackend {
         }
         // A malformed or non-unitary plan is rejected here, before any
         // state vector is allocated.
-        let analysis_warnings = match self.analyze_pre_run(fused) {
+        let sweep = self.launch_policy(F::PRECISION).sweep;
+        let analysis_warnings = match Self::analyze_pre_run(fused, sweep) {
             Ok(w) => w,
             Err(error) => return rejected(error, subs_in),
         };
@@ -330,7 +331,7 @@ impl SimBackend {
         let n = fused.num_qubits;
         let len = 1usize << n;
         let amp_bytes = F::PRECISION.amplitude_bytes();
-        let double_precision = F::PRECISION == Precision::Double;
+        let policy = self.launch_policy(F::PRECISION);
         let mut kernel_stats: BTreeMap<String, (u64, f64)> = BTreeMap::new();
         let isa = qsim_core::simd::active_isa();
         let lane_qubits = isa.lane_qubits(F::PRECISION);
@@ -345,7 +346,7 @@ impl SimBackend {
 
         // One batched init launch covers the whole gang (acquisition
         // already wrote |0…0⟩ into every slot).
-        let mut init = init_kernel_desc(self.flavor, len, amp_bytes, double_precision);
+        let mut init = init_kernel_desc(&policy, len, F::PRECISION);
         scale_for_gang(&mut init, width(gang));
         let (s, e) = self.gpu.charge_launch(&init, StreamId::DEFAULT)?;
         bump(&mut kernel_stats, &init.name, e - s);
@@ -353,16 +354,15 @@ impl SimBackend {
 
         // Dedicated copy stream so matrix uploads overlap compute
         // (Figures 1 and 6).
-        let copy_stream = self.flavor.uploads_matrices().then(|| self.gpu.create_stream());
+        let copy_stream = policy.uploads_matrices.then(|| self.gpu.create_stream());
 
         // Cache-blocked sweep state: block-local gates are charged to the
         // modeled timeline as usual but their functional application is
         // deferred so a whole run applies to each cache block in one pass
-        // (no sweeping on GPU flavors — `effective_sweep` disables it, the
+        // (no sweeping on GPU flavors — their policy disables it, the
         // tracker then marks every gate a barrier and `pending` stays
         // empty).
-        let sweep_config = self.effective_sweep();
-        let mut tracker = PassTracker::new(&sweep_config, n);
+        let mut tracker = PassTracker::new(&policy.sweep, n);
         let mut pending: PendingRun<'a, F> = Vec::new();
 
         // Live width: every amplitude with a bit set at or above `live` is
@@ -373,7 +373,7 @@ impl SimBackend {
         // reference, which rounds differently), so results are the
         // full-width run's bit for bit; it also covers every block-local
         // gate, so only barrier gates and measurements widen `live`.
-        let floor = sweep_config.block_qubits(n).max(PAR_GRAIN_AMPS.trailing_zeros() as usize);
+        let floor = policy.sweep.block_qubits(n).max(PAR_GRAIN_AMPS.trailing_zeros() as usize);
         let mut live = floor.min(n);
         let mut amp_updates = 0u64;
 
@@ -408,17 +408,15 @@ impl SimBackend {
                         self.gpu.stream_wait_event(StreamId::DEFAULT, ev)?;
                     }
                     count_gate_class(&mut class_grid, &g.qubits, lane_qubits);
-                    let new_pass = tracker.on_gate(&g.qubits);
+                    let opens_pass = tracker.on_gate(&g.qubits);
                     let mut desc = gate_kernel_desc(
                         self.flavor,
+                        &policy,
                         n,
                         &g.qubits,
-                        amp_bytes,
-                        double_precision,
-                        self.low_overhead_override,
+                        F::PRECISION,
+                        opens_pass,
                     );
-                    desc.work.passes = if new_pass { 1.0 } else { 0.0 };
-                    self.tune_host_charge(&mut desc, n, &g.qubits, lane_qubits, new_pass);
                     scale_for_gang(&mut desc, width(gang));
                     let (s, e) = if tracker.in_run() {
                         // Block-local (so below the floor, `live` stands):
@@ -486,7 +484,7 @@ impl SimBackend {
             (0..g.subs.len()).filter(|slot| g.batch.is_active(*slot)).filter(draws).count()
         });
         if let (Some(gang), true) = (gang.as_mut(), sampling > 0) {
-            let mut desc = sample_kernel_desc(self.flavor, len, amp_bytes, double_precision);
+            let mut desc = sample_kernel_desc(&policy, len, F::PRECISION);
             scale_for_gang(&mut desc, sampling);
             let (s, e, ()) = self.gpu.launch(&desc, StreamId::DEFAULT, || {
                 for (slot, sub) in gang.subs.iter_mut().enumerate() {

@@ -76,14 +76,6 @@ impl KernelClass {
             KernelClass::Low => "ApplyGateL_Kernel",
         }
     }
-
-    /// Controlled-gate variant symbol name.
-    pub const fn controlled_kernel_name(self) -> &'static str {
-        match self {
-            KernelClass::High => "ApplyControlledGateH_Kernel",
-            KernelClass::Low => "ApplyControlledGateL_Kernel",
-        }
-    }
 }
 
 /// Classify which GPU kernel a gate on `qubits` routes to.
@@ -102,75 +94,6 @@ pub fn classify_gate_at(qubits: &[usize], threshold: usize) -> KernelClass {
     } else {
         KernelClass::High
     }
-}
-
-/// Number of target qubits of a gate that are "low" (< 5). The GPU device
-/// model charges extra shuffle work per low qubit.
-pub fn num_low_qubits(qubits: &[usize]) -> usize {
-    qubits.iter().filter(|&&q| q < LOW_QUBIT_THRESHOLD).count()
-}
-
-/// Cost accounting for one gate pass over an `n`-qubit state — the numbers
-/// the analytic device model consumes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateWork {
-    /// Bytes read + written from/to main memory (each amplitude once each
-    /// way; control-restricted passes touch only the selected half/quarter…).
-    pub bytes: f64,
-    /// Floating-point operations (8 flops per complex multiply-add).
-    pub flops: f64,
-    /// Amplitude groups processed (available parallelism).
-    pub groups: u64,
-}
-
-/// Compute the work of applying a `k`-qubit gate (with `c` control qubits)
-/// to an `n`-qubit state at `amp_bytes` bytes per amplitude.
-pub fn gate_work(n: usize, k: usize, c: usize, amp_bytes: usize) -> GateWork {
-    let total = (1u64 << n) as f64;
-    // Controls restrict the pass to the subspace where all controls are set.
-    let touched = total / (1u64 << c) as f64;
-    let dim = (1u64 << k) as f64;
-    GateWork {
-        bytes: 2.0 * touched * amp_bytes as f64,
-        // Each touched group of `dim` amplitudes does a dim×dim complex
-        // matrix-vector product: dim^2 complex mul-adds of 8 flops.
-        flops: (touched / dim) * dim * dim * 8.0,
-        groups: (touched / dim) as u64,
-    }
-}
-
-/// Work of one **fused-gate** pass including the Low-class rearrangement
-/// surcharge — the shared cost kernel behind both the backend launch
-/// planner and the fusion cost models, so a plan priced during fusion and
-/// a plan charged at launch time agree by construction.
-///
-/// On top of [`gate_work`], a gate classified [`KernelClass::Low`] (any
-/// target below [`crate::LOW_QUBIT_THRESHOLD`]) pays
-///
-/// * `shuffle_flops_per_low_qubit` extra flops per amplitude per low
-///   target (the in-register/LDS rearrangement arithmetic of the paper's
-///   §2.2(3)), and
-/// * `low_qubit_byte_overhead` extra *fractional* memory traffic per low
-///   target, scaled by `sqrt(2^k / 16)` — the staging tile grows with the
-///   fused width `k`, normalized to the paper's optimal 4-qubit fused
-///   gates (16 amplitudes).
-pub fn fused_gate_work(
-    n: usize,
-    qubits: &[usize],
-    amp_bytes: usize,
-    low_qubit_byte_overhead: f64,
-    shuffle_flops_per_low_qubit: f64,
-) -> GateWork {
-    let len = 1usize << n;
-    let k = qubits.len();
-    let mut work = gate_work(n, k, 0, amp_bytes);
-    if classify_gate(qubits) == KernelClass::Low {
-        let low = num_low_qubits(qubits) as f64;
-        work.flops += len as f64 * low * shuffle_flops_per_low_qubit;
-        let tile_scale = ((1u64 << k) as f64 / 16.0).sqrt();
-        work.bytes *= 1.0 + low * low_qubit_byte_overhead * tile_scale;
-    }
-    work
 }
 
 /// Insert zero bits into `g` at the (sorted ascending) `positions`,
@@ -744,11 +667,10 @@ mod tests {
     }
 
     #[test]
-    fn classify_and_count_low() {
+    fn classify_and_name() {
         assert_eq!(classify_gate(&[5, 9]), KernelClass::High);
         assert_eq!(classify_gate(&[4, 9]), KernelClass::Low);
         assert_eq!(classify_gate(&[0]), KernelClass::Low);
-        assert_eq!(num_low_qubits(&[0, 3, 5, 8]), 2);
         assert_eq!(KernelClass::High.kernel_name(), "ApplyGateH_Kernel");
         assert_eq!(KernelClass::Low.kernel_name(), "ApplyGateL_Kernel");
     }
@@ -782,21 +704,6 @@ mod tests {
                 assert_eq!(off, crate::matrix::deposit_bits(m, qubits));
             }
         }
-    }
-
-    #[test]
-    fn gate_work_accounting() {
-        // 1-qubit gate on 20-qubit single-precision state: touch all 2^20
-        // amplitudes, read+write 8 bytes each.
-        let w = gate_work(20, 1, 0, 8);
-        assert_eq!(w.bytes, 2.0 * 1048576.0 * 8.0);
-        assert_eq!(w.groups, 524288);
-        // flops: per group (2 amps) a 2x2 complex matvec = 4 muladds = 32 flops
-        assert_eq!(w.flops, 524288.0 * 32.0);
-
-        // One control halves the touched subspace.
-        let wc = gate_work(20, 1, 1, 8);
-        assert_eq!(wc.bytes, w.bytes / 2.0);
     }
 
     #[test]

@@ -140,8 +140,3 @@ pub fn active_isa() -> Isa {
         None => detected,
     }
 }
-
-/// Whether any SIMD tier is currently active.
-pub fn simd_enabled() -> bool {
-    active_isa() != Isa::Scalar
-}

@@ -139,11 +139,6 @@ impl<F: Float> StateVector<F> {
         self.amps.len() * std::mem::size_of::<Cplx<F>>()
     }
 
-    /// Convert every amplitude to `f64` for cross-precision comparison.
-    pub fn to_f64_amplitudes(&self) -> Vec<Cplx<f64>> {
-        self.amps.iter().map(|a| a.to_f64()).collect()
-    }
-
     /// Maximum absolute amplitude difference to another state of the same
     /// size (possibly at different precision).
     pub fn max_abs_diff<G: Float>(&self, other: &StateVector<G>) -> f64 {

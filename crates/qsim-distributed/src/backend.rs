@@ -29,9 +29,13 @@ use qsim_circuit::gates::permute_matrix_bits;
 use qsim_core::kernels::apply_gate_par;
 use qsim_core::matrix::GateMatrix;
 use qsim_core::statespace::measure;
+use qsim_core::sweep::SweepConfig;
 use qsim_core::types::{Cplx, Float, Precision};
 use qsim_core::StateVector;
-use qsim_fusion::{FusedCircuit, FusedOp, FusionCostModel, FusionPlan, FusionStrategy};
+use qsim_fusion::{
+    FusedCircuit, FusedOp, FusionCostModel, FusionPlan, FusionStrategy, LaunchCostModel,
+    LaunchPolicy,
+};
 
 use gpu_model::memory::DeviceBuffer;
 use gpu_model::runtime::{Gpu, KernelDesc, StreamId};
@@ -134,11 +138,6 @@ impl MultiGcdBackend {
         self
     }
 
-    /// Replace the scheduling/overlap options in place.
-    pub fn set_options(&mut self, options: DistOptions) {
-        self.options = options;
-    }
-
     /// The active scheduling/overlap options.
     pub fn options(&self) -> DistOptions {
         self.options
@@ -164,6 +163,14 @@ impl MultiGcdBackend {
         let d = self.devices.len().trailing_zeros() as usize;
         let m = num_qubits.saturating_sub(d);
         ((1u64) << m) * precision.amplitude_bytes() as u64
+    }
+
+    /// How every shard launches gate kernels: the flavor's policy with the
+    /// sweep disabled — the shard walk applies each gate as a pass of its
+    /// own. The walk charges with it and [`Self::cost_model`] prices with
+    /// it.
+    fn launch_policy(&self, precision: Precision) -> LaunchPolicy {
+        self.flavor.launch_policy(precision, SweepConfig::disabled(), None)
     }
 
     fn validate(&self, fused: &FusedCircuit) -> Result<(usize, usize), BackendError> {
@@ -402,7 +409,7 @@ impl MultiGcdBackend {
         let schedule = self.plan_swaps(fused, m)?;
         let shard_len = 1usize << m;
         let amp_bytes = F::PRECISION.amplitude_bytes();
-        let dp = F::PRECISION == Precision::Double;
+        let policy = self.launch_policy(F::PRECISION);
         let shard_bytes = (shard_len * amp_bytes) as u64;
         let spec_mem = self.devices[0].spec().memory_bytes;
         if shard_bytes > spec_mem {
@@ -429,7 +436,7 @@ impl MultiGcdBackend {
             }
             None => None,
         };
-        let init = init_kernel_desc(self.flavor, shard_len, amp_bytes, dp);
+        let init = init_kernel_desc(&policy, shard_len, F::PRECISION);
         self.charge_all(&init, &mut stats)?;
 
         for (i, op) in fused.ops.iter().enumerate() {
@@ -449,7 +456,8 @@ impl MultiGcdBackend {
                         &g.qubits,
                         run.is_some().then_some(&g.matrix),
                     );
-                    let desc = gate_kernel_desc(self.flavor, m, &slots, amp_bytes, dp, None);
+                    let desc =
+                        gate_kernel_desc(self.flavor, &policy, m, &slots, F::PRECISION, true);
                     self.charge_gate_timeline(&desc, exchange_us, &mut stats)?;
                     if let (Some((buffers, ..)), Some(matrix)) = (run.as_mut(), &matrix) {
                         for buf in buffers {
@@ -478,7 +486,7 @@ impl MultiGcdBackend {
             let gathered = StateVector::from_amplitudes(self.gather_logical(buffers, &layout, m));
             if *sample_count > 0 {
                 // Every device makes one cumulative sweep over its shard.
-                let desc = sample_kernel_desc(self.flavor, shard_len, amp_bytes, dp);
+                let desc = sample_kernel_desc(&policy, shard_len, F::PRECISION);
                 self.charge_all(&desc, &mut stats)?;
                 samples = qsim_core::statespace::sample(&gathered, *sample_count, rng);
             }
@@ -581,19 +589,19 @@ impl MultiGcdBackend {
 
     // ---- SimBackend-shaped planning surface -----------------------------
 
-    /// The distributed fusion cost model: the flavor's single-device model
-    /// over the *shard* width, plus modeled exchange traffic for gates the
-    /// swap scheduler must localize — so `--fusion auto` prices the
-    /// distributed config space (wide fused gates that force exchanges
-    /// lose to narrower ones that stay local).
+    /// The distributed fusion cost model: each shard's launches priced as
+    /// the walk charges them (same device, same [`LaunchPolicy`]) over the
+    /// *shard* width, plus modeled exchange traffic for gates the swap
+    /// scheduler must localize — so `--fusion auto` prices the distributed
+    /// config space (wide fused gates that force exchanges lose to
+    /// narrower ones that stay local).
     pub fn cost_model(&self, precision: Precision) -> Box<dyn FusionCostModel> {
-        Box::new(DistCostModel::new(
-            self.flavor,
-            self.devices.len(),
-            self.topology,
+        let shard = LaunchCostModel {
+            spec: self.devices[0].spec().clone(),
+            policy: self.launch_policy(precision),
             precision,
-            self.options.policy,
-        ))
+        };
+        Box::new(DistCostModel::new(shard, self.devices.len(), self.topology, self.options.policy))
     }
 
     /// Plan a source circuit for this sharded backend, priced by

@@ -1,9 +1,10 @@
 //! The distributed fusion cost model.
 //!
-//! Wraps the flavor's single-device [`FusionCostModel`] (priced over the
-//! *shard* width `m = n − d`) and adds the modeled interconnect cost of
-//! the slot swaps the [`crate::schedule`] planner would emit for the
-//! plan. Two consequences the fusion planner can now see:
+//! Wraps the single-device [`LaunchCostModel`] of one shard (priced over
+//! the *shard* width `m = n − d`, under the launch policy the shard walk
+//! charges with) and adds the modeled interconnect cost of the slot swaps
+//! the [`crate::schedule`] planner would emit for the plan. Two
+//! consequences the fusion planner can now see:
 //!
 //! * A wide fused gate that drags global qubits local pays real exchange
 //!   seconds, so `--fusion auto` stops merging once the swap traffic a
@@ -13,16 +14,14 @@
 //!   exchanged bytes across **all** devices, so the serve layer's
 //!   bandwidth ledger charges a sharded job for the fabric it occupies.
 //!
-//! The per-gate [`FusionCostModel::gate_cost`] is necessarily
+//! The per-gate [`FusionCostModel::gate_price`] is necessarily
 //! context-free (the planner probes candidate merges one gate at a time),
 //! so it prices a gate's globals as individual pairwise exchanges — the
 //! eager upper bound. [`FusionCostModel::plan_traffic`] re-prices the
 //! whole plan through the real scheduler, so batched epochs and
 //! reuse-aware eviction show up exactly where plans are compared.
 
-use qsim_backends::{Flavor, SimBackend};
-use qsim_core::types::Precision;
-use qsim_fusion::{FusionCostModel, TrafficEstimate};
+use qsim_fusion::{FusionCostModel, LaunchCostModel, TrafficEstimate};
 
 use crate::interconnect::Topology;
 use crate::layout::QubitLayout;
@@ -31,34 +30,29 @@ use crate::schedule::{SwapPolicy, SwapSchedule};
 /// Prices fused plans for [`crate::MultiGcdBackend`]: single-device cost
 /// at shard width plus modeled swap-exchange time and traffic.
 pub struct DistCostModel {
-    inner: Box<dyn FusionCostModel>,
+    shard: LaunchCostModel,
     devices: usize,
     /// Global id bits (`log2 devices`).
     d: usize,
     topology: Topology,
-    precision: Precision,
     policy: SwapPolicy,
 }
 
 impl DistCostModel {
-    /// Model for `devices` devices of `flavor` joined by `topology`,
-    /// swapping under `policy`.
+    /// Model for `devices` devices joined by `topology`, each pricing its
+    /// shard with `shard`, swapping under `policy`.
     pub fn new(
-        flavor: Flavor,
+        shard: LaunchCostModel,
         devices: usize,
         topology: Topology,
-        precision: Precision,
         policy: SwapPolicy,
     ) -> Self {
         assert!(devices.is_power_of_two(), "device count must be a power of two, got {devices}");
-        DistCostModel {
-            inner: SimBackend::new(flavor).cost_model(precision),
-            devices,
-            d: devices.trailing_zeros() as usize,
-            topology,
-            precision,
-            policy,
-        }
+        DistCostModel { shard, devices, d: devices.trailing_zeros() as usize, topology, policy }
+    }
+
+    fn amp_bytes(&self) -> usize {
+        self.shard.precision.amplitude_bytes()
     }
 
     /// Local qubits per device for an `n`-qubit circuit, or `None` when
@@ -89,26 +83,27 @@ impl DistCostModel {
     }
 }
 
-impl FusionCostModel for DistCostModel {
-    fn name(&self) -> &'static str {
-        "distributed"
-    }
+/// The price of a gate or plan these devices cannot execute: too narrow to
+/// shard, or wider than a shard.
+const UNSCHEDULABLE: TrafficEstimate =
+    TrafficEstimate { bytes: f64::INFINITY, seconds: f64::INFINITY };
 
-    fn gate_cost(&self, num_qubits: usize, qubits: &[usize]) -> f64 {
+impl FusionCostModel for DistCostModel {
+    fn gate_price(&self, num_qubits: usize, qubits: &[usize]) -> TrafficEstimate {
         let Some(m) = self.local_qubits(num_qubits) else {
-            return f64::INFINITY;
+            return UNSCHEDULABLE;
         };
         if qubits.len() > m {
-            // Un-localizable gate: merging this wide can never execute.
-            return f64::INFINITY;
+            // Merging this wide can never execute.
+            return UNSCHEDULABLE;
         }
-        let slots = self.local_slots(m, qubits);
-        let mut cost = self.inner.gate_cost(m, &slots);
+        let mut price = self.shard.gate_price(m, &self.local_slots(m, qubits));
         // Eager upper bound: one pairwise half-shard exchange per global
         // qubit, over the worst link (the planner has no layout context,
         // and overestimating swaps biases toward fewer global touches —
         // the conservative direction).
-        let half_shard = (1u64 << m) / 2 * self.precision.amplitude_bytes() as u64;
+        let half_shard = (1u64 << m) / 2 * self.amp_bytes() as u64;
+        let globals = qubits.iter().filter(|&&q| q >= m).count() as f64;
         let worst = (0..self.d).map(|t| self.topology.link_for_bit(t)).reduce(|a, b| {
             if a.exchange_seconds(half_shard) >= b.exchange_seconds(half_shard) {
                 a
@@ -117,46 +112,34 @@ impl FusionCostModel for DistCostModel {
             }
         });
         if let Some(link) = worst {
-            let globals = qubits.iter().filter(|&&q| q >= m).count();
-            cost += globals as f64 * link.exchange_seconds(half_shard);
+            price.seconds += globals * link.exchange_seconds(half_shard);
         }
-        cost
-    }
-
-    fn gate_traffic(&self, num_qubits: usize, qubits: &[usize]) -> f64 {
-        let Some(m) = self.local_qubits(num_qubits) else {
-            return f64::INFINITY;
-        };
-        if qubits.len() > m {
-            return f64::INFINITY;
-        }
-        let slots = self.local_slots(m, qubits);
-        let half_shard = ((1u64 << m) / 2 * self.precision.amplitude_bytes() as u64) as f64;
-        let globals = qubits.iter().filter(|&&q| q >= m).count();
         // Every device runs the pass and pushes its exchange share.
-        self.devices as f64 * (self.inner.gate_traffic(m, &slots) + globals as f64 * half_shard)
+        price.bytes = self.devices as f64 * (price.bytes + globals * half_shard as f64);
+        price
     }
 
     /// Whole-plan pricing through the real scheduler, computed once:
     /// exchange seconds and bytes from the schedule, plus each pass priced
     /// at the slots the replayed layout actually executes it on.
     fn plan_traffic(&self, num_qubits: usize, ops: &[Option<&[usize]>]) -> TrafficEstimate {
-        let unschedulable = TrafficEstimate { bytes: f64::INFINITY, seconds: f64::INFINITY };
         let Some(m) = self.local_qubits(num_qubits) else {
-            return unschedulable;
+            return UNSCHEDULABLE;
         };
         let Ok(schedule) = SwapSchedule::plan_shapes(num_qubits, ops, m, self.policy) else {
-            return unschedulable;
+            return UNSCHEDULABLE;
         };
         let shard_len = 1usize << m;
-        let amp_bytes = self.precision.amplitude_bytes();
-        let mut seconds: f64 = schedule
-            .epochs
-            .iter()
-            .flatten()
-            .map(|e| e.seconds(&self.topology, m, shard_len, amp_bytes))
-            .sum();
-        let mut bytes = schedule.bytes_per_device(shard_len, amp_bytes) as f64;
+        let amp_bytes = self.amp_bytes();
+        let mut est = TrafficEstimate {
+            bytes: schedule.bytes_per_device(shard_len, amp_bytes) as f64,
+            seconds: schedule
+                .epochs
+                .iter()
+                .flatten()
+                .map(|e| e.seconds(&self.topology, m, shard_len, amp_bytes))
+                .sum(),
+        };
         let mut layout = QubitLayout::new(num_qubits, m);
         for (op, epochs) in ops.iter().zip(&schedule.epochs) {
             for epoch in epochs {
@@ -167,28 +150,30 @@ impl FusionCostModel for DistCostModel {
             if let Some(qubits) = op {
                 let mut slots: Vec<usize> = qubits.iter().map(|&q| layout.slot_of(q)).collect();
                 slots.sort_unstable();
-                seconds += self.inner.gate_cost(m, &slots);
-                bytes += self.inner.gate_traffic(m, &slots);
+                est += self.shard.gate_price(m, &slots);
             }
         }
-        TrafficEstimate { bytes: self.devices as f64 * bytes, seconds }
+        est.bytes *= self.devices as f64;
+        est
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MultiGcdBackend;
+    use qsim_backends::Flavor;
     use qsim_circuit::{generate_rqc, library, RqcOptions};
+    use qsim_core::types::Precision;
     use qsim_fusion::{fuse, FusionStrategy};
 
-    fn model(devices: usize) -> DistCostModel {
-        DistCostModel::new(
-            Flavor::Hip,
-            devices,
-            Topology::Uniform(crate::interconnect::LinkSpec::infinity_fabric_in_package()),
-            Precision::Single,
-            SwapPolicy::Lookahead,
-        )
+    /// The model a backend of `devices` HIP GCDs plans with.
+    fn on(devices: usize, topology: Topology) -> Box<dyn FusionCostModel> {
+        MultiGcdBackend::with_topology(Flavor::Hip, devices, topology).cost_model(Precision::Single)
+    }
+
+    fn model(devices: usize) -> Box<dyn FusionCostModel> {
+        on(devices, Topology::Uniform(crate::interconnect::LinkSpec::infinity_fabric_in_package()))
     }
 
     #[test]
@@ -196,8 +181,8 @@ mod tests {
         // 10 qubits on 4 devices: m = 8. A gate on {0,1} is local; the
         // same-width gate on {8,9} needs two exchanges.
         let m = model(4);
-        let local = m.gate_cost(10, &[0, 1]);
-        let global = m.gate_cost(10, &[8, 9]);
+        let local = m.gate_price(10, &[0, 1]).seconds;
+        let global = m.gate_price(10, &[8, 9]).seconds;
         assert!(local.is_finite() && global.is_finite());
         assert!(global > local * 2.0, "exchange must dominate: {global} vs {local}");
     }
@@ -206,30 +191,24 @@ mod tests {
     fn unshardable_shapes_price_infinite() {
         let m = model(4);
         // Too narrow to shard over 4 devices.
-        assert!(m.gate_cost(2, &[0, 1]).is_infinite());
+        assert!(m.gate_price(2, &[0, 1]).seconds.is_infinite());
         // Gate wider than the shard.
-        assert!(m.gate_cost(5, &[0, 1, 2, 3]).is_infinite());
+        assert!(m.gate_price(5, &[0, 1, 2, 3]).seconds.is_infinite());
         let wide = fuse(&generate_rqc(&RqcOptions::for_qubits(6, 4, 1)), 4);
-        assert!(DistCostModel::new(
-            Flavor::Hip,
-            16,
-            Topology::frontier_node(),
-            Precision::Single,
-            SwapPolicy::Lookahead,
-        )
-        .plan_cost(wide.num_qubits, &wide.op_shapes())
-        .is_infinite());
+        assert!(on(16, Topology::frontier_node())
+            .plan_cost(wide.num_qubits, &wide.op_shapes())
+            .is_infinite());
     }
 
     #[test]
-    fn plan_cost_beats_gate_cost_sum_when_scheduling_helps() {
-        // The context-free gate_cost prices eager pairwise exchanges; the
+    fn plan_cost_beats_gate_price_sum_when_scheduling_helps() {
+        // The context-free gate_price prices eager pairwise exchanges; the
         // real scheduler batches and reuses, so whole-plan pricing is
         // never above the per-gate upper bound.
         let fused = fuse(&generate_rqc(&RqcOptions::for_qubits(11, 12, 5)), 3);
         let m = model(8);
         let gate_sum: f64 =
-            fused.unitaries().map(|g| m.gate_cost(fused.num_qubits, &g.qubits)).sum();
+            fused.unitaries().map(|g| m.gate_price(fused.num_qubits, &g.qubits).seconds).sum();
         let plan = m.plan_cost(fused.num_qubits, &fused.op_shapes());
         assert!(plan.is_finite());
         let traffic = m.plan_traffic(fused.num_qubits, &fused.op_shapes());
@@ -253,15 +232,59 @@ mod tests {
         // Planning through the distributed model must stay executable:
         // auto never picks a fused width the shard cannot hold.
         let circuit = generate_rqc(&RqcOptions::for_qubits(8, 8, 3));
-        let m = DistCostModel::new(
-            Flavor::Hip,
-            16, // m = 4: widths above 4 are infinite
-            Topology::frontier_node(),
-            Precision::Single,
-            SwapPolicy::Lookahead,
-        );
-        let plan = qsim_fusion::plan(&circuit, FusionStrategy::Auto, 6, &m);
+        // 16 devices, m = 4: widths above 4 are infinite.
+        let m = on(16, Topology::frontier_node());
+        let plan = qsim_fusion::plan(&circuit, FusionStrategy::Auto, 6, m.as_ref());
         assert!(plan.fused.unitaries().all(|g| g.qubits.len() <= 4));
         assert!(plan.predicted_cost_seconds.is_finite());
+    }
+    #[test]
+    fn pricing_agreement_sharded() {
+        // The planner's prediction is what the shard walk charges one
+        // device: gate kernels + exchanges (+ the matrix uploads the model
+        // prices per pass). The `cpu` cell used to be priced for a sweep
+        // the shard walk does not run.
+        use crate::backend::EXCHANGE_KERNEL;
+        use crate::schedule::DistOptions;
+        use qsim_backends::PlanOptions;
+        use qsim_circuit::gates::GateKind;
+
+        let mut circuit = generate_rqc(&RqcOptions::for_qubits(16, 8, 7));
+        let t = circuit.ops.iter().map(|op| op.time).max().expect("rqc has gates") + 1;
+        circuit.add(t, GateKind::Measurement, &[2, 15]);
+        circuit.add(t + 1, GateKind::H, &[15]);
+        let cells = [(FusionStrategy::Greedy, 2), (FusionStrategy::Cost, 4)];
+        for flavor in [Flavor::Hip, Flavor::CpuAvx] {
+            let dist = MultiGcdBackend::new(flavor, 2)
+                .with_options(DistOptions { overlap: false, ..DistOptions::default() });
+            let spec = flavor.default_spec();
+            for precision in [Precision::Single, Precision::Double] {
+                for (strategy, max_fused_qubits) in cells {
+                    let opts = PlanOptions { strategy, max_fused_qubits };
+                    let plan = dist.plan_circuit(&circuit, &opts, precision);
+                    let report = dist.estimate_plan(&plan, precision).expect("estimate");
+                    let uploads: f64 = plan
+                        .fused
+                        .unitaries()
+                        .map(|g| {
+                            let bytes =
+                                (precision.amplitude_bytes() as u64) << (2 * g.qubits.len());
+                            gpu_model::perf::memcpy_time(&spec, bytes)
+                        })
+                        .sum();
+                    let kernels_us = report.time_us_matching("ApplyGate");
+                    let exchange_us = report.time_us_matching(EXCHANGE_KERNEL);
+                    assert!(kernels_us > 0.0 && exchange_us > 0.0);
+                    let charged = (kernels_us + exchange_us) * 1e-6 + uploads;
+                    let predicted = plan.predicted_cost_seconds;
+                    assert!(
+                        (predicted / charged - 1.0).abs() < 1e-9,
+                        "{} {precision:?} {strategy} -f {max_fused_qubits}: \
+                         predicted {predicted} s, charged {charged} s",
+                        flavor.label()
+                    );
+                }
+            }
+        }
     }
 }

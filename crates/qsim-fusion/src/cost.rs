@@ -1,35 +1,40 @@
-//! Per-backend fusion cost models.
+//! Launch pricing: what one fused-gate pass costs on a backend.
 //!
-//! A [`FusionCostModel`] prices one fused-gate pass over the state, in
-//! modeled seconds, so the planner in [`crate::planner`] can compare a
-//! candidate merge against leaving a gate in its own pass. The two
-//! built-in models mirror how the backends charge the simulated timeline:
+//! A [`FusionCostModel`] prices fused-gate passes over the state, in
+//! modeled seconds and bytes, so the planner in [`crate::planner`] can
+//! compare a candidate merge against leaving a gate in its own pass. The
+//! backends charge their simulated timeline for the same passes, and both
+//! sides read one table:
 //!
-//! * [`CpuCostModel`] prices from the **SIMD gate class**
-//!   ([`qsim_core::kernels::classify_gate_at`]: lane vs strided path at
-//!   the active ISA's lane-qubit boundary), the matrix width (the
-//!   `2^k × 2^k` matrix-vector arithmetic), and **sweep-block locality**
-//!   ([`qsim_core::sweep`]): gates whose targets fit a cache block join a
-//!   blocked run and pay only a fraction of the full-state traffic.
-//! * [`GpuCostModel`] reuses [`gpu_model::perf::kernel_time`] /
-//!   [`gpu_model::perf::memcpy_time`] with qsim's High/Low kernel split
-//!   ([`qsim_core::kernels::fused_gate_work`] plus the 32- vs 64-thread
-//!   block geometry), so a HIP-like [`DeviceSpec`] — 64-lane wavefronts
-//!   half-filled by 32-thread `ApplyGateL_Kernel` blocks and a large
-//!   low-qubit traffic overhead — penalizes wide fused gates exactly the
-//!   way the paper's Figure 9 shows, while an A100-like spec does not.
+//! * A [`LaunchPolicy`] is how a backend flavor launches gate kernels —
+//!   block sizes, the per-low-qubit surcharges, whether matrices are
+//!   uploaded, the host SIMD lane boundary and the cache-blocked sweep the
+//!   plan runs under. Only `qsim-backends`' `Flavor::launch_policy` fills
+//!   one in.
+//! * [`LaunchPolicy::gate_profile`] is the one place the work of a pass is
+//!   computed: the `2^k × 2^k` matrix-vector arithmetic, qsim's High/Low
+//!   kernel split at qubit 5 ([`qsim_core::kernels::classify_gate`]) with
+//!   its rearrangement surcharge, the host's in-register permutes below
+//!   the lane boundary, and the share of the state traffic a gate pays
+//!   inside a cache-blocked run ([`qsim_core::sweep`]). The backends build
+//!   every gate launch from this profile; [`LaunchCostModel`] prices a
+//!   plan by running it through [`gpu_model::perf::kernel_time`] — the
+//!   function the modeled runtime charges launches with.
 //!
-//! Backends construct the matching model from their flavor knobs (see
-//! `qsim-backends`); the models here take plain parameters so this crate
-//! stays below the backend layer in the dependency graph.
+//! A GPU flavor is the same code with `lane_qubits = 0` (no host permutes)
+//! and a disabled sweep (every gate opens its own pass at full traffic),
+//! so a HIP-like [`DeviceSpec`] — 64-lane wavefronts half-filled by
+//! 32-thread `ApplyGateL_Kernel` blocks and a large low-qubit traffic
+//! overhead — penalizes wide fused gates exactly the way the paper's
+//! Figure 9 shows, while an A100-like spec does not.
 
 use gpu_model::perf::{kernel_time, memcpy_time, LaunchProfile};
 use gpu_model::specs::DeviceSpec;
-use qsim_core::kernels::{classify_gate_at, fused_gate_work, KernelClass};
 use qsim_core::sweep::{is_block_local, PassTracker, SweepConfig};
 use qsim_core::types::Precision;
+use qsim_core::LOW_QUBIT_THRESHOLD;
 
-/// Prices fused-gate passes for one backend, in modeled seconds.
+/// Prices fused-gate passes for one backend.
 ///
 /// A model reads nothing of a plan but its op shapes — per op, the sorted
 /// qubits of a unitary or `None` for a measurement barrier
@@ -37,27 +42,15 @@ use qsim_core::types::Precision;
 /// planner prices candidate layouts before any matrix exists.
 ///
 /// Implementations must be consistent under growth: the planner accounts
-/// a merge as `gate_cost(union) − gate_cost(existing)`, so the total cost
+/// a merge as `price(union) − price(existing)` in seconds, so the total cost
 /// of a plan telescopes to [`FusionCostModel::plan_traffic`]'s default sum
 /// regardless of the merge order that produced it.
 pub trait FusionCostModel: Send + Sync {
-    /// Stable lowercase model name, for reports.
-    fn name(&self) -> &'static str;
-
-    /// Modeled seconds for one fused-gate pass on the sorted `qubits` of
-    /// an `num_qubits`-qubit state, including per-pass fixed overheads
-    /// (launch latency, matrix upload) so fewer, denser passes are
-    /// rewarded.
-    fn gate_cost(&self, num_qubits: usize, qubits: &[usize]) -> f64;
-
-    /// Modeled main-memory traffic of one fused-gate pass, bytes. The
-    /// default is a conservative full-state read + write at double
-    /// precision; the built-in models override it with the same calibrated
-    /// work accounting their `gate_cost` prices.
-    fn gate_traffic(&self, num_qubits: usize, qubits: &[usize]) -> f64 {
-        let _ = qubits;
-        2.0 * 16.0 * (1u64 << num_qubits) as f64
-    }
+    /// Modeled main-memory traffic and seconds of one fused-gate pass on
+    /// the sorted `qubits` of an `num_qubits`-qubit state, priced without
+    /// knowing its neighbours. Includes per-pass fixed overheads (launch
+    /// latency, matrix upload) so fewer, denser passes are rewarded.
+    fn gate_price(&self, num_qubits: usize, qubits: &[usize]) -> TrafficEstimate;
 
     /// Modeled traffic and duration for a whole plan, given as its op
     /// shapes: by default the sums over its unitary passes. This is the
@@ -67,11 +60,11 @@ pub trait FusionCostModel: Send + Sync {
     /// admission ledger charges per running job (qHiPSTER-style
     /// bandwidth-centric accounting).
     fn plan_traffic(&self, num_qubits: usize, ops: &[Option<&[usize]>]) -> TrafficEstimate {
-        let passes = || ops.iter().flatten();
-        TrafficEstimate {
-            bytes: passes().map(|qubits| self.gate_traffic(num_qubits, qubits)).sum(),
-            seconds: passes().map(|qubits| self.gate_cost(num_qubits, qubits)).sum(),
+        let mut est = TrafficEstimate::default();
+        for qubits in ops.iter().flatten() {
+            est += self.gate_price(num_qubits, qubits);
         }
+        est
     }
 
     /// Modeled seconds for a whole plan: [`Self::plan_traffic`]'s.
@@ -80,14 +73,14 @@ pub trait FusionCostModel: Send + Sync {
     }
 }
 
-/// Modeled memory traffic of a fused plan: total bytes moved and the
-/// modeled seconds they are spread over. See
+/// Modeled memory traffic of a fused gate or plan: total bytes moved and
+/// the modeled seconds they are spread over. See
 /// [`FusionCostModel::plan_traffic`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TrafficEstimate {
-    /// Modeled bytes moved through main memory over the whole plan.
+    /// Modeled bytes moved through main memory.
     pub bytes: f64,
-    /// Modeled execution seconds of the plan.
+    /// Modeled execution seconds.
     pub seconds: f64,
 }
 
@@ -103,9 +96,16 @@ impl TrafficEstimate {
     }
 }
 
+impl std::ops::AddAssign for TrafficEstimate {
+    fn add_assign(&mut self, pass: TrafficEstimate) {
+        self.bytes += pass.bytes;
+        self.seconds += pass.seconds;
+    }
+}
+
 /// Share of the full-state traffic charged to a sweep-block-local gate
 /// when the surrounding run structure is unknown (the planner's
-/// context-free [`FusionCostModel::gate_cost`]): roughly the mean of a
+/// context-free [`FusionCostModel::gate_price`]): roughly the mean of a
 /// run-opening pass (full traffic) and a couple of joining gates
 /// ([`SWEPT_JOIN_TRAFFIC_SHARE`] each).
 const SWEPT_TRAFFIC_SHARE: f64 = 0.5;
@@ -113,158 +113,155 @@ const SWEPT_TRAFFIC_SHARE: f64 = 0.5;
 /// Share of the full-state traffic charged to a gate that **joins** an
 /// open cache-blocked run: the state is already streaming through cache
 /// for the run, so only residual traffic remains (matrix loads, spilled
-/// tiles). The backend's launch charging uses the same constant so a plan
-/// priced here and a plan charged on the modeled timeline agree.
-pub const SWEPT_JOIN_TRAFFIC_SHARE: f64 = 0.25;
+/// tiles).
+const SWEPT_JOIN_TRAFFIC_SHARE: f64 = 0.25;
 
 /// In-register shuffle arithmetic per amplitude per lane-low target
 /// qubit: a gate touching qubits below the ISA's lane boundary runs the
 /// lane-Low permute kernels, whose `vpermps`/`vpermd` rearrangement is
-/// real arithmetic on top of the matvec. Shared with the backend's launch
-/// charging for the same reason as [`SWEPT_JOIN_TRAFFIC_SHARE`].
-pub const LANE_SHUFFLE_FLOPS: f64 = 6.0;
+/// real arithmetic on top of the matvec.
+const LANE_SHUFFLE_FLOPS: f64 = 6.0;
 
-/// Cost model for the host backend: SIMD lane class + matrix width +
-/// cache-blocked sweep locality.
-#[derive(Debug, Clone)]
-pub struct CpuCostModel {
-    /// The modeled socket (bandwidth, flop rate, per-pass latency).
-    pub spec: DeviceSpec,
-    /// Lane-qubit boundary of the active ISA at the working precision
-    /// ([`qsim_core::simd::Isa::lane_qubits`]); targets below it resolve
-    /// with in-register permutes.
-    pub lane_qubits: usize,
-    /// Sweep configuration the plan will execute under.
-    pub sweep: SweepConfig,
-    /// Fractional extra traffic per low target qubit (the CPU flavor's
-    /// calibration: AVX permutes, caches absorb most of it).
+/// How a backend flavor launches fused-gate kernels — everything about a
+/// launch's modeled work and geometry that is not the device itself.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaunchPolicy {
+    /// Threads per block for `ApplyGateH_Kernel`-class launches.
+    pub tpb_high: u32,
+    /// Threads per block for `ApplyGateL_Kernel`-class launches — qsim's
+    /// fixed 32, the half-wavefront of the paper on AMD.
+    pub tpb_low: u32,
+    /// Fractional extra traffic per target qubit below
+    /// [`LOW_QUBIT_THRESHOLD`], scaled by `sqrt(2^k / 16)`: the staging
+    /// tile grows with the fused width `k`, normalized to the paper's
+    /// optimal 4-qubit fused gates (HIP ≫ CUDA).
     pub low_qubit_byte_overhead: f64,
-    /// Rearrangement arithmetic per amplitude per low target qubit.
+    /// Rearrangement arithmetic per amplitude per such low target (the
+    /// in-register/LDS index arithmetic of the paper's §2.2(3)).
     pub shuffle_flops_per_low_qubit: f64,
-    /// "Block" size of the OpenMP team, for the occupancy model.
-    pub team_threads: u32,
-    amp_bytes: usize,
-    double_precision: bool,
+    /// Whether each pass ships its fused matrix over the host↔device
+    /// link first ([`gpu_model::perf::memcpy_time`]).
+    pub uploads_matrices: bool,
+    /// Lane-qubit boundary of the host ISA at the working precision
+    /// ([`qsim_core::simd::Isa::lane_qubits`]): targets below it resolve
+    /// with in-register permutes. 0 where kernels do not run on host SIMD
+    /// lanes.
+    pub lane_qubits: usize,
+    /// The cache-blocked sweep the plan executes under; disabled where
+    /// every gate is a pass of its own.
+    pub sweep: SweepConfig,
 }
 
-impl CpuCostModel {
-    /// Model for a host described by `spec`, with the SIMD lane boundary
-    /// and sweep configuration the run will actually use. The traffic and
-    /// shuffle calibration defaults to the CPU flavor's launch accounting
-    /// (see `qsim-backends`).
-    pub fn new(
-        spec: DeviceSpec,
-        lane_qubits: usize,
-        sweep: SweepConfig,
+impl LaunchPolicy {
+    /// Work and grid of one fused-gate pass on the sorted `qubits` of an
+    /// `n`-qubit state, moving `traffic_share` of the pass's bytes (see
+    /// [`Self::pass_share`]).
+    ///
+    /// Every amplitude is read and written once, and each group of `2^k`
+    /// amplitudes does a `2^k × 2^k` complex matrix-vector product (8 flops
+    /// per multiply-add). A gate with targets below
+    /// [`LOW_QUBIT_THRESHOLD`] runs the Low kernel and pays the policy's
+    /// two per-low-qubit surcharges; targets below the host lane boundary
+    /// pay the in-register permutes on top.
+    pub fn gate_profile(
+        &self,
+        n: usize,
+        qubits: &[usize],
         precision: Precision,
-    ) -> CpuCostModel {
-        CpuCostModel {
-            spec,
-            lane_qubits,
-            sweep,
-            low_qubit_byte_overhead: 0.06,
-            shuffle_flops_per_low_qubit: 6.0,
-            team_threads: 128,
-            amp_bytes: precision.amplitude_bytes(),
-            double_precision: precision == Precision::Double,
-        }
-    }
+        traffic_share: f64,
+    ) -> LaunchProfile {
+        let len = 1u64 << n;
+        let amps = len as f64;
+        let dim = (1u64 << qubits.len()) as f64;
+        let below = |boundary: usize| qubits.iter().filter(|&&q| q < boundary).count() as f64;
 
-    /// One pass at an explicit traffic share — the same
-    /// [`fused_gate_work`] + [`kernel_time`] pricing the CPU backend
-    /// charges per launch, so planner and timeline agree by construction.
-    /// The SIMD lane class decides the extra arithmetic: a lane-Low gate
-    /// (any target inside the vector register) pays the in-register
-    /// permute flops ([`LANE_SHUFFLE_FLOPS`]) per lane-low target on top
-    /// of the matvec; a lane-High gate streams strided tiles with no
-    /// rearrangement.
-    fn pass_cost(&self, num_qubits: usize, qubits: &[usize], traffic_share: f64) -> f64 {
-        let mut work = fused_gate_work(
-            num_qubits,
-            qubits,
-            self.amp_bytes,
-            self.low_qubit_byte_overhead,
-            self.shuffle_flops_per_low_qubit,
-        );
-        if classify_gate_at(qubits, self.lane_qubits) == KernelClass::Low {
-            let lane_low = qubits.iter().filter(|&&q| q < self.lane_qubits).count() as f64;
-            work.flops += (1u64 << num_qubits) as f64 * lane_low * LANE_SHUFFLE_FLOPS;
-        }
-        work.bytes *= traffic_share;
-        let profile = LaunchProfile::for_gate_grid(
-            1u64 << num_qubits,
-            self.team_threads,
-            work.bytes,
-            work.flops,
-            self.double_precision,
-        );
-        kernel_time(&self.spec, &profile)
-    }
-
-    /// Modeled bytes of one pass at an explicit traffic share — the byte
-    /// half of [`Self::pass_cost`]'s work accounting, kept separate so the
-    /// admission ledger charges exactly the traffic the timeline prices.
-    fn pass_traffic(&self, num_qubits: usize, qubits: &[usize], traffic_share: f64) -> f64 {
-        fused_gate_work(
-            num_qubits,
-            qubits,
-            self.amp_bytes,
-            self.low_qubit_byte_overhead,
-            self.shuffle_flops_per_low_qubit,
-        )
-        .bytes
-            * traffic_share
-    }
-
-    fn block_qubits(&self, num_qubits: usize) -> usize {
-        if self.sweep.enabled {
-            self.sweep.block_qubits(num_qubits)
+        let mut bytes = 2.0 * amps * precision.amplitude_bytes() as f64;
+        let mut flops = (amps / dim) * dim * dim * 8.0;
+        // Any low target makes it a Low-class launch
+        // (`qsim_core::kernels::classify_gate`).
+        let low = below(LOW_QUBIT_THRESHOLD);
+        let threads_per_block = if low == 0.0 {
+            self.tpb_high
         } else {
-            0
+            flops += amps * low * self.shuffle_flops_per_low_qubit;
+            bytes *= 1.0 + low * self.low_qubit_byte_overhead * (dim / 16.0).sqrt();
+            self.tpb_low
+        };
+        flops += amps * below(self.lane_qubits) * LANE_SHUFFLE_FLOPS;
+        bytes *= traffic_share;
+        LaunchProfile::for_gate_grid(
+            len,
+            threads_per_block,
+            bytes,
+            flops,
+            precision == Precision::Double,
+        )
+    }
+
+    /// The traffic share of a gate by whether it opens a pass over the
+    /// state ([`PassTracker::on_gate`]) or joins the open cache-blocked
+    /// run.
+    pub fn pass_share(opens_pass: bool) -> f64 {
+        if opens_pass {
+            1.0
+        } else {
+            SWEPT_JOIN_TRAFFIC_SHARE
         }
     }
 }
 
-impl FusionCostModel for CpuCostModel {
-    fn name(&self) -> &'static str {
-        "cpu"
-    }
+/// The fusion cost model of a backend that launches under `policy` on
+/// `spec`: each pass costs what the modeled timeline will charge for it.
+#[derive(Debug, Clone)]
+pub struct LaunchCostModel {
+    /// The modeled device.
+    pub spec: DeviceSpec,
+    /// How the backend launches gate kernels on it.
+    pub policy: LaunchPolicy,
+    /// Working precision of the state.
+    pub precision: Precision,
+}
 
-    fn gate_cost(&self, num_qubits: usize, qubits: &[usize]) -> f64 {
-        // Without run context, a block-local gate is priced at the
-        // expected share of a blocked run's traffic.
-        let traffic_share = if is_block_local(qubits, self.block_qubits(num_qubits)) {
-            SWEPT_TRAFFIC_SHARE
-        } else {
-            1.0
-        };
-        self.pass_cost(num_qubits, qubits, traffic_share)
+impl LaunchCostModel {
+    /// One pass at an explicit traffic share: the launch the backend
+    /// charges, plus the matrix upload when the policy ships one.
+    fn price(&self, num_qubits: usize, qubits: &[usize], traffic_share: f64) -> TrafficEstimate {
+        let profile = self.policy.gate_profile(num_qubits, qubits, self.precision, traffic_share);
+        let mut est =
+            TrafficEstimate { bytes: profile.bytes, seconds: kernel_time(&self.spec, &profile) };
+        if self.policy.uploads_matrices {
+            let dim = 1u64 << qubits.len();
+            let matrix_bytes = dim * dim * self.precision.amplitude_bytes() as u64;
+            est.bytes += matrix_bytes as f64;
+            est.seconds += memcpy_time(&self.spec, matrix_bytes);
+        }
+        est
     }
+}
 
-    fn gate_traffic(&self, num_qubits: usize, qubits: &[usize]) -> f64 {
-        let traffic_share = if is_block_local(qubits, self.block_qubits(num_qubits)) {
-            SWEPT_TRAFFIC_SHARE
-        } else {
-            1.0
-        };
-        self.pass_traffic(num_qubits, qubits, traffic_share)
+impl FusionCostModel for LaunchCostModel {
+    /// Without run context, a block-local gate is priced at the expected
+    /// share of a blocked run's traffic.
+    fn gate_price(&self, num_qubits: usize, qubits: &[usize]) -> TrafficEstimate {
+        let sweep = &self.policy.sweep;
+        let swept = sweep.enabled && is_block_local(qubits, sweep.block_qubits(num_qubits));
+        self.price(num_qubits, qubits, if swept { SWEPT_TRAFFIC_SHARE } else { 1.0 })
     }
 
     /// Run-aware plan pricing: walk the plan with the same
     /// [`PassTracker`] the backend's timeline charging uses, so a gate
-    /// that joins an open cache-blocked run pays only
-    /// [`SWEPT_JOIN_TRAFFIC_SHARE`] of the full-state traffic, exactly as
-    /// it will be charged at launch time.
+    /// that joins an open cache-blocked run pays only the join share of
+    /// the full-state traffic, exactly as it will be charged at launch
+    /// time. Under a disabled sweep every gate opens a pass and this is
+    /// the plain per-gate sum.
     fn plan_traffic(&self, num_qubits: usize, ops: &[Option<&[usize]>]) -> TrafficEstimate {
-        let mut tracker = PassTracker::new(&self.sweep, num_qubits);
+        let mut tracker = PassTracker::new(&self.policy.sweep, num_qubits);
         let mut est = TrafficEstimate::default();
         for op in ops {
             match op {
                 Some(qubits) => {
-                    let share =
-                        if tracker.on_gate(qubits) { 1.0 } else { SWEPT_JOIN_TRAFFIC_SHARE };
-                    est.bytes += self.pass_traffic(num_qubits, qubits, share);
-                    est.seconds += self.pass_cost(num_qubits, qubits, share);
+                    let share = LaunchPolicy::pass_share(tracker.on_gate(qubits));
+                    est += self.price(num_qubits, qubits, share);
                 }
                 None => tracker.on_barrier(),
             }
@@ -273,105 +270,100 @@ impl FusionCostModel for CpuCostModel {
     }
 }
 
-/// Cost model for the modeled GPU backends: the High/Low kernel split
-/// priced through the same roofline ([`gpu_model::perf::kernel_time`])
-/// the backend charges at launch time.
-#[derive(Debug, Clone)]
-pub struct GpuCostModel {
-    /// The modeled device.
-    pub spec: DeviceSpec,
-    /// Threads per block for `ApplyGateH_Kernel`-class launches.
-    pub tpb_high: u32,
-    /// Threads per block for `ApplyGateL_Kernel`-class launches — qsim's
-    /// fixed 32, the half-wavefront of the paper on AMD.
-    pub tpb_low: u32,
-    /// Fractional extra traffic per low target qubit (the flavor's
-    /// `low_qubit_byte_overhead`; HIP ≫ CUDA).
-    pub low_qubit_byte_overhead: f64,
-    /// Rearrangement arithmetic per amplitude per low qubit.
-    pub shuffle_flops_per_low_qubit: f64,
-    /// Whether each pass ships its fused matrix over the host↔device
-    /// link first ([`gpu_model::perf::memcpy_time`]).
-    pub uploads_matrices: bool,
-    amp_bytes: usize,
-    double_precision: bool,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-impl GpuCostModel {
-    /// Model with qsim's fixed block geometry (64/32 threads) and the
-    /// given per-low-qubit traffic overhead; tune the public fields for
-    /// other flavors.
-    pub fn new(spec: DeviceSpec, low_qubit_byte_overhead: f64, precision: Precision) -> Self {
-        GpuCostModel {
-            spec,
+    /// The GPU flavors' launch geometry with a given low-qubit overhead
+    /// (see qsim-backends::Flavor, the only non-test builder of a policy).
+    fn gpu_policy(low_qubit_byte_overhead: f64) -> LaunchPolicy {
+        LaunchPolicy {
             tpb_high: 64,
             tpb_low: 32,
             low_qubit_byte_overhead,
             shuffle_flops_per_low_qubit: 4.0,
             uploads_matrices: true,
-            amp_bytes: precision.amplitude_bytes(),
-            double_precision: precision == Precision::Double,
+            lane_qubits: 0,
+            sweep: SweepConfig::disabled(),
         }
     }
-}
 
-impl FusionCostModel for GpuCostModel {
-    fn name(&self) -> &'static str {
-        "gpu"
+    fn cpu_model(lane_qubits: usize, sweep: SweepConfig) -> LaunchCostModel {
+        LaunchCostModel {
+            spec: DeviceSpec::epyc_trento(),
+            policy: LaunchPolicy {
+                tpb_high: 128,
+                tpb_low: 128,
+                low_qubit_byte_overhead: 0.06,
+                shuffle_flops_per_low_qubit: 6.0,
+                uploads_matrices: false,
+                lane_qubits,
+                sweep,
+            },
+            precision: Precision::Single,
+        }
     }
 
-    fn gate_cost(&self, num_qubits: usize, qubits: &[usize]) -> f64 {
-        let len = 1u64 << num_qubits;
-        let work = fused_gate_work(
-            num_qubits,
-            qubits,
-            self.amp_bytes,
-            self.low_qubit_byte_overhead,
-            self.shuffle_flops_per_low_qubit,
+    fn seconds(model: &LaunchCostModel, n: usize, qubits: &[usize]) -> f64 {
+        model.gate_price(n, qubits).seconds
+    }
+
+    fn hip_model() -> LaunchCostModel {
+        // MI250X GCD + the LDS-round-trip low-qubit overhead.
+        LaunchCostModel {
+            spec: DeviceSpec::mi250x_gcd(),
+            policy: gpu_policy(2.0),
+            precision: Precision::Single,
+        }
+    }
+
+    fn a100_model() -> LaunchCostModel {
+        LaunchCostModel {
+            spec: DeviceSpec::a100(),
+            policy: gpu_policy(0.05),
+            precision: Precision::Single,
+        }
+    }
+
+    #[test]
+    fn gate_work_accounting() {
+        // 1-qubit High gate on a 20-qubit single-precision state: touch all
+        // 2^20 amplitudes, read+write 8 bytes each; per group (2 amps) a
+        // 2x2 complex matvec = 4 muladds = 32 flops.
+        let p = gpu_policy(2.0).gate_profile(20, &[7], Precision::Single, 1.0);
+        assert_eq!(p.bytes, 2.0 * 1048576.0 * 8.0);
+        assert_eq!(p.flops, 524288.0 * 32.0);
+        assert_eq!((p.blocks, p.threads_per_block), ((1 << 19) / 64, 64));
+        assert!(!p.double_precision);
+        // Double precision doubles the bytes and sets the flag.
+        let d = gpu_policy(2.0).gate_profile(20, &[7], Precision::Double, 1.0);
+        assert_eq!(d.bytes, 2.0 * p.bytes);
+        assert!(d.double_precision);
+    }
+
+    #[test]
+    fn low_targets_pay_both_surcharges_per_low_qubit() {
+        // [0, 3, 5, 8] has two targets below qubit 5: a 4-qubit gate has
+        // tile scale 1, so bytes grow by 2 × overhead and flops by 2 × 4
+        // per amplitude, in a 32-thread block.
+        let high = gpu_policy(2.0).gate_profile(20, &[5, 6, 7, 8], Precision::Single, 1.0);
+        let low = gpu_policy(2.0).gate_profile(20, &[0, 3, 5, 8], Precision::Single, 1.0);
+        assert_eq!(low.bytes, high.bytes * (1.0 + 2.0 * 2.0));
+        assert_eq!(low.flops, high.flops + 1048576.0 * 2.0 * 4.0);
+        assert_eq!((high.threads_per_block, low.threads_per_block), (64, 32));
+        // With the overhead ablated away only the flops differ.
+        let ablated = gpu_policy(0.0).gate_profile(20, &[0, 3, 5, 8], Precision::Single, 1.0);
+        assert_eq!(ablated.bytes, high.bytes);
+        // A joining gate moves a quarter of the bytes and all the flops.
+        let joined = gpu_policy(2.0).gate_profile(
+            20,
+            &[0, 3, 5, 8],
+            Precision::Single,
+            LaunchPolicy::pass_share(false),
         );
-        let tpb = match qsim_core::kernels::classify_gate(qubits) {
-            KernelClass::High => self.tpb_high,
-            KernelClass::Low => self.tpb_low,
-        };
-        let profile =
-            LaunchProfile::for_gate_grid(len, tpb, work.bytes, work.flops, self.double_precision);
-        let mut t = kernel_time(&self.spec, &profile);
-        if self.uploads_matrices {
-            let dim = 1u64 << qubits.len();
-            t += memcpy_time(&self.spec, dim * dim * self.amp_bytes as u64);
-        }
-        t
-    }
-
-    fn gate_traffic(&self, num_qubits: usize, qubits: &[usize]) -> f64 {
-        let mut bytes = fused_gate_work(
-            num_qubits,
-            qubits,
-            self.amp_bytes,
-            self.low_qubit_byte_overhead,
-            self.shuffle_flops_per_low_qubit,
-        )
-        .bytes;
-        if self.uploads_matrices {
-            let dim = 1u64 << qubits.len();
-            bytes += (dim * dim * self.amp_bytes as u64) as f64;
-        }
-        bytes
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn hip_model() -> GpuCostModel {
-        // The HIP flavor's calibration: MI250X GCD + the LDS-round-trip
-        // low-qubit overhead (see qsim-backends::Flavor).
-        GpuCostModel::new(DeviceSpec::mi250x_gcd(), 2.0, Precision::Single)
-    }
-
-    fn a100_model() -> GpuCostModel {
-        GpuCostModel::new(DeviceSpec::a100(), 0.05, Precision::Single)
+        assert_eq!(joined.bytes, low.bytes * 0.25);
+        assert_eq!(joined.flops, low.flops);
+        assert_eq!(LaunchPolicy::pass_share(true), 1.0);
     }
 
     #[test]
@@ -381,8 +373,8 @@ mod tests {
         // asymmetry the planner exploits.
         let hip = hip_model();
         let a100 = a100_model();
-        let hip_ratio = hip.gate_cost(26, &[0, 1, 2, 3, 4]) / hip.gate_cost(26, &[0, 1]);
-        let a100_ratio = a100.gate_cost(26, &[0, 1, 2, 3, 4]) / a100.gate_cost(26, &[0, 1]);
+        let hip_ratio = seconds(&hip, 26, &[0, 1, 2, 3, 4]) / seconds(&hip, 26, &[0, 1]);
+        let a100_ratio = seconds(&a100, 26, &[0, 1, 2, 3, 4]) / seconds(&a100, 26, &[0, 1]);
         assert!(
             hip_ratio > 2.0 * a100_ratio,
             "hip ratio {hip_ratio} should dwarf a100 ratio {a100_ratio}"
@@ -395,85 +387,91 @@ mod tests {
         // widening it is similarly cheap on both devices.
         let hip = hip_model();
         let a100 = a100_model();
-        let hr = hip.gate_cost(26, &[10, 14, 20, 23]) / hip.gate_cost(26, &[10, 14]);
-        let ar = a100.gate_cost(26, &[10, 14, 20, 23]) / a100.gate_cost(26, &[10, 14]);
+        let hr = seconds(&hip, 26, &[10, 14, 20, 23]) / seconds(&hip, 26, &[10, 14]);
+        let ar = seconds(&a100, 26, &[10, 14, 20, 23]) / seconds(&a100, 26, &[10, 14]);
         assert!((hr / ar - 1.0).abs() < 0.25, "hip {hr} vs a100 {ar}");
     }
 
     #[test]
     fn gpu_cost_includes_upload_and_launch_floor() {
         let mut m = a100_model();
-        let with_upload = m.gate_cost(20, &[8, 12]);
-        m.uploads_matrices = false;
-        let without = m.gate_cost(20, &[8, 12]);
-        assert!(with_upload > without);
-        assert!(without > m.spec.launch_latency_us * 1e-6);
+        let with_upload = m.gate_price(20, &[8, 12]);
+        m.policy.uploads_matrices = false;
+        let without = m.gate_price(20, &[8, 12]);
+        assert!(with_upload.seconds > without.seconds);
+        assert!(without.seconds > m.spec.launch_latency_us * 1e-6);
+        // The upload is traffic too.
+        assert!(with_upload.bytes > without.bytes);
     }
 
     #[test]
     fn cpu_model_discounts_block_local_gates() {
-        let spec = DeviceSpec::epyc_trento();
-        let swept = CpuCostModel::new(spec.clone(), 2, SweepConfig::default(), Precision::Single);
-        let unswept = CpuCostModel::new(spec, 2, SweepConfig::disabled(), Precision::Single);
+        let swept = cpu_model(2, SweepConfig::default());
+        let unswept = cpu_model(2, SweepConfig::disabled());
         // Qubits below the block boundary (16) are cheaper under the sweep…
-        assert!(swept.gate_cost(24, &[3, 7]) < unswept.gate_cost(24, &[3, 7]));
+        assert!(seconds(&swept, 24, &[3, 7]) < seconds(&unswept, 24, &[3, 7]));
         // …while a gate crossing the block boundary pays the full pass.
-        assert_eq!(swept.gate_cost(24, &[3, 20]), unswept.gate_cost(24, &[3, 20]));
+        assert_eq!(seconds(&swept, 24, &[3, 20]), seconds(&unswept, 24, &[3, 20]));
     }
 
     #[test]
     fn cpu_model_prices_lane_shuffle_arithmetic() {
-        let spec = DeviceSpec::epyc_trento();
-        let m = CpuCostModel::new(spec, 3, SweepConfig::disabled(), Precision::Single);
+        let m = cpu_model(3, SweepConfig::disabled());
         // Same width: a gate with lane-low targets runs the lane-Low
         // permute kernels and pays the in-register rearrangement flops
         // (plus the low-qubit staging traffic); a gate entirely above the
         // lane boundary streams strided tiles with neither surcharge.
-        let low = m.gate_cost(24, &[0, 1, 2, 16, 17, 18]);
-        let high = m.gate_cost(24, &[10, 12, 14, 16, 18, 20]);
+        let low = seconds(&m, 24, &[0, 1, 2, 16, 17, 18]);
+        let high = seconds(&m, 24, &[10, 12, 14, 16, 18, 20]);
         assert!(low > high, "lane-low {low} should exceed strided {high}");
         // More lane-low targets at equal width cost more.
-        let fewer = m.gate_cost(24, &[0, 8, 9, 16, 17, 18]);
+        let fewer = seconds(&m, 24, &[0, 8, 9, 16, 17, 18]);
         assert!(low > fewer, "3 lane-low targets {low} vs 1 {fewer}");
     }
 
     #[test]
-    fn plan_traffic_tracks_plan_cost_and_scales_with_state() {
+    fn swept_plan_traffic_scales_with_state_and_undercuts_the_gate_sum() {
         use qsim_circuit::library;
         let fused24 = crate::fuse(&library::ghz(24), 2);
         let fused20 = crate::fuse(&library::ghz(20), 2);
-        let m = CpuCostModel::new(
-            DeviceSpec::epyc_trento(),
-            2,
-            SweepConfig::default(),
-            Precision::Single,
-        );
+        let m = cpu_model(2, SweepConfig::default());
         let t24 = m.plan_traffic(24, &fused24.op_shapes());
         let t20 = m.plan_traffic(20, &fused20.op_shapes());
-        // Seconds agree with the run-aware plan cost, bytes/s is a real rate,
-        // and a 16×-larger state moves far more bytes per pass.
+        // bytes/s is a real rate, and a 16×-larger state moves far more
+        // bytes per pass.
         assert_eq!(t24.seconds.to_bits(), m.plan_cost(24, &fused24.op_shapes()).to_bits());
         assert!(t24.bytes_per_second() > 0.0);
         assert!(t24.bytes > 8.0 * t20.bytes, "24q {} vs 20q {}", t24.bytes, t20.bytes);
-
-        // The GPU model folds matrix-upload bytes into its traffic.
-        let mut g = a100_model();
-        let with_upload = g.gate_traffic(20, &[8, 12]);
-        g.uploads_matrices = false;
-        assert!(with_upload > g.gate_traffic(20, &[8, 12]));
+        // Joining gates move a quarter of the state where the same plan
+        // without the sweep moves all of it.
+        let unswept = cpu_model(2, SweepConfig::disabled()).plan_traffic(24, &fused24.op_shapes());
+        assert!(t24.bytes < unswept.bytes && t24.seconds < unswept.seconds);
     }
 
     #[test]
-    fn plan_cost_sums_unitaries() {
-        use qsim_circuit::library;
-        let fused = crate::fuse(&library::bell(), 2);
-        let m = a100_model();
-        let total = m.plan_cost(fused.num_qubits, &fused.op_shapes());
-        let by_hand: f64 =
-            fused.unitaries().map(|g| m.gate_cost(fused.num_qubits, &g.qubits)).sum();
-        assert_eq!(total, by_hand);
-        assert!(total > 0.0);
-        let traffic = m.plan_traffic(fused.num_qubits, &fused.op_shapes());
-        assert_eq!(total.to_bits(), traffic.seconds.to_bits());
+    fn gpu_policy_plan_traffic_is_the_plain_per_gate_sum() {
+        // Disabled sweep, no lane split: the tracker walk must be the sum
+        // of context-free gate prices to the bit, barriers and all.
+        let mut c = qsim_circuit::generate_rqc(&qsim_circuit::RqcOptions::for_qubits(12, 6, 3));
+        let t = c.ops.iter().map(|op| op.time).max().expect("rqc has gates") + 1;
+        c.add(t, qsim_circuit::gates::GateKind::Measurement, &[2, 9]);
+        c.add(t + 1, qsim_circuit::gates::GateKind::H, &[4]);
+        let fused = crate::fuse(&c, 4);
+        for m in [hip_model(), a100_model()] {
+            let plan = m.plan_traffic(fused.num_qubits, &fused.op_shapes());
+            let (mut bytes, mut seconds) = (0.0f64, 0.0f64);
+            for g in fused.unitaries() {
+                let price = m.gate_price(fused.num_qubits, &g.qubits);
+                bytes += price.bytes;
+                seconds += price.seconds;
+            }
+            assert!(seconds > 0.0);
+            assert_eq!(plan.seconds.to_bits(), seconds.to_bits());
+            assert_eq!(plan.bytes.to_bits(), bytes.to_bits());
+            assert_eq!(
+                plan.seconds.to_bits(),
+                m.plan_cost(fused.num_qubits, &fused.op_shapes()).to_bits()
+            );
+        }
     }
 }

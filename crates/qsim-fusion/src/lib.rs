@@ -32,10 +32,7 @@ use qsim_core::types::Float;
 pub mod cost;
 pub mod planner;
 
-pub use cost::{
-    CpuCostModel, FusionCostModel, GpuCostModel, TrafficEstimate, LANE_SHUFFLE_FLOPS,
-    SWEPT_JOIN_TRAFFIC_SHARE,
-};
+pub use cost::{FusionCostModel, LaunchCostModel, LaunchPolicy, TrafficEstimate};
 pub use planner::{plan, FusionPlan, FusionStrategy};
 
 /// A fused unitary acting on a sorted set of qubits.

@@ -19,10 +19,10 @@
 //! against a fresh pass with a [`FusionCostModel`]: it plays both
 //! branches forward on clones of the shadow for the next
 //! [`DEFAULT_LOOKAHEAD`] source gates, accounting each step
-//! incrementally — a merge costs `gate_cost(union) − gate_cost(existing)`,
-//! a fresh slot costs `gate_cost(gate)`. These deltas telescope, so the
-//! branch sums compare exactly the model's context-free price of the two
-//! futures restricted to the window.
+//! incrementally — in `gate_price` seconds, a merge costs `price(union) −
+//! price(existing)`, a fresh slot costs `price(gate)`. These deltas
+//! telescope, so the branch sums compare exactly the model's context-free
+//! price of the two futures restricted to the window.
 //!
 //! [`FusionStrategy::Auto`] is the in-code analogue of the paper's
 //! fusion sweep (Figures 7 and 9): it decides at every
@@ -316,9 +316,10 @@ impl Shadow {
         match action {
             Action::Merge(t) => {
                 let existing = self.slots[t].as_ref().expect("merge target is a gate slot");
-                model.gate_cost(n, &union_sorted(existing, qubits)) - model.gate_cost(n, existing)
+                model.gate_price(n, &union_sorted(existing, qubits)).seconds
+                    - model.gate_price(n, existing).seconds
             }
-            Action::New => model.gate_cost(n, qubits),
+            Action::New => model.gate_price(n, qubits).seconds,
         }
     }
 
@@ -446,7 +447,7 @@ pub(crate) fn decide(circuit: &Circuit, max_fused_qubits: usize, policy: Policy)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{CpuCostModel, GpuCostModel};
+    use crate::cost::{LaunchCostModel, LaunchPolicy};
     use crate::{fuse, FusedGate, FusedOp};
     use gpu_model::specs::DeviceSpec;
     use qsim_circuit::gates::GateKind;
@@ -454,16 +455,38 @@ mod tests {
     use qsim_core::sweep::SweepConfig;
     use qsim_core::types::Precision;
 
-    fn hip_model() -> GpuCostModel {
-        GpuCostModel::new(DeviceSpec::mi250x_gcd(), 2.0, Precision::Single)
+    fn gpu_model(spec: DeviceSpec, low_qubit_byte_overhead: f64) -> LaunchCostModel {
+        let policy = LaunchPolicy {
+            tpb_high: 64,
+            tpb_low: 32,
+            low_qubit_byte_overhead,
+            shuffle_flops_per_low_qubit: 4.0,
+            uploads_matrices: true,
+            lane_qubits: 0,
+            sweep: SweepConfig::disabled(),
+        };
+        LaunchCostModel { spec, policy, precision: Precision::Single }
     }
 
-    fn a100_model() -> GpuCostModel {
-        GpuCostModel::new(DeviceSpec::a100(), 0.05, Precision::Single)
+    fn hip_model() -> LaunchCostModel {
+        gpu_model(DeviceSpec::mi250x_gcd(), 2.0)
     }
 
-    fn cpu_model() -> CpuCostModel {
-        CpuCostModel::new(DeviceSpec::epyc_trento(), 2, SweepConfig::default(), Precision::Single)
+    fn a100_model() -> LaunchCostModel {
+        gpu_model(DeviceSpec::a100(), 0.05)
+    }
+
+    fn cpu_model() -> LaunchCostModel {
+        let policy = LaunchPolicy {
+            tpb_high: 128,
+            tpb_low: 128,
+            low_qubit_byte_overhead: 0.06,
+            shuffle_flops_per_low_qubit: 6.0,
+            uploads_matrices: false,
+            lane_qubits: 2,
+            sweep: SweepConfig::default(),
+        };
+        LaunchCostModel { spec: DeviceSpec::epyc_trento(), policy, precision: Precision::Single }
     }
 
     fn fuse_with_model(c: &Circuit, f: usize, model: &dyn FusionCostModel) -> FusedCircuit {
@@ -535,14 +558,14 @@ mod tests {
         // by its own metric it must not lose to greedy (acceptance bound:
         // within 2%; in practice it should win or tie).
         let c = qsim_circuit::generate_rqc(&qsim_circuit::RqcOptions::for_qubits(14, 10, 5));
-        for model in [&hip_model() as &dyn FusionCostModel, &a100_model()] {
+        for model in &[hip_model(), a100_model()] {
             for f in 2..=6 {
                 let greedy = plan_cost(model, &fuse(&c, f));
                 let cost = plan_cost(model, &fuse_with_model(&c, f, model));
                 assert!(
                     cost <= greedy * 1.02,
                     "f={f} {}: cost-planned {cost} vs greedy {greedy}",
-                    model.name()
+                    model.spec.name
                 );
             }
         }
@@ -578,14 +601,14 @@ mod tests {
     #[test]
     fn auto_matches_best_fixed_width_by_model_metric() {
         let c = qsim_circuit::generate_rqc(&qsim_circuit::RqcOptions::for_qubits(12, 10, 21));
-        for model in [&hip_model() as &dyn FusionCostModel, &a100_model(), &cpu_model()] {
+        for model in &[hip_model(), a100_model(), cpu_model()] {
             let auto = plan_cost(model, &fuse_auto(&c, model));
             let best_fixed =
                 (2..=6).map(|f| plan_cost(model, &fuse(&c, f))).fold(f64::INFINITY, f64::min);
             assert!(
                 auto <= best_fixed * (1.0 + AUTO_TOLERANCE),
                 "{}: auto {auto} vs best fixed greedy {best_fixed}",
-                model.name()
+                model.spec.name
             );
         }
     }

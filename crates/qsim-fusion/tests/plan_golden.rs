@@ -25,9 +25,7 @@ use qsim_circuit::{generate_rqc, RqcOptions};
 use qsim_core::stablehash::StableHasher;
 use qsim_core::sweep::SweepConfig;
 use qsim_core::types::Precision;
-use qsim_fusion::{
-    plan, CpuCostModel, FusedCircuit, FusedOp, FusionCostModel, FusionStrategy, GpuCostModel,
-};
+use qsim_fusion::{plan, FusedCircuit, FusedOp, FusionStrategy, LaunchCostModel, LaunchPolicy};
 
 fn plan_hash(fused: &FusedCircuit) -> u64 {
     let mut h = StableHasher::new();
@@ -85,18 +83,38 @@ fn actual_table() -> String {
         ("q30", parse_circuit(&q30).expect("circuit_q30 parses")),
         ("rqc12m", rqc_with_measurement_and_control()),
     ];
-    let models: [(&str, Box<dyn FusionCostModel>); 3] = [
-        ("mi250x", Box::new(GpuCostModel::new(DeviceSpec::mi250x_gcd(), 2.0, Precision::Single))),
-        ("a100", Box::new(GpuCostModel::new(DeviceSpec::a100(), 0.05, Precision::Single))),
-        (
-            "cpu4",
-            Box::new(CpuCostModel::new(
-                DeviceSpec::epyc_trento(),
-                4,
-                SweepConfig::default(),
-                Precision::Single,
-            )),
-        ),
+    // The three flavors' policies at the time the goldens were recorded,
+    // spelled out so a change to `Flavor::launch_policy` cannot move them.
+    let gpu = |spec, low_qubit_byte_overhead| LaunchCostModel {
+        spec,
+        policy: LaunchPolicy {
+            tpb_high: 64,
+            tpb_low: 32,
+            low_qubit_byte_overhead,
+            shuffle_flops_per_low_qubit: 4.0,
+            uploads_matrices: true,
+            lane_qubits: 0,
+            sweep: SweepConfig::disabled(),
+        },
+        precision: Precision::Single,
+    };
+    let cpu4 = LaunchCostModel {
+        spec: DeviceSpec::epyc_trento(),
+        policy: LaunchPolicy {
+            tpb_high: 128,
+            tpb_low: 128,
+            low_qubit_byte_overhead: 0.06,
+            shuffle_flops_per_low_qubit: 6.0,
+            uploads_matrices: false,
+            lane_qubits: 4,
+            sweep: SweepConfig::default(),
+        },
+        precision: Precision::Single,
+    };
+    let models = [
+        ("mi250x", gpu(DeviceSpec::mi250x_gcd(), 2.0)),
+        ("a100", gpu(DeviceSpec::a100(), 0.05)),
+        ("cpu4", cpu4),
     ];
     let cells: Vec<(FusionStrategy, usize)> = [FusionStrategy::Greedy, FusionStrategy::Cost]
         .into_iter()
@@ -108,7 +126,7 @@ fn actual_table() -> String {
     for (cname, circuit) in &circuits {
         for (mname, model) in &models {
             for &(strategy, f) in &cells {
-                let p = plan(circuit, strategy, f, model.as_ref());
+                let p = plan(circuit, strategy, f, model);
                 writeln!(
                     table,
                     "{cname} {mname} {strategy} f{f}: ops={} chosen={} cost={:016x} traffic={:016x} hash={:016x}",

@@ -158,9 +158,9 @@ pub enum FinalState {
 /// What a worker concluded about one job.
 #[derive(Debug)]
 pub(crate) enum JobOutcome {
-    /// Completed; report attached, plus the final state when the spec
-    /// asked for it to be kept.
-    Done(Box<RunReport>, Option<FinalState>),
+    /// Completed; report attached (shared with the result cache from here
+    /// on), plus the final state when the spec asked for it to be kept.
+    Done(Arc<RunReport>, Option<FinalState>),
     /// The cancel token fired (explicitly or by deadline).
     Cancelled(CancelCause),
     /// The backend errored.
@@ -175,7 +175,9 @@ struct JobRecord {
     num_qubits: usize,
     devices: usize,
     cancel: CancelToken,
-    report: Option<Box<RunReport>>,
+    /// One allocation per finished run: the result-cache entry and every
+    /// later hit's record hold the same report.
+    report: Option<Arc<RunReport>>,
     state_vector: Option<FinalState>,
     error: Option<String>,
     /// Budget hold, released (dropped) when the job reaches a terminal
@@ -574,7 +576,7 @@ impl ServiceInner {
                     agg.cold_setup_seconds += report.setup_seconds;
                 }
                 agg.max_peak_state_bytes = agg.max_peak_state_bytes.max(report.peak_state_bytes);
-                cache_entry = result_key.map(|key| (key, Arc::new(report.as_ref().clone())));
+                cache_entry = result_key.map(|key| (key, Arc::clone(&report)));
                 record.report = Some(report);
                 record.state_vector = state_vector;
             }
@@ -865,7 +867,7 @@ impl Service {
             num_qubits,
             devices: 1,
             cancel: CancelToken::new(),
-            report: Some(Box::new(report.as_ref().clone())),
+            report: Some(report),
             state_vector: None,
             error: None,
             reservation: None,

@@ -195,7 +195,7 @@ fn settle<F: StateSlot>(
                 pool.release(state.into_amplitudes());
                 None
             };
-            JobOutcome::Done(Box::new(report), kept)
+            JobOutcome::Done(Arc::new(report), kept)
         }
         Err(failure) => {
             if let Some(buffer) = failure.buffer {
