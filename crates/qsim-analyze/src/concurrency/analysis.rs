@@ -231,12 +231,13 @@ const BLOCKING_CALLS: &[(&str, ArgPolicy)] = &[
     // Backend entry points: a simulation run is a long blocking region.
     ("run_with", ArgPolicy::Any),
     ("run_batch", ArgPolicy::Any),
+    ("run_gang", ArgPolicy::Any),
     ("run_plan", ArgPolicy::Any),
 ];
 
 /// Constructors whose results are RAII accounting values: forgetting
 /// them silently corrupts the admission ledger or the buffer pool.
-const TRACKED_CTORS: &[&str] = &["try_reserve", "try_admit"];
+const TRACKED_CTORS: &[&str] = &["try_reserve"];
 /// Type names that mark a binding as a tracked RAII value.
 const TRACKED_TYPES: &[&str] = &["Reservation"];
 

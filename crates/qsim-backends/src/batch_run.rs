@@ -17,7 +17,6 @@ use qsim_fusion::FusedCircuit;
 
 use crate::report::{RunOptions, RunReport};
 use crate::sim_backend::{BackendError, RunContext, RunFailure, SimBackend};
-use crate::walker::SubIn;
 
 /// Process-wide batch identifier source, so concurrent workers' gangs stay
 /// distinguishable in metrics.
@@ -44,11 +43,30 @@ impl<'a, F: Float> BatchJob<'a, F> {
     }
 }
 
+/// One state's inputs to a walk: the per-run options and service-layer
+/// context `run_with` takes.
+pub type SubIn<F> = (RunOptions, RunContext<F>);
+
 /// What one sub-job of a batch resolves to: exactly the
 /// [`SimBackend::run_with`] contract (buffers ride back on failure).
 pub type BatchResult<F> = Result<(StateVector<F>, RunReport), RunFailure<F>>;
 
 impl SimBackend {
+    /// Run one plan over a gang of states — the walk [`SimBackend::run_with`]
+    /// makes with one state and `run_batch` makes per hash-equal group.
+    /// One state is stamped `(None, 1)`, more share a fresh `batch_id`.
+    pub fn run_gang<F: Float>(
+        &self,
+        fused: &FusedCircuit,
+        subs: Vec<SubIn<F>>,
+    ) -> Vec<BatchResult<F>> {
+        let batch = match subs.len() {
+            0 | 1 => (None, 1),
+            n => (Some(NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed)), n),
+        };
+        self.walk(fused, Some(subs), batch).subs
+    }
+
     /// Run N sub-jobs as a batch, returning one [`BatchResult`] per
     /// sub-job in input order. Hash-equal plans form gangs that share one
     /// walk (analysis, matrix conversion + upload, and sweep-plan

@@ -34,7 +34,7 @@ pub mod trajectories;
 pub mod variational;
 mod walker;
 
-pub use batch_run::{BatchJob, BatchResult};
+pub use batch_run::{BatchJob, BatchResult, SubIn};
 pub use flavor::Flavor;
 pub use qsim_core::cancel::{CancelCause, CancelToken};
 pub use qsim_core::sweep::{SweepConfig, SweepStats};

@@ -326,8 +326,8 @@ impl SimBackend {
         opts: &RunOptions,
         ctx: RunContext<F>,
     ) -> Result<(StateVector<F>, RunReport), RunFailure<F>> {
-        let mut walked = self.walk(fused, Some(vec![(*opts, ctx)]), (None, 1));
-        walked.subs.pop().expect("a walk resolves every state it was handed")
+        let mut subs = self.run_gang(fused, vec![(*opts, ctx)]);
+        subs.pop().expect("a walk resolves every state it was handed")
     }
 }
 

@@ -56,14 +56,10 @@ use qsim_core::types::{Cplx, Float, Precision};
 use qsim_core::{GateMatrix, StateVector};
 use qsim_fusion::{FusedCircuit, FusedOp, FusionStrategy};
 
-use crate::batch_run::BatchResult;
+use crate::batch_run::{BatchResult, SubIn};
 use crate::plan::{gate_kernel_desc, init_kernel_desc, sample_kernel_desc};
 use crate::report::{GateClassCount, KernelStat, RunOptions, RunReport};
-use crate::sim_backend::{BackendError, RunContext, RunFailure, SimBackend};
-
-/// One state's inputs to a walk: the per-run options and service-layer
-/// context `run_with` takes.
-pub(crate) type SubIn<F> = (RunOptions, RunContext<F>);
+use crate::sim_backend::{BackendError, RunFailure, SimBackend};
 
 /// The pending run of block-local gates: charged when met, applied
 /// together when the run flushes.

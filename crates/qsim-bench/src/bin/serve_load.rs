@@ -52,8 +52,7 @@ usage: serve_load smoke --addr HOST:PORT
        serve_load bench
        serve_load batched [--jobs N]
        serve_load ci
-       serve_load mux [ci]
-       serve_load profile";
+       serve_load mux [ci]";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -78,7 +77,6 @@ fn main() {
         }
         Some("ci") => ci(),
         Some("mux") => mux_bench(argv.get(1).map(String::as_str) == Some("ci")),
-        Some("profile") => profile(),
         _ => Err(USAGE.into()),
     };
     if let Err(message) = result {
@@ -941,117 +939,6 @@ fn drive_mux_clients(
         }
     }
     Ok(conns.into_iter().flat_map(|c| c.latencies).collect())
-}
-
-// -------------------------------------------------------------- profile
-
-/// Developer microbenchmark behind the saturation numbers: per-piece
-/// submission costs (content hash, circuit clone, planning, end-to-end
-/// submit) and the raw engine comparison — N × `run_with` vs one
-/// `run_batch` — across gang widths for a few small circuits.
-fn profile() -> Result<(), String> {
-    use qsim_serve::JobQueue;
-    let circuit = library::qft(BATCHED_QUBITS);
-    let n = 500usize;
-
-    let t = Instant::now();
-    for _ in 0..n {
-        std::hint::black_box(circuit.content_hash());
-    }
-    println!("content_hash:    {:>9.1} us", t.elapsed().as_secs_f64() * 1e6 / n as f64);
-
-    let t = Instant::now();
-    for _ in 0..n {
-        std::hint::black_box(circuit.clone());
-    }
-    println!("circuit clone:   {:>9.1} us", t.elapsed().as_secs_f64() * 1e6 / n as f64);
-
-    let mut spec = JobSpec::new(circuit.clone());
-    spec.flavor = Flavor::Hip;
-    let t = Instant::now();
-    for _ in 0..n {
-        std::hint::black_box(qsim_serve::queue::QueuedJob::plan_spec(&spec));
-    }
-    println!("plan_spec:       {:>9.1} us", t.elapsed().as_secs_f64() * 1e6 / n as f64);
-
-    let plan = std::sync::Arc::new(qsim_serve::queue::QueuedJob::plan_spec(&spec));
-    let fused_hash = plan.fused.content_hash();
-    let t = Instant::now();
-    for i in 0..n {
-        let mut s = JobSpec::new(circuit.clone());
-        s.flavor = Flavor::Hip;
-        std::hint::black_box(qsim_serve::queue::QueuedJob::prepare_with(
-            qsim_serve::JobId(i as u64),
-            s,
-            qsim_core::cancel::CancelToken::new(),
-            plan.clone(),
-            fused_hash,
-        ));
-    }
-    println!(
-        "prepare_with:    {:>9.1} us (incl clone)",
-        t.elapsed().as_secs_f64() * 1e6 / n as f64
-    );
-
-    // End-to-end submit on an idle 1-worker service.
-    let service = Service::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
-    let t = Instant::now();
-    let mut ids = Vec::new();
-    for i in 0..n {
-        let mut s = JobSpec::new(circuit.clone());
-        s.flavor = Flavor::Hip;
-        s.priority = Priority::Batch;
-        s.seed = i as u64;
-        ids.push(service.submit(s).map_err(|e| format!("submit: {e}"))?);
-    }
-    println!(
-        "submit:          {:>9.1} us (incl clone)",
-        t.elapsed().as_secs_f64() * 1e6 / n as f64
-    );
-    for id in &ids {
-        service.wait(*id, Duration::from_secs(600));
-    }
-    service.shutdown();
-
-    // Raw engine: N × run_with vs one run_batch, single thread.
-    let _ = JobQueue::new();
-    use qsim_backends::batch_run::BatchJob;
-    use qsim_backends::{RunContext, RunOptions, SimBackend};
-    for (name, circ) in [
-        ("qft(4)", library::qft(4)),
-        ("qft(6)", library::qft(6)),
-        ("qft(8)", library::qft(8)),
-        ("ghz(8)", library::ghz(8)),
-    ] {
-        let backend = SimBackend::new(Flavor::CpuAvx);
-        let mut s = JobSpec::new(circ.clone());
-        s.flavor = Flavor::CpuAvx;
-        let plan = qsim_serve::queue::QueuedJob::plan_spec(&s);
-        let gang = 16usize;
-        let reps = 8usize;
-        // warm
-        let _ = backend.run_with::<f32>(&plan.fused, &RunOptions::default(), RunContext::default());
-        let t = Instant::now();
-        for _ in 0..reps * gang {
-            let r =
-                backend.run_with::<f32>(&plan.fused, &RunOptions::default(), RunContext::default());
-            std::hint::black_box(r.ok());
-        }
-        let single = t.elapsed().as_secs_f64() * 1e6 / (reps * gang) as f64;
-        print!("engine {name:>8}: run_with {single:>8.1} us/job; run_batch");
-        for g in [1usize, 8, 16, 32, 64] {
-            let t = Instant::now();
-            for _ in 0..(reps * gang / g).max(1) {
-                let jobs: Vec<BatchJob<'_, f32>> =
-                    (0..g).map(|_| BatchJob::new(&plan.fused)).collect();
-                std::hint::black_box(backend.run_batch::<f32>(jobs));
-            }
-            let batched = t.elapsed().as_secs_f64() * 1e6 / ((reps * gang / g).max(1) * g) as f64;
-            print!(" g{g}={batched:.1}");
-        }
-        println!(" us/job");
-    }
-    Ok(())
 }
 
 // ------------------------------------------------------------------- ci

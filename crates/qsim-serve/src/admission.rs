@@ -1,31 +1,20 @@
-//! Admission control: a global memory budget enforced at submit time,
-//! plus a modeled-bandwidth ledger enforced at dispatch time.
+//! Admission control: a global memory budget enforced at submit time.
 //!
-//! The memory budget is charged from qubit count × precision **before** a
-//! job is queued, so the service's answer to an over-committed moment is
-//! a typed rejection with a retry hint — backpressure — instead of a
+//! The budget is charged from qubit count × precision **before** a job
+//! is queued, so the service's answer to an over-committed moment is a
+//! typed rejection with a retry hint — backpressure — instead of a
 //! worker OOM-aborting mid-run with a 16 GiB allocation half-faulted.
+//! The result cache charges the same ledger ([`AdmissionController::try_charge`]),
+//! so cached reports and live state buffers compete for one budget.
 //!
-//! The bandwidth ledger is the second axis (qHiPSTER's bandwidth-centric
-//! accounting, applied to scheduling): every job carries an estimated
-//! DRAM traffic rate from the fusion cost model
-//! (`FusionPlan::predicted_traffic`), scaled down for states small enough
-//! to live in the last-level cache. Workers only start a job while the
-//! aggregate rate of *running* jobs stays under the modeled bandwidth
-//! budget — which is what stops eight workers from streaming eight
-//! 24-qubit states through one memory system at once, the measured
-//! scaling cliff in `results/serve_throughput.csv`. One job is always
-//! admissible when nothing is running, so the ledger can never deadlock
-//! the queue. Submissions are only refused (typed
-//! [`AdmissionError::Saturated`]) once the *backlog* of queued traffic
-//! exceeds a generous multiple of the budget — load shedding, not
-//! scheduling.
+//! The second admission axis — modeled memory *bandwidth* — is not here:
+//! it is decided, charged and released inside [`crate::queue::JobQueue`],
+//! under the lock dispatch reads it under. This module only names its
+//! typed refusal, [`AdmissionError::Saturated`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-use crate::job::JobSpec;
 
 /// Why a submission was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +52,18 @@ pub enum AdmissionError {
     },
 }
 
+impl AdmissionError {
+    /// The back-off a client should obey before resubmitting, or `None`
+    /// when retrying cannot help ([`AdmissionError::TooLarge`]).
+    pub fn retry_after(&self) -> Option<Duration> {
+        match *self {
+            AdmissionError::TooLarge { .. } => None,
+            AdmissionError::Rejected { retry_after, .. }
+            | AdmissionError::Saturated { retry_after, .. } => Some(retry_after),
+        }
+    }
+}
+
 impl std::fmt::Display for AdmissionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -92,20 +93,6 @@ impl std::fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// Atomically subtract with a floor of zero — callers that dispatch work
-/// pushed outside the submit path (queue unit tests, embedders driving
-/// the queue directly) must not wrap the counters.
-fn saturating_sub(counter: &AtomicU64, amount: u64) {
-    let mut current = counter.load(Ordering::Acquire);
-    loop {
-        let next = current.saturating_sub(amount);
-        match counter.compare_exchange_weak(current, next, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => return,
-            Err(actual) => current = actual,
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Ledger {
     budget_bytes: u64,
@@ -133,187 +120,53 @@ impl Drop for Reservation {
     }
 }
 
-/// The modeled-bandwidth ledger: aggregate traffic rates of queued and
-/// running jobs against a fixed bytes/s budget.
-#[derive(Debug)]
-struct BandwidthLedger {
-    /// Aggregate rate running jobs may charge before dispatch stalls.
-    budget_bps: u64,
-    /// Queued-backlog cap; submissions above it are shed.
-    backlog_limit_bps: u64,
-    /// Sum of queued (admitted, not yet started) jobs' rates.
-    queued_bps: AtomicU64,
-    /// Sum of running jobs' rates.
-    running_bps: AtomicU64,
-    /// Number of running jobs (the `== 0` escape hatch).
-    running_jobs: AtomicU64,
-}
-
-/// A snapshot of the bandwidth ledger for the `metrics` verb.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BandwidthSnapshot {
-    /// The configured bytes/s budget.
-    pub budget_bps: u64,
-    /// Aggregate rate charged by running jobs.
-    pub running_bps: u64,
-    /// Aggregate rate of admitted jobs still queued.
-    pub queued_bps: u64,
-    /// Running job count.
-    pub running_jobs: u64,
-}
-
-/// The gatekeeper: tracks reserved state bytes against a fixed budget and
-/// modeled traffic rates against a bandwidth budget.
+/// The gatekeeper: tracks reserved state bytes against a fixed budget.
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
     ledger: Arc<Ledger>,
-    bandwidth: Arc<BandwidthLedger>,
-    /// Retry hint handed to rejected clients.
-    retry_after: Duration,
 }
 
-/// Default client back-off hint.
+/// Client back-off hint carried by [`AdmissionError::Rejected`]
+/// ([`AdmissionError::Saturated`] hints four times as long: its backlog
+/// is many run-times deep by construction).
 pub const DEFAULT_RETRY_AFTER: Duration = Duration::from_millis(250);
 
-/// Default modeled-bandwidth budget, bytes/s. Roughly twice the modeled
-/// EPYC "Trento" socket bandwidth: enough for two streaming 24-qubit
-/// jobs side by side (the measured throughput knee) while any number of
-/// cache-resident small jobs pass untouched.
-pub const DEFAULT_BANDWIDTH_BUDGET_BPS: u64 = 400 << 30;
-
-/// Backlog multiple of the bandwidth budget past which submissions are
-/// shed with [`AdmissionError::Saturated`].
-pub const BACKLOG_OVERCOMMIT: u64 = 64;
-
 impl AdmissionController {
-    /// A controller over `budget_bytes` of state memory with the default
-    /// bandwidth budget.
+    /// A controller over `budget_bytes` of state memory.
     pub fn new(budget_bytes: u64) -> Self {
-        Self::with_bandwidth(budget_bytes, DEFAULT_BANDWIDTH_BUDGET_BPS)
-    }
-
-    /// A controller over `budget_bytes` of state memory and
-    /// `bandwidth_budget_bps` of modeled traffic.
-    pub fn with_bandwidth(budget_bytes: u64, bandwidth_budget_bps: u64) -> Self {
-        let budget_bps = bandwidth_budget_bps.max(1);
         AdmissionController {
             ledger: Arc::new(Ledger { budget_bytes, reserved_bytes: AtomicU64::new(0) }),
-            bandwidth: Arc::new(BandwidthLedger {
-                budget_bps,
-                backlog_limit_bps: budget_bps.saturating_mul(BACKLOG_OVERCOMMIT),
-                queued_bps: AtomicU64::new(0),
-                running_bps: AtomicU64::new(0),
-                running_jobs: AtomicU64::new(0),
-            }),
-            retry_after: DEFAULT_RETRY_AFTER,
         }
     }
 
-    /// Try to reserve the state bytes `spec` needs. On success the
-    /// returned [`Reservation`] holds the bytes until dropped.
-    pub fn try_admit(&self, spec: &JobSpec) -> Result<Reservation, AdmissionError> {
-        self.try_reserve(spec.state_bytes())
+    /// The one compare-and-swap loop: add `bytes` unless that overshoots
+    /// the budget (concurrent callers must not jointly overshoot between
+    /// the read and the add). `Err` carries the level that refused it.
+    fn charge(&self, bytes: u64) -> Result<(), u64> {
+        let budget = self.ledger.budget_bytes;
+        self.ledger
+            .reserved_bytes
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |reserved| {
+                reserved.checked_add(bytes).filter(|&next| next <= budget)
+            })
+            .map(drop)
     }
 
-    /// Try to reserve an explicit byte count.
+    /// Try to reserve `bytes` of state memory. On success the returned
+    /// [`Reservation`] holds the bytes until dropped.
     pub fn try_reserve(&self, bytes: u64) -> Result<Reservation, AdmissionError> {
-        if bytes > self.ledger.budget_bytes {
-            return Err(AdmissionError::TooLarge {
+        let budget_bytes = self.ledger.budget_bytes;
+        if bytes > budget_bytes {
+            return Err(AdmissionError::TooLarge { requested_bytes: bytes, budget_bytes });
+        }
+        match self.charge(bytes) {
+            Ok(()) => Ok(Reservation { bytes, ledger: self.ledger.clone() }),
+            Err(reserved) => Err(AdmissionError::Rejected {
                 requested_bytes: bytes,
-                budget_bytes: self.ledger.budget_bytes,
-            });
+                available_bytes: budget_bytes - reserved,
+                retry_after: DEFAULT_RETRY_AFTER,
+            }),
         }
-        // Compare-and-swap loop: concurrent submitters must not jointly
-        // overshoot the budget between the read and the add.
-        let mut reserved = self.ledger.reserved_bytes.load(Ordering::Acquire);
-        loop {
-            if reserved + bytes > self.ledger.budget_bytes {
-                return Err(AdmissionError::Rejected {
-                    requested_bytes: bytes,
-                    available_bytes: self.ledger.budget_bytes - reserved,
-                    retry_after: self.retry_after,
-                });
-            }
-            match self.ledger.reserved_bytes.compare_exchange_weak(
-                reserved,
-                reserved + bytes,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    return Ok(Reservation { bytes, ledger: self.ledger.clone() });
-                }
-                Err(actual) => reserved = actual,
-            }
-        }
-    }
-
-    /// Charge a submission's modeled traffic rate to the queued backlog,
-    /// or shed it when the backlog already exceeds
-    /// [`BACKLOG_OVERCOMMIT`] × budget. Pairs with
-    /// [`AdmissionController::start_traffic`] (on dispatch) or
-    /// [`AdmissionController::drop_queued_traffic`] (job never dispatched).
-    pub fn enqueue_traffic(&self, demand_bps: u64) -> Result<(), AdmissionError> {
-        let bw = &self.bandwidth;
-        let mut queued = bw.queued_bps.load(Ordering::Acquire);
-        loop {
-            let backlog = queued.saturating_add(bw.running_bps.load(Ordering::Acquire));
-            if backlog.saturating_add(demand_bps) > bw.backlog_limit_bps {
-                return Err(AdmissionError::Saturated {
-                    demand_bytes_per_sec: demand_bps,
-                    backlog_bytes_per_sec: backlog,
-                    limit_bytes_per_sec: bw.backlog_limit_bps,
-                    // The backlog is many run-times deep by construction;
-                    // hint a proportionally longer back-off than a plain
-                    // memory rejection.
-                    retry_after: self.retry_after * 4,
-                });
-            }
-            match bw.queued_bps.compare_exchange_weak(
-                queued,
-                queued + demand_bps,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Ok(()),
-                Err(actual) => queued = actual,
-            }
-        }
-    }
-
-    /// Whether a job charging `demand_bps` may start **now**: always when
-    /// nothing is running (so the ledger can never starve the queue),
-    /// otherwise only while the aggregate running rate stays in budget.
-    pub fn traffic_admissible(&self, demand_bps: u64) -> bool {
-        let bw = &self.bandwidth;
-        bw.running_jobs.load(Ordering::Acquire) == 0
-            || bw.running_bps.load(Ordering::Acquire).saturating_add(demand_bps) <= bw.budget_bps
-    }
-
-    /// Move traffic from the queued backlog to the running charge: a
-    /// dispatched unit releases `queued_bps` of backlog (every gang
-    /// member's share) and charges `running_bps` (the gang runs the sweep
-    /// once, so it charges its lead's rate). Pairs with
-    /// [`AdmissionController::finish_traffic`].
-    pub fn start_traffic(&self, queued_bps: u64, running_bps: u64) {
-        let bw = &self.bandwidth;
-        saturating_sub(&bw.queued_bps, queued_bps);
-        bw.running_bps.fetch_add(running_bps, Ordering::AcqRel);
-        bw.running_jobs.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Release a finished (or failed, cancelled, timed-out) unit's
-    /// running charge.
-    pub fn finish_traffic(&self, running_bps: u64) {
-        let bw = &self.bandwidth;
-        saturating_sub(&bw.running_bps, running_bps);
-        saturating_sub(&bw.running_jobs, 1);
-    }
-
-    /// Release backlog charged by a job that will never start (submission
-    /// raced shutdown).
-    pub fn drop_queued_traffic(&self, queued_bps: u64) {
-        saturating_sub(&self.bandwidth.queued_bps, queued_bps);
     }
 
     /// Charge `bytes` against the memory ledger without creating a
@@ -323,28 +176,18 @@ impl AdmissionController {
     /// charged. Pair every successful charge with
     /// [`AdmissionController::release`].
     pub fn try_charge(&self, bytes: u64) -> bool {
-        let mut reserved = self.ledger.reserved_bytes.load(Ordering::Acquire);
-        loop {
-            if reserved.saturating_add(bytes) > self.ledger.budget_bytes {
-                return false;
-            }
-            match self.ledger.reserved_bytes.compare_exchange_weak(
-                reserved,
-                reserved + bytes,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => reserved = actual,
-            }
-        }
+        self.charge(bytes).is_ok()
     }
 
     /// Return bytes charged via [`AdmissionController::try_charge`].
     /// Saturates at zero so a cache returning its whole occupancy on
     /// drop cannot wrap the ledger.
     pub fn release(&self, bytes: u64) {
-        saturating_sub(&self.ledger.reserved_bytes, bytes);
+        let _ = self.ledger.reserved_bytes.fetch_update(
+            Ordering::AcqRel,
+            Ordering::Acquire,
+            |reserved| Some(reserved.saturating_sub(bytes)),
+        );
     }
 
     /// The fixed budget.
@@ -355,17 +198,6 @@ impl AdmissionController {
     /// Bytes currently reserved by admitted, unfinished jobs.
     pub fn reserved_bytes(&self) -> u64 {
         self.ledger.reserved_bytes.load(Ordering::Acquire)
-    }
-
-    /// Bandwidth-ledger snapshot for the `metrics` verb.
-    pub fn bandwidth_snapshot(&self) -> BandwidthSnapshot {
-        let bw = &self.bandwidth;
-        BandwidthSnapshot {
-            budget_bps: bw.budget_bps,
-            running_bps: bw.running_bps.load(Ordering::Acquire),
-            queued_bps: bw.queued_bps.load(Ordering::Acquire),
-            running_jobs: bw.running_jobs.load(Ordering::Acquire),
-        }
     }
 }
 
@@ -411,14 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_admission_charges_state_bytes() {
-        let ctl = AdmissionController::new(16 << 20);
-        let spec = crate::job::JobSpec::new(qsim_circuit::library::ghz(20));
-        let r = ctl.try_admit(&spec).unwrap();
-        assert_eq!(r.bytes(), 8 << 20);
-    }
-
-    #[test]
     fn cache_charges_share_the_reservation_ledger() {
         let ctl = AdmissionController::new(1000);
         assert!(ctl.try_charge(700));
@@ -454,61 +278,5 @@ mod tests {
         });
         assert!(admitted <= 10, "budget overshot: {admitted} × 10 B admitted against 100 B");
         assert_eq!(ctl.reserved_bytes(), 0, "all reservations must have released");
-    }
-
-    #[test]
-    fn traffic_ledger_caps_concurrency_but_never_starves() {
-        let ctl = AdmissionController::with_bandwidth(1 << 30, 100);
-        // Nothing running: even an over-budget rate may start.
-        assert!(ctl.traffic_admissible(1000));
-        ctl.enqueue_traffic(70).unwrap();
-        ctl.start_traffic(70, 70);
-        // 70 of 100 charged: a 40 B/s job must wait…
-        assert!(!ctl.traffic_admissible(40));
-        // …but a 30 B/s job still fits exactly.
-        assert!(ctl.traffic_admissible(30));
-        ctl.finish_traffic(70);
-        assert!(ctl.traffic_admissible(40));
-        let snap = ctl.bandwidth_snapshot();
-        assert_eq!((snap.running_bps, snap.running_jobs, snap.queued_bps), (0, 0, 0));
-    }
-
-    #[test]
-    fn saturated_backlog_sheds_with_typed_error() {
-        let ctl = AdmissionController::with_bandwidth(1 << 30, 10);
-        // Backlog limit is 10 × BACKLOG_OVERCOMMIT = 640 B/s.
-        ctl.enqueue_traffic(600).unwrap();
-        match ctl.enqueue_traffic(100) {
-            Err(AdmissionError::Saturated {
-                demand_bytes_per_sec: 100,
-                backlog_bytes_per_sec: 600,
-                limit_bytes_per_sec,
-                retry_after,
-            }) => {
-                assert_eq!(limit_bytes_per_sec, 10 * BACKLOG_OVERCOMMIT);
-                assert!(retry_after > Duration::ZERO);
-            }
-            other => panic!("expected Saturated, got {other:?}"),
-        }
-        // Shedding must not leak backlog charge.
-        assert_eq!(ctl.bandwidth_snapshot().queued_bps, 600);
-        ctl.drop_queued_traffic(600);
-        assert_eq!(ctl.bandwidth_snapshot().queued_bps, 0);
-    }
-
-    #[test]
-    fn gang_dispatch_charges_lead_rate_only() {
-        let ctl = AdmissionController::with_bandwidth(1 << 30, 100);
-        for _ in 0..4 {
-            ctl.enqueue_traffic(20).unwrap();
-        }
-        assert_eq!(ctl.bandwidth_snapshot().queued_bps, 80);
-        // A 4-member gang releases all four backlog shares but runs the
-        // sweep once: it charges one member's rate.
-        ctl.start_traffic(80, 20);
-        let snap = ctl.bandwidth_snapshot();
-        assert_eq!((snap.queued_bps, snap.running_bps, snap.running_jobs), (0, 20, 1));
-        ctl.finish_traffic(20);
-        assert_eq!(ctl.bandwidth_snapshot().running_jobs, 0);
     }
 }

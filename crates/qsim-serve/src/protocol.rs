@@ -144,47 +144,22 @@ fn handle_submit(service: &Service, request: &Value) -> Handled {
             }
             handled
         }
-        Err(SubmitError::Rejected(AdmissionError::Rejected {
-            retry_after,
-            requested_bytes,
-            available_bytes,
-        })) => Handled {
-            response: json!({
-                "ok": false,
-                "error": (SubmitError::Rejected(AdmissionError::Rejected {
-                    retry_after,
-                    requested_bytes,
-                    available_bytes,
-                })
-                .to_string()),
-                "rejected": true,
-                "retry_after_ms": (retry_after.as_millis() as u64),
-            }),
-            shutdown: false,
-            stream: None,
-        },
-        Err(SubmitError::Rejected(e @ AdmissionError::Saturated { .. })) => {
-            let retry_after = match e {
-                AdmissionError::Saturated { retry_after, .. } => retry_after,
-                _ => unreachable!(),
+        Err(SubmitError::Rejected(e)) => {
+            // One shape for every admission refusal: the variant picks
+            // the flags, and whoever may usefully retry is told when.
+            let flags: &[&str] = match e {
+                AdmissionError::TooLarge { .. } => &["too_large"],
+                AdmissionError::Rejected { .. } => &["rejected"],
+                AdmissionError::Saturated { .. } => &["rejected", "saturated"],
             };
-            Handled {
-                response: json!({
-                    "ok": false,
-                    "error": (e.to_string()),
-                    "rejected": true,
-                    "saturated": true,
-                    "retry_after_ms": (retry_after.as_millis() as u64),
-                }),
-                shutdown: false,
-                stream: None,
+            let mut fields = vec![("ok".to_string(), json!(false))];
+            fields.push(("error".to_string(), json!(e.to_string())));
+            fields.extend(flags.iter().map(|flag| (flag.to_string(), json!(true))));
+            if let Some(retry_after) = e.retry_after() {
+                fields.push(("retry_after_ms".to_string(), json!(retry_after.as_millis() as u64)));
             }
+            Handled { response: Value::Object(fields), shutdown: false, stream: None }
         }
-        Err(SubmitError::Rejected(e @ AdmissionError::TooLarge { .. })) => Handled {
-            response: json!({ "ok": false, "error": (e.to_string()), "too_large": true }),
-            shutdown: false,
-            stream: None,
-        },
         Err(e) => err(e),
     }
 }
@@ -304,6 +279,50 @@ mod tests {
         let resp = submit_line(&service, &req);
         assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(false));
         assert_eq!(resp.get("too_large").and_then(Value::as_bool), Some(true), "{resp:?}");
+    }
+
+    /// The three admission refusals, byte for byte as they go on the wire
+    /// (the `error` text is the error's own `Display`).
+    #[test]
+    fn admission_refusals_share_one_payload_shape() {
+        let submit = |service: &Service, circuit: &qsim_circuit::Circuit, precision: &str| {
+            let text = qsim_circuit::parser::write_circuit(circuit);
+            let req = json!({ "verb": "submit", "circuit": (text), "precision": (precision) });
+            let resp = submit_line(service, &serde_json::to_string(&req).unwrap());
+            let error = resp.get("error").and_then(Value::as_str).unwrap_or_default().to_string();
+            (serde_json::to_string(&resp).unwrap(), error, resp.get("id").and_then(Value::as_u64))
+        };
+        let service = small_service(); // 1 MiB budget
+
+        let (line, error, _) = submit(&service, &qsim_circuit::library::ghz(24), "single");
+        assert!(error.starts_with("job needs 134217728 B of state"), "{error}");
+        assert_eq!(line, format!(r#"{{"ok":false,"error":"{error}","too_large":true}}"#));
+
+        // A 16-qubit double-precision state is the whole budget; while it
+        // runs, nothing else fits.
+        let holder = qsim_circuit::library::random_dense(16, 4000, 7);
+        let (line, _, held) = submit(&service, &holder, "double");
+        let held = held.unwrap_or_else(|| panic!("holder must be admitted: {line}"));
+        let (line, error, _) = submit(&service, &qsim_circuit::library::bell(), "single");
+        assert!(error.starts_with("budget exhausted"), "{error}");
+        assert_eq!(
+            line,
+            format!(r#"{{"ok":false,"error":"{error}","rejected":true,"retry_after_ms":250}}"#)
+        );
+        service.cancel(JobId(held));
+
+        let starved = Service::start(ServiceConfig {
+            bandwidth_budget_bps: 1, // backlog cap 64 B/s
+            ..ServiceConfig::default()
+        });
+        let (line, error, _) = submit(&starved, &qsim_circuit::library::ghz(16), "single");
+        assert!(error.starts_with("bandwidth backlog saturated"), "{error}");
+        assert_eq!(
+            line,
+            format!(
+                r#"{{"ok":false,"error":"{error}","rejected":true,"saturated":true,"retry_after_ms":1000}}"#
+            )
+        );
     }
 
     #[test]

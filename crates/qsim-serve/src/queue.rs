@@ -1,19 +1,31 @@
-//! The job queue: priority classes, FIFO within a class, blocking pop —
-//! plus the bandwidth-aware, affinity-aware, gang-coalescing dispatch
-//! path ([`JobQueue::pop_work`]).
+//! The job queue: the one way a job gets from submission to a worker.
 //!
-//! Built on `std::sync::{Mutex, Condvar}` (the offline `parking_lot`
-//! stand-in exposes no condvar). Workers block in [`JobQueue::pop_work`];
-//! [`JobQueue::close`] wakes them all, after which pops drain whatever
-//! is still queued and then return `None` — that drain is what makes
-//! service shutdown graceful rather than lossy.
+//! [`JobQueue::push`] takes accepted jobs in, [`JobQueue::pop`] hands a
+//! worker its next unit, [`JobQueue::finish`] takes the unit's charge
+//! back. Three priority classes, FIFO within a class; built on
+//! `std::sync::{Mutex, Condvar}` (the offline `parking_lot` stand-in
+//! exposes no condvar). [`JobQueue::close`] wakes every blocked worker,
+//! after which pops drain whatever is still queued and then return `None`
+//! — that drain is what makes service shutdown graceful rather than lossy.
+//!
+//! The queue also *is* the modeled-bandwidth ledger (qHiPSTER's
+//! bandwidth-centric accounting, applied to scheduling): every job
+//! carries an estimated DRAM traffic rate ([`QueuedJob::demand_bps`]),
+//! and the levels — queued backlog, running charge, running units — are
+//! plain integers beside the job lists, behind the same mutex. So the
+//! invariant holds by construction: **the gate is decided, charged and
+//! released under the queue lock.** A worker that reads "this job fits"
+//! has charged it before any other worker can read the ledger, and a
+//! release cannot slip between a blocked worker's check and its wait.
 //!
 //! Dispatch refinements over plain FIFO:
 //!
-//! - **Bandwidth gate** — a job only starts while the admission
-//!   controller's modeled-traffic ledger has room for its estimated
-//!   bytes/s ([`QueuedJob::demand_bps`]); with nothing running, the front
-//!   job always starts, so the gate cannot deadlock the queue.
+//! - **Bandwidth gate** — a job only starts while the aggregate rate of
+//!   running units plus its own stays within the budget; with nothing
+//!   running, the front job always starts, so the gate cannot deadlock
+//!   the queue. Submissions are refused (typed
+//!   [`AdmissionError::Saturated`]) only once the *backlog* exceeds
+//!   [`BACKLOG_OVERCOMMIT`] × the budget — load shedding, not scheduling.
 //! - **Size affinity** — within a bounded window at the front of a class,
 //!   a worker prefers a job whose `(precision, state length)` matches the
 //!   buffer bucket it last touched, so its released buffer is re-adopted
@@ -21,8 +33,8 @@
 //! - **Gang coalescing** — when the selected job is `Batch`-class, up to
 //!   `max_batch − 1` further Batch jobs with the same fused-circuit
 //!   content hash (and flavor/precision/plan settings) are drained with
-//!   it and handed to `SimBackend::run_batch` as one gang: one gate plan,
-//!   one matrix upload, one sweep across all member states.
+//!   it and run as one gang: one gate plan, one matrix upload, one sweep
+//!   across all member states.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -33,7 +45,7 @@ use qsim_core::cancel::CancelToken;
 use qsim_core::lockorder;
 use qsim_core::types::Precision;
 
-use crate::admission::AdmissionController;
+use crate::admission::{AdmissionError, DEFAULT_RETRY_AFTER};
 use crate::job::{JobId, JobSpec, Priority};
 
 /// `(precision, amplitude count)` — the buffer-pool bucket a job's state
@@ -45,9 +57,24 @@ pub type BucketKey = (Precision, usize);
 /// fair share of the modeled socket's L3).
 pub const RESIDENT_BYTES: u64 = 64 << 20;
 
+/// Default modeled-bandwidth budget, bytes/s. Roughly twice the modeled
+/// EPYC "Trento" socket bandwidth: enough for two streaming 24-qubit
+/// jobs side by side (the measured throughput knee) while any number of
+/// cache-resident small jobs pass untouched.
+pub const DEFAULT_BANDWIDTH_BUDGET_BPS: u64 = 400 << 30;
+
+/// Backlog multiple of the bandwidth budget past which submissions are
+/// shed with [`AdmissionError::Saturated`].
+pub const BACKLOG_OVERCOMMIT: u64 = 64;
+
 /// How deep into a priority class the affinity preference may look before
 /// strict FIFO wins (bounds how far a front job can be bypassed).
 const AFFINITY_WINDOW: usize = 8;
+
+/// How often a worker re-examines a queue whose jobs are all behind the
+/// bandwidth gate: a queued job's cancel token (explicit, or a deadline
+/// passing) makes it dispatchable with no event to announce it.
+const GATED_POLL: Duration = Duration::from_millis(5);
 
 /// One queued unit of work: the spec, the plan built at submission (the
 /// worker runs it as-is — planning is paid once, not per dispatch), the
@@ -76,19 +103,9 @@ pub struct QueuedJob {
 }
 
 impl QueuedJob {
-    /// Plan `spec` and price its modeled traffic: the fusion cost model's
-    /// per-run [`qsim_backends::TrafficEstimate`] rate, scaled by how much
-    /// of the state actually streams through DRAM (a state far smaller
-    /// than the cache share re-reads silicon, not memory).
-    pub fn prepare(id: JobId, spec: JobSpec, cancel: CancelToken) -> QueuedJob {
-        let plan = Arc::new(Self::plan_spec(&spec));
-        let fused_hash = plan.fused.content_hash();
-        Self::prepare_with(id, spec, cancel, plan, fused_hash)
-    }
-
     /// Plan a spec's circuit for its backend — the per-unique-circuit
-    /// work [`QueuedJob::prepare`] does, exposed so the service can cache
-    /// it by circuit content hash across hash-equal submissions.
+    /// work the service caches by circuit content hash across hash-equal
+    /// submissions.
     pub fn plan_spec(spec: &JobSpec) -> FusionPlan {
         let backend = SimBackend::new(spec.flavor);
         let opts = qsim_backends::PlanOptions {
@@ -98,10 +115,13 @@ impl QueuedJob {
         backend.plan_circuit(&spec.circuit, &opts, spec.precision)
     }
 
-    /// Build a queued job around an already-available plan and its fused
-    /// content hash (both shared via the service's plan cache); only the
-    /// per-job traffic pricing remains.
-    pub fn prepare_with(
+    /// Build a single-device queued job around its plan and the plan's
+    /// fused content hash (both shared via the service's plan cache),
+    /// pricing its modeled traffic: the fusion cost model's per-run
+    /// [`qsim_backends::TrafficEstimate`] rate, scaled by how much of the
+    /// state actually streams through DRAM (a state far smaller than the
+    /// cache share re-reads silicon, not memory).
+    pub fn new(
         id: JobId,
         spec: JobSpec,
         cancel: CancelToken,
@@ -121,7 +141,7 @@ impl QueuedJob {
     /// Whether `other` may ride in the same gang: identical fused circuit
     /// (by content hash) under identical backend/precision/plan settings.
     /// Seeds, sample counts, deadlines and `keep_state` may differ — they
-    /// are per-sub-job inputs of `run_batch`.
+    /// are per-member inputs of the gang's run.
     pub fn gang_compatible(&self, other: &QueuedJob) -> bool {
         // Sharded jobs run alone: the gang sweep is a single-device pass.
         self.devices == 1
@@ -135,22 +155,45 @@ impl QueuedJob {
     }
 }
 
-/// What [`JobQueue::pop_work`] hands a worker: one or more jobs (more
-/// than one only for a Batch-class gang, lead first) plus the running
-/// traffic charge the worker must release via
-/// [`AdmissionController::finish_traffic`] when the unit completes.
+/// What [`JobQueue::pop`] hands a worker: one or more jobs (more than one
+/// only for a Batch-class gang, lead first) plus the running traffic
+/// charge the worker returns through [`JobQueue::finish`] when the unit
+/// completes.
 #[derive(Debug)]
 pub struct WorkUnit {
-    /// The jobs to run — a single job, or a gang for `run_batch`.
+    /// The jobs to run — a single job, or a gang.
     pub jobs: Vec<QueuedJob>,
     /// Rate charged to the ledger for this unit (the lead's demand).
     pub running_bps: u64,
 }
 
-#[derive(Debug, Default)]
+/// [`JobQueue::push`] found the queue closed (the service is shutting
+/// down); nothing was queued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Closed;
+
+/// The bandwidth-ledger levels, for the `metrics` verb.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BandwidthSnapshot {
+    /// The configured bytes/s budget.
+    pub budget_bps: u64,
+    /// Aggregate rate charged by running units.
+    pub running_bps: u64,
+    /// Aggregate rate of admitted jobs still queued.
+    pub queued_bps: u64,
+    /// Running unit count (a gang is one unit).
+    pub running_jobs: u64,
+}
+
+#[derive(Debug)]
 struct Inner {
     classes: [VecDeque<QueuedJob>; 3],
     closed: bool,
+    /// The bandwidth ledger: what running units may charge in aggregate,
+    /// what they do charge, how many there are (the `== 0` escape hatch),
+    /// and the queued backlog with its shedding cap.
+    bandwidth: BandwidthSnapshot,
+    backlog_limit_bps: u64,
 }
 
 impl Inner {
@@ -158,53 +201,43 @@ impl Inner {
         self.classes.iter().map(VecDeque::len).sum()
     }
 
-    fn pop_next(&mut self) -> Option<QueuedJob> {
-        self.classes.iter_mut().find_map(VecDeque::pop_front)
-    }
-
     /// Select the next dispatchable job: the first bandwidth-admissible
     /// job in the highest non-empty class, except that an admissible
     /// affinity match within the class's front window wins over an
     /// earlier non-matching job.
-    fn select(
-        &mut self,
-        admission: &AdmissionController,
-        affinity: Option<BucketKey>,
-    ) -> Option<QueuedJob> {
-        for class in &mut self.classes {
-            if class.is_empty() {
+    fn select(&mut self, affinity: Option<BucketKey>) -> Option<QueuedJob> {
+        let BandwidthSnapshot { budget_bps, running_bps, running_jobs, .. } = self.bandwidth;
+        // Always admissible when nothing is running (so the ledger can
+        // never starve the queue) or when the token has fired (the worker
+        // only records the cancellation); otherwise only while the
+        // aggregate running rate stays in budget.
+        let admissible = |job: &QueuedJob| {
+            running_jobs == 0
+                || job.cancel.cause().is_some()
+                || running_bps.saturating_add(job.demand_bps) <= budget_bps
+        };
+        // Only the top non-empty class is searched: falling through to a
+        // lower class when it is gated would invert priorities.
+        let class = self.classes.iter_mut().find(|class| !class.is_empty())?;
+        let mut first_admissible = None;
+        for (i, job) in class.iter().enumerate() {
+            if i >= AFFINITY_WINDOW && first_admissible.is_some() {
+                break;
+            }
+            if !admissible(job) {
                 continue;
             }
-            let mut first_admissible = None;
-            for (i, job) in class.iter().enumerate() {
-                if i >= AFFINITY_WINDOW && first_admissible.is_some() {
-                    break;
-                }
-                // A fired token makes the job free to "run" (the worker
-                // only records the cancellation), so it always passes.
-                let admissible =
-                    job.cancel.cause().is_some() || admission.traffic_admissible(job.demand_bps);
-                if !admissible {
-                    continue;
-                }
-                if affinity == Some(job.bucket()) {
-                    return class.remove(i);
-                }
-                if first_admissible.is_none() {
-                    first_admissible = Some(i);
-                    if affinity.is_none() {
-                        break;
-                    }
-                }
-            }
-            if let Some(i) = first_admissible {
+            if affinity == Some(job.bucket()) {
                 return class.remove(i);
             }
-            // Nothing admissible in the top non-empty class: do NOT fall
-            // through to a lower class — that would invert priorities.
-            return None;
+            if first_admissible.is_none() {
+                first_admissible = Some(i);
+                if affinity.is_none() {
+                    break;
+                }
+            }
         }
-        None
+        class.remove(first_admissible?)
     }
 
     /// Drain up to `extra` gang-compatible Batch-class jobs for `lead`.
@@ -226,127 +259,125 @@ impl Inner {
 }
 
 /// A multi-class FIFO job queue shared between the submitting front-end
-/// and the worker pool.
-#[derive(Debug, Default)]
+/// and the worker pool, and the bandwidth ledger dispatch is gated on.
+#[derive(Debug)]
 pub struct JobQueue {
     inner: Mutex<Inner>,
     available: Condvar,
 }
 
 impl JobQueue {
-    /// An open, empty queue.
-    pub fn new() -> Self {
-        Self::default()
+    /// An open, empty queue dispatching against `bandwidth_budget_bps` of
+    /// modeled traffic.
+    pub fn new(bandwidth_budget_bps: u64) -> Self {
+        let budget_bps = bandwidth_budget_bps.max(1);
+        JobQueue {
+            inner: Mutex::new(Inner {
+                classes: Default::default(),
+                closed: false,
+                bandwidth: BandwidthSnapshot { budget_bps, ..BandwidthSnapshot::default() },
+                backlog_limit_bps: budget_bps.saturating_mul(BACKLOG_OVERCOMMIT),
+            }),
+            available: Condvar::new(),
+        }
     }
 
-    /// Enqueue a job in its priority class. Returns the job back if the
-    /// queue has been closed (service shutting down).
-    // The Err variant hands the whole job back so the caller can settle
-    // its reservation — worth the width on this cold rejection path.
-    #[allow(clippy::result_large_err)]
-    pub fn push(&self, job: QueuedJob) -> Result<(), QueuedJob> {
+    /// Enqueue jobs, each in its priority class, under one lock round.
+    /// A job whose modeled traffic would push the backlog (queued +
+    /// running) past [`BACKLOG_OVERCOMMIT`] × budget is shed instead of
+    /// queued and comes back, by id, with its typed
+    /// [`AdmissionError::Saturated`]; the others charge the backlog and
+    /// queue. `Err(Closed)`: the queue has been closed, nothing queued.
+    pub fn push(&self, jobs: Vec<QueuedJob>) -> Result<Vec<(JobId, AdmissionError)>, Closed> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let _held = lockorder::track("qsim-serve::queue::JobQueue.inner");
         if inner.closed {
-            return Err(job);
+            return Err(Closed);
         }
-        inner.classes[job.spec.priority.index()].push_back(job);
-        drop(inner);
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Enqueue a batch of jobs under one lock round — the bulk-submission
-    /// path. Returns all the jobs back if the queue has been closed.
-    pub fn push_many(&self, jobs: Vec<QueuedJob>) -> Result<(), Vec<QueuedJob>> {
-        if jobs.is_empty() {
-            return Ok(());
-        }
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let _held = lockorder::track("qsim-serve::queue::JobQueue.inner");
-        if inner.closed {
-            return Err(jobs);
-        }
+        let mut shed = Vec::new();
         for job in jobs {
+            let backlog = inner.bandwidth.queued_bps.saturating_add(inner.bandwidth.running_bps);
+            if backlog.saturating_add(job.demand_bps) > inner.backlog_limit_bps {
+                let refusal = AdmissionError::Saturated {
+                    demand_bytes_per_sec: job.demand_bps,
+                    backlog_bytes_per_sec: backlog,
+                    limit_bytes_per_sec: inner.backlog_limit_bps,
+                    retry_after: DEFAULT_RETRY_AFTER * 4,
+                };
+                shed.push((job.id, refusal));
+                continue;
+            }
+            inner.bandwidth.queued_bps += job.demand_bps;
             inner.classes[job.spec.priority.index()].push_back(job);
         }
         drop(inner);
+        // Every idle worker must see a queue that stopped being empty:
+        // one of them may find the new job gated and has to start polling
+        // for its deadline while another is already busy.
         self.available.notify_all();
-        Ok(())
-    }
-
-    /// Block until a job is available (highest priority class first,
-    /// FIFO within a class) or the queue is closed **and** drained, in
-    /// which case `None` tells the worker to exit. Ignores the bandwidth
-    /// gate — the dispatch path workers use is [`JobQueue::pop_work`].
-    pub fn pop(&self) -> Option<QueuedJob> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        // The wait below atomically releases and re-acquires `inner`;
-        // while parked this thread runs nothing, so keeping the token
-        // across the wait records no false ordering.
-        let _held = lockorder::track("qsim-serve::queue::JobQueue.inner");
-        loop {
-            if let Some(job) = inner.pop_next() {
-                return Some(job);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.available.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
+        Ok(shed)
     }
 
     /// Block until a bandwidth-admissible unit of work is available (or
-    /// the queue is closed and drained → `None`). Charges the unit's
-    /// traffic to `admission` before returning: the caller owns the
-    /// release ([`AdmissionController::finish_traffic`] with
-    /// [`WorkUnit::running_bps`]).
+    /// the queue is closed and drained → `None`) and charge it: the
+    /// caller owns the release ([`JobQueue::finish`]).
     ///
     /// `affinity` is the `(precision, length)` bucket the worker last
     /// released a buffer into; `max_batch` caps gang width (`1` disables
     /// coalescing).
-    pub fn pop_work(
-        &self,
-        admission: &AdmissionController,
-        affinity: Option<BucketKey>,
-        max_batch: usize,
-    ) -> Option<WorkUnit> {
+    pub fn pop(&self, affinity: Option<BucketKey>, max_batch: usize) -> Option<WorkUnit> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        // The waits below atomically release and re-acquire `inner`;
+        // while parked this thread runs nothing, so keeping the token
+        // across them records no false ordering.
         let _held = lockorder::track("qsim-serve::queue::JobQueue.inner");
         loop {
-            if let Some(lead) = inner.select(admission, affinity) {
+            if let Some(lead) = inner.select(affinity) {
                 let mut jobs = vec![lead];
                 if max_batch > 1 && jobs[0].spec.priority == Priority::Batch {
                     let gang = inner.drain_gang(&jobs[0], max_batch - 1);
                     jobs.extend(gang);
                 }
-                drop(inner);
                 // The gang sweeps every member state through one pass of
                 // the gate plan, so it charges the lead's rate once; all
                 // members' backlog shares are released.
                 let queued: u64 = jobs.iter().map(|j| j.demand_bps).sum();
                 let running_bps = jobs[0].demand_bps;
-                admission.start_traffic(queued, running_bps);
+                let ledger = &mut inner.bandwidth;
+                ledger.queued_bps = ledger.queued_bps.saturating_sub(queued);
+                ledger.running_bps = ledger.running_bps.saturating_add(running_bps);
+                ledger.running_jobs += 1;
                 return Some(WorkUnit { jobs, running_bps });
             }
             if inner.closed && inner.len() == 0 {
                 return None;
             }
-            // Timed wait: a finish_traffic release may race this check,
-            // and the bounded sleep doubles as the lost-wakeup backstop.
-            let (guard, _) = self
-                .available
-                .wait_timeout(inner, Duration::from_millis(5))
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
+            inner = if inner.len() == 0 {
+                self.available.wait(inner).unwrap_or_else(|e| e.into_inner())
+            } else {
+                // Everything dispatchable is behind the gate. A release
+                // notifies; a queued job's token firing does not.
+                self.available.wait_timeout(inner, GATED_POLL).unwrap_or_else(|e| e.into_inner()).0
+            };
         }
     }
 
-    /// Wake blocked workers — called after a finished unit releases its
-    /// bandwidth charge, which may make a previously inadmissible job
-    /// dispatchable.
-    pub fn notify(&self) {
-        self.available.notify_all();
+    /// Return a finished (or failed, cancelled, timed-out) unit's running
+    /// charge and, if anything is queued, wake the workers — a deferred
+    /// job may now fit. (Workers asleep on an empty queue have nothing to
+    /// gain from a release.)
+    pub fn finish(&self, unit: &WorkUnit) {
+        let deferred = {
+            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let _held = lockorder::track("qsim-serve::queue::JobQueue.inner");
+            let ledger = &mut inner.bandwidth;
+            ledger.running_bps = ledger.running_bps.saturating_sub(unit.running_bps);
+            ledger.running_jobs = ledger.running_jobs.saturating_sub(1);
+            inner.len() > 0
+        };
+        if deferred {
+            self.available.notify_all();
+        }
     }
 
     /// Close the queue: no further [`JobQueue::push`] succeeds, every
@@ -371,6 +402,13 @@ impl JobQueue {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Bandwidth-ledger snapshot for the `metrics` verb.
+    pub fn bandwidth_snapshot(&self) -> BandwidthSnapshot {
+        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let _held = lockorder::track("qsim-serve::queue::JobQueue.inner");
+        inner.bandwidth
+    }
 }
 
 #[cfg(test)]
@@ -379,150 +417,291 @@ mod tests {
     use qsim_circuit::library;
     use std::sync::Arc;
 
+    fn queued(id: u64, spec: JobSpec) -> QueuedJob {
+        let plan = Arc::new(QueuedJob::plan_spec(&spec));
+        let fused_hash = plan.fused.content_hash();
+        QueuedJob::new(JobId(id), spec, CancelToken::new(), plan, fused_hash)
+    }
+
     fn job(id: u64, priority: Priority) -> QueuedJob {
         let mut spec = JobSpec::new(library::bell());
         spec.priority = priority;
-        QueuedJob::prepare(JobId(id), spec, CancelToken::new())
+        queued(id, spec)
+    }
+
+    /// A Normal-class job claiming `demand_bps` of modeled traffic.
+    fn demanding(id: u64, demand_bps: u64) -> QueuedJob {
+        QueuedJob { demand_bps, ..job(id, Priority::Normal) }
     }
 
     fn batch_job(id: u64, qubits: usize) -> QueuedJob {
         let mut spec = JobSpec::new(library::ghz(qubits));
         spec.priority = Priority::Batch;
         spec.seed = id; // seeds differ; gang compatibility must survive
-        QueuedJob::prepare(JobId(id), spec, CancelToken::new())
+        queued(id, spec)
     }
 
-    fn wide_open() -> AdmissionController {
-        AdmissionController::with_bandwidth(1 << 40, u64::MAX / 2)
+    fn wide_open() -> JobQueue {
+        JobQueue::new(u64::MAX / 2)
+    }
+
+    fn push_all(q: &JobQueue, jobs: Vec<QueuedJob>) {
+        assert_eq!(q.push(jobs), Ok(Vec::new()), "nothing closed, nothing shed");
+    }
+
+    fn ids(unit: &WorkUnit) -> Vec<u64> {
+        unit.jobs.iter().map(|j| j.id.0).collect()
+    }
+
+    /// Pop one unit without coalescing and hand its charge straight back.
+    fn pop_one(q: &JobQueue) -> Option<u64> {
+        let unit = q.pop(None, 1)?;
+        q.finish(&unit);
+        Some(unit.jobs[0].id.0)
+    }
+
+    fn levels(q: &JobQueue) -> (u64, u64, u64) {
+        let snap = q.bandwidth_snapshot();
+        (snap.queued_bps, snap.running_bps, snap.running_jobs)
     }
 
     #[test]
     fn priority_beats_fifo_and_fifo_holds_within_class() {
-        let q = JobQueue::new();
-        q.push(job(1, Priority::Batch)).unwrap();
-        q.push(job(2, Priority::Normal)).unwrap();
-        q.push(job(3, Priority::High)).unwrap();
-        q.push(job(4, Priority::Normal)).unwrap();
-        let order: Vec<u64> = (0..4).map(|_| q.pop().unwrap().id.0).collect();
+        let q = wide_open();
+        push_all(&q, vec![job(1, Priority::Batch), job(2, Priority::Normal)]);
+        push_all(&q, vec![job(3, Priority::High), job(4, Priority::Normal)]);
+        let order: Vec<u64> = (0..4).map(|_| pop_one(&q).unwrap()).collect();
         assert_eq!(order, [3, 2, 4, 1]);
     }
 
     #[test]
     fn close_rejects_new_and_drains_old() {
-        let q = JobQueue::new();
-        q.push(job(1, Priority::Normal)).unwrap();
+        let q = wide_open();
+        push_all(&q, vec![job(1, Priority::Normal)]);
         q.close();
-        assert!(q.push(job(2, Priority::Normal)).is_err(), "closed queue must reject");
-        assert_eq!(q.pop().unwrap().id.0, 1, "closed queue must still drain");
-        assert!(q.pop().is_none(), "drained closed queue returns None");
+        assert_eq!(q.push(vec![job(2, Priority::Normal)]), Err(Closed), "closed queue rejects");
+        assert_eq!(pop_one(&q), Some(1), "closed queue must still drain");
+        assert_eq!(pop_one(&q), None, "drained closed queue returns None");
     }
 
     #[test]
     fn blocked_pop_wakes_on_push_and_on_close() {
-        let q = Arc::new(JobQueue::new());
+        let q = Arc::new(wide_open());
 
         let qp = q.clone();
-        let popper = std::thread::spawn(move || qp.pop().map(|j| j.id.0));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.push(job(7, Priority::High)).unwrap();
+        let popper = std::thread::spawn(move || pop_one(&qp));
+        std::thread::sleep(Duration::from_millis(20));
+        push_all(&q, vec![job(7, Priority::High)]);
         assert_eq!(popper.join().unwrap(), Some(7));
 
         let qp = q.clone();
-        let popper = std::thread::spawn(move || qp.pop().map(|j| j.id.0));
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        let popper = std::thread::spawn(move || pop_one(&qp));
+        std::thread::sleep(Duration::from_millis(20));
+        q.close();
+        assert_eq!(popper.join().unwrap(), None);
+    }
+
+    /// How often the thread named `name` has gone to sleep so far (the
+    /// kernel's count of its voluntary context switches).
+    #[cfg(target_os = "linux")]
+    fn sleeps_of(name: &str) -> u64 {
+        let comm_is = |task: &std::path::PathBuf| {
+            std::fs::read_to_string(task.join("comm")).is_ok_and(|comm| comm.trim() == name)
+        };
+        let mut tasks = std::fs::read_dir("/proc/self/task").unwrap().map(|t| t.unwrap().path());
+        let status = std::fs::read_to_string(tasks.find(comm_is).unwrap().join("status")).unwrap();
+        let switches = status.lines().find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+        switches.unwrap().trim().parse().unwrap()
+    }
+
+    /// With the release under the lock no wake-up can be lost, so a
+    /// worker facing an empty queue sleeps untimed: once it has gone to
+    /// sleep it is not heard from again until there is something to do
+    /// (the 5 ms poll it replaced woke ten times in any 50 ms).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn idle_worker_does_not_poll_an_empty_queue() {
+        let q = Arc::new(wide_open());
+        let qp = q.clone();
+        let popper = std::thread::Builder::new().name("idle-popper".into());
+        let popper = popper.spawn(move || pop_one(&qp)).unwrap();
+        // A few tries only so that a slow start of the thread is not
+        // mistaken for a wake-up; a polling wait fails every one of them.
+        let quiet = (0..10).any(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            let before = sleeps_of("idle-popper");
+            std::thread::sleep(Duration::from_millis(50));
+            sleeps_of("idle-popper") == before
+        });
+        assert!(quiet, "a worker on an empty queue must sleep through 50 ms");
         q.close();
         assert_eq!(popper.join().unwrap(), None);
     }
 
     #[test]
-    fn pop_work_coalesces_compatible_batch_jobs() {
-        let q = JobQueue::new();
-        let ctl = wide_open();
+    fn pop_coalesces_compatible_batch_jobs() {
+        let q = wide_open();
         // Three hash-equal 6-qubit GHZ jobs, one incompatible 7-qubit job
         // in between, one Normal-class job that must dispatch first.
-        q.push(batch_job(1, 6)).unwrap();
-        q.push(batch_job(2, 7)).unwrap();
-        q.push(batch_job(3, 6)).unwrap();
-        q.push(batch_job(4, 6)).unwrap();
-        q.push(job(5, Priority::Normal)).unwrap();
+        push_all(
+            &q,
+            vec![
+                batch_job(1, 6),
+                batch_job(2, 7),
+                batch_job(3, 6),
+                batch_job(4, 6),
+                job(5, Priority::Normal),
+            ],
+        );
 
-        let unit = q.pop_work(&ctl, None, 8).unwrap();
-        assert_eq!(unit.jobs.len(), 1);
-        assert_eq!(unit.jobs[0].id.0, 5, "Normal class dispatches before Batch");
-        ctl.finish_traffic(unit.running_bps);
+        let unit = q.pop(None, 8).unwrap();
+        assert_eq!(ids(&unit), [5], "Normal class dispatches before Batch");
+        q.finish(&unit);
 
-        let unit = q.pop_work(&ctl, None, 8).unwrap();
-        let ids: Vec<u64> = unit.jobs.iter().map(|j| j.id.0).collect();
-        assert_eq!(ids, [1, 3, 4], "gang takes every compatible job, FIFO order");
+        let unit = q.pop(None, 8).unwrap();
+        assert_eq!(ids(&unit), [1, 3, 4], "gang takes every compatible job, FIFO order");
         assert!(unit.jobs.windows(2).all(|w| w[0].gang_compatible(&w[1])));
-        ctl.finish_traffic(unit.running_bps);
+        q.finish(&unit);
 
-        let unit = q.pop_work(&ctl, None, 8).unwrap();
-        assert_eq!(unit.jobs.len(), 1, "the incompatible job runs alone");
-        assert_eq!(unit.jobs[0].id.0, 2);
-        ctl.finish_traffic(unit.running_bps);
-        assert_eq!(ctl.bandwidth_snapshot().running_jobs, 0);
+        let unit = q.pop(None, 8).unwrap();
+        assert_eq!(ids(&unit), [2], "the incompatible job runs alone");
+        q.finish(&unit);
+        assert_eq!(levels(&q), (0, 0, 0));
     }
 
     #[test]
     fn gang_width_respects_max_batch() {
-        let q = JobQueue::new();
-        let ctl = wide_open();
-        for id in 0..5 {
-            q.push(batch_job(id, 6)).unwrap();
-        }
-        let unit = q.pop_work(&ctl, None, 3).unwrap();
+        let q = wide_open();
+        push_all(&q, (0..5).map(|id| batch_job(id, 6)).collect());
+        let unit = q.pop(None, 3).unwrap();
         assert_eq!(unit.jobs.len(), 3);
-        ctl.finish_traffic(unit.running_bps);
-        let unit = q.pop_work(&ctl, None, 3).unwrap();
+        q.finish(&unit);
+        let unit = q.pop(None, 3).unwrap();
         assert_eq!(unit.jobs.len(), 2, "remainder gangs up too");
-        ctl.finish_traffic(unit.running_bps);
+        q.finish(&unit);
+    }
+
+    #[test]
+    fn gang_dispatch_charges_lead_rate_only() {
+        let q = JobQueue::new(100);
+        push_all(&q, (0..4).map(|id| QueuedJob { demand_bps: 20, ..batch_job(id, 6) }).collect());
+        assert_eq!(levels(&q), (80, 0, 0));
+        // A 4-member gang releases all four backlog shares but runs the
+        // sweep once: it charges one member's rate.
+        let unit = q.pop(None, 4).unwrap();
+        assert_eq!(unit.jobs.len(), 4);
+        assert_eq!(levels(&q), (0, 20, 1));
+        q.finish(&unit);
+        assert_eq!(levels(&q), (0, 0, 0));
+    }
+
+    #[test]
+    fn traffic_ledger_caps_concurrency_but_never_starves() {
+        let q = JobQueue::new(100);
+        // Nothing running: even an over-budget rate may start.
+        push_all(&q, vec![demanding(1, 1000)]);
+        let over = q.pop(None, 1).unwrap();
+        assert_eq!((ids(&over), over.running_bps), (vec![1], 1000));
+        q.finish(&over);
+
+        push_all(&q, vec![demanding(2, 70)]);
+        let seventy = q.pop(None, 1).unwrap();
+        // 70 of 100 charged: a 40 B/s job must wait, but the 30 B/s job
+        // behind it still fits exactly and overtakes it.
+        push_all(&q, vec![demanding(3, 40), demanding(4, 30)]);
+        let thirty = q.pop(None, 1).unwrap();
+        assert_eq!(ids(&thirty), [4]);
+        assert_eq!(levels(&q), (40, 100, 2));
+        q.finish(&seventy);
+        let forty = q.pop(None, 1).unwrap();
+        assert_eq!(ids(&forty), [3]);
+        q.finish(&thirty);
+        q.finish(&forty);
+        assert_eq!(levels(&q), (0, 0, 0));
+    }
+
+    #[test]
+    fn saturated_backlog_sheds_with_typed_error() {
+        let q = JobQueue::new(10);
+        // Backlog limit is 10 × BACKLOG_OVERCOMMIT = 640 B/s.
+        let shed = q.push(vec![demanding(1, 600), demanding(2, 100), demanding(3, 40)]).unwrap();
+        match shed.as_slice() {
+            [(
+                JobId(2),
+                AdmissionError::Saturated {
+                    demand_bytes_per_sec: 100,
+                    backlog_bytes_per_sec: 600,
+                    limit_bytes_per_sec,
+                    retry_after,
+                },
+            )] => {
+                assert_eq!(*limit_bytes_per_sec, 10 * BACKLOG_OVERCOMMIT);
+                assert!(*retry_after > Duration::ZERO);
+            }
+            other => panic!("expected job 2 Saturated, got {other:?}"),
+        }
+        // Shedding must not leak backlog charge, and a running charge
+        // counts toward the backlog like a queued one.
+        assert_eq!((q.len(), levels(&q)), (2, (640, 0, 0)));
+        let unit = q.pop(None, 1).unwrap();
+        assert_eq!(levels(&q), (40, 600, 1));
+        assert_eq!(q.push(vec![demanding(4, 1)]).unwrap().len(), 1, "640 of 640 still committed");
+        q.finish(&unit);
+        assert_eq!(pop_one(&q), Some(3));
+        assert_eq!(levels(&q), (0, 0, 0));
     }
 
     #[test]
     fn bandwidth_gate_defers_but_never_starves() {
-        let q = JobQueue::new();
         // Budget 100 B/s; jobs below claim far more.
-        let ctl = AdmissionController::with_bandwidth(1 << 40, 100);
-        let mut big = job(1, Priority::Normal);
-        big.demand_bps = 1000;
-        ctl.enqueue_traffic(big.demand_bps).unwrap();
-        q.push(big).unwrap();
-
+        let q = Arc::new(JobQueue::new(100));
+        push_all(&q, vec![demanding(1, 1000)]);
         // Nothing running → the over-budget job dispatches anyway.
-        let unit = q.pop_work(&ctl, None, 1).unwrap();
-        assert_eq!(unit.jobs[0].id.0, 1);
-        assert_eq!(unit.running_bps, 1000);
+        let unit = q.pop(None, 1).unwrap();
+        assert_eq!((ids(&unit), unit.running_bps), (vec![1], 1000));
 
         // While it runs, a second big job is deferred…
-        let mut big2 = job(2, Priority::Normal);
-        big2.demand_bps = 1000;
-        ctl.enqueue_traffic(big2.demand_bps).unwrap();
-        q.push(big2).unwrap();
-        let q = Arc::new(q);
-        let ctl2 = ctl.clone();
+        push_all(&q, vec![demanding(2, 1000)]);
         let qp = q.clone();
-        let popper =
-            std::thread::spawn(move || qp.pop_work(&ctl2, None, 1).map(|u| u.jobs[0].id.0));
+        let popper = std::thread::spawn(move || pop_one(&qp));
         std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(q.len(), 1, "job 2 must still be behind the gate");
         // …until the first finishes and releases its charge.
-        ctl.finish_traffic(unit.running_bps);
-        q.notify();
+        q.finish(&unit);
         assert_eq!(popper.join().unwrap(), Some(2));
+
+        // A job timing out — or cancelled — while queued behind a closed
+        // gate announces nothing; a free worker still resolves it within
+        // the gated poll.
+        push_all(&q, vec![demanding(3, 1000)]);
+        let unit = q.pop(None, 1).unwrap();
+        let cancel = CancelToken::with_deadline(Duration::from_millis(20));
+        push_all(&q, vec![QueuedJob { cancel, ..demanding(4, 1000) }]);
+        assert_eq!(pop_one(&q), Some(4), "resolved once its deadline passed");
+
+        let cancelled = demanding(5, 1000);
+        let token = cancelled.cancel.clone();
+        push_all(&q, vec![cancelled]);
+        let qp = q.clone();
+        let popper = std::thread::spawn(move || pop_one(&qp));
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(q.len(), 1, "job 5 must still be behind the gate");
+        token.cancel();
+        assert_eq!(popper.join().unwrap(), Some(5));
+        assert_eq!(levels(&q), (0, 1000, 1), "the gate never opened: job 3 still holds it");
+        q.finish(&unit);
     }
 
     #[test]
     fn affinity_prefers_matching_bucket_within_window() {
-        let q = JobQueue::new();
-        let ctl = wide_open();
-        q.push(batch_job(1, 6)).unwrap();
-        q.push(batch_job(2, 9)).unwrap();
+        let q = wide_open();
+        push_all(&q, vec![batch_job(1, 6), batch_job(2, 9)]);
         let bucket_9 = (Precision::Single, 1usize << 9);
-        let unit = q.pop_work(&ctl, Some(bucket_9), 1).unwrap();
-        assert_eq!(unit.jobs[0].id.0, 2, "affinity match wins within the window");
-        ctl.finish_traffic(unit.running_bps);
-        let unit = q.pop_work(&ctl, Some(bucket_9), 1).unwrap();
-        assert_eq!(unit.jobs[0].id.0, 1);
-        ctl.finish_traffic(unit.running_bps);
+        let unit = q.pop(Some(bucket_9), 1).unwrap();
+        assert_eq!(ids(&unit), [2], "affinity match wins within the window");
+        q.finish(&unit);
+        let unit = q.pop(Some(bucket_9), 1).unwrap();
+        assert_eq!(ids(&unit), [1]);
+        q.finish(&unit);
     }
 }

@@ -20,10 +20,10 @@ use qsim_core::types::Cplx;
 use qsim_distributed::{MultiGcdBackend, SwapPolicy, SwapSchedule, EXCHANGE_KERNEL};
 use serde_json::json;
 
-use crate::admission::{AdmissionController, AdmissionError, BandwidthSnapshot, Reservation};
+use crate::admission::{AdmissionController, AdmissionError, Reservation};
 use crate::job::{JobId, JobSpec, JobState, Priority};
 use crate::pool::{BucketStats, PoolStats, StateBufferPool};
-use crate::queue::{JobQueue, QueuedJob};
+use crate::queue::{BandwidthSnapshot, JobQueue, QueuedJob};
 use crate::worker::WorkerPool;
 
 /// Service construction parameters.
@@ -92,7 +92,7 @@ impl Default for ServiceConfig {
             workers: 4,
             memory_budget_bytes: 16 << 30,
             pool_max_per_bucket: crate::pool::DEFAULT_MAX_PER_BUCKET,
-            bandwidth_budget_bps: crate::admission::DEFAULT_BANDWIDTH_BUDGET_BPS,
+            bandwidth_budget_bps: crate::queue::DEFAULT_BANDWIDTH_BUDGET_BPS,
             max_batch: DEFAULT_MAX_BATCH,
             plan_cache_budget_bytes: DEFAULT_PLAN_CACHE_BUDGET,
             result_cache_budget_bytes: DEFAULT_RESULT_CACHE_BUDGET,
@@ -377,7 +377,7 @@ pub(crate) struct ServiceInner {
     pub(crate) queue: JobQueue,
     pub(crate) pool: StateBufferPool,
     pub(crate) admission: AdmissionController,
-    /// Gang-width cap workers pass to `pop_work`.
+    /// Gang-width cap workers pass to `pop`.
     pub(crate) max_batch: usize,
     /// Fusion plans keyed by circuit content and plan settings; shared
     /// across hash-equal submissions so the Batch-class workload plans
@@ -520,7 +520,10 @@ impl ServiceInner {
     /// report or error, release the admission reservations, fold the
     /// runs' timings into the aggregates — one registry + one aggregates
     /// lock acquisition for the whole set.
-    pub(crate) fn finish_many<I: IntoIterator<Item = (JobId, JobOutcome)>>(&self, outcomes: I) {
+    pub(crate) fn finish_many(&self, outcomes: Vec<(JobId, JobOutcome)>) {
+        if outcomes.is_empty() {
+            return;
+        }
         let mut cacheable: Vec<(ResultKey, Arc<RunReport>)> = Vec::new();
         {
             let mut registry = self.registry.lock();
@@ -598,12 +601,6 @@ impl ServiceInner {
         cache_entry
     }
 
-    /// Gang-wide cancellation resolution for members whose token fired
-    /// while queued — one lock round for the whole set.
-    pub(crate) fn cancel_many<I: IntoIterator<Item = (JobId, CancelCause)>>(&self, causes: I) {
-        self.finish_many(causes.into_iter().map(|(id, cause)| (id, JobOutcome::Cancelled(cause))));
-    }
-
     /// Fold one gang dispatch of `width` jobs into the batching counters.
     pub(crate) fn record_batch(&self, width: usize) {
         let mut agg = self.aggregates.lock();
@@ -613,19 +610,25 @@ impl ServiceInner {
     }
 }
 
-/// What [`Service::prepare_submission`] concluded about one spec.
-enum Prepared {
-    /// Admitted: a planned job ready for the registry and the queue.
-    Queued {
-        job: Box<QueuedJob>,
-        reservation: Reservation,
-        /// Key the finished report will be cached under (`None` when
-        /// the result is not cacheable).
-        result_key: Option<ResultKey>,
-    },
-    /// The result cache already holds this exact run's report; no job
-    /// needs to execute.
-    CacheHit { priority: Priority, flavor: Flavor, num_qubits: usize, report: Arc<RunReport> },
+/// How admission routed one submission that has to run: its budget hold,
+/// the modeled devices it runs across, and its plan.
+struct Route {
+    reservation: Reservation,
+    devices: usize,
+    plan: Arc<FusionPlan>,
+    fused_hash: u64,
+    /// Planned fabric-exchange bytes across all devices (0 on one).
+    exchanged_bytes: u64,
+}
+
+/// What [`Service::prepare_submission`] concluded about one spec: the
+/// record it enters the registry with and, unless the result cache made
+/// that record `Done` already, the job to queue.
+struct Admitted {
+    id: JobId,
+    record: JobRecord,
+    job: Option<QueuedJob>,
+    exchanged_bytes: u64,
 }
 
 /// The job service: owns the worker pool and exposes the verb surface
@@ -640,10 +643,7 @@ pub struct Service {
 impl Service {
     /// Start the service: spawn the worker pool and begin accepting jobs.
     pub fn start(config: ServiceConfig) -> Service {
-        let admission = AdmissionController::with_bandwidth(
-            config.memory_budget_bytes,
-            config.bandwidth_budget_bps,
-        );
+        let admission = AdmissionController::new(config.memory_budget_bytes);
         // The result cache charges the same reservation ledger jobs
         // reserve state memory from: a cached report occupies modeled
         // budget like a live state does, and sheds under pressure.
@@ -652,7 +652,7 @@ impl Service {
             Arc::new(AdmissionLedger(admission.clone())) as Arc<dyn BudgetLedger>,
         );
         let inner = Arc::new(ServiceInner {
-            queue: JobQueue::new(),
+            queue: JobQueue::new(config.bandwidth_budget_bps),
             pool: StateBufferPool::with_max_per_bucket(config.pool_max_per_bucket),
             admission,
             max_batch: config.max_batch.max(1),
@@ -674,8 +674,10 @@ impl Service {
 
     /// Validate, admit, plan and price one submission — everything that
     /// happens before the job touches the registry or the queue. A
-    /// result-cache hit short-circuits all of it.
-    fn prepare_submission(&self, spec: JobSpec) -> Result<Prepared, SubmitError> {
+    /// result-cache hit skips admission and planning: its record is born
+    /// `Done`, so the caller gets a real id whose `status` and `report`
+    /// behave exactly like a run that went through a worker.
+    fn prepare_submission(&self, spec: JobSpec) -> Result<Admitted, SubmitError> {
         if !self.inner.accepting.load(Ordering::Acquire) {
             return Err(SubmitError::ShuttingDown);
         }
@@ -697,280 +699,189 @@ impl Service {
         // completion.
         let result_key =
             if self.inner.results.budget_bytes() == 0 { None } else { result_cache_key(&spec) };
-        if let Some(key) = &result_key {
-            if let Some(report) = self.inner.results.get(key) {
-                return Ok(Prepared::CacheHit {
-                    priority: spec.priority,
-                    flavor: spec.flavor,
-                    num_qubits: n,
-                    report,
-                });
-            }
-        }
-        // A state over the whole budget is not refused outright: it is
-        // routed to the sharded multi-GCD backend over enough modeled
-        // devices that each per-device shard fits, and the host-side
-        // reservation drops to one shard's bytes. Transient pressure
-        // (`Rejected`/`Saturated`) still bounces — sharding cures size,
-        // not load — but a `Rejected` first sheds the result cache,
-        // which must never starve live work while sitting on
-        // reclaimable ledger bytes.
-        let (devices, reservation) = match self.admit_shedding(&spec) {
-            Ok(r) => (1usize, r),
-            Err(AdmissionError::TooLarge { requested_bytes, budget_bytes }) => {
-                let Some(devices) = shard_devices(requested_bytes, budget_bytes, n) else {
-                    self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(SubmitError::Rejected(AdmissionError::TooLarge {
-                        requested_bytes,
-                        budget_bytes,
-                    }));
-                };
-                match self.reserve_shedding(requested_bytes / devices as u64) {
-                    Ok(r) => (devices, r),
-                    Err(e) => {
-                        self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-                        return Err(SubmitError::Rejected(e));
-                    }
-                }
-            }
-            Err(e) => {
-                self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::Rejected(e));
-            }
-        };
+        let report = result_key.as_ref().and_then(|key| self.inner.results.get(key));
+        let route = if report.is_some() { None } else { Some(self.admit(&spec)?) };
 
         let id = JobId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
         let cancel = match spec.timeout {
             Some(timeout) => CancelToken::with_deadline(timeout),
             None => CancelToken::new(),
         };
+        let record = JobRecord {
+            state: if report.is_some() { JobState::Done } else { JobState::Queued },
+            priority: spec.priority,
+            flavor: spec.flavor,
+            num_qubits: n,
+            devices: 1,
+            cancel: cancel.clone(),
+            report,
+            state_vector: None,
+            error: None,
+            reservation: None,
+            result_key: None,
+        };
+        let mut admitted = Admitted { id, record, job: None, exchanged_bytes: 0 };
+        if let Some(route) = route {
+            admitted.record.devices = route.devices;
+            admitted.record.reservation = Some(route.reservation);
+            // Sharded reports are device-count specific (their device
+            // string and exchange accounting differ), so only
+            // single-device jobs feed the result cache.
+            admitted.record.result_key = result_key.filter(|_| route.devices == 1);
+            admitted.exchanged_bytes = route.exchanged_bytes;
+            let mut job = QueuedJob::new(id, spec, cancel, route.plan, route.fused_hash);
+            job.devices = route.devices;
+            admitted.job = Some(job);
+        }
+        Ok(admitted)
+    }
+
+    /// Reserve state memory for `spec` and plan it. A state over the
+    /// whole budget is not refused outright: it is routed to the sharded
+    /// multi-GCD backend over enough modeled devices that each
+    /// per-device shard fits, and the host-side reservation drops to one
+    /// shard's bytes. Transient pressure (`Rejected`) still bounces —
+    /// sharding cures size, not load.
+    fn admit(&self, spec: &JobSpec) -> Result<Route, SubmitError> {
+        let n = spec.circuit.num_qubits;
+        let (devices, reservation) = match self.reserve_shedding(spec.state_bytes()) {
+            Ok(reservation) => (1usize, reservation),
+            Err(too_large @ AdmissionError::TooLarge { requested_bytes, budget_bytes }) => {
+                let devices = shard_devices(requested_bytes, budget_bytes, n)
+                    .ok_or(SubmitError::Rejected(too_large))?;
+                let shard_bytes = requested_bytes / devices as u64;
+                (devices, self.reserve_shedding(shard_bytes).map_err(SubmitError::Rejected)?)
+            }
+            Err(e) => return Err(SubmitError::Rejected(e)),
+        };
         // Plan once per unique circuit: the worker runs the plan as-is,
         // the gang path groups jobs by the plan's content hash, and the
         // plan's traffic estimate is what the bandwidth ledger charges.
         // Hash-equal resubmissions (the Batch-class workload) hit the
         // plan cache instead of re-running the fusion planner.
-        let (plan, fused_hash) = if devices == 1 {
-            self.inner.cached_plan(&spec)
-        } else {
-            // Sharded plans bypass the cache: the distributed cost model
-            // prices per device count, which the cache key does not carry,
-            // and routed jobs are rare enough to plan individually. The
-            // plan's traffic estimate now includes the fabric-exchange
-            // bytes, so the bandwidth ledger charges the job for the
-            // links it occupies, not just its DRAM streams.
-            let backend = MultiGcdBackend::new(spec.flavor, devices);
-            let opts = qsim_backends::PlanOptions {
-                strategy: spec.strategy,
-                max_fused_qubits: spec.max_fused,
-            };
-            let plan = Arc::new(backend.plan_circuit(&spec.circuit, &opts, spec.precision));
-            if !plan.predicted_cost_seconds.is_finite() {
-                return Err(SubmitError::Invalid(format!(
-                    "circuit cannot shard across {devices} devices: a fused gate \
-                     exceeds the shard width (resubmit with a smaller max_fused)"
-                )));
-            }
-            let hash = plan.fused.content_hash();
-            (plan, hash)
+        if devices == 1 {
+            let (plan, fused_hash) = self.inner.cached_plan(spec);
+            return Ok(Route { reservation, devices, plan, fused_hash, exchanged_bytes: 0 });
+        }
+        // Sharded plans bypass the cache: the distributed cost model
+        // prices per device count, which the cache key does not carry,
+        // and routed jobs are rare enough to plan individually. The
+        // plan's traffic estimate includes the fabric-exchange bytes, so
+        // the bandwidth ledger charges the job for the links it
+        // occupies, not just its DRAM streams.
+        let backend = MultiGcdBackend::new(spec.flavor, devices);
+        let opts = qsim_backends::PlanOptions {
+            strategy: spec.strategy,
+            max_fused_qubits: spec.max_fused,
         };
-        let mut job = QueuedJob::prepare_with(id, spec, cancel, plan, fused_hash);
-        job.devices = devices;
-        if devices > 1 {
-            self.inner.routed_sharded.fetch_add(1, Ordering::Relaxed);
-            let m = job.spec.circuit.num_qubits - devices.trailing_zeros() as usize;
-            if let Ok(schedule) = SwapSchedule::plan(&job.plan.fused, m, SwapPolicy::Lookahead) {
-                let per_device =
-                    schedule.bytes_per_device(1usize << m, job.spec.precision.amplitude_bytes());
-                self.inner
-                    .sharded_exchanged_bytes
-                    .fetch_add(per_device.saturating_mul(devices as u64), Ordering::Relaxed);
-            }
+        let plan = Arc::new(backend.plan_circuit(&spec.circuit, &opts, spec.precision));
+        if !plan.predicted_cost_seconds.is_finite() {
+            return Err(SubmitError::Invalid(format!(
+                "circuit cannot shard across {devices} devices: a fused gate \
+                 exceeds the shard width (resubmit with a smaller max_fused)"
+            )));
         }
-        if let Err(e) = self.inner.admission.enqueue_traffic(job.demand_bps) {
-            // The memory reservation drops here; only the traffic backlog
-            // was saturated.
-            self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::Rejected(e));
-        }
-        // Sharded reports are device-count specific (their device string
-        // and exchange accounting differ), so only single-device jobs
-        // feed the result cache.
-        let result_key = result_key.filter(|_| devices == 1);
-        Ok(Prepared::Queued { job: Box::new(job), reservation, result_key })
+        let m = n - devices.trailing_zeros() as usize;
+        let exchanged_bytes =
+            SwapSchedule::plan(&plan.fused, m, SwapPolicy::Lookahead).map_or(0, |schedule| {
+                schedule
+                    .bytes_per_device(1usize << m, spec.precision.amplitude_bytes())
+                    .saturating_mul(devices as u64)
+            });
+        let fused_hash = plan.fused.content_hash();
+        Ok(Route { reservation, devices, plan, fused_hash, exchanged_bytes })
     }
 
-    /// `try_admit` with one retry after shedding the result cache: when
+    /// `try_reserve` with one retry after shedding the result cache: when
     /// the ledger is full, cached results give their bytes back before
-    /// live work is bounced.
-    fn admit_shedding(&self, spec: &JobSpec) -> Result<Reservation, AdmissionError> {
-        match self.inner.admission.try_admit(spec) {
-            Err(e @ AdmissionError::Rejected { requested_bytes, .. }) => {
-                if self.inner.results.shed(requested_bytes) == 0 {
-                    return Err(e);
-                }
-                self.inner.admission.try_admit(spec)
-            }
-            other => other,
-        }
-    }
-
-    /// [`Service::admit_shedding`], for the sharded per-device
-    /// reservation path.
+    /// live work is bounced — the cache must never starve live work while
+    /// sitting on reclaimable ledger bytes.
     fn reserve_shedding(&self, bytes: u64) -> Result<Reservation, AdmissionError> {
         match self.inner.admission.try_reserve(bytes) {
-            Err(e @ AdmissionError::Rejected { requested_bytes, .. }) => {
-                if self.inner.results.shed(requested_bytes) == 0 {
-                    return Err(e);
-                }
+            Err(AdmissionError::Rejected { .. }) if self.inner.results.shed(bytes) > 0 => {
                 self.inner.admission.try_reserve(bytes)
             }
             other => other,
         }
     }
 
-    /// The registry record a freshly prepared job enters the system with.
-    fn record_for(
-        job: &QueuedJob,
-        reservation: Reservation,
-        result_key: Option<ResultKey>,
-    ) -> JobRecord {
-        JobRecord {
-            state: JobState::Queued,
-            priority: job.spec.priority,
-            flavor: job.spec.flavor,
-            num_qubits: job.spec.circuit.num_qubits,
-            devices: job.devices,
-            cancel: job.cancel.clone(),
-            report: None,
-            state_vector: None,
-            error: None,
-            reservation: Some(reservation),
-            result_key,
-        }
-    }
-
-    /// Register a result-cache hit as an already-`Done` job: the caller
-    /// gets a real id whose `status` and `report` behave exactly like a
-    /// run that went through a worker.
-    fn admit_cache_hit(
-        &self,
-        priority: Priority,
-        flavor: Flavor,
-        num_qubits: usize,
-        report: Arc<RunReport>,
-    ) -> JobId {
-        let id = JobId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
-        let record = JobRecord {
-            state: JobState::Done,
-            priority,
-            flavor,
-            num_qubits,
-            devices: 1,
-            cancel: CancelToken::new(),
-            report: Some(report),
-            state_vector: None,
-            error: None,
-            reservation: None,
-            result_key: None,
-        };
-        {
-            let mut registry = self.inner.registry.lock();
-            let _held = lockorder::track("qsim-serve::service::ServiceInner.registry");
-            registry.insert(id, record);
-        }
-        {
-            let mut agg = self.inner.aggregates.lock();
-            let _held = lockorder::track("qsim-serve::service::ServiceInner.aggregates");
-            // A hit completes a job; it contributes no wall/setup time
-            // (nothing ran), so the timing aggregates are untouched.
-            agg.completed += 1;
-        }
-        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        id
-    }
-
     /// Submit a job. On success the job is queued and its [`JobId`]
     /// returned; poll [`Service::status`] until terminal.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
-        let (job, reservation, result_key) = match self.prepare_submission(spec)? {
-            Prepared::Queued { job, reservation, result_key } => (job, reservation, result_key),
-            Prepared::CacheHit { priority, flavor, num_qubits, report } => {
-                return Ok(self.admit_cache_hit(priority, flavor, num_qubits, report));
-            }
-        };
-        let id = job.id;
-        {
-            let mut registry = self.inner.registry.lock();
-            let _held = lockorder::track("qsim-serve::service::ServiceInner.registry");
-            registry.insert(id, Self::record_for(&job, reservation, result_key));
-        }
-        let demand_bps = job.demand_bps;
-        if self.inner.queue.push(*job).is_err() {
-            // Shutdown raced the submission; undo the registration.
-            let mut registry = self.inner.registry.lock();
-            let _held = lockorder::track("qsim-serve::service::ServiceInner.registry");
-            registry.remove(&id);
-            self.inner.admission.drop_queued_traffic(demand_bps);
-            return Err(SubmitError::ShuttingDown);
-        }
-        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(id)
+        self.submit_many([spec]).pop().expect("one verdict per spec")
     }
 
-    /// Submit a batch of jobs, paying the registry and queue lock rounds
-    /// once for the whole slice instead of once per job — the submission
-    /// counterpart of gang dispatch, for clients that generate the
-    /// Batch-class saturation workload. Per-spec admission verdicts come
-    /// back in input order; accepted jobs are queued together, so a gang
-    /// can form from one call's jobs immediately.
+    /// Submit jobs — the one way in. Every spec is prepared on its own
+    /// (per-spec verdicts come back in input order), then the accepted
+    /// ones enter the registry in one lock round and the queue in
+    /// another, so a gang can form from one call's jobs immediately and
+    /// a Batch-class flight pays the rounds once, not once per job.
     pub fn submit_many(
         &self,
         specs: impl IntoIterator<Item = JobSpec>,
     ) -> Vec<Result<JobId, SubmitError>> {
         let mut results = Vec::new();
-        let mut accepted: Vec<(Box<QueuedJob>, Reservation, Option<ResultKey>)> = Vec::new();
+        let mut records = Vec::new();
+        let mut jobs = Vec::new();
+        // Sharded jobs' ids and planned exchange bytes: counted once the
+        // job is past the last point it can be refused.
+        let mut routed: Vec<(JobId, u64)> = Vec::new();
         for spec in specs {
-            match self.prepare_submission(spec) {
-                Ok(Prepared::Queued { job, reservation, result_key }) => {
-                    results.push(Ok(job.id));
-                    accepted.push((job, reservation, result_key));
-                }
-                Ok(Prepared::CacheHit { priority, flavor, num_qubits, report }) => {
-                    results.push(Ok(self.admit_cache_hit(priority, flavor, num_qubits, report)));
-                }
-                Err(e) => results.push(Err(e)),
-            }
-        }
-        if accepted.is_empty() {
-            return results;
-        }
-        let mut jobs = Vec::with_capacity(accepted.len());
-        {
-            let mut registry = self.inner.registry.lock();
-            let _held = lockorder::track("qsim-serve::service::ServiceInner.registry");
-            for (job, reservation, result_key) in accepted {
-                registry.insert(job.id, Self::record_for(&job, reservation, result_key));
-                jobs.push(*job);
-            }
-        }
-        let count = jobs.len() as u64;
-        let undo: Vec<(JobId, u64)> = jobs.iter().map(|j| (j.id, j.demand_bps)).collect();
-        if self.inner.queue.push_many(jobs).is_err() {
-            // Shutdown raced the batch; undo every registration.
-            let mut registry = self.inner.registry.lock();
-            let _held = lockorder::track("qsim-serve::service::ServiceInner.registry");
-            for (id, demand_bps) in undo {
-                registry.remove(&id);
-                self.inner.admission.drop_queued_traffic(demand_bps);
-                for r in &mut results {
-                    if *r == Ok(id) {
-                        *r = Err(SubmitError::ShuttingDown);
+            results.push(self.prepare_submission(spec).map(|admitted| {
+                if let Some(job) = admitted.job {
+                    if job.devices > 1 {
+                        routed.push((admitted.id, admitted.exchanged_bytes));
                     }
+                    jobs.push(job);
+                }
+                records.push((admitted.id, admitted.record));
+                admitted.id
+            }));
+        }
+        let mut accepted = records.len() as u64;
+        let hits = accepted - jobs.len() as u64;
+        if accepted > 0 {
+            let mut registry = self.inner.registry.lock();
+            let _held = lockorder::track("qsim-serve::service::ServiceInner.registry");
+            registry.extend(records);
+        }
+        // The queue has the last word: it sheds what its traffic backlog
+        // cannot take, and refuses everything once shutdown closed it.
+        let ids: Vec<JobId> = jobs.iter().map(|job| job.id).collect();
+        // (Nothing to queue — a call of cache hits only — wakes no worker.)
+        let pushed = if jobs.is_empty() { Ok(Vec::new()) } else { self.inner.queue.push(jobs) };
+        let refused: Vec<(JobId, SubmitError)> = match pushed {
+            Ok(shed) => shed.into_iter().map(|(id, e)| (id, SubmitError::Rejected(e))).collect(),
+            Err(_closed) => ids.into_iter().map(|id| (id, SubmitError::ShuttingDown)).collect(),
+        };
+        if !refused.is_empty() {
+            // Undo the registrations; dropping a record returns its
+            // memory reservation.
+            let mut registry = self.inner.registry.lock();
+            let _held = lockorder::track("qsim-serve::service::ServiceInner.registry");
+            for (id, error) in refused {
+                registry.remove(&id);
+                routed.retain(|(routed_id, _)| *routed_id != id);
+                accepted -= 1;
+                if let Some(verdict) = results.iter_mut().find(|r| **r == Ok(id)) {
+                    *verdict = Err(error);
                 }
             }
-            return results;
         }
-        self.inner.submitted.fetch_add(count, Ordering::Relaxed);
+        let rejected =
+            results.iter().filter(|r| matches!(r, Err(SubmitError::Rejected(_)))).count();
+        self.inner.rejected.fetch_add(rejected as u64, Ordering::Relaxed);
+        self.inner.submitted.fetch_add(accepted, Ordering::Relaxed);
+        self.inner.routed_sharded.fetch_add(routed.len() as u64, Ordering::Relaxed);
+        let exchanged = routed.iter().fold(0u64, |sum, (_, bytes)| sum.saturating_add(*bytes));
+        self.inner.sharded_exchanged_bytes.fetch_add(exchanged, Ordering::Relaxed);
+        if hits > 0 {
+            // A hit completes a job; it contributes no wall/setup time
+            // (nothing ran), so the timing aggregates are untouched.
+            let mut agg = self.inner.aggregates.lock();
+            let _held = lockorder::track("qsim-serve::service::ServiceInner.aggregates");
+            agg.completed += hits;
+        }
         results
     }
 
@@ -1045,7 +956,7 @@ impl Service {
             pool_buckets: self.inner.pool.bucket_stats(),
             budget_bytes: self.inner.admission.budget_bytes(),
             reserved_bytes: self.inner.admission.reserved_bytes(),
-            bandwidth: self.inner.admission.bandwidth_snapshot(),
+            bandwidth: self.inner.queue.bandwidth_snapshot(),
             batches: agg.batches,
             batched_jobs: agg.batched_jobs,
             routed_sharded: self.inner.routed_sharded.load(Ordering::Relaxed),

@@ -1,31 +1,37 @@
 //! The worker pool: `N` threads draining the job queue.
 //!
-//! Each worker lazily builds one [`SimBackend`] per flavor it encounters
-//! and keeps it for the thread's lifetime, so a long-lived service pays
-//! backend construction once, not per job. Buffers flow pool → run →
-//! pool on every path: success hands the final state's allocation back,
-//! and a cancelled, timed-out or failed run hands back the recovered
-//! buffer from [`qsim_backends::RunFailure`].
+//! A job's run path is `worker_loop` → `run_unit` → `settle`, for
+//! every job: the loop takes a unit from [`crate::queue::JobQueue::pop`]
+//! (already charged to the bandwidth ledger), `run_unit` executes it, the
+//! one `settle` turns each member's result into its terminal outcome, and
+//! one finish sequence returns the charge ([`crate::queue::JobQueue::finish`])
+//! before the outcomes are published. A single job is a gang of one; a
+//! Batch-class gang shares one gate plan, one matrix upload per gate and
+//! one sweep across every member's state
+//! ([`qsim_backends::SimBackend::run_gang`]); a job admission routed
+//! across several modeled devices runs on a [`MultiGcdBackend`].
 //!
-//! Dispatch goes through [`crate::queue::JobQueue::pop_work`], which
-//! enforces the modeled-bandwidth gate and may hand back a **gang** of
-//! hash-equal Batch-class jobs; gangs run through
-//! [`SimBackend::run_batch`] — one gate plan, one matrix upload per gate,
-//! one sweep across every member's state. Each worker remembers the
-//! `(precision, length)` bucket it last touched and asks the queue for
-//! matching work first, so its just-released buffer is re-adopted warm.
+//! Each worker lazily builds one `Device` per `(flavor, device count)`
+//! it encounters and keeps it for the thread's lifetime, so a long-lived
+//! service pays backend construction once, not per job. Buffers flow
+//! pool → run → pool on every path: success hands the final state's
+//! allocation back, and a cancelled, timed-out or failed run hands back
+//! the recovered buffer from [`qsim_backends::RunFailure`]. Each worker
+//! remembers the `(precision, length)` bucket it last touched and asks
+//! the queue for matching work first, so its just-released buffer is
+//! re-adopted warm.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use qsim_backends::batch_run::{BatchJob, BatchResult};
-use qsim_backends::{BackendError, Flavor, RunContext, RunFailure, RunOptions, SimBackend};
-use qsim_core::types::Precision;
+use qsim_backends::{
+    BackendError, BatchResult, Flavor, RunContext, RunFailure, RunOptions, SimBackend,
+};
+use qsim_core::types::{Cplx, Precision};
 use qsim_distributed::MultiGcdBackend;
 
-use qsim_core::types::{Cplx, Float};
-
+use crate::job::JobId;
 use crate::pool::{PoolSlot, StateBufferPool};
 use crate::queue::{BucketKey, QueuedJob};
 use crate::service::{FinalState, JobOutcome, ServiceInner};
@@ -92,87 +98,113 @@ impl WorkerPool {
     }
 }
 
+/// What a worker runs a unit on: one modeled device, or several.
+enum Device {
+    One(SimBackend),
+    /// The device timeline array and comm streams are per-geometry
+    /// state, hence the device count in the worker's map key.
+    Many(MultiGcdBackend),
+}
+
+impl Device {
+    fn new(flavor: Flavor, devices: usize) -> Device {
+        match devices {
+            1 => Device::One(SimBackend::new(flavor)),
+            _ => Device::Many(MultiGcdBackend::new(flavor, devices)),
+        }
+    }
+}
+
 fn worker_loop(inner: &ServiceInner) {
-    let mut backends: HashMap<Flavor, SimBackend> = HashMap::new();
-    // Sharded (multi-GCD) backends, keyed by flavor *and* device count:
-    // the device timeline array and comm streams are per-geometry state.
-    let mut dist_backends: HashMap<(Flavor, usize), MultiGcdBackend> = HashMap::new();
+    let mut devices: HashMap<(Flavor, usize), Device> = HashMap::new();
     let mut affinity: Option<BucketKey> = None;
-    while let Some(unit) = inner.queue.pop_work(&inner.admission, affinity, inner.max_batch) {
+    while let Some(mut unit) = inner.queue.pop(affinity, inner.max_batch) {
         // Members cancelled (or deadline-expired) while still queued never
-        // touch a backend: resolve them (one lock round for the whole
-        // set) and run whatever is left. mark_running_many is likewise one
-        // registry round for the entire gang — per-member lock traffic is
-        // exactly what coalescing exists to amortize.
-        let mut cancelled = Vec::new();
-        let mut runnable = Vec::with_capacity(unit.jobs.len());
-        for job in unit.jobs {
+        // touch a backend. mark_running_many is one registry round for
+        // the entire gang — per-member lock traffic is exactly what
+        // coalescing exists to amortize.
+        let mut outcomes = Vec::new();
+        let mut live = Vec::with_capacity(unit.jobs.len());
+        for job in std::mem::take(&mut unit.jobs) {
             match job.cancel.cause() {
-                Some(cause) => cancelled.push((job.id, cause)),
-                None => runnable.push(job),
+                Some(cause) => outcomes.push((job.id, JobOutcome::Cancelled(cause))),
+                None => live.push(job),
             }
         }
-        let ids: Vec<_> = runnable.iter().map(|job| job.id).collect();
-        let verdicts = inner.mark_running_many(&ids);
-        let mut live = runnable;
-        let mut keep = verdicts.into_iter();
-        live.retain(|_| keep.next().unwrap_or(false));
-        if live.is_empty() {
-            // Nothing runs: settle the unit's modeled traffic *before*
-            // the cancellations become observable, so "every job is
-            // terminal" always implies the bandwidth charge was
-            // returned.
-            inner.admission.finish_traffic(unit.running_bps);
-            if !cancelled.is_empty() {
-                inner.cancel_many(cancelled);
-            }
-            inner.queue.notify();
-            continue;
-        }
-        if !cancelled.is_empty() {
-            inner.cancel_many(cancelled);
-        }
-        let flavor = live[0].spec.flavor;
-        let outcomes: Vec<(crate::job::JobId, JobOutcome)> = if live[0].devices > 1 {
-            // A routed (sharded) job always dispatches alone —
-            // gang_compatible excludes multi-device jobs.
-            debug_assert_eq!(live.len(), 1);
-            let job = &live[0];
-            let backend = dist_backends
-                .entry((flavor, job.devices))
-                .or_insert_with(|| MultiGcdBackend::new(flavor, job.devices));
-            let outcome = match job.spec.precision {
-                Precision::Single => run_sharded::<f32>(backend, inner, job),
-                Precision::Double => run_sharded::<f64>(backend, inner, job),
-            };
-            vec![(job.id, outcome)]
-        } else {
-            let backend = backends.entry(flavor).or_insert_with(|| SimBackend::new(flavor));
-            let outcomes = match (live.len(), live[0].spec.precision) {
-                (1, Precision::Single) => {
-                    vec![(live[0].id, run_job::<f32>(backend, &inner.pool, &live[0]))]
-                }
-                (1, Precision::Double) => {
-                    vec![(live[0].id, run_job::<f64>(backend, &inner.pool, &live[0]))]
-                }
-                (_, Precision::Single) => run_gang::<f32>(backend, inner, &live),
-                (_, Precision::Double) => run_gang::<f64>(backend, inner, &live),
+        let ids: Vec<_> = live.iter().map(|job| job.id).collect();
+        let mut may_run = inner.mark_running_many(&ids).into_iter();
+        live.retain(|_| may_run.next().unwrap_or(false));
+        if let Some(lead) = live.first() {
+            // The cancelled members resolve now, not after the
+            // survivors' run.
+            inner.finish_many(std::mem::take(&mut outcomes));
+            let device = devices
+                .entry((lead.spec.flavor, lead.devices))
+                .or_insert_with(|| Device::new(lead.spec.flavor, lead.devices));
+            outcomes = match lead.spec.precision {
+                Precision::Single => run_unit::<f32>(device, &inner.pool, &live),
+                Precision::Double => run_unit::<f64>(device, &inner.pool, &live),
             };
             if live.len() > 1 {
                 inner.record_batch(live.len());
             }
-            outcomes
-        };
-        affinity = Some(live[0].bucket());
-        // The run is over, so the unit's modeled traffic is free again.
-        // Settle the ledger BEFORE publishing terminal states — a client
-        // that has observed every job terminal may rely on the charge
-        // having been returned — then wake the other workers (a deferred
-        // job may now be admissible).
-        inner.admission.finish_traffic(unit.running_bps);
+            affinity = Some(lead.bucket());
+        }
+        // The unit is over (or never ran), so its modeled traffic is free
+        // again. Settle the ledger BEFORE publishing terminal states — a
+        // client that has observed every job terminal may rely on the
+        // charge having been returned.
+        inner.queue.finish(&unit);
         inner.finish_many(outcomes);
-        inner.queue.notify();
     }
+}
+
+/// Execute one unit at precision `F` — a gang sharing the lead's plan on
+/// one device (every member with its own pooled buffer, seed, sample
+/// count and cancel token), or an admission-routed job on several — and
+/// settle every member. Outcomes are returned (not published) so the
+/// caller can settle the traffic ledger first.
+///
+/// A sharded state never fits a pooled buffer as one allocation — the
+/// backend holds it as per-device shards — so that path touches the pool
+/// only on the way out, and honors the cancel token only up to launch:
+/// the distributed sweep has no per-gate cancel points (its shards
+/// advance in lockstep, and a routed job already paid planning +
+/// reservation — let it finish).
+fn run_unit<F: StateSlot>(
+    device: &Device,
+    pool: &StateBufferPool,
+    jobs: &[QueuedJob],
+) -> Vec<(JobId, JobOutcome)> {
+    let opts =
+        |job: &QueuedJob| RunOptions { seed: job.spec.seed, sample_count: job.spec.sample_count };
+    let results: Vec<BatchResult<F>> = match device {
+        Device::One(backend) => {
+            let len = 1usize << jobs[0].spec.circuit.num_qubits;
+            let subs = jobs
+                .iter()
+                .map(|job| {
+                    let reuse_buffer = pool.acquire::<F>(len);
+                    (opts(job), RunContext { reuse_buffer, cancel: Some(job.cancel.clone()) })
+                })
+                .collect();
+            // gang_compatible matched every member's fused circuit to the
+            // lead's by content hash at dispatch.
+            backend.run_gang::<F>(&jobs[0].plan.fused, subs)
+        }
+        // Routed jobs dispatch alone (gang_compatible excludes them).
+        Device::Many(backend) => jobs
+            .iter()
+            .map(|job| {
+                let run = match job.cancel.cause() {
+                    Some(cause) => Err(BackendError::Cancelled { cause, at_op: 0 }),
+                    None => backend.run_plan::<F>(&job.plan, &opts(job)),
+                };
+                run.map_err(|error| RunFailure { error, buffer: None })
+            })
+            .collect(),
+    };
+    jobs.iter().zip(results).map(|(job, result)| (job.id, settle(pool, job, result))).collect()
 }
 
 /// Settle one job's run: a finished run is stamped with the job's plan
@@ -207,69 +239,4 @@ fn settle<F: StateSlot>(
             }
         }
     }
-}
-
-/// Execute one job at precision `F`, recycling the state buffer through
-/// the pool on every exit path.
-fn run_job<F: StateSlot>(
-    backend: &SimBackend,
-    pool: &StateBufferPool,
-    job: &QueuedJob,
-) -> JobOutcome {
-    let len = 1usize << job.spec.circuit.num_qubits;
-    let run_opts = RunOptions { seed: job.spec.seed, sample_count: job.spec.sample_count };
-    let ctx =
-        RunContext::<F> { reuse_buffer: pool.acquire::<F>(len), cancel: Some(job.cancel.clone()) };
-    settle(pool, job, backend.run_with::<F>(&job.plan.fused, &run_opts, ctx))
-}
-
-/// Execute one admission-routed sharded job on the multi-GCD backend.
-///
-/// The state never fits a pooled buffer as one allocation path — the
-/// backend holds it as per-device shards — so the pool is only touched
-/// on the way out: the gathered final state is released into the pool
-/// (or kept for the submitter). The cancel token is honored up to
-/// launch; the distributed sweep itself has no per-gate cancel points
-/// (its shards advance in lockstep, and a routed job already paid
-/// planning + reservation — let it finish).
-fn run_sharded<F: StateSlot + Float>(
-    backend: &MultiGcdBackend,
-    inner: &ServiceInner,
-    job: &QueuedJob,
-) -> JobOutcome {
-    if let Some(cause) = job.cancel.cause() {
-        return JobOutcome::Cancelled(cause);
-    }
-    let run_opts = RunOptions { seed: job.spec.seed, sample_count: job.spec.sample_count };
-    let result = backend.run_plan::<F>(&job.plan, &run_opts);
-    settle(&inner.pool, job, result.map_err(|error| RunFailure { error, buffer: None }))
-}
-
-/// Execute a gang of gang-compatible jobs through `run_batch`: every
-/// member gets its own pooled buffer, seed, sample count and cancel
-/// token, but the gate plan, matrix conversions and sweep passes are paid
-/// once for the whole gang. Per-member outcomes are returned (not
-/// published) so the caller can settle the traffic ledger first.
-fn run_gang<F: StateSlot>(
-    backend: &SimBackend,
-    inner: &ServiceInner,
-    jobs: &[QueuedJob],
-) -> Vec<(crate::job::JobId, JobOutcome)> {
-    let len = 1usize << jobs[0].spec.circuit.num_qubits;
-    let batch: Vec<BatchJob<'_, F>> = jobs
-        .iter()
-        .map(|job| BatchJob {
-            fused: Some(&job.plan.fused),
-            opts: RunOptions { seed: job.spec.seed, sample_count: job.spec.sample_count },
-            ctx: RunContext {
-                reuse_buffer: inner.pool.acquire::<F>(len),
-                cancel: Some(job.cancel.clone()),
-            },
-        })
-        .collect();
-    let results = backend.run_batch::<F>(batch);
-    jobs.iter()
-        .zip(results)
-        .map(|(job, result)| (job.id, settle(&inner.pool, job, result)))
-        .collect()
 }

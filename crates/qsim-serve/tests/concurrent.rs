@@ -154,6 +154,32 @@ fn backpressure_rejects_then_recovers() {
     service.shutdown();
 }
 
+/// The sharded-routing counters describe accepted jobs only: a routed
+/// submission the traffic backlog then sheds was never accepted, so it
+/// counts as rejected, not routed, and its shard reservation is back.
+#[test]
+fn shed_sharded_submission_is_not_counted_as_routed() {
+    let service = Service::start(ServiceConfig {
+        memory_budget_bytes: 1 << 20,
+        bandwidth_budget_bps: 1,
+        ..ServiceConfig::default()
+    });
+    // 2 MiB of state over a 1 MiB budget routes across 2 devices; any
+    // real plan models more than the 64 B/s backlog cap.
+    match service.submit(JobSpec::new(qsim_circuit::library::ghz(18))) {
+        Err(qsim_serve::SubmitError::Rejected(qsim_serve::AdmissionError::Saturated {
+            ..
+        })) => {}
+        other => panic!("expected Saturated, got {other:?}"),
+    }
+    let metrics = service.metrics();
+    assert_eq!((metrics.routed_sharded, metrics.sharded_exchanged_bytes), (0, 0));
+    assert_eq!((metrics.submitted, metrics.rejected), (0, 1));
+    assert_eq!(metrics.reserved_bytes, 0, "the shard reservation must be returned");
+    assert_eq!(metrics.queue_depth, 0);
+    service.shutdown();
+}
+
 /// A cancelled job's state buffer comes back to the pool — the next
 /// same-shaped job adopts it — and the worker moves on to later jobs.
 #[test]

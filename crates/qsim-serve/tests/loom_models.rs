@@ -6,12 +6,16 @@
 //! each round. A failure here is a real bug; the models assert the
 //! invariants the service's correctness rests on:
 //!
-//! 1. queue close/drain hands every accepted job to exactly one worker;
+//! 1. queue close/drain hands every accepted job to exactly one worker
+//!    — on `push`/`pop`/`finish`, the pair workers really block in;
 //! 2. buffer-pool counters agree with the buckets under churn;
 //! 3. admission reservations never jointly overshoot the budget;
 //! 4. a gang member cancelled mid-flight settles its memory reservation
 //!    and traffic-ledger charge and leaves the pool whole (the
-//!    mid-gang-cancellation regression test).
+//!    mid-gang-cancellation regression test);
+//! 5. dispatch never jointly overshoots the bandwidth budget: the gate
+//!    is read and charged under one lock, so two workers cannot both
+//!    take the nothing-is-running escape hatch.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,13 +30,19 @@ use qsim_serve::{
     AdmissionController, JobId, JobQueue, JobSpec, JobState, Priority, Service, ServiceConfig,
 };
 
+/// A queue whose bandwidth gate never closes and never sheds.
+const WIDE_OPEN_BPS: u64 = u64::MAX / 2;
+
 const WAIT: Duration = Duration::from_secs(120);
 
-fn spec_with(priority: Priority, seed: u64) -> JobSpec {
+/// A planned, priced bell job, as the service would queue it.
+fn bell_job(id: JobId, priority: Priority, seed: u64) -> QueuedJob {
     let mut spec = JobSpec::new(library::bell());
     spec.priority = priority;
     spec.seed = seed;
-    spec
+    let plan = Arc::new(QueuedJob::plan_spec(&spec));
+    let fused_hash = plan.fused.content_hash();
+    QueuedJob::new(id, spec, CancelToken::new(), plan, fused_hash)
 }
 
 /// Model 1: every job accepted by `push` before `close` is popped by
@@ -40,7 +50,7 @@ fn spec_with(priority: Priority, seed: u64) -> JobSpec {
 #[test]
 fn queue_close_drains_each_accepted_job_exactly_once() {
     loom::model(|| {
-        let queue = Arc::new(JobQueue::new());
+        let queue = Arc::new(JobQueue::new(WIDE_OPEN_BPS));
         let accepted = Arc::new(Mutex::new(Vec::new()));
         let popped = Arc::new(Mutex::new(Vec::new()));
 
@@ -52,9 +62,7 @@ fn queue_close_drains_each_accepted_job_exactly_once() {
                     for j in 0..4u64 {
                         let id = JobId(p * 100 + j);
                         let priority = Priority::ALL[((p + j) % 3) as usize];
-                        let job =
-                            QueuedJob::prepare(id, spec_with(priority, j), CancelToken::new());
-                        if queue.push(job).is_ok() {
+                        if queue.push(vec![bell_job(id, priority, j)]) == Ok(Vec::new()) {
                             accepted.lock().unwrap().push(id);
                         }
                     }
@@ -66,8 +74,9 @@ fn queue_close_drains_each_accepted_job_exactly_once() {
                 let queue = queue.clone();
                 let popped = popped.clone();
                 thread::spawn(move || {
-                    while let Some(job) = queue.pop() {
-                        popped.lock().unwrap().push(job.id);
+                    while let Some(unit) = queue.pop(None, 1) {
+                        popped.lock().unwrap().extend(unit.jobs.iter().map(|job| job.id));
+                        queue.finish(&unit);
                     }
                 })
             })
@@ -81,9 +90,8 @@ fn queue_close_drains_each_accepted_job_exactly_once() {
             c.join().unwrap();
         }
 
-        let reject =
-            QueuedJob::prepare(JobId(999), spec_with(Priority::Normal, 0), CancelToken::new());
-        assert!(queue.push(reject).is_err(), "push after close must be refused");
+        let reject = bell_job(JobId(999), Priority::Normal, 0);
+        assert!(queue.push(vec![reject]).is_err(), "push after close must be refused");
 
         let mut accepted = accepted.lock().unwrap().clone();
         let mut popped = popped.lock().unwrap().clone();
@@ -91,6 +99,8 @@ fn queue_close_drains_each_accepted_job_exactly_once() {
         popped.sort_unstable_by_key(|id| id.0);
         assert_eq!(accepted, popped, "each accepted job pops exactly once");
         assert_eq!(queue.len(), 0);
+        let ledger = queue.bandwidth_snapshot();
+        assert_eq!((ledger.queued_bps, ledger.running_bps, ledger.running_jobs), (0, 0, 0));
     });
 }
 
@@ -166,6 +176,54 @@ fn admission_reservations_never_overshoot_the_budget() {
         }
         assert!(granted.load(Ordering::Relaxed) > 0, "some reservation must win");
         assert_eq!(admission.reserved_bytes(), 0, "all reservations returned");
+    });
+}
+
+/// Model 5: three workers `pop`/`finish` twelve jobs that each claim 60 %
+/// of the budget, so no two may run together. Right after its `pop`
+/// every worker checks the ledger: within budget, or it is the unit the
+/// nothing-is-running escape hatch let through alone.
+#[test]
+fn dispatch_never_jointly_overshoots_the_bandwidth_budget() {
+    const BUDGET: u64 = 100;
+    loom::model(|| {
+        let queue = Arc::new(JobQueue::new(BUDGET));
+        let jobs = (0..12).map(|j| {
+            let mut job = bell_job(JobId(j), Priority::Normal, j);
+            job.demand_bps = 60;
+            job
+        });
+        assert_eq!(queue.push(jobs.collect()), Ok(Vec::new()));
+        queue.close();
+        // Overshoots are collected, not asserted in place: a worker that
+        // panicked holding a unit would leave the gate shut and turn the
+        // failure into a hang.
+        let overshoots = Arc::new(Mutex::new(Vec::new()));
+        let done = Arc::new(AtomicU64::new(0));
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let (queue, overshoots, done) = (queue.clone(), overshoots.clone(), done.clone());
+                thread::spawn(move || {
+                    while let Some(unit) = queue.pop(None, 1) {
+                        let ledger = queue.bandwidth_snapshot();
+                        if ledger.running_bps > BUDGET && ledger.running_jobs != 1 {
+                            overshoots.lock().unwrap().push(ledger);
+                        }
+                        thread::yield_now();
+                        queue.finish(&unit);
+                        done.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let overshoots = overshoots.lock().unwrap();
+        assert!(overshoots.is_empty(), "gate jointly overshot: {overshoots:?}");
+        assert_eq!(done.load(Ordering::Relaxed), 12, "every job dispatched exactly once");
+        let ledger = queue.bandwidth_snapshot();
+        assert_eq!((ledger.queued_bps, ledger.running_bps, ledger.running_jobs), (0, 0, 0));
     });
 }
 
