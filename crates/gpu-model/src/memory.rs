@@ -93,18 +93,6 @@ impl<T: Default + Clone> DeviceBuffer<T> {
 }
 
 impl<T> DeviceBuffer<T> {
-    /// Free the device allocation but keep the host memory: releases the
-    /// pool accounting and returns the backing vector for recycling.
-    pub fn into_vec(mut self) -> Vec<T> {
-        let data = std::mem::take(&mut self.data);
-        self.pool.lock().release(self.bytes);
-        // Drop still runs; make it release nothing a second time.
-        self.bytes = 0;
-        data
-    }
-}
-
-impl<T> DeviceBuffer<T> {
     /// Element count.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -143,19 +131,6 @@ mod tests {
 
     fn pool(cap: u64) -> Arc<Mutex<MemoryPool>> {
         Arc::new(Mutex::new(MemoryPool::new(cap)))
-    }
-
-    #[test]
-    fn into_vec_releases_accounting_and_keeps_the_memory() {
-        let p = pool(1024);
-        let mut b = DeviceBuffer::<u64>::new(64, p.clone()).unwrap();
-        b.as_mut_slice()[0] = 7;
-        let addr = b.as_slice().as_ptr();
-        assert_eq!(p.lock().allocated(), 512);
-        let back = b.into_vec();
-        assert_eq!(back.as_ptr(), addr);
-        assert_eq!(back[0], 7);
-        assert_eq!(p.lock().allocated(), 0);
     }
 
     #[test]

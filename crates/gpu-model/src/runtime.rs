@@ -183,26 +183,6 @@ impl Gpu {
         Ok(())
     }
 
-    /// Asynchronous device→host copy (`hipMemcpyAsync`).
-    pub fn memcpy_d2h_async<T: Copy>(
-        &self,
-        dst: &mut [T],
-        src: &DeviceBuffer<T>,
-        stream: StreamId,
-    ) -> Result<(), GpuError> {
-        if dst.len() != src.len() {
-            return Err(GpuError::InvalidValue(format!(
-                "memcpy D2H size mismatch: dst {} elements, src {}",
-                dst.len(),
-                src.len()
-            )));
-        }
-        let bytes = src.bytes();
-        dst.copy_from_slice(src.as_slice());
-        self.charge_memcpy(SpanKind::MemcpyD2H, bytes, stream)?;
-        Ok(())
-    }
-
     /// Launch a kernel: validates geometry against the device, charges the
     /// modeled duration to `stream`, runs `body` (the functional
     /// computation) on the host, and emits a trace span.
@@ -370,14 +350,12 @@ mod tests {
     }
 
     #[test]
-    fn memcpy_roundtrip() {
+    fn memcpy_h2d_copies_and_charges() {
         let gpu = small_gpu();
         let src = vec![1.0f32, 2.0, 3.0, 4.0];
         let mut buf = gpu.malloc::<f32>(4).unwrap();
         gpu.memcpy_h2d_async(&mut buf, &src, StreamId::DEFAULT).unwrap();
-        let mut back = vec![0.0f32; 4];
-        gpu.memcpy_d2h_async(&mut back, &buf, StreamId::DEFAULT).unwrap();
-        assert_eq!(src, back);
+        assert_eq!(src, buf.as_slice());
         assert!(gpu.synchronize() > 0.0);
     }
 
@@ -386,8 +364,6 @@ mod tests {
         let gpu = small_gpu();
         let mut buf = gpu.malloc::<f32>(4).unwrap();
         assert!(gpu.memcpy_h2d_async(&mut buf, &[1.0f32; 3], StreamId::DEFAULT).is_err());
-        let mut small = [0.0f32; 3];
-        assert!(gpu.memcpy_d2h_async(&mut small, &buf, StreamId::DEFAULT).is_err());
     }
 
     #[test]

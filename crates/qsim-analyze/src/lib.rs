@@ -36,7 +36,6 @@ use qsim_core::diag::Diagnostic;
 use qsim_core::sweep::SweepConfig;
 use qsim_fusion::FusedCircuit;
 
-pub mod concurrency;
 pub mod registry;
 pub mod report;
 pub mod rules;

@@ -1,14 +1,13 @@
 //! The unified rule registry: every stable diagnostic code the workspace
-//! can emit, across all four ranges (`QC00xx` structural, `QA01xx`
-//! circuit-semantic, `QP02xx` fused-plan, `QL03xx` concurrency), with
-//! its severity and a one-line summary.
+//! can emit, across all three ranges (`QC00xx` structural, `QA01xx`
+//! circuit-semantic, `QP02xx` fused-plan), with its severity and a
+//! one-line summary.
 //!
 //! `DIAGNOSTICS.md` at the repo root is *generated* from this table
-//! ([`diagnostics_markdown`]); the `diagnostics_sync` test and the CI
-//! `lint-conc` job both fail when the file and the registry drift. Add a
+//! ([`diagnostics_markdown`]); the `diagnostics_sync` test fails when the
+//! file and the registry drift, and prints the document to paste. Add a
 //! code here in the same change that introduces its first emit site.
 
-use crate::concurrency::codes as ql;
 use qsim_circuit::circuit::codes as qc;
 
 /// One registered diagnostic rule.
@@ -183,56 +182,6 @@ pub const RULES: &[RuleInfo] = &[
         severity: "warning",
         summary: "A fused product collapsed to the identity: a full state pass doing nothing.",
     },
-    // QL03xx — workspace concurrency (crate::concurrency::codes).
-    RuleInfo {
-        code: ql::LOCK_CYCLE,
-        name: "lock-cycle",
-        severity: "error",
-        summary: "The lock-acquisition graph contains a cycle (two sites nest both ways).",
-    },
-    RuleInfo {
-        code: ql::HELD_ACROSS_BLOCKING,
-        name: "held-across-blocking",
-        severity: "error",
-        summary: "A lock guard is live across a blocking call (sleep, join, I/O, rayon).",
-    },
-    RuleInfo {
-        code: ql::RAII_ESCAPE,
-        name: "raii-escape",
-        severity: "error / warning",
-        summary: "`mem::forget`/`ManuallyDrop` defeats an RAII value (error when it is a \
-                  tracked reservation).",
-    },
-    RuleInfo {
-        code: ql::UNDOCUMENTED_UNSAFE,
-        name: "undocumented-unsafe",
-        severity: "warning",
-        summary: "An `unsafe` block with no `SAFETY:` comment above it.",
-    },
-    RuleInfo {
-        code: ql::UNGATED_INTRINSICS,
-        name: "ungated-intrinsics",
-        severity: "error",
-        summary: "x86 intrinsics in a module whose `mod` declaration has no `target_arch` gate.",
-    },
-    RuleInfo {
-        code: ql::UNRESOLVED_LOCK_SITE,
-        name: "unresolved-lock-site",
-        severity: "warning",
-        summary: "A `.lock()` receiver or `track(\"…\")` literal that names no declared site.",
-    },
-    RuleInfo {
-        code: ql::STALE_ALLOWLIST,
-        name: "stale-allowlist",
-        severity: "error",
-        summary: "A `CONC_ALLOWLIST.txt` entry that is malformed or matches no finding.",
-    },
-    RuleInfo {
-        code: ql::NAKED_CONDVAR_WAIT,
-        name: "naked-condvar-wait",
-        severity: "warning",
-        summary: "A `Condvar::wait` outside a loop — spurious wakeups break the predicate.",
-    },
 ];
 
 /// Range prefix → (section title, one-line layer description).
@@ -240,7 +189,6 @@ const RANGES: &[(&str, &str, &str)] = &[
     ("QC00", "QC00xx — circuit structure", "`Circuit::validate`; structural well-formedness."),
     ("QA01", "QA01xx — circuit semantics", "`qsim-analyze` circuit rules; run by `qsim_base analyze` and every backend's pre-run gate."),
     ("QP02", "QP02xx — fused plans", "`qsim-analyze` plan rules; the fusion planner's output contract."),
-    ("QL03", "QL03xx — workspace concurrency", "`qsim-analyze::concurrency` source lints; run by `qsim_lint` over the workspace itself."),
 ];
 
 /// Render the registry as the full `DIAGNOSTICS.md` document. The output
@@ -253,15 +201,14 @@ pub fn diagnostics_markdown() -> String {
          \n\
          <!-- GENERATED FILE — do not edit by hand.\n\
          \x20    Source of truth: crates/qsim-analyze/src/registry.rs (RULES).\n\
-         \x20    Regenerate with: cargo run -p qsim-cli --bin qsim_lint -- --emit-diagnostics\n\
-         \x20    The diagnostics_sync test and the lint-conc CI job diff this file. -->\n\
+         \x20    The diagnostics_sync test diffs this file and prints the document\n\
+         \x20    to paste when it drifts. -->\n\
          \n\
          Every stable diagnostic code the workspace emits, generated from the\n\
-         rule registry in `qsim-analyze`. Codes are stable identifiers: tests,\n\
-         `--json` consumers and `CONC_ALLOWLIST.txt` match on them, so codes are\n\
-         never renumbered — retired codes stay reserved. Severity `error` fails\n\
-         gates outright; `warning` fails them under `--deny-warnings`; `note` is\n\
-         informational.\n",
+         rule registry in `qsim-analyze`. Codes are stable identifiers: tests\n\
+         and `--json` consumers match on them, so codes are never renumbered —\n\
+         retired codes stay reserved. Severity `error` fails gates outright;\n\
+         `warning` fails them under `--deny-warnings`; `note` is informational.\n",
     );
     for (prefix, title, blurb) in RANGES {
         out.push_str("\n## ");
@@ -276,6 +223,13 @@ pub fn diagnostics_markdown() -> String {
             ));
         }
     }
+    out.push_str(
+        "\n## QL03xx — retired\n\
+         \n\
+         The eight codes of this range were the source-level concurrency lints of\n\
+         the deleted workspace linter; the range stays reserved and is never\n\
+         reused. DESIGN.md §7.2 names what enforces each rule now.\n",
+    );
     out
 }
 
@@ -285,8 +239,8 @@ mod tests {
 
     #[test]
     fn codes_are_unique_sorted_and_in_a_known_range() {
-        // Order is (documented range, number) — QC before QA before QP
-        // before QL, which is not plain lexicographic order.
+        // Order is (documented range, number) — QC before QA before QP,
+        // which is not plain lexicographic order.
         let rank = |code: &str| {
             RANGES
                 .iter()

@@ -30,10 +30,17 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// The bell circuit file, written once: the tests run on parallel threads
+/// and each hands the path to a child process, which must never read it
+/// while another test is rewriting it.
 fn write_bell() -> PathBuf {
-    let path = tmpfile("bell");
-    std::fs::write(&path, "2\n0 h 0\n1 cnot 0 1\n").expect("write circuit");
-    path
+    static BELL: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
+    BELL.get_or_init(|| {
+        let path = tmpfile("bell");
+        std::fs::write(&path, "2\n0 h 0\n1 cnot 0 1\n").expect("write circuit");
+        path
+    })
+    .clone()
 }
 
 #[test]
@@ -401,52 +408,6 @@ fn qsim_amplitudes_validates_bit_width() {
         .expect("run");
     assert!(!out.status.success());
     assert!(stderr(&out).contains("has 3 bits"));
-}
-
-fn qsim_lint() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_qsim_lint"))
-}
-
-#[test]
-fn qsim_lint_reports_seeded_fixture_defects_as_json() {
-    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../qsim-analyze/tests/fixtures/conc_fixture");
-    let out = qsim_lint()
-        .args(["--root", fixture.to_str().unwrap(), "--json", "--deny-warnings"])
-        .output()
-        .expect("run");
-    assert_eq!(out.status.code(), Some(1), "seeded defects must fail the gate");
-    let v: serde_json::Value = serde_json::from_str(&stdout(&out)).expect("valid JSON");
-    assert_eq!(v["errors"], serde_json::json!(3));
-    let codes: Vec<&str> =
-        v["findings"].as_array().unwrap().iter().map(|f| f["code"].as_str().unwrap()).collect();
-    for code in ["QL0301", "QL0302", "QL0303"] {
-        assert!(codes.contains(&code), "missing {code} in {codes:?}");
-    }
-}
-
-#[test]
-fn qsim_lint_passes_the_workspace_and_prints_the_graph() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = qsim_lint()
-        .args(["--root", root.to_str().unwrap(), "--deny-warnings", "--graph"])
-        .output()
-        .expect("run");
-    assert!(out.status.success(), "{}\n{}", stdout(&out), stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("no findings"), "{text}");
-    assert!(text.contains("lock sites"), "{text}");
-}
-
-#[test]
-fn qsim_lint_emits_the_diagnostics_registry() {
-    let out = qsim_lint().arg("--emit-diagnostics").output().expect("run");
-    assert!(out.status.success());
-    let text = stdout(&out);
-    for range in ["QC00xx", "QA01xx", "QP02xx", "QL03xx"] {
-        assert!(text.contains(range), "missing section {range}");
-    }
-    assert!(text.contains("| `QL0308` |"), "{text}");
 }
 
 /// Run `qsim_serve` with flags it must refuse and return its stderr. A

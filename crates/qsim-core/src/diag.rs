@@ -15,16 +15,10 @@
 //! | `QC00xx` | `qsim-circuit` | raw-circuit structural invariants |
 //! | `QA01xx` | `qsim-analyze` | raw-circuit semantic lints |
 //! | `QP02xx` | `qsim-analyze` | fused-plan (`FusedCircuit`) lints |
-//! | `QL03xx` | `qsim-analyze` | workspace concurrency lints (source-level) |
+//! | `QL03xx` | — | retired (were source-level concurrency lints) |
 //!
 //! Codes are stable identifiers: tests, CI greps, and `--json` consumers
 //! may match on them, so a code is never reused for a different finding.
-//!
-//! Circuit/plan findings locate themselves with a [`Span`] (op index /
-//! time slice); source-level findings (the `QL03xx` concurrency lints)
-//! use a [`SrcSpan`] (file and line) and the [`SourceDiagnostic`] carrier
-//! instead — same code/severity/message/help shape, different coordinate
-//! system.
 
 use std::fmt;
 
@@ -152,98 +146,6 @@ pub fn render_list(diags: &[Diagnostic]) -> String {
     diags.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("\n")
 }
 
-/// Where in the *source tree* a diagnostic points — the coordinate system
-/// of the `QL03xx` concurrency lints, which analyze Rust source rather
-/// than circuits.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SrcSpan {
-    /// Path relative to the analyzed root (e.g.
-    /// `crates/qsim-serve/src/queue.rs`).
-    pub file: String,
-    /// 1-based line number.
-    pub line: u32,
-}
-
-impl SrcSpan {
-    /// Span at a known file and line.
-    pub fn new(file: impl Into<String>, line: u32) -> SrcSpan {
-        SrcSpan { file: file.into(), line }
-    }
-}
-
-impl fmt::Display for SrcSpan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.file, self.line)
-    }
-}
-
-/// One source-level finding, in the same code/severity vocabulary as
-/// [`Diagnostic`] but located by file and line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SourceDiagnostic {
-    /// Stable code (`QL0301`, …). Never reused across findings.
-    pub code: &'static str,
-    /// Severity of the finding.
-    pub severity: Severity,
-    /// Location in the source tree.
-    pub span: SrcSpan,
-    /// Human-readable description of the concrete violation.
-    pub message: String,
-    /// Optional hint on how to fix or interpret the finding.
-    pub help: Option<String>,
-}
-
-impl SourceDiagnostic {
-    /// Error diagnostic with no help text.
-    pub fn error(code: &'static str, span: SrcSpan, message: impl Into<String>) -> Self {
-        SourceDiagnostic {
-            code,
-            severity: Severity::Error,
-            span,
-            message: message.into(),
-            help: None,
-        }
-    }
-
-    /// Warning diagnostic with no help text.
-    pub fn warning(code: &'static str, span: SrcSpan, message: impl Into<String>) -> Self {
-        SourceDiagnostic {
-            code,
-            severity: Severity::Warning,
-            span,
-            message: message.into(),
-            help: None,
-        }
-    }
-
-    /// Note diagnostic with no help text.
-    pub fn note(code: &'static str, span: SrcSpan, message: impl Into<String>) -> Self {
-        SourceDiagnostic {
-            code,
-            severity: Severity::Note,
-            span,
-            message: message.into(),
-            help: None,
-        }
-    }
-
-    /// Attach a help string (builder style).
-    pub fn with_help(mut self, help: impl Into<String>) -> Self {
-        self.help = Some(help.into());
-        self
-    }
-}
-
-impl fmt::Display for SourceDiagnostic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}] at {}: {}", self.severity, self.code, self.span, self.message)?;
-        if let Some(h) = &self.help {
-            write!(f, " (help: {h})")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,20 +172,6 @@ mod tests {
         assert!(s.contains("error[QC0002]"));
         assert!(s.contains("op 0 (time 0)"));
         assert!(s.contains("help: the circuit declares 2 qubits"));
-    }
-
-    #[test]
-    fn source_diagnostic_display_mirrors_circuit_format() {
-        let d = SourceDiagnostic::error(
-            "QL0301",
-            SrcSpan::new("crates/qsim-serve/src/service.rs", 42),
-            "lock-order cycle",
-        )
-        .with_help("acquire registry before aggregates everywhere");
-        let s = d.to_string();
-        assert!(s.contains("error[QL0301]"));
-        assert!(s.contains("at crates/qsim-serve/src/service.rs:42:"));
-        assert!(s.contains("help: acquire registry"));
     }
 
     #[test]

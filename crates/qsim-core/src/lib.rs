@@ -39,9 +39,9 @@
 //! * [`diag`], the typed-diagnostic vocabulary ([`diag::Diagnostic`],
 //!   [`diag::Severity`], [`diag::Span`]) shared by `Circuit::validate()`
 //!   and the `qsim-analyze` lint engine;
-//! * [`lockorder`], the debug-build runtime lock-order tracker that
-//!   validates the static lock graph built by
-//!   `qsim-analyze::concurrency` against orderings actually observed.
+//! * [`lockorder`], the tracked [`lockorder::Mutex`] the serve layer
+//!   locks through and the debug-build lock-order tracker behind it: an
+//!   inversion panics at the acquisition site.
 
 pub mod batch;
 pub mod cancel;

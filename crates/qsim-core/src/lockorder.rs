@@ -1,36 +1,37 @@
-//! Runtime lock-order tracker — the dynamic validator of the static lock
-//! graph `qsim-analyze::concurrency` builds from source.
+//! Tracked mutex and runtime lock-order tracker — the workspace's one
+//! lock-order checker.
 //!
-//! Lock acquisition sites (fields of type `Mutex`/`RwLock`/`Condvar`)
-//! carry a stable string identity of the form
-//! `crate::module::Struct.field` — the same identity the static analyzer
-//! derives from the declaration. Code that holds locks calls
-//! [`track`] immediately after each acquisition and keeps the returned
-//! [`Held`] guard alive exactly as long as the lock guard; the tracker
-//! maintains a per-thread stack of held sites and a global set of
-//! observed `(outer, inner)` ordering edges.
+//! A [`Mutex`] is built with the stable name of its site,
+//! `crate::module::Struct.field`, and its [`Mutex::lock`] returns a guard
+//! that owns the tracking token: a lock cannot be taken untracked and a
+//! token cannot outlive its guard. The tracker keeps a per-thread stack
+//! of held sites and a global set of observed `(outer, inner)` ordering
+//! edges.
 //!
-//! Two consumers:
+//! Three consumers, all in debug builds:
 //!
-//! 1. **Inversion detection** (debug builds): if the edge `(B, A)` is
-//!    recorded while `(A, B)` has already been observed, two lock sites
-//!    have been taken in both orders — a potential deadlock — and the
-//!    tracker panics immediately with both locations. This is the
-//!    runtime analogue of the static `QL0301` lint.
-//! 2. **Static-graph validation**: tests drain [`observed_edges`] after a
-//!    workload and assert every observed edge is present in the static
-//!    graph, proving the analyzer's model did not miss an ordering that
-//!    actually happens.
+//! 1. **Inversion detection**: locking `A` while holding `B` after
+//!    `A -> B` has been observed anywhere in the process means two sites
+//!    nest both ways — a potential deadlock — and `lock` panics at the
+//!    acquisition site, before blocking, naming both sites.
+//! 2. **The pinned edge list**: `qsim-serve/tests/lock_order.rs` drives a
+//!    service workload and asserts [`observed_edges`] *equals* a literal
+//!    list, so a new nesting is a failing test and a deliberate edit.
+//! 3. [`assert_none_held`] states "no lock is held here" at the one place
+//!    it matters, `qsim-serve`'s `worker::run_unit`: no serve lock is held
+//!    across a backend run.
 //!
-//! Everything compiles to a no-op in release builds (`debug_assertions`
-//! off): [`track`] returns an inert guard and records nothing, so the
-//! serve hot path pays only a branch that the optimizer removes.
+//! In release builds (`debug_assertions` off) the token is zero-sized and
+//! nothing is recorded: the wrapper is `std::sync::Mutex` with poison
+//! recovered, which is what the `parking_lot` stand-in is.
 //!
-//! Self-edges (re-tracking a site already on the thread's stack, e.g. two
-//! instances of the same pool type) are recorded but never treated as
-//! inversions — site identities name declarations, not instances, so an
-//! `(A, A)` edge is not evidence of a cycle by itself. The static
-//! analyzer reports same-site nesting separately.
+//! Self-edges (two instances of one site nested, e.g. two pools of the
+//! same type) are recorded but never treated as inversions — site names
+//! identify declarations, not instances.
+
+use std::ops::{Deref, DerefMut};
+use std::sync::{Condvar, LockResult, PoisonError};
+use std::time::Duration;
 
 #[cfg(debug_assertions)]
 mod imp {
@@ -43,7 +44,7 @@ mod imp {
     }
 
     // The tracker's own table is never held while acquiring a tracked
-    // lock, and tracking it would recurse. conc-lint: untracked
+    // lock, and tracking it would recurse.
     static EDGES: OnceLock<Mutex<HashSet<(&'static str, &'static str)>>> = OnceLock::new();
 
     fn edges() -> &'static Mutex<HashSet<(&'static str, &'static str)>> {
@@ -72,7 +73,7 @@ mod imp {
     pub fn track(site: &'static str) -> Held {
         HELD.with(|h| {
             let mut held = h.borrow_mut();
-            let mut table = edges().lock().unwrap_or_else(|e| e.into_inner());
+            let mut table = super::recover(edges().lock());
             for outer in held.iter() {
                 if *outer == site {
                     // Same-site nesting: record, never invert.
@@ -94,15 +95,19 @@ mod imp {
         Held { site }
     }
 
+    pub fn assert_none_held(what: &str) {
+        HELD.with(|h| assert!(h.borrow().is_empty(), "{what} while holding {:?}", h.borrow()));
+    }
+
     pub fn observed_edges() -> Vec<(&'static str, &'static str)> {
-        let table = edges().lock().unwrap_or_else(|e| e.into_inner());
+        let table = super::recover(edges().lock());
         let mut v: Vec<_> = table.iter().copied().collect();
         v.sort_unstable();
         v
     }
 
     pub fn reset_observed_edges() {
-        edges().lock().unwrap_or_else(|e| e.into_inner()).clear();
+        super::recover(edges().lock()).clear();
     }
 }
 
@@ -117,6 +122,9 @@ mod imp {
         Held
     }
 
+    #[inline(always)]
+    pub fn assert_none_held(_what: &str) {}
+
     pub fn observed_edges() -> Vec<(&'static str, &'static str)> {
         Vec::new()
     }
@@ -124,13 +132,77 @@ mod imp {
     pub fn reset_observed_edges() {}
 }
 
-pub use imp::Held;
+use imp::{track, Held};
 
-/// Record that the lock site `site` has just been acquired on this
-/// thread. Keep the returned token alive exactly as long as the lock
-/// guard. No-op (inert token) in release builds.
-pub fn track(site: &'static str) -> Held {
-    imp::track(site)
+/// Every update under a tracked lock leaves its data valid at every step
+/// (counters, maps and queues of owned jobs), so a poisoned lock is
+/// recovered — here, once, for `lock` and both waits.
+fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A `std::sync::Mutex` that knows its lock site.
+#[derive(Debug)]
+pub struct Mutex<T> {
+    site: &'static str,
+    inner: std::sync::Mutex<T>,
+}
+
+impl<T> Mutex<T> {
+    /// A mutex at the site named `site` (`crate::module::Struct.field`).
+    pub const fn new(site: &'static str, value: T) -> Self {
+        Mutex { site, inner: std::sync::Mutex::new(value) }
+    }
+
+    /// Record the acquisition (debug builds: panic on an inversion before
+    /// blocking), then lock.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        let held = track(self.site);
+        MutexGuard { guard: recover(self.inner.lock()), held }
+    }
+}
+
+/// The guard of a [`Mutex`]; its site leaves the thread's held stack
+/// when it drops.
+#[derive(Debug)]
+pub struct MutexGuard<'a, T> {
+    guard: std::sync::MutexGuard<'a, T>,
+    held: Held,
+}
+
+impl<T> MutexGuard<'_, T> {
+    /// [`Condvar::wait`] on this guard. The site stays on the held stack
+    /// across the wait: a parked thread runs nothing, so no false
+    /// ordering is recorded.
+    pub fn wait(self, condvar: &Condvar) -> Self {
+        let MutexGuard { guard, held } = self;
+        MutexGuard { guard: recover(condvar.wait(guard)), held }
+    }
+
+    /// [`Condvar::wait_timeout`] on this guard.
+    pub fn wait_timeout(self, condvar: &Condvar, timeout: Duration) -> Self {
+        let MutexGuard { guard, held } = self;
+        MutexGuard { guard: recover(condvar.wait_timeout(guard, timeout)).0, held }
+    }
+}
+
+impl<T> Deref for MutexGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.guard
+    }
+}
+
+impl<T> DerefMut for MutexGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.guard
+    }
+}
+
+/// Panic, naming `what`, if this thread holds any tracked lock. Inert in
+/// release builds.
+pub fn assert_none_held(what: &str) {
+    imp::assert_none_held(what);
 }
 
 /// All `(outer, inner)` ordering edges observed so far in this process,
@@ -149,47 +221,109 @@ mod tests {
     use super::*;
 
     // The edge table is process-global, so the tests here use site names
-    // no production code uses and avoid asserting global emptiness.
+    // no production code uses and avoid asserting global emptiness. The
+    // held stack is per thread, and every test runs on its own.
+
+    fn panic_message(result: std::thread::Result<()>) -> String {
+        let payload = result.expect_err("must panic");
+        payload.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
 
     #[test]
-    fn nested_tracking_records_an_edge() {
-        let a = track("test::lockorder::A.outer");
-        let b = track("test::lockorder::B.inner");
-        drop(b);
-        drop(a);
-        if cfg!(debug_assertions) {
-            assert!(observed_edges()
-                .contains(&("test::lockorder::A.outer", "test::lockorder::B.inner")));
-        } else {
-            assert!(observed_edges().is_empty());
+    fn nested_locks_record_an_edge() {
+        let (a, b) =
+            (Mutex::new("test::lockorder::A.outer", 1), Mutex::new("test::lockorder::B.inner", 2));
+        {
+            let outer = a.lock();
+            let mut inner = b.lock();
+            *inner += *outer;
         }
+        assert_eq!(*b.lock(), 3);
+        let edge = ("test::lockorder::A.outer", "test::lockorder::B.inner");
+        assert_eq!(observed_edges().contains(&edge), cfg!(debug_assertions));
     }
 
     #[test]
     fn same_site_nesting_is_not_an_inversion() {
-        let a = track("test::lockorder::Pool.bucket");
-        let b = track("test::lockorder::Pool.bucket");
-        drop(b);
-        drop(a);
+        let pools = [
+            Mutex::new("test::lockorder::Pool.bucket", ()),
+            Mutex::new("test::lockorder::Pool.bucket", ()),
+        ];
+        for (first, second) in [(0, 1), (1, 0)] {
+            let _a = pools[first].lock();
+            let _b = pools[second].lock();
+        }
         // Reaching here without panicking is the assertion.
     }
 
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "tracker is inert in release builds")]
-    fn inversion_panics() {
-        let result = std::panic::catch_unwind(|| {
-            let x = track("test::lockorder::Inv.x");
-            let y = track("test::lockorder::Inv.y");
-            drop(y);
-            drop(x);
-            // Opposite order: must panic when y -> x is recorded.
-            let y = track("test::lockorder::Inv.y");
-            let x = track("test::lockorder::Inv.x");
-            drop(x);
-            drop(y);
+    fn locking_in_both_orders_panics_with_both_site_names() {
+        let (x, y) =
+            (Mutex::new("test::lockorder::Inv.x", ()), Mutex::new("test::lockorder::Inv.y", ()));
+        let message = panic_message(std::panic::catch_unwind(|| {
+            {
+                let _x = x.lock();
+                let _y = y.lock();
+            }
+            let _y = y.lock();
+            let _x = x.lock();
+        }));
+        assert!(message.contains("lock-order inversion"), "unexpected panic payload: {message}");
+        assert!(message.contains("Inv.x") && message.contains("Inv.y"), "{message}");
+        // The refused acquisition never blocked, and the unwind released
+        // `y` and emptied the held stack.
+        assert_none_held("after the inversion unwound");
+        drop(y.lock());
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "tracker is inert in release builds")]
+    fn assert_none_held_panics_while_a_guard_is_alive() {
+        let m = Mutex::new("test::lockorder::Held.m", ());
+        let message = panic_message(std::panic::catch_unwind(|| {
+            let _guard = m.lock();
+            assert_none_held("backend run");
+        }));
+        assert!(message.contains("backend run") && message.contains("Held.m"), "{message}");
+        assert_none_held("after the guard dropped");
+    }
+
+    #[test]
+    fn a_guard_that_waited_still_pops_its_site() {
+        let m = Mutex::new("test::lockorder::Wait.m", 0u32);
+        let condvar = Condvar::new();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let mut guard = m.lock();
+                while *guard == 0 {
+                    guard = guard.wait(&condvar);
+                }
+                guard = guard.wait_timeout(&condvar, Duration::from_millis(1));
+                *guard += 1;
+                drop(guard);
+                assert_none_held("after the waits");
+            });
+            *m.lock() = 1;
+            condvar.notify_all();
+            waiter.join().expect("waiter");
         });
-        let err = result.expect_err("opposite acquisition order must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("lock-order inversion"), "unexpected panic payload: {msg}");
+        assert_eq!(*m.lock(), 2);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "tracker is armed in debug builds")]
+    fn release_build_is_inert() {
+        assert_eq!(std::mem::size_of::<Held>(), 0);
+        let (x, y) =
+            (Mutex::new("test::lockorder::Rel.x", ()), Mutex::new("test::lockorder::Rel.y", ()));
+        {
+            let _x = x.lock();
+            let _y = y.lock();
+        }
+        let _y = y.lock();
+        let _x = x.lock();
+        assert_none_held("ignored in release");
+        assert!(observed_edges().is_empty());
     }
 }

@@ -101,6 +101,7 @@ struct Ledger {
 
 /// RAII hold on a slice of the budget. Dropping it — whether the job
 /// finished, failed, was cancelled or timed out — returns the bytes.
+#[must_use = "dropping a Reservation returns its bytes to the budget at once"]
 #[derive(Debug)]
 pub struct Reservation {
     bytes: u64,

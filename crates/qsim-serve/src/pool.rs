@@ -23,8 +23,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-use qsim_core::lockorder;
+use qsim_core::lockorder::Mutex;
 use qsim_core::types::{Cplx, Float, Precision};
 
 /// Hit/miss/occupancy counters, snapshot via [`StateBufferPool::stats`].
@@ -99,14 +98,13 @@ pub struct TypedPool<F> {
 
 impl<F: Float> Default for TypedPool<F> {
     fn default() -> Self {
-        TypedPool { buckets: Mutex::new(HashMap::new()) }
+        TypedPool { buckets: Mutex::new("qsim-serve::pool::TypedPool.buckets", HashMap::new()) }
     }
 }
 
 impl<F: Float> TypedPool<F> {
     fn bucket_stats(&self, out: &mut Vec<BucketStats>) {
         let buckets = self.buckets.lock();
-        let _held = lockorder::track("qsim-serve::pool::TypedPool.buckets");
         for (&len, bucket) in buckets.iter() {
             out.push(BucketStats {
                 precision: F::PRECISION,
@@ -188,7 +186,6 @@ impl StateBufferPool {
     /// most likely still cache-warm.
     pub fn acquire<F: PoolSlot>(&self, len: usize) -> Option<Vec<Cplx<F>>> {
         let mut buckets = F::typed(self).buckets.lock();
-        let _held = lockorder::track("qsim-serve::pool::TypedPool.buckets");
         let bucket = buckets.entry(len).or_default();
         match bucket.parked.pop_back() {
             Some(buf) => {
@@ -215,7 +212,6 @@ impl StateBufferPool {
         let bytes = Self::bytes_of(&buf);
         let len = buf.len();
         let mut buckets = F::typed(self).buckets.lock();
-        let _held = lockorder::track("qsim-serve::pool::TypedPool.buckets");
         let bucket = buckets.entry(len).or_default();
         let evicted = if bucket.parked.len() >= self.max_per_bucket.max(1) {
             bucket.evicted += 1;

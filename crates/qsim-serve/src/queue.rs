@@ -2,9 +2,9 @@
 //!
 //! [`JobQueue::push`] takes accepted jobs in, [`JobQueue::pop`] hands a
 //! worker its next unit, [`JobQueue::finish`] takes the unit's charge
-//! back. Three priority classes, FIFO within a class; built on
-//! `std::sync::{Mutex, Condvar}` (the offline `parking_lot` stand-in
-//! exposes no condvar). [`JobQueue::close`] wakes every blocked worker,
+//! back. Three priority classes, FIFO within a class; built on the
+//! tracked [`qsim_core::lockorder::Mutex`] and a `Condvar` its guard
+//! waits on. [`JobQueue::close`] wakes every blocked worker,
 //! after which pops drain whatever is still queued and then return `None`
 //! — that drain is what makes service shutdown graceful rather than lossy.
 //!
@@ -37,12 +37,12 @@
 //!   across all member states.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
 use qsim_backends::{FusionPlan, SimBackend};
 use qsim_core::cancel::CancelToken;
-use qsim_core::lockorder;
+use qsim_core::lockorder::Mutex;
 use qsim_core::types::Precision;
 
 use crate::admission::{AdmissionError, DEFAULT_RETRY_AFTER};
@@ -272,12 +272,15 @@ impl JobQueue {
     pub fn new(bandwidth_budget_bps: u64) -> Self {
         let budget_bps = bandwidth_budget_bps.max(1);
         JobQueue {
-            inner: Mutex::new(Inner {
-                classes: Default::default(),
-                closed: false,
-                bandwidth: BandwidthSnapshot { budget_bps, ..BandwidthSnapshot::default() },
-                backlog_limit_bps: budget_bps.saturating_mul(BACKLOG_OVERCOMMIT),
-            }),
+            inner: Mutex::new(
+                "qsim-serve::queue::JobQueue.inner",
+                Inner {
+                    classes: Default::default(),
+                    closed: false,
+                    bandwidth: BandwidthSnapshot { budget_bps, ..BandwidthSnapshot::default() },
+                    backlog_limit_bps: budget_bps.saturating_mul(BACKLOG_OVERCOMMIT),
+                },
+            ),
             available: Condvar::new(),
         }
     }
@@ -289,8 +292,7 @@ impl JobQueue {
     /// [`AdmissionError::Saturated`]; the others charge the backlog and
     /// queue. `Err(Closed)`: the queue has been closed, nothing queued.
     pub fn push(&self, jobs: Vec<QueuedJob>) -> Result<Vec<(JobId, AdmissionError)>, Closed> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let _held = lockorder::track("qsim-serve::queue::JobQueue.inner");
+        let mut inner = self.inner.lock();
         if inner.closed {
             return Err(Closed);
         }
@@ -326,11 +328,7 @@ impl JobQueue {
     /// released a buffer into; `max_batch` caps gang width (`1` disables
     /// coalescing).
     pub fn pop(&self, affinity: Option<BucketKey>, max_batch: usize) -> Option<WorkUnit> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        // The waits below atomically release and re-acquire `inner`;
-        // while parked this thread runs nothing, so keeping the token
-        // across them records no false ordering.
-        let _held = lockorder::track("qsim-serve::queue::JobQueue.inner");
+        let mut inner = self.inner.lock();
         loop {
             if let Some(lead) = inner.select(affinity) {
                 let mut jobs = vec![lead];
@@ -353,11 +351,11 @@ impl JobQueue {
                 return None;
             }
             inner = if inner.len() == 0 {
-                self.available.wait(inner).unwrap_or_else(|e| e.into_inner())
+                inner.wait(&self.available)
             } else {
                 // Everything dispatchable is behind the gate. A release
                 // notifies; a queued job's token firing does not.
-                self.available.wait_timeout(inner, GATED_POLL).unwrap_or_else(|e| e.into_inner()).0
+                inner.wait_timeout(&self.available, GATED_POLL)
             };
         }
     }
@@ -368,8 +366,7 @@ impl JobQueue {
     /// gain from a release.)
     pub fn finish(&self, unit: &WorkUnit) {
         let deferred = {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            let _held = lockorder::track("qsim-serve::queue::JobQueue.inner");
+            let mut inner = self.inner.lock();
             let ledger = &mut inner.bandwidth;
             ledger.running_bps = ledger.running_bps.saturating_sub(unit.running_bps);
             ledger.running_jobs = ledger.running_jobs.saturating_sub(1);
@@ -383,19 +380,13 @@ impl JobQueue {
     /// Close the queue: no further [`JobQueue::push`] succeeds, every
     /// blocked worker wakes, and already-queued jobs keep draining.
     pub fn close(&self) {
-        {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            let _held = lockorder::track("qsim-serve::queue::JobQueue.inner");
-            inner.closed = true;
-        }
+        self.inner.lock().closed = true;
         self.available.notify_all();
     }
 
     /// Jobs currently queued across all classes.
     pub fn len(&self) -> usize {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let _held = lockorder::track("qsim-serve::queue::JobQueue.inner");
-        inner.len()
+        self.inner.lock().len()
     }
 
     /// Whether no jobs are queued.
@@ -405,9 +396,7 @@ impl JobQueue {
 
     /// Bandwidth-ledger snapshot for the `metrics` verb.
     pub fn bandwidth_snapshot(&self) -> BandwidthSnapshot {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let _held = lockorder::track("qsim-serve::queue::JobQueue.inner");
-        inner.bandwidth
+        self.inner.lock().bandwidth
     }
 }
 

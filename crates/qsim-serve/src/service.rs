@@ -10,12 +10,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use qsim_backends::{Flavor, FusionPlan, RunReport};
 use qsim_cache::{BudgetLedger, Cache, CacheStats};
 use qsim_core::cancel::{CancelCause, CancelToken};
 use qsim_core::kernels::MAX_GATE_QUBITS;
-use qsim_core::lockorder;
+use qsim_core::lockorder::Mutex;
 use qsim_core::types::Cplx;
 use qsim_distributed::{MultiGcdBackend, SwapPolicy, SwapSchedule, EXCHANGE_KERNEL};
 use serde_json::json;
@@ -499,7 +498,6 @@ impl ServiceInner {
     /// and may run.
     pub(crate) fn mark_running_many(&self, ids: &[JobId]) -> Vec<bool> {
         let mut registry = self.registry.lock();
-        let _held = lockorder::track("qsim-serve::service::ServiceInner.registry");
         let mut started = 0u64;
         let verdicts = ids
             .iter()
@@ -519,31 +517,55 @@ impl ServiceInner {
     /// Record the workers' verdicts: set each terminal state, stash the
     /// report or error, release the admission reservations, fold the
     /// runs' timings into the aggregates — one registry + one aggregates
-    /// lock acquisition for the whole set.
+    /// lock acquisition for the whole set, after [`Self::cache_results`]
+    /// had its round.
     pub(crate) fn finish_many(&self, outcomes: Vec<(JobId, JobOutcome)>) {
         if outcomes.is_empty() {
             return;
         }
-        let mut cacheable: Vec<(ResultKey, Arc<RunReport>)> = Vec::new();
-        {
-            let mut registry = self.registry.lock();
-            let _held_registry = lockorder::track("qsim-serve::service::ServiceInner.registry");
-            let mut agg = self.aggregates.lock();
-            let _held_agg = lockorder::track("qsim-serve::service::ServiceInner.aggregates");
-            for (id, outcome) in outcomes {
-                let Some(record) = registry.get_mut(&id) else { continue };
-                if record.state == JobState::Running {
-                    self.running.fetch_sub(1, Ordering::Relaxed);
-                }
-                if let Some(entry) = Self::resolve(record, &mut agg, outcome) {
-                    cacheable.push(entry);
-                }
+        self.cache_results(&outcomes);
+        let mut registry = self.registry.lock();
+        let mut agg = self.aggregates.lock();
+        for (id, outcome) in outcomes {
+            let Some(record) = registry.get_mut(&id) else { continue };
+            if record.state == JobState::Running {
+                self.running.fetch_sub(1, Ordering::Relaxed);
             }
+            Self::resolve(record, &mut agg, outcome);
         }
-        // Result-cache inserts happen outside the registry/aggregates
-        // locks: an insert may evict and charge the admission ledger,
-        // none of which should lengthen the critical section every
-        // status poll contends on.
+    }
+
+    /// Put the cacheable reports in the result cache BEFORE their jobs
+    /// turn `Done`: a client that has observed a job `Done` may rely on an
+    /// identical resubmission hitting. One registry round collects the
+    /// keys and returns the jobs' reservations (first, so the entry's
+    /// ledger charge is not refused for bytes its own job still holds);
+    /// the inserts run outside `registry`/`aggregates` — an insert may
+    /// evict and charge the admission ledger, none of which should
+    /// lengthen the critical section every status poll contends on.
+    /// Failures, cancellations, `keep_state` jobs and a cache-less
+    /// service skip the round; a sharded job takes it and finds no key.
+    fn cache_results(&self, outcomes: &[(JobId, JobOutcome)]) {
+        let mut done = outcomes
+            .iter()
+            .filter_map(|(id, outcome)| match outcome {
+                JobOutcome::Done(report, None) => Some((id, report)),
+                _ => None,
+            })
+            .peekable();
+        if self.results.budget_bytes() == 0 || done.peek().is_none() {
+            return;
+        }
+        let cacheable: Vec<(ResultKey, Arc<RunReport>)> = {
+            let mut registry = self.registry.lock();
+            done.filter_map(|(id, report)| {
+                let record = registry.get_mut(id)?;
+                let key = record.result_key.take()?;
+                record.reservation = None;
+                Some((key, Arc::clone(report)))
+            })
+            .collect()
+        };
         for (key, report) in cacheable {
             let bytes = report_bytes(&report);
             self.results.insert(key, report, bytes);
@@ -551,16 +573,8 @@ impl ServiceInner {
     }
 
     /// Apply one job's outcome to its registry record and the aggregate
-    /// counters (both locks held by the caller). For a cacheable `Done`
-    /// job, returns the result-cache entry for the caller to insert
-    /// *after* dropping the locks.
-    fn resolve(
-        record: &mut JobRecord,
-        agg: &mut Aggregates,
-        outcome: JobOutcome,
-    ) -> Option<(ResultKey, Arc<RunReport>)> {
-        let result_key = record.result_key.take();
-        let mut cache_entry = None;
+    /// counters (both locks held by the caller).
+    fn resolve(record: &mut JobRecord, agg: &mut Aggregates, outcome: JobOutcome) {
         match outcome {
             JobOutcome::Done(report, state_vector) => {
                 record.state = JobState::Done;
@@ -579,7 +593,6 @@ impl ServiceInner {
                     agg.cold_setup_seconds += report.setup_seconds;
                 }
                 agg.max_peak_state_bytes = agg.max_peak_state_bytes.max(report.peak_state_bytes);
-                cache_entry = result_key.map(|key| (key, Arc::clone(&report)));
                 record.report = Some(report);
                 record.state_vector = state_vector;
             }
@@ -598,13 +611,11 @@ impl ServiceInner {
             }
         }
         record.reservation = None;
-        cache_entry
     }
 
     /// Fold one gang dispatch of `width` jobs into the batching counters.
     pub(crate) fn record_batch(&self, width: usize) {
         let mut agg = self.aggregates.lock();
-        let _held = lockorder::track("qsim-serve::service::ServiceInner.aggregates");
         agg.batches += 1;
         agg.batched_jobs += width as u64;
     }
@@ -658,8 +669,11 @@ impl Service {
             max_batch: config.max_batch.max(1),
             plans: Cache::new(config.plan_cache_budget_bytes),
             results,
-            registry: Mutex::new(HashMap::new()),
-            aggregates: Mutex::new(Aggregates::default()),
+            registry: Mutex::new("qsim-serve::service::ServiceInner.registry", HashMap::new()),
+            aggregates: Mutex::new(
+                "qsim-serve::service::ServiceInner.aggregates",
+                Aggregates::default(),
+            ),
             next_id: AtomicU64::new(1),
             accepting: AtomicBool::new(true),
             submitted: AtomicU64::new(0),
@@ -669,7 +683,11 @@ impl Service {
             sharded_exchanged_bytes: AtomicU64::new(0),
         });
         let workers = WorkerPool::spawn(config.workers.max(1), inner.clone());
-        Service { inner, workers: Mutex::new(Some(workers)), config }
+        Service {
+            inner,
+            workers: Mutex::new("qsim-serve::service::Service.workers", Some(workers)),
+            config,
+        }
     }
 
     /// Validate, admit, plan and price one submission — everything that
@@ -841,9 +859,7 @@ impl Service {
         let mut accepted = records.len() as u64;
         let hits = accepted - jobs.len() as u64;
         if accepted > 0 {
-            let mut registry = self.inner.registry.lock();
-            let _held = lockorder::track("qsim-serve::service::ServiceInner.registry");
-            registry.extend(records);
+            self.inner.registry.lock().extend(records);
         }
         // The queue has the last word: it sheds what its traffic backlog
         // cannot take, and refuses everything once shutdown closed it.
@@ -858,7 +874,6 @@ impl Service {
             // Undo the registrations; dropping a record returns its
             // memory reservation.
             let mut registry = self.inner.registry.lock();
-            let _held = lockorder::track("qsim-serve::service::ServiceInner.registry");
             for (id, error) in refused {
                 registry.remove(&id);
                 routed.retain(|(routed_id, _)| *routed_id != id);
@@ -878,9 +893,7 @@ impl Service {
         if hits > 0 {
             // A hit completes a job; it contributes no wall/setup time
             // (nothing ran), so the timing aggregates are untouched.
-            let mut agg = self.inner.aggregates.lock();
-            let _held = lockorder::track("qsim-serve::service::ServiceInner.aggregates");
-            agg.completed += hits;
+            self.inner.aggregates.lock().completed += hits;
         }
         results
     }
@@ -888,7 +901,6 @@ impl Service {
     /// Current state of a job, or `None` for an unknown id.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
         let registry = self.inner.registry.lock();
-        let _held = lockorder::track("qsim-serve::service::ServiceInner.registry");
         registry.get(&id).map(|r| JobStatus {
             id,
             state: r.state,
@@ -904,7 +916,6 @@ impl Service {
     /// flight (or for an unknown id / non-`Done` terminal state).
     pub fn report(&self, id: JobId) -> Option<RunReport> {
         let registry = self.inner.registry.lock();
-        let _held = lockorder::track("qsim-serve::service::ServiceInner.registry");
         registry.get(&id).and_then(|r| r.report.as_deref().cloned())
     }
 
@@ -915,7 +926,6 @@ impl Service {
     /// [`JobSpec::keep_state`]: crate::job::JobSpec::keep_state
     pub fn take_state(&self, id: JobId) -> Option<FinalState> {
         let mut registry = self.inner.registry.lock();
-        let _held = lockorder::track("qsim-serve::service::ServiceInner.registry");
         registry.get_mut(&id).and_then(|r| r.state_vector.take())
     }
 
@@ -924,7 +934,6 @@ impl Service {
     /// job will unwind at its next gate boundary (or never start).
     pub fn cancel(&self, id: JobId) -> bool {
         let registry = self.inner.registry.lock();
-        let _held = lockorder::track("qsim-serve::service::ServiceInner.registry");
         match registry.get(&id) {
             Some(record) if !record.state.is_terminal() => {
                 record.cancel.cancel();
@@ -936,11 +945,7 @@ impl Service {
 
     /// Counter snapshot for the `metrics` verb.
     pub fn metrics(&self) -> Metrics {
-        let agg = {
-            let agg = self.inner.aggregates.lock();
-            let _held = lockorder::track("qsim-serve::service::ServiceInner.aggregates");
-            *agg
-        };
+        let agg = *self.inner.aggregates.lock();
         Metrics {
             workers: self.config.workers.max(1),
             accepting: self.inner.accepting.load(Ordering::Acquire),
@@ -996,11 +1001,7 @@ impl Service {
         // worker unwinding through a panic hook (or a second caller
         // racing this one) must never find `workers` held by a thread
         // that is itself parked in `join`.
-        let workers = {
-            let mut workers = self.workers.lock();
-            let _held = lockorder::track("qsim-serve::service::Service.workers");
-            workers.take()
-        };
+        let workers = self.workers.lock().take();
         if let Some(workers) = workers {
             workers.join();
         }

@@ -28,6 +28,7 @@ use std::thread::JoinHandle;
 use qsim_backends::{
     BackendError, BatchResult, Flavor, RunContext, RunFailure, RunOptions, SimBackend,
 };
+use qsim_core::lockorder;
 use qsim_core::types::{Cplx, Precision};
 use qsim_distributed::MultiGcdBackend;
 
@@ -176,6 +177,9 @@ fn run_unit<F: StateSlot>(
     pool: &StateBufferPool,
     jobs: &[QueuedJob],
 ) -> Vec<(JobId, JobOutcome)> {
+    // A backend run takes as long as the circuit does: no serve lock may
+    // be held across it.
+    lockorder::assert_none_held("worker::run_unit entered");
     let opts =
         |job: &QueuedJob| RunOptions { seed: job.spec.seed, sample_count: job.spec.sample_count };
     let results: Vec<BatchResult<F>> = match device {

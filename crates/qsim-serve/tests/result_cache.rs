@@ -131,6 +131,28 @@ fn seed_and_shot_count_changes_miss() {
     service.shutdown();
 }
 
+/// A job is never published `Done` before its report is in the cache: a
+/// client that saw `Done` and resubmits the same spec at once always
+/// hits. (With the insert after the publication, a second worker's
+/// finish sequence or a descheduled first one lets the resubmission miss
+/// and run again.)
+#[test]
+fn resubmission_right_after_done_always_hits() {
+    const ROUNDS: u64 = 200;
+    let service = Service::start(ServiceConfig { workers: 2, ..ServiceConfig::default() });
+    for round in 0..ROUNDS {
+        let mut spec = JobSpec::new(library::ghz(6));
+        spec.seed = round;
+        spec.sample_count = 8;
+        run_to_done(&service, spec.clone());
+        run_to_done(&service, spec);
+    }
+    let m = service.metrics();
+    assert_eq!(m.result_cache.hits, ROUNDS, "{:?}", m.result_cache);
+    assert_eq!(m.result_cache.insertions, ROUNDS, "{:?}", m.result_cache);
+    service.shutdown();
+}
+
 /// `keep_state` jobs are never cached: their point is the state vector,
 /// which is moved out once.
 #[test]
