@@ -114,3 +114,44 @@ fn library_showpieces_are_clean() {
         assert!(report.passes(true), "{name} not clean:\n{}", report.render());
     }
 }
+
+/// A NaN angle can only arrive programmatically (the parser rejects the
+/// token); it must read as a non-unitary gate, never as a harmless
+/// identity note.
+#[test]
+fn nan_parameter_is_a_non_unitary_error_not_an_identity_note() {
+    for angle in [f64::NAN, f64::INFINITY] {
+        let mut c = Circuit::new(2);
+        c.add(0, GateKind::H, &[0]);
+        c.add(1, GateKind::Rz(angle), &[1]);
+        c.add(2, GateKind::Cz, &[0, 1]);
+        let report = Analyzer::new().analyze_circuit(&c);
+        assert!(report.has_errors(), "{}", report.render());
+        assert!(report.render().contains("error[QA0101]"), "{}", report.render());
+        assert!(!codes_of(&report).contains(&codes::IDENTITY_GATE), "{}", report.render());
+    }
+}
+
+/// One NaN entry in a fused matrix rejects the plan at the pre-run gate.
+#[test]
+fn fused_gate_with_a_nan_entry_is_plan_non_unitary() {
+    use qsim_core::matrix::GateMatrix;
+    use qsim_core::types::Cplx;
+    use qsim_fusion::{fuse, FusedOp};
+
+    let c = library::ghz(3);
+    let mut plan = fuse(&c, 2);
+    let FusedOp::Unitary(g) =
+        plan.ops.iter_mut().find(|op| matches!(op, FusedOp::Unitary(_))).expect("a unitary")
+    else {
+        unreachable!()
+    };
+    let mut entries = g.matrix.as_slice().to_vec();
+    // An off-diagonal zero of the product: the old `f64::max` fold dropped it.
+    let last = entries.len() - 2;
+    entries[last] = Cplx::new(f64::NAN, 0.0);
+    g.matrix = GateMatrix::from_slice(g.matrix.dim(), &entries);
+    let report = Analyzer::pre_run().analyze_plan(&plan, Some(&c), SweepConfig::default());
+    assert!(codes_of(&report).contains(&codes::PLAN_NON_UNITARY), "{}", report.render());
+    assert!(!codes_of(&report).contains(&codes::PLAN_IDENTITY_PASS), "{}", report.render());
+}

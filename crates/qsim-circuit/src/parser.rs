@@ -114,8 +114,13 @@ fn parse_usize(line: usize, tok: &str, what: &str) -> Result<usize, ParseError> 
     tok.parse().map_err(|_| ParseError { line, message: format!("bad {what} '{tok}'") })
 }
 
+/// `"nan"` and `"inf"` parse as `f64`, but no gate built from them is unitary.
 fn parse_f64(line: usize, tok: &str, what: &str) -> Result<f64, ParseError> {
-    tok.parse().map_err(|_| ParseError { line, message: format!("bad {what} '{tok}'") })
+    match tok.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        Ok(_) => err(line, format!("{what} '{tok}' is not finite")),
+        Err(_) => err(line, format!("bad {what} '{tok}'")),
+    }
 }
 
 /// `(qubit_count, param_count)` required after a gate mnemonic; `None` for
@@ -267,6 +272,17 @@ mod tests {
         assert!(parse_circuit("").is_err());
         assert!(parse_circuit("2\n0\n").is_err());
         assert!(parse_circuit("2\n0 m\n").is_err());
+    }
+
+    #[test]
+    fn non_finite_parameters_rejected_with_line_and_token() {
+        for tok in ["nan", "inf", "-inf", "NaN"] {
+            let e = parse_circuit(&format!("2\n0 h 0\n1 rz 1 {tok}\n2 cz 0 1\n")).unwrap_err();
+            assert_eq!(e.line, 3, "{tok}");
+            assert!(e.message.contains(&format!("'{tok}' is not finite")), "{tok}: {e}");
+        }
+        // Second parameter of a two-parameter gate, too.
+        assert_eq!(parse_circuit("2\n0 fs 0 1 0.5 inf\n").unwrap_err().line, 2);
     }
 
     #[test]

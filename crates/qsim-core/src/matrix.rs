@@ -158,20 +158,34 @@ impl<F: Float> GateMatrix<F> {
         out
     }
 
-    /// Maximum absolute entry-wise difference to another matrix.
+    /// Maximum absolute entry-wise difference to another matrix (NaN if any entry is NaN).
     pub fn max_abs_diff(&self, other: &GateMatrix<F>) -> f64 {
         assert_eq!(self.dim, other.dim);
         self.data
             .iter()
             .zip(other.data.iter())
             .map(|(a, b)| a.dist(*b).to_f64())
-            .fold(0.0, f64::max)
+            .fold(0.0, |max, d| if d > max || d.is_nan() { d } else { max })
     }
 
-    /// Whether `self · self† = I` within `tol`.
+    /// Whether `self · self† = I` within `tol`; `false` when any entry is not
+    /// finite. Forms only the upper triangle of the Hermitian product, each
+    /// entry in the dense product's order; the lower is its exact conjugate.
     pub fn is_unitary(&self, tol: f64) -> bool {
-        let prod = self.matmul(&self.adjoint());
-        prod.max_abs_diff(&GateMatrix::identity(self.dim)) <= tol
+        let (d, adjoint) = (self.dim, self.adjoint());
+        let mut row = vec![Cplx::zero(); d];
+        (0..d).all(|i| {
+            // Columns `i..` of row `i` of `self · self† − I`.
+            let upper = &mut row[i..];
+            upper.fill(Cplx::zero());
+            for l in 0..d {
+                for (o, &b) in upper.iter_mut().zip(&adjoint.data[l * d + i..(l + 1) * d]) {
+                    o.mul_add_assign(self.get(i, l), b);
+                }
+            }
+            upper[0] -= Cplx::one();
+            upper.iter().all(|o| o.abs().to_f64() <= tol)
+        })
     }
 
     /// Expand a gate matrix acting on `own_qubits` to an equivalent matrix
@@ -182,40 +196,63 @@ impl<F: Float> GateMatrix<F> {
     /// target_qubits`. This is the workhorse of *space fusion* (combining
     /// gates on different qubits into one fused matrix).
     pub fn expand_to(&self, own_qubits: &[usize], target_qubits: &[usize]) -> GateMatrix<F> {
+        let mut out = GateMatrix::zeros(1 << target_qubits.len());
+        self.for_each_expanded(own_qubits, target_qubits, |row, col, a| out.set(row, col, a));
+        out
+    }
+
+    /// `self.expand_to(own_qubits, target_qubits).matmul(rhs)` without forming
+    /// the expansion: its non-zero entries are visited in the dense product's
+    /// order, so the sums accumulate term for term alike and the bits are equal.
+    pub fn expand_matmul(
+        &self,
+        own_qubits: &[usize],
+        target_qubits: &[usize],
+        rhs: &GateMatrix<F>,
+    ) -> GateMatrix<F> {
+        assert_eq!(rhs.num_qubits(), target_qubits.len(), "rhs does not act on target_qubits");
+        let d = rhs.dim;
+        let mut out = GateMatrix::zeros(d);
+        self.for_each_expanded(own_qubits, target_qubits, |row, l, a| {
+            if a.re != F::ZERO || a.im != F::ZERO {
+                let out_row = &mut out.data[row * d..(row + 1) * d];
+                for (o, &b) in out_row.iter_mut().zip(&rhs.data[l * d..(l + 1) * d]) {
+                    o.mul_add_assign(a, b);
+                }
+            }
+        });
+        out
+    }
+
+    /// Visit as `(row, col, entry)` what [`Self::expand_to`]'s result takes
+    /// from `self` (the rest is zero), rows then columns ascending.
+    fn for_each_expanded(
+        &self,
+        own_qubits: &[usize],
+        target_qubits: &[usize],
+        mut visit: impl FnMut(usize, usize, Cplx<F>),
+    ) {
         assert_eq!(self.num_qubits(), own_qubits.len(), "qubit list does not match matrix size");
         debug_assert!(own_qubits.windows(2).all(|w| w[0] < w[1]), "own_qubits must be sorted");
         debug_assert!(
             target_qubits.windows(2).all(|w| w[0] < w[1]),
             "target_qubits must be sorted"
         );
-
         // Position of each own qubit within the target list.
         let pos: Vec<usize> = own_qubits
             .iter()
-            .map(|q| {
-                target_qubits
-                    .iter()
-                    .position(|t| t == q)
-                    .expect("own_qubits must be a subset of target_qubits")
-            })
+            .map(|q| target_qubits.binary_search(q).expect("own_qubits ⊆ target_qubits"))
             .collect();
-
-        let kt = target_qubits.len();
-        let dt = 1usize << kt;
         // Mask over target-index bits that belong to this gate.
         let own_mask: usize = pos.iter().map(|&p| 1usize << p).sum();
-
-        let mut out = GateMatrix::zeros(dt);
-        for row in 0..dt {
+        for row in 0..1usize << target_qubits.len() {
             // Bits of `row` outside the gate must match the column's.
             let ctx = row & !own_mask;
             let r_own = extract_bits(row, &pos);
-            for (c_own, col_base) in (0..self.dim).map(|c| (c, deposit_bits(c, &pos))) {
-                let col = ctx | col_base;
-                out.set(row, col, self.get(r_own, c_own));
+            for c_own in 0..self.dim {
+                visit(row, ctx | deposit_bits(c_own, &pos), self.get(r_own, c_own));
             }
         }
-        out
     }
 
     /// Convert entries to another float precision.
@@ -252,6 +289,8 @@ pub fn deposit_bits(x: usize, positions: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     type M = GateMatrix<f64>;
 
@@ -377,6 +416,171 @@ mod tests {
         let h32: GateMatrix<f32> = h.cast();
         let back: GateMatrix<f64> = h32.cast();
         assert!(h.max_abs_diff(&back) < 1e-7);
+    }
+
+    /// `x` with its zeros signed, so products carry `-0.0` terms.
+    fn signed_zero_x() -> M {
+        M::from_f64_pairs(2, &[(-0.0, 0.0), (1., 0.), (1., -0.0), (0., -0.0)])
+    }
+
+    fn cz() -> M {
+        let mut m = M::identity(4);
+        m.set(3, 3, Cplx::new(-1.0, 0.0));
+        m
+    }
+
+    /// A random `k`-qubit unitary: two layers of random single-qubit
+    /// rotations (or `x`) and `cz` links, so entries are dense floats in
+    /// some columns and exact or signed zeros in others.
+    fn random_unitary(k: usize, rng: &mut TestRng) -> M {
+        let all: Vec<usize> = (0..k).collect();
+        let mut u = M::identity(1 << k);
+        for _ in 0..2 {
+            for q in 0..k {
+                let g = if rng.below(4) == 0 {
+                    signed_zero_x()
+                } else {
+                    let mut angle = || rng.unit_f64() * std::f64::consts::TAU;
+                    let (t, p, l) = (angle(), angle(), angle());
+                    let (c, s) = ((t / 2.0).cos(), (t / 2.0).sin());
+                    M::from_f64_pairs(
+                        2,
+                        &[
+                            (c, 0.0),
+                            (-l.cos() * s, -l.sin() * s),
+                            (p.cos() * s, p.sin() * s),
+                            ((p + l).cos() * c, (p + l).sin() * c),
+                        ],
+                    )
+                };
+                u = g.expand_to(&[q], &all).matmul(&u);
+            }
+            for q in 1..k {
+                if rng.below(2) == 0 {
+                    u = cz().expand_to(&[q - 1, q], &all).matmul(&u);
+                }
+            }
+        }
+        u
+    }
+
+    /// `count` distinct qubits out of `pool`, sorted.
+    fn pick(pool: &[usize], count: usize, rng: &mut TestRng) -> Vec<usize> {
+        let mut pool = pool.to_vec();
+        let mut out: Vec<usize> =
+            (0..count).map(|_| pool.swap_remove(rng.below(pool.len() as u64) as usize)).collect();
+        out.sort_unstable();
+        out
+    }
+
+    fn bits(m: &M) -> Vec<(u64, u64)> {
+        m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// The check `is_unitary` replaced: the full product against the
+    /// identity.
+    fn dense_verdict<F: Float>(m: &GateMatrix<F>, tol: f64) -> bool {
+        m.matmul(&m.adjoint()).max_abs_diff(&GateMatrix::identity(m.dim())) <= tol
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The in-place composition is the dense product of the two
+        /// expansions, bit for bit, whether the gate sits inside the slot
+        /// (no widening), overlaps it, or is disjoint from it.
+        #[test]
+        fn expand_matmul_matches_dense_product_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            width in 1usize..=6,
+            shape in 0usize..3,
+        ) {
+            let rng = &mut TestRng::from_seed(seed);
+            let pool: Vec<usize> = (0..9).collect();
+            let union = pick(&pool, width, rng);
+            let some_of = |set: &[usize], rng: &mut TestRng| {
+                pick(set, 1 + rng.below(set.len() as u64) as usize, rng)
+            };
+            let (gate_qubits, slot_qubits) = match shape {
+                // gate ⊆ slot: the slot already is the union.
+                0 => (some_of(&union, rng), union.clone()),
+                // disjoint: the union splits between them.
+                1 if width > 1 => {
+                    let gate = pick(&union, 1 + rng.below(width as u64 - 1) as usize, rng);
+                    let slot = union.iter().copied().filter(|q| !gate.contains(q)).collect();
+                    (gate, slot)
+                }
+                // overlapping, neither inside the other in general.
+                _ => {
+                    let gate = some_of(&union, rng);
+                    let mut slot = some_of(&union, rng);
+                    slot.extend(union.iter().filter(|q| !gate.contains(q)));
+                    slot.sort_unstable();
+                    slot.dedup();
+                    (gate, slot)
+                }
+            };
+            let gate = random_unitary(gate_qubits.len(), rng);
+            let slot = random_unitary(slot_qubits.len(), rng).expand_to(&slot_qubits, &union);
+            let dense = gate.expand_to(&gate_qubits, &union).matmul(&slot);
+            let sparse = gate.expand_matmul(&gate_qubits, &union, &slot);
+            prop_assert!(
+                bits(&sparse) == bits(&dense),
+                "gate {gate_qubits:?} slot {slot_qubits:?} union {union:?}"
+            );
+        }
+
+        /// The half-triangle check returns the full product's verdict: on
+        /// unitaries, either side of the tolerance, and after the `f32`
+        /// cast at the analyzer's single-precision tolerance.
+        #[test]
+        fn is_unitary_matches_the_dense_verdict(
+            seed in 0u64..u64::MAX,
+            width in 1usize..=6,
+        ) {
+            const TOL: f64 = 1e-9;
+            let rng = &mut TestRng::from_seed(seed);
+            let u = random_unitary(width, rng);
+            prop_assert!(u.is_unitary(TOL) && dense_verdict(&u, TOL));
+            let u32 = u.cast::<f32>();
+            prop_assert_eq!(u32.is_unitary(1e-4), dense_verdict(&u32, 1e-4));
+            prop_assert_eq!(u32.is_unitary(1e-8), dense_verdict(&u32, 1e-8));
+
+            let d = u.dim() as u64;
+            let (r, c) = (rng.below(d) as usize, rng.below(d) as usize);
+            for eps in [0.5 * TOL, 2.0 * TOL, 1e-3] {
+                let mut off = u.clone();
+                off.set(r, c, off.get(r, c) + Cplx::new(eps, -eps));
+                prop_assert!(off.is_unitary(TOL) == dense_verdict(&off, TOL), "eps {eps}");
+            }
+            let mut scaled = u.clone();
+            scaled.set(r, c, scaled.get(r, c).scale(1.5) + Cplx::new(0.25, 0.0));
+            prop_assert!(!scaled.is_unitary(TOL) && !dense_verdict(&scaled, TOL));
+        }
+    }
+
+    #[test]
+    fn is_unitary_rejects_stretched_diagonals_and_non_finite_entries() {
+        // Unit-modulus diagonal: unitary. Stretched: `D·D†` is not `I`
+        // although `D` is as diagonal as the identity.
+        let phases = M::from_f64_pairs(2, &[(0.6, 0.8), (0., 0.), (0., 0.), (0., -1.)]);
+        assert!(phases.is_unitary(1e-12) && dense_verdict(&phases, 1e-12));
+        let stretched = M::from_f64_pairs(2, &[(1., 0.), (0., 0.), (0., 0.), (0., 2.)]);
+        assert!(!stretched.is_unitary(1e-12) && !dense_verdict(&stretched, 1e-12));
+
+        // The old fold (`f64::max`) dropped NaN and called this unitary.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [(0, 0), (0, 3), (3, 1)] {
+                let mut m = M::identity(4);
+                m.set(at.0, at.1, Cplx::new(0.0, bad));
+                assert!(!m.is_unitary(1e-9), "{bad} at {at:?}");
+                let diff = m.max_abs_diff(&M::identity(4));
+                assert!(diff.is_nan() || diff == f64::INFINITY, "{bad} at {at:?}: {diff}");
+            }
+        }
+        assert!(M::from_f64_pairs(1, &[(f64::NAN, f64::NAN)])
+            .max_abs_diff(&M::identity(1))
+            .is_nan());
     }
 
     #[test]

@@ -49,7 +49,9 @@ pub trait FusionCostModel: Send + Sync {
     /// Modeled main-memory traffic and seconds of one fused-gate pass on
     /// the sorted `qubits` of an `num_qubits`-qubit state, priced without
     /// knowing its neighbours. Includes per-pass fixed overheads (launch
-    /// latency, matrix upload) so fewer, denser passes are rewarded.
+    /// latency, matrix upload) so fewer, denser passes are rewarded. Must
+    /// be a pure function of `(num_qubits, qubits)` for the life of the
+    /// model: the planner asks once per distinct set and reuses the answer.
     fn gate_price(&self, num_qubits: usize, qubits: &[usize]) -> TrafficEstimate;
 
     /// Modeled traffic and duration for a whole plan, given as its op

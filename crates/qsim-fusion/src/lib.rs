@@ -267,11 +267,12 @@ fn build(circuit: &Circuit, layout: &planner::Layout) -> FusedCircuit {
                 let FusedOp::Unitary(b) = &mut ops[t] else {
                     unreachable!("merge target is a gate slot")
                 };
-                let union = union_sorted(&b.qubits, &sorted_qubits);
                 // matrix_new = expand(gate) · expand(existing)
-                let eg = matrix.expand_to(&sorted_qubits, &union);
-                let eb = b.matrix.expand_to(&b.qubits, &union);
-                b.matrix = eg.matmul(&eb);
+                let union = union_sorted(&b.qubits, &sorted_qubits);
+                if union != b.qubits {
+                    b.matrix = b.matrix.expand_to(&b.qubits, &union);
+                }
+                b.matrix = matrix.expand_matmul(&sorted_qubits, &union, &b.matrix);
                 b.qubits = union;
                 b.source_gates += 1;
                 b.time_range.1 = op.time;
@@ -470,6 +471,63 @@ mod tests {
             assert!(g.matrix.is_unitary(1e-10));
             assert!(g.qubits.len() <= 4);
             assert!(g.qubits.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    /// `build` composes in place; replaying the same layout through the
+    /// two expansions and the dense product must give the same bits,
+    /// controls, barriers and slots that never widen included.
+    #[test]
+    fn fused_matrix_bits_match_the_dense_replay() {
+        use qsim_circuit::circuit::GateOp;
+
+        let mut controlled = library::random_dense(7, 50, 9);
+        let t = controlled.ops.iter().map(|op| op.time).max().unwrap() + 1;
+        controlled.add(t, GateKind::Measurement, &[2, 3]);
+        controlled.ops.push(GateOp::with_controls(t + 1, GateKind::H, vec![0], vec![5]));
+        controlled.add(t + 2, GateKind::X, &[0]);
+        controlled.add(t + 2, GateKind::Cz, &[4, 5]);
+        let rqc = qsim_circuit::generate_rqc(&qsim_circuit::RqcOptions::for_qubits(12, 8, 5));
+        for circuit in [controlled, rqc, library::qft(6)] {
+            for f in 1..=6 {
+                let layout = planner::decide(&circuit, f, planner::Policy::Greedy);
+                let mut dense: Vec<Option<(Vec<usize>, GateMatrix<f64>)>> = Vec::new();
+                for (op, action) in circuit.ops.iter().zip(&layout.actions) {
+                    let Some((qubits, matrix)) = op.sorted_matrix::<f64>() else {
+                        dense.push(None);
+                        continue;
+                    };
+                    let (qubits, matrix) = if op.controls.is_empty() {
+                        (qubits, matrix)
+                    } else {
+                        expand_controlled(&qubits, &op.controls, &matrix)
+                    };
+                    match *action {
+                        planner::Action::Merge(t) => {
+                            let (slot_qubits, slot) = dense[t].as_mut().unwrap();
+                            let union = union_sorted(slot_qubits, &qubits);
+                            *slot = matrix
+                                .expand_to(&qubits, &union)
+                                .matmul(&slot.expand_to(slot_qubits, &union));
+                            *slot_qubits = union;
+                        }
+                        planner::Action::New => dense.push(Some((qubits, matrix))),
+                    }
+                }
+                let built = build(&circuit, &layout);
+                assert_eq!(built.ops.len(), dense.len());
+                for (op, reference) in built.ops.iter().zip(&dense) {
+                    let (FusedOp::Unitary(g), Some((qubits, matrix))) = (op, reference) else {
+                        assert!(matches!(op, FusedOp::Measurement { .. }) && reference.is_none());
+                        continue;
+                    };
+                    assert_eq!(&g.qubits, qubits);
+                    let bits = |m: &GateMatrix<f64>| -> Vec<(u64, u64)> {
+                        m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&g.matrix), bits(matrix), "f={f} qubits {qubits:?}");
+                }
+            }
         }
     }
 

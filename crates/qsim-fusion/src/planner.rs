@@ -17,12 +17,13 @@
 //! widen a low-qubit gate whose `ApplyGateL_Kernel`-style pass pays a
 //! steep per-low-qubit traffic overhead. `Lookahead` prices the merge
 //! against a fresh pass with a [`FusionCostModel`]: it plays both
-//! branches forward on clones of the shadow for the next
-//! [`DEFAULT_LOOKAHEAD`] source gates, accounting each step
+//! branches forward on the one shadow for the next [`DEFAULT_LOOKAHEAD`]
+//! source gates (an undo journal takes each back), accounting each step
 //! incrementally — in `gate_price` seconds, a merge costs `price(union) −
 //! price(existing)`, a fresh slot costs `price(gate)`. These deltas
 //! telescope, so the branch sums compare exactly the model's context-free
-//! price of the two futures restricted to the window.
+//! price of the two futures restricted to the window, and one scan asks
+//! the model for each distinct qubit set once ([`Prices`]).
 //!
 //! [`FusionStrategy::Auto`] is the in-code analogue of the paper's
 //! fusion sweep (Figures 7 and 9): it decides at every
@@ -30,6 +31,8 @@
 //! layout, preferring narrower budgets when the model sees no benefit
 //! from widening — which is how a HIP-like spec settles on a smaller
 //! fusion width than an A100-like one.
+
+use std::collections::HashMap;
 
 use qsim_circuit::circuit::Circuit;
 use qsim_core::kernels::MAX_GATE_QUBITS;
@@ -263,19 +266,28 @@ enum Frontier {
     Barrier(usize),
 }
 
-/// Matrix-free fuser state, cheap enough to clone per lookahead branch:
-/// the qubit frontier plus each output slot's qubit set (`None` marks a
-/// measurement barrier).
-#[derive(Clone)]
+/// Matrix-free fuser state: the qubit frontier plus each output slot's
+/// qubit set (`None` marks a measurement barrier). `journal` logs what a
+/// lookahead branch overwrites, for [`Shadow::rollback`] to put back.
 struct Shadow {
     max_fused_qubits: usize,
     frontier: Vec<Frontier>,
     slots: Vec<Option<Vec<usize>>>,
+    journal: Vec<Undo>,
 }
 
+/// What a [`Shadow`] write replaced.
+enum Undo {
+    Frontier(usize, Frontier),
+    Slot(usize, Vec<usize>),
+}
+
+/// A legal merge: the target slot and the qubit set it would widen to.
+type Merge = (usize, Vec<usize>);
+
 impl Shadow {
-    /// The unique legal merge target for a gate on `qubits`, if one
-    /// exists under the budget.
+    /// The unique legal merge for a gate on `qubits`, if one exists under
+    /// the budget.
     ///
     /// A gate may merge into the *latest* output op among its qubits'
     /// frontiers: every other frontier is strictly earlier, and no op
@@ -283,7 +295,7 @@ impl Shadow {
     /// op would itself be the latest frontier). A barrier that is the
     /// latest frontier blocks merging entirely, as does a union that
     /// bursts the budget.
-    fn candidate(&self, qubits: &[usize]) -> Option<usize> {
+    fn candidate(&self, qubits: &[usize]) -> Option<Merge> {
         let mut merge_target: Option<usize> = None;
         let mut latest_barrier: Option<usize> = None;
         for &q in qubits {
@@ -305,86 +317,108 @@ impl Shadow {
         if latest_barrier.is_some_and(|b| b > t) {
             return None;
         }
-        let existing = self.slots[t].as_ref().expect("op frontier points at a gate slot");
-        (union_sorted(existing, qubits).len() <= self.max_fused_qubits).then_some(t)
+        let union = union_sorted(self.slot(t), qubits);
+        (union.len() <= self.max_fused_qubits).then_some((t, union))
     }
 
-    /// Incremental modeled cost of `action` for a gate on `qubits`: the
-    /// merge delta, or a standalone pass.
-    fn delta(&self, qubits: &[usize], action: Action, model: &dyn FusionCostModel) -> f64 {
-        let n = self.frontier.len();
-        match action {
-            Action::Merge(t) => {
-                let existing = self.slots[t].as_ref().expect("merge target is a gate slot");
-                model.gate_price(n, &union_sorted(existing, qubits)).seconds
-                    - model.gate_price(n, existing).seconds
-            }
-            Action::New => model.gate_price(n, qubits).seconds,
-        }
+    fn slot(&self, t: usize) -> &[usize] {
+        self.slots[t].as_deref().expect("merge target is a gate slot")
     }
 
-    fn apply_gate(&mut self, qubits: &[usize], action: Action) {
-        let idx = match action {
-            Action::Merge(t) => {
-                let existing = self.slots[t].as_ref().expect("merge target is a gate slot");
-                self.slots[t] = Some(union_sorted(existing, qubits));
-                t
+    /// Place a gate on `qubits`: take `merge`, or open a fresh slot.
+    fn apply_gate(&mut self, qubits: &[usize], merge: Option<Merge>) -> Action {
+        let (idx, action) = match merge {
+            Some((t, union)) => {
+                let existing = self.slots[t].replace(union).expect("merge target is a gate slot");
+                self.journal.push(Undo::Slot(t, existing));
+                (t, Action::Merge(t))
             }
-            Action::New => {
+            None => {
                 self.slots.push(Some(qubits.to_vec()));
-                self.slots.len() - 1
+                (self.slots.len() - 1, Action::New)
             }
         };
-        for &q in qubits {
-            self.frontier[q] = Frontier::Op(idx);
-        }
+        self.point(qubits, Frontier::Op(idx));
+        action
     }
 
     fn apply_barrier(&mut self, qubits: &[usize]) {
-        let idx = self.slots.len();
         self.slots.push(None);
+        self.point(qubits, Frontier::Barrier(self.slots.len() - 1));
+    }
+
+    fn point(&mut self, qubits: &[usize], at: Frontier) {
         for &q in qubits {
-            self.frontier[q] = Frontier::Barrier(idx);
+            self.journal.push(Undo::Frontier(q, std::mem::replace(&mut self.frontier[q], at)));
         }
     }
 
-    /// The local (no-lookahead) rule: merge iff the merge delta does not
-    /// exceed a standalone pass; ties merge, matching greedy compression.
-    fn local_action(&self, qubits: &[usize], model: &dyn FusionCostModel) -> Action {
-        match self.candidate(qubits) {
-            Some(t)
-                if self.delta(qubits, Action::Merge(t), model)
-                    <= self.delta(qubits, Action::New, model) =>
-            {
-                Action::Merge(t)
+    /// Return to the state that had `slots` slots and `journal` entries.
+    fn rollback(&mut self, slots: usize, journal: usize) {
+        for undo in self.journal.drain(journal..).rev() {
+            match undo {
+                Undo::Frontier(q, was) => self.frontier[q] = was,
+                Undo::Slot(t, was) => self.slots[t] = Some(was),
             }
-            _ => Action::New,
         }
+        self.slots.truncate(slots);
     }
 
-    /// Cost of taking `action` now and then playing the `window` of
-    /// upcoming ops forward under the local rule.
+    /// Cost of placing a gate on `qubits` as `merge` says and then playing
+    /// the `window` of upcoming ops forward under the local rule: merge iff
+    /// the merge delta does not exceed a standalone pass; ties merge,
+    /// matching greedy compression. Leaves the shadow as it found it.
     fn branch_cost(
-        mut self,
+        &mut self,
         qubits: &[usize],
-        action: Action,
+        merge: Option<Merge>,
         window: &[OpQubits],
-        model: &dyn FusionCostModel,
+        prices: &mut Prices,
     ) -> f64 {
-        let first = self.delta(qubits, action, model);
-        self.apply_gate(qubits, action);
+        let mark = (self.slots.len(), self.journal.len());
+        let first = match &merge {
+            Some((t, union)) => prices.seconds(union) - prices.seconds(self.slot(*t)),
+            None => prices.seconds(qubits),
+        };
+        self.apply_gate(qubits, merge);
         let mut rest = 0.0;
         for op in window {
             match op {
                 OpQubits::Gate(qs) => {
-                    let action = self.local_action(qs, model);
-                    rest += self.delta(qs, action, model);
-                    self.apply_gate(qs, action);
+                    let alone = prices.seconds(qs);
+                    let merge = self
+                        .candidate(qs)
+                        .map(|(t, union)| {
+                            (prices.seconds(&union) - prices.seconds(self.slot(t)), (t, union))
+                        })
+                        .filter(|(delta, _)| *delta <= alone);
+                    rest += merge.as_ref().map_or(alone, |(delta, _)| *delta);
+                    self.apply_gate(qs, merge.map(|(_, merge)| merge));
                 }
                 OpQubits::Measurement(qs) => self.apply_barrier(qs),
             }
         }
+        self.rollback(mark.0, mark.1);
         first + rest
+    }
+}
+
+/// `gate_price` seconds by qubit set for one [`decide`] call, each asked
+/// of the model once: prices are pure, so a repeat would be the same float.
+struct Prices<'a> {
+    model: &'a dyn FusionCostModel,
+    num_qubits: usize,
+    seen: HashMap<Vec<usize>, f64>,
+}
+
+impl Prices<'_> {
+    fn seconds(&mut self, qubits: &[usize]) -> f64 {
+        if let Some(&s) = self.seen.get(qubits) {
+            return s;
+        }
+        let s = self.model.gate_price(self.num_qubits, qubits).seconds;
+        self.seen.insert(qubits.to_vec(), s);
+        s
     }
 }
 
@@ -413,7 +447,13 @@ pub(crate) fn decide(circuit: &Circuit, max_fused_qubits: usize, policy: Policy)
         .collect();
 
     let frontier = vec![Frontier::Free; circuit.num_qubits];
-    let mut shadow = Shadow { max_fused_qubits, frontier, slots: Vec::new() };
+    let mut shadow = Shadow { max_fused_qubits, frontier, slots: Vec::new(), journal: Vec::new() };
+    let mut lookahead = match policy {
+        Policy::Greedy => None,
+        Policy::Lookahead { model, window } => {
+            Some((Prices { model, num_qubits: circuit.num_qubits, seen: HashMap::new() }, window))
+        }
+    };
     let mut actions = Vec::with_capacity(infos.len());
     for (i, info) in infos.iter().enumerate() {
         let action = match info {
@@ -422,23 +462,18 @@ pub(crate) fn decide(circuit: &Circuit, max_fused_qubits: usize, policy: Policy)
                 Action::New
             }
             OpQubits::Gate(qs) => {
-                let action = match (shadow.candidate(qs), policy) {
-                    (None, _) => Action::New,
-                    (Some(t), Policy::Greedy) => Action::Merge(t),
-                    (Some(t), Policy::Lookahead { model, window }) => {
-                        let window = &infos[i + 1..(i + 1 + window).min(infos.len())];
-                        let branch = |action| shadow.clone().branch_cost(qs, action, window, model);
-                        if branch(Action::Merge(t)) <= branch(Action::New) {
-                            Action::Merge(t)
-                        } else {
-                            Action::New
-                        }
+                let merge = shadow.candidate(qs).filter(|merge| match &mut lookahead {
+                    None => true,
+                    Some((prices, window)) => {
+                        let window = &infos[i + 1..(i + 1 + *window).min(infos.len())];
+                        shadow.branch_cost(qs, Some(merge.clone()), window, prices)
+                            <= shadow.branch_cost(qs, None, window, prices)
                     }
-                };
-                shadow.apply_gate(qs, action);
-                action
+                });
+                shadow.apply_gate(qs, merge)
             }
         };
+        shadow.journal.clear(); // committed: nothing rolls back past here
         actions.push(action);
     }
     Layout { max_fused_qubits, actions, slots: shadow.slots }
@@ -631,6 +666,61 @@ mod tests {
         let policy = Policy::Lookahead { model: &hip_model(), window: 0 };
         let fused = build(&c, &decide(&c, 4, policy));
         assert_equivalent(&c, &fused);
+    }
+
+    /// Records the qubit set of every `gate_price` call.
+    struct Counting {
+        inner: LaunchCostModel,
+        asked: std::sync::Mutex<Vec<Vec<usize>>>,
+    }
+
+    impl FusionCostModel for Counting {
+        fn gate_price(&self, num_qubits: usize, qubits: &[usize]) -> TrafficEstimate {
+            self.asked.lock().unwrap().push(qubits.to_vec());
+            self.inner.gate_price(num_qubits, qubits)
+        }
+    }
+
+    /// `gate_price` calls of one lookahead scan at budget `f`; panics if
+    /// any qubit set was priced twice.
+    fn evaluations(c: &Circuit, f: usize) -> usize {
+        let model = Counting { inner: hip_model(), asked: Default::default() };
+        decide(c, f, Policy::Lookahead { model: &model, window: DEFAULT_LOOKAHEAD });
+        let asked = model.asked.into_inner().unwrap();
+        let distinct: std::collections::HashSet<&Vec<usize>> = asked.iter().collect();
+        assert_eq!(asked.len(), distinct.len(), "f={f}: a qubit set was priced twice");
+        assert!(!asked.is_empty());
+        asked.len()
+    }
+
+    /// Work is counted, not timed: one scan prices each distinct qubit
+    /// set once, at `Cost`'s budget and at each of `Auto`'s five, and
+    /// twice the circuit is at most twice the evaluations. (The
+    /// clone-per-branch scan made 12 224 calls for the 46 distinct sets of
+    /// the 10-cycle circuit at `-f 4`, and copied every slot per branch.)
+    #[test]
+    fn planner_prices_each_qubit_set_once_per_scan() {
+        use qsim_circuit::circuit::GateOp;
+        use qsim_circuit::{generate_rqc, RqcOptions};
+
+        // `plan_golden.rs`'s barrier-and-control circuit.
+        let mut barrier = generate_rqc(&RqcOptions::for_qubits(12, 6, 11));
+        let t = barrier.ops.iter().map(|op| op.time).max().expect("rqc has gates") + 1;
+        barrier.add(t, GateKind::Measurement, &[3, 4]);
+        barrier.ops.push(GateOp::with_controls(t + 1, GateKind::H, vec![0], vec![5]));
+        for op in generate_rqc(&RqcOptions::for_qubits(12, 6, 12)).ops {
+            barrier.ops.push(GateOp { time: op.time + t + 2, ..op });
+        }
+        let rqc10 = generate_rqc(&RqcOptions::for_qubits(12, 10, 7));
+        let rqc20 = generate_rqc(&RqcOptions::for_qubits(12, 20, 7));
+        for f in 2..=MAX_GATE_QUBITS {
+            evaluations(&barrier, f);
+            let (short, long) = (evaluations(&rqc10, f), evaluations(&rqc20, f));
+            assert!(
+                long as f64 <= 2.2 * short as f64,
+                "f={f}: {long} evaluations at 20 cycles vs {short} at 10"
+            );
+        }
     }
 
     #[test]

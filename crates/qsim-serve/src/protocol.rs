@@ -268,6 +268,32 @@ mod tests {
         }
     }
 
+    /// A non-finite gate parameter used to parse, run to an all-NaN
+    /// report and be result-cached under the circuit's key.
+    #[test]
+    fn non_finite_parameter_is_refused_at_the_door_and_never_cached() {
+        let service = small_service();
+        for tok in ["nan", "inf"] {
+            let req = serde_json::to_string(&json!({
+                "verb": "submit",
+                "circuit": (format!("2\n0 h 0\n1 rz 1 {tok}\n2 cz 0 1\n")),
+                "sample_count": 4,
+            }))
+            .unwrap();
+            // Twice: a cached NaN report would answer the second one `ok`.
+            for _ in 0..2 {
+                let resp = submit_line(&service, &req);
+                assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(false), "{resp:?}");
+                let error = resp.get("error").and_then(Value::as_str).unwrap();
+                assert!(error.contains("circuit parse error: line 3"), "{error}");
+                assert!(error.contains(&format!("'{tok}' is not finite")), "{error}");
+            }
+        }
+        let m = service.metrics();
+        assert_eq!((m.submitted, m.result_cache.insertions), (0, 0), "{m:?}");
+        service.shutdown();
+    }
+
     #[test]
     fn oversized_submit_reports_too_large() {
         let service = small_service(); // 1 MiB budget
