@@ -564,8 +564,9 @@ impl PlanRule for PlanEquivalence {
             for g in plan.unitaries() {
                 kernels::apply_gate_seq(&mut fused, &g.qubits, &g.matrix);
             }
+            // NaN (a probe amplitude went NaN) diverges too.
             let diff = reference.max_abs_diff(&fused);
-            if diff > EQUIVALENCE_TOL {
+            if diff.is_nan() || diff > EQUIVALENCE_TOL {
                 out.push(
                     Diagnostic::error(
                         codes::PLAN_EQUIVALENCE_DIVERGED,

@@ -132,7 +132,9 @@ fn nan_parameter_is_a_non_unitary_error_not_an_identity_note() {
     }
 }
 
-/// One NaN entry in a fused matrix rejects the plan at the pre-run gate.
+/// One NaN entry in a fused matrix rejects the plan at the pre-run gate,
+/// and the full analyzer's probe states go NaN: the plan diverges from its
+/// source (a NaN distance is not within tolerance).
 #[test]
 fn fused_gate_with_a_nan_entry_is_plan_non_unitary() {
     use qsim_core::matrix::GateMatrix;
@@ -154,4 +156,6 @@ fn fused_gate_with_a_nan_entry_is_plan_non_unitary() {
     let report = Analyzer::pre_run().analyze_plan(&plan, Some(&c), SweepConfig::default());
     assert!(codes_of(&report).contains(&codes::PLAN_NON_UNITARY), "{}", report.render());
     assert!(!codes_of(&report).contains(&codes::PLAN_IDENTITY_PASS), "{}", report.render());
+    let report = Analyzer::new().analyze_plan(&plan, Some(&c), SweepConfig::default());
+    assert!(report.render().contains("error[QP0210]"), "{}", report.render());
 }

@@ -10,8 +10,8 @@ use gpu_model::trace::TraceSink;
 use gpu_model::GpuError;
 use qsim_core::cancel::{CancelCause, CancelToken};
 use qsim_core::sweep::{SweepConfig, SweepExecutor};
-use qsim_core::types::{Cplx, Float, Precision};
-use qsim_core::StateVector;
+use qsim_core::types::{Float, Precision};
+use qsim_core::{AlignedAmps, StateVector};
 use qsim_fusion::{
     FusedCircuit, FusionCostModel, FusionPlan, FusionStats, FusionStrategy, LaunchCostModel,
     LaunchPolicy,
@@ -106,7 +106,7 @@ pub struct RunContext<F: Float> {
     /// 30-qubit run). Contents are reinitialised to `|0…0⟩`; on completion
     /// the buffer comes back through `StateVector::into_amplitudes`, on
     /// failure through [`RunFailure::buffer`].
-    pub reuse_buffer: Option<Vec<Cplx<F>>>,
+    pub reuse_buffer: Option<AlignedAmps<F>>,
     /// Cooperative cancellation, polled at every gate-application and
     /// sweep-block boundary. `None` = uncancellable.
     pub cancel: Option<CancelToken>,
@@ -122,7 +122,7 @@ pub struct RunFailure<F: Float> {
     pub error: BackendError,
     /// The state allocation, recovered when the failure happened after
     /// buffer acquisition (contents are garbage).
-    pub buffer: Option<Vec<Cplx<F>>>,
+    pub buffer: Option<AlignedAmps<F>>,
 }
 
 /// A backend: a flavor (launch policy) bound to a modeled device.
@@ -351,6 +351,7 @@ mod tests {
     use qsim_circuit::library;
     use qsim_circuit::{generate_rqc, RqcOptions};
     use qsim_core::kernels::{classify_gate, KernelClass};
+    use qsim_core::types::Cplx;
     use qsim_core::GateMatrix;
     use qsim_fusion::{fuse, FusedOp};
 
@@ -951,7 +952,7 @@ mod tests {
     #[test]
     fn wrong_sized_recycled_buffer_is_rejected_with_the_buffer() {
         let fused = fuse(&library::bell(), 2);
-        let stale = vec![Cplx::<f64>::zero(); 8]; // 3-qubit buffer for a 2-qubit run
+        let stale = AlignedAmps::from(vec![Cplx::<f64>::zero(); 8]); // 3-qubit buffer, 2-qubit run
         let ctx = RunContext { reuse_buffer: Some(stale), cancel: None };
         let backend = SimBackend::new(Flavor::Cuda);
         let failure = backend.run_with(&fused, &RunOptions::default(), ctx).unwrap_err();
@@ -970,7 +971,7 @@ mod tests {
         let mut spec = Flavor::Hip.default_spec();
         spec.max_threads_per_block = 16;
         let backend = SimBackend::with_spec(Flavor::Hip, spec);
-        let recycled = vec![Cplx::<f32>::zero(); 4];
+        let recycled = AlignedAmps::from(vec![Cplx::<f32>::zero(); 4]);
         let addr = recycled.as_ptr();
         let ctx = RunContext { reuse_buffer: Some(recycled), cancel: None };
         let failure = backend.run_with(&fused, &RunOptions::default(), ctx).unwrap_err();
@@ -986,6 +987,74 @@ mod tests {
             backend.estimate(&fused, Precision::Single),
             Err(BackendError::Gpu(GpuError::InvalidLaunch(_)))
         ));
+    }
+
+    /// Kernels get prefixes of the buffers the walker hands back, so these
+    /// cover every slice they see: a fresh state (a heap block at 10
+    /// qubits, a mapping at 19), a recycled one and a failed run's.
+    #[test]
+    fn every_buffer_through_the_walker_is_aligned() {
+        let aligned =
+            |amps: &[Cplx<f64>]| amps.as_ptr().addr().is_multiple_of(qsim_core::amps::ALIGN);
+        let backend = SimBackend::new(Flavor::CpuAvx);
+        for n in [10, 19] {
+            let fused = fuse(&library::ghz(n), 2);
+            let (fresh, _) = backend.run::<f64>(&fused, &RunOptions::default()).unwrap();
+            assert!(aligned(&fresh), "{n} qubits, fresh");
+            let ctx = RunContext { reuse_buffer: Some(fresh.into_amplitudes()), cancel: None };
+            let (recycled, report) = backend.run_with(&fused, &RunOptions::default(), ctx).unwrap();
+            assert!(report.buffer_reused && aligned(&recycled), "{n} qubits, recycled");
+            let token = CancelToken::new();
+            token.cancel();
+            let ctx = RunContext::<f64> { reuse_buffer: None, cancel: Some(token) };
+            let failure = backend.run_with(&fused, &RunOptions::default(), ctx).unwrap_err();
+            assert!(aligned(&failure.buffer.expect("a buffer")), "{n} qubits, failed");
+        }
+    }
+
+    /// Bytes a single private mapping may not exceed on this host, or
+    /// `None` where the kernel would admit any size (`overcommit_memory`
+    /// 1) or the policy cannot be read.
+    fn host_commit_limit() -> Option<u64> {
+        let mode = std::fs::read_to_string("/proc/sys/vm/overcommit_memory").ok()?;
+        let meminfo = std::fs::read_to_string("/proc/meminfo").ok()?;
+        let kib = |key: &str| -> Option<u64> {
+            let line = meminfo.lines().find(|l| l.starts_with(key))?;
+            Some(line.split_whitespace().nth(1)?.parse::<u64>().ok()? * 1024)
+        };
+        match mode.trim() {
+            // Heuristic: one request may not exceed RAM plus swap.
+            "0" => Some(kib("MemTotal:")? + kib("SwapTotal:")?),
+            "2" => kib("CommitLimit:"),
+            _ => None,
+        }
+    }
+
+    /// A state the modeled device admits but the host cannot map fails
+    /// with `OutOfMemory` and no buffer, instead of aborting the process.
+    #[test]
+    fn unallocatable_state_is_out_of_memory_not_an_abort() {
+        let n = qsim_core::statevec::MAX_QUBITS;
+        let bytes = 16u64 << n;
+        match host_commit_limit() {
+            Some(limit) if bytes >= 2 * limit => {}
+            limit => {
+                eprintln!("skipped: a {bytes}-byte mapping may be admitted here ({limit:?})");
+                return;
+            }
+        }
+        let mut spec = Flavor::CpuAvx.default_spec();
+        spec.memory_bytes = u64::MAX;
+        let backend = SimBackend::with_spec(Flavor::CpuAvx, spec);
+        let mut c = qsim_circuit::Circuit::new(n);
+        c.push(qsim_circuit::gates::GateKind::H, &[0]);
+        let ctx = RunContext::<f64>::default();
+        let failure = backend.run_with(&fuse(&c, 2), &RunOptions::default(), ctx).unwrap_err();
+        assert_eq!(
+            failure.error,
+            BackendError::Gpu(GpuError::OutOfMemory { requested_bytes: bytes, free_bytes: 0 })
+        );
+        assert!(failure.buffer.is_none());
     }
 
     #[test]

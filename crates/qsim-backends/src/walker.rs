@@ -47,7 +47,7 @@ use rand::SeedableRng;
 use gpu_model::runtime::{KernelDesc, StreamId};
 use gpu_model::trace::SpanKind;
 use gpu_model::GpuError;
-use qsim_core::batch::{apply_gate_gang, apply_run_gang, StateBatch};
+use qsim_core::batch::{apply_gate_gang, apply_run_gang, PushError, StateBatch};
 use qsim_core::cancel::CancelToken;
 use qsim_core::kernels::PAR_GRAIN_AMPS;
 use qsim_core::statespace::{measure, norm_sqr, sample};
@@ -109,7 +109,8 @@ struct Gang<F: Float> {
 
 impl<F: Float> Gang<F> {
     /// Move every state into the gang as `|0…0⟩`, recycling the caller's
-    /// buffers. A buffer of the wrong size resolves its state at once.
+    /// buffers. A buffer of the wrong size, or a fresh one the host cannot
+    /// provide, resolves its state at once.
     fn acquire(n: usize, subs_in: Vec<SubIn<F>>) -> Self {
         let mut gang = Gang {
             batch: StateBatch::new(n),
@@ -132,7 +133,7 @@ impl<F: Float> Gang<F> {
                         samples: Vec::new(),
                     });
                 }
-                Err(buf) => {
+                Err(PushError::WrongSize(buf)) => {
                     gang.out[job] = Some(Err(RunFailure {
                         error: BackendError::InvalidCircuit(format!(
                             "recycled buffer has {} amplitudes, want 2^{n}",
@@ -140,6 +141,12 @@ impl<F: Float> Gang<F> {
                         )),
                         buffer: Some(buf),
                     }));
+                }
+                // The modeled device admitted the state; the host did not.
+                Err(PushError::Alloc) => {
+                    let requested_bytes = (F::PRECISION.amplitude_bytes() as u64) << n;
+                    let oom = GpuError::OutOfMemory { requested_bytes, free_bytes: 0 };
+                    gang.out[job] = Some(Err(RunFailure { error: oom.into(), buffer: None }));
                 }
             }
         }

@@ -213,7 +213,7 @@ proptest! {
                 fused: Some(&fused),
                 opts: RunOptions { seed: i as u64, sample_count: 0 },
                 ctx: RunContext {
-                    reuse_buffer: Some(vec![qsim_core::Cplx::zero(); 1 << n]),
+                    reuse_buffer: Some(qsim_core::AlignedAmps::try_zeroed(1 << n).unwrap()),
                     cancel: (i == victim).then(|| cancel.clone()),
                 },
             })

@@ -29,7 +29,7 @@ use qsim_circuit::gates::GateKind;
 use qsim_core::kernels::PAR_GRAIN_AMPS;
 use qsim_core::sweep::{SweepConfig, SweepExecutor};
 use qsim_core::types::{Cplx, Float};
-use qsim_core::{statespace, GateMatrix, StateVector};
+use qsim_core::{statespace, AlignedAmps, GateMatrix, StateVector};
 use qsim_fusion::{fuse, FusedCircuit, FusedGate, FusedOp};
 
 const PI: f64 = std::f64::consts::PI;
@@ -128,7 +128,7 @@ impl Config {
 
 /// What a run leaves behind.
 struct Outcome<F: Float> {
-    amps: Vec<Cplx<F>>,
+    amps: AlignedAmps<F>,
     measurements: Vec<(Vec<usize>, usize)>,
     samples: Vec<u64>,
 }
@@ -327,7 +327,7 @@ fn gang_with_a_dirty_recycled_buffer_and_a_mid_run_cancel() {
     let backend = SimBackend::with_trace(Flavor::CpuAvx, sink);
 
     let opts = |seed| RunOptions { seed, sample_count: 200 };
-    let garbage = vec![Cplx::<f32>::new(0.5, -0.25); 1 << n];
+    let garbage = AlignedAmps::from(vec![Cplx::<f32>::new(0.5, -0.25); 1 << n]);
     let jobs: Vec<BatchJob<'_, f32>> = vec![
         BatchJob { fused: Some(&fused), opts: opts(1), ctx: RunContext::default() },
         BatchJob {

@@ -6,8 +6,8 @@
 //! cuQuantum SDK's batched gate application amortizes those costs by
 //! applying each gate to a *gang* of state vectors at once; this module is
 //! the host-side analogue. A [`StateBatch`] holds N same-size state
-//! vectors in a bucket-pooled arena (one recyclable allocation per slot,
-//! so a cancelled sub-job's buffer can leave the gang mid-run), and the
+//! vectors in a bucket-pooled arena (one recyclable [`AlignedAmps`] per
+//! slot, so a cancelled sub-job's buffer can leave the gang mid-run), and the
 //! gang entry points [`apply_run_gang`] / [`apply_gate_gang`] reuse the
 //! [`crate::sweep`] block walker and [`crate::simd`] lane kernels so a
 //! single [`crate::sweep::PreparedRun`] — one
@@ -27,6 +27,7 @@
 
 use rayon::prelude::*;
 
+use crate::amps::AlignedAmps;
 use crate::cancel::{CancelCause, CancelToken};
 use crate::kernels;
 use crate::matrix::GateMatrix;
@@ -51,7 +52,17 @@ const GANG_PIECE_AMPS: usize = 1 << 17;
 #[derive(Debug)]
 pub struct StateBatch<F: Float> {
     num_qubits: usize,
-    slots: Vec<Option<Vec<Cplx<F>>>>,
+    slots: Vec<Option<AlignedAmps<F>>>,
+}
+
+/// Why [`StateBatch::push_state`] added no state.
+#[derive(Debug)]
+pub enum PushError<F> {
+    /// The recycled buffer does not hold `state_len` amplitudes; it comes
+    /// back unchanged, so the caller's pool keeps it.
+    WrongSize(AlignedAmps<F>),
+    /// The host could not provide a fresh buffer.
+    Alloc,
 }
 
 impl<F: Float> StateBatch<F> {
@@ -92,19 +103,18 @@ impl<F: Float> StateBatch<F> {
     }
 
     /// Add one state initialised to `|0…0⟩`, recycling `reuse` when given
-    /// (must hold exactly `state_len` amplitudes — returned unchanged in
-    /// `Err` otherwise, so the caller's pool keeps it). Returns the slot
-    /// index.
-    pub fn push_state(&mut self, reuse: Option<Vec<Cplx<F>>>) -> Result<usize, Vec<Cplx<F>>> {
+    /// (it must hold exactly `state_len` amplitudes, and is cleared in
+    /// full), else in a fresh buffer, which is born zero and only gets its
+    /// first amplitude written. Returns the slot index.
+    pub fn push_state(&mut self, reuse: Option<AlignedAmps<F>>) -> Result<usize, PushError<F>> {
         let len = self.state_len();
         let mut amps = match reuse {
-            Some(buf) if buf.len() == len => {
-                let mut buf = buf;
+            Some(mut buf) if buf.len() == len => {
                 buf.fill(Cplx::zero());
                 buf
             }
-            Some(buf) => return Err(buf),
-            None => vec![Cplx::zero(); len],
+            Some(buf) => return Err(PushError::WrongSize(buf)),
+            None => AlignedAmps::try_zeroed(len).ok_or(PushError::Alloc)?,
         };
         amps[0] = Cplx::one();
         self.slots.push(Some(amps));
@@ -124,7 +134,7 @@ impl<F: Float> StateBatch<F> {
     /// Extract slot `i`'s allocation (for recycling or as the final
     /// state), leaving the slot inactive. The rest of the gang is
     /// untouched — this is the mid-batch cancellation path.
-    pub fn take(&mut self, i: usize) -> Option<Vec<Cplx<F>>> {
+    pub fn take(&mut self, i: usize) -> Option<AlignedAmps<F>> {
         self.slots.get_mut(i).and_then(Option::take)
     }
 
@@ -219,7 +229,7 @@ mod tests {
     #[test]
     fn push_reuses_exact_size_buffers_and_rejects_others() {
         let mut batch = StateBatch::<f32>::new(4);
-        let buf = vec![Cplx::<f32>::one(); 16];
+        let buf = AlignedAmps::from(vec![Cplx::<f32>::one(); 16]);
         let addr = buf.as_ptr();
         let slot = batch.push_state(Some(buf)).unwrap();
         assert_eq!(slot, 0);
@@ -227,10 +237,26 @@ mod tests {
         assert_eq!(amps.as_ptr(), addr, "must adopt the same allocation");
         assert!((amps[0].re - 1.0).abs() < 1e-6 && amps[1].re == 0.0, "reinitialised to |0…0⟩");
 
-        let wrong = vec![Cplx::<f32>::zero(); 8];
-        let back = batch.push_state(Some(wrong)).unwrap_err();
+        let wrong = AlignedAmps::from(vec![Cplx::<f32>::zero(); 8]);
+        let Err(PushError::WrongSize(back)) = batch.push_state(Some(wrong)) else {
+            panic!("a mismatched buffer must be refused");
+        };
         assert_eq!(back.len(), 8, "mismatched buffer comes back unchanged");
         assert_eq!(batch.len(), 1);
+    }
+
+    #[test]
+    fn fresh_and_recycled_slots_are_aligned_zero_kets() {
+        let mut batch = StateBatch::<f64>::new(5);
+        batch.push_state(None).unwrap();
+        let dirty = AlignedAmps::from(vec![Cplx::new(0.5, -0.5); 32]);
+        batch.push_state(Some(dirty)).unwrap();
+        for i in 0..2 {
+            let amps = batch.state(i).unwrap();
+            assert!(amps.as_ptr().addr().is_multiple_of(crate::amps::ALIGN), "slot {i}");
+            assert_eq!(amps[0], Cplx::one(), "slot {i}");
+            assert!(amps[1..].iter().all(|a| a.re.to_bits() == 0 && a.im.to_bits() == 0));
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   precision axis of the paper's Figure 8;
 //! * [`GateMatrix`], dense small complex matrices with the tensor/matrix
 //!   product algebra used by gate fusion;
-//! * [`StateVector`], the `2^n` amplitude array;
+//! * [`StateVector`], the `2^n` amplitude array, held like every state
+//!   buffer in an [`AlignedAmps`] ([`amps`]);
 //! * [`kernels`], sequential and rayon-parallel gate-application kernels,
 //!   including the *high/low qubit split* that mirrors qsim's
 //!   `ApplyGateH_Kernel` / `ApplyGateL_Kernel` division;
@@ -43,6 +44,7 @@
 //!   locks through and the debug-build lock-order tracker behind it: an
 //!   inversion panics at the acquisition site.
 
+pub mod amps;
 pub mod batch;
 pub mod cancel;
 pub mod density;
@@ -60,6 +62,7 @@ pub mod statevec;
 pub mod sweep;
 pub mod types;
 
+pub use amps::AlignedAmps;
 pub use cancel::{CancelCause, CancelToken};
 pub use matrix::GateMatrix;
 pub use statevec::StateVector;

@@ -1,6 +1,7 @@
 //! The state vector: `2^n` complex amplitudes representing the joint state
 //! of `n` qubits.
 
+use crate::amps::AlignedAmps;
 use crate::types::{Cplx, Float};
 
 /// Maximum number of qubits this crate will allocate a state vector for.
@@ -15,27 +16,37 @@ pub const MAX_QUBITS: usize = 36;
 /// Freshly-created states are initialised to the computational basis state
 /// `|0…0⟩` (amplitude 1 at index 0). Index `i`'s bit `q` is the value of
 /// qubit `q` in basis state `|i⟩` — qubit 0 is the least-significant bit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct StateVector<F> {
     num_qubits: usize,
-    amps: Vec<Cplx<F>>,
+    amps: AlignedAmps<F>,
+}
+
+impl<F: Float> Clone for StateVector<F> {
+    fn clone(&self) -> Self {
+        StateVector { num_qubits: self.num_qubits, amps: self.amps.clone() }
+    }
 }
 
 impl<F: Float> StateVector<F> {
-    /// Create the `n`-qubit state `|0…0⟩`.
+    /// Create the `n`-qubit state `|0…0⟩` (panics if the host cannot
+    /// provide the buffer).
     pub fn new(num_qubits: usize) -> Self {
         assert!(
             (1..=MAX_QUBITS).contains(&num_qubits),
             "num_qubits must be in 1..={MAX_QUBITS}, got {num_qubits}"
         );
-        let mut amps = vec![Cplx::zero(); 1usize << num_qubits];
+        let mut amps = AlignedAmps::try_zeroed(1usize << num_qubits)
+            .unwrap_or_else(|| panic!("cannot allocate a {num_qubits}-qubit state"));
         amps[0] = Cplx::one();
         StateVector { num_qubits, amps }
     }
 
     /// Create a state from raw amplitudes (length must be a power of two).
-    /// The caller is responsible for normalization.
-    pub fn from_amplitudes(amps: Vec<Cplx<F>>) -> Self {
+    /// The caller is responsible for normalization. An [`AlignedAmps`]
+    /// moves in; a `Vec` is copied into one.
+    pub fn from_amplitudes(amps: impl Into<AlignedAmps<F>>) -> Self {
+        let amps = amps.into();
         assert!(amps.len().is_power_of_two() && amps.len() >= 2, "amplitude count must be 2^n");
         let num_qubits = amps.len().trailing_zeros() as usize;
         StateVector { num_qubits, amps }
@@ -47,7 +58,7 @@ impl<F: Float> StateVector<F> {
     /// only pays the reinitialising sweep. `amps` must have exactly
     /// `2^num_qubits` elements (pools are size-bucketed, so a wrong-sized
     /// buffer is a caller bug).
-    pub fn from_recycled(num_qubits: usize, amps: Vec<Cplx<F>>) -> Self {
+    pub fn from_recycled(num_qubits: usize, amps: AlignedAmps<F>) -> Self {
         assert!(
             (1..=MAX_QUBITS).contains(&num_qubits),
             "num_qubits must be in 1..={MAX_QUBITS}, got {num_qubits}"
@@ -66,16 +77,13 @@ impl<F: Float> StateVector<F> {
     /// of the recycling cycle: hand this to a buffer pool so the next
     /// same-sized job reuses the allocation via
     /// [`StateVector::from_recycled`].
-    pub fn into_amplitudes(self) -> Vec<Cplx<F>> {
+    pub fn into_amplitudes(self) -> AlignedAmps<F> {
         self.amps
     }
 
     /// Reset to `|0…0⟩` without reallocating.
     pub fn set_zero_state(&mut self) {
-        for a in self.amps.iter_mut() {
-            *a = Cplx::zero();
-        }
-        self.amps[0] = Cplx::one();
+        self.set_basis_state(0);
     }
 
     /// Set to the computational basis state `|i⟩`.
@@ -140,7 +148,8 @@ impl<F: Float> StateVector<F> {
     }
 
     /// Maximum absolute amplitude difference to another state of the same
-    /// size (possibly at different precision).
+    /// size (possibly at different precision); NaN if any amplitude of
+    /// either is NaN.
     pub fn max_abs_diff<G: Float>(&self, other: &StateVector<G>) -> f64 {
         assert_eq!(self.len(), other.len(), "state size mismatch");
         self.amps
@@ -151,7 +160,7 @@ impl<F: Float> StateVector<F> {
                 let b = b.to_f64();
                 a.dist(b)
             })
-            .fold(0.0, f64::max)
+            .fold(0.0, |max, d| if d > max || d.is_nan() { d } else { max })
     }
 }
 
@@ -178,13 +187,27 @@ mod tests {
 
     #[test]
     fn new_state_is_zero_ket() {
-        let sv = StateVector::<f64>::new(3);
-        assert_eq!(sv.num_qubits(), 3);
-        assert_eq!(sv.len(), 8);
-        assert_eq!(sv.amplitude(0), Cplx::one());
-        for i in 1..8 {
-            assert_eq!(sv.amplitude(i), Cplx::zero());
+        // 2^3 amplitudes are a heap block, 2^18 f64 ones (4 MiB) a mapping.
+        let bits = |a: &Cplx<f64>| (a.re.to_bits(), a.im.to_bits());
+        for n in [3, 18] {
+            let sv = StateVector::<f64>::new(n);
+            assert_eq!(sv.num_qubits(), n);
+            assert_eq!(sv.len(), 1 << n);
+            assert!(sv.as_ptr().addr().is_multiple_of(crate::amps::ALIGN));
+            assert_eq!(bits(&sv[0]), (1.0f64.to_bits(), 0));
+            assert!(sv[1..].iter().all(|a| bits(a) == (0, 0)), "exact +0 above |0…0⟩");
         }
+    }
+
+    #[test]
+    fn max_abs_diff_is_nan_when_any_amplitude_is() {
+        let a = StateVector::<f64>::new(3);
+        let mut b = StateVector::<f32>::new(3);
+        b[1] = Cplx::new(f32::NAN, 0.0);
+        // A finite difference after the NaN must not hide it.
+        b[7] = Cplx::new(5.0, 0.0);
+        assert!(a.max_abs_diff(&b).is_nan());
+        assert!(b.max_abs_diff(&a).is_nan());
     }
 
     #[test]

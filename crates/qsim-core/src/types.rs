@@ -58,9 +58,11 @@ impl std::str::FromStr for Precision {
 ///
 /// Every simulator algorithm in this workspace is generic over `Float` so a
 /// single code path serves both precisions, exactly like qsim's templated
-/// C++ (`float`/`double` instantiations selected at compile time).
+/// C++ (`float`/`double` instantiations selected at compile time). Sealed
+/// to these two, whose all-zero bytes are `+0.0` ([`crate::amps`] relies on it).
 pub trait Float:
-    Copy
+    sealed::Sealed
+    + Copy
     + Clone
     + PartialEq
     + PartialOrd
@@ -146,6 +148,12 @@ impl Float for f64 {
     fn tolerance() -> Self {
         1e-10
     }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for f64 {}
 }
 
 /// Complex number with scalar type `F`.

@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use qsim_core::lockorder::Mutex;
 use qsim_core::types::{Cplx, Float, Precision};
+use qsim_core::AlignedAmps;
 
 /// Hit/miss/occupancy counters, snapshot via [`StateBufferPool::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,7 +79,7 @@ pub struct BucketStats {
 /// empty.
 #[derive(Debug)]
 struct Bucket<F> {
-    parked: VecDeque<Vec<Cplx<F>>>,
+    parked: VecDeque<AlignedAmps<F>>,
     hits: u64,
     misses: u64,
     evicted: u64,
@@ -184,7 +185,7 @@ impl StateBufferPool {
     /// pool miss (the caller allocates fresh). Counts the hit/miss. The
     /// buffer handed back is the most recently released one — the one
     /// most likely still cache-warm.
-    pub fn acquire<F: PoolSlot>(&self, len: usize) -> Option<Vec<Cplx<F>>> {
+    pub fn acquire<F: PoolSlot>(&self, len: usize) -> Option<AlignedAmps<F>> {
         let mut buckets = F::typed(self).buckets.lock();
         let bucket = buckets.entry(len).or_default();
         match bucket.parked.pop_back() {
@@ -208,7 +209,7 @@ impl StateBufferPool {
     /// Park a finished job's buffer for reuse. A release into a full
     /// bucket evicts (frees) the least recently used buffer and keeps the
     /// incoming, cache-warm one.
-    pub fn release<F: PoolSlot>(&self, buf: Vec<Cplx<F>>) {
+    pub fn release<F: PoolSlot>(&self, buf: AlignedAmps<F>) {
         let bytes = Self::bytes_of(&buf);
         let len = buf.len();
         let mut buckets = F::typed(self).buckets.lock();
@@ -267,16 +268,21 @@ impl Default for StateBufferPool {
 mod tests {
     use super::*;
 
+    fn zeroed<F: Float>(len: usize) -> AlignedAmps<F> {
+        AlignedAmps::try_zeroed(len).expect("a small buffer")
+    }
+
     #[test]
     fn miss_then_hit_round_trip() {
         let pool = StateBufferPool::new();
         assert!(pool.acquire::<f32>(1 << 10).is_none(), "cold pool misses");
-        let buf = vec![Cplx::<f32>::zero(); 1 << 10];
+        let buf = zeroed::<f32>(1 << 10);
         let addr = buf.as_ptr();
         pool.release(buf);
 
         let got = pool.acquire::<f32>(1 << 10).expect("warm pool hits");
         assert_eq!(got.as_ptr(), addr, "must hand back the same allocation");
+        assert!(got.as_ptr().addr().is_multiple_of(qsim_core::amps::ALIGN));
         let stats = pool.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
@@ -285,7 +291,7 @@ mod tests {
     #[test]
     fn buckets_are_keyed_by_length_and_precision() {
         let pool = StateBufferPool::new();
-        pool.release(vec![Cplx::<f32>::zero(); 16]);
+        pool.release(zeroed::<f32>(16));
         assert!(pool.acquire::<f32>(32).is_none(), "different length misses");
         assert!(pool.acquire::<f64>(16).is_none(), "different precision misses");
         assert!(pool.acquire::<f32>(16).is_some());
@@ -295,7 +301,7 @@ mod tests {
     fn bucket_cap_bounds_idle_memory() {
         let pool = StateBufferPool::with_max_per_bucket(2);
         for _ in 0..5 {
-            pool.release(vec![Cplx::<f64>::zero(); 8]);
+            pool.release(zeroed::<f64>(8));
         }
         let stats = pool.stats();
         assert_eq!(stats.pooled_buffers, 2);
@@ -306,7 +312,7 @@ mod tests {
     #[test]
     fn occupancy_accounting_tracks_acquires() {
         let pool = StateBufferPool::new();
-        pool.release(vec![Cplx::<f32>::zero(); 64]);
+        pool.release(zeroed::<f32>(64));
         assert_eq!(pool.stats().pooled_bytes, 64 * 8);
         let _buf = pool.acquire::<f32>(64).unwrap();
         let stats = pool.stats();
@@ -316,9 +322,9 @@ mod tests {
     #[test]
     fn acquire_is_mru_eviction_is_lru() {
         let pool = StateBufferPool::with_max_per_bucket(2);
-        let a = vec![Cplx::<f32>::zero(); 32];
-        let b = vec![Cplx::<f32>::zero(); 32];
-        let c = vec![Cplx::<f32>::zero(); 32];
+        let a = zeroed::<f32>(32);
+        let b = zeroed::<f32>(32);
+        let c = zeroed::<f32>(32);
         let (pa, pb, pc) = (a.as_ptr(), b.as_ptr(), c.as_ptr());
         pool.release(a);
         pool.release(b);
@@ -336,9 +342,9 @@ mod tests {
     #[test]
     fn bucket_stats_snapshot_per_shape() {
         let pool = StateBufferPool::new();
-        pool.release(vec![Cplx::<f32>::zero(); 16]);
-        pool.release(vec![Cplx::<f32>::zero(); 16]);
-        pool.release(vec![Cplx::<f64>::zero(); 16]);
+        pool.release(zeroed::<f32>(16));
+        pool.release(zeroed::<f32>(16));
+        pool.release(zeroed::<f64>(16));
         let _ = pool.acquire::<f32>(16);
         let _ = pool.acquire::<f32>(64); // miss in a fresh bucket
 

@@ -15,7 +15,7 @@ use qsim_cache::{BudgetLedger, Cache, CacheStats};
 use qsim_core::cancel::{CancelCause, CancelToken};
 use qsim_core::kernels::MAX_GATE_QUBITS;
 use qsim_core::lockorder::Mutex;
-use qsim_core::types::Cplx;
+use qsim_core::AlignedAmps;
 use qsim_distributed::{MultiGcdBackend, SwapPolicy, SwapSchedule, EXCHANGE_KERNEL};
 use serde_json::json;
 
@@ -149,9 +149,9 @@ pub struct JobStatus {
 #[derive(Debug, Clone, PartialEq)]
 pub enum FinalState {
     /// Single-precision amplitudes.
-    F32(Vec<Cplx<f32>>),
+    F32(AlignedAmps<f32>),
     /// Double-precision amplitudes.
-    F64(Vec<Cplx<f64>>),
+    F64(AlignedAmps<f64>),
 }
 
 /// What a worker concluded about one job.

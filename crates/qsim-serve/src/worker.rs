@@ -29,7 +29,8 @@ use qsim_backends::{
     BackendError, BatchResult, Flavor, RunContext, RunFailure, RunOptions, SimBackend,
 };
 use qsim_core::lockorder;
-use qsim_core::types::{Cplx, Precision};
+use qsim_core::types::Precision;
+use qsim_core::AlignedAmps;
 use qsim_distributed::MultiGcdBackend;
 
 use crate::job::JobId;
@@ -40,17 +41,17 @@ use crate::service::{FinalState, JobOutcome, ServiceInner};
 /// Wraps a precision's amplitudes into the type-erased [`FinalState`]
 /// the registry stores for `keep_state` jobs.
 trait StateSlot: PoolSlot {
-    fn wrap(amps: Vec<Cplx<Self>>) -> FinalState;
+    fn wrap(amps: AlignedAmps<Self>) -> FinalState;
 }
 
 impl StateSlot for f32 {
-    fn wrap(amps: Vec<Cplx<f32>>) -> FinalState {
+    fn wrap(amps: AlignedAmps<f32>) -> FinalState {
         FinalState::F32(amps)
     }
 }
 
 impl StateSlot for f64 {
-    fn wrap(amps: Vec<Cplx<f64>>) -> FinalState {
+    fn wrap(amps: AlignedAmps<f64>) -> FinalState {
         FinalState::F64(amps)
     }
 }

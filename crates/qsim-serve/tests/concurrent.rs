@@ -6,6 +6,7 @@ use std::time::Duration;
 
 use qsim_backends::{Flavor, PlanOptions, RunContext, RunOptions, SimBackend};
 use qsim_core::types::{Cplx, Float, Precision};
+use qsim_core::AlignedAmps;
 use qsim_fusion::FusionStrategy;
 use qsim_serve::{FinalState, JobSpec, JobState, Priority, Service, ServiceConfig};
 
@@ -13,7 +14,7 @@ const WAIT: Duration = Duration::from_secs(120);
 
 /// Run `spec` directly on a fresh backend in the calling thread — the
 /// single-threaded reference the service results must match bit-for-bit.
-fn reference_state<F: Float>(spec: &JobSpec) -> Vec<Cplx<F>> {
+fn reference_state<F: Float>(spec: &JobSpec) -> AlignedAmps<F> {
     let backend = SimBackend::new(spec.flavor);
     let opts = PlanOptions { strategy: spec.strategy, max_fused_qubits: spec.max_fused };
     let plan = backend.plan_circuit(&spec.circuit, &opts, F::PRECISION);

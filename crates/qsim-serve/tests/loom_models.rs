@@ -110,6 +110,7 @@ fn queue_close_drains_each_accepted_job_exactly_once() {
 #[test]
 fn pool_counters_agree_with_buckets_under_churn() {
     use qsim_core::types::Cplx;
+    use qsim_core::AlignedAmps;
     use qsim_serve::StateBufferPool;
 
     const LEN: usize = 256;
@@ -123,7 +124,7 @@ fn pool_counters_agree_with_buckets_under_churn() {
                     for _ in 0..PER_THREAD {
                         let mut buf = pool
                             .acquire::<f32>(LEN)
-                            .unwrap_or_else(|| vec![Cplx::<f32>::zero(); LEN]);
+                            .unwrap_or_else(|| AlignedAmps::try_zeroed(LEN).expect("1 KiB"));
                         buf[0] = Cplx::new(1.0, 0.0);
                         pool.release(buf);
                         thread::yield_now();
