@@ -57,17 +57,16 @@ impl CircuitRule for Unitarity {
                 continue; // measurements have no matrix
             };
             let span = Span::op(i, op.time);
-            if !m.is_unitary(UNITARY_TOL_F64) {
-                out.push(
+            match m.unitarity_deviation(UNITARY_TOL_F64) {
+                None => out.push(
                     Diagnostic::error(
                         codes::NON_UNITARY_GATE,
                         span,
                         format!("gate '{}' is not unitary within {UNITARY_TOL_F64:.0e}", op.kind.name()),
                     )
                     .with_help("a non-unitary gate does not preserve the state norm; check the matrix entries"),
-                );
-            } else if !m.cast::<f32>().is_unitary(UNITARY_TOL_F32) {
-                out.push(
+                ),
+                Some(dev) if !f32_unitary(&m, dev) => out.push(
                     Diagnostic::warning(
                         codes::UNITARITY_F32_LOSS,
                         span,
@@ -77,7 +76,8 @@ impl CircuitRule for Unitarity {
                         ),
                     )
                     .with_help("run this circuit in double precision (f64)"),
-                );
+                ),
+                Some(_) => {}
             }
         }
     }
@@ -106,7 +106,7 @@ impl CircuitRule for IdentityGate {
             let Some(m) = op.kind.matrix::<f64>() else {
                 continue;
             };
-            if m.max_abs_diff(&GateMatrix::<f64>::identity(m.dim())) < 1e-12 {
+            if m.is_identity(1e-12) {
                 out.push(Diagnostic::note(
                     codes::IDENTITY_GATE,
                     span,
@@ -236,15 +236,13 @@ impl PlanRule for PlanShape {
                 );
                 continue; // width/dim checks would only repeat the confusion
             }
-            if g.matrix.dim() != 1 << w {
+            let (dim, expected) = (g.matrix.dim(), dim_of(w));
+            if expected != Some(dim) {
+                let expected = expected.map_or(format!("2^{w}×2^{w}"), |e| format!("{e}×{e}"));
                 out.push(Diagnostic::error(
                     codes::PLAN_MATRIX_DIM_MISMATCH,
                     span,
-                    format!(
-                        "fused gate on {w} qubit(s) carries a {0}×{0} matrix (expected {1}×{1})",
-                        g.matrix.dim(),
-                        1usize << w
-                    ),
+                    format!("fused gate on {w} qubit(s) carries a {dim}×{dim} matrix (expected {expected})"),
                 ));
             }
             if w > MAX_GATE_QUBITS {
@@ -295,12 +293,12 @@ impl PlanRule for PlanUnitarity {
     fn check(&self, ctx: &PlanCtx<'_>, out: &mut Vec<Diagnostic>) {
         for (i, op) in ctx.plan.ops.iter().enumerate() {
             let FusedOp::Unitary(g) = op else { continue };
-            if g.matrix.dim() != 1 << g.width() {
+            if dim_of(g.width()) != Some(g.matrix.dim()) {
                 continue; // PlanShape reports the dimension mismatch
             }
             let span = Span::op(i, g.time_range.0);
-            if !g.matrix.is_unitary(PLAN_UNITARY_TOL_F64) {
-                out.push(
+            match g.matrix.unitarity_deviation(PLAN_UNITARY_TOL_F64) {
+                None => out.push(
                     Diagnostic::error(
                         codes::PLAN_NON_UNITARY,
                         span,
@@ -310,9 +308,8 @@ impl PlanRule for PlanUnitarity {
                         ),
                     )
                     .with_help("the plan would not preserve the state norm; refuse to execute it"),
-                );
-            } else if !g.matrix_as::<f32>().is_unitary(UNITARY_TOL_F32) {
-                out.push(
+                ),
+                Some(dev) if !f32_unitary(&g.matrix, dev) => out.push(
                     Diagnostic::warning(
                         codes::PLAN_UNITARITY_F32_LOSS,
                         span,
@@ -322,10 +319,9 @@ impl PlanRule for PlanUnitarity {
                         ),
                     )
                     .with_help("run in double precision or lower max_fused_qubits"),
-                );
-            } else if g.matrix.max_abs_diff(&GateMatrix::<f64>::identity(g.matrix.dim())) < 1e-12 {
+                ),
                 // Unitary, but trivially so: the folded gates cancelled.
-                out.push(
+                Some(_) if g.matrix.is_identity(1e-12) => out.push(
                     Diagnostic::warning(
                         codes::PLAN_IDENTITY_PASS,
                         span,
@@ -335,7 +331,8 @@ impl PlanRule for PlanUnitarity {
                         ),
                     )
                     .with_help("the gates cancel; this pass streams the whole state for no effect"),
-                );
+                ),
+                Some(_) => {}
             }
         }
     }
@@ -592,13 +589,46 @@ fn well_formed(n: usize) -> impl Fn(&FusedGate) -> bool {
             && g.qubits.windows(2).all(|p| p[0] < p[1])
             && g.qubits.iter().all(|&q| q < n)
             && g.width() <= MAX_GATE_QUBITS
-            && g.matrix.dim() == 1 << g.width()
+            && dim_of(g.width()) == Some(g.matrix.dim())
     }
+}
+
+/// `2^width`, the matrix dimension of a gate on `width` qubits, if it fits.
+fn dim_of(width: usize) -> Option<usize> {
+    u32::try_from(width).ok().and_then(|w| 1usize.checked_shl(w))
+}
+
+/// A bound on the largest entry of `M·M† − I` formed in `f32` from the cast
+/// of a `dim × dim` matrix `M` whose `f64` product has none above `f64_dev`.
+///
+/// With `u = 2⁻²⁴`, `γₙ = nu/(1 − nu)` (Higham, *Accuracy and Stability of
+/// Numerical Algorithms*, §3.1) and every row norm² of `M` (a diagonal entry
+/// of the product) at most `ρ ≤ 1 + f64_dev`, an `f32` entry is off the
+/// exact product's by at most the cast, `|fl(m) − m| ≤ u|m|`: `(2u + u²)ρ`;
+/// the Gram sum, a complex dot of `dim` terms in real multiply-adds:
+/// `√2·γ_{dim+2}·ρ` (Cauchy–Schwarz on the rows); the `− 1`, exact on the
+/// diagonal (Sterbenz), and the `abs`, `2u` relative, so `3u·UNITARY_TOL_F32`
+/// where the verdict is decided; and `f64_dev`'s own error, the same sum at
+/// `2⁻⁵³`. The last two are each below `u`, so to first order the total is
+/// `(√2(dim + 2) + 4)·u·ρ`: at most half the `4(dim + 4)·u·(1 + f64_dev)`
+/// charged here, whose slack also covers underflow (`≤ dim·2⁻¹⁴⁹`).
+fn f32_deviation_bound(f64_dev: f64, dim: usize) -> f64 {
+    f64_dev + 4.0 * (dim as f64 + 4.0) * f64::from(f32::EPSILON / 2.0) * (1.0 + f64_dev)
+}
+
+/// Whether `m`, within `dev` of unitary in `f64`, stays within
+/// [`UNITARY_TOL_F32`] in `f32`: by the bound up to `dim = 256`, by the
+/// `f32` product past it.
+fn f32_unitary(m: &GateMatrix<f64>, dev: f64) -> bool {
+    f32_deviation_bound(dev, m.dim()) <= UNITARY_TOL_F32
+        || m.cast::<f32>().is_unitary(UNITARY_TOL_F32)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
     use qsim_circuit::circuit::Circuit;
     use qsim_core::sweep::SweepConfig;
     use qsim_core::types::Cplx;
@@ -664,6 +694,82 @@ mod tests {
         };
         let plan = one_gate_plan(g, w);
         assert!(plan_codes(&plan, None).contains(&codes::PLAN_WIDTH_EXCEEDS_KERNEL));
+    }
+
+    #[test]
+    fn gate_wider_than_usize_bits_is_reported_not_a_panic() {
+        for w in [63, 64, 65] {
+            let g = FusedGate {
+                qubits: (0..w).collect(),
+                matrix: GateMatrix::identity(2),
+                source_gates: 1,
+                time_range: (0, 0),
+            };
+            let r =
+                Analyzer::new().analyze_plan(&one_gate_plan(g, 70), None, SweepConfig::default());
+            let dim = r.diagnostics.iter().find(|d| d.code == codes::PLAN_MATRIX_DIM_MISMATCH);
+            let expected =
+                if w < 64 { format!("{0}×{0}", 1usize << w) } else { format!("2^{w}×2^{w}") };
+            assert_eq!(
+                dim.map(|d| d.message.as_str()),
+                Some(format!(
+                    "fused gate on {w} qubit(s) carries a 2×2 matrix (expected {expected})"
+                ))
+                .as_deref()
+            );
+            assert!(r.diagnostics.iter().any(|d| d.code == codes::PLAN_WIDTH_EXCEEDS_KERNEL));
+        }
+    }
+
+    #[test]
+    fn f32_bound_clears_every_kernel_width_and_refuses_past_it() {
+        for dim in [1, 2, 4, 8, 16, 32, 64] {
+            for dev in [0.0, PLAN_UNITARY_TOL_F64] {
+                assert!(f32_deviation_bound(dev, dim) <= UNITARY_TOL_F32, "dim {dim} dev {dev}");
+            }
+        }
+        assert!(f32_deviation_bound(0.0, 2048) > UNITARY_TOL_F32);
+        assert!(f32_deviation_bound(UNITARY_TOL_F32, 2) > UNITARY_TOL_F32);
+        // Where it refuses, the product is formed and decides.
+        assert!(f32_unitary(&GateMatrix::identity(4), UNITARY_TOL_F32));
+        let mut stretched = GateMatrix::<f64>::identity(4);
+        stretched.set(1, 1, Cplx::new(1.0 + 2.0 * UNITARY_TOL_F32, 0.0));
+        assert!(!f32_unitary(&stretched, UNITARY_TOL_F32));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Fused products of random circuits, perturbed up to the `f64`
+        /// tolerance: the deviation their `f32` product shows stays under
+        /// the bound, and the rule's `f32` verdict — by the bound, or by
+        /// the product where the bound is made to refuse — is the one the
+        /// product gives.
+        #[test]
+        fn f32_bound_holds_and_keeps_the_computed_verdict(
+            seed in 0u64..u64::MAX,
+            width in 1usize..=6,
+        ) {
+            let rng = &mut TestRng::from_seed(seed);
+            let src = qsim_circuit::library::random_dense(width.max(2), 12 * width, seed);
+            for g in qsim_fusion::fuse(&src, width).unitaries() {
+                let mut m = g.matrix.clone();
+                let d = m.dim() as u64;
+                let (r, c) = (rng.below(d) as usize, rng.below(d) as usize);
+                let eps = 0.3 * PLAN_UNITARY_TOL_F64 * rng.unit_f64();
+                m.set(r, c, m.get(r, c) + Cplx::new(eps, -eps));
+                let dev = m.unitarity_deviation(PLAN_UNITARY_TOL_F64);
+                prop_assert!(dev.is_some(), "eps {eps} leaves the f64 tolerance");
+                let dev = dev.unwrap_or_default();
+                let m32 = m.cast::<f32>();
+                let dev32 = m32.unitarity_deviation(f64::INFINITY).unwrap_or(f64::NAN);
+                let bound = f32_deviation_bound(dev, m.dim());
+                prop_assert!(dev32 <= bound, "f32 deviation {dev32:e} above the bound {bound:e}");
+                let computed = m32.is_unitary(UNITARY_TOL_F32);
+                prop_assert_eq!(f32_unitary(&m, dev), computed);
+                prop_assert_eq!(f32_unitary(&m, UNITARY_TOL_F32), computed);
+            }
+        }
     }
 
     #[test]

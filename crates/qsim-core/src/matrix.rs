@@ -168,23 +168,67 @@ impl<F: Float> GateMatrix<F> {
             .fold(0.0, |max, d| if d > max || d.is_nan() { d } else { max })
     }
 
-    /// Whether `self · self† = I` within `tol`; `false` when any entry is not
-    /// finite. Forms only the upper triangle of the Hermitian product, each
-    /// entry in the dense product's order; the lower is its exact conjugate.
+    /// `self.max_abs_diff(&identity(dim)) < tol` without building the identity.
+    pub fn is_identity(&self, tol: f64) -> bool {
+        self.data.iter().enumerate().all(|(k, &z)| {
+            let one = if k % (self.dim + 1) == 0 { Cplx::one() } else { Cplx::zero() };
+            z.dist(one).to_f64() < tol
+        })
+    }
+
+    /// Whether `self · self† = I` within `tol`; `false` on a non-finite entry.
     pub fn is_unitary(&self, tol: f64) -> bool {
-        let (d, adjoint) = (self.dim, self.adjoint());
-        let mut row = vec![Cplx::zero(); d];
-        (0..d).all(|i| {
-            // Columns `i..` of row `i` of `self · self† − I`.
-            let upper = &mut row[i..];
-            upper.fill(Cplx::zero());
-            for l in 0..d {
-                for (o, &b) in upper.iter_mut().zip(&adjoint.data[l * d + i..(l + 1) * d]) {
-                    o.mul_add_assign(self.get(i, l), b);
+        self.unitarity_deviation(tol).is_some()
+    }
+
+    /// The largest `|(self · self† − I)ᵢⱼ|` when every entry is within `tol`;
+    /// `None` otherwise, and when any entry is NaN or infinite.
+    pub fn unitarity_deviation(&self, tol: f64) -> Option<f64> {
+        let mut worst = 0.0f64;
+        let within = self.gram_rows_minus_identity(|re, im| {
+            re.iter().zip(im).all(|(&re, &im)| {
+                let dev = Cplx::new(re, im).abs().to_f64();
+                worst = worst.max(dev);
+                dev <= tol
+            })
+        });
+        within.then_some(worst)
+    }
+
+    /// Hands `visit` the columns `i..` of row `i` of `self · self† − I` as real
+    /// and imaginary planes, for `i = 0, 1, …` until it returns `false`; returns
+    /// whether it never did. Each entry sums over `l` in the dense product's
+    /// order with [`Cplx::mul_add_assign`]'s expression, so its bits are the
+    /// dense product's; the lower triangle is their exact conjugate. Against a
+    /// split-complex copy of `self†`, the column loop vectorizes.
+    fn gram_rows_minus_identity(&self, mut visit: impl FnMut(&[F], &[F]) -> bool) -> bool {
+        let d = self.dim;
+        // One buffer of `2d² + 2d` scalars: the planes of `self†`, then a row.
+        let mut scratch = vec![F::ZERO; 2 * d * d + 2 * d];
+        let (t_re, rest) = scratch.split_at_mut(d * d);
+        let (t_im, acc) = rest.split_at_mut(d * d);
+        let (acc_re, acc_im) = acc.split_at_mut(d);
+        for (j, row) in self.data.chunks_exact(d).enumerate() {
+            for (l, z) in row.iter().enumerate() {
+                t_re[l * d + j] = z.re;
+                t_im[l * d + j] = -z.im;
+            }
+        }
+        self.data.chunks_exact(d).enumerate().all(|(i, row)| {
+            let (acc_re, acc_im) = (&mut acc_re[i..], &mut acc_im[i..]);
+            acc_re.fill(F::ZERO);
+            acc_im.fill(F::ZERO);
+            for (l, a) in row.iter().enumerate() {
+                let (br, bi) = (&t_re[l * d + i..(l + 1) * d], &t_im[l * d + i..(l + 1) * d]);
+                for (((or, oi), &br), &bi) in
+                    acc_re.iter_mut().zip(acc_im.iter_mut()).zip(br).zip(bi)
+                {
+                    *or += a.re * br - a.im * bi;
+                    *oi += a.re * bi + a.im * br;
                 }
             }
-            upper[0] -= Cplx::one();
-            upper.iter().all(|o| o.abs().to_f64() <= tol)
+            acc_re[0] -= F::ONE;
+            visit(acc_re, acc_im)
         })
     }
 
@@ -483,6 +527,38 @@ mod tests {
         m.matmul(&m.adjoint()).max_abs_diff(&GateMatrix::identity(m.dim())) <= tol
     }
 
+    fn entry_bits<F: Float>(re: F, im: F) -> (u64, u64) {
+        (re.to_f64().to_bits(), im.to_f64().to_bits())
+    }
+
+    /// The upper triangle of `m · m† − I` as the split-complex pass forms it.
+    fn split_gram_bits<F: Float>(m: &GateMatrix<F>) -> Vec<(u64, u64)> {
+        let mut bits = Vec::new();
+        m.gram_rows_minus_identity(|re, im| {
+            bits.extend(re.iter().zip(im).map(|(&re, &im)| entry_bits(re, im)));
+            true
+        });
+        bits
+    }
+
+    /// The same triangle as the interleaved loop it replaced forms it,
+    /// against a built adjoint.
+    fn interleaved_gram_bits<F: Float>(m: &GateMatrix<F>) -> Vec<(u64, u64)> {
+        let (d, adjoint) = (m.dim(), m.adjoint());
+        let mut bits = Vec::new();
+        for i in 0..d {
+            let mut upper = vec![Cplx::zero(); d - i];
+            for l in 0..d {
+                for (o, &b) in upper.iter_mut().zip(&adjoint.as_slice()[l * d + i..(l + 1) * d]) {
+                    o.mul_add_assign(m.get(i, l), b);
+                }
+            }
+            upper[0] -= Cplx::one();
+            bits.extend(upper.iter().map(|z| entry_bits(z.re, z.im)));
+        }
+        bits
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -557,6 +633,39 @@ mod tests {
             scaled.set(r, c, scaled.get(r, c).scale(1.5) + Cplx::new(0.25, 0.0));
             prop_assert!(!scaled.is_unitary(TOL) && !dense_verdict(&scaled, TOL));
         }
+
+        /// Every upper-triangle entry of the split-complex pass is the
+        /// interleaved loop's, bit for bit, at both precisions, and the
+        /// deviation it reports is the dense product's largest entry.
+        #[test]
+        fn gram_rows_match_the_interleaved_loop_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            width in 1usize..=6,
+        ) {
+            let rng = &mut TestRng::from_seed(seed);
+            let u = random_unitary(width, rng);
+            let d = u.dim() as u64;
+            let (r, c) = (rng.below(d) as usize, rng.below(d) as usize);
+            let mut off = u.clone();
+            off.set(r, c, off.get(r, c) + Cplx::new(1e-3, -1e-3));
+            for m in [u, off] {
+                prop_assert!(split_gram_bits(&m) == interleaved_gram_bits(&m));
+                let m32 = m.cast::<f32>();
+                prop_assert!(split_gram_bits(&m32) == interleaved_gram_bits(&m32));
+                let dense = m.matmul(&m.adjoint()).max_abs_diff(&M::identity(m.dim()));
+                prop_assert_eq!(m.unitarity_deviation(1.0), Some(dense));
+            }
+        }
+    }
+
+    #[test]
+    fn is_identity_matches_the_built_identity() {
+        let mut m = M::identity(4);
+        assert!(m.is_identity(1e-12) && !hadamard().is_identity(1e-12));
+        m.set(2, 2, Cplx::new(1.0, 1e-13));
+        assert!(m.is_identity(1e-12) && !m.is_identity(1e-13));
+        m.set(3, 1, Cplx::new(f64::NAN, 0.0));
+        assert!(!m.is_identity(1e-12) && m.max_abs_diff(&M::identity(4)).is_nan());
     }
 
     #[test]
