@@ -15,8 +15,9 @@ use qsim_core::types::Float;
 use qsim_core::StateVector;
 use qsim_fusion::FusedCircuit;
 
+use crate::plan::FusionPlan;
 use crate::report::{RunOptions, RunReport};
-use crate::sim_backend::{BackendError, RunContext, RunFailure, SimBackend};
+use crate::sim_backend::{RunContext, RunFailure, SimBackend};
 
 /// Process-wide batch identifier source, so concurrent workers' gangs stay
 /// distinguishable in metrics.
@@ -24,12 +25,12 @@ static NEXT_BATCH_ID: AtomicU64 = AtomicU64::new(1);
 
 /// One sub-job of a [`SimBackend::run_batch`] call: a fused circuit plus
 /// the same per-run options and service-layer context `run_with` takes.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BatchJob<'a, F: Float> {
-    /// The planned circuit. Sub-jobs whose plans are content-hash-equal
-    /// are executed as one gang; distinct plans fall back to sequential
+    /// The fused circuit. Sub-jobs whose circuits are content-hash-equal
+    /// are executed as one gang; distinct circuits fall back to sequential
     /// gangs within the same call.
-    pub fused: Option<&'a FusedCircuit>,
+    pub fused: &'a FusedCircuit,
     /// Seed and sample count for this sub-job.
     pub opts: RunOptions,
     /// Recycled buffer and cancel token for this sub-job.
@@ -39,7 +40,7 @@ pub struct BatchJob<'a, F: Float> {
 impl<'a, F: Float> BatchJob<'a, F> {
     /// A sub-job with default options and context.
     pub fn new(fused: &'a FusedCircuit) -> Self {
-        BatchJob { fused: Some(fused), opts: RunOptions::default(), ctx: RunContext::default() }
+        BatchJob { fused, opts: RunOptions::default(), ctx: RunContext::default() }
     }
 }
 
@@ -57,19 +58,19 @@ impl SimBackend {
     /// One state is stamped `(None, 1)`, more share a fresh `batch_id`.
     pub fn run_gang<F: Float>(
         &self,
-        fused: &FusedCircuit,
+        plan: &FusionPlan,
         subs: Vec<SubIn<F>>,
     ) -> Vec<BatchResult<F>> {
         let batch = match subs.len() {
             0 | 1 => (None, 1),
             n => (Some(NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed)), n),
         };
-        self.walk(fused, Some(subs), batch).subs
+        self.walk(plan, Some(subs), batch).subs
     }
 
     /// Run N sub-jobs as a batch, returning one [`BatchResult`] per
-    /// sub-job in input order. Hash-equal plans form gangs that share one
-    /// walk (analysis, matrix conversion + upload, and sweep-plan
+    /// sub-job in input order. Hash-equal circuits form gangs that share
+    /// one walk (pre-run check, matrix conversion + upload, and sweep-plan
     /// construction amortized across the gang); every report carries a
     /// shared `batch_id` and the call's `batch_size`.
     ///
@@ -89,22 +90,16 @@ impl SimBackend {
         type Member<F> = (usize, SubIn<F>);
         let mut groups: Vec<(u64, &FusedCircuit, Vec<Member<F>>)> = Vec::new();
         for (i, job) in jobs.into_iter().enumerate() {
-            let Some(fused) = job.fused else {
-                out[i] = Some(Err(RunFailure {
-                    error: BackendError::InvalidCircuit("batch sub-job without a plan".into()),
-                    buffer: job.ctx.reuse_buffer,
-                }));
-                continue;
-            };
-            let h = fused.content_hash();
+            let h = job.fused.content_hash();
             match groups.iter_mut().find(|(gh, _, _)| *gh == h) {
                 Some((_, _, subs)) => subs.push((i, (job.opts, job.ctx))),
-                None => groups.push((h, fused, vec![(i, (job.opts, job.ctx))])),
+                None => groups.push((h, job.fused, vec![(i, (job.opts, job.ctx))])),
             }
         }
         for (_, fused, members) in groups {
             let (at, subs): (Vec<usize>, Vec<SubIn<F>>) = members.into_iter().unzip();
-            let walked = self.walk(fused, Some(subs), (Some(batch_id), batch_size));
+            let plan = self.check(fused, F::PRECISION);
+            let walked = self.walk(&plan, Some(subs), (Some(batch_id), batch_size));
             for (i, result) in at.into_iter().zip(walked.subs) {
                 out[i] = Some(result);
             }

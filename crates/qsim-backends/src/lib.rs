@@ -36,12 +36,12 @@ mod walker;
 
 pub use batch_run::{BatchJob, BatchResult, SubIn};
 pub use flavor::Flavor;
+pub use plan::FusionPlan;
 pub use qsim_core::cancel::{CancelCause, CancelToken};
 pub use qsim_core::sweep::{SweepConfig, SweepStats};
 pub use qsim_fusion::{
-    FusionCostModel, FusionPlan, FusionStats, FusionStrategy, LaunchCostModel, LaunchPolicy,
-    TrafficEstimate,
+    FusionCostModel, FusionStats, FusionStrategy, LaunchCostModel, LaunchPolicy, TrafficEstimate,
 };
-pub use report::{KernelStat, RunOptions, RunReport};
+pub use report::{GateClassCount, KernelStat, RunOptions, RunReport};
 pub use sim_backend::{BackendError, PlanOptions, RunContext, RunFailure, SimBackend};
 pub use trajectories::{NoiseSpec, TrajectoryRunner};

@@ -1,14 +1,58 @@
-//! Kernel-launch planning shared by the single-device backend and the
-//! multi-GCD distributed backend: how a fused gate maps to a launch
-//! descriptor (grid geometry, kernel symbol, modeled work) on a given
-//! flavor.
+//! Planning shared by the single-device backend and the multi-GCD
+//! distributed backend: the checked plan both walkers run
+//! ([`FusionPlan`]), and how a fused gate maps to a launch descriptor
+//! (grid geometry, kernel symbol, modeled work) on a given flavor.
 
 use gpu_model::runtime::{KernelDesc, KernelWork};
 use qsim_core::kernels::classify_gate;
+use qsim_core::sweep::SweepConfig;
 use qsim_core::types::Precision;
 use qsim_fusion::LaunchPolicy;
 
 use crate::flavor::Flavor;
+use crate::sim_backend::BackendError;
+
+/// A fusion plan that owns its pre-run verdict: the warnings its reports
+/// carry, or the findings that reject it before any state is allocated.
+/// [`FusionPlan::check`] is the one place the pre-run rule set runs. The
+/// plan derefs read-only to the [`qsim_fusion::FusionPlan`] it wraps and
+/// has no public field, so its verdict cannot go stale.
+#[derive(Debug, Clone)]
+pub struct FusionPlan {
+    plan: qsim_fusion::FusionPlan,
+    verdict: Result<Vec<String>, BackendError>,
+    sweep: SweepConfig,
+}
+
+impl FusionPlan {
+    /// Run the pre-run analysis on `plan` as it executes under `sweep`.
+    pub fn check(plan: qsim_fusion::FusionPlan, sweep: SweepConfig) -> FusionPlan {
+        let report = qsim_analyze::Analyzer::pre_run().analyze_plan(&plan.fused, None, sweep);
+        let verdict = if report.has_errors() {
+            Err(BackendError::AnalysisRejected(report.diagnostics))
+        } else {
+            Ok(report.at(qsim_core::diag::Severity::Warning).map(ToString::to_string).collect())
+        };
+        FusionPlan { plan, verdict, sweep }
+    }
+
+    /// The verdict for a walk under `sweep`: the stored one, or — when the
+    /// backend's sweep changed after planning — the plan checked afresh.
+    pub fn verdict(&self, sweep: SweepConfig) -> Result<Vec<String>, BackendError> {
+        if sweep == self.sweep {
+            return self.verdict.clone();
+        }
+        Self::check(self.plan.clone(), sweep).verdict
+    }
+}
+
+impl std::ops::Deref for FusionPlan {
+    type Target = qsim_fusion::FusionPlan;
+
+    fn deref(&self) -> &qsim_fusion::FusionPlan {
+        &self.plan
+    }
+}
 
 /// A one-pass kernel over all `len` amplitudes in High-class blocks.
 fn full_pass_desc(

@@ -1,9 +1,9 @@
 //! Run reports: what a backend measured (and modeled) while executing a
 //! fused circuit — the raw material of the paper's figures.
 
-use qsim_core::kernels::KernelClass;
+use qsim_core::kernels::{classify_gate, classify_gate_at, KernelClass};
 use qsim_core::types::Precision;
-use qsim_fusion::FusionStats;
+use qsim_fusion::{FusedCircuit, FusionStats};
 use serde_json::json;
 
 /// Options controlling one run.
@@ -62,9 +62,8 @@ pub struct RunReport {
     pub fused_gates: usize,
     /// How the plan was chosen (`greedy`, `cost`, or `auto`; see
     /// [`qsim_fusion::FusionStrategy`]). Plain `run()`/`estimate()` calls
-    /// take a pre-fused circuit and report the default `greedy`; the
-    /// `run_plan`/`estimate_plan` entry points stamp the planner's actual
-    /// strategy.
+    /// take a pre-fused circuit and report the default `greedy`; a plan
+    /// from `plan_circuit` reports the planner's actual strategy.
     pub fusion_strategy: String,
     /// The backend cost model's prediction for the executed plan, seconds
     /// (0 when the circuit was fused without a planner).
@@ -143,23 +142,21 @@ pub struct RunReport {
 }
 
 impl GateClassCount {
-    /// Flatten a `[gpu][cpu]` count grid (index 0 = High, 1 = Low) into
-    /// the report's sparse, stably ordered histogram.
-    pub fn from_grid(grid: [[u64; 2]; 2]) -> Vec<GateClassCount> {
+    /// Tally the fused unitaries of `fused` into the report's sparse,
+    /// stably ordered histogram, lane classes at `lane_qubits`.
+    pub fn tally(fused: &FusedCircuit, lane_qubits: usize) -> Vec<GateClassCount> {
         const CLASSES: [KernelClass; 2] = [KernelClass::High, KernelClass::Low];
-        let mut out = Vec::new();
-        for (gi, row) in grid.iter().enumerate() {
-            for (ci, &count) in row.iter().enumerate() {
-                if count > 0 {
-                    out.push(GateClassCount {
-                        gpu_kernel: CLASSES[gi],
-                        cpu_lane: CLASSES[ci],
-                        count,
-                    });
-                }
-            }
-        }
-        out
+        let pairs = CLASSES.into_iter().flat_map(|gpu| CLASSES.map(|cpu| (gpu, cpu)));
+        let count = |(gpu_kernel, cpu_lane)| GateClassCount {
+            gpu_kernel,
+            cpu_lane,
+            count: fused
+                .unitaries()
+                .filter(|g| classify_gate(&g.qubits) == gpu_kernel)
+                .filter(|g| classify_gate_at(&g.qubits, lane_qubits) == cpu_lane)
+                .count() as u64,
+        };
+        pairs.map(count).filter(|c| c.count > 0).collect()
     }
 }
 
@@ -304,7 +301,13 @@ mod tests {
             amp_updates: 150 << 30,
             analysis_warnings: vec![],
             isa: "avx2".into(),
-            gate_class_counts: GateClassCount::from_grid([[90, 0], [30, 30]]),
+            gate_class_counts: [
+                (KernelClass::High, KernelClass::High, 90),
+                (KernelClass::Low, KernelClass::High, 30),
+                (KernelClass::Low, KernelClass::Low, 30),
+            ]
+            .map(|(gpu_kernel, cpu_lane, count)| GateClassCount { gpu_kernel, cpu_lane, count })
+            .to_vec(),
             batch_id: None,
             batch_size: 1,
         }
@@ -333,7 +336,7 @@ mod tests {
     #[test]
     fn gate_class_histogram_queries() {
         let r = report();
-        // Zero-count pairs are dropped from the grid flattening.
+        // A pair absent from the histogram counts zero.
         assert_eq!(r.gate_class_counts.len(), 3);
         assert_eq!(r.lane_low_gates(), 30);
         assert_eq!(r.gates_in_class(KernelClass::High, KernelClass::High), 90);

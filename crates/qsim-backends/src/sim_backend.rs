@@ -13,11 +13,11 @@ use qsim_core::sweep::{SweepConfig, SweepExecutor};
 use qsim_core::types::{Float, Precision};
 use qsim_core::{AlignedAmps, StateVector};
 use qsim_fusion::{
-    FusedCircuit, FusionCostModel, FusionPlan, FusionStats, FusionStrategy, LaunchCostModel,
-    LaunchPolicy,
+    FusedCircuit, FusionCostModel, FusionStats, FusionStrategy, LaunchCostModel, LaunchPolicy,
 };
 
 use crate::flavor::Flavor;
+use crate::plan::FusionPlan;
 use crate::report::{RunOptions, RunReport};
 
 /// How a source circuit is planned into a fused circuit for a backend.
@@ -203,22 +203,6 @@ impl SimBackend {
         self.flavor.launch_policy(precision, *self.sweep.config(), self.low_overhead_override)
     }
 
-    /// The pre-run static-analysis gate ([`qsim_analyze::Analyzer::pre_run`]):
-    /// error-severity findings reject the plan *before* any device memory
-    /// is allocated; warning-severity findings are returned so the run
-    /// report can carry them. `sweep` is the configuration the plan will
-    /// execute under.
-    pub(crate) fn analyze_pre_run(
-        fused: &FusedCircuit,
-        sweep: SweepConfig,
-    ) -> Result<Vec<String>, BackendError> {
-        let report = qsim_analyze::Analyzer::pre_run().analyze_plan(fused, None, sweep);
-        if report.has_errors() {
-            return Err(BackendError::AnalysisRejected(report.diagnostics));
-        }
-        Ok(report.at(qsim_core::diag::Severity::Warning).map(ToString::to_string).collect())
-    }
-
     /// The underlying modeled device.
     pub fn gpu(&self) -> &Gpu {
         &self.gpu
@@ -245,7 +229,7 @@ impl SimBackend {
     }
 
     /// Plan a source circuit for this backend: fuse under the requested
-    /// strategy, priced by [`SimBackend::cost_model`].
+    /// strategy, priced by [`SimBackend::cost_model`], and check it.
     pub fn plan_circuit(
         &self,
         circuit: &qsim_circuit::Circuit,
@@ -253,7 +237,13 @@ impl SimBackend {
         precision: Precision,
     ) -> FusionPlan {
         let model = self.cost_model(precision);
-        qsim_fusion::plan(circuit, opts.strategy, opts.max_fused_qubits, model.as_ref())
+        let plan = qsim_fusion::plan(circuit, opts.strategy, opts.max_fused_qubits, model.as_ref());
+        FusionPlan::check(plan, self.launch_policy(precision).sweep)
+    }
+
+    /// A pre-fused circuit as an unpriced plan, checked for this backend.
+    pub(crate) fn check(&self, fused: &FusedCircuit, precision: Precision) -> FusionPlan {
+        FusionPlan::check(fused.clone().into(), self.launch_policy(precision).sweep)
     }
 
     /// Run a planned circuit; the report carries the plan's strategy and
@@ -263,10 +253,8 @@ impl SimBackend {
         plan: &FusionPlan,
         opts: &RunOptions,
     ) -> Result<(StateVector<F>, RunReport), BackendError> {
-        let (state, mut report) = self.run::<F>(&plan.fused, opts)?;
-        report.fusion_strategy = plan.strategy.label().into();
-        report.predicted_cost_seconds = plan.predicted_cost_seconds;
-        Ok((state, report))
+        let mut subs = self.run_gang(plan, vec![(*opts, RunContext::default())]);
+        subs.pop().expect("a walk resolves every state it was handed").map_err(|f| f.error)
     }
 
     /// Dry-run a planned circuit (see [`SimBackend::estimate`]); the
@@ -276,10 +264,10 @@ impl SimBackend {
         plan: &FusionPlan,
         precision: Precision,
     ) -> Result<RunReport, BackendError> {
-        let mut report = self.estimate(&plan.fused, precision)?;
-        report.fusion_strategy = plan.strategy.label().into();
-        report.predicted_cost_seconds = plan.predicted_cost_seconds;
-        Ok(report)
+        match precision {
+            Precision::Single => self.walk::<f32>(plan, None, (None, 1)).report,
+            Precision::Double => self.walk::<f64>(plan, None, (None, 1)).report,
+        }
     }
 
     /// **Dry-run**: drive the device model over the fused circuit without
@@ -296,10 +284,7 @@ impl SimBackend {
         fused: &FusedCircuit,
         precision: Precision,
     ) -> Result<RunReport, BackendError> {
-        match precision {
-            Precision::Single => self.walk::<f32>(fused, None, (None, 1)).report,
-            Precision::Double => self.walk::<f64>(fused, None, (None, 1)).report,
-        }
+        self.estimate_plan(&self.check(fused, precision), precision)
     }
 
     /// Run a fused circuit at precision `F` from `|0…0⟩`, returning the
@@ -326,7 +311,7 @@ impl SimBackend {
         opts: &RunOptions,
         ctx: RunContext<F>,
     ) -> Result<(StateVector<F>, RunReport), RunFailure<F>> {
-        let mut subs = self.run_gang(fused, vec![(*opts, ctx)]);
+        let mut subs = self.run_gang(&self.check(fused, F::PRECISION), vec![(*opts, ctx)]);
         subs.pop().expect("a walk resolves every state it was handed")
     }
 }
@@ -506,22 +491,102 @@ mod tests {
             })],
             max_fused_qubits: 2,
         };
+        // The rejection, finding for finding, as the walker's own analyser
+        // call reported it before plans carried their verdicts.
+        let expected = BackendError::AnalysisRejected(vec![qsim_core::diag::Diagnostic::error(
+            "QP0205",
+            qsim_core::diag::Span::op(0, 0),
+            "fused product of 1 gate(s) on qubits [0] is not unitary within 1e-8",
+        )
+        .with_help("the plan would not preserve the state norm; refuse to execute it")]);
         let backend = SimBackend::new(Flavor::Hip);
-        match backend.run::<f64>(&fused, &RunOptions::default()) {
-            Err(BackendError::AnalysisRejected(diags)) => {
-                assert!(diags.iter().any(|d| d.code == "QP0205"), "{diags:?}");
-            }
-            other => panic!("expected analysis rejection, got {:?}", other.map(|_| ())),
+        let plan = FusionPlan::check(fused.clone().into(), SweepConfig::disabled());
+        let rejections = [
+            backend.run::<f64>(&fused, &RunOptions::default()).map(|(_, r)| r),
+            backend.estimate(&fused, Precision::Double),
+            backend.run_plan::<f64>(&plan, &RunOptions::default()).map(|(_, r)| r),
+            backend.estimate_plan(&plan, Precision::Double),
+        ];
+        for rejection in rejections {
+            assert_eq!(rejection, Err(expected.clone()));
         }
         // The gate fired before hipMalloc: the modeled device never
         // allocated a byte.
         let (allocated, peak, _) = backend.gpu().memory_usage();
         assert_eq!((allocated, peak), (0, 0));
-        // estimate() runs the same gate.
-        assert!(matches!(
-            backend.estimate(&fused, Precision::Double),
-            Err(BackendError::AnalysisRejected(_))
-        ));
+    }
+
+    /// A plan's report is the one a bare run of its fused circuit makes,
+    /// plus what the planner decided: strategy and predicted cost.
+    #[test]
+    fn run_plan_is_run_of_the_fused_circuit_plus_the_plans_stamp() {
+        let circuit = generate_rqc(&RqcOptions::for_qubits(11, 6, 5));
+        // A fresh device per walk: modeled durations are differences of
+        // timeline instants, which round by where the timeline stands.
+        let cpu = || SimBackend::new(Flavor::CpuAvx);
+        let opts = PlanOptions { strategy: FusionStrategy::Cost, max_fused_qubits: 4 };
+        let plan = cpu().plan_circuit(&circuit, &opts, Precision::Double);
+        let run = RunOptions { seed: 3, sample_count: 50 };
+        let (state, report) = cpu().run_plan::<f64>(&plan, &run).unwrap();
+        let (bare_state, bare) = cpu().run::<f64>(&plan.fused, &run).unwrap();
+        assert_eq!(state.amplitudes(), bare_state.amplitudes());
+        assert_eq!(
+            (report.fusion_strategy.as_str(), bare.fusion_strategy.as_str()),
+            ("cost", "greedy")
+        );
+        assert!(report.predicted_cost_seconds > 0.0 && bare.predicted_cost_seconds == 0.0);
+        // Host clocks aside, nothing else differs.
+        let stamped = RunReport {
+            fusion_strategy: report.fusion_strategy.clone(),
+            predicted_cost_seconds: report.predicted_cost_seconds,
+            wall_seconds: report.wall_seconds,
+            setup_seconds: report.setup_seconds,
+            ..bare
+        };
+        assert_eq!(stamped, report);
+    }
+
+    /// Changing the sweep after planning is legal: the plan is checked
+    /// again under the sweep it now runs, and runs as a plan made after
+    /// the change does.
+    #[test]
+    fn a_plan_checked_under_another_sweep_runs_as_a_fresh_one() {
+        use qsim_circuit::gates::GateKind;
+
+        // An H·H pair on a qubit of its own fuses to an identity pass: the
+        // verdict carries QP0214.
+        let mut circuit = qsim_circuit::Circuit::new(13);
+        circuit.ops = generate_rqc(&RqcOptions::for_qubits(12, 6, 9)).ops;
+        circuit.push(GateKind::H, &[12]);
+        circuit.push(GateKind::H, &[12]);
+        let opts = PlanOptions { strategy: FusionStrategy::Greedy, max_fused_qubits: 3 };
+        let sweep = SweepConfig::with_block_amps(256);
+        let blocked = || {
+            let mut backend = SimBackend::new(Flavor::CpuAvx);
+            backend.set_sweep_config(sweep);
+            backend
+        };
+        let mut backend = SimBackend::new(Flavor::CpuAvx);
+        let stale = backend.plan_circuit(&circuit, &opts, Precision::Double);
+        backend.set_sweep_config(sweep);
+        let fresh = blocked().plan_circuit(&circuit, &opts, Precision::Double);
+        assert_eq!(stale.fused, fresh.fused);
+        assert_eq!(stale.verdict(sweep), fresh.verdict(sweep));
+
+        let run = RunOptions { seed: 11, sample_count: 20 };
+        let (stale_state, stale_report) = backend.run_plan::<f64>(&stale, &run).unwrap();
+        let (fresh_state, fresh_report) = blocked().run_plan::<f64>(&fresh, &run).unwrap();
+        assert_eq!(stale_state.amplitudes(), fresh_state.amplitudes());
+        assert!(fresh_report.analysis_warnings.iter().any(|w| w.contains("QP0214")));
+        // The greedy plan's prediction is priced under the sweep it was
+        // made with; the walk is the new sweep's.
+        let repriced = RunReport {
+            predicted_cost_seconds: fresh_report.predicted_cost_seconds,
+            wall_seconds: fresh_report.wall_seconds,
+            setup_seconds: fresh_report.setup_seconds,
+            ..stale_report
+        };
+        assert_eq!(repriced, fresh_report);
     }
 
     #[test]

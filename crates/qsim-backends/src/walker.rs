@@ -54,10 +54,10 @@ use qsim_core::statespace::{measure, norm_sqr, sample};
 use qsim_core::sweep::{PassTracker, SweepExecutor};
 use qsim_core::types::{Cplx, Float, Precision};
 use qsim_core::{GateMatrix, StateVector};
-use qsim_fusion::{FusedCircuit, FusedOp, FusionStrategy};
+use qsim_fusion::FusedOp;
 
 use crate::batch_run::{BatchResult, SubIn};
-use crate::plan::{gate_kernel_desc, init_kernel_desc, sample_kernel_desc};
+use crate::plan::{gate_kernel_desc, init_kernel_desc, sample_kernel_desc, FusionPlan};
 use crate::report::{GateClassCount, KernelStat, RunOptions, RunReport};
 use crate::sim_backend::{BackendError, RunFailure, SimBackend};
 
@@ -257,34 +257,23 @@ fn bump(stats: &mut BTreeMap<String, (u64, f64)>, name: &str, dur_us: f64) {
     entry.1 += dur_us;
 }
 
-/// Tally one fused unitary into the `[gpu][cpu]` class grid (index 0 =
-/// High, 1 = Low) that flattens into [`RunReport::gate_class_counts`].
-fn count_gate_class(grid: &mut [[u64; 2]; 2], qubits: &[usize], lane_qubits: usize) {
-    use qsim_core::kernels::{classify_gate, classify_gate_at, KernelClass};
-    let gpu = (classify_gate(qubits) == KernelClass::Low) as usize;
-    let cpu = (classify_gate_at(qubits, lane_qubits) == KernelClass::Low) as usize;
-    grid[gpu][cpu] += 1;
-}
-
 impl SimBackend {
-    /// Walk `fused` at precision `F`: over the states of `subs_in` when
+    /// Walk `plan` at precision `F`: over the states of `subs_in` when
     /// given, as a dry run otherwise. `batch` is the `(batch_id,
     /// batch_size)` stamped on every report.
     pub(crate) fn walk<F: Float>(
         &self,
-        fused: &FusedCircuit,
+        plan: &FusionPlan,
         subs_in: Option<Vec<SubIn<F>>>,
         batch: (Option<u64>, usize),
     ) -> Walked<F> {
-        let n = fused.num_qubits;
+        let n = plan.fused.num_qubits;
         if n == 0 || n > qsim_core::statevec::MAX_QUBITS {
             let error = BackendError::InvalidCircuit(format!("unsupported qubit count {n}"));
             return rejected(error, subs_in);
         }
-        // A malformed or non-unitary plan is rejected here, before any
-        // state vector is allocated.
-        let sweep = self.launch_policy(F::PRECISION).sweep;
-        let analysis_warnings = match Self::analyze_pre_run(fused, sweep) {
+        // A rejected plan stops here, before any state is allocated.
+        let analysis_warnings = match plan.verdict(self.launch_policy(F::PRECISION).sweep) {
             Ok(w) => w,
             Err(error) => return rejected(error, subs_in),
         };
@@ -310,7 +299,7 @@ impl SimBackend {
             // or charged.
             Err(BackendError::InvalidCircuit("no state left to walk".into()))
         } else {
-            self.walk_timeline(fused, &mut gang, wall_start, gang_bytes, analysis_warnings, batch)
+            self.walk_timeline(plan, &mut gang, wall_start, gang_bytes, analysis_warnings, batch)
                 .map_err(BackendError::Gpu)
         };
         let subs = gang.map_or_else(Vec::new, |g| g.finish(&report));
@@ -324,21 +313,20 @@ impl SimBackend {
     /// walk for every state still live.
     fn walk_timeline<'a, F: Float>(
         &self,
-        fused: &'a FusedCircuit,
+        plan: &'a FusionPlan,
         gang: &mut Option<Gang<F>>,
         wall_start: Instant,
         gang_bytes: u64,
         analysis_warnings: Vec<String>,
         batch: (Option<u64>, usize),
     ) -> Result<RunReport, GpuError> {
+        let fused = &plan.fused;
         let n = fused.num_qubits;
         let len = 1usize << n;
         let amp_bytes = F::PRECISION.amplitude_bytes();
         let policy = self.launch_policy(F::PRECISION);
         let mut kernel_stats: BTreeMap<String, (u64, f64)> = BTreeMap::new();
         let isa = qsim_core::simd::active_isa();
-        let lane_qubits = isa.lane_qubits(F::PRECISION);
-        let mut class_grid = [[0u64; 2]; 2];
 
         // Per-walk peak-memory accounting (the device may be long-lived).
         self.gpu.reset_peak_memory();
@@ -410,7 +398,6 @@ impl SimBackend {
                         let ev = self.gpu.record_event(cs)?;
                         self.gpu.stream_wait_event(StreamId::DEFAULT, ev)?;
                     }
-                    count_gate_class(&mut class_grid, &g.qubits, lane_qubits);
                     let opens_pass = tracker.on_gate(&g.qubits);
                     let mut desc = gate_kernel_desc(
                         self.flavor,
@@ -515,8 +502,8 @@ impl SimBackend {
             num_qubits: n,
             max_fused_qubits: fused.max_fused_qubits,
             fused_gates: fused.num_unitaries(),
-            fusion_strategy: FusionStrategy::Greedy.label().into(),
-            predicted_cost_seconds: 0.0,
+            fusion_strategy: plan.strategy.label().into(),
+            predicted_cost_seconds: plan.predicted_cost_seconds,
             fusion_stats,
             simulated_seconds: (t_end - t0) * 1e-6 / completed,
             fusion_seconds: fusion_us * 1e-6 / completed,
@@ -534,7 +521,7 @@ impl SimBackend {
             amp_updates,
             analysis_warnings,
             isa: isa.name().into(),
-            gate_class_counts: GateClassCount::from_grid(class_grid),
+            gate_class_counts: GateClassCount::tally(fused, isa.lane_qubits(F::PRECISION)),
             batch_id: batch.0,
             batch_size: batch.1,
         })

@@ -70,7 +70,7 @@ fn assert_batch_matches_sequential<F: Float>(
         .iter()
         .zip(seeds)
         .map(|(fused, &seed)| BatchJob {
-            fused: Some(fused),
+            fused,
             opts: RunOptions { seed, sample_count },
             ctx: RunContext::default(),
         })
@@ -143,7 +143,7 @@ proptest! {
         for flavor in [Flavor::CpuAvx, Flavor::Hip] {
             let jobs: Vec<BatchJob<'_, f64>> = (0..gang as u64)
                 .map(|i| BatchJob {
-                    fused: Some(&fused),
+                    fused: &fused,
                     opts: RunOptions { seed: seed0 + 5 * i, sample_count: 0 },
                     ctx: RunContext::default(),
                 })
@@ -210,7 +210,7 @@ proptest! {
 
         let jobs: Vec<BatchJob<'_, f64>> = (0..gang)
             .map(|i| BatchJob {
-                fused: Some(&fused),
+                fused: &fused,
                 opts: RunOptions { seed: i as u64, sample_count: 0 },
                 ctx: RunContext {
                     reuse_buffer: Some(qsim_core::AlignedAmps::try_zeroed(1 << n).unwrap()),

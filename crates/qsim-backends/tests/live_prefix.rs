@@ -329,14 +329,14 @@ fn gang_with_a_dirty_recycled_buffer_and_a_mid_run_cancel() {
     let opts = |seed| RunOptions { seed, sample_count: 200 };
     let garbage = AlignedAmps::from(vec![Cplx::<f32>::new(0.5, -0.25); 1 << n]);
     let jobs: Vec<BatchJob<'_, f32>> = vec![
-        BatchJob { fused: Some(&fused), opts: opts(1), ctx: RunContext::default() },
+        BatchJob { fused: &fused, opts: opts(1), ctx: RunContext::default() },
         BatchJob {
-            fused: Some(&fused),
+            fused: &fused,
             opts: opts(2),
             ctx: RunContext { reuse_buffer: Some(garbage), cancel: None },
         },
         BatchJob {
-            fused: Some(&fused),
+            fused: &fused,
             opts: opts(3),
             ctx: RunContext { reuse_buffer: None, cancel: Some(token) },
         },

@@ -24,7 +24,10 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use qsim_backends::plan::{gate_kernel_desc, init_kernel_desc, sample_kernel_desc};
-use qsim_backends::{BackendError, Flavor, KernelStat, PlanOptions, RunOptions, RunReport};
+use qsim_backends::{
+    BackendError, Flavor, FusionPlan, GateClassCount, KernelStat, PlanOptions, RunOptions,
+    RunReport,
+};
 use qsim_circuit::gates::permute_matrix_bits;
 use qsim_core::kernels::apply_gate_par;
 use qsim_core::matrix::GateMatrix;
@@ -32,10 +35,7 @@ use qsim_core::statespace::measure;
 use qsim_core::sweep::SweepConfig;
 use qsim_core::types::{Cplx, Float, Precision};
 use qsim_core::StateVector;
-use qsim_fusion::{
-    FusedCircuit, FusedOp, FusionCostModel, FusionPlan, FusionStrategy, LaunchCostModel,
-    LaunchPolicy,
-};
+use qsim_fusion::{FusedCircuit, FusedOp, FusionCostModel, LaunchCostModel, LaunchPolicy};
 
 use gpu_model::memory::DeviceBuffer;
 use gpu_model::runtime::{Gpu, KernelDesc, StreamId};
@@ -90,6 +90,8 @@ pub struct DistReport {
     /// Per-kernel launch statistics on one device's timeline (the shards
     /// run in lockstep, so one timeline is representative).
     pub kernels: Vec<KernelStat>,
+    /// Warning-severity findings of the plan's pre-run check.
+    pub analysis_warnings: Vec<String>,
 }
 
 /// A state vector sharded across several modeled devices of one flavor.
@@ -173,8 +175,8 @@ impl MultiGcdBackend {
         self.flavor.launch_policy(precision, SweepConfig::disabled(), None)
     }
 
-    fn validate(&self, fused: &FusedCircuit) -> Result<(usize, usize), BackendError> {
-        let n = fused.num_qubits;
+    /// Local qubits per shard of an `n`-qubit state on these devices.
+    fn local_qubits(&self, n: usize) -> Result<usize, BackendError> {
         let d = self.devices.len().trailing_zeros() as usize;
         if n == 0 || n > qsim_core::statevec::MAX_QUBITS {
             return Err(BackendError::InvalidCircuit(format!("unsupported qubit count {n}")));
@@ -185,19 +187,7 @@ impl MultiGcdBackend {
                 self.devices.len()
             )));
         }
-        let m = n - d;
-        for g in fused.unitaries() {
-            if g.qubits.iter().any(|&q| q >= n) {
-                return Err(BackendError::InvalidCircuit("gate qubit out of range".into()));
-            }
-        }
-        Ok((d, m))
-    }
-
-    /// Plan the swap schedule for `fused` under the active policy.
-    fn plan_swaps(&self, fused: &FusedCircuit, m: usize) -> Result<SwapSchedule, BackendError> {
-        SwapSchedule::plan(fused, m, self.options.policy)
-            .map_err(|e| BackendError::InvalidCircuit(e.to_string()))
+        Ok(n - d)
     }
 
     /// Move physical slot `global_slot` (≥ m) into local slot
@@ -373,13 +363,18 @@ impl MultiGcdBackend {
         exchange_us
     }
 
+    /// A pre-fused circuit as an unpriced plan, checked for the shard walk.
+    fn check(fused: &FusedCircuit) -> FusionPlan {
+        FusionPlan::check(fused.clone().into(), SweepConfig::disabled())
+    }
+
     /// Functional + modeled execution from `|0…0⟩`.
     pub fn run<F: Float>(
         &self,
         fused: &FusedCircuit,
         opts: &RunOptions,
     ) -> Result<(StateVector<F>, DistReport), BackendError> {
-        let (state, report) = self.walk::<F>(fused, Some(opts))?;
+        let (state, report) = self.walk::<F>(&Self::check(fused), Some(opts))?;
         Ok((state.expect("a functional walk gathers the final state"), report))
     }
 
@@ -390,23 +385,30 @@ impl MultiGcdBackend {
         fused: &FusedCircuit,
         precision: Precision,
     ) -> Result<DistReport, BackendError> {
+        self.dry_run(&Self::check(fused), precision)
+    }
+
+    fn dry_run(&self, plan: &FusionPlan, precision: Precision) -> Result<DistReport, BackendError> {
         Ok(match precision {
-            Precision::Single => self.walk::<f32>(fused, None)?.1,
-            Precision::Double => self.walk::<f64>(fused, None)?.1,
+            Precision::Single => self.walk::<f32>(plan, None)?.1,
+            Precision::Double => self.walk::<f64>(plan, None)?.1,
         })
     }
 
     /// The one traversal of the schedule at precision `F`: every kernel,
     /// exchange and copy is charged to the device timelines; shard data
     /// moves, and the final state is gathered, only under `opts` (a
-    /// functional run).
+    /// functional run). A plan its verdict rejects allocates no shard.
     fn walk<F: Float>(
         &self,
-        fused: &FusedCircuit,
+        plan: &FusionPlan,
         opts: Option<&RunOptions>,
     ) -> Result<(Option<StateVector<F>>, DistReport), BackendError> {
-        let (_, m) = self.validate(fused)?;
-        let schedule = self.plan_swaps(fused, m)?;
+        let fused = &plan.fused;
+        let m = self.local_qubits(fused.num_qubits)?;
+        let analysis_warnings = plan.verdict(SweepConfig::disabled())?;
+        let schedule = SwapSchedule::plan(fused, m, self.options.policy)
+            .map_err(|e| BackendError::InvalidCircuit(e.to_string()))?;
         let shard_len = 1usize << m;
         let amp_bytes = F::PRECISION.amplitude_bytes();
         let policy = self.launch_policy(F::PRECISION);
@@ -514,6 +516,7 @@ impl MultiGcdBackend {
             measurements,
             samples,
             kernels,
+            analysis_warnings,
         };
         Ok((state, report))
     }
@@ -605,7 +608,7 @@ impl MultiGcdBackend {
     }
 
     /// Plan a source circuit for this sharded backend, priced by
-    /// [`MultiGcdBackend::cost_model`].
+    /// [`MultiGcdBackend::cost_model`] and checked for the shard walk.
     pub fn plan_circuit(
         &self,
         circuit: &qsim_circuit::Circuit,
@@ -613,7 +616,8 @@ impl MultiGcdBackend {
         precision: Precision,
     ) -> FusionPlan {
         let model = self.cost_model(precision);
-        qsim_fusion::plan(circuit, opts.strategy, opts.max_fused_qubits, model.as_ref())
+        let plan = qsim_fusion::plan(circuit, opts.strategy, opts.max_fused_qubits, model.as_ref());
+        FusionPlan::check(plan, SweepConfig::disabled())
     }
 
     /// Run a planned circuit, reporting through the single-device
@@ -625,11 +629,9 @@ impl MultiGcdBackend {
         opts: &RunOptions,
     ) -> Result<(StateVector<F>, RunReport), BackendError> {
         let wall = Instant::now();
-        let (state, dist) = self.run::<F>(&plan.fused, opts)?;
-        let mut report = self.run_report(&dist, &plan.fused, wall.elapsed().as_secs_f64());
-        report.fusion_strategy = plan.strategy.label().into();
-        report.predicted_cost_seconds = plan.predicted_cost_seconds;
-        Ok((state, report))
+        let (state, dist) = self.walk::<F>(plan, Some(opts))?;
+        let report = self.run_report(&dist, plan, wall.elapsed().as_secs_f64());
+        Ok((state.expect("a functional walk gathers the final state"), report))
     }
 
     /// Dry-run a planned circuit (see [`MultiGcdBackend::estimate`]).
@@ -639,39 +641,24 @@ impl MultiGcdBackend {
         precision: Precision,
     ) -> Result<RunReport, BackendError> {
         let wall = Instant::now();
-        let dist = self.estimate(&plan.fused, precision)?;
-        let mut report = self.run_report(&dist, &plan.fused, wall.elapsed().as_secs_f64());
-        report.fusion_strategy = plan.strategy.label().into();
-        report.predicted_cost_seconds = plan.predicted_cost_seconds;
-        Ok(report)
+        let dist = self.dry_run(plan, precision)?;
+        Ok(self.run_report(&dist, plan, wall.elapsed().as_secs_f64()))
     }
 
-    /// A [`DistReport`] reshaped into the workspace-wide [`RunReport`].
-    pub fn run_report(
-        &self,
-        dist: &DistReport,
-        fused: &FusedCircuit,
-        wall_seconds: f64,
-    ) -> RunReport {
+    /// A [`DistReport`] of `plan` reshaped into the workspace-wide
+    /// [`RunReport`].
+    fn run_report(&self, dist: &DistReport, plan: &FusionPlan, wall_seconds: f64) -> RunReport {
         let isa = qsim_core::simd::active_isa();
-        let lane_qubits = isa.lane_qubits(dist.precision);
-        let mut grid = [[0u64; 2]; 2];
-        for g in fused.unitaries() {
-            use qsim_core::kernels::{classify_gate, classify_gate_at, KernelClass};
-            let gpu = usize::from(classify_gate(&g.qubits) == KernelClass::Low);
-            let cpu = usize::from(classify_gate_at(&g.qubits, lane_qubits) == KernelClass::Low);
-            grid[gpu][cpu] += 1;
-        }
         RunReport {
             backend: dist.backend.clone(),
             device: format!("{}x {}", dist.devices, self.devices[0].spec().name),
             precision: dist.precision,
             num_qubits: dist.num_qubits,
-            max_fused_qubits: fused.max_fused_qubits,
+            max_fused_qubits: plan.fused.max_fused_qubits,
             fused_gates: dist.fused_gates,
-            fusion_strategy: FusionStrategy::Greedy.label().into(),
-            predicted_cost_seconds: 0.0,
-            fusion_stats: fused.stats(),
+            fusion_strategy: plan.strategy.label().into(),
+            predicted_cost_seconds: plan.predicted_cost_seconds,
+            fusion_stats: plan.fused.stats(),
             simulated_seconds: dist.simulated_seconds,
             fusion_seconds: 0.0,
             wall_seconds,
@@ -685,9 +672,9 @@ impl MultiGcdBackend {
             state_passes: dist.fused_gates as u64,
             // The shard walk applies every gate at full width.
             amp_updates: (dist.fused_gates as u64) << dist.num_qubits,
-            analysis_warnings: Vec::new(),
+            analysis_warnings: dist.analysis_warnings.clone(),
             isa: isa.name().into(),
-            gate_class_counts: qsim_backends::report::GateClassCount::from_grid(grid),
+            gate_class_counts: GateClassCount::tally(&plan.fused, isa.lane_qubits(dist.precision)),
             batch_id: None,
             batch_size: 1,
         }
@@ -978,5 +965,57 @@ mod tests {
         assert_eq!(report.samples.len(), 20_000);
         let xeb = qsim_core::statespace::linear_xeb(&state, &report.samples);
         assert!((0.8..=1.2).contains(&xeb), "sharded sample XEB {xeb}");
+    }
+
+    /// A hand-built 6-qubit plan of one fused gate.
+    fn one_gate_plan(qubits: Vec<usize>, matrix: GateMatrix<f64>) -> FusedCircuit {
+        use qsim_fusion::FusedGate;
+        let gate = FusedGate { qubits, matrix, source_gates: 1, time_range: (0, 0) };
+        FusedCircuit { num_qubits: 6, ops: vec![FusedOp::Unitary(gate)], max_fused_qubits: 2 }
+    }
+
+    /// The pre-run gate stands in front of the shard walk as it does in
+    /// front of the single-device one: a non-unitary plan does not run to
+    /// a state of norm² 4, and malformed ones are rejected, not panicked
+    /// on in the kernels.
+    #[test]
+    fn sharded_runs_go_through_the_pre_run_gate() {
+        let mut non_unitary = GateMatrix::<f64>::identity(2);
+        non_unitary.set(0, 0, Cplx::new(2.0, 0.0));
+        for (code, fused) in [
+            ("QP0205", one_gate_plan(vec![0], non_unitary)),
+            ("QP0202", one_gate_plan(vec![0, 1], GateMatrix::identity(2))),
+            ("QP0201", one_gate_plan(vec![1, 1], GateMatrix::identity(4))),
+        ] {
+            let rejected = |result: Result<DistReport, BackendError>| match result {
+                Err(BackendError::AnalysisRejected(diags)) => diags.iter().any(|d| d.code == code),
+                _ => false,
+            };
+            let dist = MultiGcdBackend::new(Flavor::Hip, 2);
+            let run = dist.run::<f64>(&fused, &RunOptions::default()).map(|(_, report)| report);
+            assert!(rejected(run), "{code}: run");
+            assert!(rejected(dist.estimate(&fused, Precision::Double)), "{code}: estimate");
+        }
+    }
+
+    #[test]
+    fn sharded_reports_carry_the_plans_warnings() {
+        // H·H fuses to the identity: warning QP0214, not a rejection.
+        let mut c = qsim_circuit::Circuit::new(6);
+        c.push(qsim_circuit::gates::GateKind::H, &[0]);
+        c.push(qsim_circuit::gates::GateKind::H, &[0]);
+        let (opts, run) = (PlanOptions::default(), RunOptions::default());
+        let single = SimBackend::new(Flavor::Hip);
+        let plan = single.plan_circuit(&c, &opts, Precision::Double);
+        let warnings = single.run_plan::<f64>(&plan, &run).expect("run").1.analysis_warnings;
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("QP0214"));
+
+        let dist = MultiGcdBackend::new(Flavor::Hip, 2);
+        let plan = dist.plan_circuit(&c, &opts, Precision::Double);
+        assert_eq!(dist.run_plan::<f64>(&plan, &run).expect("run").1.analysis_warnings, warnings);
+        let est = dist.estimate_plan(&plan, Precision::Double).expect("estimate");
+        assert_eq!(est.analysis_warnings, warnings);
+        assert_eq!(dist.run::<f64>(&plan.fused, &run).expect("run").1.analysis_warnings, warnings);
     }
 }

@@ -115,6 +115,14 @@ pub struct FusionPlan {
     pub predicted_traffic: TrafficEstimate,
 }
 
+impl From<FusedCircuit> for FusionPlan {
+    /// A circuit fused without a planner: `Greedy`, predicting nothing.
+    fn from(fused: FusedCircuit) -> FusionPlan {
+        let (strategy, predicted_traffic) = (FusionStrategy::Greedy, TrafficEstimate::default());
+        FusionPlan { fused, strategy, predicted_cost_seconds: 0.0, predicted_traffic }
+    }
+}
+
 /// Plan `circuit` under `strategy`. `max_fused_qubits` bounds `Greedy`
 /// and `Cost`; `Auto` sweeps its own range and ignores it.
 ///

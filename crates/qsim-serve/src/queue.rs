@@ -87,7 +87,7 @@ pub struct QueuedJob {
     pub id: JobId,
     /// What to run.
     pub spec: JobSpec,
-    /// The fusion plan, built (or fetched from the service's plan cache)
+    /// The checked plan, built (or fetched from the service's plan cache)
     /// once at submission and shared by every job with the same circuit.
     pub plan: Arc<FusionPlan>,
     /// Modeled traffic rate charged to the bandwidth ledger, bytes/s.

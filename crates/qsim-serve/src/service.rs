@@ -378,9 +378,9 @@ pub(crate) struct ServiceInner {
     pub(crate) admission: AdmissionController,
     /// Gang-width cap workers pass to `pop`.
     pub(crate) max_batch: usize,
-    /// Fusion plans keyed by circuit content and plan settings; shared
-    /// across hash-equal submissions so the Batch-class workload plans
-    /// each unique circuit once, not once per job. Byte-budgeted with
+    /// Checked fusion plans keyed by circuit content and plan settings;
+    /// shared across hash-equal submissions so each unique circuit is
+    /// planned and analysed once, not once per job. Byte-budgeted with
     /// per-entry CLOCK eviction: a hot circuit's plan survives a parade
     /// of cold one-shot circuits (the old fixed-cap map wholesale-reset
     /// at capacity, dropping every hot plan with the cold ones).

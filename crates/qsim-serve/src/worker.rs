@@ -195,7 +195,7 @@ fn run_unit<F: StateSlot>(
                 .collect();
             // gang_compatible matched every member's fused circuit to the
             // lead's by content hash at dispatch.
-            backend.run_gang::<F>(&jobs[0].plan.fused, subs)
+            backend.run_gang::<F>(&jobs[0].plan, subs)
         }
         // Routed jobs dispatch alone (gang_compatible excludes them).
         Device::Many(backend) => jobs
@@ -212,20 +212,17 @@ fn run_unit<F: StateSlot>(
     jobs.iter().zip(results).map(|(job, result)| (job.id, settle(pool, job, result))).collect()
 }
 
-/// Settle one job's run: a finished run is stamped with the job's plan
-/// (planning happened once, at submission) and its state kept for the
-/// submitter or released to the pool — the result verb only needs the
-/// report, so the allocation is worth more as the next job's warm buffer;
-/// a failed run releases whatever buffer rode back.
+/// Settle one job's run: a finished run's state is kept for the submitter
+/// or released to the pool — the result verb only needs the report, so
+/// the allocation is worth more as the next job's warm buffer; a failed
+/// run releases whatever buffer rode back.
 fn settle<F: StateSlot>(
     pool: &StateBufferPool,
     job: &QueuedJob,
     result: BatchResult<F>,
 ) -> JobOutcome {
     match result {
-        Ok((state, mut report)) => {
-            report.fusion_strategy = job.plan.strategy.label().into();
-            report.predicted_cost_seconds = job.plan.predicted_cost_seconds;
+        Ok((state, report)) => {
             let kept = if job.spec.keep_state {
                 Some(F::wrap(state.into_amplitudes()))
             } else {
