@@ -200,6 +200,8 @@ impl Circuit {
         let mut last_time = 0usize;
         let mut slice_qubits: Vec<usize> = Vec::new();
         let mut slice_time = usize::MAX;
+        // One op's sorted targets, then its sorted targets ∪ controls.
+        let mut qs: Vec<usize> = Vec::new();
         for (i, op) in self.ops.iter().enumerate() {
             let span = Span::op(i, op.time);
             if !op.is_measurement() && op.qubits.len() != op.kind.num_qubits() {
@@ -226,9 +228,10 @@ impl Circuit {
                     );
                 }
             }
-            let mut targets = op.qubits.clone();
-            targets.sort_unstable();
-            if targets.windows(2).any(|w| w[0] == w[1]) {
+            qs.clear();
+            qs.extend_from_slice(&op.qubits);
+            qs.sort_unstable();
+            if qs.windows(2).any(|w| w[0] == w[1]) {
                 diags.push(Diagnostic::error(
                     codes::DUPLICATE_QUBIT,
                     span,
@@ -256,7 +259,6 @@ impl Circuit {
                 slice_time = op.time;
                 slice_qubits.clear();
             }
-            let mut qs = op.qubits.clone();
             qs.extend_from_slice(&op.controls);
             qs.sort_unstable();
             qs.dedup();

@@ -4,11 +4,11 @@
 //! ([`decide`]). A gate may only merge into the *latest* output op among
 //! its qubits' frontiers, so each gate poses a binary choice — take that
 //! unique legal merge or open a fresh slot — and the scan never needs a
-//! matrix to make it: it tracks qubit sets only ([`Shadow`]) and records
-//! a [`Layout`]. [`crate::build`] then replays the chosen layout over the
-//! circuit, which is the only place matrices are composed. Cost models
-//! price layouts from the same qubit sets, so however many candidate
-//! layouts a strategy weighs, planning materialises exactly one plan.
+//! matrix to make it: it tracks qubit sets only, as [`Mask`] words
+//! ([`Shadow`]), and records a [`Layout`]. [`crate::build`] then replays
+//! the layout over the circuit, the only place matrices are composed.
+//! Cost models price layouts from the same qubit sets, so however many
+//! candidate layouts a strategy weighs, planning builds exactly one plan.
 //!
 //! The [`Policy`] is what differs between strategies. `Greedy` takes
 //! every legal merge. That is blind to what the merge costs downstream:
@@ -33,12 +33,13 @@
 //! fusion width than an A100-like one.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use qsim_circuit::circuit::Circuit;
 use qsim_core::kernels::MAX_GATE_QUBITS;
 
 use crate::cost::{FusionCostModel, TrafficEstimate};
-use crate::{build, union_sorted, FusedCircuit};
+use crate::{build, FusedCircuit};
 
 /// How a circuit is turned into a fused plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,7 +129,7 @@ impl From<FusedCircuit> for FusionPlan {
 ///
 /// # Panics
 /// As [`crate::fuse`]: on an out-of-range `max_fused_qubits` (for the
-/// strategies that use it) or an invalid circuit.
+/// strategies that use it), over 64 qubits, or an invalid circuit.
 pub fn plan(
     circuit: &Circuit,
     strategy: FusionStrategy,
@@ -154,12 +155,14 @@ pub fn plan(
 }
 
 /// The fuser's preconditions, checked once per entry point before the
-/// scan: a budget the kernels can apply and a valid circuit.
+/// scan: a budget the kernels can apply, ≤ 64 qubits, a valid circuit.
 pub(crate) fn check(circuit: &Circuit, max_fused_qubits: usize) {
     assert!(
         (1..=MAX_GATE_QUBITS).contains(&max_fused_qubits),
         "max_fused_qubits must be in 1..={MAX_GATE_QUBITS}, got {max_fused_qubits}"
     );
+    let n = circuit.num_qubits;
+    assert!(n <= Mask::BITS as usize, "fusion plans at most 64 qubits (one u64 mask), got {n}");
     if let Err(diags) = circuit.validate() {
         panic!("fusion requires a valid circuit:\n{}", qsim_core::diag::render_list(&diags));
     }
@@ -255,12 +258,28 @@ impl Layout {
     }
 }
 
-/// Per-op planning metadata: the full sorted qubit set (targets ∪
-/// controls for gates), precomputed once so the scan never touches
-/// matrices.
+/// A qubit set as one word ([`check`] admits ≤ 64 qubits): bit `q` is
+/// qubit `q`, so ascending bits are sorted order, union is `|` and width
+/// is `count_ones`.
+type Mask = u64;
+
+/// The qubits of `mask`, ascending.
+fn qubits_of(mut mask: Mask) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let q = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            q
+        })
+    })
+}
+
+/// Per-op planning metadata: the op's qubit set (targets ∪ controls for
+/// gates), precomputed once so the scan never touches matrices.
+#[derive(Clone, Copy)]
 enum OpQubits {
-    Gate(Vec<usize>),
-    Measurement(Vec<usize>),
+    Gate(Mask),
+    Measurement(Mask),
 }
 
 /// Frontier marker per qubit: which output op last touched it.
@@ -280,18 +299,19 @@ enum Frontier {
 struct Shadow {
     max_fused_qubits: usize,
     frontier: Vec<Frontier>,
-    slots: Vec<Option<Vec<usize>>>,
+    slots: Vec<Option<Mask>>,
     journal: Vec<Undo>,
 }
 
 /// What a [`Shadow`] write replaced.
+#[derive(Clone, Copy)]
 enum Undo {
     Frontier(usize, Frontier),
-    Slot(usize, Vec<usize>),
+    Slot(usize, Mask),
 }
 
 /// A legal merge: the target slot and the qubit set it would widen to.
-type Merge = (usize, Vec<usize>);
+type Merge = (usize, Mask);
 
 impl Shadow {
     /// The unique legal merge for a gate on `qubits`, if one exists under
@@ -303,10 +323,10 @@ impl Shadow {
     /// op would itself be the latest frontier). A barrier that is the
     /// latest frontier blocks merging entirely, as does a union that
     /// bursts the budget.
-    fn candidate(&self, qubits: &[usize]) -> Option<Merge> {
+    fn candidate(&self, qubits: Mask) -> Option<Merge> {
         let mut merge_target: Option<usize> = None;
         let mut latest_barrier: Option<usize> = None;
-        for &q in qubits {
+        for q in qubits_of(qubits) {
             match self.frontier[q] {
                 Frontier::Free => {}
                 Frontier::Op(i) => {
@@ -325,24 +345,24 @@ impl Shadow {
         if latest_barrier.is_some_and(|b| b > t) {
             return None;
         }
-        let union = union_sorted(self.slot(t), qubits);
-        (union.len() <= self.max_fused_qubits).then_some((t, union))
+        let union = self.slot(t) | qubits;
+        (union.count_ones() as usize <= self.max_fused_qubits).then_some((t, union))
     }
 
-    fn slot(&self, t: usize) -> &[usize] {
-        self.slots[t].as_deref().expect("merge target is a gate slot")
+    fn slot(&self, t: usize) -> Mask {
+        self.slots[t].expect("merge target is a gate slot")
     }
 
     /// Place a gate on `qubits`: take `merge`, or open a fresh slot.
-    fn apply_gate(&mut self, qubits: &[usize], merge: Option<Merge>) -> Action {
+    fn apply_gate(&mut self, qubits: Mask, merge: Option<Merge>) -> Action {
         let (idx, action) = match merge {
             Some((t, union)) => {
-                let existing = self.slots[t].replace(union).expect("merge target is a gate slot");
-                self.journal.push(Undo::Slot(t, existing));
+                self.journal.push(Undo::Slot(t, self.slot(t)));
+                self.slots[t] = Some(union);
                 (t, Action::Merge(t))
             }
             None => {
-                self.slots.push(Some(qubits.to_vec()));
+                self.slots.push(Some(qubits));
                 (self.slots.len() - 1, Action::New)
             }
         };
@@ -350,13 +370,13 @@ impl Shadow {
         action
     }
 
-    fn apply_barrier(&mut self, qubits: &[usize]) {
+    fn apply_barrier(&mut self, qubits: Mask) {
         self.slots.push(None);
         self.point(qubits, Frontier::Barrier(self.slots.len() - 1));
     }
 
-    fn point(&mut self, qubits: &[usize], at: Frontier) {
-        for &q in qubits {
+    fn point(&mut self, qubits: Mask, at: Frontier) {
+        for q in qubits_of(qubits) {
             self.journal.push(Undo::Frontier(q, std::mem::replace(&mut self.frontier[q], at)));
         }
     }
@@ -378,29 +398,29 @@ impl Shadow {
     /// matching greedy compression. Leaves the shadow as it found it.
     fn branch_cost(
         &mut self,
-        qubits: &[usize],
+        qubits: Mask,
         merge: Option<Merge>,
         window: &[OpQubits],
         prices: &mut Prices,
     ) -> f64 {
         let mark = (self.slots.len(), self.journal.len());
-        let first = match &merge {
-            Some((t, union)) => prices.seconds(union) - prices.seconds(self.slot(*t)),
+        let first = match merge {
+            Some((t, union)) => prices.seconds(union) - prices.seconds(self.slot(t)),
             None => prices.seconds(qubits),
         };
         self.apply_gate(qubits, merge);
         let mut rest = 0.0;
-        for op in window {
+        for &op in window {
             match op {
                 OpQubits::Gate(qs) => {
                     let alone = prices.seconds(qs);
                     let merge = self
                         .candidate(qs)
                         .map(|(t, union)| {
-                            (prices.seconds(&union) - prices.seconds(self.slot(t)), (t, union))
+                            (prices.seconds(union) - prices.seconds(self.slot(t)), (t, union))
                         })
-                        .filter(|(delta, _)| *delta <= alone);
-                    rest += merge.as_ref().map_or(alone, |(delta, _)| *delta);
+                        .filter(|&(delta, _)| delta <= alone);
+                    rest += merge.map_or(alone, |(delta, _)| delta);
                     self.apply_gate(qs, merge.map(|(_, merge)| merge));
                 }
                 OpQubits::Measurement(qs) => self.apply_barrier(qs),
@@ -413,20 +433,40 @@ impl Shadow {
 
 /// `gate_price` seconds by qubit set for one [`decide`] call, each asked
 /// of the model once: prices are pure, so a repeat would be the same float.
+/// The model sees the set as a sorted `Vec` on a miss only.
 struct Prices<'a> {
     model: &'a dyn FusionCostModel,
     num_qubits: usize,
-    seen: HashMap<Vec<usize>, f64>,
+    seen: HashMap<Mask, f64, BuildHasherDefault<MaskHasher>>,
 }
 
 impl Prices<'_> {
-    fn seconds(&mut self, qubits: &[usize]) -> f64 {
-        if let Some(&s) = self.seen.get(qubits) {
-            return s;
-        }
-        let s = self.model.gate_price(self.num_qubits, qubits).seconds;
-        self.seen.insert(qubits.to_vec(), s);
-        s
+    fn seconds(&mut self, qubits: Mask) -> f64 {
+        *self.seen.entry(qubits).or_insert_with(|| {
+            let sorted: Vec<usize> = qubits_of(qubits).collect();
+            self.model.gate_price(self.num_qubits, &sorted).seconds
+        })
+    }
+}
+
+/// [`Prices`]' hash: one folded 64 × 64 → 128-bit multiply, so both the
+/// bucket bits (low) and the tag bits (high) depend on every qubit. The
+/// keys come from circuits, but each is a fused set of ≤ 6 qubits or one
+/// gate's own, of ≤ 36 qubits for a parsed circuit: too few distinct keys
+/// exist for a crafted circuit to pile many onto one bucket.
+#[derive(Default)]
+struct MaskHasher(u64);
+
+impl Hasher for MaskHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a mask hashes as one u64")
+    }
+    fn write_u64(&mut self, mask: u64) {
+        let full = u128::from(mask) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = full as u64 ^ (full >> 64) as u64;
+    }
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -443,9 +483,7 @@ pub(crate) fn decide(circuit: &Circuit, max_fused_qubits: usize, policy: Policy)
         .ops
         .iter()
         .map(|op| {
-            let mut qs: Vec<usize> = op.qubits.iter().chain(op.controls.iter()).copied().collect();
-            qs.sort_unstable();
-            qs.dedup();
+            let qs = op.qubits.iter().chain(&op.controls).fold(0, |m: Mask, &q| m | 1 << q);
             if op.is_measurement() {
                 OpQubits::Measurement(qs)
             } else {
@@ -458,23 +496,24 @@ pub(crate) fn decide(circuit: &Circuit, max_fused_qubits: usize, policy: Policy)
     let mut shadow = Shadow { max_fused_qubits, frontier, slots: Vec::new(), journal: Vec::new() };
     let mut lookahead = match policy {
         Policy::Greedy => None,
-        Policy::Lookahead { model, window } => {
-            Some((Prices { model, num_qubits: circuit.num_qubits, seen: HashMap::new() }, window))
-        }
+        Policy::Lookahead { model, window } => Some((
+            Prices { model, num_qubits: circuit.num_qubits, seen: Default::default() },
+            window,
+        )),
     };
     let mut actions = Vec::with_capacity(infos.len());
-    for (i, info) in infos.iter().enumerate() {
+    for (i, &info) in infos.iter().enumerate() {
         let action = match info {
             OpQubits::Measurement(qs) => {
                 shadow.apply_barrier(qs);
                 Action::New
             }
             OpQubits::Gate(qs) => {
-                let merge = shadow.candidate(qs).filter(|merge| match &mut lookahead {
+                let merge = shadow.candidate(qs).filter(|&merge| match &mut lookahead {
                     None => true,
                     Some((prices, window)) => {
                         let window = &infos[i + 1..(i + 1 + *window).min(infos.len())];
-                        shadow.branch_cost(qs, Some(merge.clone()), window, prices)
+                        shadow.branch_cost(qs, Some(merge), window, prices)
                             <= shadow.branch_cost(qs, None, window, prices)
                     }
                 });
@@ -484,7 +523,8 @@ pub(crate) fn decide(circuit: &Circuit, max_fused_qubits: usize, policy: Policy)
         shadow.journal.clear(); // committed: nothing rolls back past here
         actions.push(action);
     }
-    Layout { max_fused_qubits, actions, slots: shadow.slots }
+    let slots = shadow.slots.iter().map(|s| s.map(|m| qubits_of(m).collect())).collect();
+    Layout { max_fused_qubits, actions, slots }
 }
 
 #[cfg(test)]
@@ -729,6 +769,83 @@ mod tests {
                 "f={f}: {long} evaluations at 20 cycles vs {short} at 10"
             );
         }
+    }
+
+    /// Prices a pass by its width alone (a fixed launch plus `4^k` matrix
+    /// work), so moving a circuit to other qubits cannot move a decision,
+    /// and `Cost` still declines the widening merges greedy takes.
+    struct WidthModel;
+
+    impl FusionCostModel for WidthModel {
+        fn gate_price(&self, _num_qubits: usize, qubits: &[usize]) -> TrafficEstimate {
+            let work = (1u64 << (2 * qubits.len())) as f64;
+            TrafficEstimate { bytes: work, seconds: 40.0 + work }
+        }
+    }
+
+    /// Per op: qubits less `offset`, matrix bits and provenance.
+    type OpPrint = (Vec<usize>, Vec<(u64, u64)>, usize, (usize, usize));
+
+    fn fingerprint(fused: &FusedCircuit, offset: usize) -> Vec<OpPrint> {
+        fused
+            .ops
+            .iter()
+            .map(|op| match op {
+                FusedOp::Unitary(g) => (
+                    g.qubits.iter().map(|q| q - offset).collect(),
+                    g.matrix.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect(),
+                    g.source_gates,
+                    g.time_range,
+                ),
+                FusedOp::Measurement { qubits, time } => {
+                    (qubits.iter().map(|q| q - offset).collect(), Vec::new(), 0, (*time, *time))
+                }
+            })
+            .collect()
+    }
+
+    /// The top of the mask is ordinary: an 8-qubit circuit (a measurement
+    /// barrier and a controlled gate included) moved onto qubits 56..=63
+    /// of a 64-qubit register plans exactly as it did on 0..=7.
+    #[test]
+    fn planner_masks_fuse_on_qubits_56_to_63() {
+        use qsim_circuit::circuit::GateOp;
+
+        let mut low = library::random_dense(8, 60, 5);
+        let t = low.ops.iter().map(|op| op.time).max().expect("gates") + 1;
+        low.add(t, GateKind::Measurement, &[2, 3]);
+        low.ops.push(GateOp::with_controls(t + 1, GateKind::H, vec![0], vec![7]));
+        for op in library::random_dense(8, 30, 6).ops {
+            low.ops.push(GateOp { time: op.time + t + 2, ..op });
+        }
+        let mut high = Circuit::new(64);
+        for op in &low.ops {
+            let shift = |qs: &[usize]| qs.iter().map(|q| q + 56).collect();
+            high.ops.push(GateOp::with_controls(
+                op.time,
+                op.kind,
+                shift(&op.qubits),
+                shift(&op.controls),
+            ));
+        }
+        for s in FusionStrategy::ALL {
+            let (a, b) = (plan(&low, s, 4, &WidthModel), plan(&high, s, 4, &WidthModel));
+            assert!(a.fused.num_unitaries() < low.ops.len() - 1, "{s}: nothing fused");
+            assert_eq!(fingerprint(&b.fused, 56), fingerprint(&a.fused, 0), "{s}");
+            assert_eq!(b.fused.max_fused_qubits, a.fused.max_fused_qubits, "{s}");
+            assert_eq!(b.predicted_cost_seconds.to_bits(), a.predicted_cost_seconds.to_bits());
+        }
+        let greedy = plan(&low, FusionStrategy::Greedy, 4, &WidthModel).fused;
+        let cost = plan(&low, FusionStrategy::Cost, 4, &WidthModel).fused;
+        assert!(cost.num_unitaries() > greedy.num_unitaries(), "cost declined no merge");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 qubits")]
+    fn planner_masks_reject_65_qubits() {
+        let mut c = Circuit::new(65);
+        c.add(0, GateKind::H, &[64]);
+        let _ = plan(&c, FusionStrategy::Greedy, 2, &WidthModel);
     }
 
     #[test]

@@ -1,18 +1,28 @@
-//! Planning probe: host milliseconds of plan / pre-run / estimate for the
+//! Planning probe: host milliseconds of each planning-path layer for the
 //! paper's 30-qubit circuit at every fusion cell of `est30-grid`'s `cpu`
-//! and `hip` f32 columns (EXPERIMENTS.md "Planning path (PR 24)").
+//! and `hip` f32 columns (EXPERIMENTS.md "Planning path (PR 24)" onwards).
 //!
 //! ```text
 //! taskset -c 1 cargo run --release --example planning_probe
 //! ```
 //!
-//! Each number is the fastest of [`REPS`] repetitions; every repetition
-//! parses nothing and carries nothing over, like a cell of the benchmark.
+//! Four columns, one call each, in the order a benchmark cell makes them:
+//! - `plan_ms`: `qsim_fusion::plan` under the backend's cost model (the
+//!   scan and `build`);
+//! - `check_ms`: `qsim_backends::FusionPlan::check`, the pre-run gate that
+//!   `plan_circuit` runs on the plan it returns;
+//! - `pre_run_ms`: the benchmark harness's own `Analyzer::pre_run` call,
+//!   with the source circuit;
+//! - `estimate_ms`: `estimate_plan` on the checked plan (a dry walk).
+//!
+//! `plan_ms + check_ms` is what `plan_circuit` costs. Each number is the
+//! fastest of [`REPS`] repetitions; every repetition parses nothing and
+//! carries nothing over, like a cell of the benchmark.
 
 use std::time::Instant;
 
 use qsim_analyze::Analyzer;
-use qsim_rs::backends::{FusionStrategy, PlanOptions};
+use qsim_rs::backends::{FusionPlan, FusionStrategy, PlanOptions};
 use qsim_rs::circuit::generate_rqc;
 use qsim_rs::prelude::*;
 
@@ -27,28 +37,39 @@ fn main() {
     cells.push(PlanOptions { strategy: FusionStrategy::Auto, max_fused_qubits: 4 });
 
     println!(
-        "{:<6} {:<10} {:>9} {:>11} {:>12}",
-        "flavor", "cell", "plan_ms", "pre_run_ms", "estimate_ms"
+        "{:<6} {:<10} {:>9} {:>9} {:>11} {:>12}",
+        "flavor", "cell", "plan_ms", "check_ms", "pre_run_ms", "estimate_ms"
     );
+    let precision = Precision::Single;
     for flavor in [Flavor::CpuAvx, Flavor::Hip] {
         let backend = SimBackend::new(flavor);
-        let mut totals = [0.0f64; 3];
+        let model = backend.cost_model(precision);
+        // The sweep `plan_circuit` checks under.
+        let sweep = flavor.launch_policy(precision, backend.sweep_config(), None).sweep;
+        let mut totals = [0.0f64; 4];
         for opts in &cells {
-            let mut fastest = [f64::INFINITY; 3];
+            let mut fastest = [f64::INFINITY; 4];
             for _ in 0..REPS {
                 let t0 = Instant::now();
-                let plan = backend.plan_circuit(&q30, opts, Precision::Single);
+                let planned = qsim_rs::fusion::plan(
+                    &q30,
+                    opts.strategy,
+                    opts.max_fused_qubits,
+                    model.as_ref(),
+                );
                 let t1 = Instant::now();
+                let plan = FusionPlan::check(planned, sweep);
+                let t2 = Instant::now();
                 let analysis = Analyzer::pre_run().analyze_plan(
                     &plan.fused,
                     Some(&q30),
                     backend.sweep_config(),
                 );
-                let t2 = Instant::now();
-                backend.estimate_plan(&plan, Precision::Single).expect("estimate");
                 let t3 = Instant::now();
+                backend.estimate_plan(&plan, precision).expect("estimate");
+                let t4 = Instant::now();
                 assert!(!analysis.has_errors());
-                for (best, span) in fastest.iter_mut().zip([t1 - t0, t2 - t1, t3 - t2]) {
+                for (best, span) in fastest.iter_mut().zip([t1 - t0, t2 - t1, t3 - t2, t4 - t3]) {
                     *best = best.min(span.as_secs_f64() * 1e3);
                 }
             }
@@ -56,24 +77,18 @@ fn main() {
                 FusionStrategy::Auto => "auto".to_string(),
                 s => format!("{s} -f {}", opts.max_fused_qubits),
             };
-            println!(
-                "{:<6} {cell:<10} {:>9.3} {:>11.3} {:>12.3}",
-                flavor.label(),
-                fastest[0],
-                fastest[1],
-                fastest[2]
-            );
+            print_row(flavor.label(), &cell, &fastest);
             for (total, ms) in totals.iter_mut().zip(fastest) {
                 *total += ms;
             }
         }
-        println!(
-            "{:<6} {:<10} {:>9.3} {:>11.3} {:>12.3}",
-            flavor.label(),
-            "total",
-            totals[0],
-            totals[1],
-            totals[2]
-        );
+        print_row(flavor.label(), "total", &totals);
     }
+}
+
+fn print_row(flavor: &str, cell: &str, ms: &[f64; 4]) {
+    println!(
+        "{flavor:<6} {cell:<10} {:>9.3} {:>9.3} {:>11.3} {:>12.3}",
+        ms[0], ms[1], ms[2], ms[3]
+    );
 }
