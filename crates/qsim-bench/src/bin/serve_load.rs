@@ -5,7 +5,8 @@
 //! - `serve_load smoke --addr HOST:PORT` drives a **running** `qsim_serve`
 //!   process over TCP: 32 mixed-size jobs including one forced timeout and
 //!   one cancellation, asserts every job reaches the expected terminal
-//!   state, checks the `metrics` aggregation, and shuts the server down
+//!   state, checks the `metrics` aggregation and that the idle server's
+//!   I/O threads stay blocked in `poll`, and shuts the server down
 //!   gracefully. Exits non-zero on any violation — this is the CI
 //!   serve-smoke job.
 //!
@@ -242,6 +243,23 @@ fn smoke(addr: &str) -> Result<(), String> {
         return Err("32 same-shaped jobs produced zero pool hits".into());
     }
     println!("metrics: {completed} completed, {timed_out} timed out, {hits} pool hits");
+
+    // An idle server's I/O threads block in `poll(2)`: over half a second
+    // with nothing in flight, the one return is the one that delivers the
+    // second `metrics` request itself.
+    let mut polls = || -> Result<u64, String> {
+        let resp = client.request(&json!({ "verb": "metrics" }))?;
+        let io = resp.get("metrics").and_then(|m| m.get("io"));
+        io.and_then(|io| io.get("polls").and_then(Value::as_u64))
+            .ok_or_else(|| format!("metrics lacks io.polls: {resp:?}"))
+    };
+    let before = polls()?;
+    std::thread::sleep(Duration::from_millis(500));
+    let idle = polls()?.saturating_sub(before).saturating_sub(1);
+    if idle > 0 {
+        return Err(format!("an idle server's I/O threads returned from poll {idle} times"));
+    }
+    println!("idle: 0 polls in 500 ms");
 
     // Graceful shutdown: the server acknowledges, drains and exits.
     let resp = client.request(&json!({ "verb": "shutdown" }))?;

@@ -65,7 +65,7 @@ pub mod worker;
 
 pub use admission::{AdmissionController, AdmissionError, Reservation};
 pub use job::{JobId, JobSpec, JobState, Priority};
-pub use mux::{MuxServer, ShutdownHandle, DEFAULT_IO_THREADS};
+pub use mux::{IoStats, MuxServer, ShutdownHandle, DEFAULT_IO_THREADS};
 pub use pool::{BucketStats, PoolStats, StateBufferPool};
 pub use queue::{
     BandwidthSnapshot, JobQueue, WorkUnit, DEFAULT_BANDWIDTH_BUDGET_BPS, RESIDENT_BYTES,

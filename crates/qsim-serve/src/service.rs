@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use qsim_backends::{Flavor, FusionPlan, RunReport};
@@ -21,6 +21,7 @@ use serde_json::json;
 
 use crate::admission::{AdmissionController, AdmissionError, Reservation};
 use crate::job::{JobId, JobSpec, JobState, Priority};
+use crate::mux::{IoCounters, IoStats, Waker};
 use crate::pool::{BucketStats, PoolStats, StateBufferPool};
 use crate::queue::{BandwidthSnapshot, JobQueue, QueuedJob};
 use crate::worker::WorkerPool;
@@ -273,6 +274,8 @@ pub struct Metrics {
     pub plan_cache: CacheStats,
     /// Result cache counters.
     pub result_cache: CacheStats,
+    /// The mux front end's health counters (zero without one).
+    pub io: IoStats,
 }
 
 impl Metrics {
@@ -349,6 +352,12 @@ impl Metrics {
                 "buffer_reuses": (self.buffer_reuses),
                 "max_peak_state_bytes": (self.max_peak_state_bytes),
             },
+            "io": {
+                "polls": (self.io.polls),
+                "wakes": (self.io.wakes),
+                "watermark_stalls": (self.io.watermark_stalls),
+                "line_cap_drops": (self.io.line_cap_drops),
+            },
         })
     }
 }
@@ -403,6 +412,11 @@ pub(crate) struct ServiceInner {
     routed_sharded: AtomicU64,
     /// Planned fabric-exchange bytes (all devices) of routed jobs.
     sharded_exchanged_bytes: AtomicU64,
+    /// The mux's I/O-thread wakers, registered once when it starts
+    /// serving; the finish sequence pokes each of them.
+    wakers: OnceLock<Box<[Waker]>>,
+    /// The mux's health counters.
+    io: IoCounters,
 }
 
 /// What must match for two submissions to share one fusion plan:
@@ -524,14 +538,22 @@ impl ServiceInner {
             return;
         }
         self.cache_results(&outcomes);
-        let mut registry = self.registry.lock();
-        let mut agg = self.aggregates.lock();
-        for (id, outcome) in outcomes {
-            let Some(record) = registry.get_mut(&id) else { continue };
-            if record.state == JobState::Running {
-                self.running.fetch_sub(1, Ordering::Relaxed);
+        {
+            let mut registry = self.registry.lock();
+            let mut agg = self.aggregates.lock();
+            for (id, outcome) in outcomes {
+                let Some(record) = registry.get_mut(&id) else { continue };
+                if record.state == JobState::Running {
+                    self.running.fetch_sub(1, Ordering::Relaxed);
+                }
+                Self::resolve(record, &mut agg, outcome);
             }
-            Self::resolve(record, &mut agg, outcome);
+        }
+        // Every terminal transition of a worker-run job passes here, and a
+        // mux connection may be streaming any of them: wake each I/O
+        // thread once, outside the locks.
+        for waker in self.wakers.get().into_iter().flatten() {
+            waker.wake();
         }
     }
 
@@ -681,6 +703,8 @@ impl Service {
             running: AtomicU64::new(0),
             routed_sharded: AtomicU64::new(0),
             sharded_exchanged_bytes: AtomicU64::new(0),
+            wakers: OnceLock::new(),
+            io: IoCounters::default(),
         });
         let workers = WorkerPool::spawn(config.workers.max(1), inner.clone());
         Service {
@@ -919,6 +943,14 @@ impl Service {
         registry.get(&id).and_then(|r| r.report.as_deref().cloned())
     }
 
+    /// One registry look for a mux sample stream: whether the job is
+    /// terminal, and its report (shared, not copied) if it has one.
+    /// `None` for an unknown id.
+    pub(crate) fn stream_state(&self, id: JobId) -> Option<(bool, Option<Arc<RunReport>>)> {
+        let registry = self.inner.registry.lock();
+        registry.get(&id).map(|r| (r.state.is_terminal(), r.report.clone()))
+    }
+
     /// Take the retained final state of a `Done` job that was submitted
     /// with [`JobSpec::keep_state`]. The state is moved out: a second call
     /// returns `None`.
@@ -976,7 +1008,26 @@ impl Service {
             max_peak_state_bytes: agg.max_peak_state_bytes,
             plan_cache: self.inner.plans.stats(),
             result_cache: self.inner.results.stats(),
+            io: self.inner.io.snapshot(),
         }
+    }
+
+    /// Hand the finish sequence the mux's I/O-thread wakers and return
+    /// them as registered. A service is served by one front end: a second
+    /// registration is refused.
+    pub(crate) fn register_wakers(&self, wakers: Vec<Waker>) -> std::io::Result<&[Waker]> {
+        self.inner.wakers.set(wakers.into_boxed_slice()).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::AlreadyExists,
+                "this service is already served by a mux front end",
+            )
+        })?;
+        Ok(self.inner.wakers.get().map_or(&[], |w| &w[..]))
+    }
+
+    /// The counters the mux's I/O threads keep.
+    pub(crate) fn io_counters(&self) -> &IoCounters {
+        &self.inner.io
     }
 
     /// Poll a job until it reaches a terminal state or `timeout` passes.

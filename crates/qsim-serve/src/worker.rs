@@ -22,6 +22,7 @@
 //! re-adopted warm.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -143,10 +144,24 @@ fn worker_loop(inner: &ServiceInner) {
             let device = devices
                 .entry((lead.spec.flavor, lead.devices))
                 .or_insert_with(|| Device::new(lead.spec.flavor, lead.devices));
-            outcomes = match lead.spec.precision {
+            // A panicking run fails its members instead of taking the
+            // worker down: the finish sequence below then returns their
+            // charge and reservations and wakes their streams as for any
+            // other failure. (Buffers it held are freed by the unwind.)
+            let run = catch_unwind(AssertUnwindSafe(|| match lead.spec.precision {
                 Precision::Single => run_unit::<f32>(device, &inner.pool, &live),
                 Precision::Double => run_unit::<f64>(device, &inner.pool, &live),
-            };
+            }));
+            outcomes = run.unwrap_or_else(|payload| {
+                let why = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                live.iter()
+                    .map(|job| (job.id, JobOutcome::Failed(format!("worker panicked: {why}"))))
+                    .collect()
+            });
             if live.len() > 1 {
                 inner.record_batch(live.len());
             }
@@ -160,6 +175,9 @@ fn worker_loop(inner: &ServiceInner) {
         inner.finish_many(outcomes);
     }
 }
+
+/// In test builds, a job with this seed panics inside [`run_unit`].
+const PANIC_SEED: u64 = 0xDEAD_5EED_0BAD_F00D;
 
 /// Execute one unit at precision `F` — a gang sharing the lead's plan on
 /// one device (every member with its own pooled buffer, seed, sample
@@ -181,6 +199,9 @@ fn run_unit<F: StateSlot>(
     // A backend run takes as long as the circuit does: no serve lock may
     // be held across it.
     lockorder::assert_none_held("worker::run_unit entered");
+    if cfg!(test) && jobs.iter().any(|job| job.spec.seed == PANIC_SEED) {
+        panic!("injected by a test");
+    }
     let opts =
         |job: &QueuedJob| RunOptions { seed: job.spec.seed, sample_count: job.spec.sample_count };
     let results: Vec<BatchResult<F>> = match device {
@@ -240,5 +261,44 @@ fn settle<F: StateSlot>(
                 error => JobOutcome::Failed(error.to_string()),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use qsim_circuit::library;
+
+    use super::PANIC_SEED;
+    use crate::job::{JobSpec, JobState};
+    use crate::service::{Service, ServiceConfig};
+
+    /// A panic inside a run fails the job, returns everything it held and
+    /// leaves the one worker serving.
+    #[test]
+    fn a_panicking_run_fails_its_job_and_the_worker_survives() {
+        let service = Service::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+        let mut doomed = JobSpec::new(library::ghz(6));
+        doomed.seed = PANIC_SEED;
+        let doomed = service.submit(doomed).expect("submit");
+        let status = service.wait(doomed, Duration::from_secs(60)).expect("known id");
+        assert_eq!(status.state, JobState::Failed);
+        let error = status.error.unwrap_or_default();
+        assert!(error.starts_with("worker panicked: injected by a test"), "{error}");
+
+        let m = service.metrics();
+        assert_eq!(m.reserved_bytes, 0, "reservation returned");
+        assert_eq!(
+            (m.bandwidth.running_bps, m.bandwidth.queued_bps, m.bandwidth.running_jobs),
+            (0, 0, 0),
+            "traffic charge returned"
+        );
+        assert_eq!((m.running, m.failed), (0, 1));
+
+        let next = service.submit(JobSpec::new(library::ghz(6))).expect("submit");
+        let status = service.wait(next, Duration::from_secs(60)).expect("known id");
+        assert_eq!(status.state, JobState::Done, "the same worker runs the next job");
+        service.shutdown();
     }
 }
