@@ -12,6 +12,8 @@
 //! least-significant bit of the matrix index. This matches qsim's fused
 //! gate representation.
 
+use crate::kernels::MAX_GATE_QUBITS;
+use crate::simd::{self, Tiered};
 use crate::types::{Cplx, Float};
 
 /// A dense, row-major `dim × dim` complex matrix with `dim = 2^k`.
@@ -199,37 +201,24 @@ impl<F: Float> GateMatrix<F> {
     /// and imaginary planes, for `i = 0, 1, …` until it returns `false`; returns
     /// whether it never did. Each entry sums over `l` in the dense product's
     /// order with [`Cplx::mul_add_assign`]'s expression, so its bits are the
-    /// dense product's; the lower triangle is their exact conjugate. Against a
-    /// split-complex copy of `self†`, the column loop vectorizes.
-    fn gram_rows_minus_identity(&self, mut visit: impl FnMut(&[F], &[F]) -> bool) -> bool {
+    /// dense product's on every SIMD tier; the lower triangle is their exact
+    /// conjugate. Rows are formed four at a time in register tiles of 4 × 8
+    /// entries against a split-complex copy of `self†`.
+    pub fn gram_rows_minus_identity(&self, visit: impl FnMut(&[F], &[F]) -> bool) -> bool {
         let d = self.dim;
-        // One buffer of `2d² + 2d` scalars: the planes of `self†`, then a row.
-        let mut scratch = vec![F::ZERO; 2 * d * d + 2 * d];
-        let (t_re, rest) = scratch.split_at_mut(d * d);
-        let (t_im, acc) = rest.split_at_mut(d * d);
-        let (acc_re, acc_im) = acc.split_at_mut(d);
+        // `2d² + 8d` scalars from a 64-byte boundary on (see `aligned`):
+        // the planes of `self†`, then four output rows.
+        let (mut scratch, at) = aligned(Vec::new(), 2 * d * d + 8 * d);
+        let (t_re, rest) = scratch[at..].split_at_mut(d * d);
+        let (t_im, rows) = rest.split_at_mut(d * d);
         for (j, row) in self.data.chunks_exact(d).enumerate() {
             for (l, z) in row.iter().enumerate() {
                 t_re[l * d + j] = z.re;
                 t_im[l * d + j] = -z.im;
             }
         }
-        self.data.chunks_exact(d).enumerate().all(|(i, row)| {
-            let (acc_re, acc_im) = (&mut acc_re[i..], &mut acc_im[i..]);
-            acc_re.fill(F::ZERO);
-            acc_im.fill(F::ZERO);
-            for (l, a) in row.iter().enumerate() {
-                let (br, bi) = (&t_re[l * d + i..(l + 1) * d], &t_im[l * d + i..(l + 1) * d]);
-                for (((or, oi), &br), &bi) in
-                    acc_re.iter_mut().zip(acc_im.iter_mut()).zip(br).zip(bi)
-                {
-                    *or += a.re * br - a.im * bi;
-                    *oi += a.re * bi + a.im * br;
-                }
-            }
-            acc_re[0] -= F::ONE;
-            visit(acc_re, acc_im)
-        })
+        let (out_re, out_im) = rows.split_at_mut(4 * d);
+        simd::dispatch(GramRows { a: &self.data, d, t_re, t_im, out_re, out_im, visit })
     }
 
     /// Expand a gate matrix acting on `own_qubits` to an equivalent matrix
@@ -240,63 +229,13 @@ impl<F: Float> GateMatrix<F> {
     /// target_qubits`. This is the workhorse of *space fusion* (combining
     /// gates on different qubits into one fused matrix).
     pub fn expand_to(&self, own_qubits: &[usize], target_qubits: &[usize]) -> GateMatrix<F> {
+        assert_eq!(self.num_qubits(), own_qubits.len(), "qubit list does not match matrix size");
         let mut out = GateMatrix::zeros(1 << target_qubits.len());
-        self.for_each_expanded(own_qubits, target_qubits, |row, col, a| out.set(row, col, a));
-        out
-    }
-
-    /// `self.expand_to(own_qubits, target_qubits).matmul(rhs)` without forming
-    /// the expansion: its non-zero entries are visited in the dense product's
-    /// order, so the sums accumulate term for term alike and the bits are equal.
-    pub fn expand_matmul(
-        &self,
-        own_qubits: &[usize],
-        target_qubits: &[usize],
-        rhs: &GateMatrix<F>,
-    ) -> GateMatrix<F> {
-        assert_eq!(rhs.num_qubits(), target_qubits.len(), "rhs does not act on target_qubits");
-        let d = rhs.dim;
-        let mut out = GateMatrix::zeros(d);
-        self.for_each_expanded(own_qubits, target_qubits, |row, l, a| {
-            if a.re != F::ZERO || a.im != F::ZERO {
-                let out_row = &mut out.data[row * d..(row + 1) * d];
-                for (o, &b) in out_row.iter_mut().zip(&rhs.data[l * d..(l + 1) * d]) {
-                    o.mul_add_assign(a, b);
-                }
-            }
+        let d = out.dim;
+        for_each_expanded(own_qubits, target_qubits, |row, col, k| {
+            out.data[row * d + col] = self.data[k];
         });
         out
-    }
-
-    /// Visit as `(row, col, entry)` what [`Self::expand_to`]'s result takes
-    /// from `self` (the rest is zero), rows then columns ascending.
-    fn for_each_expanded(
-        &self,
-        own_qubits: &[usize],
-        target_qubits: &[usize],
-        mut visit: impl FnMut(usize, usize, Cplx<F>),
-    ) {
-        assert_eq!(self.num_qubits(), own_qubits.len(), "qubit list does not match matrix size");
-        debug_assert!(own_qubits.windows(2).all(|w| w[0] < w[1]), "own_qubits must be sorted");
-        debug_assert!(
-            target_qubits.windows(2).all(|w| w[0] < w[1]),
-            "target_qubits must be sorted"
-        );
-        // Position of each own qubit within the target list.
-        let pos: Vec<usize> = own_qubits
-            .iter()
-            .map(|q| target_qubits.binary_search(q).expect("own_qubits ⊆ target_qubits"))
-            .collect();
-        // Mask over target-index bits that belong to this gate.
-        let own_mask: usize = pos.iter().map(|&p| 1usize << p).sum();
-        for row in 0..1usize << target_qubits.len() {
-            // Bits of `row` outside the gate must match the column's.
-            let ctx = row & !own_mask;
-            let r_own = extract_bits(row, &pos);
-            for c_own in 0..self.dim {
-                visit(row, ctx | deposit_bits(c_own, &pos), self.get(r_own, c_own));
-            }
-        }
     }
 
     /// Convert entries to another float precision.
@@ -304,6 +243,303 @@ impl<F: Float> GateMatrix<F> {
         GateMatrix {
             dim: self.dim,
             data: self.data.iter().map(|z| Cplx::from_f64(z.re.to_f64(), z.im.to_f64())).collect(),
+        }
+    }
+}
+
+/// Visit as `(row, col, k)` each entry [`GateMatrix::expand_to`]'s result
+/// takes from its source, `k` the row-major source index (the rest is
+/// zero), rows then columns ascending.
+fn for_each_expanded(
+    own_qubits: &[usize],
+    target_qubits: &[usize],
+    mut visit: impl FnMut(usize, usize, usize),
+) {
+    debug_assert!(own_qubits.windows(2).all(|w| w[0] < w[1]), "own_qubits must be sorted");
+    debug_assert!(target_qubits.windows(2).all(|w| w[0] < w[1]), "target_qubits must be sorted");
+    let (pos, own_mask) = positions(own_qubits, target_qubits);
+    let own_dim = 1usize << own_qubits.len();
+    let col_off: Vec<usize> = (0..own_dim).map(|c_own| deposit_bits(c_own, &pos)).collect();
+    for row in 0..1usize << target_qubits.len() {
+        // Bits of `row` outside the gate must match the column's.
+        let ctx = row & !own_mask;
+        let k0 = extract_bits(row, &pos) * own_dim;
+        for (c_own, &off) in col_off.iter().enumerate() {
+            visit(row, ctx | off, k0 + c_own);
+        }
+    }
+}
+
+/// Position of each own qubit within the target list, and the mask over
+/// target-index bits they cover.
+fn positions(own_qubits: &[usize], target_qubits: &[usize]) -> (Vec<usize>, usize) {
+    let pos: Vec<usize> = own_qubits
+        .iter()
+        .map(|q| target_qubits.binary_search(q).expect("own_qubits ⊆ target_qubits"))
+        .collect();
+    let mask = pos.iter().map(|&p| 1usize << p).sum();
+    (pos, mask)
+}
+
+/// The loop of [`GateMatrix::gram_rows_minus_identity`]: `a` is the
+/// matrix's row-major entries, `t_re`/`t_im` the planes of its adjoint,
+/// `out_re`/`out_im` room for four rows.
+struct GramRows<'a, F, V> {
+    a: &'a [Cplx<F>],
+    d: usize,
+    t_re: &'a [F],
+    t_im: &'a [F],
+    out_re: &'a mut [F],
+    out_im: &'a mut [F],
+    visit: V,
+}
+
+impl<F: Float, V: FnMut(&[F], &[F]) -> bool> Tiered for GramRows<'_, F, V> {
+    type Output = bool;
+
+    #[inline(always)]
+    fn run(self) -> bool {
+        match self.d {
+            1 => self.blocks::<1, 1>(),
+            2 => self.blocks::<2, 2>(),
+            4 => self.blocks::<4, 4>(),
+            _ => self.blocks::<4, 8>(),
+        }
+    }
+}
+
+impl<F: Float, V: FnMut(&[F], &[F]) -> bool> GramRows<'_, F, V> {
+    /// Rows in blocks of `R`, each formed in `R × C` register tiles from
+    /// the tile holding its diagonal entry rightwards, then visited in
+    /// order. Every accumulator starts at zero and adds its `l` terms
+    /// ascending, as the dense product does.
+    #[inline(always)]
+    fn blocks<const R: usize, const C: usize>(mut self) -> bool {
+        let d = self.d;
+        for (i0, rows) in (0..d).step_by(R).zip(self.a.chunks_exact(R * d)) {
+            for j0 in (i0 / C * C..d).step_by(C) {
+                let mut acc_re = [[F::ZERO; C]; R];
+                let mut acc_im = [[F::ZERO; C]; R];
+                let planes = self.t_re.chunks_exact(d).zip(self.t_im.chunks_exact(d));
+                for (l, (br, bi)) in planes.enumerate() {
+                    let br: &[F; C] = br[j0..j0 + C].try_into().expect("tile inside the row");
+                    let bi: &[F; C] = bi[j0..j0 + C].try_into().expect("tile inside the row");
+                    for (r, (acc_re, acc_im)) in acc_re.iter_mut().zip(&mut acc_im).enumerate() {
+                        let z = rows[r * d + l];
+                        for c in 0..C {
+                            acc_re[c] += z.re * br[c] - z.im * bi[c];
+                            acc_im[c] += z.re * bi[c] + z.im * br[c];
+                        }
+                    }
+                }
+                for r in 0..R {
+                    self.out_re[r * d + j0..][..C].copy_from_slice(&acc_re[r]);
+                    self.out_im[r * d + j0..][..C].copy_from_slice(&acc_im[r]);
+                }
+            }
+            for r in 0..R {
+                let upper = r * d + i0 + r..(r + 1) * d;
+                self.out_re[upper.start] -= F::ONE;
+                if !(self.visit)(&self.out_re[upper.clone()], &self.out_im[upper]) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
+/// A `dim × dim` complex matrix as two row-major planes, real and
+/// imaginary: the form fusion composes a product in. A `set_*` call
+/// overwrites the whole matrix and reuses the planes' allocation, so a
+/// pair of them can be swapped merge after merge without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct SplitMatrix<F> {
+    dim: usize,
+    /// Both planes, from the 64-byte boundary at `at` on.
+    buf: Vec<F>,
+    at: usize,
+}
+
+impl<F: Float> SplitMatrix<F> {
+    /// `m.expand_to(own_qubits, target_qubits)`, written into the planes.
+    pub fn set_expanded(
+        &mut self,
+        m: &GateMatrix<F>,
+        own_qubits: &[usize],
+        target_qubits: &[usize],
+    ) {
+        assert_eq!(m.num_qubits(), own_qubits.len(), "qubit list does not match matrix size");
+        self.scatter(own_qubits, target_qubits, |k| m.data[k]);
+    }
+
+    /// `src` widened from `own_qubits` onto `target_qubits`, as
+    /// [`GateMatrix::expand_to`] widens.
+    pub fn set_widened(
+        &mut self,
+        src: &SplitMatrix<F>,
+        own_qubits: &[usize],
+        target_qubits: &[usize],
+    ) {
+        assert_eq!(src.dim, 1 << own_qubits.len(), "qubit list does not match matrix size");
+        let (re, im) = src.planes();
+        self.scatter(own_qubits, target_qubits, |k| Cplx::new(re[k], im[k]));
+    }
+
+    fn scatter(&mut self, own: &[usize], target: &[usize], entry: impl Fn(usize) -> Cplx<F>) {
+        self.reset(1 << target.len());
+        let d = self.dim;
+        let (re, im) = self.planes_mut();
+        re.fill(F::ZERO);
+        im.fill(F::ZERO);
+        for_each_expanded(own, target, |row, col, k| {
+            let z = entry(k);
+            re[row * d + col] = z.re;
+            im[row * d + col] = z.im;
+        });
+    }
+
+    /// `gate.expand_to(gate_qubits, target_qubits).matmul(rhs)`, bit for bit,
+    /// without forming the expansion: each output row sums the rows of
+    /// `rhs` its non-zero gate entries select, in the dense product's
+    /// order and with [`Cplx::mul_add_assign`]'s expression, in register
+    /// tiles of 16 columns on the widest tier the host allows.
+    pub fn set_product(
+        &mut self,
+        gate: &GateMatrix<F>,
+        gate_qubits: &[usize],
+        target_qubits: &[usize],
+        rhs: &SplitMatrix<F>,
+    ) {
+        assert_eq!(gate.num_qubits(), gate_qubits.len(), "qubit list does not match matrix size");
+        assert!(gate_qubits.len() <= MAX_GATE_QUBITS, "gate wider than {MAX_GATE_QUBITS} qubits");
+        assert_eq!(rhs.dim, 1 << target_qubits.len(), "rhs does not act on target_qubits");
+        self.reset(rhs.dim);
+        let (pos, own_mask) = positions(gate_qubits, target_qubits);
+        // Row offset of each gate column within a row's context.
+        let col_off: Vec<usize> = (0..gate.dim).map(|c_own| deposit_bits(c_own, &pos)).collect();
+        let (rhs_re, rhs_im) = rhs.planes();
+        let (out_re, out_im) = self.planes_mut();
+        simd::dispatch(Compose {
+            gate,
+            pos: &pos,
+            own_mask,
+            col_off: &col_off,
+            d: rhs.dim,
+            rhs_re,
+            rhs_im,
+            out_re,
+            out_im,
+        });
+    }
+
+    /// The row-major interleaved matrix.
+    pub fn to_matrix(&self) -> GateMatrix<F> {
+        let (re, im) = self.planes();
+        let data = re.iter().zip(im).map(|(&re, &im)| Cplx::new(re, im)).collect();
+        GateMatrix { dim: self.dim, data }
+    }
+
+    fn planes(&self) -> (&[F], &[F]) {
+        let d2 = self.dim * self.dim;
+        self.buf[self.at..][..2 * d2].split_at(d2)
+    }
+
+    fn planes_mut(&mut self) -> (&mut [F], &mut [F]) {
+        let d2 = self.dim * self.dim;
+        self.buf[self.at..][..2 * d2].split_at_mut(d2)
+    }
+
+    /// Size the planes for `dim`, the real one on a 64-byte boundary (so
+    /// is the imaginary one from `dim = 4` on): a tile load that straddles
+    /// two cache lines costs two. Entries are left as they were.
+    fn reset(&mut self, dim: usize) {
+        self.dim = dim;
+        let (buf, at) = aligned(std::mem::take(&mut self.buf), 2 * dim * dim);
+        (self.buf, self.at) = (buf, at);
+    }
+}
+
+/// `buf` grown to hold `len` scalars from a 64-byte boundary on, and the
+/// offset of that boundary.
+fn aligned<F: Float>(mut buf: Vec<F>, len: usize) -> (Vec<F>, usize) {
+    let want = len + 64 / std::mem::size_of::<F>();
+    // Sized to the product it holds, as an interleaved matrix would be: a
+    // buffer reused for a narrower one gives its surplus back.
+    if buf.capacity() > 2 * want {
+        buf = Vec::new();
+    }
+    buf.reserve_exact(want.saturating_sub(buf.len()));
+    buf.resize(want, F::ZERO);
+    let pad = want - len;
+    let at = buf.as_ptr().align_offset(64);
+    (buf, if at < pad { at } else { 0 })
+}
+
+/// The loop of [`SplitMatrix::set_product`].
+struct Compose<'a, F> {
+    gate: &'a GateMatrix<F>,
+    pos: &'a [usize],
+    own_mask: usize,
+    col_off: &'a [usize],
+    d: usize,
+    rhs_re: &'a [F],
+    rhs_im: &'a [F],
+    out_re: &'a mut [F],
+    out_im: &'a mut [F],
+}
+
+impl<F: Float> Tiered for Compose<'_, F> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        match self.d {
+            1 => self.rows::<1>(),
+            2 => self.rows::<2>(),
+            4 => self.rows::<4>(),
+            8 => self.rows::<8>(),
+            _ => self.rows::<16>(),
+        }
+    }
+}
+
+impl<F: Float> Compose<'_, F> {
+    /// Each output row in tiles of `C` columns: gather the row's non-zero
+    /// gate entries with the `rhs` rows they select (zeros are skipped, as
+    /// the dense product skips them), then accumulate every tile in
+    /// registers over those terms, ascending.
+    #[inline(always)]
+    fn rows<const C: usize>(self) {
+        let (d, rhs_re, rhs_im) = (self.d, self.rhs_re, self.rhs_im);
+        let mut terms = [(0usize, Cplx::zero()); 1 << MAX_GATE_QUBITS];
+        let rows = self.out_re.chunks_exact_mut(d).zip(self.out_im.chunks_exact_mut(d));
+        for (row, (out_re, out_im)) in rows.enumerate() {
+            let ctx = row & !self.own_mask;
+            let gate_row = &self.gate.as_slice()[extract_bits(row, self.pos) * self.gate.dim..];
+            let mut n = 0;
+            for (&a, &off) in gate_row.iter().zip(self.col_off) {
+                if a.re != F::ZERO || a.im != F::ZERO {
+                    terms[n] = ((ctx | off) * d, a);
+                    n += 1;
+                }
+            }
+            for j0 in (0..d).step_by(C) {
+                let mut acc_re = [F::ZERO; C];
+                let mut acc_im = [F::ZERO; C];
+                for &(l, a) in &terms[..n] {
+                    let br: &[F; C] =
+                        rhs_re[l + j0..][..C].try_into().expect("tile inside the row");
+                    let bi: &[F; C] =
+                        rhs_im[l + j0..][..C].try_into().expect("tile inside the row");
+                    for c in 0..C {
+                        acc_re[c] += a.re * br[c] - a.im * bi[c];
+                        acc_im[c] += a.re * bi[c] + a.im * br[c];
+                    }
+                }
+                out_re[j0..j0 + C].copy_from_slice(&acc_re);
+                out_im[j0..j0 + C].copy_from_slice(&acc_im);
+            }
         }
     }
 }
@@ -562,11 +798,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The in-place composition is the dense product of the two
+        /// The split-plane composition is the dense product of the two
         /// expansions, bit for bit, whether the gate sits inside the slot
-        /// (no widening), overlaps it, or is disjoint from it.
+        /// (no widening), overlaps it, or is disjoint from it; and the
+        /// planes widen as `expand_to` does.
         #[test]
-        fn expand_matmul_matches_dense_product_bit_for_bit(
+        fn split_product_matches_dense_product_bit_for_bit(
             seed in 0u64..u64::MAX,
             width in 1usize..=6,
             shape in 0usize..3,
@@ -597,13 +834,22 @@ mod tests {
                 }
             };
             let gate = random_unitary(gate_qubits.len(), rng);
-            let slot = random_unitary(slot_qubits.len(), rng).expand_to(&slot_qubits, &union);
+            let narrow = random_unitary(slot_qubits.len(), rng);
+            let slot = narrow.expand_to(&slot_qubits, &union);
             let dense = gate.expand_to(&gate_qubits, &union).matmul(&slot);
-            let sparse = gate.expand_matmul(&gate_qubits, &union, &slot);
+            let (mut planes, mut wide, mut product) =
+                (SplitMatrix::default(), SplitMatrix::default(), SplitMatrix::default());
+            planes.set_expanded(&narrow, &slot_qubits, &slot_qubits);
+            wide.set_widened(&planes, &slot_qubits, &union);
+            prop_assert!(bits(&wide.to_matrix()) == bits(&slot));
+            product.set_product(&gate, &gate_qubits, &union, &wide);
             prop_assert!(
-                bits(&sparse) == bits(&dense),
+                bits(&product.to_matrix()) == bits(&dense),
                 "gate {gate_qubits:?} slot {slot_qubits:?} union {union:?}"
             );
+            // Planes reused at another size keep no stale entries.
+            wide.set_expanded(&gate, &gate_qubits, &union);
+            prop_assert!(bits(&wide.to_matrix()) == bits(&gate.expand_to(&gate_qubits, &union)));
         }
 
         /// The half-triangle check returns the full product's verdict: on

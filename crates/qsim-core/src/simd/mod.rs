@@ -140,3 +140,41 @@ pub fn active_isa() -> Isa {
         None => detected,
     }
 }
+
+/// A plain-Rust loop compiled once per tier. [`Tiered::run`] is
+/// `#[inline(always)]`, so [`dispatch`] instantiates the same body inside
+/// an AVX-512 and an AVX2 `#[target_feature]` wrapper, where the compiler
+/// may vectorize it, and calls it unwrapped as the scalar tier. The bits
+/// cannot differ between tiers: every entry is the same sequence of
+/// element-wise IEEE operations at any vector width, and Rust never
+/// contracts `a * b + c` into an FMA.
+pub(crate) trait Tiered {
+    type Output;
+    fn run(self) -> Self::Output;
+}
+
+/// Run `body` on the tier [`active_isa`] picks.
+pub(crate) fn dispatch<T: Tiered>(body: T) -> T::Output {
+    match active_isa() {
+        // SAFETY: `active_isa` never exceeds `detected_isa`, so the CPU
+        // has the wrapper's features.
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        Isa::Avx512 => unsafe { run_avx512(body) },
+        // SAFETY: as above.
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        Isa::Avx2 => unsafe { run_avx2(body) },
+        _ => body.run(),
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f")]
+unsafe fn run_avx512<T: Tiered>(body: T) -> T::Output {
+    body.run()
+}
+
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn run_avx2<T: Tiered>(body: T) -> T::Output {
+    body.run()
+}

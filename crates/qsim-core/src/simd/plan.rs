@@ -143,42 +143,36 @@ pub(crate) fn build_mat<F: Float, V: LaneVec<F>>(
 
     let has_low_targets = !low_t.is_empty();
     let lmask: usize = low_t.iter().map(|&(_, p)| 1usize << p).sum();
+    let mut idx = [0usize; MAX_LANES];
     let perms: Vec<V::Perm> = (0..dimk)
         .map(|c| {
             let dep: usize = low_t.iter().map(|&(j, p)| ((c >> j) & 1) << p).sum();
-            let idx: Vec<usize> = (0..lanes).map(|l| (l & !lmask) | dep).collect();
-            V::make_perm(&idx)
+            for (l, i) in idx[..lanes].iter_mut().enumerate() {
+                *i = (l & !lmask) | dep;
+            }
+            V::make_perm(&idx[..lanes])
         })
         .collect();
 
-    // Matrix row index for output lane `l` under high-row pattern `r`.
-    let row_of = |r: usize, l: usize| -> usize {
-        let mut row = 0usize;
-        for (i, &(j, _)) in high_t.iter().enumerate() {
-            row |= ((r >> i) & 1) << j;
-        }
-        for &(j, p) in &low_t {
-            row |= ((l >> p) & 1) << j;
-        }
-        row
-    };
-    let coef = |r: usize, c: usize, l: usize| -> Cplx<F> {
-        let row = row_of(r, l);
-        if (l & lc_mask) == lc_val {
-            matrix.get(row, c)
-        } else if c == row {
-            // Lane fails a low control: identity pass-through.
-            Cplx { re: F::ONE, im: F::ZERO }
-        } else {
-            Cplx { re: F::ZERO, im: F::ZERO }
-        }
-    };
+    // The matrix row of output lane `l` under high-row pattern `r` is
+    // `high_row[r] | low_row[l]`.
+    let (high_row, low_row) = row_bits(&high_t, &low_t, lanes);
     let mut coef_re = Vec::with_capacity((1 << kh) * dimk);
     let mut coef_im = Vec::with_capacity((1 << kh) * dimk);
-    for r in 0..1usize << kh {
+    let mut lane = [Cplx { re: F::ZERO, im: F::ZERO }; MAX_LANES];
+    for &high in &high_row {
         for c in 0..dimk {
-            coef_re.push(V::from_fn(|l| coef(r, c, l).re));
-            coef_im.push(V::from_fn(|l| coef(r, c, l).im));
+            for (l, z) in lane[..lanes].iter_mut().enumerate() {
+                let row = high | low_row[l];
+                *z = if (l & lc_mask) == lc_val {
+                    matrix.get(row, c)
+                } else {
+                    // Lane fails a low control: identity pass-through.
+                    Cplx { re: if c == row { F::ONE } else { F::ZERO }, im: F::ZERO }
+                };
+            }
+            coef_re.push(V::from_fn(|l| lane[l].re));
+            coef_im.push(V::from_fn(|l| lane[l].im));
         }
     }
 
@@ -221,20 +215,35 @@ pub(crate) fn build_diag<F: Float, V: LaneVec<F>>(
         qubits.iter().enumerate().filter(|&(_, &q)| q >= lambda).map(|(j, &q)| (j, q)).collect();
     let hq_t: Vec<usize> = high_t.iter().map(|&(_, q)| q - lambda).collect();
     let kh = high_t.len();
-    // The diagonal entry lane `l` of high-target pattern `m` multiplies by.
-    let entry = |m: usize, l: usize| -> Cplx<F> {
-        let mut row = 0usize;
-        for (i, &(j, _)) in high_t.iter().enumerate() {
-            row |= ((m >> i) & 1) << j;
-        }
-        for &(j, p) in &low_t {
-            row |= ((l >> p) & 1) << j;
-        }
-        matrix.get(row, row)
-    };
+    // Lane `l` of high-target pattern `m` multiplies by diagonal entry
+    // `high_row[m] | low_row[l]`.
+    let (high_row, low_row) = row_bits(&high_t, &low_t, lanes);
+    let entry = |m: usize, l: usize| matrix.get(high_row[m] | low_row[l], high_row[m] | low_row[l]);
     let dre = (0..1usize << kh).map(|m| V::from_fn(|l| entry(m, l).re)).collect();
     let dim = (0..1usize << kh).map(|m| V::from_fn(|l| entry(m, l).im)).collect();
     Some(DiagPlan { n, hq_t, dre, dim, marker: PhantomData })
+}
+
+/// Widest lane count of any backend (AVX-512 `f32`).
+const MAX_LANES: usize = 16;
+
+/// Gate-row bits per high-target pattern (`2^#high` entries) and per lane
+/// (`lanes` entries), from `(bit within the gate index, qubit)` pairs: a
+/// lane's matrix row is the OR of its pattern's entry and its own.
+fn row_bits(
+    high_t: &[(usize, usize)],
+    low_t: &[(usize, usize)],
+    lanes: usize,
+) -> (Vec<usize>, [usize; MAX_LANES]) {
+    assert!(lanes <= MAX_LANES, "{lanes} lanes exceed {MAX_LANES}");
+    let high_row = (0..1usize << high_t.len())
+        .map(|r| high_t.iter().enumerate().map(|(i, &(j, _))| ((r >> i) & 1) << j).sum())
+        .collect();
+    let mut low_row = [0usize; MAX_LANES];
+    for (l, row) in low_row[..lanes].iter_mut().enumerate() {
+        *row = low_t.iter().map(|&(j, p)| ((l >> p) & 1) << j).sum();
+    }
+    (high_row, low_row)
 }
 
 /// Reinterpret a generic `F` gate matrix as a concrete precision.

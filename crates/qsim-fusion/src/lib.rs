@@ -26,7 +26,7 @@
 //! of the one layout that was chosen.
 
 use qsim_circuit::circuit::Circuit;
-use qsim_core::matrix::GateMatrix;
+use qsim_core::matrix::{GateMatrix, SplitMatrix};
 use qsim_core::types::Float;
 
 pub mod cost;
@@ -242,9 +242,31 @@ pub fn fuse(circuit: &Circuit, max_fused_qubits: usize) -> FusedCircuit {
 /// Replay a decided `layout` over `circuit`, composing each output slot's
 /// matrix in source-op order — the only place fused matrices are built,
 /// whatever strategy chose the layout.
+///
+/// From its first merge on, a slot's product lives in split planes
+/// ([`SplitMatrix`]): each merge writes `expand(gate) · product` into a
+/// spare pair of planes and returns the old pair to the spares, a
+/// widening union first scatters the product into wider planes, and the
+/// interleaved [`FusedGate::matrix`] is written once, at the slot's last
+/// merge. A merge takes at most two spares, so no more are kept.
 fn build(circuit: &Circuit, layout: &planner::Layout) -> FusedCircuit {
+    // The source op after which each output slot takes no more merges.
+    let mut last_merge: Vec<usize> = Vec::new();
+    for (i, action) in layout.actions.iter().enumerate() {
+        match *action {
+            planner::Action::Merge(t) => last_merge[t] = i,
+            planner::Action::New => last_merge.push(i),
+        }
+    }
+    let mut open: Vec<Option<SplitMatrix<f64>>> = vec![None; last_merge.len()];
+    let mut spare: Vec<SplitMatrix<f64>> = Vec::with_capacity(2);
+    let recycle = |spare: &mut Vec<SplitMatrix<f64>>, planes| {
+        if spare.len() < 2 {
+            spare.push(planes);
+        }
+    };
     let mut ops: Vec<FusedOp> = Vec::with_capacity(circuit.ops.len());
-    for (op, action) in circuit.ops.iter().zip(&layout.actions) {
+    for (i, (op, action)) in circuit.ops.iter().zip(&layout.actions).enumerate() {
         if op.is_measurement() {
             let mut qs = op.qubits.clone();
             qs.sort_unstable();
@@ -269,10 +291,29 @@ fn build(circuit: &Circuit, layout: &planner::Layout) -> FusedCircuit {
                 };
                 // matrix_new = expand(gate) · expand(existing)
                 let union = union_sorted(&b.qubits, &sorted_qubits);
-                if union != b.qubits {
-                    b.matrix = b.matrix.expand_to(&b.qubits, &union);
+                let product = match open[t].take() {
+                    None => {
+                        let mut planes = spare.pop().unwrap_or_default();
+                        planes.set_expanded(&b.matrix, &b.qubits, &union);
+                        planes
+                    }
+                    Some(planes) if union != b.qubits => {
+                        let mut wide = spare.pop().unwrap_or_default();
+                        wide.set_widened(&planes, &b.qubits, &union);
+                        recycle(&mut spare, planes);
+                        wide
+                    }
+                    Some(planes) => planes,
+                };
+                let mut next = spare.pop().unwrap_or_default();
+                next.set_product(&matrix, &sorted_qubits, &union, &product);
+                recycle(&mut spare, product);
+                if last_merge[t] == i {
+                    b.matrix = next.to_matrix();
+                    recycle(&mut spare, next);
+                } else {
+                    open[t] = Some(next);
                 }
-                b.matrix = matrix.expand_matmul(&sorted_qubits, &union, &b.matrix);
                 b.qubits = union;
                 b.source_gates += 1;
                 b.time_range.1 = op.time;

@@ -429,15 +429,16 @@ type PlanKey = (u64, Flavor, qsim_core::types::Precision, qsim_fusion::FusionStr
 type ResultKey =
     (u64, Flavor, qsim_core::types::Precision, qsim_fusion::FusionStrategy, usize, u64, usize);
 
-/// The result-cache key for `spec`, or `None` when the result must not
-/// be cached: `keep_state` jobs exist for their state vector, which is
-/// taken once and never cached.
-fn result_cache_key(spec: &JobSpec) -> Option<ResultKey> {
+/// The result-cache key for `spec`, whose circuit hashes to
+/// `circuit_hash`, or `None` when the result must not be cached:
+/// `keep_state` jobs exist for their state vector, which is taken once and
+/// never cached.
+fn result_cache_key(spec: &JobSpec, circuit_hash: u64) -> Option<ResultKey> {
     if spec.keep_state {
         return None;
     }
     Some((
-        spec.circuit.content_hash(),
+        circuit_hash,
         spec.flavor,
         spec.precision,
         spec.strategy,
@@ -480,17 +481,13 @@ impl BudgetLedger for AdmissionLedger {
 }
 
 impl ServiceInner {
-    /// Fetch (or build and cache) the fusion plan for `spec`, plus the
-    /// fused circuit's content hash (cached with the plan so hash-equal
-    /// resubmissions hash the fused op list once, not once per job).
-    fn cached_plan(&self, spec: &JobSpec) -> (Arc<FusionPlan>, u64) {
-        let key: PlanKey = (
-            spec.circuit.content_hash(),
-            spec.flavor,
-            spec.precision,
-            spec.strategy,
-            spec.max_fused,
-        );
+    /// Fetch (or build and cache) the fusion plan for `spec`, whose
+    /// circuit hashes to `circuit_hash`, plus the fused circuit's content
+    /// hash (cached with the plan so hash-equal resubmissions hash the
+    /// fused op list once, not once per job).
+    fn cached_plan(&self, spec: &JobSpec, circuit_hash: u64) -> (Arc<FusionPlan>, u64) {
+        let key: PlanKey =
+            (circuit_hash, spec.flavor, spec.precision, spec.strategy, spec.max_fused);
         if let Some(entry) = self.plans.get(&key) {
             return entry;
         }
@@ -738,11 +735,15 @@ impl Service {
         // shots) already completed returns the cached report without
         // touching admission, the queue, or a worker. A zero budget
         // turns the whole path off — no lookups, no report clones at
-        // completion.
-        let result_key =
-            if self.inner.results.budget_bytes() == 0 { None } else { result_cache_key(&spec) };
+        // completion. The circuit is hashed once, for both cache keys.
+        let circuit_hash = spec.circuit.content_hash();
+        let result_key = if self.inner.results.budget_bytes() == 0 {
+            None
+        } else {
+            result_cache_key(&spec, circuit_hash)
+        };
         let report = result_key.as_ref().and_then(|key| self.inner.results.get(key));
-        let route = if report.is_some() { None } else { Some(self.admit(&spec)?) };
+        let route = if report.is_some() { None } else { Some(self.admit(&spec, circuit_hash)?) };
 
         let id = JobId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
         let cancel = match spec.timeout {
@@ -783,8 +784,8 @@ impl Service {
     /// multi-GCD backend over enough modeled devices that each
     /// per-device shard fits, and the host-side reservation drops to one
     /// shard's bytes. Transient pressure (`Rejected`) still bounces —
-    /// sharding cures size, not load.
-    fn admit(&self, spec: &JobSpec) -> Result<Route, SubmitError> {
+    /// sharding cures size, not load. `circuit_hash` keys the plan cache.
+    fn admit(&self, spec: &JobSpec, circuit_hash: u64) -> Result<Route, SubmitError> {
         let n = spec.circuit.num_qubits;
         let (devices, reservation) = match self.reserve_shedding(spec.state_bytes()) {
             Ok(reservation) => (1usize, reservation),
@@ -802,7 +803,7 @@ impl Service {
         // Hash-equal resubmissions (the Batch-class workload) hit the
         // plan cache instead of re-running the fusion planner.
         if devices == 1 {
-            let (plan, fused_hash) = self.inner.cached_plan(spec);
+            let (plan, fused_hash) = self.inner.cached_plan(spec, circuit_hash);
             return Ok(Route { reservation, devices, plan, fused_hash, exchanged_bytes: 0 });
         }
         // Sharded plans bypass the cache: the distributed cost model
