@@ -16,8 +16,8 @@ use crate::error::GpuError;
 use crate::memory::{DeviceBuffer, MemoryPool};
 use crate::perf::{kernel_time, memcpy_time, LaunchProfile};
 use crate::specs::DeviceSpec;
+pub use crate::timeline::StreamId;
 use crate::timeline::Timeline;
-pub use crate::timeline::{EventId, StreamId};
 use crate::trace::{SpanKind, TraceSink, TraceSpan};
 
 /// Memory traffic and arithmetic of one kernel launch.
@@ -245,14 +245,11 @@ impl Gpu {
         *self.state_passes.lock()
     }
 
-    /// Record an event on `stream` (`hipEventRecord`).
-    pub fn record_event(&self, stream: StreamId) -> Result<EventId, GpuError> {
-        self.timeline.lock().record_event(stream)
-    }
-
-    /// Make `stream` wait on `event` (`hipStreamWaitEvent`).
-    pub fn stream_wait_event(&self, stream: StreamId, event: EventId) -> Result<(), GpuError> {
-        self.timeline.lock().stream_wait_event(stream, event)
+    /// Make `waiter` wait for all work enqueued on `src` so far
+    /// (`hipEventRecord` + `hipStreamWaitEvent`, keeping no event: see
+    /// [`Timeline::stream_wait_stream`]).
+    pub fn stream_wait_stream(&self, waiter: StreamId, src: StreamId) -> Result<(), GpuError> {
+        self.timeline.lock().stream_wait_stream(waiter, src)
     }
 
     /// Wait for one stream (`hipStreamSynchronize`); returns simulated µs.
@@ -413,12 +410,11 @@ mod tests {
     }
 
     #[test]
-    fn events_across_streams() {
+    fn streams_wait_on_streams() {
         let gpu = small_gpu();
         let s2 = gpu.create_stream();
         gpu.launch(&desc("A", 1 << 16, 64), StreamId::DEFAULT, || ()).unwrap();
-        let ev = gpu.record_event(StreamId::DEFAULT).unwrap();
-        gpu.stream_wait_event(s2, ev).unwrap();
+        gpu.stream_wait_stream(s2, StreamId::DEFAULT).unwrap();
         let (b0, _, ()) = gpu.launch(&desc("B", 1, 64), s2, || ()).unwrap();
         let t_ev = gpu.sync_stream(StreamId::DEFAULT).unwrap();
         assert!(b0 >= t_ev);

@@ -97,6 +97,20 @@ impl Timeline {
         Ok(())
     }
 
+    /// Make `waiter` wait for everything enqueued on `src` so far: a
+    /// `hipEventRecord` on `src` followed by `hipStreamWaitEvent` on
+    /// `waiter`, without keeping the event. A long-lived device that
+    /// orders its streams this way never grows its event table.
+    pub fn stream_wait_stream(&mut self, waiter: StreamId, src: StreamId) -> Result<(), GpuError> {
+        self.check_stream(waiter)?;
+        self.check_stream(src)?;
+        let t = self.streams[src.0];
+        if t > self.streams[waiter.0] {
+            self.streams[waiter.0] = t;
+        }
+        Ok(())
+    }
+
     /// Event timestamp in µs (`hipEventElapsedTime` building block).
     pub fn event_time_us(&self, event: EventId) -> Result<f64, GpuError> {
         self.events
@@ -165,6 +179,28 @@ mod tests {
         tl.stream_wait_event(s, ev).unwrap();
         let (b0, _) = tl.schedule(s, 1.0).unwrap();
         assert_eq!(b0, 10.0); // waited for the event
+    }
+
+    #[test]
+    fn stream_wait_stream_is_record_then_wait_without_the_event() {
+        let busy = |tl: &mut Timeline| {
+            let s = tl.create_stream();
+            tl.schedule(StreamId::DEFAULT, 10.0).unwrap();
+            tl.schedule(s, 4.0).unwrap();
+            s
+        };
+        let (mut recorded, mut direct) = (Timeline::new(), Timeline::new());
+        let (a, b) = (busy(&mut recorded), busy(&mut direct));
+        let ev = recorded.record_event(StreamId::DEFAULT).unwrap();
+        recorded.stream_wait_event(a, ev).unwrap();
+        direct.stream_wait_stream(b, StreamId::DEFAULT).unwrap();
+        assert_eq!(recorded.schedule(a, 1.0).unwrap(), (10.0, 11.0));
+        assert_eq!(direct.schedule(b, 1.0).unwrap(), (10.0, 11.0));
+        // Waiting on a stream that finished earlier moves nothing.
+        direct.stream_wait_stream(StreamId::DEFAULT, b).unwrap();
+        assert_eq!(direct.schedule(StreamId::DEFAULT, 1.0).unwrap(), (11.0, 12.0));
+        assert_eq!((recorded.events.len(), direct.events.len()), (1, 0));
+        assert!(direct.stream_wait_stream(StreamId(9), b).is_err());
     }
 
     #[test]

@@ -15,6 +15,7 @@ use qsim_core::types::Float;
 use qsim_core::StateVector;
 use qsim_fusion::FusedCircuit;
 
+use crate::placement::Placer;
 use crate::plan::FusionPlan;
 use crate::report::{RunOptions, RunReport};
 use crate::sim_backend::{RunContext, RunFailure, SimBackend};
@@ -61,11 +62,22 @@ impl SimBackend {
         plan: &FusionPlan,
         subs: Vec<SubIn<F>>,
     ) -> Vec<BatchResult<F>> {
+        self.run_gang_placed(plan, subs, None)
+    }
+
+    /// [`SimBackend::run_gang`] over the placement `placer` builds
+    /// (`None`: on this one device).
+    pub fn run_gang_placed<F: Float>(
+        &self,
+        plan: &FusionPlan,
+        subs: Vec<SubIn<F>>,
+        placer: Option<&dyn Placer>,
+    ) -> Vec<BatchResult<F>> {
         let batch = match subs.len() {
             0 | 1 => (None, 1),
             n => (Some(NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed)), n),
         };
-        self.walk(plan, Some(subs), batch).subs
+        self.walk(plan, Some(subs), batch, placer).subs
     }
 
     /// Run N sub-jobs as a batch, returning one [`BatchResult`] per
@@ -99,7 +111,7 @@ impl SimBackend {
         for (_, fused, members) in groups {
             let (at, subs): (Vec<usize>, Vec<SubIn<F>>) = members.into_iter().unzip();
             let plan = self.check(fused, F::PRECISION);
-            let walked = self.walk(&plan, Some(subs), (Some(batch_id), batch_size));
+            let walked = self.walk(&plan, Some(subs), (Some(batch_id), batch_size), None);
             for (i, result) in at.into_iter().zip(walked.subs) {
                 out[i] = Some(result);
             }

@@ -27,6 +27,7 @@
 
 pub mod batch_run;
 pub mod flavor;
+pub mod placement;
 pub mod plan;
 pub mod report;
 pub mod sim_backend;
@@ -36,12 +37,13 @@ mod walker;
 
 pub use batch_run::{BatchJob, BatchResult, SubIn};
 pub use flavor::Flavor;
+pub use placement::{Exchange, Placement, Placer, QubitLayout, EXCHANGE_KERNEL};
 pub use plan::FusionPlan;
 pub use qsim_core::cancel::{CancelCause, CancelToken};
 pub use qsim_core::sweep::{SweepConfig, SweepStats};
 pub use qsim_fusion::{
     FusionCostModel, FusionStats, FusionStrategy, LaunchCostModel, LaunchPolicy, TrafficEstimate,
 };
-pub use report::{GateClassCount, KernelStat, RunOptions, RunReport};
+pub use report::{DistReport, GateClassCount, KernelStat, RunOptions, RunReport};
 pub use sim_backend::{BackendError, PlanOptions, RunContext, RunFailure, SimBackend};
 pub use trajectories::{NoiseSpec, TrajectoryRunner};

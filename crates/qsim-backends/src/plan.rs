@@ -1,5 +1,5 @@
 //! Planning shared by the single-device backend and the multi-GCD
-//! distributed backend: the checked plan both walkers run
+//! distributed backend: the checked plan the walker runs
 //! ([`FusionPlan`]), and how a fused gate maps to a launch descriptor
 //! (grid geometry, kernel symbol, modeled work) on a given flavor.
 

@@ -45,6 +45,27 @@ pub struct GateClassCount {
     pub count: u64,
 }
 
+/// The sharding section of a run over several devices
+/// ([`RunReport::sharding`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct DistReport {
+    /// Number of devices (`2^d`).
+    pub devices: usize,
+    /// Local qubits per device.
+    pub local_qubits: usize,
+    /// Global-qubit slot swaps performed.
+    pub swaps: usize,
+    /// Exchange epochs the swaps were batched into (≤ `swaps`; each epoch
+    /// is one all-to-all on the device timeline).
+    pub swap_epochs: usize,
+    /// Bytes each device pushed over the interconnect.
+    pub exchanged_bytes_per_device: u64,
+    /// Modeled link-occupancy seconds of the exchanges (before any
+    /// comm/compute overlap; [`RunReport::simulated_seconds`] reflects the
+    /// overlap).
+    pub exchange_seconds: f64,
+}
+
 /// Everything a backend reports about one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
@@ -139,6 +160,10 @@ pub struct RunReport {
     /// report describe the *gang's* shared launches, with the per-report
     /// time shares divided across completed sub-jobs.
     pub batch_size: usize,
+    /// How the state was sharded, for a run over several devices. The
+    /// modeled fields above then describe one representative device: the
+    /// shards run in lockstep.
+    pub sharding: Option<DistReport>,
 }
 
 impl GateClassCount {
@@ -261,6 +286,14 @@ impl RunReport {
             "analysis_warnings": (self.analysis_warnings),
             "batch_id": (self.batch_id),
             "batch_size": (self.batch_size),
+            "sharding": (self.sharding.as_ref().map(|s| json!({
+                "devices": (s.devices),
+                "local_qubits": (s.local_qubits),
+                "swaps": (s.swaps),
+                "swap_epochs": (s.swap_epochs),
+                "exchanged_bytes_per_device": (s.exchanged_bytes_per_device),
+                "exchange_seconds": (s.exchange_seconds),
+            }))),
         })
     }
 }
@@ -310,6 +343,7 @@ mod tests {
             .to_vec(),
             batch_id: None,
             batch_size: 1,
+            sharding: None,
         }
     }
 

@@ -4,7 +4,7 @@
 //! [`SimBackend::run_batch`](crate::batch_run) — into the one traversal
 //! that executes a fused circuit on it ([`crate::walker`]).
 
-use gpu_model::runtime::Gpu;
+use gpu_model::runtime::{Gpu, StreamId};
 use gpu_model::specs::DeviceSpec;
 use gpu_model::trace::TraceSink;
 use gpu_model::GpuError;
@@ -17,6 +17,7 @@ use qsim_fusion::{
 };
 
 use crate::flavor::Flavor;
+use crate::placement::Placer;
 use crate::plan::FusionPlan;
 use crate::report::{RunOptions, RunReport};
 
@@ -139,6 +140,9 @@ pub struct SimBackend {
     /// single pass over the state (see [`qsim_core::sweep`]). GPU flavors
     /// model per-gate kernels and ignore it.
     pub(crate) sweep: SweepExecutor,
+    /// The stream matrix uploads ride, created with the device so a
+    /// long-lived backend's timeline does not grow per walk.
+    pub(crate) copy_stream: StreamId,
 }
 
 impl SimBackend {
@@ -149,12 +153,7 @@ impl SimBackend {
 
     /// Backend on a custom device spec (for ablations).
     pub fn with_spec(flavor: Flavor, spec: DeviceSpec) -> Self {
-        SimBackend {
-            flavor,
-            gpu: Gpu::new(spec),
-            low_overhead_override: None,
-            sweep: SweepExecutor::new(SweepConfig::default()),
-        }
+        Self::on_gpu(flavor, Gpu::new(spec))
     }
 
     /// Backend with rocprof-style tracing attached.
@@ -168,11 +167,17 @@ impl SimBackend {
         spec: DeviceSpec,
         sink: std::sync::Arc<dyn TraceSink>,
     ) -> Self {
+        Self::on_gpu(flavor, Gpu::with_trace(spec, sink))
+    }
+
+    fn on_gpu(flavor: Flavor, gpu: Gpu) -> Self {
+        let copy_stream = gpu.create_stream();
         SimBackend {
             flavor,
-            gpu: Gpu::with_trace(spec, sink),
+            gpu,
             low_overhead_override: None,
             sweep: SweepExecutor::new(SweepConfig::default()),
+            copy_stream,
         }
     }
 
@@ -199,7 +204,7 @@ impl SimBackend {
     /// [`SimBackend::set_low_qubit_byte_overhead`] ablation. The walker
     /// charges every gate launch through it and [`SimBackend::cost_model`]
     /// prices plans with it.
-    pub(crate) fn launch_policy(&self, precision: Precision) -> LaunchPolicy {
+    pub fn launch_policy(&self, precision: Precision) -> LaunchPolicy {
         self.flavor.launch_policy(precision, *self.sweep.config(), self.low_overhead_override)
     }
 
@@ -242,7 +247,7 @@ impl SimBackend {
     }
 
     /// A pre-fused circuit as an unpriced plan, checked for this backend.
-    pub(crate) fn check(&self, fused: &FusedCircuit, precision: Precision) -> FusionPlan {
+    pub fn check(&self, fused: &FusedCircuit, precision: Precision) -> FusionPlan {
         FusionPlan::check(fused.clone().into(), self.launch_policy(precision).sweep)
     }
 
@@ -264,9 +269,20 @@ impl SimBackend {
         plan: &FusionPlan,
         precision: Precision,
     ) -> Result<RunReport, BackendError> {
+        self.estimate_placed(plan, precision, None)
+    }
+
+    /// [`SimBackend::estimate_plan`] over the placement `placer` builds
+    /// (`None`: on this one device).
+    pub fn estimate_placed(
+        &self,
+        plan: &FusionPlan,
+        precision: Precision,
+        placer: Option<&dyn Placer>,
+    ) -> Result<RunReport, BackendError> {
         match precision {
-            Precision::Single => self.walk::<f32>(plan, None, (None, 1)).report,
-            Precision::Double => self.walk::<f64>(plan, None, (None, 1)).report,
+            Precision::Single => self.walk::<f32>(plan, None, (None, 1), placer).report,
+            Precision::Double => self.walk::<f64>(plan, None, (None, 1), placer).report,
         }
     }
 

@@ -1,12 +1,12 @@
 //! The plan walker: the one traversal of a fused circuit on a modeled
-//! device.
+//! device — or on several, under a qubit placement.
 //!
 //! One generic loop serves all four flavors (exactly as the hipified HIP
 //! backend is a line-for-line port of the CUDA backend): per fused gate it
 //!
-//! 1. uploads the gate matrix with an async copy on a dedicated copy
+//! 1. uploads the gate matrix with an async copy on the backend's copy
 //!    stream (the `hipMemcpyAsync` activity of Figures 1 and 6),
-//! 2. makes the compute stream wait on the copy via an event,
+//! 2. makes the compute stream wait on the copy stream,
 //! 3. launches `ApplyGateH_Kernel` or `ApplyGateL_Kernel` depending on
 //!    whether the gate touches a qubit below index 5 (qsim's shared-memory
 //!    tile design), with the flavor's block geometry.
@@ -31,6 +31,17 @@
 //! full passes regardless — only host work on known zeros is skipped, and
 //! [`RunReport::amp_updates`] counts what was left.
 //!
+//! **Several devices.** Under a [`Placement`] (built by a [`Placer`], the
+//! multi-GCD backend) the state is sharded over `D` devices of `m` local
+//! qubits each. The host still holds each state once, in physical order;
+//! the timeline is one representative device, charged at shard width `m`
+//! — the shards run in lockstep, so `D` timelines would only repeat it.
+//! Before a gate, its exchange epochs swap index bits in place and charge
+//! their link time, serialized on the compute stream or pipelined on the
+//! comm stream; the gate runs on its sorted physical slots; a measurement
+//! reads the measured qubits' slots; and at the end the layout is undone
+//! in place, so sampling and the returned state are in logical order.
+//!
 //! Per-state arithmetic is the single-state kernels' ([`apply_run_gang`] /
 //! [`apply_gate_gang`]), each state has its own seeded RNG for
 //! measurements and sampling, and cancellation stays per state: a fired
@@ -38,15 +49,17 @@
 //! Whatever stops a state — cancellation, a bad buffer, a modeled-runtime
 //! error — its allocation rides back in [`RunFailure::buffer`].
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use gpu_model::runtime::{KernelDesc, StreamId};
+use gpu_model::runtime::{KernelDesc, KernelWork, StreamId};
 use gpu_model::trace::SpanKind;
 use gpu_model::GpuError;
+use qsim_circuit::gates::permute_matrix_bits;
 use qsim_core::batch::{apply_gate_gang, apply_run_gang, PushError, StateBatch};
 use qsim_core::cancel::CancelToken;
 use qsim_core::kernels::PAR_GRAIN_AMPS;
@@ -54,16 +67,17 @@ use qsim_core::statespace::{measure, norm_sqr, sample};
 use qsim_core::sweep::{PassTracker, SweepExecutor};
 use qsim_core::types::{Cplx, Float, Precision};
 use qsim_core::{GateMatrix, StateVector};
-use qsim_fusion::FusedOp;
+use qsim_fusion::{FusedGate, FusedOp};
 
 use crate::batch_run::{BatchResult, SubIn};
+use crate::placement::{swap_index_bits, Placement, Placer, QubitLayout, EXCHANGE_KERNEL};
 use crate::plan::{gate_kernel_desc, init_kernel_desc, sample_kernel_desc, FusionPlan};
 use crate::report::{GateClassCount, KernelStat, RunOptions, RunReport};
 use crate::sim_backend::{BackendError, RunFailure, SimBackend};
 
 /// The pending run of block-local gates: charged when met, applied
 /// together when the run flushes.
-type PendingRun<'a, F> = Vec<(&'a [usize], GateMatrix<F>)>;
+type PendingRun<'a, F> = Vec<(Cow<'a, [usize]>, GateMatrix<F>)>;
 
 /// What a walk produced.
 pub(crate) struct Walked<F: Float> {
@@ -188,12 +202,24 @@ impl<F: Float> Gang<F> {
         if pending.is_empty() {
             return;
         }
-        let prepared = sweep.prepare_run(1 << live, pending.iter().map(|(q, m)| (*q, m)));
+        let prepared = sweep.prepare_run(1 << live, pending.iter().map(|(q, m)| (&**q, m)));
         for (slot, cause) in apply_run_gang(&prepared, &mut self.batch, &self.cancels) {
             self.fail(slot, BackendError::Cancelled { cause, at_op });
         }
         pending.clear();
         self.debug_assert_norms(live, "cache-blocked sweep run");
+    }
+
+    /// Swap index bits `a < b` of every live state in place: one pair of
+    /// an exchange epoch, or one step of undoing the layout. Bits at or
+    /// above `live` hold only zeros, so a swap of two of them moves
+    /// nothing, and a swap that lifts a live bit widens `live` to cover it.
+    fn swap_bits(&mut self, live: &mut usize, a: usize, b: usize) {
+        if a >= *live {
+            return;
+        }
+        *live = (*live).max(b + 1);
+        self.batch.for_each_active(1 << *live, |_, amps| swap_index_bits(amps, a, b));
     }
 
     /// Debug-build invariant checked on every live state after every
@@ -257,15 +283,64 @@ fn bump(stats: &mut BTreeMap<String, (u64, f64)>, name: &str, dur_us: f64) {
     entry.1 += dur_us;
 }
 
+/// A gate's sorted physical slots under `layout` and, for a functional
+/// walk, its matrix at `F` re-expressed over them. Without a layout the
+/// slots are the gate's own qubits, borrowed.
+fn physical_gate<'a, F: Float>(
+    g: &'a FusedGate,
+    layout: Option<&QubitLayout>,
+    functional: bool,
+) -> (Cow<'a, [usize]>, Option<GateMatrix<F>>) {
+    let Some(layout) = layout else {
+        return (Cow::Borrowed(&g.qubits), functional.then(|| g.matrix_as()));
+    };
+    let slots: Vec<usize> = g.qubits.iter().map(|&q| layout.slot_of(q)).collect();
+    let mut sorted = slots.clone();
+    sorted.sort_unstable();
+    let matrix = functional.then(|| {
+        if sorted == slots {
+            return g.matrix_as();
+        }
+        let perm: Vec<usize> = slots
+            .iter()
+            .map(|s| sorted.iter().position(|x| x == s).expect("slot present"))
+            .collect();
+        permute_matrix_bits(&g.matrix, &perm).cast()
+    });
+    (Cow::Owned(sorted), matrix)
+}
+
+/// The `i`-th of `chunks` slices of a gate kernel, blocks and work
+/// divided proportionally (remainder blocks land on early chunks).
+fn chunk_desc(desc: &KernelDesc, i: usize, chunks: usize) -> KernelDesc {
+    let total = desc.blocks.max(1);
+    let base = total / chunks as u64;
+    let rem = total % chunks as u64;
+    let blocks = base + u64::from((i as u64) < rem);
+    let share = blocks as f64 / total as f64;
+    KernelDesc {
+        name: desc.name.clone(),
+        blocks,
+        work: KernelWork {
+            bytes: desc.work.bytes * share,
+            flops: desc.work.flops * share,
+            passes: desc.work.passes * share,
+        },
+        ..*desc
+    }
+}
+
 impl SimBackend {
     /// Walk `plan` at precision `F`: over the states of `subs_in` when
-    /// given, as a dry run otherwise. `batch` is the `(batch_id,
-    /// batch_size)` stamped on every report.
+    /// given, as a dry run otherwise, and over the placement `placer`
+    /// builds when given, on this one device otherwise. `batch` is the
+    /// `(batch_id, batch_size)` stamped on every report.
     pub(crate) fn walk<F: Float>(
         &self,
         plan: &FusionPlan,
         subs_in: Option<Vec<SubIn<F>>>,
         batch: (Option<u64>, usize),
+        placer: Option<&dyn Placer>,
     ) -> Walked<F> {
         let n = plan.fused.num_qubits;
         if n == 0 || n > qsim_core::statevec::MAX_QUBITS {
@@ -278,18 +353,23 @@ impl SimBackend {
             Err(error) => return rejected(error, subs_in),
         };
         let wall_start = Instant::now();
+        let placement = match placer.map(|p| p.place(plan, F::PRECISION)).transpose() {
+            Ok(placement) => placement,
+            Err(error) => return rejected(error, subs_in),
+        };
 
         // Modeled-memory admission (this is where a 31-qubit double run
         // genuinely exceeds the modeled A100's 40 GB): state buffers are
         // host allocations flowing pool → gang → pool, outside the device
-        // model's allocator, so the footprint is checked against the
-        // modeled capacity explicitly (conservatively counting states
-        // that may yet fail buffer validation).
+        // model's allocator, so each device's share of the footprint is
+        // checked against the modeled capacity explicitly (conservatively
+        // counting states that may yet fail buffer validation).
         let state_bytes = (F::PRECISION.amplitude_bytes() as u64) << n;
         let gang_bytes = subs_in.as_ref().map_or(1, Vec::len) as u64 * state_bytes;
+        let device_bytes = gang_bytes / placement.as_ref().map_or(1, |p| p.sharding.devices) as u64;
         let capacity = self.gpu.spec().memory_bytes;
-        if gang_bytes > capacity {
-            let oom = GpuError::OutOfMemory { requested_bytes: gang_bytes, free_bytes: capacity };
+        if device_bytes > capacity {
+            let oom = GpuError::OutOfMemory { requested_bytes: device_bytes, free_bytes: capacity };
             return rejected(BackendError::Gpu(oom), subs_in);
         }
 
@@ -299,8 +379,16 @@ impl SimBackend {
             // or charged.
             Err(BackendError::InvalidCircuit("no state left to walk".into()))
         } else {
-            self.walk_timeline(plan, &mut gang, wall_start, gang_bytes, analysis_warnings, batch)
-                .map_err(BackendError::Gpu)
+            self.walk_timeline(
+                plan,
+                &mut gang,
+                placement,
+                wall_start,
+                gang_bytes,
+                analysis_warnings,
+                batch,
+            )
+            .map_err(BackendError::Gpu)
         };
         let subs = gang.map_or_else(Vec::new, |g| g.finish(&report));
         Walked { report, subs }
@@ -311,10 +399,12 @@ impl SimBackend {
     /// cost; fusion and every per-gate fixed cost land once per gang. A
     /// modeled-runtime error (bad launch, matrix-buffer OOM) stops the
     /// walk for every state still live.
+    #[allow(clippy::too_many_arguments)]
     fn walk_timeline<'a, F: Float>(
         &self,
         plan: &'a FusionPlan,
         gang: &mut Option<Gang<F>>,
+        mut placement: Option<Placement>,
         wall_start: Instant,
         gang_bytes: u64,
         analysis_warnings: Vec<String>,
@@ -322,17 +412,20 @@ impl SimBackend {
     ) -> Result<RunReport, GpuError> {
         let fused = &plan.fused;
         let n = fused.num_qubits;
-        let len = 1usize << n;
+        // Every charge is one device's: the whole state, or one shard.
+        let m = placement.as_ref().map_or(n, |p| p.layout.local_qubits());
+        let len = 1usize << m;
         let amp_bytes = F::PRECISION.amplitude_bytes();
         let policy = self.launch_policy(F::PRECISION);
         let mut kernel_stats: BTreeMap<String, (u64, f64)> = BTreeMap::new();
         let isa = qsim_core::simd::active_isa();
-
         // Per-walk peak-memory accounting (the device may be long-lived).
         self.gpu.reset_peak_memory();
         let t0 = self.gpu.synchronize();
         let fusion_stats = fused.stats();
-        let fusion_us = Self::fusion_cost_us(&fusion_stats);
+        // ROADMAP 8(iii): a sharded walk charges no modeled fusion time,
+        // though its cost model's single-device sibling does.
+        let fusion_us = if placement.is_none() { Self::fusion_cost_us(&fusion_stats) } else { 0.0 };
         self.gpu.advance_host_us(fusion_us);
 
         // One batched init launch covers the whole gang (acquisition
@@ -343,16 +436,18 @@ impl SimBackend {
         bump(&mut kernel_stats, &init.name, e - s);
         let setup_seconds = if gang.is_some() { wall_start.elapsed().as_secs_f64() } else { 0.0 };
 
-        // Dedicated copy stream so matrix uploads overlap compute
-        // (Figures 1 and 6).
-        let copy_stream = policy.uploads_matrices.then(|| self.gpu.create_stream());
+        // Matrix uploads overlap compute on the copy stream (Figures 1
+        // and 6). ROADMAP 8(iii): a sharded walk uploads no matrices,
+        // though the GPU policies price them.
+        let copy_stream =
+            (policy.uploads_matrices && placement.is_none()).then_some(self.copy_stream);
 
         // Cache-blocked sweep state: block-local gates are charged to the
         // modeled timeline as usual but their functional application is
         // deferred so a whole run applies to each cache block in one pass
-        // (no sweeping on GPU flavors — their policy disables it, the
-        // tracker then marks every gate a barrier and `pending` stays
-        // empty).
+        // (no sweeping on GPU flavors or under a placement — their policy
+        // disables it, the tracker then marks every gate a barrier and
+        // `pending` stays empty, also across exchanges).
         let mut tracker = PassTracker::new(&policy.sweep, n);
         let mut pending: PendingRun<'a, F> = Vec::new();
 
@@ -363,7 +458,8 @@ impl SimBackend {
         // `PAR_GRAIN_AMPS` the dispatching entry takes the scalar
         // reference, which rounds differently), so results are the
         // full-width run's bit for bit; it also covers every block-local
-        // gate, so only barrier gates and measurements widen `live`.
+        // gate, so only barrier gates, exchanges and measurements widen
+        // `live`.
         let floor = policy.sweep.block_qubits(n).max(PAR_GRAIN_AMPS.trailing_zeros() as usize);
         let mut live = floor.min(n);
         let mut amp_updates = 0u64;
@@ -378,9 +474,23 @@ impl SimBackend {
             }
             match op {
                 FusedOp::Unitary(g) => {
+                    // The op's exchange epochs move its global qubits
+                    // local: in the layout, and in the data as index-bit
+                    // swaps.
+                    let exchange_us = placement.as_mut().map_or(0.0, |p| {
+                        let exchange = &p.exchanges[op_index];
+                        for &(local, global) in &exchange.pairs {
+                            if let Some(gang) = gang.as_mut() {
+                                gang.swap_bits(&mut live, local, global);
+                            }
+                            p.layout.swap_slots(local, global);
+                        }
+                        exchange.link_us
+                    });
                     // Converted once, uploaded once, applied N times —
                     // the batched amortization.
-                    let matrix = gang.is_some().then(|| g.matrix_as::<F>());
+                    let layout = placement.as_ref().map(|p| &p.layout);
+                    let (slots, matrix) = physical_gate::<F>(g, layout, gang.is_some());
                     if let Some(cs) = copy_stream {
                         // Ship the fused matrix to the device; a dry walk
                         // has no matrix to move and charges the same copy.
@@ -395,52 +505,55 @@ impl SimBackend {
                                 self.gpu.charge_memcpy(SpanKind::MemcpyH2D, bytes, cs)?;
                             }
                         }
-                        let ev = self.gpu.record_event(cs)?;
-                        self.gpu.stream_wait_event(StreamId::DEFAULT, ev)?;
+                        self.gpu.stream_wait_stream(StreamId::DEFAULT, cs)?;
                     }
-                    let opens_pass = tracker.on_gate(&g.qubits);
-                    let mut desc = gate_kernel_desc(
-                        self.flavor,
-                        &policy,
-                        n,
-                        &g.qubits,
-                        F::PRECISION,
-                        opens_pass,
-                    );
+                    let opens_pass = tracker.on_gate(&slots);
+                    let mut desc =
+                        gate_kernel_desc(self.flavor, &policy, m, &slots, F::PRECISION, opens_pass);
                     scale_for_gang(&mut desc, width(gang));
-                    let (s, e) = if tracker.in_run() {
-                        // Block-local (so below the floor, `live` stands):
-                        // charge the launch now, apply with the rest of
-                        // the run when it flushes.
-                        pending.extend(matrix.map(|m| (g.qubits.as_slice(), m)));
-                        self.gpu.charge_launch(&desc, StreamId::DEFAULT)?
-                    } else {
+                    let in_run = tracker.in_run();
+                    if !in_run {
                         // Barrier gate: flush the open run at the width it
                         // was met at, widen, then go through the ordinary
-                        // strided kernel.
+                        // strided kernel. (Block-local gates sit below the
+                        // floor, so for them `live` stands.)
                         if let Some(gang) = gang.as_mut() {
                             gang.flush(&self.sweep, &mut pending, live, op_index);
                         }
-                        live = live.max(g.max_qubit() + 1);
-                        let (s, e, ()) = self.gpu.launch(&desc, StreamId::DEFAULT, || {
-                            if let (Some(gang), Some(matrix)) = (gang.as_mut(), &matrix) {
-                                apply_gate_gang(&mut gang.batch, live, &g.qubits, matrix);
-                                gang.debug_assert_norms(live, &desc.name);
-                            }
-                        })?;
-                        (s, e)
-                    };
+                        live = live.max(slots.last().map_or(0, |q| q + 1));
+                    }
+                    // Like the launch, the exchange moves every state's
+                    // shard.
+                    let exchange_us = exchange_us * width(gang) as f64;
+                    let overlap = placement.as_ref().and_then(|p| p.overlap);
+                    self.charge_gate(&desc, exchange_us, overlap, &mut kernel_stats)?;
+                    match (gang.as_mut(), matrix) {
+                        // Applied with the rest of the run when it flushes.
+                        (Some(_), Some(matrix)) if in_run => pending.push((slots, matrix)),
+                        (Some(gang), Some(matrix)) => {
+                            apply_gate_gang(&mut gang.batch, live, &slots, &matrix);
+                            gang.debug_assert_norms(live, &desc.name);
+                        }
+                        _ => {}
+                    }
                     amp_updates += 1 << live;
-                    bump(&mut kernel_stats, &desc.name, e - s);
                 }
                 FusedOp::Measurement { qubits, .. } => {
                     tracker.on_barrier();
                     if let Some(gang) = gang.as_mut() {
                         gang.flush(&self.sweep, &mut pending, live, op_index);
                     }
+                    // The slots holding the measured qubits, in the
+                    // qubits' order, so bit `j` of the outcome is
+                    // `qubits[j]`'s and the outcome per seed is the
+                    // single-device walk's.
+                    let slots = match &placement {
+                        None => Cow::Borrowed(qubits.as_slice()),
+                        Some(p) => qubits.iter().map(|&q| p.layout.slot_of(q)).collect(),
+                    };
                     // Collapse never widens the support; the prefix only
                     // has to hold the measured qubits.
-                    live = live.max(qubits.iter().max().map_or(0, |q| q + 1));
+                    live = live.max(slots.iter().max().map_or(0, |q| q + 1));
                     // qsim measures on-device; we model the equivalent
                     // traffic as a D2H + H2D round trip, once per gang at
                     // the aggregate size, with the host waiting on the
@@ -452,7 +565,7 @@ impl SimBackend {
                     if let Some(gang) = gang.as_mut() {
                         for (slot, sub) in gang.subs.iter_mut().enumerate() {
                             if let Some(amps) = gang.batch.state_mut(slot) {
-                                let outcome = measure(&mut amps[..1 << live], qubits, &mut sub.rng);
+                                let outcome = measure(&mut amps[..1 << live], &slots, &mut sub.rng);
                                 sub.measurements.push((qubits.clone(), outcome));
                             }
                         }
@@ -465,6 +578,17 @@ impl SimBackend {
         tracker.on_barrier();
         if let Some(gang) = gang.as_mut() {
             gang.flush(&self.sweep, &mut pending, live, fused.ops.len());
+        }
+        // Undo the layout in place, so sampling and the returned states
+        // are in logical order: step `q` brings logical qubit `q` home.
+        if let (Some(p), Some(gang)) = (placement.as_mut(), gang.as_mut()) {
+            for q in 0..n {
+                let at = p.layout.slot_of(q);
+                if at != q {
+                    gang.swap_bits(&mut live, q, at);
+                    p.layout.swap_slots(q, at);
+                }
+            }
         }
 
         // Final sampling on-device: one gang-scaled launch, each state
@@ -495,9 +619,14 @@ impl SimBackend {
             .into_iter()
             .map(|(name, (count, time_us))| KernelStat { name, count, time_us })
             .collect();
+        let device = &self.gpu.spec().name;
+        let sharding = placement.map(|p| p.sharding);
         Ok(RunReport {
             backend: self.flavor.label().into(),
-            device: self.gpu.spec().name.clone(),
+            device: match &sharding {
+                Some(s) => format!("{}x {device}", s.devices),
+                None => device.clone(),
+            },
             precision: F::PRECISION,
             num_qubits: n,
             max_fused_qubits: fused.max_fused_qubits,
@@ -512,7 +641,7 @@ impl SimBackend {
             kernels,
             measurements: Vec::new(),
             samples: Vec::new(),
-            state_bytes: (len * amp_bytes) as u64,
+            state_bytes: (amp_bytes as u64) << n,
             // The states, plus the widest transient in the device model's
             // allocator (matrix upload buffers).
             peak_state_bytes: gang_bytes + self.gpu.memory_usage().1,
@@ -524,6 +653,45 @@ impl SimBackend {
             gate_class_counts: GateClassCount::tally(fused, isa.lane_qubits(F::PRECISION)),
             batch_id: batch.0,
             batch_size: batch.1,
+            sharding,
         })
+    }
+
+    /// Charge one gate launch to the compute stream, preceded by
+    /// `exchange_us` of link time when the gate's exchange epochs moved
+    /// data. Serialized (`overlap` is `None`), the exchange runs ahead of
+    /// the kernel on the compute stream. Overlapped (`overlap` = the comm
+    /// stream and pipeline depth), both split into chunks: exchange chunk
+    /// `i` runs on the comm stream and the matching kernel chunk waits for
+    /// it, so chunk `i+1`'s link time hides behind chunk `i`'s compute.
+    fn charge_gate(
+        &self,
+        desc: &KernelDesc,
+        exchange_us: f64,
+        overlap: Option<(StreamId, usize)>,
+        stats: &mut BTreeMap<String, (u64, f64)>,
+    ) -> Result<(), GpuError> {
+        let (gpu, compute) = (&self.gpu, StreamId::DEFAULT);
+        if exchange_us <= 0.0 {
+            let (s, e) = gpu.charge_launch(desc, compute)?;
+            bump(stats, &desc.name, e - s);
+            return Ok(());
+        }
+        let (link, chunks) = overlap.unwrap_or((compute, 1));
+        let chunks = chunks.clamp(1, desc.blocks.max(1) as usize);
+        // The exchange reads amplitudes the previous kernel wrote.
+        gpu.stream_wait_stream(link, compute)?;
+        let (mut xt, mut kt) = (0.0, 0.0);
+        for i in 0..chunks {
+            let us = exchange_us / chunks as f64;
+            let (xs, xe) = gpu.charge_custom(EXCHANGE_KERNEL, SpanKind::MemcpyD2D, link, us)?;
+            gpu.stream_wait_stream(compute, link)?;
+            let (s, e) = gpu.charge_launch(&chunk_desc(desc, i, chunks), compute)?;
+            xt += xe - xs;
+            kt += e - s;
+        }
+        bump(stats, EXCHANGE_KERNEL, xt);
+        bump(stats, &desc.name, kt);
+        Ok(())
     }
 }

@@ -19,15 +19,15 @@
 //! bytes on a 32q depth-20 RQC, overlap beats serialized exchange on the
 //! same circuit, and a 34-qubit RQC fits (per device) on an 8-GCD node.
 
-use qsim_backends::{BackendError, Flavor};
+use qsim_backends::{BackendError, DistReport, Flavor, FusionPlan, RunReport, SweepConfig};
 use qsim_bench::{paper_circuit, write_csv, Claim, Series, FUSION_SWEEP};
 use qsim_circuit::{generate_rqc, RqcOptions};
 use qsim_cli::args::{parse_backend, parse_devices, parse_precision, parse_topology};
 use qsim_core::types::Precision;
 use qsim_distributed::interconnect::Topology;
 use qsim_distributed::schedule::{DistOptions, SwapPolicy};
-use qsim_distributed::{DistReport, MultiGcdBackend};
-use qsim_fusion::fuse;
+use qsim_distributed::MultiGcdBackend;
+use qsim_fusion::{fuse, FusedCircuit};
 
 const USAGE: &str = "\
 usage: multi_gcd [options]           full scaling study
@@ -75,6 +75,21 @@ fn backend(opts: &Opts, devices: usize) -> MultiGcdBackend {
     }
 }
 
+/// The modeled report of a dry run of `fused` on `backend`.
+fn estimate(
+    backend: &MultiGcdBackend,
+    fused: &FusedCircuit,
+    precision: Precision,
+) -> Result<RunReport, BackendError> {
+    let plan = FusionPlan::check(fused.clone().into(), SweepConfig::disabled());
+    backend.estimate_plan(&plan, precision)
+}
+
+/// The sharding section of a sharded report.
+fn sharding(report: &RunReport) -> &DistReport {
+    report.sharding.as_ref().expect("a sharded walk reports its sharding")
+}
+
 /// Device counts swept: 1, 2, 4, … up to the requested maximum.
 fn device_sweep(max_devices: usize) -> Vec<usize> {
     (0..).map(|d| 1usize << d).take_while(|&d| d <= max_devices).collect()
@@ -91,8 +106,7 @@ fn strong_series(opts: &Opts) -> Vec<Series> {
                 .iter()
                 .map(|&f| {
                     let fused = fuse(&circuit, f);
-                    backend(opts, devices)
-                        .estimate(&fused, opts.precision)
+                    estimate(&backend(opts, devices), &fused, opts.precision)
                         .expect("estimate")
                         .simulated_seconds
                 })
@@ -103,12 +117,10 @@ fn strong_series(opts: &Opts) -> Vec<Series> {
 }
 
 /// Estimate the 32q depth-20 RQC under explicit scheduling options.
-fn estimate_32q(opts: &Opts, devices: usize, dist: DistOptions) -> DistReport {
+fn estimate_32q(opts: &Opts, devices: usize, dist: DistOptions) -> RunReport {
     let circuit = generate_rqc(&RqcOptions::for_qubits(32, 20, 77));
     let fused = fuse(&circuit, 4);
-    backend(opts, devices)
-        .with_options(dist)
-        .estimate(&fused, opts.precision)
+    estimate(&backend(opts, devices).with_options(dist), &fused, opts.precision)
         .expect("32q estimate")
 }
 
@@ -128,10 +140,9 @@ fn bench(opts: &Opts) {
             .iter()
             .map(|&f| {
                 let fused = fuse(&circuit, f);
-                MultiGcdBackend::with_topology(opts.flavor, 4, Topology::frontier_node())
-                    .estimate(&fused, opts.precision)
-                    .expect("estimate")
-                    .simulated_seconds
+                let frontier =
+                    MultiGcdBackend::with_topology(opts.flavor, 4, Topology::frontier_node());
+                estimate(&frontier, &fused, opts.precision).expect("estimate").simulated_seconds
             })
             .collect();
         series.push(Series::new("4 GCDs (Frontier 2-level fabric)", vals));
@@ -152,20 +163,20 @@ fn bench(opts: &Opts) {
     }
     if opts.max_devices >= 4 {
         let fused = fuse(&paper_circuit(), 4);
-        let r = backend(opts, 4).estimate(&fused, opts.precision).expect("estimate");
-        let serial = backend(opts, 4)
-            .with_options(DistOptions { overlap: false, ..DistOptions::default() })
-            .estimate(&fused, opts.precision)
+        let r = estimate(&backend(opts, 4), &fused, opts.precision).expect("estimate");
+        let serialized = DistOptions { overlap: false, ..DistOptions::default() };
+        let serial = estimate(&backend(opts, 4).with_options(serialized), &fused, opts.precision)
             .expect("estimate");
+        let s = sharding(&r);
         println!(
             "  at 4 GCDs: {} swaps in {} exchange epochs, {:.2} GiB exchanged per device,\n\
              \x20 {:.3} s of link time ({:.1} % hidden behind compute by overlap)",
-            r.swaps,
-            r.swap_epochs,
-            r.exchanged_bytes_per_device as f64 / (1u64 << 30) as f64,
-            r.exchange_seconds,
+            s.swaps,
+            s.swap_epochs,
+            s.exchanged_bytes_per_device as f64 / (1u64 << 30) as f64,
+            s.exchange_seconds,
             100.0 * (serial.simulated_seconds - r.simulated_seconds)
-                / r.exchange_seconds.max(f64::MIN_POSITIVE),
+                / s.exchange_seconds.max(f64::MIN_POSITIVE),
         );
     }
     match write_csv("multi_gcd_strong.csv", &series) {
@@ -181,8 +192,7 @@ fn bench(opts: &Opts) {
         let n = 27 + devices.trailing_zeros() as usize;
         let c = generate_rqc(&RqcOptions::for_qubits(n, 14, 2023));
         let fused = fuse(&c, 4);
-        let t = backend(opts, devices)
-            .estimate(&fused, opts.precision)
+        let t = estimate(&backend(opts, devices), &fused, opts.precision)
             .expect("estimate")
             .simulated_seconds;
         if devices == 1 {
@@ -200,7 +210,7 @@ fn bench(opts: &Opts) {
         for n in 30..=qsim_core::statevec::MAX_QUBITS {
             let c = generate_rqc(&RqcOptions::for_qubits(n, 14, 2023));
             let fused = fuse(&c, 4);
-            match backend(opts, devices).estimate(&fused, opts.precision) {
+            match estimate(&backend(opts, devices), &fused, opts.precision) {
                 Ok(r) => best = Some((n, r.simulated_seconds)),
                 Err(BackendError::Gpu(_)) => break,
                 Err(e) => panic!("unexpected error: {e}"),
@@ -226,11 +236,12 @@ fn bench(opts: &Opts) {
         ("lookahead, serialized", &sched),
         ("lookahead, overlapped", &full),
     ] {
+        let s = sharding(r);
         println!(
             "  {label:<24} {:>5} swaps {:>4} epochs {:>8.2} GiB/dev exchanged {:>8.3} s",
-            r.swaps,
-            r.swap_epochs,
-            r.exchanged_bytes_per_device as f64 / (1u64 << 30) as f64,
+            s.swaps,
+            s.swap_epochs,
+            s.exchanged_bytes_per_device as f64 / (1u64 << 30) as f64,
             r.simulated_seconds
         );
     }
@@ -238,8 +249,8 @@ fn bench(opts: &Opts) {
         "\n  scheduler: {:.1} % fewer exchanged bytes; overlap: {:.1} % less end-to-end time",
         100.0
             * (1.0
-                - sched.exchanged_bytes_per_device as f64
-                    / naive.exchanged_bytes_per_device as f64),
+                - sharding(&sched).exchanged_bytes_per_device as f64
+                    / sharding(&naive).exchanged_bytes_per_device as f64),
         100.0 * (1.0 - full.simulated_seconds / sched.simulated_seconds)
     );
 }
@@ -263,16 +274,16 @@ fn ci(opts: &Opts) -> Result<(), String> {
         DistOptions { policy: SwapPolicy::Lookahead, overlap: false, chunks: 1 },
     );
     let full = estimate_32q(opts, 8, DistOptions::default());
-    let byte_cut =
-        1.0 - sched.exchanged_bytes_per_device as f64 / naive.exchanged_bytes_per_device as f64;
+    let (naive_bytes, sched_bytes) =
+        (sharding(&naive).exchanged_bytes_per_device, sharding(&sched).exchanged_bytes_per_device);
+    let byte_cut = 1.0 - sched_bytes as f64 / naive_bytes as f64;
 
     // Capacity: a 34-qubit RQC estimates cleanly on 8 GCDs with the
     // per-device shard below one device's memory.
     let big = generate_rqc(&RqcOptions::for_qubits(34, 14, 7));
-    let capacity = backend(opts, 8)
-        .estimate(&fuse(&big, 4), opts.precision)
+    let capacity = estimate(&backend(opts, 8), &fuse(&big, 4), opts.precision)
         .map_err(|e| format!("34q estimate: {e}"))?;
-    let shard_bytes = capacity.state_bytes_total / capacity.devices as u64;
+    let shard_bytes = capacity.state_bytes / sharding(&capacity).devices as u64;
     let device_memory = opts.flavor.default_spec().memory_bytes;
 
     let claims = vec![
@@ -292,10 +303,10 @@ fn ci(opts: &Opts) -> Result<(), String> {
             model: format!(
                 "{:.1} % ({:.2} -> {:.2} GiB/dev, {} -> {} swaps)",
                 100.0 * byte_cut,
-                naive.exchanged_bytes_per_device as f64 / (1u64 << 30) as f64,
-                sched.exchanged_bytes_per_device as f64 / (1u64 << 30) as f64,
-                naive.swaps,
-                sched.swaps
+                naive_bytes as f64 / (1u64 << 30) as f64,
+                sched_bytes as f64 / (1u64 << 30) as f64,
+                sharding(&naive).swaps,
+                sharding(&sched).swaps
             ),
             holds: byte_cut >= 0.30,
         },
@@ -304,7 +315,9 @@ fn ci(opts: &Opts) -> Result<(), String> {
             paper: "qHiPSTER §5".into(),
             model: format!(
                 "{:.3} s -> {:.3} s ({:.3} s link time)",
-                sched.simulated_seconds, full.simulated_seconds, full.exchange_seconds
+                sched.simulated_seconds,
+                full.simulated_seconds,
+                sharding(&full).exchange_seconds
             ),
             holds: full.simulated_seconds < sched.simulated_seconds,
         },

@@ -13,14 +13,14 @@ use std::sync::Arc;
 
 use qsim_analyze::Analyzer;
 use qsim_backends::{
-    Flavor, FusionStrategy, PlanOptions, RunOptions, RunReport, SimBackend, SweepConfig,
+    Flavor, FusionPlan, FusionStrategy, PlanOptions, RunOptions, RunReport, SimBackend, SweepConfig,
 };
 use qsim_circuit::parser::{parse_circuit, parse_circuit_unchecked};
 use qsim_cli::args::{
     parse_backend, parse_devices, parse_max_fused, parse_precision, parse_sweep_block,
     parse_topology,
 };
-use qsim_core::types::Precision;
+use qsim_core::types::{Float, Precision};
 use qsim_distributed::interconnect::Topology;
 use qsim_distributed::MultiGcdBackend;
 use qsim_trace::{Profiler, TraceStats};
@@ -209,6 +209,18 @@ fn print_report(report: &RunReport, verbose: bool, profiler: Option<&Profiler>) 
         }
     }
     if verbose {
+        if let Some(s) = &report.sharding {
+            println!(
+                "\nsharding:           {} devices x 2^{} amps: {} swaps in {} epochs, \
+                 {:.3} GiB exchanged per device, {:.6} s of link time",
+                s.devices,
+                s.local_qubits,
+                s.swaps,
+                s.swap_epochs,
+                s.exchanged_bytes_per_device as f64 / (1u64 << 30) as f64,
+                s.exchange_seconds
+            );
+        }
         if !report.gate_class_counts.is_empty() {
             println!("\ngate classes (GPU kernel / CPU lane):");
             for c in &report.gate_class_counts {
@@ -225,6 +237,26 @@ fn print_report(report: &RunReport, verbose: bool, profiler: Option<&Profiler>) 
             }
         }
     }
+}
+
+/// Run `plan` at precision `F` — sharded when `dist` is given — and return
+/// the report with the first `count` amplitudes.
+fn run_plan<F: Float>(
+    backend: &SimBackend,
+    dist: Option<&MultiGcdBackend>,
+    plan: &FusionPlan,
+    opts: &RunOptions,
+    count: usize,
+) -> Result<(RunReport, Vec<(f64, f64)>), String> {
+    let (state, report) = match dist {
+        Some(d) => d.run_plan::<F>(plan, opts),
+        None => backend.run_plan::<F>(plan, opts),
+    }
+    .map_err(|e| e.to_string())?;
+    let amps = (0..count.min(state.len()))
+        .map(|i| (state.amplitude(i).re.to_f64(), state.amplitude(i).im.to_f64()))
+        .collect();
+    Ok((report, amps))
 }
 
 fn run(args: &Args) -> Result<(), String> {
@@ -288,41 +320,19 @@ fn run(args: &Args) -> Result<(), String> {
     let opts = RunOptions { seed: args.seed, sample_count: args.sample_count };
 
     // (report, first-N amplitudes when computed)
-    let (report, amplitudes): (RunReport, Option<Vec<(f64, f64)>>) = if args.estimate_only {
+    let (report, amplitudes) = if args.estimate_only {
         let report = match &dist {
-            Some(d) => d.estimate_plan(&plan, args.precision).map_err(|e| e.to_string())?,
-            None => backend.estimate_plan(&plan, args.precision).map_err(|e| e.to_string())?,
+            Some(d) => d.estimate_plan(&plan, args.precision),
+            None => backend.estimate_plan(&plan, args.precision),
         };
-        (report, None)
+        (report.map_err(|e| e.to_string())?, None)
     } else {
-        match args.precision {
-            Precision::Single => {
-                let (state, report) = match &dist {
-                    Some(d) => d.run_plan::<f32>(&plan, &opts).map_err(|e| e.to_string())?,
-                    None => backend.run_plan::<f32>(&plan, &opts).map_err(|e| e.to_string())?,
-                };
-                let amps = (0..args.num_amplitudes.min(state.len()))
-                    .map(|i| {
-                        let a = state.amplitude(i);
-                        (a.re as f64, a.im as f64)
-                    })
-                    .collect();
-                (report, Some(amps))
-            }
-            Precision::Double => {
-                let (state, report) = match &dist {
-                    Some(d) => d.run_plan::<f64>(&plan, &opts).map_err(|e| e.to_string())?,
-                    None => backend.run_plan::<f64>(&plan, &opts).map_err(|e| e.to_string())?,
-                };
-                let amps = (0..args.num_amplitudes.min(state.len()))
-                    .map(|i| {
-                        let a = state.amplitude(i);
-                        (a.re, a.im)
-                    })
-                    .collect();
-                (report, Some(amps))
-            }
-        }
+        let (n, dist) = (args.num_amplitudes, dist.as_ref());
+        let (report, amps) = match args.precision {
+            Precision::Single => run_plan::<f32>(&backend, dist, &plan, &opts, n)?,
+            Precision::Double => run_plan::<f64>(&backend, dist, &plan, &opts, n)?,
+        };
+        (report, Some(amps))
     };
 
     if args.json {

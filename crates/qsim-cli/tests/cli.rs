@@ -188,6 +188,29 @@ fn repo_circuit(name: &str) -> PathBuf {
     p
 }
 
+/// A `--devices` run shows its exchanges: the sharding section under
+/// `-v`, and under `"report"."sharding"` in `--json`.
+#[test]
+fn qsim_base_reports_the_sharding_section() {
+    let circuit = repo_circuit("circuit_q30");
+    let args = ["-c", circuit.to_str().unwrap(), "-b", "hip", "-f", "4", "-e", "--devices", "4"];
+    let out = qsim_base().args(args).arg("-v").output().expect("run qsim_base");
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("sharding:           4 devices x 2^28 amps:"), "{text}");
+    assert!(text.contains("GiB exchanged per device") && text.contains("s of link time"));
+
+    let out = qsim_base().args(args).arg("--json").output().expect("run qsim_base");
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let v: serde_json::Value = serde_json::from_str(&stdout(&out)).expect("valid JSON");
+    let sharding = &v["report"]["sharding"];
+    assert_eq!(sharding["devices"], serde_json::json!(4));
+    assert!(sharding["swaps"].as_u64().unwrap() > 0, "{sharding:?}");
+    assert!(sharding["swap_epochs"].as_u64().unwrap() > 0);
+    assert!(sharding["exchanged_bytes_per_device"].as_u64().unwrap() > 0);
+    assert!(sharding["exchange_seconds"].as_f64().unwrap() > 0.0);
+}
+
 #[test]
 fn analyze_passes_bell_circuit() {
     let circuit = write_bell();

@@ -310,9 +310,9 @@ fn advance<F: Float, const K: usize>(
     }
 }
 
-/// Measure `qubits` (ascending order), collapse the state accordingly, and
-/// return the measured bits (bit `j` of the result = outcome of
-/// `qubits[j]`). This is qsim's destructive `Measure`.
+/// Measure `qubits` (distinct, in any order), collapse the state
+/// accordingly, and return the measured bits (bit `j` of the result =
+/// outcome of `qubits[j]`). This is qsim's destructive `Measure`.
 ///
 /// The outcome is drawn by inverse-CDF over the **marginal** distribution
 /// of the measured qubits, so for a fixed rng draw it depends only on the
@@ -326,11 +326,9 @@ pub fn measure<F: Float, R: Rng + ?Sized>(
 ) -> usize {
     let n = amps.len().trailing_zeros() as usize;
     assert!(!qubits.is_empty(), "measure requires at least one qubit");
-    assert!(
-        qubits.windows(2).all(|w| w[0] < w[1]),
-        "measured qubits must be sorted ascending and distinct"
-    );
     assert!(qubits.iter().all(|&q| q < n), "qubit out of range");
+    let mask: usize = qubits.iter().map(|&q| 1usize << q).sum();
+    assert_eq!(mask.count_ones() as usize, qubits.len(), "measured qubits must be distinct");
 
     // Accumulate the per-outcome ("sector") masses of the measured qubits'
     // marginal distribution, then inverse-CDF over the 2^k sectors. Drawing
@@ -373,7 +371,6 @@ pub fn measure<F: Float, R: Rng + ?Sized>(
     }
 
     // Collapse: zero every amplitude whose measured bits differ.
-    let mask: usize = qubits.iter().map(|&q| 1usize << q).sum();
     let want: usize = qubits.iter().enumerate().map(|(j, &q)| ((outcome >> j) & 1) << q).sum();
     amps.par_iter_mut().enumerate().with_min_len(4096).for_each(|(i, a)| {
         if i & mask != want {
@@ -589,6 +586,26 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let m = measure(&mut sv, &[0, 1], &mut rng);
             assert!(m == 0b00 || m == 0b11, "Bell measurement gave {m:02b}");
+        }
+    }
+
+    /// Measuring qubits where a bit permutation moved them — their new
+    /// positions listed in the qubits' order — draws the outcome the
+    /// unpermuted state draws for the same seed, and collapses alike: how
+    /// a sharded walk measures qubits wherever their slots now are.
+    #[test]
+    fn measuring_moved_qubits_in_their_order_matches_the_unmoved_state() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let amps: Vec<Cplx<f64>> = (0..8).map(|_| Cplx::new(rng.gen(), rng.gen())).collect();
+        // Qubits 0 and 2 trade places: index bits 0 and 2 swap.
+        let moved = |i: usize| i & 0b010 | (i & 1) << 2 | (i >> 2) & 1;
+        for seed in 0..20 {
+            let mut home = SV::from_amplitudes(amps.clone());
+            let mut away = SV::from_amplitudes((0..8).map(|i| amps[moved(i)]).collect::<Vec<_>>());
+            let a = measure(&mut home, &[0, 2], &mut StdRng::seed_from_u64(seed));
+            let b = measure(&mut away, &[2, 0], &mut StdRng::seed_from_u64(seed));
+            assert_eq!(a, b, "seed {seed}");
+            assert!((0..8).all(|i| away.amplitude(i) == home.amplitude(moved(i))));
         }
     }
 

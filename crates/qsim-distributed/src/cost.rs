@@ -1,7 +1,7 @@
 //! The distributed fusion cost model.
 //!
 //! Wraps the single-device [`LaunchCostModel`] of one shard (priced over
-//! the *shard* width `m = n − d`, under the launch policy the shard walk
+//! the *shard* width `m = n − d`, under the launch policy the sharded walk
 //! charges with) and adds the modeled interconnect cost of the slot swaps
 //! the [`crate::schedule`] planner would emit for the plan. Two
 //! consequences the fusion planner can now see:
@@ -24,8 +24,8 @@
 use qsim_fusion::{FusionCostModel, LaunchCostModel, TrafficEstimate};
 
 use crate::interconnect::Topology;
-use crate::layout::QubitLayout;
 use crate::schedule::{SwapPolicy, SwapSchedule};
+use qsim_backends::QubitLayout;
 
 /// Prices fused plans for [`crate::MultiGcdBackend`]: single-device cost
 /// at shard width plus modeled swap-exchange time and traffic.
@@ -240,12 +240,12 @@ mod tests {
     }
     #[test]
     fn pricing_agreement_sharded() {
-        // The planner's prediction is what the shard walk charges one
+        // The planner's prediction is what the sharded walk charges one
         // device: gate kernels + exchanges (+ the matrix uploads the model
         // prices per pass). The `cpu` cell used to be priced for a sweep
-        // the shard walk does not run.
-        use crate::backend::EXCHANGE_KERNEL;
+        // the sharded walk does not run.
         use crate::schedule::DistOptions;
+        use crate::EXCHANGE_KERNEL;
         use qsim_backends::PlanOptions;
         use qsim_circuit::gates::GateKind;
 

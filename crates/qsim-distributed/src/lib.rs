@@ -13,17 +13,20 @@
 //! a gate touching a global slot first *swaps* that slot with a free
 //! local slot — a pairwise half-buffer exchange between device pairs over
 //! the modeled Infinity Fabric links — after which it, too, is local.
-//! A logical→physical [`layout::QubitLayout`] permutation tracks the swap
-//! history so amplitudes are unscrambled only once, at readback.
+//! A logical→physical [`QubitLayout`] permutation tracks the swap history
+//! so amplitudes are unscrambled only once, at the end of the run.
+//!
+//! This crate plans and prices; it does not walk. A run is the
+//! single-device walker of `qsim-backends` over the
+//! [`qsim_backends::Placement`] [`MultiGcdBackend`] builds.
 
 pub mod backend;
 pub mod cost;
 pub mod interconnect;
-pub mod layout;
 pub mod schedule;
 
-pub use backend::{DistReport, MultiGcdBackend, EXCHANGE_KERNEL};
+pub use backend::MultiGcdBackend;
 pub use cost::DistCostModel;
 pub use interconnect::LinkSpec;
-pub use layout::QubitLayout;
+pub use qsim_backends::{DistReport, QubitLayout, EXCHANGE_KERNEL};
 pub use schedule::{DistOptions, Epoch, ScheduleError, SwapPolicy, SwapSchedule};

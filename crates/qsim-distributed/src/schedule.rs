@@ -29,7 +29,7 @@ use std::fmt;
 use qsim_fusion::FusedCircuit;
 
 use crate::interconnect::{LinkSpec, Topology};
-use crate::layout::QubitLayout;
+use qsim_backends::QubitLayout;
 
 /// How the backend chooses slot remappings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,8 +81,8 @@ pub struct DistOptions {
     /// Swap scheduling policy.
     pub policy: SwapPolicy,
     /// Pipeline each exchange epoch against the dependent gate kernel on
-    /// a per-device comm stream (instead of serializing link time on the
-    /// compute stream).
+    /// the comm stream (instead of serializing link time on the compute
+    /// stream).
     pub overlap: bool,
     /// Pipeline depth when `overlap` is on (clamped to the kernel's
     /// block count at charge time).

@@ -9,7 +9,9 @@
 //! Batch-class gang shares one gate plan, one matrix upload per gate and
 //! one sweep across every member's state
 //! ([`qsim_backends::SimBackend::run_gang`]); a job admission routed
-//! across several modeled devices runs on a [`MultiGcdBackend`].
+//! across several modeled devices runs the same walk over a sharded
+//! placement ([`MultiGcdBackend::run_gang`]), with the same pooled buffer
+//! and the same cancel token.
 //!
 //! Each worker lazily builds one `Device` per `(flavor, device count)`
 //! it encounters and keeps it for the thread's lifetime, so a long-lived
@@ -27,10 +29,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use qsim_backends::{
-    BackendError, BatchResult, Flavor, RunContext, RunFailure, RunOptions, SimBackend,
+    BackendError, BatchResult, Flavor, FusionPlan, RunContext, RunOptions, SimBackend, SubIn,
 };
 use qsim_core::lockorder;
-use qsim_core::types::Precision;
+use qsim_core::types::{Float, Precision};
 use qsim_core::AlignedAmps;
 use qsim_distributed::MultiGcdBackend;
 
@@ -101,11 +103,11 @@ impl WorkerPool {
     }
 }
 
-/// What a worker runs a unit on: one modeled device, or several.
+/// What a worker runs a unit on: one modeled device, or several (the
+/// placement is per geometry, hence the device count in the worker's map
+/// key).
 enum Device {
     One(SimBackend),
-    /// The device timeline array and comm streams are per-geometry
-    /// state, hence the device count in the worker's map key.
     Many(MultiGcdBackend),
 }
 
@@ -114,6 +116,13 @@ impl Device {
         match devices {
             1 => Device::One(SimBackend::new(flavor)),
             _ => Device::Many(MultiGcdBackend::new(flavor, devices)),
+        }
+    }
+
+    fn run_gang<F: Float>(&self, plan: &FusionPlan, subs: Vec<SubIn<F>>) -> Vec<BatchResult<F>> {
+        match self {
+            Device::One(backend) => backend.run_gang(plan, subs),
+            Device::Many(backend) => backend.run_gang(plan, subs),
         }
     }
 }
@@ -179,18 +188,12 @@ fn worker_loop(inner: &ServiceInner) {
 /// In test builds, a job with this seed panics inside [`run_unit`].
 const PANIC_SEED: u64 = 0xDEAD_5EED_0BAD_F00D;
 
-/// Execute one unit at precision `F` — a gang sharing the lead's plan on
-/// one device (every member with its own pooled buffer, seed, sample
-/// count and cancel token), or an admission-routed job on several — and
-/// settle every member. Outcomes are returned (not published) so the
-/// caller can settle the traffic ledger first.
-///
-/// A sharded state never fits a pooled buffer as one allocation — the
-/// backend holds it as per-device shards — so that path touches the pool
-/// only on the way out, and honors the cancel token only up to launch:
-/// the distributed sweep has no per-gate cancel points (its shards
-/// advance in lockstep, and a routed job already paid planning +
-/// reservation — let it finish).
+/// Execute one unit at precision `F` — a gang sharing the lead's plan
+/// (every member with its own pooled buffer, seed, sample count and
+/// cancel token; a job routed across several devices dispatches alone,
+/// `gang_compatible` excludes it) — and settle every member. Outcomes are
+/// returned (not published) so the caller can settle the traffic ledger
+/// first.
 fn run_unit<F: StateSlot>(
     device: &Device,
     pool: &StateBufferPool,
@@ -202,34 +205,18 @@ fn run_unit<F: StateSlot>(
     if cfg!(test) && jobs.iter().any(|job| job.spec.seed == PANIC_SEED) {
         panic!("injected by a test");
     }
-    let opts =
-        |job: &QueuedJob| RunOptions { seed: job.spec.seed, sample_count: job.spec.sample_count };
-    let results: Vec<BatchResult<F>> = match device {
-        Device::One(backend) => {
-            let len = 1usize << jobs[0].spec.circuit.num_qubits;
-            let subs = jobs
-                .iter()
-                .map(|job| {
-                    let reuse_buffer = pool.acquire::<F>(len);
-                    (opts(job), RunContext { reuse_buffer, cancel: Some(job.cancel.clone()) })
-                })
-                .collect();
-            // gang_compatible matched every member's fused circuit to the
-            // lead's by content hash at dispatch.
-            backend.run_gang::<F>(&jobs[0].plan, subs)
-        }
-        // Routed jobs dispatch alone (gang_compatible excludes them).
-        Device::Many(backend) => jobs
-            .iter()
-            .map(|job| {
-                let run = match job.cancel.cause() {
-                    Some(cause) => Err(BackendError::Cancelled { cause, at_op: 0 }),
-                    None => backend.run_plan::<F>(&job.plan, &opts(job)),
-                };
-                run.map_err(|error| RunFailure { error, buffer: None })
-            })
-            .collect(),
-    };
+    let len = 1usize << jobs[0].spec.circuit.num_qubits;
+    let subs = jobs
+        .iter()
+        .map(|job| {
+            let opts = RunOptions { seed: job.spec.seed, sample_count: job.spec.sample_count };
+            let reuse_buffer = pool.acquire::<F>(len);
+            (opts, RunContext { reuse_buffer, cancel: Some(job.cancel.clone()) })
+        })
+        .collect();
+    // gang_compatible matched every member's fused circuit to the lead's
+    // by content hash at dispatch.
+    let results = device.run_gang::<F>(&jobs[0].plan, subs);
     jobs.iter().zip(results).map(|(job, result)| (job.id, settle(pool, job, result))).collect()
 }
 

@@ -182,37 +182,77 @@ fn shed_sharded_submission_is_not_counted_as_routed() {
 }
 
 /// A cancelled job's state buffer comes back to the pool — the next
-/// same-shaped job adopts it — and the worker moves on to later jobs.
+/// same-shaped job adopts it — and the worker moves on to later jobs. On
+/// a budget of half its state the job is routed across two devices, and
+/// the sharded run is cancelled, recycled and charged back the same way.
 #[test]
 fn cancelled_job_recycles_its_buffer_and_worker_proceeds() {
-    let service = Service::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+    let half_state = slow_spec().state_bytes() / 2;
+    for (budget, devices) in [(ServiceConfig::default().memory_budget_bytes, 1), (half_state, 2)] {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            memory_budget_bytes: budget,
+            ..ServiceConfig::default()
+        });
 
-    let victim = service.submit(slow_spec()).expect("submit");
-    // Wait until the worker has actually started it, so a buffer has been
-    // (or is about to be) acquired, then cancel mid-run.
-    let deadline = std::time::Instant::now() + WAIT;
-    while service.status(victim).expect("known job").state == JobState::Queued {
-        assert!(std::time::Instant::now() < deadline, "job never started");
-        std::thread::sleep(Duration::from_millis(1));
+        let victim = service.submit(slow_spec()).expect("submit");
+        // Wait until the worker has actually started it, so a buffer has
+        // been (or is about to be) acquired, then cancel mid-run.
+        let deadline = std::time::Instant::now() + WAIT;
+        while service.status(victim).expect("known job").state == JobState::Queued {
+            assert!(std::time::Instant::now() < deadline, "job never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        service.cancel(victim);
+        let status = service.wait(victim, WAIT).expect("known job");
+        assert_eq!(status.devices, devices);
+        // Almost always Cancelled; Done only if the run beat the token to
+        // the last gate. Either way the buffer must land in the pool, and
+        // the job's reservation and traffic charge come back.
+        assert!(status.state.is_terminal());
+        let m = service.metrics();
+        assert!(m.pool.pooled_buffers >= 1, "terminal job must hand its buffer to the pool");
+        assert_eq!(m.reserved_bytes, 0, "{devices} device(s): reservation returned");
+        assert_eq!(
+            (m.bandwidth.running_bps, m.bandwidth.running_jobs),
+            (0, 0),
+            "{devices} device(s): traffic charge returned"
+        );
+
+        // The worker is still alive and the next same-shaped job adopts
+        // the recycled buffer.
+        let successor = service.submit(slow_spec()).expect("submit");
+        let status = service.wait(successor, WAIT).expect("known job");
+        assert_eq!(status.state, JobState::Done, "{:?}", status.error);
+        let report = service.report(successor).expect("report");
+        assert!(report.buffer_reused, "successor must adopt the cancelled job's buffer");
+        assert!(service.metrics().pool.hits >= 1);
+        service.shutdown();
     }
-    service.cancel(victim);
-    let status = service.wait(victim, WAIT).expect("known job");
-    // Almost always Cancelled; Done only if the run beat the token to the
-    // last gate. Either way the buffer must land in the pool.
-    assert!(status.state.is_terminal());
-    assert!(
-        service.metrics().pool.pooled_buffers >= 1,
-        "terminal job must hand its buffer to the pool"
-    );
+}
 
-    // The worker is still alive and the next same-shaped job adopts the
-    // recycled buffer.
-    let successor = service.submit(slow_spec()).expect("submit");
-    let status = service.wait(successor, WAIT).expect("known job");
+/// A routed `keep_state` job hands back the state the single-device run
+/// computes — in logical order, after the walk undid its layout.
+#[test]
+fn a_routed_jobs_kept_state_is_the_single_device_state() {
+    let mut spec = JobSpec::new(qsim_circuit::library::random_dense(14, 200, 5));
+    spec.keep_state = true;
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        memory_budget_bytes: spec.state_bytes() / 4,
+        ..ServiceConfig::default()
+    });
+    let id = service.submit(spec.clone()).expect("submit");
+    let status = service.wait(id, WAIT).expect("known job");
     assert_eq!(status.state, JobState::Done, "{:?}", status.error);
-    let report = service.report(successor).expect("report");
-    assert!(report.buffer_reused, "successor must adopt the cancelled job's buffer");
-    assert!(service.metrics().pool.hits >= 1);
+    assert_eq!(status.devices, 4);
+    let Some(FinalState::F32(amps)) = service.take_state(id) else {
+        panic!("a kept f32 state");
+    };
+    let want = reference_state::<f32>(&spec);
+    let diff =
+        amps.iter().zip(want.iter()).map(|(a, b)| (*a - *b).norm_sqr().sqrt()).fold(0.0, f32::max);
+    assert!(diff < 1e-4, "sharded state differs from the single-device one by {diff}");
     service.shutdown();
 }
 
