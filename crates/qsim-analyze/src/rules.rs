@@ -236,7 +236,7 @@ impl PlanRule for PlanShape {
                 );
                 continue; // width/dim checks would only repeat the confusion
             }
-            let (dim, expected) = (g.matrix.dim(), dim_of(w));
+            let (dim, expected) = (g.matrix().dim(), dim_of(w));
             if expected != Some(dim) {
                 let expected = expected.map_or(format!("2^{w}×2^{w}"), |e| format!("{e}×{e}"));
                 out.push(Diagnostic::error(
@@ -282,7 +282,9 @@ impl PlanRule for PlanShape {
 
 /// Norm preservation of the fused products: fusing unitaries by matrix
 /// product and qubit-set expansion must yield unitaries. Checked at `f64`
-/// (error) and after the backend's `f32` cast (warning).
+/// (error) and after the backend's `f32` cast (warning). A product whose
+/// certificate proves it unitary is taken in O(1) (`certified_deviation`);
+/// any other is measured by its Gram matrix.
 pub struct PlanUnitarity;
 
 impl PlanRule for PlanUnitarity {
@@ -293,11 +295,13 @@ impl PlanRule for PlanUnitarity {
     fn check(&self, ctx: &PlanCtx<'_>, out: &mut Vec<Diagnostic>) {
         for (i, op) in ctx.plan.ops.iter().enumerate() {
             let FusedOp::Unitary(g) = op else { continue };
-            if dim_of(g.width()) != Some(g.matrix.dim()) {
+            if dim_of(g.width()) != Some(g.matrix().dim()) {
                 continue; // PlanShape reports the dimension mismatch
             }
             let span = Span::op(i, g.time_range.0);
-            match g.matrix.unitarity_deviation(PLAN_UNITARY_TOL_F64) {
+            let deviation = certified_deviation(g)
+                .or_else(|| g.matrix().unitarity_deviation(PLAN_UNITARY_TOL_F64));
+            match deviation {
                 None => out.push(
                     Diagnostic::error(
                         codes::PLAN_NON_UNITARY,
@@ -309,7 +313,7 @@ impl PlanRule for PlanUnitarity {
                     )
                     .with_help("the plan would not preserve the state norm; refuse to execute it"),
                 ),
-                Some(dev) if !f32_unitary(&g.matrix, dev) => out.push(
+                Some(dev) if !f32_unitary(g.matrix(), dev) => out.push(
                     Diagnostic::warning(
                         codes::PLAN_UNITARITY_F32_LOSS,
                         span,
@@ -321,7 +325,7 @@ impl PlanRule for PlanUnitarity {
                     .with_help("run in double precision or lower max_fused_qubits"),
                 ),
                 // Unitary, but trivially so: the folded gates cancelled.
-                Some(_) if g.matrix.is_identity(1e-12) => out.push(
+                Some(_) if g.matrix().is_identity(1e-12) => out.push(
                     Diagnostic::warning(
                         codes::PLAN_IDENTITY_PASS,
                         span,
@@ -559,7 +563,7 @@ impl PlanRule for PlanEquivalence {
             let mut fused = StateVector::<f64>::new(n);
             fused.set_basis_state(basis);
             for g in plan.unitaries() {
-                kernels::apply_gate_seq(&mut fused, &g.qubits, &g.matrix);
+                kernels::apply_gate_seq(&mut fused, &g.qubits, g.matrix());
             }
             // NaN (a probe amplitude went NaN) diverges too.
             let diff = reference.max_abs_diff(&fused);
@@ -589,7 +593,7 @@ fn well_formed(n: usize) -> impl Fn(&FusedGate) -> bool {
             && g.qubits.windows(2).all(|p| p[0] < p[1])
             && g.qubits.iter().all(|&q| q < n)
             && g.width() <= MAX_GATE_QUBITS
-            && dim_of(g.width()) == Some(g.matrix.dim())
+            && dim_of(g.width()) == Some(g.matrix().dim())
     }
 }
 
@@ -614,6 +618,66 @@ fn dim_of(width: usize) -> Option<usize> {
 /// charged here, whose slack also covers underflow (`≤ dim·2⁻¹⁴⁹`).
 fn f32_deviation_bound(f64_dev: f64, dim: usize) -> f64 {
     f64_dev + 4.0 * (dim as f64 + 4.0) * f64::from(f32::EPSILON / 2.0) * (1.0 + f64_dev)
+}
+
+/// The deviation [`qsim_fusion`]'s `build` proved for `g`: its
+/// [`FusedGate::certificate`] when that is at most half
+/// [`PLAN_UNITARY_TOL_F64`]; `None` — the Gram pass decides — for a gate
+/// made by hand, one with a non-finite factor, a looser bound or NaN.
+///
+/// The certificate bounds the spectral norm `δ(M) = ‖M·M† − I‖₂`, which
+/// bounds every entry of `M·M† − I` and so the figure
+/// `unitarity_deviation` reports. The max-entry norm would not serve: a
+/// merge `G·X·G†` can grow it `2^k`-fold, and after ~100 merges the bound
+/// says nothing. With `u = 2⁻⁵³` and `γₙ` as below:
+/// - *Source gate* `g`, on one or two qubits (`d ≤ 4`): `‖g·g† − I‖_F`
+///   as formed. Each formed entry is within `gram_rounding(d, ·) =
+///   2γ_{d+4}(1 + ·)` of the exact one (a complex dot, `√2·γ_{d+2}ρ`, the
+///   `− 1` and the `abs`), so the Frobenius norm is within `d` times that,
+///   and the sum and square root add `γ_{2d²+8}` relative. `‖·‖₂ ≤ ‖·‖_F`.
+///   A control embeds `g` as `I ⊕ g` and the qubit sort permutes it;
+///   neither moves `δ`.
+/// - *Expansion* onto a wider qubit set is `P ↦ Π(P ⊗ I)Πᵀ` with `Π` a
+///   permutation: `δ` does not move, so `set_expanded` and `set_widened`
+///   keep the certificate.
+/// - *Merge* `C = fl(G·P)`, `G` a gate of `n = 2^k` columns expanded onto
+///   `d = 2^m`, `E = fl(G·P) − G·P`: `C·C† − I = G(P·P† − I)G† + (G·G† −
+///   I) + G·P·E† + E·P†·G† + E·E†` and `‖G‖² = ‖G·G†‖ ≤ 1 + δ(G)`, so
+///   `δ(C) ≤ δ(G) + (1 + δ(G))·δ(P) + 2‖G‖‖P‖·η + η²` for any `η ≥ ‖E‖₂`.
+///   `set_product` sums the `≤ n` non-zeros `S_r` of row `r` of `G`
+///   against `P`, a complex dot in real arithmetic:
+///   `|E_rc| ≤ √2·γ_{n+2}·Σ_{j∈S_r} |G_rj||P_jc|` (Higham §3.6).
+///   Cauchy–Schwarz over `S_r`, then summing over `c` and `r`, gives
+///   `‖E‖_F² ≤ 2γ²_{n+2}·Σ_r ‖G_r‖²·Σ_{j∈S_r} ‖P_j‖² ≤ 2γ²_{n+2}·n·d·‖G‖²‖P‖²`,
+///   so with `η̂ = √(2nd)·γ_{n+2}` and `s² = (1 + δ(G))(1 + δ(P)) ≥
+///   ‖G‖²‖P‖²` the merge adds `s²·η̂·(2 + η̂)`.
+/// - The bound is evaluated in `f64` over non-negative terms and never
+///   shrinks from merge to merge, so where it is read (`≤ 5·10⁻⁹`) its
+///   own rounding, a few `u` relative (`< 10⁻²³`), is far inside the
+///   `≥ 2√8·γ₄ ≈ 2.5·10⁻¹⁵` each merge adds.
+///
+/// A 2-qubit gate merged into a 64 × 64 product adds `≈ 3·10⁻¹⁴` of
+/// rounding and its own `≈ 7·10⁻¹⁵`, so ~100 merges stay under `4·10⁻¹²`;
+/// on the paper's 30-qubit plans the loosest certificate is `5.1·10⁻¹³`
+/// (64 × 64, 29 gates).
+///
+/// The verdicts stay those the Gram pass gives. A product certified within
+/// `PLAN_UNITARY_TOL_F64 / 2` measures within it plus `gram_rounding`,
+/// inside the tolerance. `f32_deviation_bound` takes the certificate as
+/// its `f64_dev`: it bounds the exact entries and `ρ − 1`, and carries no
+/// rounding of its own. Debug builds measure the Gram matrix anyway and
+/// assert it against the certificate, so every test run checks the proof.
+fn certified_deviation(g: &FusedGate) -> Option<f64> {
+    let cert = g.certificate().filter(|&cert| cert <= PLAN_UNITARY_TOL_F64 / 2.0)?;
+    if cfg!(debug_assertions) {
+        let d = g.matrix().dim();
+        let measured = g.matrix().unitarity_deviation(f64::INFINITY);
+        assert!(
+            measured.is_some_and(|m| m <= cert + qsim_fusion::gram_rounding(d, cert)),
+            "a {d}×{d} product certified within {cert:e} measures {measured:?}"
+        );
+    }
+    Some(cert)
 }
 
 /// Whether `m`, within `dev` of unitary in `f64`, stays within
@@ -650,23 +714,19 @@ mod tests {
     }
 
     fn h_gate(qubits: Vec<usize>) -> FusedGate {
-        FusedGate {
-            qubits,
-            matrix: GateKind::H.matrix::<f64>().unwrap(),
-            source_gates: 1,
-            time_range: (0, 0),
-        }
+        FusedGate::new(qubits, GateKind::H.matrix::<f64>().unwrap(), 1, (0, 0))
     }
 
     #[test]
     fn malformed_qubits_detected() {
         for qubits in [vec![], vec![1, 0], vec![0, 0], vec![9]] {
-            let mut g = h_gate(qubits.clone());
             // Give multi-qubit lists a matching matrix so only the qubit
             // set is at fault.
-            if qubits.len() == 2 {
-                g.matrix = GateMatrix::identity(4);
-            }
+            let g = if qubits.len() == 2 {
+                FusedGate::new(qubits.clone(), GateMatrix::identity(4), 1, (0, 0))
+            } else {
+                h_gate(qubits.clone())
+            };
             let plan = one_gate_plan(g, 2);
             assert!(
                 plan_codes(&plan, None).contains(&codes::PLAN_MALFORMED_QUBITS),
@@ -677,8 +737,7 @@ mod tests {
 
     #[test]
     fn matrix_dim_mismatch_detected() {
-        let mut g = h_gate(vec![0, 1]);
-        g.matrix = GateKind::H.matrix::<f64>().unwrap(); // 2×2 for 2 qubits
+        let g = h_gate(vec![0, 1]); // 2×2 for 2 qubits
         let plan = one_gate_plan(g, 2);
         assert!(plan_codes(&plan, None).contains(&codes::PLAN_MATRIX_DIM_MISMATCH));
     }
@@ -686,12 +745,7 @@ mod tests {
     #[test]
     fn overwide_gate_detected() {
         let w = MAX_GATE_QUBITS + 1;
-        let g = FusedGate {
-            qubits: (0..w).collect(),
-            matrix: GateMatrix::identity(1 << w),
-            source_gates: 1,
-            time_range: (0, 0),
-        };
+        let g = FusedGate::new((0..w).collect(), GateMatrix::identity(1 << w), 1, (0, 0));
         let plan = one_gate_plan(g, w);
         assert!(plan_codes(&plan, None).contains(&codes::PLAN_WIDTH_EXCEEDS_KERNEL));
     }
@@ -699,12 +753,7 @@ mod tests {
     #[test]
     fn gate_wider_than_usize_bits_is_reported_not_a_panic() {
         for w in [63, 64, 65] {
-            let g = FusedGate {
-                qubits: (0..w).collect(),
-                matrix: GateMatrix::identity(2),
-                source_gates: 1,
-                time_range: (0, 0),
-            };
+            let g = FusedGate::new((0..w).collect(), GateMatrix::identity(2), 1, (0, 0));
             let r =
                 Analyzer::new().analyze_plan(&one_gate_plan(g, 70), None, SweepConfig::default());
             let dim = r.diagnostics.iter().find(|d| d.code == codes::PLAN_MATRIX_DIM_MISMATCH);
@@ -753,7 +802,7 @@ mod tests {
             let rng = &mut TestRng::from_seed(seed);
             let src = qsim_circuit::library::random_dense(width.max(2), 12 * width, seed);
             for g in qsim_fusion::fuse(&src, width).unitaries() {
-                let mut m = g.matrix.clone();
+                let mut m = g.matrix().clone();
                 let d = m.dim() as u64;
                 let (r, c) = (rng.below(d) as usize, rng.below(d) as usize);
                 let eps = 0.3 * PLAN_UNITARY_TOL_F64 * rng.unit_f64();
@@ -776,32 +825,108 @@ mod tests {
     fn merged_beyond_budget_detected_but_passthrough_allowed() {
         // A 3-qubit gate from a single source gate passes through a
         // max_fused_qubits = 2 plan legally…
-        let single = FusedGate {
-            qubits: vec![0, 1, 2],
-            matrix: GateMatrix::identity(8),
-            source_gates: 1,
-            time_range: (0, 0),
-        };
+        let single = FusedGate::new(vec![0, 1, 2], GateMatrix::identity(8), 1, (0, 0));
         let plan = one_gate_plan(single, 3);
         assert!(!plan_codes(&plan, None).contains(&codes::PLAN_FUSION_BUDGET_EXCEEDED));
         // …but the same width from a *merge* of two gates violates it.
-        let merged = FusedGate {
-            qubits: vec![0, 1, 2],
-            matrix: GateMatrix::identity(8),
-            source_gates: 2,
-            time_range: (0, 1),
-        };
+        let merged = FusedGate::new(vec![0, 1, 2], GateMatrix::identity(8), 2, (0, 1));
         let plan = one_gate_plan(merged, 3);
         assert!(plan_codes(&plan, None).contains(&codes::PLAN_FUSION_BUDGET_EXCEEDED));
     }
 
     #[test]
     fn non_unitary_plan_detected() {
-        let mut g = h_gate(vec![0]);
-        g.matrix.set(0, 0, Cplx::new(3.0, 0.0)); // break the norm
-        let plan = one_gate_plan(g, 1);
+        let mut matrix = GateKind::H.matrix::<f64>().unwrap();
+        matrix.set(0, 0, Cplx::new(3.0, 0.0)); // break the norm
+        let plan = one_gate_plan(FusedGate::new(vec![0], matrix, 1, (0, 0)), 1);
         let codes_found = plan_codes(&plan, None);
         assert!(codes_found.contains(&codes::PLAN_NON_UNITARY));
+    }
+
+    /// `plan` with every gate made again through [`FusedGate::new`]: no
+    /// certificates, so every product is measured by its Gram matrix.
+    fn uncertified(plan: &FusedCircuit) -> FusedCircuit {
+        let ops = plan
+            .ops
+            .iter()
+            .map(|op| match op {
+                FusedOp::Unitary(g) => FusedOp::Unitary(FusedGate::new(
+                    g.qubits.clone(),
+                    g.matrix().clone(),
+                    g.source_gates,
+                    g.time_range,
+                )),
+                barrier => barrier.clone(),
+            })
+            .collect();
+        FusedCircuit { ops, ..plan.clone() }
+    }
+
+    /// A certified plan gets, finding for finding, what the same plan gets
+    /// with every product measured: clean random plans (controlled gates
+    /// among them), products that cancel to the identity (`QP0214`), and
+    /// NaN or infinite factors, which leave their product uncertified and
+    /// so measured (`QP0205`).
+    #[test]
+    fn certified_plans_get_the_findings_measured_ones_get() {
+        use qsim_circuit::circuit::GateOp;
+
+        let mut controlled = qsim_circuit::library::random_dense(7, 60, 5);
+        let t = controlled.ops.last().map_or(0, |op| op.time) + 1;
+        controlled.ops.push(GateOp::with_controls(t, GateKind::H, vec![0], vec![5]));
+        controlled.ops.push(GateOp::with_controls(t + 1, GateKind::Cz, vec![1, 2], vec![6]));
+        let mut cancelling = Circuit::new(3);
+        cancelling.add(0, GateKind::H, &[0]).add(0, GateKind::X, &[1]);
+        cancelling.add(1, GateKind::H, &[0]).add(1, GateKind::Cz, &[1, 2]);
+        let mut circuits = vec![(controlled, None), (cancelling, Some(codes::PLAN_IDENTITY_PASS))];
+        for angle in [f64::NAN, f64::INFINITY] {
+            let mut c = qsim_circuit::library::qft(4);
+            let t = c.ops.last().map_or(0, |op| op.time) + 1;
+            c.add(t, GateKind::Rz(angle), &[2]);
+            circuits.push((c, Some(codes::PLAN_NON_UNITARY)));
+        }
+        for (circuit, expected) in &circuits {
+            for budget in 1..=6 {
+                let certified = qsim_fusion::fuse(circuit, budget);
+                let measured = uncertified(&certified);
+                let clean = expected.is_none();
+                assert!(!clean || certified.unitaries().all(|g| g.certificate().is_some()));
+                for analyzer in [Analyzer::pre_run(), Analyzer::new()] {
+                    let sweep = SweepConfig::default();
+                    let want = analyzer.analyze_plan(&measured, Some(circuit), sweep).diagnostics;
+                    let got = analyzer.analyze_plan(&certified, Some(circuit), sweep).diagnostics;
+                    assert_eq!(got, want, "budget {budget}");
+                    let codes: Vec<_> = got.iter().map(|d| d.code).collect();
+                    assert_eq!(
+                        codes.iter().any(|c| matches!(
+                            *c,
+                            codes::PLAN_NON_UNITARY | codes::PLAN_IDENTITY_PASS
+                        )),
+                        expected.is_some(),
+                        "{codes:?}"
+                    );
+                    assert!(expected.is_none_or(|e| codes.contains(&e)), "{codes:?}");
+                }
+            }
+        }
+    }
+
+    /// A hand-built product carries no certificate and is measured: a
+    /// non-unitary one is still `QP0205`, a near-identity one `QP0214`.
+    #[test]
+    fn hand_built_products_are_measured_for_unitarity() {
+        let mut broken = GateMatrix::<f64>::identity(4);
+        broken.set(2, 1, Cplx::new(1e-6, 0.0));
+        let mut near_identity = GateMatrix::<f64>::identity(4);
+        near_identity.set(3, 3, Cplx::new(1.0, 1e-14));
+        for (matrix, code) in
+            [(broken, codes::PLAN_NON_UNITARY), (near_identity, codes::PLAN_IDENTITY_PASS)]
+        {
+            let g = FusedGate::new(vec![0, 1], matrix, 2, (0, 1));
+            assert_eq!(g.certificate(), None);
+            let found = plan_codes(&one_gate_plan(g, 2), None);
+            assert!(found.contains(&code), "{found:?}");
+        }
     }
 
     #[test]
@@ -819,8 +944,7 @@ mod tests {
 
     #[test]
     fn inverted_time_range_detected() {
-        let mut g = h_gate(vec![0]);
-        g.time_range = (5, 2);
+        let g = FusedGate::new(vec![0], GateKind::H.matrix::<f64>().unwrap(), 1, (5, 2));
         let plan = one_gate_plan(g, 1);
         assert!(plan_codes(&plan, None).contains(&codes::PLAN_TIME_RANGE_INVERTED));
     }
@@ -859,12 +983,7 @@ mod tests {
         // A plan that instead applies X on qubit 1: structurally clean,
         // semantically wrong.
         let wrong = one_gate_plan(
-            FusedGate {
-                qubits: vec![1],
-                matrix: GateKind::X.matrix::<f64>().unwrap(),
-                source_gates: 2,
-                time_range: (0, 1),
-            },
+            FusedGate::new(vec![1], GateKind::X.matrix::<f64>().unwrap(), 2, (0, 1)),
             2,
         );
         assert!(plan_codes(&wrong, Some(&src)).contains(&codes::PLAN_EQUIVALENCE_DIVERGED));

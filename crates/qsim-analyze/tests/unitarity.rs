@@ -139,7 +139,7 @@ fn nan_parameter_is_a_non_unitary_error_not_an_identity_note() {
 fn fused_gate_with_a_nan_entry_is_plan_non_unitary() {
     use qsim_core::matrix::GateMatrix;
     use qsim_core::types::Cplx;
-    use qsim_fusion::{fuse, FusedOp};
+    use qsim_fusion::{fuse, FusedGate, FusedOp};
 
     let c = library::ghz(3);
     let mut plan = fuse(&c, 2);
@@ -148,11 +148,12 @@ fn fused_gate_with_a_nan_entry_is_plan_non_unitary() {
     else {
         unreachable!()
     };
-    let mut entries = g.matrix.as_slice().to_vec();
+    let mut entries = g.matrix().as_slice().to_vec();
     // An off-diagonal zero of the product: the old `f64::max` fold dropped it.
     let last = entries.len() - 2;
     entries[last] = Cplx::new(f64::NAN, 0.0);
-    g.matrix = GateMatrix::from_slice(g.matrix.dim(), &entries);
+    let matrix = GateMatrix::from_slice(g.matrix().dim(), &entries);
+    *g = FusedGate::new(g.qubits.clone(), matrix, g.source_gates, g.time_range);
     let report = Analyzer::pre_run().analyze_plan(&plan, Some(&c), SweepConfig::default());
     assert!(codes_of(&report).contains(&codes::PLAN_NON_UNITARY), "{}", report.render());
     assert!(!codes_of(&report).contains(&codes::PLAN_IDENTITY_PASS), "{}", report.render());

@@ -14,7 +14,8 @@ use crate::sim_backend::BackendError;
 
 /// A fusion plan that owns its pre-run verdict: the warnings its reports
 /// carry, or the findings that reject it before any state is allocated.
-/// [`FusionPlan::check`] is the one place the pre-run rule set runs. The
+/// [`FusionPlan::check`], and a re-check under a changed sweep, run the
+/// pre-run rule set through one function, by reference. The
 /// plan derefs read-only to the [`qsim_fusion::FusionPlan`] it wraps and
 /// has no public field, so its verdict cannot go stale.
 #[derive(Debug, Clone)]
@@ -27,12 +28,7 @@ pub struct FusionPlan {
 impl FusionPlan {
     /// Run the pre-run analysis on `plan` as it executes under `sweep`.
     pub fn check(plan: qsim_fusion::FusionPlan, sweep: SweepConfig) -> FusionPlan {
-        let report = qsim_analyze::Analyzer::pre_run().analyze_plan(&plan.fused, None, sweep);
-        let verdict = if report.has_errors() {
-            Err(BackendError::AnalysisRejected(report.diagnostics))
-        } else {
-            Ok(report.at(qsim_core::diag::Severity::Warning).map(ToString::to_string).collect())
-        };
+        let verdict = analyze(&plan, sweep);
         FusionPlan { plan, verdict, sweep }
     }
 
@@ -42,7 +38,21 @@ impl FusionPlan {
         if sweep == self.sweep {
             return self.verdict.clone();
         }
-        Self::check(self.plan.clone(), sweep).verdict
+        analyze(&self.plan, sweep)
+    }
+}
+
+/// The pre-run rule set over `plan` under `sweep`: the rendered warnings,
+/// or the findings that reject it.
+fn analyze(
+    plan: &qsim_fusion::FusionPlan,
+    sweep: SweepConfig,
+) -> Result<Vec<String>, BackendError> {
+    let report = qsim_analyze::Analyzer::pre_run().analyze_plan(&plan.fused, None, sweep);
+    if report.has_errors() {
+        Err(BackendError::AnalysisRejected(report.diagnostics))
+    } else {
+        Ok(report.at(qsim_core::diag::Severity::Warning).map(ToString::to_string).collect())
     }
 }
 

@@ -499,12 +499,7 @@ mod tests {
         matrix.set(0, 0, Cplx::new(2.0, 0.0));
         let fused = FusedCircuit {
             num_qubits: 20,
-            ops: vec![FusedOp::Unitary(FusedGate {
-                qubits: vec![0],
-                matrix,
-                source_gates: 1,
-                time_range: (0, 0),
-            })],
+            ops: vec![FusedOp::Unitary(FusedGate::new(vec![0], matrix, 1, (0, 0)))],
             max_fused_qubits: 2,
         };
         // The rejection, finding for finding, as the walker's own analyser

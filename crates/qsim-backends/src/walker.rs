@@ -305,7 +305,7 @@ fn physical_gate<'a, F: Float>(
             .iter()
             .map(|s| sorted.iter().position(|x| x == s).expect("slot present"))
             .collect();
-        permute_matrix_bits(&g.matrix, &perm).cast()
+        permute_matrix_bits(g.matrix(), &perm).cast()
     });
     (Cow::Owned(sorted), matrix)
 }

@@ -115,7 +115,7 @@ fn oracle(fused: &FusedCircuit, seed: u64) -> (StateVector<f64>, Vec<(Vec<usize>
     let mut measurements = Vec::new();
     for op in &fused.ops {
         match op {
-            FusedOp::Unitary(g) => apply_gate_seq(&mut state, &g.qubits, &g.matrix),
+            FusedOp::Unitary(g) => apply_gate_seq(&mut state, &g.qubits, g.matrix()),
             FusedOp::Measurement { qubits, .. } => {
                 let outcome = statespace::measure(&mut state, qubits, &mut rng);
                 measurements.push((qubits.clone(), outcome));

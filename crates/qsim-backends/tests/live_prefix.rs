@@ -76,7 +76,7 @@ fn touching(n: usize, order: &[usize], seed: u64) -> Circuit {
 fn lone(kind: GateKind, qubits: &[usize]) -> FusedOp {
     let (qubits, matrix) =
         GateOp::new(0, kind, qubits.to_vec()).sorted_matrix::<f64>().expect("a unitary gate");
-    FusedOp::Unitary(FusedGate { qubits, matrix, source_gates: 1, time_range: (0, 0) })
+    FusedOp::Unitary(FusedGate::new(qubits, matrix, 1, (0, 0)))
 }
 
 /// How one backend under test is configured, and the floor its walker

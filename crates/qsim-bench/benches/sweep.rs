@@ -28,7 +28,7 @@ fn bench_mode() -> bool {
 /// Fused RQC as plain `(qubits, matrix)` pairs for the executors.
 fn fused_gates(n: usize, cycles: usize, max_f: usize) -> Vec<(Vec<usize>, GateMatrix<f64>)> {
     let circuit = generate_rqc(&RqcOptions::for_qubits(n, cycles, 1));
-    fuse(&circuit, max_f).unitaries().map(|g| (g.qubits.clone(), g.matrix.clone())).collect()
+    fuse(&circuit, max_f).unitaries().map(|g| (g.qubits.clone(), g.matrix().clone())).collect()
 }
 
 fn bench_sweep(c: &mut Criterion) {

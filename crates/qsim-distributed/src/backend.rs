@@ -543,7 +543,7 @@ mod tests {
     /// A hand-built 6-qubit plan of one fused gate.
     fn one_gate_plan(qubits: Vec<usize>, matrix: GateMatrix<f64>) -> FusedCircuit {
         use qsim_fusion::FusedGate;
-        let gate = FusedGate { qubits, matrix, source_gates: 1, time_range: (0, 0) };
+        let gate = FusedGate::new(qubits, matrix, 1, (0, 0));
         FusedCircuit { num_qubits: 6, ops: vec![FusedOp::Unitary(gate)], max_fused_qubits: 2 }
     }
 

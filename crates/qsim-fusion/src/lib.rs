@@ -29,27 +29,83 @@ use qsim_circuit::circuit::Circuit;
 use qsim_core::matrix::{GateMatrix, SplitMatrix};
 use qsim_core::types::Float;
 
+mod certificate;
 pub mod cost;
 pub mod planner;
 
+pub use certificate::gram_rounding;
 pub use cost::{FusionCostModel, LaunchCostModel, LaunchPolicy, TrafficEstimate};
 pub use planner::{plan, FusionPlan, FusionStrategy};
 
 /// A fused unitary acting on a sorted set of qubits.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Sealed: its fields are private and nothing changes a gate once it is
+/// made, so the unitarity certificate `build` composes beside a product
+/// always speaks of the matrix it sits next to. Where the gate acts and
+/// what it folds read through `Deref` to its [`GateSite`]; the matrix
+/// through [`FusedGate::matrix`].
+#[derive(Debug, Clone)]
 pub struct FusedGate {
-    /// Sorted target qubits (bit `j` of the matrix index ↔ `qubits[j]`).
-    pub qubits: Vec<usize>,
+    site: GateSite,
     /// The fused unitary, always composed in `f64`; backends cast to
     /// their working precision at application time.
-    pub matrix: GateMatrix<f64>,
+    matrix: GateMatrix<f64>,
+    /// An upper bound on `‖M·M† − I‖₂` for `matrix`, from `build`.
+    certificate: Option<f64>,
+}
+
+/// Where a [`FusedGate`] acts and which source gates it folds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GateSite {
+    /// Sorted target qubits (bit `j` of the matrix index ↔ `qubits[j]`).
+    pub qubits: Vec<usize>,
     /// How many source-circuit gates were folded into this one.
     pub source_gates: usize,
     /// `(first, last)` source time slices folded in.
     pub time_range: (usize, usize),
 }
 
+impl std::ops::Deref for FusedGate {
+    type Target = GateSite;
+
+    fn deref(&self) -> &GateSite {
+        &self.site
+    }
+}
+
+/// Equal site and matrix bits; the certificate is how the matrix was
+/// made, not what it is.
+impl PartialEq for FusedGate {
+    fn eq(&self, other: &FusedGate) -> bool {
+        self.site == other.site && self.matrix == other.matrix
+    }
+}
+
 impl FusedGate {
+    /// A gate made by hand. It carries no certificate, so the pre-run
+    /// check measures its matrix.
+    pub fn new(
+        qubits: Vec<usize>,
+        matrix: GateMatrix<f64>,
+        source_gates: usize,
+        time_range: (usize, usize),
+    ) -> FusedGate {
+        FusedGate { site: GateSite { qubits, source_gates, time_range }, matrix, certificate: None }
+    }
+
+    /// The fused unitary in `f64`.
+    pub fn matrix(&self) -> &GateMatrix<f64> {
+        &self.matrix
+    }
+
+    /// An upper bound on the spectral norm `‖M·M† − I‖₂` of
+    /// [`FusedGate::matrix`], composed by `build` from its source gates
+    /// and the rounding of each merge; `None` for a gate made by
+    /// [`FusedGate::new`] or with a non-finite factor.
+    pub fn certificate(&self) -> Option<f64> {
+        self.certificate
+    }
+
     /// The fused matrix cast to the backend's working precision.
     pub fn matrix_as<F: Float>(&self) -> GateMatrix<F> {
         self.matrix.cast()
@@ -183,7 +239,7 @@ impl FusedCircuit {
                     for &q in &g.qubits {
                         h.write_u64(q as u64);
                     }
-                    let entries = g.matrix.as_slice();
+                    let entries = g.matrix().as_slice();
                     h.write_u64(entries.len() as u64);
                     for a in entries {
                         h.write_u64(a.re.to_bits());
@@ -249,6 +305,11 @@ pub fn fuse(circuit: &Circuit, max_fused_qubits: usize) -> FusedCircuit {
 /// widening union first scatters the product into wider planes, and the
 /// interleaved [`FusedGate::matrix`] is written once, at the slot's last
 /// merge. A merge takes at most two spares, so no more are kept.
+///
+/// Beside each product runs its [`FusedGate::certificate`]: a slot opens
+/// with its first gate's measured deviation, and every merge adds the
+/// next gate's and a bound on the merge's rounding (`certificate.rs`), so
+/// the pre-run check need not form the product's Gram matrix again.
 fn build(circuit: &Circuit, layout: &planner::Layout) -> FusedCircuit {
     // The source op after which each output slot takes no more merges.
     let mut last_merge: Vec<usize> = Vec::new();
@@ -276,6 +337,9 @@ fn build(circuit: &Circuit, layout: &planner::Layout) -> FusedCircuit {
 
         let (sorted_qubits, matrix) =
             op.sorted_matrix::<f64>().expect("non-measurement gates have matrices");
+        // Controls embed the gate as `I ⊕ matrix`, which leaves
+        // `‖M·M† − I‖₂` as it was: the certificate is the bare gate's.
+        let certificate = certificate::of_source(&matrix);
         // Extra controls make a gate opaque to the fuser: it enters as a
         // plain unitary over targets+controls with the expanded matrix.
         let (sorted_qubits, matrix) = if op.controls.is_empty() {
@@ -314,15 +378,16 @@ fn build(circuit: &Circuit, layout: &planner::Layout) -> FusedCircuit {
                 } else {
                     open[t] = Some(next);
                 }
-                b.qubits = union;
-                b.source_gates += 1;
-                b.time_range.1 = op.time;
+                b.certificate = certificate.zip(b.certificate).map(|(gate, product)| {
+                    certificate::of_product(gate, product, matrix.dim(), 1 << union.len())
+                });
+                b.site.qubits = union;
+                b.site.source_gates += 1;
+                b.site.time_range.1 = op.time;
             }
             planner::Action::New => ops.push(FusedOp::Unitary(FusedGate {
-                qubits: sorted_qubits,
-                matrix,
-                source_gates: 1,
-                time_range: (op.time, op.time),
+                certificate,
+                ..FusedGate::new(sorted_qubits, matrix, 1, (op.time, op.time))
             })),
         }
     }
@@ -422,7 +487,7 @@ mod tests {
         let mut state = StateVector::<f64>::new(circuit.num_qubits);
         for op in &fused.ops {
             if let FusedOp::Unitary(g) = op {
-                apply_gate_seq(&mut state, &g.qubits, &g.matrix);
+                apply_gate_seq(&mut state, &g.qubits, g.matrix());
             }
         }
         let diff = reference.max_abs_diff(&state);
@@ -437,7 +502,7 @@ mod tests {
         assert_eq!(f.num_unitaries(), 1);
         let g = f.unitaries().next().unwrap();
         assert_eq!(g.source_gates, 3);
-        assert!(g.matrix.is_unitary(1e-12));
+        assert!(g.matrix().is_unitary(1e-12));
         check_equivalence(&c, 2);
     }
 
@@ -509,7 +574,7 @@ mod tests {
         let c = qsim_circuit::generate_rqc(&qsim_circuit::RqcOptions::for_qubits(10, 6, 3));
         let f = fuse(&c, 4);
         for g in f.unitaries() {
-            assert!(g.matrix.is_unitary(1e-10));
+            assert!(g.matrix().is_unitary(1e-10));
             assert!(g.qubits.len() <= 4);
             assert!(g.qubits.windows(2).all(|w| w[0] < w[1]));
         }
@@ -566,7 +631,7 @@ mod tests {
                     let bits = |m: &GateMatrix<f64>| -> Vec<(u64, u64)> {
                         m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
                     };
-                    assert_eq!(bits(&g.matrix), bits(matrix), "f={f} qubits {qubits:?}");
+                    assert_eq!(bits(g.matrix()), bits(matrix), "f={f} qubits {qubits:?}");
                 }
             }
         }
@@ -624,12 +689,12 @@ mod tests {
         let f = fuse(&c, 3);
         let g = f.unitaries().next().unwrap();
         assert_eq!(g.qubits, vec![0, 2]);
-        assert!(g.matrix.is_unitary(1e-12));
+        assert!(g.matrix().is_unitary(1e-12));
 
         let mut a = StateVector::<f64>::new(3);
         a.set_basis_state(0b100);
         let mut b = a.clone();
-        apply_gate_seq(&mut a, &g.qubits, &g.matrix);
+        apply_gate_seq(&mut a, &g.qubits, g.matrix());
         let h = GateKind::H.matrix::<f64>().unwrap();
         apply_controlled_gate_seq(&mut b, &[0], &[2], 1, &h);
         assert!(a.max_abs_diff(&b) < 1e-14);

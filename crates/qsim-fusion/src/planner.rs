@@ -600,7 +600,7 @@ mod tests {
         let mut state = StateVector::<f64>::new(circuit.num_qubits);
         for op in &fused.ops {
             if let FusedOp::Unitary(g) = op {
-                apply_gate_seq(&mut state, &g.qubits, &g.matrix);
+                apply_gate_seq(&mut state, &g.qubits, g.matrix());
             }
         }
         let diff = reference.max_abs_diff(&state);
@@ -793,7 +793,11 @@ mod tests {
             .map(|op| match op {
                 FusedOp::Unitary(g) => (
                     g.qubits.iter().map(|q| q - offset).collect(),
-                    g.matrix.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect(),
+                    g.matrix()
+                        .as_slice()
+                        .iter()
+                        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                        .collect(),
                     g.source_gates,
                     g.time_range,
                 ),
@@ -880,7 +884,7 @@ mod tests {
         let c = qsim_circuit::generate_rqc(&qsim_circuit::RqcOptions::for_qubits(10, 6, 3));
         let fused = fuse_with_model(&c, 4, &hip_model());
         for g in fused.unitaries() {
-            assert!(g.matrix.is_unitary(1e-10));
+            assert!(g.matrix().is_unitary(1e-10));
             assert!(g.qubits.len() <= 4);
             assert!(g.qubits.windows(2).all(|w| w[0] < w[1]));
         }

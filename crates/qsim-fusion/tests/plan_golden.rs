@@ -39,7 +39,7 @@ fn plan_hash(fused: &FusedCircuit) -> u64 {
                 for &q in &g.qubits {
                     h.write_usize(q);
                 }
-                let entries = g.matrix.as_slice();
+                let entries = g.matrix().as_slice();
                 h.write_usize(entries.len());
                 for a in entries {
                     h.write_u64(a.re.to_bits());

@@ -6,7 +6,8 @@
 //! taskset -c 1 cargo run --release --example planning_probe
 //! ```
 //!
-//! Four columns, one call each, in the order a benchmark cell makes them:
+//! Four timed columns, one call each, in the order a benchmark cell makes
+//! them:
 //! - `plan_ms`: `qsim_fusion::plan` under the backend's cost model (the
 //!   scan and `build`);
 //! - `check_ms`: `qsim_backends::FusionPlan::check`, the pre-run gate that
@@ -15,13 +16,17 @@
 //!   with the source circuit;
 //! - `estimate_ms`: `estimate_plan` on the checked plan (a dry walk).
 //!
+//! and `certified`: how many of the plan's fused products carry a
+//! certificate the pre-run check takes without forming their Gram matrix
+//! (within half `PLAN_UNITARY_TOL_F64`), of all its products.
+//!
 //! `plan_ms + check_ms` is what `plan_circuit` costs. Each number is the
 //! fastest of [`REPS`] repetitions; every repetition parses nothing and
 //! carries nothing over, like a cell of the benchmark.
 
 use std::time::Instant;
 
-use qsim_analyze::Analyzer;
+use qsim_analyze::{Analyzer, PLAN_UNITARY_TOL_F64};
 use qsim_rs::backends::{FusionPlan, FusionStrategy, PlanOptions};
 use qsim_rs::circuit::generate_rqc;
 use qsim_rs::prelude::*;
@@ -37,8 +42,8 @@ fn main() {
     cells.push(PlanOptions { strategy: FusionStrategy::Auto, max_fused_qubits: 4 });
 
     println!(
-        "{:<6} {:<10} {:>9} {:>9} {:>11} {:>12}",
-        "flavor", "cell", "plan_ms", "check_ms", "pre_run_ms", "estimate_ms"
+        "{:<6} {:<10} {:>9} {:>9} {:>11} {:>12} {:>10}",
+        "flavor", "cell", "plan_ms", "check_ms", "pre_run_ms", "estimate_ms", "certified"
     );
     let precision = Precision::Single;
     for flavor in [Flavor::CpuAvx, Flavor::Hip] {
@@ -47,8 +52,10 @@ fn main() {
         // The sweep `plan_circuit` checks under.
         let sweep = flavor.launch_policy(precision, backend.sweep_config(), None).sweep;
         let mut totals = [0.0f64; 4];
+        let mut total_certified = [0usize; 2];
         for opts in &cells {
             let mut fastest = [f64::INFINITY; 4];
+            let mut certified = [0usize; 2];
             for _ in 0..REPS {
                 let t0 = Instant::now();
                 let planned = qsim_rs::fusion::plan(
@@ -69,6 +76,11 @@ fn main() {
                 backend.estimate_plan(&plan, precision).expect("estimate");
                 let t4 = Instant::now();
                 assert!(!analysis.has_errors());
+                let certs = plan.fused.unitaries().map(|g| g.certificate());
+                certified = certs.fold([0, 0], |[yes, all], cert| {
+                    let taken = cert.is_some_and(|cert| cert <= PLAN_UNITARY_TOL_F64 / 2.0);
+                    [yes + usize::from(taken), all + 1]
+                });
                 for (best, span) in fastest.iter_mut().zip([t1 - t0, t2 - t1, t3 - t2, t4 - t3]) {
                     *best = best.min(span.as_secs_f64() * 1e3);
                 }
@@ -77,18 +89,25 @@ fn main() {
                 FusionStrategy::Auto => "auto".to_string(),
                 s => format!("{s} -f {}", opts.max_fused_qubits),
             };
-            print_row(flavor.label(), &cell, &fastest);
+            print_row(flavor.label(), &cell, &fastest, certified);
             for (total, ms) in totals.iter_mut().zip(fastest) {
                 *total += ms;
             }
+            for (total, n) in total_certified.iter_mut().zip(certified) {
+                *total += n;
+            }
         }
-        print_row(flavor.label(), "total", &totals);
+        print_row(flavor.label(), "total", &totals, total_certified);
     }
 }
 
-fn print_row(flavor: &str, cell: &str, ms: &[f64; 4]) {
+fn print_row(flavor: &str, cell: &str, ms: &[f64; 4], [certified, products]: [usize; 2]) {
     println!(
-        "{flavor:<6} {cell:<10} {:>9.3} {:>9.3} {:>11.3} {:>12.3}",
-        ms[0], ms[1], ms[2], ms[3]
+        "{flavor:<6} {cell:<10} {:>9.3} {:>9.3} {:>11.3} {:>12.3} {:>10}",
+        ms[0],
+        ms[1],
+        ms[2],
+        ms[3],
+        format!("{certified}/{products}")
     );
 }

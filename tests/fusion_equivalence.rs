@@ -26,7 +26,7 @@ fn fused_state(circuit: &Circuit, max_f: usize) -> StateVector<f64> {
     let fused = fuse(circuit, max_f);
     let mut state = StateVector::new(circuit.num_qubits);
     for g in fused.unitaries() {
-        apply_gate_seq(&mut state, &g.qubits, &g.matrix);
+        apply_gate_seq(&mut state, &g.qubits, g.matrix());
     }
     state
 }
@@ -58,7 +58,7 @@ proptest! {
         let circuit = random_dense(n, gates, seed);
         let fused = fuse(&circuit, max_f);
         for g in fused.unitaries() {
-            prop_assert!(g.matrix.is_unitary(1e-9));
+            prop_assert!(g.matrix().is_unitary(1e-9));
             prop_assert!(g.qubits.len() <= max_f.max(2));
             prop_assert!(g.qubits.windows(2).all(|w| w[0] < w[1]));
             prop_assert!(g.qubits.iter().all(|&q| q < n));
@@ -104,11 +104,11 @@ proptest! {
         let fused = fuse(&circuit, 4);
         let mut state = StateVector::<f64>::new(n);
         for g in fused.unitaries() {
-            apply_gate_seq(&mut state, &g.qubits, &g.matrix);
+            apply_gate_seq(&mut state, &g.qubits, g.matrix());
         }
         let gs: Vec<_> = fused.unitaries().collect();
         for g in gs.into_iter().rev() {
-            apply_gate_seq(&mut state, &g.qubits, &g.matrix.adjoint());
+            apply_gate_seq(&mut state, &g.qubits, &g.matrix().adjoint());
         }
         prop_assert!((state.amplitude(0).re - 1.0).abs() < 1e-10);
         let tail: f64 = state.amplitudes()[1..].iter().map(|a| a.norm_sqr()).sum();
@@ -146,7 +146,7 @@ proptest! {
         let reference = fused_state(&circuit, max_f);
 
         let plain: Vec<(Vec<usize>, qsim_rs::sim::GateMatrix<f64>)> =
-            fused.unitaries().map(|g| (g.qubits.clone(), g.matrix.clone())).collect();
+            fused.unitaries().map(|g| (g.qubits.clone(), g.matrix().clone())).collect();
         let exec = SweepExecutor::new(SweepConfig::with_block_amps(1 << block_pow));
         let mut state = StateVector::<f64>::new(n);
         let stats = exec.execute(state.amplitudes_mut(), &plain);
