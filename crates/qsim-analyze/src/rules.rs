@@ -638,14 +638,16 @@ fn f32_deviation_bound(f64_dev: f64, dim: usize) -> f64 {
 ///   A control embeds `g` as `I ⊕ g` and the qubit sort permutes it;
 ///   neither moves `δ`.
 /// - *Expansion* onto a wider qubit set is `P ↦ Π(P ⊗ I)Πᵀ` with `Π` a
-///   permutation: `δ` does not move, so `set_expanded` and `set_widened`
-///   keep the certificate.
+///   permutation: `δ` does not move, so `SplitMatrix::set_expanded` and
+///   `SplitMatrix::widen` (which only relabel what the stored planes act
+///   on) keep the certificate.
 /// - *Merge* `C = fl(G·P)`, `G` a gate of `n = 2^k` columns expanded onto
 ///   `d = 2^m`, `E = fl(G·P) − G·P`: `C·C† − I = G(P·P† − I)G† + (G·G† −
 ///   I) + G·P·E† + E·P†·G† + E·E†` and `‖G‖² = ‖G·G†‖ ≤ 1 + δ(G)`, so
 ///   `δ(C) ≤ δ(G) + (1 + δ(G))·δ(P) + 2‖G‖‖P‖·η + η²` for any `η ≥ ‖E‖₂`.
-///   `set_product` sums the `≤ n` non-zeros `S_r` of row `r` of `G`
-///   against `P`, a complex dot in real arithmetic:
+///   `SplitMatrix::set_product` sums the `≤ n` non-zeros `S_r` of row `r`
+///   of `G` against `P`, a complex dot in real arithmetic (an expanded `P`
+///   is read through its expansion: the terms it skips are exact zeros):
 ///   `|E_rc| ≤ √2·γ_{n+2}·Σ_{j∈S_r} |G_rj||P_jc|` (Higham §3.6).
 ///   Cauchy–Schwarz over `S_r`, then summing over `c` and `r`, gives
 ///   `‖E‖_F² ≤ 2γ²_{n+2}·Σ_r ‖G_r‖²·Σ_{j∈S_r} ‖P_j‖² ≤ 2γ²_{n+2}·n·d·‖G‖²‖P‖²`,

@@ -316,6 +316,7 @@ mod tests {
                 source_gates: 600,
                 fused_gates: 150,
                 fused_by_qubit_count: [0, 10, 50, 50, 40, 0, 0],
+                over_wide: 0,
             },
             simulated_seconds: 2.0,
             fusion_seconds: 0.02,

@@ -230,11 +230,14 @@ impl<F: Float> GateMatrix<F> {
     /// gates on different qubits into one fused matrix).
     pub fn expand_to(&self, own_qubits: &[usize], target_qubits: &[usize]) -> GateMatrix<F> {
         assert_eq!(self.num_qubits(), own_qubits.len(), "qubit list does not match matrix size");
-        let mut out = GateMatrix::zeros(1 << target_qubits.len());
-        let d = out.dim;
-        for_each_expanded(own_qubits, target_qubits, |row, col, k| {
-            out.data[row * d + col] = self.data[k];
-        });
+        self.expand_bits(position_mask(own_qubits, target_qubits), 1 << target_qubits.len())
+    }
+
+    /// `self` on the index bits `own` of a `dim × dim` matrix, the identity
+    /// on the rest.
+    fn expand_bits(&self, own: usize, dim: usize) -> GateMatrix<F> {
+        let mut out = GateMatrix::zeros(dim);
+        for_each_expanded(own, dim, |row, col, k| out.data[row * dim + col] = self.data[k]);
         out
     }
 
@@ -247,38 +250,54 @@ impl<F: Float> GateMatrix<F> {
     }
 }
 
-/// Visit as `(row, col, k)` each entry [`GateMatrix::expand_to`]'s result
-/// takes from its source, `k` the row-major source index (the rest is
-/// zero), rows then columns ascending.
-fn for_each_expanded(
-    own_qubits: &[usize],
-    target_qubits: &[usize],
-    mut visit: impl FnMut(usize, usize, usize),
-) {
-    debug_assert!(own_qubits.windows(2).all(|w| w[0] < w[1]), "own_qubits must be sorted");
-    debug_assert!(target_qubits.windows(2).all(|w| w[0] < w[1]), "target_qubits must be sorted");
-    let (pos, own_mask) = positions(own_qubits, target_qubits);
-    let own_dim = 1usize << own_qubits.len();
-    let col_off: Vec<usize> = (0..own_dim).map(|c_own| deposit_bits(c_own, &pos)).collect();
-    for row in 0..1usize << target_qubits.len() {
+/// Visit as `(row, col, k)` each entry of a `dim × dim` expansion that
+/// comes from its source, a matrix on the index bits `own`: `k` is the
+/// row-major source index (the rest is zero), rows then columns ascending.
+fn for_each_expanded(own: usize, dim: usize, mut visit: impl FnMut(usize, usize, usize)) {
+    let own_dim = 1usize << own.count_ones();
+    for row in 0..dim {
         // Bits of `row` outside the gate must match the column's.
-        let ctx = row & !own_mask;
-        let k0 = extract_bits(row, &pos) * own_dim;
-        for (c_own, &off) in col_off.iter().enumerate() {
+        let ctx = row & !own;
+        let k0 = pext(row, own) * own_dim;
+        let mut off = 0;
+        for c_own in 0..own_dim {
             visit(row, ctx | off, k0 + c_own);
+            off = next_submask(off, own);
         }
     }
 }
 
-/// Position of each own qubit within the target list, and the mask over
-/// target-index bits they cover.
-fn positions(own_qubits: &[usize], target_qubits: &[usize]) -> (Vec<usize>, usize) {
-    let pos: Vec<usize> = own_qubits
-        .iter()
-        .map(|q| target_qubits.binary_search(q).expect("own_qubits ⊆ target_qubits"))
-        .collect();
-    let mask = pos.iter().map(|&p| 1usize << p).sum();
-    (pos, mask)
+/// The index bits of a matrix on `target_qubits` that `own_qubits` take.
+fn position_mask(own_qubits: &[usize], target_qubits: &[usize]) -> usize {
+    debug_assert!(own_qubits.windows(2).all(|w| w[0] < w[1]), "own_qubits must be sorted");
+    debug_assert!(target_qubits.windows(2).all(|w| w[0] < w[1]), "target_qubits must be sorted");
+    own_qubits.iter().fold(0, |mask, q| {
+        mask | 1 << target_qubits.binary_search(q).expect("own_qubits ⊆ target_qubits")
+    })
+}
+
+/// [`extract_bits`] with the positions as a mask: the bits of `x` under
+/// `mask`, packed from bit 0 up.
+#[inline(always)]
+fn pext(x: usize, mask: usize) -> usize {
+    if mask & mask.wrapping_add(1) == 0 {
+        return x & mask; // the low bits: nothing moves
+    }
+    let (mut out, mut rest, mut j) = (0, mask, 0);
+    while rest != 0 {
+        let bit = rest & rest.wrapping_neg();
+        out |= usize::from(x & bit != 0) << j;
+        rest ^= bit;
+        j += 1;
+    }
+    out
+}
+
+/// The submask of `mask` after `x` in ascending order, `0` after the last:
+/// `pdep(c + 1, mask)` from `pdep(c, mask)`.
+#[inline(always)]
+fn next_submask(x: usize, mask: usize) -> usize {
+    (x | !mask).wrapping_add(1) & mask
 }
 
 /// The loop of [`GateMatrix::gram_rows_minus_identity`]: `a` is the
@@ -350,19 +369,25 @@ impl<F: Float, V: FnMut(&[F], &[F]) -> bool> GramRows<'_, F, V> {
 }
 
 /// A `dim × dim` complex matrix as two row-major planes, real and
-/// imaginary: the form fusion composes a product in. A `set_*` call
-/// overwrites the whole matrix and reuses the planes' allocation, so a
-/// pair of them can be swapped merge after merge without allocating.
+/// imaginary: the form fusion composes a product in. The planes may hold a
+/// narrower matrix on some of the index bits, standing for its expansion
+/// (the identity on the other bits, as [`GateMatrix::expand_to`] lays it
+/// out) without forming it. A `set_*` call overwrites the whole matrix and
+/// reuses the planes' allocation, so a pair of them can be swapped merge
+/// after merge without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct SplitMatrix<F> {
     dim: usize,
+    /// The index bits the planes act on, all of `dim − 1` unless the
+    /// matrix is an expansion.
+    bits: usize,
     /// Both planes, from the 64-byte boundary at `at` on.
     buf: Vec<F>,
     at: usize,
 }
 
 impl<F: Float> SplitMatrix<F> {
-    /// `m.expand_to(own_qubits, target_qubits)`, written into the planes.
+    /// `m.expand_to(own_qubits, target_qubits)`; the planes hold `m` as it is.
     pub fn set_expanded(
         &mut self,
         m: &GateMatrix<F>,
@@ -370,7 +395,11 @@ impl<F: Float> SplitMatrix<F> {
         target_qubits: &[usize],
     ) {
         assert_eq!(m.num_qubits(), own_qubits.len(), "qubit list does not match matrix size");
-        self.scatter(own_qubits, target_qubits, |k| m.data[k]);
+        self.reset(1 << target_qubits.len(), position_mask(own_qubits, target_qubits));
+        let (re, im) = self.planes_mut();
+        for ((re, im), z) in re.iter_mut().zip(im).zip(&m.data) {
+            (*re, *im) = (z.re, z.im);
+        }
     }
 
     /// `src` widened from `own_qubits` onto `target_qubits`, as
@@ -381,29 +410,42 @@ impl<F: Float> SplitMatrix<F> {
         own_qubits: &[usize],
         target_qubits: &[usize],
     ) {
-        assert_eq!(src.dim, 1 << own_qubits.len(), "qubit list does not match matrix size");
+        self.reset(src.dim, src.bits);
         let (re, im) = src.planes();
-        self.scatter(own_qubits, target_qubits, |k| Cplx::new(re[k], im[k]));
+        let (out_re, out_im) = self.planes_mut();
+        out_re.copy_from_slice(re);
+        out_im.copy_from_slice(im);
+        self.widen(own_qubits, target_qubits);
     }
 
-    fn scatter(&mut self, own: &[usize], target: &[usize], entry: impl Fn(usize) -> Cplx<F>) {
-        self.reset(1 << target.len());
-        let d = self.dim;
-        let (re, im) = self.planes_mut();
-        re.fill(F::ZERO);
-        im.fill(F::ZERO);
-        for_each_expanded(own, target, |row, col, k| {
-            let z = entry(k);
-            re[row * d + col] = z.re;
-            im[row * d + col] = z.im;
+    /// The matrix, which acts on `own_qubits`, widened in place onto
+    /// `target_qubits`: no entry is written or moved.
+    pub fn widen(&mut self, own_qubits: &[usize], target_qubits: &[usize]) {
+        assert_eq!(self.dim, 1 << own_qubits.len(), "qubit list does not match matrix size");
+        let stored = own_qubits.iter().enumerate().filter(|&(j, _)| self.bits >> j & 1 == 1);
+        self.bits = stored.fold(0, |bits, (_, q)| {
+            bits | 1 << target_qubits.binary_search(q).expect("own_qubits ⊆ target_qubits")
         });
+        self.dim = 1 << target_qubits.len();
     }
 
     /// `gate.expand_to(gate_qubits, target_qubits).matmul(rhs)`, bit for bit,
-    /// without forming the expansion: each output row sums the rows of
+    /// without forming either expansion: each output row sums the rows of
     /// `rhs` its non-zero gate entries select, in the dense product's
     /// order and with [`Cplx::mul_add_assign`]'s expression, in register
-    /// tiles of 16 columns on the widest tier the host allows.
+    /// tiles of up to 16 columns on the widest tier the host allows.
+    ///
+    /// An `rhs` that is an expansion is read through it: a term reaches
+    /// only the columns where its `rhs` row is not a structural zero, the
+    /// `+0` of the identity's off-diagonal. Skipping the others moves no
+    /// bit. With `a` finite, the skipped term `a.re·(+0) − a.im·(+0)` is
+    /// `±0`; an accumulator that starts at `+0` is never `−0` (a sum is
+    /// `−0` only when both addends are, and an exact cancellation rounds
+    /// to `+0`), and adding `±0` to a value that is not `−0` returns it
+    /// unchanged. A non-finite gate entry would have made those terms
+    /// NaN; such a product stays non-finite either way (its own columns
+    /// carry the `∞`/NaN) and has no unitarity certificate, so the
+    /// pre-run check measures it and refuses it as before.
     pub fn set_product(
         &mut self,
         gate: &GateMatrix<F>,
@@ -414,18 +456,15 @@ impl<F: Float> SplitMatrix<F> {
         assert_eq!(gate.num_qubits(), gate_qubits.len(), "qubit list does not match matrix size");
         assert!(gate_qubits.len() <= MAX_GATE_QUBITS, "gate wider than {MAX_GATE_QUBITS} qubits");
         assert_eq!(rhs.dim, 1 << target_qubits.len(), "rhs does not act on target_qubits");
-        self.reset(rhs.dim);
-        let (pos, own_mask) = positions(gate_qubits, target_qubits);
-        // Row offset of each gate column within a row's context.
-        let col_off: Vec<usize> = (0..gate.dim).map(|c_own| deposit_bits(c_own, &pos)).collect();
+        self.reset(rhs.dim, rhs.dim - 1);
+        let gate_bits = position_mask(gate_qubits, target_qubits);
         let (rhs_re, rhs_im) = rhs.planes();
         let (out_re, out_im) = self.planes_mut();
         simd::dispatch(Compose {
             gate,
-            pos: &pos,
-            own_mask,
-            col_off: &col_off,
+            gate_bits,
             d: rhs.dim,
+            rhs_bits: rhs.bits,
             rhs_re,
             rhs_im,
             out_re,
@@ -437,38 +476,45 @@ impl<F: Float> SplitMatrix<F> {
     pub fn to_matrix(&self) -> GateMatrix<F> {
         let (re, im) = self.planes();
         let data = re.iter().zip(im).map(|(&re, &im)| Cplx::new(re, im)).collect();
-        GateMatrix { dim: self.dim, data }
+        let stored = GateMatrix { dim: self.stored_dim(), data };
+        if stored.dim == self.dim {
+            stored
+        } else {
+            stored.expand_bits(self.bits, self.dim)
+        }
+    }
+
+    /// The dimension of the matrix the planes hold.
+    fn stored_dim(&self) -> usize {
+        1 << self.bits.count_ones()
     }
 
     fn planes(&self) -> (&[F], &[F]) {
-        let d2 = self.dim * self.dim;
+        let d2 = self.stored_dim().pow(2);
         self.buf[self.at..][..2 * d2].split_at(d2)
     }
 
     fn planes_mut(&mut self) -> (&mut [F], &mut [F]) {
-        let d2 = self.dim * self.dim;
+        let d2 = self.stored_dim().pow(2);
         self.buf[self.at..][..2 * d2].split_at_mut(d2)
     }
 
-    /// Size the planes for `dim`, the real one on a 64-byte boundary (so
-    /// is the imaginary one from `dim = 4` on): a tile load that straddles
-    /// two cache lines costs two. Entries are left as they were.
-    fn reset(&mut self, dim: usize) {
-        self.dim = dim;
-        let (buf, at) = aligned(std::mem::take(&mut self.buf), 2 * dim * dim);
+    /// Size the planes for a matrix on the index `bits` of `dim`, the real
+    /// plane on a 64-byte boundary (so is the imaginary one from a stored
+    /// dimension of 4 on): a tile load that straddles two cache lines
+    /// costs two. Entries are left as they were.
+    fn reset(&mut self, dim: usize, bits: usize) {
+        (self.dim, self.bits) = (dim, bits);
+        let (buf, at) = aligned(std::mem::take(&mut self.buf), 2 * self.stored_dim().pow(2));
         (self.buf, self.at) = (buf, at);
     }
 }
 
 /// `buf` grown to hold `len` scalars from a 64-byte boundary on, and the
-/// offset of that boundary.
+/// offset of that boundary. A larger buffer keeps its capacity: the
+/// caller that reuses one picks it by size.
 fn aligned<F: Float>(mut buf: Vec<F>, len: usize) -> (Vec<F>, usize) {
     let want = len + 64 / std::mem::size_of::<F>();
-    // Sized to the product it holds, as an interleaved matrix would be: a
-    // buffer reused for a narrower one gives its surplus back.
-    if buf.capacity() > 2 * want {
-        buf = Vec::new();
-    }
     buf.reserve_exact(want.saturating_sub(buf.len()));
     buf.resize(want, F::ZERO);
     let pad = want - len;
@@ -476,13 +522,13 @@ fn aligned<F: Float>(mut buf: Vec<F>, len: usize) -> (Vec<F>, usize) {
     (buf, if at < pad { at } else { 0 })
 }
 
-/// The loop of [`SplitMatrix::set_product`].
+/// The loop of [`SplitMatrix::set_product`]: `gate_bits` are the index
+/// bits the gate acts on, `rhs_bits` those the `rhs` planes do.
 struct Compose<'a, F> {
     gate: &'a GateMatrix<F>,
-    pos: &'a [usize],
-    own_mask: usize,
-    col_off: &'a [usize],
+    gate_bits: usize,
     d: usize,
+    rhs_bits: usize,
     rhs_re: &'a [F],
     rhs_im: &'a [F],
     out_re: &'a mut [F],
@@ -494,51 +540,93 @@ impl<F: Float> Tiered for Compose<'_, F> {
 
     #[inline(always)]
     fn run(self) {
-        match self.d {
-            1 => self.rows::<1>(),
-            2 => self.rows::<2>(),
-            4 => self.rows::<4>(),
-            8 => self.rows::<8>(),
-            _ => self.rows::<16>(),
+        // Source gates act on one or two qubits; only a controlled one
+        // needs room for more terms. A full `rhs`, what most merges read,
+        // takes the body with the expansion's bookkeeping compiled out.
+        const WIDE: usize = 1 << MAX_GATE_QUBITS;
+        match (self.gate.dim <= 4, self.rhs_bits == self.d - 1) {
+            (true, true) => self.tiles::<4, false>(),
+            (true, false) => self.tiles::<4, true>(),
+            (false, true) => self.tiles::<WIDE, false>(),
+            (false, false) => self.tiles::<WIDE, true>(),
         }
     }
 }
 
 impl<F: Float> Compose<'_, F> {
-    /// Each output row in tiles of `C` columns: gather the row's non-zero
-    /// gate entries with the `rhs` rows they select (zeros are skipped, as
-    /// the dense product skips them), then accumulate every tile in
-    /// registers over those terms, ascending.
     #[inline(always)]
-    fn rows<const C: usize>(self) {
-        let (d, rhs_re, rhs_im) = (self.d, self.rhs_re, self.rhs_im);
-        let mut terms = [(0usize, Cplx::zero()); 1 << MAX_GATE_QUBITS];
+    fn tiles<const T: usize, const VIEW: bool>(self) {
+        match 1usize << self.rhs_bits.count_ones() {
+            1 => self.rows::<1, T, VIEW>(),
+            2 => self.rows::<2, T, VIEW>(),
+            4 => self.rows::<4, T, VIEW>(),
+            8 => self.rows::<8, T, VIEW>(),
+            _ => self.rows::<16, T, VIEW>(),
+        }
+    }
+
+    /// Each output row: gather its non-zero gate entries (zeros are
+    /// skipped, as the dense product skips them) with the `rhs` rows they
+    /// select, then, for each group of columns that agree on the bits
+    /// `rhs` is the identity on, accumulate tiles of `C` columns in
+    /// registers over the terms of that group, ascending. A full `rhs`
+    /// (`!VIEW`) is one group of consecutive columns.
+    #[inline(always)]
+    fn rows<const C: usize, const T: usize, const VIEW: bool>(self) {
+        let (d, g, rhs_bits) = (self.d, self.gate.dim, self.rhs_bits);
+        let (rhs_re, rhs_im) = (self.rhs_re, self.rhs_im);
+        let rd = 1usize << rhs_bits.count_ones();
+        let spread = if VIEW { (d - 1) & !rhs_bits } else { 0 };
+        let consecutive = !VIEW || rhs_bits == rd - 1;
+        // (group, offset of the `rhs` row, gate entry) per term.
+        let mut terms = [(0usize, 0usize, Cplx::zero()); T];
         let rows = self.out_re.chunks_exact_mut(d).zip(self.out_im.chunks_exact_mut(d));
         for (row, (out_re, out_im)) in rows.enumerate() {
-            let ctx = row & !self.own_mask;
-            let gate_row = &self.gate.as_slice()[extract_bits(row, self.pos) * self.gate.dim..];
-            let mut n = 0;
-            for (&a, &off) in gate_row.iter().zip(self.col_off) {
+            let ctx = row & !self.gate_bits;
+            let gate_row = &self.gate.as_slice()[pext(row, self.gate_bits) * g..][..g];
+            let (mut n, mut off) = (0, 0);
+            for &a in gate_row {
                 if a.re != F::ZERO || a.im != F::ZERO {
-                    terms[n] = ((ctx | off) * d, a);
+                    let l = ctx | off;
+                    let r = if VIEW { pext(l, rhs_bits) * rd } else { l * d };
+                    terms[n] = (l & spread, r, a);
                     n += 1;
                 }
+                off = next_submask(off, self.gate_bits);
             }
-            for j0 in (0..d).step_by(C) {
-                let mut acc_re = [F::ZERO; C];
-                let mut acc_im = [F::ZERO; C];
-                for &(l, a) in &terms[..n] {
-                    let br: &[F; C] =
-                        rhs_re[l + j0..][..C].try_into().expect("tile inside the row");
-                    let bi: &[F; C] =
-                        rhs_im[l + j0..][..C].try_into().expect("tile inside the row");
-                    for c in 0..C {
-                        acc_re[c] += a.re * br[c] - a.im * bi[c];
-                        acc_im[c] += a.re * bi[c] + a.im * br[c];
+            let mut group = 0;
+            loop {
+                let mut col = 0;
+                for j0 in (0..rd).step_by(C) {
+                    let mut acc_re = [F::ZERO; C];
+                    let mut acc_im = [F::ZERO; C];
+                    for &(at, r, a) in &terms[..n] {
+                        if VIEW && at != group {
+                            continue;
+                        }
+                        let br: &[F; C] =
+                            rhs_re[r + j0..][..C].try_into().expect("tile inside the row");
+                        let bi: &[F; C] =
+                            rhs_im[r + j0..][..C].try_into().expect("tile inside the row");
+                        for c in 0..C {
+                            acc_re[c] += a.re * br[c] - a.im * bi[c];
+                            acc_im[c] += a.re * bi[c] + a.im * br[c];
+                        }
+                    }
+                    if consecutive {
+                        out_re[group + j0..][..C].copy_from_slice(&acc_re);
+                        out_im[group + j0..][..C].copy_from_slice(&acc_im);
+                    } else {
+                        for c in 0..C {
+                            (out_re[group | col], out_im[group | col]) = (acc_re[c], acc_im[c]);
+                            col = next_submask(col, rhs_bits);
+                        }
                     }
                 }
-                out_re[j0..j0 + C].copy_from_slice(&acc_re);
-                out_im[j0..j0 + C].copy_from_slice(&acc_im);
+                group = next_submask(group, spread);
+                if group == 0 {
+                    break;
+                }
             }
         }
     }

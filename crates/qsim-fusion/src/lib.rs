@@ -25,7 +25,12 @@
 //! [`cost::FusionCostModel`] first. [`build`] then composes the matrices
 //! of the one layout that was chosen.
 
-use qsim_circuit::circuit::Circuit;
+use std::collections::HashMap;
+use std::mem::Discriminant;
+
+use qsim_circuit::circuit::{Circuit, GateOp};
+use qsim_circuit::gates::GateKind;
+use qsim_core::kernels::MAX_GATE_QUBITS;
 use qsim_core::matrix::{GateMatrix, SplitMatrix};
 use qsim_core::types::Float;
 
@@ -181,15 +186,21 @@ impl FusedCircuit {
 
     /// Fusion statistics for reporting.
     pub fn stats(&self) -> FusionStats {
-        let mut by_qubits = [0usize; qsim_core::kernels::MAX_GATE_QUBITS + 1];
-        let mut source = 0usize;
-        let mut fused = 0usize;
+        let mut stats = FusionStats {
+            source_gates: 0,
+            fused_gates: 0,
+            fused_by_qubit_count: [0; MAX_GATE_QUBITS + 1],
+            over_wide: 0,
+        };
         for g in self.unitaries() {
-            by_qubits[g.qubits.len()] += 1;
-            source += g.source_gates;
-            fused += 1;
+            match stats.fused_by_qubit_count.get_mut(g.width()) {
+                Some(count) => *count += 1,
+                None => stats.over_wide += 1,
+            }
+            stats.source_gates += g.source_gates;
+            stats.fused_gates += 1;
         }
-        FusionStats { source_gates: source, fused_gates: fused, fused_by_qubit_count: by_qubits }
+        stats
     }
 
     /// Pass accounting of this circuit under the cache-blocked sweep:
@@ -269,7 +280,11 @@ pub struct FusionStats {
     pub fused_gates: usize,
     /// Histogram: `fused_by_qubit_count[k]` = fused gates acting on `k`
     /// qubits.
-    pub fused_by_qubit_count: [usize; qsim_core::kernels::MAX_GATE_QUBITS + 1],
+    pub fused_by_qubit_count: [usize; MAX_GATE_QUBITS + 1],
+    /// Fused gates wider than [`MAX_GATE_QUBITS`], outside the histogram: a
+    /// gate with enough controls passes through unfused that wide, and no
+    /// kernel applies it (the pre-run check refuses the plan).
+    pub over_wide: usize,
 }
 
 impl FusionStats {
@@ -301,10 +316,12 @@ pub fn fuse(circuit: &Circuit, max_fused_qubits: usize) -> FusedCircuit {
 ///
 /// From its first merge on, a slot's product lives in split planes
 /// ([`SplitMatrix`]): each merge writes `expand(gate) · product` into a
-/// spare pair of planes and returns the old pair to the spares, a
-/// widening union first scatters the product into wider planes, and the
-/// interleaved [`FusedGate::matrix`] is written once, at the slot's last
-/// merge. A merge takes at most two spares, so no more are kept.
+/// spare pair of planes and returns the old pair to the spares. The slot's
+/// first gate enters as it is and a widening union widens the product in
+/// place, both read through the expansion by `set_product`, so no
+/// expansion is ever formed; the interleaved [`FusedGate::matrix`] is
+/// written once, at the slot's last merge. Each source gate's matrix and
+/// certificate come from [`Sources`], once per distinct gate.
 ///
 /// Beside each product runs its [`FusedGate::certificate`]: a slot opens
 /// with its first gate's measured deviation, and every merge adds the
@@ -312,7 +329,7 @@ pub fn fuse(circuit: &Circuit, max_fused_qubits: usize) -> FusedCircuit {
 /// the pre-run check need not form the product's Gram matrix again.
 fn build(circuit: &Circuit, layout: &planner::Layout) -> FusedCircuit {
     // The source op after which each output slot takes no more merges.
-    let mut last_merge: Vec<usize> = Vec::new();
+    let mut last_merge: Vec<usize> = Vec::with_capacity(layout.slots.len());
     for (i, action) in layout.actions.iter().enumerate() {
         match *action {
             planner::Action::Merge(t) => last_merge[t] = i,
@@ -320,13 +337,9 @@ fn build(circuit: &Circuit, layout: &planner::Layout) -> FusedCircuit {
         }
     }
     let mut open: Vec<Option<SplitMatrix<f64>>> = vec![None; last_merge.len()];
-    let mut spare: Vec<SplitMatrix<f64>> = Vec::with_capacity(2);
-    let recycle = |spare: &mut Vec<SplitMatrix<f64>>, planes| {
-        if spare.len() < 2 {
-            spare.push(planes);
-        }
-    };
-    let mut ops: Vec<FusedOp> = Vec::with_capacity(circuit.ops.len());
+    let mut spares = Spares::default();
+    let mut sources = Sources::default();
+    let mut ops: Vec<FusedOp> = Vec::with_capacity(last_merge.len());
     for (i, (op, action)) in circuit.ops.iter().zip(&layout.actions).enumerate() {
         if op.is_measurement() {
             let mut qs = op.qubits.clone();
@@ -335,17 +348,21 @@ fn build(circuit: &Circuit, layout: &planner::Layout) -> FusedCircuit {
             continue;
         }
 
-        let (sorted_qubits, matrix) =
-            op.sorted_matrix::<f64>().expect("non-measurement gates have matrices");
-        // Controls embed the gate as `I ⊕ matrix`, which leaves
-        // `‖M·M† − I‖₂` as it was: the certificate is the bare gate's.
-        let certificate = certificate::of_source(&matrix);
+        let source = sources.get(op);
+        let mut targets = [0; MAX_GATE_QUBITS];
+        let targets = &mut targets[..op.qubits.len()];
+        targets.copy_from_slice(&op.qubits);
+        targets.sort_unstable();
         // Extra controls make a gate opaque to the fuser: it enters as a
         // plain unitary over targets+controls with the expanded matrix.
-        let (sorted_qubits, matrix) = if op.controls.is_empty() {
-            (sorted_qubits, matrix)
+        // They embed the gate as `I ⊕ matrix`, which leaves `‖M·M† − I‖₂`
+        // as it was: the certificate is the bare gate's.
+        let controlled;
+        let (qubits, matrix) = if op.controls.is_empty() {
+            (&*targets, &source.matrix)
         } else {
-            expand_controlled(&sorted_qubits, &op.controls, &matrix)
+            controlled = expand_controlled(targets, &op.controls, &source.matrix);
+            (&controlled.0[..], &controlled.1)
         };
 
         match *action {
@@ -354,44 +371,123 @@ fn build(circuit: &Circuit, layout: &planner::Layout) -> FusedCircuit {
                     unreachable!("merge target is a gate slot")
                 };
                 // matrix_new = expand(gate) · expand(existing)
-                let union = union_sorted(&b.qubits, &sorted_qubits);
+                let mut union = [0; MAX_GATE_QUBITS];
+                let n = union_into(&b.qubits, qubits, &mut union);
+                let union = &union[..n];
+                let width = b.width();
                 let product = match open[t].take() {
-                    None => {
-                        let mut planes = spare.pop().unwrap_or_default();
-                        planes.set_expanded(&b.matrix, &b.qubits, &union);
+                    Some(mut planes) => {
+                        planes.widen(&b.qubits, union);
                         planes
                     }
-                    Some(planes) if union != b.qubits => {
-                        let mut wide = spare.pop().unwrap_or_default();
-                        wide.set_widened(&planes, &b.qubits, &union);
-                        recycle(&mut spare, planes);
-                        wide
+                    None => {
+                        let mut planes = spares.take(width);
+                        planes.set_expanded(&b.matrix, &b.qubits, union);
+                        planes
                     }
-                    Some(planes) => planes,
                 };
-                let mut next = spare.pop().unwrap_or_default();
-                next.set_product(&matrix, &sorted_qubits, &union, &product);
-                recycle(&mut spare, product);
+                let mut next = spares.take(union.len());
+                next.set_product(matrix, qubits, union, &product);
+                spares.put(width, product);
                 if last_merge[t] == i {
                     b.matrix = next.to_matrix();
-                    recycle(&mut spare, next);
+                    spares.put(union.len(), next);
                 } else {
                     open[t] = Some(next);
                 }
-                b.certificate = certificate.zip(b.certificate).map(|(gate, product)| {
+                b.certificate = source.certificate.zip(b.certificate).map(|(gate, product)| {
                     certificate::of_product(gate, product, matrix.dim(), 1 << union.len())
                 });
-                b.site.qubits = union;
+                b.site.qubits.clear();
+                b.site.qubits.extend_from_slice(union);
                 b.site.source_gates += 1;
                 b.site.time_range.1 = op.time;
             }
-            planner::Action::New => ops.push(FusedOp::Unitary(FusedGate {
-                certificate,
-                ..FusedGate::new(sorted_qubits, matrix, 1, (op.time, op.time))
-            })),
+            planner::Action::New => {
+                let mut site =
+                    Vec::with_capacity(layout.slots[ops.len()].as_ref().map_or(0, Vec::len));
+                site.extend_from_slice(qubits);
+                ops.push(FusedOp::Unitary(FusedGate {
+                    certificate: source.certificate,
+                    ..FusedGate::new(site, matrix.clone(), 1, (op.time, op.time))
+                }));
+            }
         }
     }
     FusedCircuit { num_qubits: circuit.num_qubits, ops, max_fused_qubits: layout.max_fused_qubits }
+}
+
+/// A source gate as [`build`] composes it: its matrix over its sorted
+/// targets, and that matrix's certificate.
+struct Source {
+    matrix: GateMatrix<f64>,
+    certificate: Option<f64>,
+}
+
+/// The source gates one [`build`] has composed, each once: keyed by kind,
+/// the bits of its parameters (`Rz(0.0) == Rz(-0.0)`, but their matrices
+/// differ in the sign of a zero) and the order of its operands (the
+/// permutation `sorted_matrix` applies). A controlled gate keys on its
+/// bare gate, whose certificate it shares. It lives for one `build`, so a
+/// build starts cold, as a fresh process would, and holds one entry per
+/// distinct gate. The last few keys found are compared before any is
+/// hashed: a circuit of a handful of gate kinds never hashes a hit.
+#[derive(Default)]
+struct Sources {
+    list: Vec<Source>,
+    index: HashMap<SourceKey, usize>,
+    recent: [Option<(SourceKey, usize)>; 4],
+}
+
+type SourceKey = (Discriminant<GateKind>, u64, u64, usize);
+
+impl Sources {
+    fn get(&mut self, op: &GateOp) -> &Source {
+        let ([p0, p1], _) = op.kind.params_fixed();
+        let order = op
+            .qubits
+            .iter()
+            .fold(0, |order, q| order << 4 | op.qubits.iter().filter(|&p| p < q).count());
+        let key = (std::mem::discriminant(&op.kind), p0.to_bits(), p1.to_bits(), order);
+        if let Some((_, i)) = self.recent.iter().flatten().find(|(seen, _)| *seen == key) {
+            return &self.list[*i];
+        }
+        let list = &mut self.list;
+        let i = *self.index.entry(key).or_insert_with(|| {
+            let (_, matrix) =
+                op.sorted_matrix::<f64>().expect("non-measurement gates have matrices");
+            list.push(Source { certificate: certificate::of_source(&matrix), matrix });
+            list.len() - 1
+        });
+        self.recent.rotate_right(1);
+        self.recent[0] = Some((key, i));
+        &self.list[i]
+    }
+}
+
+/// Planes no slot holds, by the width of the matrix they held, so a pair
+/// is reused only at its own size and never reallocated. They are kept
+/// while they weigh at most 256 KiB (four 64 × 64 pairs of `f64` planes);
+/// a pair returned past that is freed.
+#[derive(Default)]
+struct Spares {
+    by_width: [Vec<SplitMatrix<f64>>; MAX_GATE_QUBITS + 1],
+    bytes: usize,
+}
+
+impl Spares {
+    fn take(&mut self, width: usize) -> SplitMatrix<f64> {
+        let planes = self.by_width[width].pop();
+        self.bytes -= planes.as_ref().map_or(0, |_| 16 << (2 * width));
+        planes.unwrap_or_default()
+    }
+
+    fn put(&mut self, width: usize, planes: SplitMatrix<f64>) {
+        if self.bytes + (16 << (2 * width)) <= 256 << 10 {
+            self.bytes += 16 << (2 * width);
+            self.by_width[width].push(planes);
+        }
+    }
 }
 
 /// Expand a gate with extra always-one controls into a plain unitary over
@@ -436,29 +532,27 @@ fn targets_mask(positions: &[usize]) -> usize {
     positions.iter().map(|&p| 1usize << p).sum()
 }
 
-/// Merge two sorted, distinct qubit lists.
-fn union_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
+/// Merge two sorted, distinct qubit lists into `out`; returns the
+/// union's length.
+fn union_into(a: &[usize], b: &[usize], out: &mut [usize]) -> usize {
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < a.len() || j < b.len() {
+        let x = a.get(i).copied().unwrap_or(usize::MAX);
+        let y = b.get(j).copied().unwrap_or(usize::MAX);
+        out[n] = x.min(y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+        n += 1;
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    n
+}
+
+/// [`union_into`] as a new list.
+#[cfg(test)]
+fn union_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
+    let mut out = vec![0; a.len() + b.len()];
+    let n = union_into(a, b, &mut out);
+    out.truncate(n);
     out
 }
 
@@ -637,6 +731,103 @@ mod tests {
         }
     }
 
+    /// A slot as a per-gate replay composes it: qubits, dense matrix and
+    /// certificate.
+    type Replayed = (Vec<usize>, GateMatrix<f64>, Option<f64>);
+
+    /// The slots of `layout` over `circuit`, one gate at a time: each
+    /// source gate through `sorted_matrix` and `of_source`, each merge
+    /// through the dense product of both expansions and `of_product`.
+    fn per_gate_replay(circuit: &Circuit, layout: &planner::Layout) -> Vec<Option<Replayed>> {
+        let mut replay: Vec<Option<Replayed>> = Vec::new();
+        for (op, action) in circuit.ops.iter().zip(&layout.actions) {
+            let Some((qubits, matrix)) = op.sorted_matrix::<f64>() else {
+                replay.push(None);
+                continue;
+            };
+            let gate_cert = certificate::of_source(&matrix);
+            let (qubits, matrix) = if op.controls.is_empty() {
+                (qubits, matrix)
+            } else {
+                expand_controlled(&qubits, &op.controls, &matrix)
+            };
+            match *action {
+                planner::Action::Merge(t) => {
+                    let (slot_qubits, slot, cert) = replay[t].as_mut().unwrap();
+                    let union = union_sorted(slot_qubits, &qubits);
+                    *cert = gate_cert.zip(*cert).map(|(gate, product)| {
+                        certificate::of_product(gate, product, matrix.dim(), 1 << union.len())
+                    });
+                    *slot = matrix
+                        .expand_to(&qubits, &union)
+                        .matmul(&slot.expand_to(slot_qubits, &union));
+                    *slot_qubits = union;
+                }
+                planner::Action::New => replay.push(Some((qubits, matrix, gate_cert))),
+            }
+        }
+        replay
+    }
+
+    /// The source table, the stack unions and the narrow operands read
+    /// through their expansion leave every product and every certificate
+    /// where a per-gate replay puts them: angles that compare equal but
+    /// differ in a zero's sign, one gate on both operand orders, a gate
+    /// bare and controlled, all-distinct angles, and slots that widen on
+    /// their first merge.
+    #[test]
+    fn fused_matrix_and_certificate_bits_match_the_per_gate_replay() {
+        use qsim_circuit::circuit::GateOp;
+
+        let mut hazards = Circuit::new(7);
+        hazards.add(0, GateKind::Rz(0.0), &[0]);
+        hazards.add(0, GateKind::Rz(-0.0), &[1]);
+        hazards.add(0, GateKind::H, &[2]);
+        hazards.add(1, GateKind::FSim(0.4, 0.9), &[6, 0]);
+        hazards.add(1, GateKind::Cnot, &[3, 1]);
+        hazards.add(2, GateKind::FSim(0.4, 0.9), &[0, 6]);
+        hazards.add(2, GateKind::Cnot, &[1, 3]);
+        hazards.ops.push(GateOp::with_controls(3, GateKind::H, vec![2], vec![4]));
+        hazards.add(4, GateKind::Rz(-0.0), &[5]);
+        hazards.add(4, GateKind::Rz(0.0), &[4]);
+        // Each slot opens on one qubit and widens at its first merge, by a
+        // disjoint gate or by one that overlaps it.
+        let mut widening = Circuit::new(6);
+        widening.add(0, GateKind::H, &[0]);
+        widening.add(0, GateKind::T, &[2]);
+        widening.add(0, GateKind::X12, &[4]);
+        widening.add(1, GateKind::Y12, &[1]);
+        widening.add(1, GateKind::Cnot, &[3, 2]);
+        widening.add(1, GateKind::Cz, &[4, 5]);
+        widening.add(2, GateKind::FSim(1.1, 0.2), &[1, 3]);
+        widening.add(3, GateKind::Hz12, &[5]);
+        for circuit in [hazards, library::qft(8), widening] {
+            for f in 1..=6 {
+                let layout = planner::decide(&circuit, f, planner::Policy::Greedy);
+                let replay = per_gate_replay(&circuit, &layout);
+                let built = build(&circuit, &layout);
+                assert_eq!(built.ops.len(), replay.len());
+                for (op, reference) in built.ops.iter().zip(&replay) {
+                    let (FusedOp::Unitary(g), Some((qubits, matrix, cert))) = (op, reference)
+                    else {
+                        assert!(matches!(op, FusedOp::Measurement { .. }) && reference.is_none());
+                        continue;
+                    };
+                    assert_eq!(&g.qubits, qubits);
+                    let bits = |m: &GateMatrix<f64>| -> Vec<(u64, u64)> {
+                        m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                    };
+                    assert_eq!(bits(g.matrix()), bits(matrix), "f={f} qubits {qubits:?}");
+                    assert_eq!(
+                        g.certificate().map(f64::to_bits),
+                        cert.map(f64::to_bits),
+                        "f={f} qubits {qubits:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn higher_fusion_yields_fewer_passes() {
         let c = qsim_circuit::generate_rqc(&qsim_circuit::RqcOptions::for_qubits(16, 10, 1));
@@ -661,6 +852,23 @@ mod tests {
             let cap = f.max(2);
             assert!(s.fused_by_qubit_count[cap + 1..].iter().all(|&x| x == 0));
         }
+    }
+
+    /// A gate with six controls is a valid 7-qubit op that no budget
+    /// fuses; the statistics count it without a bucket of its own.
+    #[test]
+    fn stats_count_a_gate_wider_than_the_kernels() {
+        use qsim_circuit::circuit::GateOp;
+
+        let mut c = Circuit::new(8);
+        c.ops.push(GateOp::with_controls(0, GateKind::X, vec![0], (1..=6).collect()));
+        c.add(1, GateKind::H, &[7]);
+        assert!(c.validate().is_ok());
+        let f = fuse(&c, 6);
+        assert_eq!(f.unitaries().map(FusedGate::width).collect::<Vec<_>>(), [7, 1]);
+        let s = f.stats();
+        assert_eq!((s.fused_gates, s.source_gates, s.over_wide), (2, 2, 1));
+        assert_eq!(s.fused_by_qubit_count, [0, 1, 0, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -247,7 +247,7 @@ pub(crate) struct Layout {
     pub(crate) actions: Vec<Action>,
     /// One per output op: its final sorted qubit set (`None` marks a
     /// measurement barrier).
-    slots: Vec<Option<Vec<usize>>>,
+    pub(crate) slots: Vec<Option<Vec<usize>>>,
 }
 
 impl Layout {
@@ -523,7 +523,17 @@ pub(crate) fn decide(circuit: &Circuit, max_fused_qubits: usize, policy: Policy)
         shadow.journal.clear(); // committed: nothing rolls back past here
         actions.push(action);
     }
-    let slots = shadow.slots.iter().map(|s| s.map(|m| qubits_of(m).collect())).collect();
+    let slots = shadow
+        .slots
+        .iter()
+        .map(|s| {
+            s.map(|m| {
+                let mut qubits = Vec::with_capacity(m.count_ones() as usize);
+                qubits.extend(qubits_of(m));
+                qubits
+            })
+        })
+        .collect();
     Layout { max_fused_qubits, actions, slots }
 }
 

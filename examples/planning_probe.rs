@@ -14,9 +14,12 @@
 //!   `plan_circuit` runs on the plan it returns;
 //! - `pre_run_ms`: the benchmark harness's own `Analyzer::pre_run` call,
 //!   with the source circuit;
-//! - `estimate_ms`: `estimate_plan` on the checked plan (a dry walk).
+//! - `estimate_ms`: `estimate_plan` on the checked plan (a dry walk);
 //!
-//! and `certified`: how many of the plan's fused products carry a
+//! a fifth, `fuse_ms`, on the greedy rows only: `qsim_fusion::fuse` at the
+//! row's budget, which is the greedy scan and `build` with no model (the
+//! scan is a small part of it, so the column tracks `build`); and
+//! `certified`: how many of the plan's fused products carry a
 //! certificate the pre-run check takes without forming their Gram matrix
 //! (within half `PLAN_UNITARY_TOL_F64`), of all its products.
 //!
@@ -42,8 +45,15 @@ fn main() {
     cells.push(PlanOptions { strategy: FusionStrategy::Auto, max_fused_qubits: 4 });
 
     println!(
-        "{:<6} {:<10} {:>9} {:>9} {:>11} {:>12} {:>10}",
-        "flavor", "cell", "plan_ms", "check_ms", "pre_run_ms", "estimate_ms", "certified"
+        "{:<6} {:<10} {:>9} {:>9} {:>11} {:>12} {:>8} {:>10}",
+        "flavor",
+        "cell",
+        "plan_ms",
+        "check_ms",
+        "pre_run_ms",
+        "estimate_ms",
+        "fuse_ms",
+        "certified"
     );
     let precision = Precision::Single;
     for flavor in [Flavor::CpuAvx, Flavor::Hip] {
@@ -51,10 +61,11 @@ fn main() {
         let model = backend.cost_model(precision);
         // The sweep `plan_circuit` checks under.
         let sweep = flavor.launch_policy(precision, backend.sweep_config(), None).sweep;
-        let mut totals = [0.0f64; 4];
+        let mut totals = [0.0f64; 5];
         let mut total_certified = [0usize; 2];
         for opts in &cells {
-            let mut fastest = [f64::INFINITY; 4];
+            let mut fastest = [f64::INFINITY; 5];
+            let greedy = opts.strategy == FusionStrategy::Greedy;
             let mut certified = [0usize; 2];
             for _ in 0..REPS {
                 let t0 = Instant::now();
@@ -75,13 +86,18 @@ fn main() {
                 let t3 = Instant::now();
                 backend.estimate_plan(&plan, precision).expect("estimate");
                 let t4 = Instant::now();
+                if greedy {
+                    qsim_rs::fusion::fuse(&q30, opts.max_fused_qubits);
+                }
+                let t5 = Instant::now();
                 assert!(!analysis.has_errors());
                 let certs = plan.fused.unitaries().map(|g| g.certificate());
                 certified = certs.fold([0, 0], |[yes, all], cert| {
                     let taken = cert.is_some_and(|cert| cert <= PLAN_UNITARY_TOL_F64 / 2.0);
                     [yes + usize::from(taken), all + 1]
                 });
-                for (best, span) in fastest.iter_mut().zip([t1 - t0, t2 - t1, t3 - t2, t4 - t3]) {
+                let spans = [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4];
+                for (best, span) in fastest.iter_mut().zip(spans) {
                     *best = best.min(span.as_secs_f64() * 1e3);
                 }
             }
@@ -89,8 +105,11 @@ fn main() {
                 FusionStrategy::Auto => "auto".to_string(),
                 s => format!("{s} -f {}", opts.max_fused_qubits),
             };
+            if !greedy {
+                fastest[4] = f64::NAN;
+            }
             print_row(flavor.label(), &cell, &fastest, certified);
-            for (total, ms) in totals.iter_mut().zip(fastest) {
+            for (total, ms) in totals.iter_mut().zip(fastest).filter(|(_, ms)| !ms.is_nan()) {
                 *total += ms;
             }
             for (total, n) in total_certified.iter_mut().zip(certified) {
@@ -101,9 +120,11 @@ fn main() {
     }
 }
 
-fn print_row(flavor: &str, cell: &str, ms: &[f64; 4], [certified, products]: [usize; 2]) {
+/// One row; a `NaN` column (`fuse_ms` off the greedy rows) prints `-`.
+fn print_row(flavor: &str, cell: &str, ms: &[f64; 5], [certified, products]: [usize; 2]) {
+    let fuse = if ms[4].is_nan() { "-".to_string() } else { format!("{:.3}", ms[4]) };
     println!(
-        "{flavor:<6} {cell:<10} {:>9.3} {:>9.3} {:>11.3} {:>12.3} {:>10}",
+        "{flavor:<6} {cell:<10} {:>9.3} {:>9.3} {:>11.3} {:>12.3} {fuse:>8} {:>10}",
         ms[0],
         ms[1],
         ms[2],
