@@ -46,8 +46,9 @@ pub struct StableHasher {
     /// Total bytes consumed, folded in at finish so prefixes of a
     /// stream never collide with the stream itself.
     length: u64,
-    /// Partial word not yet mixed (< 8 bytes).
-    pending: [u8; 8],
+    /// Partial word not yet mixed: its `pending_len` (< 8) bytes in
+    /// little-endian order, the bytes above them zero.
+    pending: u64,
     pending_len: usize,
 }
 
@@ -65,7 +66,7 @@ impl StableHasher {
 
     /// A hasher whose stream is domain-separated by `seed`.
     pub fn with_seed(seed: u64) -> StableHasher {
-        StableHasher { state: seed.wrapping_add(P5), length: 0, pending: [0; 8], pending_len: 0 }
+        StableHasher { state: seed.wrapping_add(P5), length: 0, pending: 0, pending_len: 0 }
     }
 
     /// Mix one full little-endian word into the state.
@@ -73,34 +74,41 @@ impl StableHasher {
         self.state =
             (self.state ^ word.wrapping_mul(P2)).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
     }
+
+    /// Append the `n` (1..=8) little-endian bytes of `value`, whose bits
+    /// above them are zero: shifted in behind the partial word as an
+    /// integer, so a word written after an odd-length `write` costs a
+    /// shift, not a byte copy.
+    #[inline]
+    fn push(&mut self, value: u64, n: usize) {
+        self.length += n as u64;
+        let shift = self.pending_len * 8;
+        let word = self.pending | (value << shift);
+        let filled = self.pending_len + n;
+        if filled < 8 {
+            self.pending = word;
+            self.pending_len = filled;
+            return;
+        }
+        self.mix(word);
+        // The bytes of `value` that did not fit (none when `shift` is 0).
+        self.pending = if shift == 0 { 0 } else { value >> (64 - shift) };
+        self.pending_len = filled - 8;
+    }
 }
 
 impl std::hash::Hasher for StableHasher {
-    fn write(&mut self, mut bytes: &[u8]) {
-        self.length += bytes.len() as u64;
-        // Top up a pending partial word first.
-        if self.pending_len > 0 {
-            let need = 8 - self.pending_len;
-            let take = need.min(bytes.len());
-            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
-            self.pending_len += take;
-            bytes = &bytes[take..];
-            if self.pending_len < 8 {
-                // The write was consumed entirely by the partial word.
-                return;
-            }
-            let word = u64::from_le_bytes(self.pending);
-            self.mix(word);
-            self.pending_len = 0;
-        }
+    fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
-            let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            self.mix(word);
+            self.push(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")), 8);
         }
         let rest = chunks.remainder();
-        self.pending[..rest.len()].copy_from_slice(rest);
-        self.pending_len = rest.len();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.push(u64::from_le_bytes(tail), rest.len());
+        }
     }
 
     fn finish(&self) -> u64 {
@@ -108,9 +116,7 @@ impl std::hash::Hasher for StableHasher {
         // Fold the partial word (zero-padded; the length fold below
         // disambiguates true zero bytes from padding).
         if self.pending_len > 0 {
-            let mut tail = [0u8; 8];
-            tail[..self.pending_len].copy_from_slice(&self.pending[..self.pending_len]);
-            h = (h ^ u64::from_le_bytes(tail).wrapping_mul(P2))
+            h = (h ^ self.pending.wrapping_mul(P2))
                 .rotate_left(27)
                 .wrapping_mul(P1)
                 .wrapping_add(P4);
@@ -127,18 +133,19 @@ impl std::hash::Hasher for StableHasher {
 
     // Pin the integer encodings to little-endian: the Hasher defaults
     // go through to_ne_bytes, which would make hashes byte-order
-    // dependent.
+    // dependent. An integer's value is its little-endian bytes, so the
+    // fixed-width writes shift it in whole.
     fn write_u8(&mut self, i: u8) {
-        self.write(&[i]);
+        self.push(u64::from(i), 1);
     }
     fn write_u16(&mut self, i: u16) {
-        self.write(&i.to_le_bytes());
+        self.push(u64::from(i), 2);
     }
     fn write_u32(&mut self, i: u32) {
-        self.write(&i.to_le_bytes());
+        self.push(u64::from(i), 4);
     }
     fn write_u64(&mut self, i: u64) {
-        self.write(&i.to_le_bytes());
+        self.push(i, 8);
     }
     fn write_u128(&mut self, i: u128) {
         self.write(&i.to_le_bytes());
@@ -203,6 +210,31 @@ mod tests {
         let mut b = StableHasher::new();
         b.write(&[1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(a.finish(), b.finish());
+    }
+
+    /// The integer path equals the byte path at every partial-word
+    /// length a preceding write can leave.
+    #[test]
+    fn integer_writes_equal_their_le_bytes_at_every_pending_length() {
+        let prefix = [0xa5u8, 0x01, 0xff, 0x00, 0x7e, 0x80, 0x3c];
+        for pending in 0..8 {
+            let mut ints = StableHasher::new();
+            let mut bytes = StableHasher::new();
+            ints.write(&prefix[..pending]);
+            bytes.write(&prefix[..pending]);
+            ints.write_u64(0xf1e2_d3c4_b5a6_9788);
+            bytes.write(&0xf1e2_d3c4_b5a6_9788u64.to_le_bytes());
+            assert_eq!(ints.finish(), bytes.finish(), "u64 after {pending} bytes");
+            ints.write_u32(0x0102_8384);
+            bytes.write(&0x0102_8384u32.to_le_bytes());
+            ints.write_u16(0xbeef);
+            bytes.write(&0xbeefu16.to_le_bytes());
+            ints.write_u8(0x99);
+            bytes.write(&[0x99]);
+            ints.write_u128(u128::MAX - 5);
+            bytes.write(&(u128::MAX - 5).to_le_bytes());
+            assert_eq!(ints.finish(), bytes.finish(), "mixed widths after {pending} bytes");
+        }
     }
 
     #[test]

@@ -60,6 +60,7 @@ pub mod mux;
 pub mod pool;
 pub mod protocol;
 pub mod queue;
+mod registry;
 pub mod service;
 pub mod worker;
 
@@ -70,8 +71,9 @@ pub use pool::{BucketStats, PoolStats, StateBufferPool};
 pub use queue::{
     BandwidthSnapshot, JobQueue, WorkUnit, DEFAULT_BANDWIDTH_BUDGET_BPS, RESIDENT_BYTES,
 };
+pub use registry::{EXPIRED_ERROR, RETAINED_TERMINAL};
 pub use service::{
-    FinalState, JobStatus, Metrics, Service, ServiceConfig, SubmitError, DEFAULT_MAX_BATCH,
-    DEFAULT_PLAN_CACHE_BUDGET, DEFAULT_RESULT_CACHE_BUDGET,
+    FinalState, JobStatus, Metrics, ResultError, Service, ServiceConfig, SubmitError,
+    DEFAULT_MAX_BATCH, DEFAULT_PLAN_CACHE_BUDGET, DEFAULT_RESULT_CACHE_BUDGET,
 };
 pub use worker::WorkerPool;

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use crate::job::JobId;
 use crate::protocol::handle_line;
-use crate::service::Service;
+use crate::service::{ResultError, Service};
 
 /// I/O threads when the embedder does not choose: enough that one slow
 /// `handle_line` (a submit that plans a large circuit) does not stall
@@ -563,19 +563,21 @@ impl Conn {
         true
     }
 
-    /// Append the frames of every stream whose job is terminal and drop
-    /// those subscriptions. A job unknown or finished without a report
-    /// is dropped silently: the client sees its terminal state via
-    /// `status`.
+    /// Append the frames of every stream whose job is done and drop
+    /// those subscriptions; reading the report delivers the job, so its
+    /// record may age out only after its frames are written. A job that
+    /// ended without a report (or is unknown, or aged out unread past
+    /// the registry's grace period) is dropped silently: the client sees
+    /// its terminal state via `status`.
     fn poll_streams(&mut self, service: &Service) {
         let wbuf = &mut self.wbuf;
-        self.streams.retain(|&id| match service.stream_state(id) {
-            Some((false, _)) => true,
-            Some((true, Some(report))) => {
+        self.streams.retain(|&id| match service.result(id) {
+            Ok(report) => {
                 write_frames(wbuf, id, &report.samples);
                 false
             }
-            Some((true, None)) | None => false,
+            Err(ResultError::NoResult(state)) => !state.is_terminal(),
+            Err(ResultError::UnknownJob | ResultError::Expired(_)) => false,
         });
     }
 }
@@ -884,6 +886,40 @@ mod tests {
         let range = buf.next_line().unwrap();
         assert_eq!(&buf.bytes[range], b"{\"verb\":1}");
         assert_eq!(examined() - start, 4);
+    }
+
+    /// A finished streamed job whose frames no I/O thread has polled yet
+    /// survives many later completions, then gets every frame.
+    #[test]
+    fn an_unpolled_stream_outlives_later_completions_and_gets_its_last_frame() {
+        let service = Service::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+        let mut spec = crate::job::JobSpec::new(qsim_circuit::library::ghz(8));
+        spec.sample_count = 600;
+        let warm = service.submit(spec.clone()).unwrap();
+        service.wait(warm, Duration::from_secs(60));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Conn::adopt(listener.accept().unwrap().0).unwrap();
+        // Subscribed, born done, not polled.
+        let streamed = service.submit(spec.clone()).unwrap();
+        conn.streams.push(streamed);
+        for _ in 0..3 * crate::RETAINED_TERMINAL {
+            let id = service.submit(spec.clone()).unwrap();
+            service.result(id).unwrap();
+        }
+        assert!(service.metrics().registry_aged_out > 0);
+        conn.poll_streams(&service);
+        assert!(conn.streams.is_empty());
+        let frames: Vec<Value> = std::str::from_utf8(&conn.wbuf)
+            .unwrap()
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect();
+        let samples: usize =
+            frames.iter().map(|f| f.get("samples").and_then(Value::as_array).unwrap().len()).sum();
+        assert_eq!(samples, 600);
+        assert_eq!(frames.last().unwrap().get("last").and_then(Value::as_bool), Some(true));
+        service.shutdown();
     }
 
     /// The direct frame writer emits what `serde_json` makes of the

@@ -13,7 +13,7 @@
 //! |---|---|---|
 //! | `submit` | `circuit` (qsim text), `backend?`, `precision?`, `strategy?`, `max_fused?`, `seed?`, `sample_count?`, `priority?`, `timeout_ms?`, `stream?` | `id` |
 //! | `status` | `id` | `state`, `priority`, `flavor`, `num_qubits`, `error?` |
-//! | `result` | `id` | `report` (the run's [`RunReport`] JSON) |
+//! | `result` | `id` | `report` (the run's [`RunReport`] JSON); `expired: true` once the job's record aged out |
 //! | `cancel` | `id` | `cancelled` |
 //! | `metrics` | — | `metrics` |
 //! | `shutdown` | — | `shutting_down` (server drains and exits) |
@@ -38,7 +38,7 @@ use serde_json::{json, Value};
 
 use crate::admission::AdmissionError;
 use crate::job::{JobId, JobSpec};
-use crate::service::{Service, SubmitError};
+use crate::service::{ResultError, Service, SubmitError};
 
 /// Outcome of one request line: the response document, plus whether the
 /// server should begin shutting down after sending it.
@@ -54,16 +54,12 @@ pub struct Handled {
     pub stream: Option<JobId>,
 }
 
-fn ok(payload: Value) -> Handled {
+fn reply(payload: Value) -> Handled {
     Handled { response: payload, shutdown: false, stream: None }
 }
 
 fn err(message: impl std::fmt::Display) -> Handled {
-    Handled {
-        response: json!({ "ok": false, "error": (message.to_string()) }),
-        shutdown: false,
-        stream: None,
-    }
+    reply(json!({ "ok": false, "error": (message.to_string()) }))
 }
 
 /// Decode, dispatch and execute one request line against the service.
@@ -78,7 +74,7 @@ pub fn handle_line(service: &Service, line: &str) -> Handled {
     match verb {
         "submit" => handle_submit(service, &request),
         "status" => with_id(&request, |id| match service.status(id) {
-            Some(status) => ok(json!({
+            Some(status) => reply(json!({
                 "ok": true,
                 "id": (status.id.0),
                 "state": (status.state.label()),
@@ -90,29 +86,31 @@ pub fn handle_line(service: &Service, line: &str) -> Handled {
             })),
             None => err(format!("unknown job id {}", id.0)),
         }),
-        "result" => with_id(&request, |id| match service.status(id) {
-            None => err(format!("unknown job id {}", id.0)),
-            Some(status) => match service.report(id) {
-                Some(report) => ok(json!({
-                    "ok": true,
-                    "id": (id.0),
-                    "report": (report.to_json()),
-                })),
-                None => Handled {
-                    response: json!({
-                        "ok": false,
-                        "error": (format!("job {} has no result (state: {})", id.0, status.state.label())),
-                        "state": (status.state.label()),
-                    }),
-                    shutdown: false,
-                    stream: None,
-                },
-            },
+        "result" => with_id(&request, |id| match service.result(id) {
+            Ok(report) => reply(json!({
+                "ok": true,
+                "id": (id.0),
+                "report": (report.to_json()),
+            })),
+            Err(ResultError::UnknownJob) => err(format!("unknown job id {}", id.0)),
+            Err(ResultError::NoResult(state)) => reply(json!({
+                "ok": false,
+                "error": (format!("job {} has no result (state: {})", id.0, state.label())),
+                "state": (state.label()),
+            })),
+            // Its `status` still answers; the report aged out with the
+            // record.
+            Err(ResultError::Expired(state)) => reply(json!({
+                "ok": false,
+                "error": (format!("job {} expired: its result aged out of the registry", id.0)),
+                "expired": true,
+                "state": (state.label()),
+            })),
         }),
         "cancel" => with_id(&request, |id| {
-            ok(json!({ "ok": true, "id": (id.0), "cancelled": (service.cancel(id)) }))
+            reply(json!({ "ok": true, "id": (id.0), "cancelled": (service.cancel(id)) }))
         }),
-        "metrics" => ok(json!({ "ok": true, "metrics": (service.metrics().to_json()) })),
+        "metrics" => reply(json!({ "ok": true, "metrics": (service.metrics().to_json()) })),
         "shutdown" => Handled {
             response: json!({ "ok": true, "shutting_down": true }),
             shutdown: true,
@@ -138,7 +136,7 @@ fn handle_submit(service: &Service, request: &Value) -> Handled {
         request.get("stream").and_then(Value::as_bool).unwrap_or(false) && spec.sample_count > 0;
     match service.submit(spec) {
         Ok(id) => {
-            let mut handled = ok(json!({ "ok": true, "id": (id.0) }));
+            let mut handled = reply(json!({ "ok": true, "id": (id.0) }));
             if wants_stream {
                 handled.stream = Some(id);
             }
@@ -158,7 +156,7 @@ fn handle_submit(service: &Service, request: &Value) -> Handled {
             if let Some(retry_after) = e.retry_after() {
                 fields.push(("retry_after_ms".to_string(), json!(retry_after.as_millis() as u64)));
             }
-            Handled { response: Value::Object(fields), shutdown: false, stream: None }
+            reply(Value::Object(fields))
         }
         Err(e) => err(e),
     }

@@ -5,7 +5,6 @@
 //! job registry. The registry is the single source of truth for job
 //! state — the queue only carries work, the workers only execute it.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -24,6 +23,7 @@ use crate::job::{JobId, JobSpec, JobState, Priority};
 use crate::mux::{IoCounters, IoStats, Waker};
 use crate::pool::{BucketStats, PoolStats, StateBufferPool};
 use crate::queue::{BandwidthSnapshot, JobQueue, QueuedJob};
+use crate::registry::{JobRecord, Registry};
 use crate::worker::WorkerPool;
 
 /// Service construction parameters.
@@ -167,26 +167,17 @@ pub(crate) enum JobOutcome {
     Failed(String),
 }
 
-#[derive(Debug)]
-struct JobRecord {
-    state: JobState,
-    priority: Priority,
-    flavor: Flavor,
-    num_qubits: usize,
-    devices: usize,
-    cancel: CancelToken,
-    /// One allocation per finished run: the result-cache entry and every
-    /// later hit's record hold the same report.
-    report: Option<Arc<RunReport>>,
-    state_vector: Option<FinalState>,
-    error: Option<String>,
-    /// Budget hold, released (dropped) when the job reaches a terminal
-    /// state.
-    reservation: Option<Reservation>,
-    /// Result-cache key the job's report is inserted under when it
-    /// completes. `None` when the result is not cacheable (`keep_state`
-    /// jobs, sharded jobs whose reports are device-count specific).
-    result_key: Option<ResultKey>,
+/// Why [`Service::result`] has no report to give.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResultError {
+    /// No job with this id was ever accepted.
+    UnknownJob,
+    /// The job is in flight, or ended without a report (failed,
+    /// cancelled, timed out); its current state.
+    NoResult(JobState),
+    /// The job's record aged out of the registry: `status` still answers
+    /// its terminal state, the report is gone.
+    Expired(JobState),
 }
 
 /// Running totals the `metrics` verb aggregates over finished jobs.
@@ -276,6 +267,11 @@ pub struct Metrics {
     pub result_cache: CacheStats,
     /// The mux front end's health counters (zero without one).
     pub io: IoStats,
+    /// Job records the registry holds: live jobs plus the retained
+    /// terminal ones.
+    pub registry_records: usize,
+    /// Terminal records compacted to a verdict since start.
+    pub registry_aged_out: u64,
 }
 
 impl Metrics {
@@ -358,6 +354,10 @@ impl Metrics {
                 "watermark_stalls": (self.io.watermark_stalls),
                 "line_cap_drops": (self.io.line_cap_drops),
             },
+            "registry": {
+                "records": (self.registry_records),
+                "aged_out": (self.registry_aged_out),
+            },
         })
     }
 }
@@ -401,7 +401,9 @@ pub(crate) struct ServiceInner {
     /// Every resident byte is charged through the admission ledger via
     /// [`AdmissionLedger`]; under admission pressure the cache sheds.
     results: Cache<ResultKey, Arc<RunReport>>,
-    registry: Mutex<HashMap<JobId, JobRecord>>,
+    /// Every accepted job: a record while live or recently finished, a
+    /// verdict once aged out (see [`crate::registry`]).
+    registry: Mutex<Registry>,
     aggregates: Mutex<Aggregates>,
     next_id: AtomicU64,
     accepting: AtomicBool,
@@ -426,7 +428,7 @@ type PlanKey = (u64, Flavor, qsim_core::types::Precision, qsim_fusion::FusionStr
 /// What must match for two submissions to share one run *result*: the
 /// plan key axes plus the PRNG seed and the sample count — everything
 /// the deterministic simulator's output is a pure function of.
-type ResultKey =
+pub(crate) type ResultKey =
     (u64, Flavor, qsim_core::types::Precision, qsim_fusion::FusionStrategy, usize, u64, usize);
 
 /// The result-cache key for `spec`, whose circuit hashes to
@@ -512,7 +514,7 @@ impl ServiceInner {
         let mut started = 0u64;
         let verdicts = ids
             .iter()
-            .map(|id| match registry.get_mut(id) {
+            .map(|&id| match registry.record(id) {
                 Some(record) if record.state == JobState::Queued => {
                     record.state = JobState::Running;
                     started += 1;
@@ -527,7 +529,8 @@ impl ServiceInner {
 
     /// Record the workers' verdicts: set each terminal state, stash the
     /// report or error, release the admission reservations, fold the
-    /// runs' timings into the aggregates — one registry + one aggregates
+    /// runs' timings into the aggregates, retire each record to the
+    /// registry's finish queue — one registry + one aggregates
     /// lock acquisition for the whole set, after [`Self::cache_results`]
     /// had its round.
     pub(crate) fn finish_many(&self, outcomes: Vec<(JobId, JobOutcome)>) {
@@ -535,15 +538,17 @@ impl ServiceInner {
             return;
         }
         self.cache_results(&outcomes);
+        let now = Instant::now();
         {
             let mut registry = self.registry.lock();
             let mut agg = self.aggregates.lock();
             for (id, outcome) in outcomes {
-                let Some(record) = registry.get_mut(&id) else { continue };
+                let Some(record) = registry.record(id) else { continue };
                 if record.state == JobState::Running {
                     self.running.fetch_sub(1, Ordering::Relaxed);
                 }
                 Self::resolve(record, &mut agg, outcome);
+                registry.retire(id, now);
             }
         }
         // Every terminal transition of a worker-run job passes here, and a
@@ -578,7 +583,7 @@ impl ServiceInner {
         let cacheable: Vec<(ResultKey, Arc<RunReport>)> = {
             let mut registry = self.registry.lock();
             done.filter_map(|(id, report)| {
-                let record = registry.get_mut(id)?;
+                let record = registry.record(*id)?;
                 let key = record.result_key.take()?;
                 record.reservation = None;
                 Some((key, Arc::clone(report)))
@@ -629,7 +634,10 @@ impl ServiceInner {
                 agg.failed += 1;
             }
         }
-        record.reservation = None;
+        // A kept state stays charged until it is taken or ages out.
+        if record.state_vector.is_none() {
+            record.reservation = None;
+        }
     }
 
     /// Fold one gang dispatch of `width` jobs into the batching counters.
@@ -688,7 +696,7 @@ impl Service {
             max_batch: config.max_batch.max(1),
             plans: Cache::new(config.plan_cache_budget_bytes),
             results,
-            registry: Mutex::new("qsim-serve::service::ServiceInner.registry", HashMap::new()),
+            registry: Mutex::new("qsim-serve::service::ServiceInner.registry", Registry::default()),
             aggregates: Mutex::new(
                 "qsim-serve::service::ServiceInner.aggregates",
                 Aggregates::default(),
@@ -762,6 +770,7 @@ impl Service {
             error: None,
             reservation: None,
             result_key: None,
+            delivered: false,
         };
         let mut admitted = Admitted { id, record, job: None, exchanged_bytes: 0 };
         if let Some(route) = route {
@@ -884,7 +893,8 @@ impl Service {
         let mut accepted = records.len() as u64;
         let hits = accepted - jobs.len() as u64;
         if accepted > 0 {
-            self.inner.registry.lock().extend(records);
+            let now = Instant::now();
+            self.inner.registry.lock().admit(records, now);
         }
         // The queue has the last word: it sheds what its traffic backlog
         // cannot take, and refuses everything once shutdown closed it.
@@ -900,7 +910,7 @@ impl Service {
             // memory reservation.
             let mut registry = self.inner.registry.lock();
             for (id, error) in refused {
-                registry.remove(&id);
+                registry.remove(id);
                 routed.retain(|(routed_id, _)| *routed_id != id);
                 accepted -= 1;
                 if let Some(verdict) = results.iter_mut().find(|r| **r == Ok(id)) {
@@ -923,51 +933,47 @@ impl Service {
         results
     }
 
-    /// Current state of a job, or `None` for an unknown id.
+    /// Current state of a job, or `None` for an id never accepted. A job
+    /// whose record aged out still answers its terminal state.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        let registry = self.inner.registry.lock();
-        registry.get(&id).map(|r| JobStatus {
-            id,
-            state: r.state,
-            priority: r.priority,
-            flavor: r.flavor,
-            num_qubits: r.num_qubits,
-            devices: r.devices,
-            error: r.error.clone(),
-        })
+        self.inner.registry.lock().status(id)
     }
 
     /// The run report of a `Done` job, or `None` while it is still in
-    /// flight (or for an unknown id / non-`Done` terminal state).
+    /// flight, for a non-`Done` terminal state, an unknown id, or a job
+    /// whose record aged out ([`Service::result`] tells them apart).
     pub fn report(&self, id: JobId) -> Option<RunReport> {
-        let registry = self.inner.registry.lock();
-        registry.get(&id).and_then(|r| r.report.as_deref().cloned())
+        self.result(id).ok().map(|report| RunReport::clone(&report))
     }
 
-    /// One registry look for a mux sample stream: whether the job is
-    /// terminal, and its report (shared, not copied) if it has one.
-    /// `None` for an unknown id.
-    pub(crate) fn stream_state(&self, id: JobId) -> Option<(bool, Option<Arc<RunReport>>)> {
-        let registry = self.inner.registry.lock();
-        registry.get(&id).map(|r| (r.state.is_terminal(), r.report.clone()))
+    /// The run report of a `Done` job, shared, or why there is none.
+    /// Reading a terminal job's result delivers it: from then on its
+    /// record may age out.
+    pub fn result(&self, id: JobId) -> Result<Arc<RunReport>, ResultError> {
+        self.inner.registry.lock().result(id)
     }
 
     /// Take the retained final state of a `Done` job that was submitted
-    /// with [`JobSpec::keep_state`]. The state is moved out: a second call
-    /// returns `None`.
+    /// with [`JobSpec::keep_state`], and release its budget charge. The
+    /// state is moved out: a second call returns `None`, and so does a
+    /// call after the job's record aged out (the state went with it).
     ///
     /// [`JobSpec::keep_state`]: crate::job::JobSpec::keep_state
     pub fn take_state(&self, id: JobId) -> Option<FinalState> {
         let mut registry = self.inner.registry.lock();
-        registry.get_mut(&id).and_then(|r| r.state_vector.take())
+        let record = registry.record(id)?;
+        let state = record.state_vector.take()?;
+        record.delivered = true;
+        record.reservation = None;
+        Some(state)
     }
 
     /// Request cancellation. Returns `false` for unknown ids and jobs
     /// already in a terminal state; `true` means the token fired and the
     /// job will unwind at its next gate boundary (or never start).
     pub fn cancel(&self, id: JobId) -> bool {
-        let registry = self.inner.registry.lock();
-        match registry.get(&id) {
+        let mut registry = self.inner.registry.lock();
+        match registry.record(id) {
             Some(record) if !record.state.is_terminal() => {
                 record.cancel.cancel();
                 true
@@ -979,6 +985,7 @@ impl Service {
     /// Counter snapshot for the `metrics` verb.
     pub fn metrics(&self) -> Metrics {
         let agg = *self.inner.aggregates.lock();
+        let (registry_records, registry_aged_out) = self.inner.registry.lock().sizes();
         Metrics {
             workers: self.config.workers.max(1),
             accepting: self.inner.accepting.load(Ordering::Acquire),
@@ -1010,6 +1017,8 @@ impl Service {
             plan_cache: self.inner.plans.stats(),
             result_cache: self.inner.results.stats(),
             io: self.inner.io.snapshot(),
+            registry_records,
+            registry_aged_out,
         }
     }
 
@@ -1032,7 +1041,8 @@ impl Service {
     }
 
     /// Poll a job until it reaches a terminal state or `timeout` passes.
-    /// Returns the final (or last observed) status.
+    /// Returns the final (or last observed) status; `None` only for an
+    /// id never accepted.
     pub fn wait(&self, id: JobId, timeout: Duration) -> Option<JobStatus> {
         let deadline = Instant::now() + timeout;
         loop {

@@ -186,7 +186,7 @@ fn worker_loop(inner: &ServiceInner) {
 }
 
 /// In test builds, a job with this seed panics inside [`run_unit`].
-const PANIC_SEED: u64 = 0xDEAD_5EED_0BAD_F00D;
+pub(crate) const PANIC_SEED: u64 = 0xDEAD_5EED_0BAD_F00D;
 
 /// Execute one unit at precision `F` — a gang sharing the lead's plan
 /// (every member with its own pooled buffer, seed, sample count and
