@@ -133,12 +133,12 @@ impl FusionCostModel for DistCostModel {
         let amp_bytes = self.amp_bytes();
         let mut est = TrafficEstimate {
             bytes: schedule.bytes_per_device(shard_len, amp_bytes) as f64,
+            // From +0.0: an empty float `sum` is -0.0.
             seconds: schedule
                 .epochs
                 .iter()
                 .flatten()
-                .map(|e| e.seconds(&self.topology, m, shard_len, amp_bytes))
-                .sum(),
+                .fold(0.0, |s, e| s + e.seconds(&self.topology, m, shard_len, amp_bytes)),
         };
         let mut layout = QubitLayout::new(num_qubits, m);
         for (op, epochs) in ops.iter().zip(&schedule.epochs) {
@@ -214,6 +214,23 @@ mod tests {
         let traffic = m.plan_traffic(fused.num_qubits, &fused.op_shapes());
         assert_eq!(plan.to_bits(), traffic.seconds.to_bits());
         assert!(plan <= gate_sum * (1.0 + 1e-9), "plan {plan} vs gate sum {gate_sum}");
+    }
+
+    /// An empty or measure-only plan predicts `+0.0` s, not the `-0.0` an
+    /// empty float `sum` is.
+    #[test]
+    fn an_empty_plan_predicts_positive_zero_seconds() {
+        use qsim_circuit::circuit::Circuit;
+        use qsim_circuit::gates::GateKind;
+
+        let mut measure_only = Circuit::new(4);
+        measure_only.add(0, GateKind::Measurement, &[0, 3]);
+        for circuit in [Circuit::new(4), measure_only] {
+            for s in FusionStrategy::ALL {
+                let plan = qsim_fusion::plan(&circuit, s, 2, model(2).as_ref());
+                assert_eq!(plan.predicted_cost_seconds.to_bits(), 0.0f64.to_bits(), "{s}");
+            }
+        }
     }
 
     #[test]

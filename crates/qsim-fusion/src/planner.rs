@@ -212,10 +212,10 @@ fn decide_auto(circuit: &Circuit, model: &dyn FusionCostModel) -> Priced {
     let mut plans: Vec<Priced> =
         (2..=MAX_GATE_QUBITS).map(|f| decide_with_model(circuit, f, model)).collect();
     let min = plans.iter().map(|(_, t)| t.seconds).fold(f64::INFINITY, f64::min);
-    let chosen = plans
-        .iter()
-        .position(|(_, t)| t.seconds <= min * (1.0 + AUTO_TOLERANCE))
-        .expect("auto sweep is non-empty");
+    // No price compares (all NaN, or a negative minimum the tolerance
+    // scales below itself): fall back to the narrowest budget.
+    let chosen =
+        plans.iter().position(|(_, t)| t.seconds <= min * (1.0 + AUTO_TOLERANCE)).unwrap_or(0);
     plans.swap_remove(chosen)
 }
 
@@ -248,6 +248,10 @@ pub(crate) struct Layout {
     /// One per output op: its final sorted qubit set (`None` marks a
     /// measurement barrier).
     pub(crate) slots: Vec<Option<Vec<usize>>>,
+    /// How many prices the scan read (0 under greedy): the unit tests
+    /// bound a lookahead scan's.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) price_reads: usize,
 }
 
 impl Layout {
@@ -275,31 +279,35 @@ fn qubits_of(mut mask: Mask) -> impl Iterator<Item = usize> {
 }
 
 /// Per-op planning metadata: the op's qubit set (targets ∪ controls for
-/// gates), precomputed once so the scan never touches matrices.
+/// gates) and, under the lookahead policy, a gate's standalone price,
+/// precomputed once so the scan never touches matrices.
 #[derive(Clone, Copy)]
 enum OpQubits {
-    Gate(Mask),
+    Gate(Mask, f64),
     Measurement(Mask),
 }
 
-/// Frontier marker per qubit: which output op last touched it.
-#[derive(Clone, Copy, PartialEq)]
-enum Frontier {
-    /// Untouched so far.
-    Free,
-    /// Output op index (a fusable gate slot lives there).
-    Op(usize),
-    /// A measurement barrier at this output index: nothing merges into it.
-    Barrier(usize),
+/// Frontier word per qubit: 0 while untouched, else `(slot + 1) << 1 |
+/// barrier` for the output op that last touched it. Words grow with the
+/// slot, so the latest op among a set's frontiers is their max, and its
+/// low bit tells whether that op is a measurement barrier.
+type Frontier = usize;
+
+/// An output slot: its qubit set and, under the lookahead policy, its
+/// price (a measurement barrier is the empty set; gates touch a qubit).
+#[derive(Clone, Copy)]
+struct Slot {
+    mask: Mask,
+    price: f64,
 }
 
-/// Matrix-free fuser state: the qubit frontier plus each output slot's
-/// qubit set (`None` marks a measurement barrier). `journal` logs what a
-/// lookahead branch overwrites, for [`Shadow::rollback`] to put back.
+/// Matrix-free fuser state: the qubit frontier plus each output slot.
+/// `journal` logs what a lookahead branch overwrites, for
+/// [`Shadow::rollback`] to put back.
 struct Shadow {
     max_fused_qubits: usize,
     frontier: Vec<Frontier>,
-    slots: Vec<Option<Mask>>,
+    slots: Vec<Slot>,
     journal: Vec<Undo>,
 }
 
@@ -307,7 +315,7 @@ struct Shadow {
 #[derive(Clone, Copy)]
 enum Undo {
     Frontier(usize, Frontier),
-    Slot(usize, Mask),
+    Slot(usize, Slot),
 }
 
 /// A legal merge: the target slot and the qubit set it would widen to.
@@ -324,55 +332,32 @@ impl Shadow {
     /// latest frontier blocks merging entirely, as does a union that
     /// bursts the budget.
     fn candidate(&self, qubits: Mask) -> Option<Merge> {
-        let mut merge_target: Option<usize> = None;
-        let mut latest_barrier: Option<usize> = None;
-        for q in qubits_of(qubits) {
-            match self.frontier[q] {
-                Frontier::Free => {}
-                Frontier::Op(i) => {
-                    if merge_target.is_none_or(|m| i > m) {
-                        merge_target = Some(i);
-                    }
-                }
-                Frontier::Barrier(i) => {
-                    if latest_barrier.is_none_or(|m| i > m) {
-                        latest_barrier = Some(i);
-                    }
-                }
-            }
-        }
-        let t = merge_target?;
-        if latest_barrier.is_some_and(|b| b > t) {
-            return None;
-        }
-        let union = self.slot(t) | qubits;
+        let latest = qubits_of(qubits).map(|q| self.frontier[q]).max().unwrap_or(0);
+        let t = (latest >> 1).checked_sub(1).filter(|_| latest & 1 == 0)?;
+        let union = self.slots[t].mask | qubits;
         (union.count_ones() as usize <= self.max_fused_qubits).then_some((t, union))
     }
 
-    fn slot(&self, t: usize) -> Mask {
-        self.slots[t].expect("merge target is a gate slot")
-    }
-
-    /// Place a gate on `qubits`: take `merge`, or open a fresh slot.
-    fn apply_gate(&mut self, qubits: Mask, merge: Option<Merge>) -> Action {
-        let (idx, action) = match merge {
-            Some((t, union)) => {
-                self.journal.push(Undo::Slot(t, self.slot(t)));
-                self.slots[t] = Some(union);
+    /// Place a gate on `qubits` as `slot`: widening slot `t`, or in a
+    /// fresh one.
+    fn apply_gate(&mut self, qubits: Mask, t: Option<usize>, slot: Slot) -> Action {
+        let (idx, action) = match t {
+            Some(t) => {
+                self.journal.push(Undo::Slot(t, std::mem::replace(&mut self.slots[t], slot)));
                 (t, Action::Merge(t))
             }
             None => {
-                self.slots.push(Some(qubits));
+                self.slots.push(slot);
                 (self.slots.len() - 1, Action::New)
             }
         };
-        self.point(qubits, Frontier::Op(idx));
+        self.point(qubits, (idx + 1) << 1);
         action
     }
 
     fn apply_barrier(&mut self, qubits: Mask) {
-        self.slots.push(None);
-        self.point(qubits, Frontier::Barrier(self.slots.len() - 1));
+        self.slots.push(Slot { mask: 0, price: 0.0 });
+        self.point(qubits, self.slots.len() << 1 | 1);
     }
 
     fn point(&mut self, qubits: Mask, at: Frontier) {
@@ -386,42 +371,76 @@ impl Shadow {
         for undo in self.journal.drain(journal..).rev() {
             match undo {
                 Undo::Frontier(q, was) => self.frontier[q] = was,
-                Undo::Slot(t, was) => self.slots[t] = Some(was),
+                Undo::Slot(t, was) => self.slots[t] = was,
             }
         }
         self.slots.truncate(slots);
     }
 
-    /// Cost of placing a gate on `qubits` as `merge` says and then playing
-    /// the `window` of upcoming ops forward under the local rule: merge iff
-    /// the merge delta does not exceed a standalone pass; ties merge,
-    /// matching greedy compression. Leaves the shadow as it found it.
+    /// `merge` priced: its delta over the slot it widens, and the widened
+    /// slot.
+    fn widened(&self, (t, union): Merge, prices: &mut Prices) -> (f64, usize, Slot) {
+        let price = prices.seconds(union);
+        (price - self.slots[t].price, t, Slot { mask: union, price })
+    }
+
+    /// Place a gate on `qubits` (standalone price `alone`) by `merge`, a
+    /// priced merge ([`Self::widened`]), or in a fresh slot; returns what
+    /// that adds to a branch.
+    fn play(&mut self, qubits: Mask, alone: f64, merge: Option<(f64, usize, Slot)>) -> f64 {
+        let (delta, t, slot) = match merge {
+            Some((delta, t, slot)) => (delta, Some(t), slot),
+            None => (alone, None, Slot { mask: qubits, price: alone }),
+        };
+        self.apply_gate(qubits, t, slot);
+        delta
+    }
+
+    /// Cost of placing a gate on `qubits` (standalone price `alone`) as
+    /// `merge` says and then playing the `window` of upcoming ops forward
+    /// under the local rule: merge iff the merge delta does not exceed a
+    /// standalone pass; ties merge, matching greedy compression. Leaves
+    /// the shadow as it found it.
+    ///
+    /// A window gate whose legal merge `(t, union)` joins its own slot
+    /// (`union` is slot `t`'s set), where that slot's price is finite and
+    /// `alone ≥ 0`, is skipped: no journal entry, no price read, no add.
+    /// No sum or frontier can tell. Each of the gate's qubits is in slot
+    /// `t`, so its frontier pointed at `t` once; frontiers only move to
+    /// later slots and `t` is the latest over the gate's qubits, so each
+    /// still points at `t` and placing the gate rewrites nothing. Its delta
+    /// is `p − p = +0`, taken because `+0 ≤ alone`, and `rest + 0` equals
+    /// `rest` up to −0 → +0, which `<=` cannot tell apart. Any other window
+    /// gate (a NaN or infinite slot price, a negative or NaN `alone`, a
+    /// widening merge) and every barrier plays in full, as does the gate
+    /// being decided: a join can tie its fresh slot exactly, and then
+    /// rounding decides.
     fn branch_cost(
         &mut self,
         qubits: Mask,
+        alone: f64,
         merge: Option<Merge>,
         window: &[OpQubits],
         prices: &mut Prices,
     ) -> f64 {
         let mark = (self.slots.len(), self.journal.len());
-        let first = match merge {
-            Some((t, union)) => prices.seconds(union) - prices.seconds(self.slot(t)),
-            None => prices.seconds(qubits),
-        };
-        self.apply_gate(qubits, merge);
+        let merge = merge.map(|merge| self.widened(merge, prices));
+        let first = self.play(qubits, alone, merge);
         let mut rest = 0.0;
         for &op in window {
             match op {
-                OpQubits::Gate(qs) => {
-                    let alone = prices.seconds(qs);
-                    let merge = self
-                        .candidate(qs)
-                        .map(|(t, union)| {
-                            (prices.seconds(union) - prices.seconds(self.slot(t)), (t, union))
-                        })
-                        .filter(|&(delta, _)| delta <= alone);
-                    rest += merge.map_or(alone, |(delta, _)| delta);
-                    self.apply_gate(qs, merge.map(|(_, merge)| merge));
+                OpQubits::Gate(qs, alone) => {
+                    let merge = self.candidate(qs);
+                    if let Some((t, union)) = merge {
+                        let slot = self.slots[t];
+                        if union == slot.mask && slot.price.is_finite() && alone >= 0.0 {
+                            continue;
+                        }
+                    }
+                    let merge = merge
+                        .map(|merge| self.widened(merge, prices))
+                        .filter(|&(delta, ..)| delta <= alone);
+                    rest += self.play(qs, alone, merge);
                 }
                 OpQubits::Measurement(qs) => self.apply_barrier(qs),
             }
@@ -438,10 +457,12 @@ struct Prices<'a> {
     model: &'a dyn FusionCostModel,
     num_qubits: usize,
     seen: HashMap<Mask, f64, BuildHasherDefault<MaskHasher>>,
+    reads: usize,
 }
 
 impl Prices<'_> {
     fn seconds(&mut self, qubits: Mask) -> f64 {
+        self.reads += 1;
         *self.seen.entry(qubits).or_insert_with(|| {
             let sorted: Vec<usize> = qubits_of(qubits).collect();
             self.model.gate_price(self.num_qubits, &sorted).seconds
@@ -479,6 +500,13 @@ impl Hasher for MaskHasher {
 /// merges are taken differs. A gate wider than the budget never has a
 /// legal merge and passes through unfused. Callers run [`check`] first.
 pub(crate) fn decide(circuit: &Circuit, max_fused_qubits: usize, policy: Policy) -> Layout {
+    let (mut prices, window) = match policy {
+        Policy::Greedy => (None, 0),
+        Policy::Lookahead { model, window } => {
+            let num_qubits = circuit.num_qubits;
+            (Some(Prices { model, num_qubits, seen: Default::default(), reads: 0 }), window)
+        }
+    };
     let infos: Vec<OpQubits> = circuit
         .ops
         .iter()
@@ -487,20 +515,15 @@ pub(crate) fn decide(circuit: &Circuit, max_fused_qubits: usize, policy: Policy)
             if op.is_measurement() {
                 OpQubits::Measurement(qs)
             } else {
-                OpQubits::Gate(qs)
+                OpQubits::Gate(qs, prices.as_mut().map_or(0.0, |p| p.seconds(qs)))
             }
         })
         .collect();
 
-    let frontier = vec![Frontier::Free; circuit.num_qubits];
-    let mut shadow = Shadow { max_fused_qubits, frontier, slots: Vec::new(), journal: Vec::new() };
-    let mut lookahead = match policy {
-        Policy::Greedy => None,
-        Policy::Lookahead { model, window } => Some((
-            Prices { model, num_qubits: circuit.num_qubits, seen: Default::default() },
-            window,
-        )),
-    };
+    // Room for a branch of gates no wider than the kernels' widest.
+    let journal = Vec::with_capacity((window + 1) * (MAX_GATE_QUBITS + 1));
+    let (frontier, slots) = (vec![0; circuit.num_qubits], Vec::with_capacity(infos.len()));
+    let mut shadow = Shadow { max_fused_qubits, frontier, slots, journal };
     let mut actions = Vec::with_capacity(infos.len());
     for (i, &info) in infos.iter().enumerate() {
         let action = match info {
@@ -508,16 +531,23 @@ pub(crate) fn decide(circuit: &Circuit, max_fused_qubits: usize, policy: Policy)
                 shadow.apply_barrier(qs);
                 Action::New
             }
-            OpQubits::Gate(qs) => {
-                let merge = shadow.candidate(qs).filter(|&merge| match &mut lookahead {
+            OpQubits::Gate(qs, alone) => {
+                let merge = shadow.candidate(qs).filter(|&merge| match &mut prices {
                     None => true,
-                    Some((prices, window)) => {
-                        let window = &infos[i + 1..(i + 1 + *window).min(infos.len())];
-                        shadow.branch_cost(qs, Some(merge), window, prices)
-                            <= shadow.branch_cost(qs, None, window, prices)
+                    Some(prices) => {
+                        let window = &infos[i + 1..(i + 1 + window).min(infos.len())];
+                        shadow.branch_cost(qs, alone, Some(merge), window, prices)
+                            <= shadow.branch_cost(qs, alone, None, window, prices)
                     }
                 });
-                shadow.apply_gate(qs, merge)
+                let slot = match merge {
+                    Some((_, union)) => Slot {
+                        mask: union,
+                        price: prices.as_mut().map_or(0.0, |p| p.seconds(union)),
+                    },
+                    None => Slot { mask: qs, price: alone },
+                };
+                shadow.apply_gate(qs, merge.map(|(t, _)| t), slot)
             }
         };
         shadow.journal.clear(); // committed: nothing rolls back past here
@@ -527,14 +557,15 @@ pub(crate) fn decide(circuit: &Circuit, max_fused_qubits: usize, policy: Policy)
         .slots
         .iter()
         .map(|s| {
-            s.map(|m| {
-                let mut qubits = Vec::with_capacity(m.count_ones() as usize);
-                qubits.extend(qubits_of(m));
+            (s.mask != 0).then(|| {
+                let mut qubits = Vec::with_capacity(s.mask.count_ones() as usize);
+                qubits.extend(qubits_of(s.mask));
                 qubits
             })
         })
         .collect();
-    Layout { max_fused_qubits, actions, slots }
+    let price_reads = prices.map_or(0, |p| p.reads);
+    Layout { max_fused_qubits, actions, slots, price_reads }
 }
 
 #[cfg(test)]
@@ -781,6 +812,20 @@ mod tests {
         }
     }
 
+    /// Counted, not timed: a lookahead scan of the paper's 30-qubit circuit
+    /// under the HIP-like model at `-f 4` reads at most a quarter of the
+    /// prices the scan that played every window gate read: 27 067 (at
+    /// `-f 1…6` it read 1 694, 20 097, 24 809, 27 067, 28 108 and 29 964;
+    /// this scan reads 774, 1 618, 2 704, 3 224, 3 506 and 4 010).
+    #[test]
+    fn planner_lookahead_reads_a_quarter_of_the_prices() {
+        let q30 = include_str!("../../../circuits/circuit_q30");
+        let c = qsim_circuit::parser::parse_circuit(q30).expect("circuit_q30 parses");
+        let policy = Policy::Lookahead { model: &hip_model(), window: DEFAULT_LOOKAHEAD };
+        let reads = decide(&c, 4, policy).price_reads;
+        assert!(4 * reads <= 27_067, "{reads} price reads at -f 4");
+    }
+
     /// Prices a pass by its width alone (a fixed launch plus `4^k` matrix
     /// work), so moving a circuit to other qubits cannot move a decision,
     /// and `Cost` still declines the widening merges greedy takes.
@@ -790,6 +835,34 @@ mod tests {
         fn gate_price(&self, _num_qubits: usize, qubits: &[usize]) -> TrafficEstimate {
             let work = (1u64 << (2 * qubits.len())) as f64;
             TrafficEstimate { bytes: work, seconds: 40.0 + work }
+        }
+    }
+
+    /// [`WidthModel`] with its seconds rewritten by a rule on
+    /// `(qubits, seconds)`.
+    struct Rewritten(fn(&[usize], f64) -> f64);
+
+    impl FusionCostModel for Rewritten {
+        fn gate_price(&self, num_qubits: usize, qubits: &[usize]) -> TrafficEstimate {
+            let price = WidthModel.gate_price(num_qubits, qubits);
+            TrafficEstimate { seconds: (self.0)(qubits, price.seconds), ..price }
+        }
+    }
+
+    /// Where no budget's price passes `Auto`'s tolerance test — every one
+    /// NaN, or a negative minimum — `Auto` keeps its narrowest budget
+    /// instead of panicking.
+    #[test]
+    fn auto_falls_back_to_its_narrowest_budget_when_no_price_compares() {
+        let c = library::qft(6);
+        let nan_on_0: fn(&[usize], f64) -> f64 = |qs, s| if qs.contains(&0) { f64::NAN } else { s };
+        for model in [Rewritten(nan_on_0), Rewritten(|_, s| -s)] {
+            let auto = plan(&c, FusionStrategy::Auto, MAX_GATE_QUBITS, &model);
+            let narrowest = plan(&c, FusionStrategy::Cost, 2, &model);
+            assert_eq!(auto.fused.max_fused_qubits, 2);
+            assert_eq!(fingerprint(&auto.fused, 0), fingerprint(&narrowest.fused, 0));
+            let bits = |p: &FusionPlan| p.predicted_cost_seconds.to_bits();
+            assert_eq!(bits(&auto), bits(&narrowest));
         }
     }
 
