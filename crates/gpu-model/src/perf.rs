@@ -107,13 +107,6 @@ pub fn memcpy_time(spec: &DeviceSpec, bytes: u64) -> f64 {
     2.0e-6 + bytes as f64 / spec.h2d_bw_bytes_s()
 }
 
-/// Predicted duration of a device-to-device copy (through HBM: read +
-/// write).
-pub fn memcpy_d2d_time(spec: &DeviceSpec, bytes: u64) -> f64 {
-    spec.launch_latency_us * 1e-6
-        + (2.0 * bytes as f64) / (spec.mem_bw_bytes_s() * spec.mem_efficiency)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,8 +245,5 @@ mod tests {
         assert!((t - 1.0).abs() < 0.01, "24 GiB over 24 GiB/s ≈ 1 s, got {t}");
         // CPU "device" copies are free (same memory).
         assert_eq!(memcpy_time(&DeviceSpec::epyc_trento(), 1 << 30), 0.0);
-        // D2D pays read+write.
-        let d2d = memcpy_d2d_time(&spec, 1 << 30);
-        assert!(d2d > 0.0);
     }
 }

@@ -205,12 +205,6 @@ impl DeviceSpec {
     pub fn h2d_bw_bytes_s(&self) -> f64 {
         self.h2d_bw_gib_s * GIB
     }
-
-    /// Machine balance: flops per byte at which the device transitions
-    /// from memory- to compute-bound (at peak rates).
-    pub fn balance_flops_per_byte(&self, double_precision: bool) -> f64 {
-        self.flops_per_s(double_precision) / self.mem_bw_bytes_s()
-    }
 }
 
 /// The software environment rows of Table 1, for the `table1` harness.
@@ -280,9 +274,6 @@ mod tests {
         assert!((a.mem_bw_bytes_s() - 1448.0 * 1073741824.0).abs() < 1.0);
         assert_eq!(a.flops_per_s(false), 19.5e12);
         assert_eq!(a.flops_per_s(true), 9.7e12);
-        // A100 balance ≈ 12.5 flops/byte single precision.
-        let b = a.balance_flops_per_byte(false);
-        assert!((b - 12.5).abs() < 0.2, "balance {b}");
     }
 
     #[test]

@@ -111,14 +111,6 @@ impl Timeline {
         Ok(())
     }
 
-    /// Event timestamp in µs (`hipEventElapsedTime` building block).
-    pub fn event_time_us(&self, event: EventId) -> Result<f64, GpuError> {
-        self.events
-            .get(event.0)
-            .copied()
-            .ok_or_else(|| GpuError::InvalidHandle(format!("event {} does not exist", event.0)))
-    }
-
     /// Block the host until `stream` drains (`hipStreamSynchronize`).
     pub fn sync_stream(&mut self, stream: StreamId) -> Result<f64, GpuError> {
         self.check_stream(stream)?;
@@ -175,7 +167,6 @@ mod tests {
         let s = tl.create_stream();
         tl.schedule(StreamId::DEFAULT, 10.0).unwrap();
         let ev = tl.record_event(StreamId::DEFAULT).unwrap();
-        assert_eq!(tl.event_time_us(ev).unwrap(), 10.0);
         tl.stream_wait_event(s, ev).unwrap();
         let (b0, _) = tl.schedule(s, 1.0).unwrap();
         assert_eq!(b0, 10.0); // waited for the event
@@ -230,6 +221,5 @@ mod tests {
         assert!(tl.record_event(StreamId(9)).is_err());
         let ev = tl.record_event(StreamId::DEFAULT).unwrap();
         assert!(tl.stream_wait_event(StreamId(9), ev).is_err());
-        assert!(tl.event_time_us(ev).is_ok());
     }
 }

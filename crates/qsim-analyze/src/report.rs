@@ -93,11 +93,6 @@ impl AnalysisReport {
             "findings": (Value::Array(findings)),
         })
     }
-
-    /// Pretty-printed JSON string (what `--json` prints).
-    pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(&self.to_json()).expect("report JSON serializes")
-    }
 }
 
 fn diag_json(d: &Diagnostic) -> Value {
@@ -168,7 +163,7 @@ mod tests {
     #[test]
     fn json_shape_roundtrips() {
         let v = sample().to_json();
-        let s = sample().to_json_string();
+        let s = serde_json::to_string_pretty(&v).unwrap();
         let back: Value = serde_json::from_str(&s).unwrap();
         assert_eq!(back, v);
         let obj = match v {

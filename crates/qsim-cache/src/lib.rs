@@ -264,13 +264,23 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
 
     /// Look up `key`, marking it recently used.
     pub fn get(&self, key: &K) -> Option<V> {
+        self.get_if(key, |_| true)
+    }
+
+    /// Look up `key` and keep the entry only if `accept` holds for its
+    /// value: a hit (marked recently used) when it does, a miss when the
+    /// key is absent or `accept` refuses. For keys that are a hash of
+    /// something longer, `accept` compares the full input.
+    pub fn get_if(&self, key: &K, accept: impl FnOnce(&V) -> bool) -> Option<V> {
         let mut inner = self.inner.lock();
-        match inner.index.get(key).copied() {
-            Some(at) => {
-                inner.hits += 1;
-                let entry = inner.slots[at].as_mut().expect("indexed slot is occupied");
+        let found = inner.index.get(key).copied();
+        let entry = found.map(|at| inner.slots[at].as_mut().expect("indexed slot is occupied"));
+        match entry.filter(|entry| accept(&entry.value)) {
+            Some(entry) => {
                 entry.referenced = true;
-                Some(entry.value.clone())
+                let value = entry.value.clone();
+                inner.hits += 1;
+                Some(value)
             }
             None => {
                 inner.misses += 1;
@@ -429,6 +439,17 @@ mod tests {
         let s = stats_of(&cache);
         assert_eq!((s.hits, s.misses, s.entries, s.occupancy_bytes), (2, 1, 1, 200));
         assert_eq!(s.hit_rate(), 2.0 / 3.0);
+    }
+
+    #[test]
+    fn refused_entry_is_a_miss_and_stays_resident() {
+        let cache: Cache<u64, u64> = Cache::new(1000);
+        assert!(cache.insert(1, 10, 100));
+        assert_eq!(cache.get_if(&1, |v| *v == 11), None);
+        assert_eq!(cache.get_if(&2, |_| true), None);
+        assert_eq!(cache.get_if(&1, |v| *v == 10), Some(10));
+        let s = stats_of(&cache);
+        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 1));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 use std::time::Duration;
 
 use qsim_backends::Flavor;
-use qsim_circuit::Circuit;
 use qsim_core::types::Precision;
 use qsim_fusion::FusionStrategy;
+
+use crate::circuits::SharedCircuit;
 
 /// Opaque job handle, unique per service instance and monotonically
 /// increasing in submission order.
@@ -70,8 +71,9 @@ impl std::str::FromStr for Priority {
 /// Everything needed to run one job.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// The circuit to simulate.
-    pub circuit: Circuit,
+    /// The circuit to simulate, shared with every other spec the same
+    /// circuit was given to (a `Circuit` converts with `into()`).
+    pub circuit: SharedCircuit,
     /// Backend flavor to run on.
     pub flavor: Flavor,
     /// Working precision (determines amplitude bytes and buffer bucket).
@@ -100,9 +102,9 @@ pub struct JobSpec {
 impl JobSpec {
     /// A default-shaped spec for the given circuit (normal priority,
     /// single precision, CPU flavor, greedy `-f 2`, no deadline).
-    pub fn new(circuit: Circuit) -> Self {
+    pub fn new(circuit: impl Into<SharedCircuit>) -> Self {
         JobSpec {
-            circuit,
+            circuit: circuit.into(),
             flavor: Flavor::CpuAvx,
             precision: Precision::Single,
             strategy: FusionStrategy::Greedy,

@@ -43,11 +43,13 @@
 //!   per-connection write backpressure). Verbs: `submit`, `status`, `result`, `cancel`,
 //!   `metrics`, `shutdown`; `result` returns the run's
 //!   [`qsim_backends::RunReport`] JSON.
-//! - content-addressed caching ([`qsim_cache`]) — a byte-budgeted plan
-//!   cache keyed by `Circuit::content_hash` × plan settings, and a
-//!   result cache additionally keyed by seed and shot count whose
-//!   occupancy is charged through the admission ledger, so repeat
-//!   submissions return `Done` without touching a worker.
+//! - content-addressed caching ([`qsim_cache`]) — a circuit table that
+//!   parses each distinct submitted text once into a [`SharedCircuit`],
+//!   a byte-budgeted plan cache keyed by `Circuit::content_hash` × plan
+//!   settings (the two share the plan-cache budget), and a result cache
+//!   additionally keyed by seed and shot count whose occupancy is
+//!   charged through the admission ledger, so repeat submissions return
+//!   `Done` without parsing or touching a worker.
 //!
 //! Cancellation and deadlines ride on [`qsim_core::cancel::CancelToken`]:
 //! the backend polls the token at every gate-application (and sweep-block)
@@ -55,6 +57,7 @@
 //! the pool while its worker moves on to the next job.
 
 pub mod admission;
+mod circuits;
 pub mod job;
 pub mod mux;
 pub mod pool;
@@ -65,6 +68,7 @@ pub mod service;
 pub mod worker;
 
 pub use admission::{AdmissionController, AdmissionError, Reservation};
+pub use circuits::SharedCircuit;
 pub use job::{JobId, JobSpec, JobState, Priority};
 pub use mux::{IoStats, MuxServer, ShutdownHandle, DEFAULT_IO_THREADS};
 pub use pool::{BucketStats, PoolStats, StateBufferPool};

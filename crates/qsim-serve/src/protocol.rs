@@ -15,8 +15,16 @@
 //! | `status` | `id` | `state`, `priority`, `flavor`, `num_qubits`, `error?` |
 //! | `result` | `id` | `report` (the run's [`RunReport`] JSON); `expired: true` once the job's record aged out |
 //! | `cancel` | `id` | `cancelled` |
-//! | `metrics` | — | `metrics` |
+//! | `metrics` | — | `metrics` (cache counters under `circuit_cache`, `plan_cache`, `result_cache`) |
 //! | `shutdown` | — | `shutting_down` (server drains and exits) |
+//!
+//! A `submit` field that is present with the wrong type (`"seed":"7"`,
+//! `"stream":"yes"`) is refused with an error naming the field; an
+//! absent one keeps its default. The `circuit` text goes through the
+//! service's circuit table ([`Service::circuit`]): a text submitted
+//! before is not parsed, validated or hashed again, which is the whole
+//! submit-side cost of a result-cache hit. `metrics.circuit_cache`
+//! counts the table's hits and misses.
 //!
 //! A rejected `submit` carries backpressure hints: `retry_after_ms` when
 //! the memory budget is momentarily exhausted, `saturated: true` (plus
@@ -33,7 +41,6 @@
 
 use std::time::Duration;
 
-use qsim_circuit::parser::parse_circuit;
 use serde_json::{json, Value};
 
 use crate::admission::AdmissionError;
@@ -128,12 +135,11 @@ fn with_id(request: &Value, f: impl FnOnce(JobId) -> Handled) -> Handled {
 }
 
 fn handle_submit(service: &Service, request: &Value) -> Handled {
-    let spec = match decode_spec(request) {
-        Ok(spec) => spec,
+    let (spec, stream) = match decode_spec(service, request) {
+        Ok(decoded) => decoded,
         Err(message) => return err(message),
     };
-    let wants_stream =
-        request.get("stream").and_then(Value::as_bool).unwrap_or(false) && spec.sample_count > 0;
+    let wants_stream = stream && spec.sample_count > 0;
     match service.submit(spec) {
         Ok(id) => {
             let mut handled = reply(json!({ "ok": true, "id": (id.0) }));
@@ -162,39 +168,48 @@ fn handle_submit(service: &Service, request: &Value) -> Handled {
     }
 }
 
-/// Decode a `submit` request body into a [`JobSpec`].
-fn decode_spec(request: &Value) -> Result<JobSpec, String> {
+/// Decode a `submit` request body into a [`JobSpec`] and its `stream`
+/// flag. The circuit comes from the service's circuit table; an absent
+/// field keeps its default, and a present one of the wrong type is an
+/// error that names it.
+fn decode_spec(service: &Service, request: &Value) -> Result<(JobSpec, bool), String> {
     let Some(text) = request.get("circuit").and_then(Value::as_str) else {
         return Err("submit needs a string 'circuit' field (qsim text format)".into());
     };
-    let circuit = parse_circuit(text).map_err(|e| format!("circuit parse error: {e}"))?;
+    let circuit = service.circuit(text).map_err(|e| format!("circuit parse error: {e}"))?;
     let mut spec = JobSpec::new(circuit);
-    if let Some(backend) = request.get("backend").and_then(Value::as_str) {
-        spec.flavor = backend.parse()?;
-    }
-    if let Some(precision) = request.get("precision").and_then(Value::as_str) {
-        spec.precision = precision.parse()?;
-    }
-    if let Some(strategy) = request.get("strategy").and_then(Value::as_str) {
-        spec.strategy = strategy.parse()?;
-    }
-    if let Some(max_fused) = request.get("max_fused").and_then(Value::as_u64) {
-        // Range-validated by Service::submit against MAX_GATE_QUBITS.
-        spec.max_fused = max_fused as usize;
-    }
-    if let Some(seed) = request.get("seed").and_then(Value::as_u64) {
-        spec.seed = seed;
-    }
-    if let Some(samples) = request.get("sample_count").and_then(Value::as_u64) {
-        spec.sample_count = samples as usize;
-    }
-    if let Some(priority) = request.get("priority").and_then(Value::as_str) {
-        spec.priority = priority.parse()?;
-    }
-    if let Some(timeout_ms) = request.get("timeout_ms").and_then(Value::as_u64) {
-        spec.timeout = Some(Duration::from_millis(timeout_ms));
-    }
-    Ok(spec)
+    let text_field = |name| field(request, name, "a string", Value::as_str);
+    let int_field = |name| field(request, name, "a non-negative integer", Value::as_u64);
+    spec.flavor = text_field("backend")?.map_or(Ok(spec.flavor), str::parse)?;
+    spec.precision = text_field("precision")?.map_or(Ok(spec.precision), str::parse)?;
+    spec.strategy = text_field("strategy")?.map_or(Ok(spec.strategy), str::parse)?;
+    spec.priority = text_field("priority")?.map_or(Ok(spec.priority), str::parse)?;
+    // Range-validated by Service::submit against MAX_GATE_QUBITS.
+    spec.max_fused = int_field("max_fused")?.map_or(spec.max_fused, |m| m as usize);
+    spec.sample_count = int_field("sample_count")?.map_or(0, |n| n as usize);
+    spec.timeout = int_field("timeout_ms")?.map(Duration::from_millis);
+    // Any integral number up to `u64::MAX`: the wire carries numbers as
+    // f64, so a seed above 2^53 arrives rounded to the nearest double.
+    let seed =
+        |v: &Value| v.as_f64().filter(|n| *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64);
+    spec.seed = field(request, "seed", "a non-negative integer", seed)?.map_or(0, |n| n as u64);
+    let stream = field(request, "stream", "a boolean", Value::as_bool)?.unwrap_or(false);
+    Ok((spec, stream))
+}
+
+/// `request[name]` through `read`: `None` when absent, an error naming
+/// the field when present but not `expected`.
+fn field<'a, T>(
+    request: &'a Value,
+    name: &str,
+    expected: &str,
+    read: impl FnOnce(&'a Value) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(value) = request.get(name) else { return Ok(None) };
+    let got = || serde_json::to_string(value).unwrap_or_default();
+    read(value)
+        .map(Some)
+        .ok_or_else(|| format!("submit field '{name}' must be {expected}, got {}", got()))
 }
 
 #[cfg(test)]
@@ -258,12 +273,55 @@ mod tests {
             (r#"{"verb":"status","id":999}"#, "unknown job id"),
             (r#"{"verb":"submit"}"#, "'circuit'"),
             (r#"{"verb":"submit","circuit":"2\nbroken"}"#, "parse error"),
+            // A present field of the wrong type is refused, not defaulted.
+            (r#"{"verb":"submit","circuit":"1\n0 h 0","seed":"7"}"#, "'seed'"),
+            (r#"{"verb":"submit","circuit":"1\n0 h 0","seed":1.5}"#, "'seed'"),
+            (r#"{"verb":"submit","circuit":"1\n0 h 0","sample_count":-1}"#, "'sample_count'"),
+            (r#"{"verb":"submit","circuit":"1\n0 h 0","max_fused":2.5}"#, "'max_fused'"),
+            (r#"{"verb":"submit","circuit":"1\n0 h 0","stream":"yes"}"#, "'stream'"),
+            (r#"{"verb":"submit","circuit":"1\n0 h 0","backend":3}"#, "'backend'"),
+            (r#"{"verb":"submit","circuit":"1\n0 h 0","precision":null}"#, "'precision'"),
+            (r#"{"verb":"submit","circuit":"1\n0 h 0","strategy":[]}"#, "'strategy'"),
+            (r#"{"verb":"submit","circuit":"1\n0 h 0","priority":1}"#, "'priority'"),
+            (r#"{"verb":"submit","circuit":"1\n0 h 0","timeout_ms":"5"}"#, "'timeout_ms'"),
         ] {
             let resp = submit_line(&service, line);
             assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(false), "{line}");
             let error = resp.get("error").and_then(Value::as_str).unwrap();
             assert!(error.contains(needle), "{line}: {error}");
         }
+    }
+
+    #[test]
+    fn every_u64_seed_parses_and_absent_fields_keep_defaults() {
+        let service = small_service();
+        let decode = |fields: &str| {
+            let line = format!(r#"{{"verb":"submit","circuit":"1\n0 h 0"{fields}}}"#);
+            decode_spec(&service, &serde_json::from_str(&line).unwrap())
+        };
+        let (spec, stream) = decode("").unwrap();
+        let default = JobSpec::new(spec.circuit.clone());
+        assert_eq!((spec.seed, spec.sample_count, spec.max_fused), (0, 0, default.max_fused));
+        assert_eq!(
+            (spec.flavor, spec.priority, spec.timeout, stream),
+            (default.flavor, default.priority, None, false)
+        );
+        for (seed, want) in [
+            ("0", 0),
+            ("7", 7),
+            ("9007199254740992", 1 << 53),
+            ("18446744073709551615", u64::MAX),
+            ("1e3", 1000),
+        ] {
+            let (spec, _) = decode(&format!(r#","seed":{seed}"#)).unwrap();
+            assert_eq!(spec.seed, want, "{seed}");
+        }
+        assert!(decode(r#","seed":18446744073709551616e1"#).unwrap_err().contains("'seed'"));
+        let (spec, stream) = decode(r#","stream":true,"sample_count":3,"timeout_ms":9"#).unwrap();
+        assert_eq!(
+            (stream, spec.sample_count, spec.timeout),
+            (true, 3, Some(Duration::from_millis(9)))
+        );
     }
 
     /// A non-finite gate parameter used to parse, run to an all-NaN

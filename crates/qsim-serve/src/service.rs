@@ -10,7 +10,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use qsim_backends::{Flavor, FusionPlan, RunReport};
-use qsim_cache::{BudgetLedger, Cache, CacheStats};
+use qsim_cache::{BudgetLedger, Cache, CacheStats, LocalBudget};
+use qsim_circuit::parser::ParseError;
 use qsim_core::cancel::{CancelCause, CancelToken};
 use qsim_core::kernels::MAX_GATE_QUBITS;
 use qsim_core::lockorder::Mutex;
@@ -19,6 +20,7 @@ use qsim_distributed::{MultiGcdBackend, SwapPolicy, SwapSchedule, EXCHANGE_KERNE
 use serde_json::json;
 
 use crate::admission::{AdmissionController, AdmissionError, Reservation};
+use crate::circuits::{self, CircuitTable, SharedCircuit};
 use crate::job::{JobId, JobSpec, JobState, Priority};
 use crate::mux::{IoCounters, IoStats, Waker};
 use crate::pool::{BucketStats, PoolStats, StateBufferPool};
@@ -42,8 +44,9 @@ pub struct ServiceConfig {
     /// Maximum gang width for coalesced Batch-class jobs (`1` disables
     /// batching).
     pub max_batch: usize,
-    /// Byte budget of the fusion-plan cache (self-accounted; plans are
-    /// metadata, not state memory). `0` disables plan caching.
+    /// Byte budget of the fusion-plan cache and the circuit table
+    /// together (self-accounted; plans and parsed circuits are metadata,
+    /// not state memory). `0` disables both.
     pub plan_cache_budget_bytes: u64,
     /// Byte budget of the result cache. Every resident byte is charged
     /// through the admission ledger, so cached reports and live state
@@ -261,6 +264,8 @@ pub struct Metrics {
     pub buffer_reuses: u64,
     /// Largest per-job peak device memory seen, bytes.
     pub max_peak_state_bytes: u64,
+    /// Circuit-table counters (submitted texts parsed once).
+    pub circuit_cache: CacheStats,
     /// Fusion-plan cache counters.
     pub plan_cache: CacheStats,
     /// Result cache counters.
@@ -338,6 +343,7 @@ impl Metrics {
                 "exchanged_bytes": (self.sharded_exchanged_bytes),
                 "exchange_seconds": (self.sharded_exchange_seconds),
             },
+            "circuit_cache": (cache_json(&self.circuit_cache)),
             "plan_cache": (cache_json(&self.plan_cache)),
             "result_cache": (cache_json(&self.result_cache)),
             "timing": {
@@ -363,7 +369,7 @@ impl Metrics {
 }
 
 /// One cache's counters as the JSON object the `metrics` verb nests
-/// under `plan_cache` / `result_cache`.
+/// under `circuit_cache` / `plan_cache` / `result_cache`.
 fn cache_json(s: &CacheStats) -> serde_json::Value {
     json!({
         "hits": (s.hits),
@@ -387,6 +393,9 @@ pub(crate) struct ServiceInner {
     pub(crate) admission: AdmissionController,
     /// Gang-width cap workers pass to `pop`.
     pub(crate) max_batch: usize,
+    /// Each distinct submitted text, parsed and validated once; charged
+    /// to the plan-cache budget.
+    circuits: CircuitTable,
     /// Checked fusion plans keyed by circuit content and plan settings;
     /// shared across hash-equal submissions so each unique circuit is
     /// planned and analysed once, not once per job. Byte-budgeted with
@@ -689,12 +698,17 @@ impl Service {
             config.result_cache_budget_bytes,
             Arc::new(AdmissionLedger(admission.clone())) as Arc<dyn BudgetLedger>,
         );
+        // The circuit table and the plan cache share one budget; each
+        // evicts only its own entries to fund an insert.
+        let metadata: Arc<dyn BudgetLedger> =
+            Arc::new(LocalBudget::new(config.plan_cache_budget_bytes));
         let inner = Arc::new(ServiceInner {
             queue: JobQueue::new(config.bandwidth_budget_bps),
             pool: StateBufferPool::with_max_per_bucket(config.pool_max_per_bucket),
             admission,
             max_batch: config.max_batch.max(1),
-            plans: Cache::new(config.plan_cache_budget_bytes),
+            circuits: Cache::with_ledger(config.plan_cache_budget_bytes, metadata.clone()),
+            plans: Cache::with_ledger(config.plan_cache_budget_bytes, metadata),
             results,
             registry: Mutex::new("qsim-serve::service::ServiceInner.registry", Registry::default()),
             aggregates: Mutex::new(
@@ -743,7 +757,8 @@ impl Service {
         // shots) already completed returns the cached report without
         // touching admission, the queue, or a worker. A zero budget
         // turns the whole path off — no lookups, no report clones at
-        // completion. The circuit is hashed once, for both cache keys.
+        // completion. The circuit is hashed at most once, for both cache
+        // keys and every later spec that shares it.
         let circuit_hash = spec.circuit.content_hash();
         let result_key = if self.inner.results.budget_bytes() == 0 {
             None
@@ -855,6 +870,14 @@ impl Service {
             }
             other => other,
         }
+    }
+
+    /// The parsed, validated circuit qsim `text` describes, or
+    /// the parser's error for it. A text seen before comes from the
+    /// circuit table, so a resubmitted circuit is parsed and hashed once
+    /// per service.
+    pub fn circuit(&self, text: &str) -> Result<SharedCircuit, ParseError> {
+        circuits::intern(&self.inner.circuits, text)
     }
 
     /// Submit a job. On success the job is queued and its [`JobId`]
@@ -1014,6 +1037,7 @@ impl Service {
             warm_setup_seconds_avg: mean(agg.warm_setup_seconds, agg.warm_runs),
             buffer_reuses: agg.warm_runs,
             max_peak_state_bytes: agg.max_peak_state_bytes,
+            circuit_cache: self.inner.circuits.stats(),
             plan_cache: self.inner.plans.stats(),
             result_cache: self.inner.results.stats(),
             io: self.inner.io.snapshot(),
