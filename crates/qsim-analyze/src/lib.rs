@@ -205,12 +205,6 @@ impl Analyzer {
             .collect()
     }
 
-    /// Add a custom circuit rule (builder style).
-    pub fn with_circuit_rule(mut self, rule: Box<dyn CircuitRule>) -> Analyzer {
-        self.circuit_rules.push(rule);
-        self
-    }
-
     /// Run every registered circuit rule over `circuit`.
     pub fn analyze_circuit(&self, circuit: &Circuit) -> AnalysisReport {
         let ctx = CircuitCtx { circuit };
@@ -382,25 +376,5 @@ mod tests {
         let names = Analyzer::pre_run().rule_names();
         assert!(!names.contains(&"plan-equivalence"));
         assert!(names.iter().all(|n| n.starts_with("plan-")));
-    }
-
-    #[test]
-    fn custom_rule_extends_registry() {
-        struct AlwaysNote;
-        impl CircuitRule for AlwaysNote {
-            fn name(&self) -> &'static str {
-                "always-note"
-            }
-            fn check(&self, _ctx: &CircuitCtx<'_>, out: &mut Vec<Diagnostic>) {
-                out.push(Diagnostic::note(
-                    "QA0199",
-                    qsim_core::diag::Span::whole_circuit(),
-                    "custom rule ran",
-                ));
-            }
-        }
-        let a = Analyzer::new().with_circuit_rule(Box::new(AlwaysNote));
-        let r = a.analyze_circuit(&library::bell());
-        assert!(codes_of(&r).contains(&"QA0199"));
     }
 }

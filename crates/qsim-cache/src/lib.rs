@@ -31,7 +31,6 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -48,62 +47,6 @@ pub trait BudgetLedger: Send + Sync + fmt::Debug {
     fn try_charge(&self, bytes: u64) -> bool;
     /// Return previously charged bytes.
     fn release(&self, bytes: u64);
-}
-
-/// A self-contained fixed-size ledger, for caches that do not share a
-/// budget with anything else (the serve plan cache).
-#[derive(Debug)]
-pub struct LocalBudget {
-    budget_bytes: u64,
-    used_bytes: AtomicU64,
-}
-
-impl LocalBudget {
-    /// A ledger over `budget_bytes`.
-    pub fn new(budget_bytes: u64) -> LocalBudget {
-        LocalBudget { budget_bytes, used_bytes: AtomicU64::new(0) }
-    }
-
-    /// Bytes currently charged.
-    pub fn used_bytes(&self) -> u64 {
-        self.used_bytes.load(Ordering::Acquire)
-    }
-}
-
-impl BudgetLedger for LocalBudget {
-    fn try_charge(&self, bytes: u64) -> bool {
-        let mut used = self.used_bytes.load(Ordering::Acquire);
-        loop {
-            if used.saturating_add(bytes) > self.budget_bytes {
-                return false;
-            }
-            match self.used_bytes.compare_exchange_weak(
-                used,
-                used + bytes,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => used = actual,
-            }
-        }
-    }
-
-    fn release(&self, bytes: u64) {
-        let mut used = self.used_bytes.load(Ordering::Acquire);
-        loop {
-            let next = used.saturating_sub(bytes);
-            match self.used_bytes.compare_exchange_weak(
-                used,
-                next,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return,
-                Err(actual) => used = actual,
-            }
-        }
-    }
 }
 
 /// Counter snapshot for the `metrics` verb's cache sections.
@@ -421,6 +364,8 @@ impl<K, V> Drop for Cache<K, V> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
 
     fn stats_of(cache: &Cache<u64, u64>) -> CacheStats {
@@ -524,17 +469,33 @@ mod tests {
         assert_eq!(cache.shed(1 << 40), 0);
     }
 
-    #[test]
-    fn local_budget_charges_and_releases() {
-        let ledger = LocalBudget::new(100);
-        assert!(ledger.try_charge(60));
-        assert!(!ledger.try_charge(50));
-        assert_eq!(ledger.used_bytes(), 60);
-        ledger.release(60);
-        assert!(ledger.try_charge(100));
-        // Over-release saturates at zero.
-        ledger.release(1000);
-        assert_eq!(ledger.used_bytes(), 0);
+    /// A fixed-size ledger another tenant can also charge.
+    #[derive(Debug)]
+    struct LocalBudget {
+        budget_bytes: u64,
+        used_bytes: AtomicU64,
+    }
+
+    impl LocalBudget {
+        fn new(budget_bytes: u64) -> LocalBudget {
+            LocalBudget { budget_bytes, used_bytes: AtomicU64::new(0) }
+        }
+
+        fn used_bytes(&self) -> u64 {
+            self.used_bytes.load(Ordering::Acquire)
+        }
+    }
+
+    impl BudgetLedger for LocalBudget {
+        fn try_charge(&self, bytes: u64) -> bool {
+            let fits = |used: u64| used.checked_add(bytes).filter(|&u| u <= self.budget_bytes);
+            self.used_bytes.fetch_update(Ordering::AcqRel, Ordering::Acquire, fits).is_ok()
+        }
+
+        fn release(&self, bytes: u64) {
+            let less = |used: u64| Some(used.saturating_sub(bytes));
+            let _ = self.used_bytes.fetch_update(Ordering::AcqRel, Ordering::Acquire, less);
+        }
     }
 
     #[test]

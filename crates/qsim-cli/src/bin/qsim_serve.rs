@@ -23,9 +23,9 @@ usage: qsim_serve [options]
                     admission ledger; repeat submissions of an identical
                     job return Done from cache. 0 disables (default 2048)
   --plan-cache-budget MIB
-                    budget in MiB shared by the fusion-plan cache and the
-                    circuit table (each distinct submitted text parsed
-                    once); 0 disables both (default 32)
+                    budget in MiB of the fusion-plan cache, and separately
+                    of the circuit table (each distinct submitted text
+                    parsed once); 0 disables both (default 32)
   --bandwidth-gib GIB/S
                     modeled memory-bandwidth dispatch budget in GiB/s
                     (default 400; caps the aggregate streaming rate of

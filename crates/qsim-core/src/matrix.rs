@@ -402,22 +402,6 @@ impl<F: Float> SplitMatrix<F> {
         }
     }
 
-    /// `src` widened from `own_qubits` onto `target_qubits`, as
-    /// [`GateMatrix::expand_to`] widens.
-    pub fn set_widened(
-        &mut self,
-        src: &SplitMatrix<F>,
-        own_qubits: &[usize],
-        target_qubits: &[usize],
-    ) {
-        self.reset(src.dim, src.bits);
-        let (re, im) = src.planes();
-        let (out_re, out_im) = self.planes_mut();
-        out_re.copy_from_slice(re);
-        out_im.copy_from_slice(im);
-        self.widen(own_qubits, target_qubits);
-    }
-
     /// The matrix, which acts on `own_qubits`, widened in place onto
     /// `target_qubits`: no entry is written or moved.
     pub fn widen(&mut self, own_qubits: &[usize], target_qubits: &[usize]) {
@@ -925,10 +909,9 @@ mod tests {
             let narrow = random_unitary(slot_qubits.len(), rng);
             let slot = narrow.expand_to(&slot_qubits, &union);
             let dense = gate.expand_to(&gate_qubits, &union).matmul(&slot);
-            let (mut planes, mut wide, mut product) =
-                (SplitMatrix::default(), SplitMatrix::default(), SplitMatrix::default());
-            planes.set_expanded(&narrow, &slot_qubits, &slot_qubits);
-            wide.set_widened(&planes, &slot_qubits, &union);
+            let (mut wide, mut product) = (SplitMatrix::default(), SplitMatrix::default());
+            wide.set_expanded(&narrow, &slot_qubits, &slot_qubits);
+            wide.widen(&slot_qubits, &union);
             prop_assert!(bits(&wide.to_matrix()) == bits(&slot));
             product.set_product(&gate, &gate_qubits, &union, &wide);
             prop_assert!(

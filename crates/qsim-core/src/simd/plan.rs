@@ -160,8 +160,17 @@ pub(crate) fn build_mat<F: Float, V: LaneVec<F>>(
     let mut coef_re = Vec::with_capacity((1 << kh) * dimk);
     let mut coef_im = Vec::with_capacity((1 << kh) * dimk);
     let mut lane = [Cplx { re: F::ZERO, im: F::ZERO }; MAX_LANES];
+    // With no low target and no low control every lane reads the same
+    // entry: read it once and splat it.
+    let uniform = !has_low_targets && lc_mask == 0;
     for &high in &high_row {
         for c in 0..dimk {
+            if uniform {
+                let z = matrix.get(high, c);
+                coef_re.push(V::from_fn(|_| z.re));
+                coef_im.push(V::from_fn(|_| z.im));
+                continue;
+            }
             for (l, z) in lane[..lanes].iter_mut().enumerate() {
                 let row = high | low_row[l];
                 *z = if (l & lc_mask) == lc_val {
@@ -791,5 +800,142 @@ mod tests {
     fn portable_plan_rejects_too_small_states() {
         // One qubit < 2 lane qubits of the portable backend.
         assert!(SimdPlan::<f64>::new_portable(1, &[0], &[], 0, &h_matrix()).is_none());
+    }
+
+    // ---- Lane-uniform coefficient tables ---------------------------------
+
+    /// The lanes of `v`, in lane order.
+    fn lanes_of<F: Float, V: LaneVec<F>>(v: &V) -> Vec<F> {
+        assert_eq!(std::mem::size_of::<V>(), V::LANES * std::mem::size_of::<F>());
+        // SAFETY: every lane vector is `LANES` packed `F`s (size checked
+        // above) and at least as aligned as `F`.
+        unsafe { std::slice::from_raw_parts(v as *const V as *const F, V::LANES) }.to_vec()
+    }
+
+    /// The coefficient tables as the module doc defines them, one lane at
+    /// a time: lane `l` of entry `r·dimk + c` is `M[row(l, r), c]`, or the
+    /// identity's entry when `l` fails a low control. Lanes as `f64` bits.
+    fn per_lane_tables<F: Float>(
+        lanes: usize,
+        qubits: &[usize],
+        controls: &[usize],
+        control_values: usize,
+        matrix: &GateMatrix<F>,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let lambda = lanes.trailing_zeros() as usize;
+        let high: Vec<usize> = (0..qubits.len()).filter(|&j| qubits[j] >= lambda).collect();
+        let (mut re, mut im) = (Vec::new(), Vec::new());
+        for r in 0..1usize << high.len() {
+            for c in 0..matrix.dim() {
+                for l in 0..lanes {
+                    let mut row: usize =
+                        high.iter().enumerate().map(|(i, &j)| ((r >> i) & 1) << j).sum();
+                    for (j, &q) in qubits.iter().enumerate().filter(|&(_, &q)| q < lambda) {
+                        row |= ((l >> q) & 1) << j;
+                    }
+                    let passes = controls
+                        .iter()
+                        .enumerate()
+                        .all(|(j, &q)| q >= lambda || (l >> q) & 1 == (control_values >> j) & 1);
+                    let z = if passes {
+                        matrix.get(row, c)
+                    } else {
+                        Cplx { re: if c == row { F::ONE } else { F::ZERO }, im: F::ZERO }
+                    };
+                    re.push(z.re.to_f64().to_bits());
+                    im.push(z.im.to_f64().to_bits());
+                }
+            }
+        }
+        (re, im)
+    }
+
+    /// `build_mat`'s tables on lane backend `V` against [`per_lane_tables`].
+    fn tables_match_per_lane<F: Float, V: LaneVec<F>>(
+        n: usize,
+        qubits: &[usize],
+        controls: &[usize],
+        control_values: usize,
+        matrix: &GateMatrix<F>,
+    ) -> bool {
+        let plan =
+            build_mat::<F, V>(n, qubits, controls, control_values, matrix).expect("sized to tile");
+        let flat = |table: &[V]| -> Vec<u64> {
+            table.iter().flat_map(lanes_of::<F, V>).map(|x| x.to_f64().to_bits()).collect()
+        };
+        let want = per_lane_tables(V::LANES, qubits, controls, control_values, matrix);
+        (flat(&plan.coef_re), flat(&plan.coef_im)) == want
+    }
+
+    /// Every lane backend the host has, plus the portable one, in `F`.
+    fn tables_match_on_every_tier<F: Float>(
+        n: usize,
+        qubits: &[usize],
+        controls: &[usize],
+        control_values: usize,
+        matrix: &GateMatrix<F>,
+    ) -> bool {
+        let (q, c, v) = (qubits, controls, control_values);
+        let mut ok = tables_match_per_lane::<F, P4<F>>(n, q, c, v, matrix);
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            use crate::simd::{avx2, avx512};
+            let has = |isa: Isa| isa <= crate::simd::detected_isa();
+            if let Some(m) = cast_matrix::<F, f32>(matrix) {
+                ok &= !has(Isa::Avx2) || tables_match_per_lane::<f32, avx2::F32x8>(n, q, c, v, m);
+                ok &= !has(Isa::Avx512)
+                    || tables_match_per_lane::<f32, avx512::F32x16>(n, q, c, v, m);
+            }
+            if let Some(m) = cast_matrix::<F, f64>(matrix) {
+                ok &= !has(Isa::Avx2) || tables_match_per_lane::<f64, avx2::F64x4>(n, q, c, v, m);
+                ok &=
+                    !has(Isa::Avx512) || tables_match_per_lane::<f64, avx512::F64x8>(n, q, c, v, m);
+            }
+        }
+        ok
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A gate with every target and control above the widest lane
+        /// boundary (16 lanes) splats one matrix entry per table entry;
+        /// the tables equal the per-lane construction bit for bit.
+        #[test]
+        fn uniform_tables_equal_the_per_lane_construction(
+            seed in 0u64..u64::MAX,
+            k in 1usize..=6,
+            num_controls in 0usize..=2,
+        ) {
+            let rng = &mut proptest::TestRng::from_seed(seed);
+            let n = 4 + 6 + 2;
+            let mut pool: Vec<usize> = (4..n).collect();
+            let mut draw = |rng: &mut proptest::TestRng| {
+                pool.swap_remove(rng.below(pool.len() as u64) as usize)
+            };
+            let mut qubits: Vec<usize> = (0..k).map(|_| draw(rng)).collect();
+            qubits.sort_unstable();
+            let controls: Vec<usize> = (0..num_controls).map(|_| draw(rng)).collect();
+            let control_values = rng.below(1 << num_controls) as usize;
+            let dim = 1usize << k;
+            // Signed zeros among the entries: a splat must keep their sign.
+            let mut entry = |i: usize| match i % 7 {
+                0 => -0.0,
+                _ => rng.unit_f64() * 2.0 - 1.0,
+            };
+            let pairs: Vec<(f64, f64)> =
+                (0..dim * dim).map(|i| (entry(i), entry(i + 3))).collect();
+            let m64 = GateMatrix::<f64>::from_f64_pairs(dim, &pairs);
+            let m32 = GateMatrix::<f32>::from_f64_pairs(dim, &pairs);
+            let what = format!("qubits {qubits:?} controls {controls:?} values {control_values:b}");
+            proptest::prop_assert!(
+                tables_match_on_every_tier(n, &qubits, &controls, control_values, &m64),
+                "f64, {what}"
+            );
+            proptest::prop_assert!(
+                tables_match_on_every_tier(n, &qubits, &controls, control_values, &m32),
+                "f32, {what}"
+            );
+        }
     }
 }

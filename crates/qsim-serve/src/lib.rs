@@ -46,7 +46,7 @@
 //! - content-addressed caching ([`qsim_cache`]) — a circuit table that
 //!   parses each distinct submitted text once into a [`SharedCircuit`],
 //!   a byte-budgeted plan cache keyed by `Circuit::content_hash` × plan
-//!   settings (the two share the plan-cache budget), and a result cache
+//!   settings (each holds the plan-cache budget on its own), and a result cache
 //!   additionally keyed by seed and shot count whose occupancy is
 //!   charged through the admission ledger, so repeat submissions return
 //!   `Done` without parsing or touching a worker.

@@ -11,7 +11,7 @@
 //!
 //! | verb | request fields | success payload |
 //! |---|---|---|
-//! | `submit` | `circuit` (qsim text), `backend?`, `precision?`, `strategy?`, `max_fused?`, `seed?`, `sample_count?`, `priority?`, `timeout_ms?`, `stream?` | `id` |
+//! | `submit` | `circuit` (qsim text), `backend?`, `precision?`, `strategy?`, `max_fused?` (default 3), `seed?`, `sample_count?`, `priority?`, `timeout_ms?`, `stream?` | `id` |
 //! | `status` | `id` | `state`, `priority`, `flavor`, `num_qubits`, `error?` |
 //! | `result` | `id` | `report` (the run's [`RunReport`] JSON); `expired: true` once the job's record aged out |
 //! | `cancel` | `id` | `cancelled` |
@@ -20,7 +20,9 @@
 //!
 //! A `submit` field that is present with the wrong type (`"seed":"7"`,
 //! `"stream":"yes"`) is refused with an error naming the field; an
-//! absent one keeps its default. The `circuit` text goes through the
+//! absent one keeps [`JobSpec::new`]'s default: `cpu`, `single`, greedy
+//! at `max_fused` 3, seed 0, no samples, `normal`, no deadline, no
+//! stream. The `circuit` text goes through the
 //! service's circuit table ([`Service::circuit`]): a text submitted
 //! before is not parsed, validated or hashed again, which is the whole
 //! submit-side cost of a result-cache hit. `metrics.circuit_cache`
@@ -188,11 +190,14 @@ fn decode_spec(service: &Service, request: &Value) -> Result<(JobSpec, bool), St
     spec.max_fused = int_field("max_fused")?.map_or(spec.max_fused, |m| m as usize);
     spec.sample_count = int_field("sample_count")?.map_or(0, |n| n as usize);
     spec.timeout = int_field("timeout_ms")?.map(Duration::from_millis);
-    // Any integral number up to `u64::MAX`: the wire carries numbers as
-    // f64, so a seed above 2^53 arrives rounded to the nearest double.
-    let seed =
-        |v: &Value| v.as_f64().filter(|n| *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64);
-    spec.seed = field(request, "seed", "a non-negative integer", seed)?.map_or(0, |n| n as u64);
+    // Any integer literal up to `u64::MAX`, exactly; an integral float
+    // (`1e3`) up to the same bound, as the nearest double.
+    let seed = |v: &Value| {
+        let float =
+            || v.as_f64().filter(|n| *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64);
+        v.as_u64().or_else(|| float().map(|n| n as u64))
+    };
+    spec.seed = field(request, "seed", "a non-negative integer", seed)?.unwrap_or(0);
     let stream = field(request, "stream", "a boolean", Value::as_bool)?.unwrap_or(false);
     Ok((spec, stream))
 }
@@ -322,6 +327,67 @@ mod tests {
             (stream, spec.sample_count, spec.timeout),
             (true, 3, Some(Duration::from_millis(9)))
         );
+    }
+
+    /// Submit `fields` with `text` as the circuit and wait for the job.
+    fn run_line(service: &Service, text: &str, fields: &str) -> JobId {
+        let circuit = serde_json::to_string(&Value::String(text.to_string())).unwrap();
+        let line = format!(r#"{{"verb":"submit","circuit":{circuit}{fields}}}"#);
+        let resp = submit_line(service, &line);
+        let id = JobId(resp.get("id").and_then(Value::as_u64).expect("accepted"));
+        let status = service.wait(id, std::time::Duration::from_secs(60)).unwrap();
+        assert_eq!(status.state, JobState::Done, "{:?}", status.error);
+        id
+    }
+
+    /// A submit without `max_fused` plans at greedy `-f 3`; one that asks
+    /// for `-f 2` runs, samples and reports exactly as an in-process
+    /// `-f 2` plan does; the two budgets are two result-cache entries.
+    #[test]
+    fn default_budget_is_f3_and_an_explicit_f2_is_the_in_process_run() {
+        use qsim_backends::{Flavor, PlanOptions, RunOptions, RunReport, SimBackend};
+        use qsim_core::types::Precision;
+
+        let circuit = qsim_circuit::generate_rqc(&qsim_circuit::RqcOptions::for_qubits(9, 6, 4));
+        let text = qsim_circuit::parser::write_circuit(&circuit);
+        let service = small_service();
+        let default = run_line(&service, &text, r#","seed":5,"sample_count":40"#);
+        let result = submit_line(&service, &format!(r#"{{"verb":"result","id":{}}}"#, default.0));
+        assert_eq!(result["report"]["max_fused_qubits"].as_u64(), Some(3), "{result:?}");
+        assert_eq!(result["report"]["fusion"]["strategy"].as_str(), Some("greedy"));
+
+        let explicit = run_line(&service, &text, r#","seed":5,"sample_count":40,"max_fused":2"#);
+        let got = service.report(explicit).unwrap();
+        let cpu = SimBackend::new(Flavor::CpuAvx);
+        let opts =
+            PlanOptions { strategy: qsim_fusion::FusionStrategy::Greedy, max_fused_qubits: 2 };
+        let plan = cpu.plan_circuit(&circuit, &opts, Precision::Single);
+        let (_, want) =
+            cpu.run_plan::<f32>(&plan, &RunOptions { seed: 5, sample_count: 40 }).unwrap();
+        assert_eq!(got.samples, want.samples);
+        // Host clocks and the pooled buffer aside, the reports are equal.
+        let want = RunReport {
+            wall_seconds: got.wall_seconds,
+            setup_seconds: got.setup_seconds,
+            buffer_reused: got.buffer_reused,
+            ..want
+        };
+        assert_eq!(serde_json::to_string(&got.to_json()), serde_json::to_string(&want.to_json()));
+        assert_ne!(service.report(default).unwrap().fused_gates, got.fused_gates);
+        let cache = service.metrics().result_cache;
+        assert_eq!((cache.entries, cache.hits), (2, 0), "{cache:?}");
+    }
+
+    /// Seeds a float cannot tell apart are two jobs with two results.
+    #[test]
+    fn seeds_past_2_pow_53_are_distinct_jobs() {
+        let service = small_service();
+        let text = bell_text();
+        let a = run_line(&service, &text, r#","seed":9007199254740992,"sample_count":8"#);
+        let b = run_line(&service, &text, r#","seed":9007199254740993,"sample_count":8"#);
+        assert_ne!(a, b);
+        let cache = service.metrics().result_cache;
+        assert_eq!((cache.entries, cache.insertions, cache.hits), (2, 2, 0), "{cache:?}");
     }
 
     /// A non-finite gate parameter used to parse, run to an all-NaN

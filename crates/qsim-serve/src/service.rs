@@ -10,7 +10,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use qsim_backends::{Flavor, FusionPlan, RunReport};
-use qsim_cache::{BudgetLedger, Cache, CacheStats, LocalBudget};
+use qsim_cache::{BudgetLedger, Cache, CacheStats};
 use qsim_circuit::parser::ParseError;
 use qsim_core::cancel::{CancelCause, CancelToken};
 use qsim_core::kernels::MAX_GATE_QUBITS;
@@ -44,9 +44,9 @@ pub struct ServiceConfig {
     /// Maximum gang width for coalesced Batch-class jobs (`1` disables
     /// batching).
     pub max_batch: usize,
-    /// Byte budget of the fusion-plan cache and the circuit table
-    /// together (self-accounted; plans and parsed circuits are metadata,
-    /// not state memory). `0` disables both.
+    /// Byte budget of the fusion-plan cache, and on an account of its own
+    /// of the circuit table, so neither can hold the other out (plans and
+    /// parsed circuits are metadata, not state memory). `0` disables both.
     pub plan_cache_budget_bytes: u64,
     /// Byte budget of the result cache. Every resident byte is charged
     /// through the admission ledger, so cached reports and live state
@@ -698,17 +698,13 @@ impl Service {
             config.result_cache_budget_bytes,
             Arc::new(AdmissionLedger(admission.clone())) as Arc<dyn BudgetLedger>,
         );
-        // The circuit table and the plan cache share one budget; each
-        // evicts only its own entries to fund an insert.
-        let metadata: Arc<dyn BudgetLedger> =
-            Arc::new(LocalBudget::new(config.plan_cache_budget_bytes));
         let inner = Arc::new(ServiceInner {
             queue: JobQueue::new(config.bandwidth_budget_bps),
             pool: StateBufferPool::with_max_per_bucket(config.pool_max_per_bucket),
             admission,
             max_batch: config.max_batch.max(1),
-            circuits: Cache::with_ledger(config.plan_cache_budget_bytes, metadata.clone()),
-            plans: Cache::with_ledger(config.plan_cache_budget_bytes, metadata),
+            circuits: Cache::new(config.plan_cache_budget_bytes),
+            plans: Cache::new(config.plan_cache_budget_bytes),
             results,
             registry: Mutex::new("qsim-serve::service::ServiceInner.registry", Registry::default()),
             aggregates: Mutex::new(

@@ -140,8 +140,8 @@ fn refused_texts_are_refused_every_time_and_never_stored() {
     assert_eq!((m.circuit_cache.misses, m.circuit_cache.hits, m.submitted), (12, 0, 0));
 }
 
-/// Under a budget that holds one table entry, the table and the plan
-/// cache evict and shed, and every result stays what an unpressed
+/// Under a budget that holds one table entry, the table evicts, the plan
+/// cache keeps its own budget, and every result stays what an unpressed
 /// service computes.
 #[test]
 fn a_one_entry_budget_evicts_and_keeps_results_correct() {
@@ -174,11 +174,13 @@ fn a_one_entry_budget_evicts_and_keeps_results_correct() {
             assert_eq!(run(&tight, &line), run(&probe, &line), "round {round}");
         }
     }
-    let table = tight.metrics().circuit_cache;
-    // The plan cache shares the budget, so some inserts are shed rather
-    // than evicting: count only that the table did evict.
-    assert!(table.evictions > 0 && table.entries <= 1, "{table:?}");
+    let (table, plans) = (tight.metrics().circuit_cache, tight.metrics().plan_cache);
+    assert!(table.evictions > 0 && table.entries == 1, "{table:?}");
     assert!(table.occupancy_bytes <= budget, "{table:?}");
+    // Neither cache holds the other out: each ends holding an entry, and
+    // neither sheds an insert it has room for.
+    assert!(plans.entries >= 1 && plans.occupancy_bytes <= budget, "{plans:?}");
+    assert_eq!((table.shed_inserts, plans.shed_inserts), (0, 0), "{table:?} {plans:?}");
 }
 
 /// A qsim text assembled from generated tokens (a time of `i` is the
