@@ -5,11 +5,15 @@
 //! [`MemoryPool`] so capacity limits behave like `hipMalloc`: a 31-qubit
 //! double-precision state vector genuinely does not fit the modeled A100.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::error::GpuError;
+
+/// Lock `m`, recovering the guard if a panicking holder poisoned it: the
+/// device's locks do not poison.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Accounting for one device's memory.
 #[derive(Debug)]
@@ -87,7 +91,7 @@ impl<T: Default + Clone> DeviceBuffer<T> {
     /// `hipMalloc` + `hipMemset`).
     pub(crate) fn new(len: usize, pool: Arc<Mutex<MemoryPool>>) -> Result<Self, GpuError> {
         let bytes = (len * std::mem::size_of::<T>()) as u64;
-        pool.lock().reserve(bytes)?;
+        lock(&pool).reserve(bytes)?;
         Ok(DeviceBuffer { data: vec![T::default(); len], bytes, pool })
     }
 }
@@ -121,7 +125,7 @@ impl<T> DeviceBuffer<T> {
 
 impl<T> Drop for DeviceBuffer<T> {
     fn drop(&mut self) {
-        self.pool.lock().release(self.bytes);
+        lock(&self.pool).release(self.bytes);
     }
 }
 
@@ -137,11 +141,11 @@ mod tests {
     fn peak_reset_restarts_high_water_mark() {
         let p = pool(1024);
         drop(DeviceBuffer::<u64>::new(64, p.clone()).unwrap());
-        assert_eq!(p.lock().peak(), 512);
-        p.lock().reset_peak();
-        assert_eq!(p.lock().peak(), 0);
+        assert_eq!(lock(&p).peak(), 512);
+        lock(&p).reset_peak();
+        assert_eq!(lock(&p).peak(), 0);
         drop(DeviceBuffer::<u64>::new(16, p.clone()).unwrap());
-        assert_eq!(p.lock().peak(), 128);
+        assert_eq!(lock(&p).peak(), 128);
     }
 
     #[test]
@@ -151,12 +155,12 @@ mod tests {
             let b = DeviceBuffer::<u64>::new(64, p.clone()).unwrap();
             assert_eq!(b.len(), 64);
             assert_eq!(b.bytes(), 512);
-            assert_eq!(p.lock().allocated(), 512);
-            assert_eq!(p.lock().free(), 512);
+            assert_eq!(lock(&p).allocated(), 512);
+            assert_eq!(lock(&p).free(), 512);
         }
-        assert_eq!(p.lock().allocated(), 0);
-        assert_eq!(p.lock().peak(), 512);
-        assert_eq!(p.lock().num_allocs(), 1);
+        assert_eq!(lock(&p).allocated(), 0);
+        assert_eq!(lock(&p).peak(), 512);
+        assert_eq!(lock(&p).num_allocs(), 1);
     }
 
     #[test]
@@ -171,7 +175,7 @@ mod tests {
             e => panic!("wrong error {e:?}"),
         }
         // Failed allocation must not leak accounting.
-        assert_eq!(p.lock().allocated(), 0);
+        assert_eq!(lock(&p).allocated(), 0);
     }
 
     #[test]
@@ -185,8 +189,8 @@ mod tests {
     fn exact_fit_succeeds() {
         let p = pool(512);
         let b = DeviceBuffer::<u8>::new(512, p.clone()).unwrap();
-        assert_eq!(p.lock().free(), 0);
+        assert_eq!(lock(&p).free(), 0);
         drop(b);
-        assert_eq!(p.lock().free(), 512);
+        assert_eq!(lock(&p).free(), 512);
     }
 }

@@ -8,12 +8,10 @@
 //! model predicts for the declared work and launch geometry on the
 //! modeled device.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::error::GpuError;
-use crate::memory::{DeviceBuffer, MemoryPool};
+use crate::memory::{lock, DeviceBuffer, MemoryPool};
 use crate::perf::{kernel_time, memcpy_time, LaunchProfile};
 use crate::specs::DeviceSpec;
 pub use crate::timeline::StreamId;
@@ -98,7 +96,7 @@ impl Gpu {
 
     /// Create a new stream (`hipStreamCreate`).
     pub fn create_stream(&self) -> StreamId {
-        self.timeline.lock().create_stream()
+        lock(&self.timeline).create_stream()
     }
 
     /// Allocate a zero-initialised buffer of `len` elements
@@ -131,7 +129,7 @@ impl Gpu {
         stream: StreamId,
         dur_us: f64,
     ) -> Result<(f64, f64), GpuError> {
-        let (start, end) = self.timeline.lock().schedule(stream, dur_us)?;
+        let (start, end) = lock(&self.timeline).schedule(stream, dur_us)?;
         self.emit(name, kind, stream, start, end);
         Ok((start, end))
     }
@@ -146,7 +144,7 @@ impl Gpu {
         stream: StreamId,
     ) -> Result<(f64, f64), GpuError> {
         let dur_us = memcpy_time(&self.spec, bytes) * 1e6;
-        let (start, end) = self.timeline.lock().schedule(stream, dur_us)?;
+        let (start, end) = lock(&self.timeline).schedule(stream, dur_us)?;
         self.emit(kind.label(), kind, stream, start, end);
         Ok((start, end))
     }
@@ -230,8 +228,8 @@ impl Gpu {
             double_precision: desc.double_precision,
         };
         let dur_us = kernel_time(&self.spec, &profile) * 1e6;
-        let (start, end) = self.timeline.lock().schedule(stream, dur_us)?;
-        *self.state_passes.lock() += desc.work.passes;
+        let (start, end) = lock(&self.timeline).schedule(stream, dur_us)?;
+        *lock(&self.state_passes) += desc.work.passes;
         let result = body.map(|b| b());
         self.emit(&desc.name, SpanKind::Kernel, stream, start, end);
         Ok((start, end, result))
@@ -242,42 +240,42 @@ impl Gpu {
     /// per-gate execution this equals the number of gate kernels; a
     /// cache-blocked sweep reports fewer.
     pub fn state_passes(&self) -> f64 {
-        *self.state_passes.lock()
+        *lock(&self.state_passes)
     }
 
     /// Make `waiter` wait for all work enqueued on `src` so far
     /// (`hipEventRecord` + `hipStreamWaitEvent`, keeping no event: see
     /// [`Timeline::stream_wait_stream`]).
     pub fn stream_wait_stream(&self, waiter: StreamId, src: StreamId) -> Result<(), GpuError> {
-        self.timeline.lock().stream_wait_stream(waiter, src)
+        lock(&self.timeline).stream_wait_stream(waiter, src)
     }
 
     /// Wait for one stream (`hipStreamSynchronize`); returns simulated µs.
     pub fn sync_stream(&self, stream: StreamId) -> Result<f64, GpuError> {
-        self.timeline.lock().sync_stream(stream)
+        lock(&self.timeline).sync_stream(stream)
     }
 
     /// Drain the device (`hipDeviceSynchronize`); returns simulated µs.
     pub fn synchronize(&self) -> f64 {
-        self.timeline.lock().synchronize()
+        lock(&self.timeline).synchronize()
     }
 
     /// Charge host-side work (e.g. the gate-fusion transpiler) to the
     /// simulated clock.
     pub fn advance_host_us(&self, us: f64) {
-        self.timeline.lock().advance_host(us);
+        lock(&self.timeline).advance_host(us);
     }
 
     /// `(allocated, peak, free)` device memory in bytes.
     pub fn memory_usage(&self) -> (u64, u64, u64) {
-        let p = self.pool.lock();
+        let p = lock(&self.pool);
         (p.allocated(), p.peak(), p.free())
     }
 
     /// Restart peak-memory tracking from the current allocation level, so
     /// a long-lived device serving many runs can report a per-run peak.
     pub fn reset_peak_memory(&self) {
-        self.pool.lock().reset_peak();
+        lock(&self.pool).reset_peak();
     }
 }
 
@@ -376,12 +374,12 @@ mod tests {
 
     #[test]
     fn trace_sink_receives_spans() {
-        use parking_lot::Mutex;
+        use std::sync::Mutex;
         #[derive(Default)]
         struct Counter(Mutex<Vec<String>>);
         impl TraceSink for Counter {
             fn record(&self, span: TraceSpan) {
-                self.0.lock().push(span.name);
+                self.0.lock().unwrap().push(span.name);
             }
         }
         let sink = Arc::new(Counter::default());
@@ -391,7 +389,7 @@ mod tests {
         let mut buf = gpu.malloc::<f32>(4).unwrap();
         gpu.memcpy_h2d_async(&mut buf, &[0.0; 4], StreamId::DEFAULT).unwrap();
         gpu.launch(&desc("ApplyGateH_Kernel", 64, 64), StreamId::DEFAULT, || ()).unwrap();
-        let names = sink.0.lock().clone();
+        let names = sink.0.lock().unwrap().clone();
         assert_eq!(names.len(), 2);
         assert!(names[0].contains("H2D"));
         assert_eq!(names[1], "ApplyGateH_Kernel");

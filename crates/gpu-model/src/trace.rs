@@ -55,15 +55,15 @@ pub trait TraceSink: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use std::sync::Arc;
+    use std::sync::Mutex;
 
     #[derive(Default)]
     struct VecSink(Mutex<Vec<TraceSpan>>);
 
     impl TraceSink for VecSink {
         fn record(&self, span: TraceSpan) {
-            self.0.lock().push(span);
+            self.0.lock().unwrap().push(span);
         }
     }
 
@@ -79,8 +79,8 @@ mod tests {
             dur_us: 2.0,
             device: "test".into(),
         });
-        assert_eq!(sink.0.lock().len(), 1);
-        assert_eq!(sink.0.lock()[0].name, "ApplyGateH_Kernel");
+        assert_eq!(sink.0.lock().unwrap().len(), 1);
+        assert_eq!(sink.0.lock().unwrap()[0].name, "ApplyGateH_Kernel");
     }
 
     #[test]

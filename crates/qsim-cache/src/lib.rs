@@ -23,7 +23,7 @@
 //!   admission runs out of budget, the cache [`Cache::shed`]s entries
 //!   instead of the service OOM-ing or bouncing jobs.
 //!
-//! The cache is a single [`parking_lot::Mutex`] around an index plus a
+//! The cache is a single [`std::sync::Mutex`] around an index plus a
 //! slot arena. Nothing blocking happens under the lock — ledger charges
 //! are atomic compare-and-swap loops — so the lock is held for strictly
 //! bounded work per call.
@@ -31,9 +31,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// An external byte budget a cache charges for every resident entry.
 ///
@@ -215,7 +213,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
     /// key is absent or `accept` refuses. For keys that are a hash of
     /// something longer, `accept` compares the full input.
     pub fn get_if(&self, key: &K, accept: impl FnOnce(&V) -> bool) -> Option<V> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         let found = inner.index.get(key).copied();
         let entry = found.map(|at| inner.slots[at].as_mut().expect("indexed slot is occupied"));
         match entry.filter(|entry| accept(&entry.value)) {
@@ -239,7 +237,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
     /// its other tenants. Re-inserting a resident key replaces it.
     pub fn insert(&self, key: K, value: V, bytes: u64) -> bool {
         let bytes = bytes.max(1);
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         if let Some(freed) = inner.remove(&key) {
             self.release_ledger(freed);
         }
@@ -287,7 +285,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
     /// pulls when admission would otherwise reject a job while the
     /// cache sits on reclaimable budget.
     pub fn shed(&self, bytes: u64) -> u64 {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         let mut freed = 0u64;
         while freed < bytes {
             let Some(f) = inner.evict_one() else { break };
@@ -301,7 +299,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
     /// Drop every entry, returning all bytes to the ledger. Counters
     /// survive (a flush is not a restart).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         while let Some(freed) = inner.evict_one() {
             self.release_ledger(freed);
         }
@@ -309,7 +307,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
 
     /// Resident entry count.
     pub fn len(&self) -> usize {
-        self.inner.lock().index.len()
+        self.inner().index.len()
     }
 
     /// Whether the cache holds no entries.
@@ -320,7 +318,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
     /// Whether `key` is resident, without touching hit/miss counters or
     /// the referenced bit.
     pub fn contains(&self, key: &K) -> bool {
-        self.inner.lock().index.contains_key(key)
+        self.inner().index.contains_key(key)
     }
 
     /// The cache's own byte budget.
@@ -330,7 +328,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -344,6 +342,11 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         }
     }
 
+    /// The index, recovered if a panicking holder poisoned the lock.
+    fn inner(&self) -> MutexGuard<'_, Inner<K, V>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn release_ledger(&self, bytes: u64) {
         if let Some(ledger) = &self.ledger {
             ledger.release(bytes);
@@ -354,7 +357,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
 impl<K, V> Drop for Cache<K, V> {
     fn drop(&mut self) {
         if let Some(ledger) = &self.ledger {
-            let inner = self.inner.get_mut();
+            let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
             if inner.occupancy_bytes > 0 {
                 ledger.release(inner.occupancy_bytes);
             }

@@ -23,7 +23,7 @@
 //!
 //! In release builds (`debug_assertions` off) the token is zero-sized and
 //! nothing is recorded: the wrapper is `std::sync::Mutex` with poison
-//! recovered, which is what the `parking_lot` stand-in is.
+//! recovered, the one mutex flavour the workspace uses.
 //!
 //! Self-edges (two instances of one site nested, e.g. two pools of the
 //! same type) are recorded but never treated as inversions — site names

@@ -1,8 +1,9 @@
 //! Span collection: the [`Profiler`] is a [`TraceSink`] that buffers every
 //! device activity, like `rocprof` recording an application run.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use gpu_model::trace::{TraceSink, TraceSpan};
-use parking_lot::Mutex;
 
 /// Collects trace spans from one or more simulated devices.
 ///
@@ -22,28 +23,33 @@ impl Profiler {
 
     /// Snapshot of all spans recorded so far, in enqueue order.
     pub fn spans(&self) -> Vec<TraceSpan> {
-        self.spans.lock().clone()
+        self.lock().clone()
     }
 
     /// Number of spans recorded.
     pub fn len(&self) -> usize {
-        self.spans.lock().len()
+        self.lock().len()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.spans.lock().is_empty()
+        self.lock().is_empty()
     }
 
     /// Drop all recorded spans (e.g. between benchmark repetitions).
     pub fn clear(&self) {
-        self.spans.lock().clear();
+        self.lock().clear();
+    }
+
+    /// The span buffer, recovered if a panicking holder poisoned the lock.
+    fn lock(&self) -> MutexGuard<'_, Vec<TraceSpan>> {
+        self.spans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl TraceSink for Profiler {
     fn record(&self, span: TraceSpan) {
-        self.spans.lock().push(span);
+        self.lock().push(span);
     }
 }
 
