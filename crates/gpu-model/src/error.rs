@@ -14,7 +14,7 @@ pub enum GpuError {
     /// larger than the device maximum, or static shared memory exceeding
     /// the per-block limit.
     InvalidLaunch(String),
-    /// An operation referenced an unknown stream or event
+    /// An operation referenced an unknown stream
     /// (`hipErrorInvalidHandle`).
     InvalidHandle(String),
     /// Host/device copy size mismatch (`hipErrorInvalidValue`).

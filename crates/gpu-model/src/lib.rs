@@ -16,7 +16,7 @@
 //!   (bytes vs HBM bandwidth, flops vs peak) extended with wavefront
 //!   utilization (the 32-thread-block-on-64-lane-wavefront penalty at the
 //!   heart of the paper's HIP-vs-CUDA gap), occupancy, and launch latency;
-//! * [`timeline`] — streams and events over a virtual clock, so
+//! * [`timeline`] — streams and stream waits over a virtual clock, so
 //!   `memcpyAsync`/kernel overlap behaves like the paper's Figures 1 & 6;
 //! * [`memory`] — device memory arena with capacity accounting and OOM
 //!   errors;

@@ -1,4 +1,5 @@
-//! Virtual device timeline: streams, events, and the simulated clock.
+//! Virtual device timeline: streams, stream waits, and the simulated
+//! clock.
 //!
 //! Work items (kernels, async copies) enqueue onto *streams*; items in one
 //! stream serialize, items in different streams overlap — which is how the
@@ -22,10 +23,6 @@ impl StreamId {
     }
 }
 
-/// Handle to a recorded event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(usize);
-
 /// The simulated clock.
 #[derive(Debug, Clone)]
 pub struct Timeline {
@@ -34,8 +31,6 @@ pub struct Timeline {
     host_now_us: f64,
     /// Completion time of the last item per stream, µs.
     streams: Vec<f64>,
-    /// Recorded event timestamps, µs.
-    events: Vec<f64>,
 }
 
 impl Default for Timeline {
@@ -47,7 +42,7 @@ impl Default for Timeline {
 impl Timeline {
     /// Fresh timeline with only the default stream, at t = 0.
     pub fn new() -> Self {
-        Timeline { host_now_us: 0.0, streams: vec![0.0], events: Vec::new() }
+        Timeline { host_now_us: 0.0, streams: vec![0.0] }
     }
 
     /// Create an additional stream.
@@ -76,31 +71,9 @@ impl Timeline {
         Ok((start, end))
     }
 
-    /// Record an event capturing `stream`'s current completion time
-    /// (`hipEventRecord`).
-    pub fn record_event(&mut self, stream: StreamId) -> Result<EventId, GpuError> {
-        self.check_stream(stream)?;
-        self.events.push(self.streams[stream.0]);
-        Ok(EventId(self.events.len() - 1))
-    }
-
-    /// Make `stream` wait for `event` (`hipStreamWaitEvent`).
-    pub fn stream_wait_event(&mut self, stream: StreamId, event: EventId) -> Result<(), GpuError> {
-        self.check_stream(stream)?;
-        let t = *self
-            .events
-            .get(event.0)
-            .ok_or_else(|| GpuError::InvalidHandle(format!("event {} does not exist", event.0)))?;
-        if t > self.streams[stream.0] {
-            self.streams[stream.0] = t;
-        }
-        Ok(())
-    }
-
     /// Make `waiter` wait for everything enqueued on `src` so far: a
     /// `hipEventRecord` on `src` followed by `hipStreamWaitEvent` on
-    /// `waiter`, without keeping the event. A long-lived device that
-    /// orders its streams this way never grows its event table.
+    /// `waiter`, without keeping the event.
     pub fn stream_wait_stream(&mut self, waiter: StreamId, src: StreamId) -> Result<(), GpuError> {
         self.check_stream(waiter)?;
         self.check_stream(src)?;
@@ -166,32 +139,13 @@ mod tests {
         let mut tl = Timeline::new();
         let s = tl.create_stream();
         tl.schedule(StreamId::DEFAULT, 10.0).unwrap();
-        let ev = tl.record_event(StreamId::DEFAULT).unwrap();
-        tl.stream_wait_event(s, ev).unwrap();
-        let (b0, _) = tl.schedule(s, 1.0).unwrap();
-        assert_eq!(b0, 10.0); // waited for the event
-    }
-
-    #[test]
-    fn stream_wait_stream_is_record_then_wait_without_the_event() {
-        let busy = |tl: &mut Timeline| {
-            let s = tl.create_stream();
-            tl.schedule(StreamId::DEFAULT, 10.0).unwrap();
-            tl.schedule(s, 4.0).unwrap();
-            s
-        };
-        let (mut recorded, mut direct) = (Timeline::new(), Timeline::new());
-        let (a, b) = (busy(&mut recorded), busy(&mut direct));
-        let ev = recorded.record_event(StreamId::DEFAULT).unwrap();
-        recorded.stream_wait_event(a, ev).unwrap();
-        direct.stream_wait_stream(b, StreamId::DEFAULT).unwrap();
-        assert_eq!(recorded.schedule(a, 1.0).unwrap(), (10.0, 11.0));
-        assert_eq!(direct.schedule(b, 1.0).unwrap(), (10.0, 11.0));
-        // Waiting on a stream that finished earlier moves nothing.
-        direct.stream_wait_stream(StreamId::DEFAULT, b).unwrap();
-        assert_eq!(direct.schedule(StreamId::DEFAULT, 1.0).unwrap(), (11.0, 12.0));
-        assert_eq!((recorded.events.len(), direct.events.len()), (1, 0));
-        assert!(direct.stream_wait_stream(StreamId(9), b).is_err());
+        tl.schedule(s, 4.0).unwrap();
+        tl.stream_wait_stream(s, StreamId::DEFAULT).unwrap();
+        assert_eq!(tl.schedule(s, 1.0).unwrap(), (10.0, 11.0)); // waited for the default stream
+                                                                // Waiting on a stream that finished earlier moves nothing.
+        tl.stream_wait_stream(StreamId::DEFAULT, s).unwrap();
+        assert_eq!(tl.schedule(StreamId::DEFAULT, 1.0).unwrap(), (11.0, 12.0));
+        assert!(tl.stream_wait_stream(StreamId(9), s).is_err());
     }
 
     #[test]
@@ -218,8 +172,7 @@ mod tests {
     fn invalid_handles_rejected() {
         let mut tl = Timeline::new();
         assert!(tl.schedule(StreamId(9), 1.0).is_err());
-        assert!(tl.record_event(StreamId(9)).is_err());
-        let ev = tl.record_event(StreamId::DEFAULT).unwrap();
-        assert!(tl.stream_wait_event(StreamId(9), ev).is_err());
+        assert!(tl.sync_stream(StreamId(9)).is_err());
+        assert!(tl.stream_wait_stream(StreamId::DEFAULT, StreamId(9)).is_err());
     }
 }

@@ -3,11 +3,15 @@
 //! ([`FusionPlan`]), and how a fused gate maps to a launch descriptor
 //! (grid geometry, kernel symbol, modeled work) on a given flavor.
 
+use std::any::Any;
+use std::sync::{Arc, OnceLock};
+
 use gpu_model::runtime::{KernelDesc, KernelWork};
-use qsim_core::kernels::classify_gate;
+use qsim_core::kernels::{classify_gate, PreparedGate};
+use qsim_core::simd::Isa;
 use qsim_core::sweep::SweepConfig;
-use qsim_core::types::Precision;
-use qsim_fusion::LaunchPolicy;
+use qsim_core::types::{Float, Precision};
+use qsim_fusion::{FusedOp, LaunchPolicy};
 
 use crate::flavor::Flavor;
 use crate::sim_backend::BackendError;
@@ -18,18 +22,73 @@ use crate::sim_backend::BackendError;
 /// pre-run rule set through one function, by reference. The
 /// plan derefs read-only to the [`qsim_fusion::FusionPlan`] it wraps and
 /// has no public field, so its verdict cannot go stale.
+///
+/// The plan also keeps its **prepared form** once a functional walk (or
+/// [`crate::SimBackend::prepare`]) has built it: per unitary op, the
+/// [`PreparedGate`] the single-device walk applies, under the key it was
+/// built for (precision × active ISA × sweep). Later walks under that key
+/// apply it instead of preparing; a walk under another key prepares a
+/// transient form and leaves the kept one alone. Clones share the form.
 #[derive(Debug, Clone)]
 pub struct FusionPlan {
     plan: qsim_fusion::FusionPlan,
     verdict: Result<Vec<String>, BackendError>,
     sweep: SweepConfig,
+    prepared: OnceLock<Arc<Prepared>>,
+}
+
+/// What a prepared form was built for: the walk's precision, the ISA its
+/// tile plans dispatch to, and the sweep that decides each gate's width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PrepareKey {
+    pub precision: Precision,
+    pub isa: Isa,
+    pub sweep: SweepConfig,
+}
+
+/// A plan's prepared gates under one key; their precision is the key's.
+#[derive(Debug)]
+struct Prepared {
+    key: PrepareKey,
+    /// A `Vec<PreparedGate<'static, F>>` at the key's precision.
+    gates: Box<dyn Any + Send + Sync>,
+    bytes: u64,
 }
 
 impl FusionPlan {
     /// Run the pre-run analysis on `plan` as it executes under `sweep`.
     pub fn check(plan: qsim_fusion::FusionPlan, sweep: SweepConfig) -> FusionPlan {
         let verdict = analyze(&plan, sweep);
-        FusionPlan { plan, verdict, sweep }
+        FusionPlan { plan, verdict, sweep, prepared: OnceLock::new() }
+    }
+
+    /// Bytes the plan keeps resident: every fused gate's `f64` matrix, plus
+    /// the prepared form once one is kept.
+    pub fn resident_bytes(&self) -> u64 {
+        let matrices: usize = (self.plan.fused.ops.iter())
+            .map(|op| match op {
+                FusedOp::Unitary(g) => size_of_val(g.matrix().as_slice()),
+                FusedOp::Measurement { .. } => 0,
+            })
+            .sum();
+        matrices as u64 + self.prepared.get().map_or(0, |p| p.bytes)
+    }
+
+    /// The prepared gates for a walk at `F` under `key`: the kept form,
+    /// built by `build` and kept if the plan has none, or `None` when the
+    /// kept form has another key.
+    pub(crate) fn prepared<F: Float>(
+        &self,
+        key: PrepareKey,
+        build: impl FnOnce() -> Vec<PreparedGate<'static, F>>,
+    ) -> Option<&[PreparedGate<'static, F>]> {
+        let form = self.prepared.get_or_init(|| {
+            let gates = build();
+            let bytes = gates.iter().map(PreparedGate::heap_bytes).sum::<usize>() as u64;
+            Arc::new(Prepared { key, gates: Box::new(gates), bytes })
+        });
+        let gates = form.gates.downcast_ref::<Vec<PreparedGate<'static, F>>>();
+        gates.filter(|_| form.key == key).map(Vec::as_slice)
     }
 
     /// The verdict for a walk under `sweep`: the stored one, or — when the

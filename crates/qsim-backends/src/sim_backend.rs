@@ -251,6 +251,18 @@ impl SimBackend {
         FusionPlan::check(fused.clone().into(), self.launch_policy(precision).sweep)
     }
 
+    /// Build and keep `plan`'s prepared form for this backend's functional
+    /// walks at `precision`: the form its first such walk would build. A
+    /// plan that keeps a form already is left as it is. A service calls
+    /// this when it caches a plan, so the jobs that hit the cache prepare
+    /// nothing.
+    pub fn prepare(&self, plan: &FusionPlan, precision: Precision) {
+        match precision {
+            Precision::Single => self.keep_prepared::<f32>(plan),
+            Precision::Double => self.keep_prepared::<f64>(plan),
+        }
+    }
+
     /// Run a planned circuit; the report carries the plan's strategy and
     /// predicted cost alongside the realized timings.
     pub fn run_plan<F: Float>(

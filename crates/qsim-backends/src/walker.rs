@@ -18,10 +18,12 @@
 //! [`SimBackend::run_with`] with a gang of one, and
 //! [`SimBackend::run_batch`] with one gang per hash-equal group of
 //! sub-jobs — the cuQuantum-style batched gate application, where
-//! analysis runs once, each gate's matrix is converted and uploaded once,
-//! and one [`qsim_core::sweep::PreparedRun`] per cache-blocked run is swept
-//! across every state. A launch over `k` states is charged `k` states'
-//! bytes and flops; the dry walk is charged as one state.
+//! analysis runs once, each gate's matrix is uploaded once, and one
+//! [`qsim_core::sweep::PreparedRun`] per cache-blocked run is swept across
+//! every state. The gates come prepared from the plan ([`prepare_gates`],
+//! kept by [`FusionPlan`] per precision, ISA and sweep). A launch over `k`
+//! states is charged `k` states' bytes and flops; the dry walk is charged
+//! as one state.
 //!
 //! Kernel bodies run on the **live prefix** of each state: a state born
 //! `|0…0⟩` is exact `+0` above its highest touched qubit, so the walk
@@ -51,6 +53,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -62,22 +65,126 @@ use gpu_model::GpuError;
 use qsim_circuit::gates::permute_matrix_bits;
 use qsim_core::batch::{apply_gate_gang, apply_run_gang, PushError, StateBatch};
 use qsim_core::cancel::CancelToken;
-use qsim_core::kernels::PAR_GRAIN_AMPS;
+use qsim_core::kernels::{PreparedGate, PAR_GRAIN_AMPS};
 use qsim_core::statespace::{measure, norm_sqr, sample};
-use qsim_core::sweep::{PassTracker, SweepExecutor};
+use qsim_core::sweep::{PassTracker, SweepConfig, SweepExecutor};
 use qsim_core::types::{Cplx, Float, Precision};
 use qsim_core::{GateMatrix, StateVector};
-use qsim_fusion::{FusedGate, FusedOp};
+use qsim_fusion::{FusedCircuit, FusedGate, FusedOp};
 
 use crate::batch_run::{BatchResult, SubIn};
 use crate::placement::{swap_index_bits, Placement, Placer, QubitLayout, EXCHANGE_KERNEL};
-use crate::plan::{gate_kernel_desc, init_kernel_desc, sample_kernel_desc, FusionPlan};
+use crate::plan::{gate_kernel_desc, init_kernel_desc, sample_kernel_desc, FusionPlan, PrepareKey};
 use crate::report::{GateClassCount, KernelStat, RunOptions, RunReport};
 use crate::sim_backend::{BackendError, RunFailure, SimBackend};
 
-/// The pending run of block-local gates: charged when met, applied
-/// together when the run flushes.
-type PendingRun<'a, F> = Vec<(Cow<'a, [usize]>, GateMatrix<F>)>;
+/// A walk's schedule: the sweep's run formation and the live width. The
+/// walker steps it gate by gate and [`prepare_gates`] ahead of time, so a
+/// gate is prepared at the width the walk applies it at.
+struct Schedule {
+    tracker: PassTracker,
+    block_qubits: usize,
+    /// Live width: every amplitude with a bit set at or above it is still
+    /// the `+0` acquisition wrote, so kernel bodies run on
+    /// `amps[..1 << live]` only. Its floor keeps a prefix on the same
+    /// ladder rung and sweep block as the full state (below
+    /// `PAR_GRAIN_AMPS` the dispatching entry takes the scalar reference,
+    /// which rounds differently), so results are the full-width run's bit
+    /// for bit; it covers every block-local gate, so only barrier gates,
+    /// exchanges and measurements widen it.
+    live: usize,
+}
+
+/// Where one gate lands: whether it opens a pass, the live width the
+/// open run flushes at first (a barrier gate), and the width its kernel
+/// runs at (the sweep block in a run, else the widened live width).
+struct GateStep {
+    opens_pass: bool,
+    flush_at: Option<usize>,
+    width: usize,
+}
+
+impl Schedule {
+    fn new(sweep: &SweepConfig, n: usize) -> Self {
+        let block_qubits = sweep.block_qubits(n);
+        let floor = block_qubits.max(PAR_GRAIN_AMPS.trailing_zeros() as usize);
+        Schedule { tracker: PassTracker::new(sweep, n), block_qubits, live: floor.min(n) }
+    }
+
+    /// Step over a gate on sorted `slots`.
+    fn gate(&mut self, slots: &[usize]) -> GateStep {
+        let opens_pass = self.tracker.on_gate(slots);
+        if self.tracker.in_run() {
+            return GateStep { opens_pass, flush_at: None, width: self.block_qubits };
+        }
+        let flush_at = Some(self.live);
+        self.widen(slots);
+        GateStep { opens_pass, flush_at, width: self.live }
+    }
+
+    /// Step over a measurement of `slots` (none: the end of the walk): the
+    /// open run flushes at the returned width, then the measured qubits
+    /// widen it (collapse never widens the support).
+    fn barrier(&mut self, slots: &[usize]) -> usize {
+        self.tracker.on_barrier();
+        let at = self.live;
+        self.widen(slots);
+        at
+    }
+
+    fn widen(&mut self, slots: &[usize]) {
+        self.live = self.live.max(slots.iter().max().map_or(0, |q| q + 1));
+    }
+}
+
+thread_local! {
+    /// Gates the walker prepared on this thread (counted in test builds).
+    static GATES_PREPARED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The gate `step` applies: a run's at the sweep block, a barrier's as the
+/// dispatching entry builds it.
+fn prepare_gate<'g, F: Float>(
+    step: &GateStep,
+    slots: &'g [usize],
+    matrix: &'g GateMatrix<F>,
+) -> PreparedGate<'g, F> {
+    if cfg!(test) {
+        GATES_PREPARED.set(GATES_PREPARED.get() + 1);
+    }
+    match step.flush_at {
+        None => PreparedGate::new(step.width, slots, &[], 0, matrix),
+        Some(_) => PreparedGate::dispatching(step.width, slots, &[], 0, matrix),
+    }
+}
+
+/// A plan's prepared form for single-device walks under `sweep`: per
+/// unitary op, in op order, the gate the walk applies.
+pub(crate) fn prepare_gates<F: Float>(
+    fused: &FusedCircuit,
+    sweep: &SweepConfig,
+) -> Vec<PreparedGate<'static, F>> {
+    let mut schedule = Schedule::new(sweep, fused.num_qubits);
+    (fused.ops.iter())
+        .filter_map(|op| match op {
+            FusedOp::Unitary(g) => {
+                let step = schedule.gate(&g.qubits);
+                Some(prepare_gate(&step, &g.qubits, &g.matrix_as::<F>()).into_owned())
+            }
+            FusedOp::Measurement { qubits, .. } => {
+                schedule.barrier(qubits);
+                None
+            }
+        })
+        .collect()
+}
+
+/// The open run's gates, leaving it empty.
+fn take_run<'f, T>(form: &'f [T], pending: &mut Range<usize>) -> &'f [T] {
+    let run = &form[pending.clone()];
+    pending.start = pending.end;
+    run
+}
 
 /// What a walk produced.
 pub(crate) struct Walked<F: Float> {
@@ -187,26 +294,25 @@ impl<F: Float> Gang<F> {
         }
     }
 
-    /// Apply and clear the pending run of block-local gates across the
-    /// `2^live`-amplitude prefix of the whole gang: one
-    /// [`SweepExecutor::prepare_run`] (each gate planned once), swept over
-    /// every live state. Each state's token is polled at every sweep cache
-    /// block; a state cancelled mid-run fails with `at_op`.
+    /// Apply a run of block-local gates, prepared at block size, across
+    /// the `2^live`-amplitude prefix of the whole gang: one
+    /// [`SweepExecutor::run`] swept over every live state. Each state's
+    /// token is polled at every sweep cache block; a state cancelled
+    /// mid-run fails with `at_op`.
     fn flush(
         &mut self,
         sweep: &SweepExecutor,
-        pending: &mut PendingRun<'_, F>,
+        gates: &[PreparedGate<'_, F>],
         live: usize,
         at_op: usize,
     ) {
-        if pending.is_empty() {
+        if gates.is_empty() {
             return;
         }
-        let prepared = sweep.prepare_run(1 << live, pending.iter().map(|(q, m)| (&**q, m)));
-        for (slot, cause) in apply_run_gang(&prepared, &mut self.batch, &self.cancels) {
+        let run = sweep.run(1 << live, gates);
+        for (slot, cause) in apply_run_gang(&run, &mut self.batch, &self.cancels) {
             self.fail(slot, BackendError::Cancelled { cause, at_op });
         }
-        pending.clear();
         self.debug_assert_norms(live, "cache-blocked sweep run");
     }
 
@@ -285,14 +391,15 @@ fn bump(stats: &mut BTreeMap<String, (u64, f64)>, name: &str, dur_us: f64) {
 
 /// A gate's sorted physical slots under `layout` and, for a functional
 /// walk, its matrix at `F` re-expressed over them. Without a layout the
-/// slots are the gate's own qubits, borrowed.
+/// slots are the gate's own qubits, borrowed, and the matrix is left to
+/// the plan's prepared form.
 fn physical_gate<'a, F: Float>(
     g: &'a FusedGate,
     layout: Option<&QubitLayout>,
     functional: bool,
 ) -> (Cow<'a, [usize]>, Option<GateMatrix<F>>) {
     let Some(layout) = layout else {
-        return (Cow::Borrowed(&g.qubits), functional.then(|| g.matrix_as()));
+        return (Cow::Borrowed(&g.qubits), None);
     };
     let slots: Vec<usize> = g.qubits.iter().map(|&q| layout.slot_of(q)).collect();
     let mut sorted = slots.clone();
@@ -331,6 +438,14 @@ fn chunk_desc(desc: &KernelDesc, i: usize, chunks: usize) -> KernelDesc {
 }
 
 impl SimBackend {
+    /// Keep `plan`'s prepared form for this backend's single-device walks
+    /// at `F` (see [`SimBackend::prepare`]).
+    pub(crate) fn keep_prepared<F: Float>(&self, plan: &FusionPlan) {
+        let sweep = self.launch_policy(F::PRECISION).sweep;
+        let key = PrepareKey { precision: F::PRECISION, isa: qsim_core::simd::active_isa(), sweep };
+        plan.prepared::<F>(key, || prepare_gates(&plan.fused, &sweep));
+    }
+
     /// Walk `plan` at precision `F`: over the states of `subs_in` when
     /// given, as a dry run otherwise, and over the placement `placer`
     /// builds when given, on this one device otherwise. `batch` is the
@@ -400,9 +515,9 @@ impl SimBackend {
     /// modeled-runtime error (bad launch, matrix-buffer OOM) stops the
     /// walk for every state still live.
     #[allow(clippy::too_many_arguments)]
-    fn walk_timeline<'a, F: Float>(
+    fn walk_timeline<F: Float>(
         &self,
-        plan: &'a FusionPlan,
+        plan: &FusionPlan,
         gang: &mut Option<Gang<F>>,
         mut placement: Option<Placement>,
         wall_start: Instant,
@@ -446,29 +561,37 @@ impl SimBackend {
         // modeled timeline as usual but their functional application is
         // deferred so a whole run applies to each cache block in one pass
         // (no sweeping on GPU flavors or under a placement — their policy
-        // disables it, the tracker then marks every gate a barrier and
+        // disables it, the schedule then marks every gate a barrier and
         // `pending` stays empty, also across exchanges).
-        let mut tracker = PassTracker::new(&policy.sweep, n);
-        let mut pending: PendingRun<'a, F> = Vec::new();
-
-        // Live width: every amplitude with a bit set at or above `live` is
-        // still the `+0` acquisition wrote, so kernel bodies run on
-        // `amps[..1 << live]` only. The floor keeps a prefix on the same
-        // ladder rung and sweep block as the full state (below
-        // `PAR_GRAIN_AMPS` the dispatching entry takes the scalar
-        // reference, which rounds differently), so results are the
-        // full-width run's bit for bit; it also covers every block-local
-        // gate, so only barrier gates, exchanges and measurements widen
-        // `live`.
-        let floor = policy.sweep.block_qubits(n).max(PAR_GRAIN_AMPS.trailing_zeros() as usize);
-        let mut live = floor.min(n);
+        let mut schedule = Schedule::new(&policy.sweep, n);
         let mut amp_updates = 0u64;
+
+        // A functional single-device walk applies the plan's prepared form:
+        // the kept one, or — when the plan keeps a form under another key —
+        // one prepared for this walk alone. A placed walk prepares each gate
+        // at its slots as it meets it.
+        let transient;
+        let form: &[PreparedGate<'static, F>] = if gang.is_some() && placement.is_none() {
+            let key = PrepareKey { precision: F::PRECISION, isa, sweep: policy.sweep };
+            match plan.prepared(key, || prepare_gates(fused, &policy.sweep)) {
+                Some(gates) => gates,
+                None => {
+                    transient = prepare_gates(fused, &policy.sweep);
+                    &transient
+                }
+            }
+        } else {
+            &[]
+        };
+        // The open run, as indices into `form`, and the next unitary's.
+        let mut pending = 0..0;
+        let mut unitary = 0;
 
         for (op_index, op) in fused.ops.iter().enumerate() {
             if let Some(gang) = gang.as_mut() {
                 gang.poll_cancels(op_index);
                 if gang.batch.active_count() == 0 {
-                    pending.clear();
+                    pending.start = pending.end;
                     break;
                 }
             }
@@ -481,68 +604,66 @@ impl SimBackend {
                         let exchange = &p.exchanges[op_index];
                         for &(local, global) in &exchange.pairs {
                             if let Some(gang) = gang.as_mut() {
-                                gang.swap_bits(&mut live, local, global);
+                                gang.swap_bits(&mut schedule.live, local, global);
                             }
                             p.layout.swap_slots(local, global);
                         }
                         exchange.link_us
                     });
-                    // Converted once, uploaded once, applied N times —
-                    // the batched amortization.
                     let layout = placement.as_ref().map(|p| &p.layout);
                     let (slots, matrix) = physical_gate::<F>(g, layout, gang.is_some());
                     if let Some(cs) = copy_stream {
-                        // Ship the fused matrix to the device; a dry walk
-                        // has no matrix to move and charges the same copy.
-                        match &matrix {
-                            Some(m) => {
-                                let mut mbuf = self.gpu.malloc::<Cplx<F>>(m.dim() * m.dim())?;
-                                self.gpu.memcpy_h2d_async(&mut mbuf, m.as_slice(), cs)?;
-                            }
-                            None => {
-                                let dim = 1usize << g.qubits.len();
-                                let bytes = (dim * dim * amp_bytes) as u64;
-                                self.gpu.charge_memcpy(SpanKind::MemcpyH2D, bytes, cs)?;
-                            }
+                        // Ship the fused matrix to the device, once for the
+                        // gang: a functional walk allocates its device
+                        // buffer; a dry walk has no matrix to move and
+                        // charges the same copy.
+                        let dim = 1usize << g.qubits.len();
+                        if gang.is_some() {
+                            self.gpu.malloc::<Cplx<F>>(dim * dim)?;
                         }
+                        let bytes = (dim * dim * amp_bytes) as u64;
+                        self.gpu.charge_memcpy(SpanKind::MemcpyH2D, bytes, cs)?;
                         self.gpu.stream_wait_stream(StreamId::DEFAULT, cs)?;
                     }
-                    let opens_pass = tracker.on_gate(&slots);
+                    let step = schedule.gate(&slots);
+                    let opens_pass = step.opens_pass;
                     let mut desc =
                         gate_kernel_desc(self.flavor, &policy, m, &slots, F::PRECISION, opens_pass);
                     scale_for_gang(&mut desc, width(gang));
-                    let in_run = tracker.in_run();
-                    if !in_run {
-                        // Barrier gate: flush the open run at the width it
-                        // was met at, widen, then go through the ordinary
-                        // strided kernel. (Block-local gates sit below the
-                        // floor, so for them `live` stands.)
-                        if let Some(gang) = gang.as_mut() {
-                            gang.flush(&self.sweep, &mut pending, live, op_index);
-                        }
-                        live = live.max(slots.last().map_or(0, |q| q + 1));
+                    // A barrier gate flushes the open run at the width it
+                    // was met at, then goes through the ordinary strided
+                    // kernel at the widened live width.
+                    if let (Some(gang), Some(at)) = (gang.as_mut(), step.flush_at) {
+                        gang.flush(&self.sweep, take_run(form, &mut pending), at, op_index);
                     }
                     // Like the launch, the exchange moves every state's
                     // shard.
                     let exchange_us = exchange_us * width(gang) as f64;
                     let overlap = placement.as_ref().and_then(|p| p.overlap);
                     self.charge_gate(&desc, exchange_us, overlap, &mut kernel_stats)?;
-                    match (gang.as_mut(), matrix) {
-                        // Applied with the rest of the run when it flushes.
-                        (Some(_), Some(matrix)) if in_run => pending.push((slots, matrix)),
-                        (Some(gang), Some(matrix)) => {
-                            apply_gate_gang(&mut gang.batch, live, &slots, &matrix);
-                            gang.debug_assert_norms(live, &desc.name);
+                    // Prepared once, applied to every state of the gang. A
+                    // run gate waits for its run to flush; a placed walk
+                    // (whose policy does not sweep) applies one at once.
+                    if let Some(gang) = gang.as_mut() {
+                        let placed = matrix.as_ref().map(|m| prepare_gate(&step, &slots, m));
+                        let gate = placed.as_ref().unwrap_or_else(|| &form[unitary]);
+                        match (step.flush_at, &placed) {
+                            (Some(_), _) => {
+                                apply_gate_gang(&mut gang.batch, step.width, gate);
+                                gang.debug_assert_norms(step.width, &desc.name);
+                            }
+                            (None, None) if pending.is_empty() => pending = unitary..unitary + 1,
+                            (None, None) => pending.end = unitary + 1,
+                            (None, Some(_)) => {
+                                let run = std::slice::from_ref(gate);
+                                gang.flush(&self.sweep, run, schedule.live, op_index);
+                            }
                         }
-                        _ => {}
                     }
-                    amp_updates += 1 << live;
+                    unitary += 1;
+                    amp_updates += 1 << schedule.live;
                 }
                 FusedOp::Measurement { qubits, .. } => {
-                    tracker.on_barrier();
-                    if let Some(gang) = gang.as_mut() {
-                        gang.flush(&self.sweep, &mut pending, live, op_index);
-                    }
                     // The slots holding the measured qubits, in the
                     // qubits' order, so bit `j` of the outcome is
                     // `qubits[j]`'s and the outcome per seed is the
@@ -551,9 +672,11 @@ impl SimBackend {
                         None => Cow::Borrowed(qubits.as_slice()),
                         Some(p) => qubits.iter().map(|&q| p.layout.slot_of(q)).collect(),
                     };
-                    // Collapse never widens the support; the prefix only
-                    // has to hold the measured qubits.
-                    live = live.max(slots.iter().max().map_or(0, |q| q + 1));
+                    let at = schedule.barrier(&slots);
+                    if let Some(gang) = gang.as_mut() {
+                        gang.flush(&self.sweep, take_run(form, &mut pending), at, op_index);
+                    }
+                    let live = schedule.live;
                     // qsim measures on-device; we model the equivalent
                     // traffic as a D2H + H2D round trip, once per gang at
                     // the aggregate size, with the host waiting on the
@@ -575,9 +698,9 @@ impl SimBackend {
                 }
             }
         }
-        tracker.on_barrier();
+        let at = schedule.barrier(&[]);
         if let Some(gang) = gang.as_mut() {
-            gang.flush(&self.sweep, &mut pending, live, fused.ops.len());
+            gang.flush(&self.sweep, take_run(form, &mut pending), at, fused.ops.len());
         }
         // Undo the layout in place, so sampling and the returned states
         // are in logical order: step `q` brings logical qubit `q` home.
@@ -585,11 +708,12 @@ impl SimBackend {
             for q in 0..n {
                 let at = p.layout.slot_of(q);
                 if at != q {
-                    gang.swap_bits(&mut live, q, at);
+                    gang.swap_bits(&mut schedule.live, q, at);
                     p.layout.swap_slots(q, at);
                 }
             }
         }
+        let live = schedule.live;
 
         // Final sampling on-device: one gang-scaled launch, each state
         // drawing with its own RNG.
@@ -646,7 +770,7 @@ impl SimBackend {
             // allocator (matrix upload buffers).
             peak_state_bytes: gang_bytes + self.gpu.memory_usage().1,
             buffer_reused: false,
-            state_passes: tracker.stats().full_passes,
+            state_passes: schedule.tracker.stats().full_passes,
             amp_updates,
             analysis_warnings,
             isa: isa.name().into(),
@@ -693,5 +817,124 @@ impl SimBackend {
         bump(stats, EXCHANGE_KERNEL, xt);
         bump(stats, &desc.name, kt);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim_backend::PlanOptions;
+    use crate::{Flavor, RunContext};
+    use qsim_circuit::gates::GateKind;
+    use qsim_circuit::{generate_rqc, Circuit, RqcOptions};
+
+    /// Gates the walker prepared on this thread while `f` ran.
+    fn prepared_by<R>(f: impl FnOnce() -> R) -> (usize, R) {
+        let before = GATES_PREPARED.get();
+        let out = f();
+        (GATES_PREPARED.get() - before, out)
+    }
+
+    /// A random circuit on `n` qubits with a mid-circuit measurement, so
+    /// the walk flushes a run and widens the live prefix at a barrier.
+    fn measured_rqc(n: usize, cycles: usize) -> Circuit {
+        let mut circuit = generate_rqc(&RqcOptions::for_qubits(n, cycles, 5));
+        let half = circuit.ops.iter().map(|op| op.time).max().unwrap_or(0) / 2;
+        let at = circuit.ops.partition_point(|op| op.time <= half);
+        for op in &mut circuit.ops[at..] {
+            op.time += 2;
+        }
+        let measure =
+            qsim_circuit::circuit::GateOp::new(half + 1, GateKind::Measurement, vec![1, n - 1]);
+        circuit.ops.insert(at, measure);
+        circuit
+    }
+
+    fn plan(backend: &SimBackend, circuit: &Circuit) -> FusionPlan {
+        let opts = PlanOptions { max_fused_qubits: 3, ..PlanOptions::default() };
+        backend.plan_circuit(circuit, &opts, Precision::Single)
+    }
+
+    type Outcome = (Vec<(u32, u32)>, Vec<(Vec<usize>, usize)>, Vec<u64>);
+
+    /// Amplitude bits, measurement outcomes and samples of one state.
+    fn outcome(result: BatchResult<f32>) -> Outcome {
+        let (state, report) = result.map_err(|f| f.error).expect("walk completes");
+        let bits = state.amplitudes().iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect();
+        (bits, report.measurements, report.samples)
+    }
+
+    fn run(backend: &SimBackend, plan: &FusionPlan, seeds: &[u64]) -> Vec<Outcome> {
+        let subs = seeds
+            .iter()
+            .map(|&seed| (RunOptions { seed, sample_count: 16 }, RunContext::default()))
+            .collect();
+        backend.run_gang::<f32>(plan, subs).into_iter().map(outcome).collect()
+    }
+
+    /// A dry walk prepares nothing; the first functional walk prepares
+    /// each gate once and keeps the form; the next walk prepares nothing
+    /// and computes the same bits.
+    #[test]
+    fn the_second_walk_of_a_plan_prepares_no_gate() {
+        let backend = SimBackend::new(Flavor::CpuAvx);
+        let plan = plan(&backend, &measured_rqc(12, 8));
+        let matrices = plan.resident_bytes();
+        let (built, report) = prepared_by(|| backend.estimate_plan(&plan, Precision::Single));
+        assert!(report.is_ok());
+        assert_eq!((built, plan.resident_bytes()), (0, matrices), "a dry walk prepares nothing");
+
+        let (built, first) = prepared_by(|| run(&backend, &plan, &[3]));
+        assert_eq!(built, plan.fused.num_unitaries());
+        assert!(plan.resident_bytes() > matrices, "the form is kept");
+        let (built, second) = prepared_by(|| run(&backend, &plan, &[3]));
+        assert_eq!(built, 0);
+        assert_eq!(first, second);
+        assert!(!first[0].1.is_empty(), "the circuit measures");
+    }
+
+    /// A walk under another key — a changed sweep, another precision —
+    /// prepares a transient form and leaves the kept one alone.
+    #[test]
+    fn a_walk_under_another_key_prepares_a_transient_form() {
+        let mut backend = SimBackend::new(Flavor::CpuAvx);
+        let plan = plan(&backend, &measured_rqc(14, 6));
+        let gates = plan.fused.num_unitaries();
+        backend.prepare(&plan, Precision::Single);
+        let kept = plan.resident_bytes();
+        let (built, _) = prepared_by(|| backend.run_plan::<f64>(&plan, &RunOptions::default()));
+        assert_eq!(built, gates, "another precision");
+        backend.set_sweep_config(SweepConfig::with_block_amps(1 << 8));
+        let (built, narrow) = prepared_by(|| run(&backend, &plan, &[9]));
+        assert_eq!(built, gates, "another sweep");
+        assert_eq!(plan.resident_bytes(), kept);
+
+        let fresh = self::plan(&backend, &measured_rqc(14, 6));
+        assert_eq!(narrow, run(&backend, &fresh, &[9]), "the transient form is a fresh plan's");
+        backend.set_sweep_config(SweepConfig::default());
+        let (built, _) = prepared_by(|| run(&backend, &plan, &[9]));
+        assert_eq!(built, 0, "the kept form serves its own key again");
+    }
+
+    /// A gang of four over a plan with barrier gates (18 qubits against
+    /// 2^16-amplitude sweep blocks) prepares each gate once, and every
+    /// member is the single-state walk bit for bit.
+    #[test]
+    fn a_gang_prepares_each_gate_once() {
+        let backend = SimBackend::new(Flavor::CpuAvx);
+        let circuit = measured_rqc(18, 4);
+        let plan = plan(&backend, &circuit);
+        let block = SweepConfig::default().block_qubits(18);
+        let barriers = (plan.fused.ops.iter())
+            .filter(|op| matches!(op, FusedOp::Unitary(g) if g.qubits.iter().any(|&q| q >= block)))
+            .count();
+        assert!(barriers > 0, "the plan has barrier gates");
+        let seeds = [1, 2, 3, 4];
+        let (built, gang) = prepared_by(|| run(&backend, &plan, &seeds));
+        assert_eq!(built, plan.fused.num_unitaries());
+        for (member, &seed) in gang.iter().zip(&seeds) {
+            let alone = run(&backend, &self::plan(&backend, &circuit), &[seed]);
+            assert_eq!(member, &alone[0], "seed {seed}");
+        }
     }
 }

@@ -30,7 +30,6 @@ use rayon::prelude::*;
 use crate::amps::AlignedAmps;
 use crate::cancel::{CancelCause, CancelToken};
 use crate::kernels;
-use crate::matrix::GateMatrix;
 use crate::sweep::PreparedRun;
 use crate::types::{Cplx, Float};
 
@@ -197,22 +196,25 @@ pub fn apply_run_gang<F: Float>(
 
 /// Apply one barrier (non-block-local) gate to the `2^live`-amplitude live
 /// prefix of every active state (`live` = the state's qubit count for the
-/// whole state) through the ordinary strided parallel kernel — the same
-/// [`kernels::apply_gate_par`] call the single-state run loop makes, so
-/// per-state results are bit-identical. The matrix is converted once by
-/// the caller and shared across the gang.
+/// whole state) through the ordinary strided parallel kernel. The gate is
+/// prepared once by the caller — for the same result as the single-state
+/// run loop's [`kernels::apply_gate_par`], as
+/// [`kernels::PreparedGate::dispatching`] at `live` — and shared across the
+/// gang.
 pub fn apply_gate_gang<F: Float>(
     batch: &mut StateBatch<F>,
     live: usize,
-    qubits: &[usize],
-    matrix: &GateMatrix<F>,
+    gate: &kernels::PreparedGate<'_, F>,
 ) {
-    batch.for_each_active(1 << live, |_, amps| kernels::apply_gate_par(amps, qubits, matrix));
+    batch.for_each_active(1 << live, |_, amps| gate.apply_par(amps));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::PreparedGate;
+    use crate::matrix::GateMatrix;
+    use crate::sweep::tests::prepare_run;
     use crate::sweep::{SweepConfig, SweepExecutor};
     use crate::StateVector;
 
@@ -290,10 +292,11 @@ mod tests {
         for _ in 0..3 {
             batch.push_state(None).unwrap();
         }
-        let prepared = exec.prepare_run(1 << n, runs.iter().copied());
-        let cancelled = apply_run_gang(&prepared, &mut batch, &[]);
+        let gates = prepare_run(&exec, 1 << n, &runs);
+        let cancelled = apply_run_gang(&exec.run(1 << n, &gates), &mut batch, &[]);
         assert!(cancelled.is_empty());
-        apply_gate_gang(&mut batch, n, &[5], &h_matrix());
+        let h = h_matrix();
+        apply_gate_gang(&mut batch, n, &PreparedGate::dispatching(n, &[5], &[], 0, &h));
 
         for i in 0..3 {
             let amps = batch.state(i).unwrap();
@@ -319,8 +322,8 @@ mod tests {
         dead.cancel();
         let cancels = vec![None, Some(dead), None];
 
-        let prepared = exec.prepare_run(1 << n, runs.iter().copied());
-        let cancelled = apply_run_gang(&prepared, &mut batch, &cancels);
+        let gates = prepare_run(&exec, 1 << n, &runs);
+        let cancelled = apply_run_gang(&exec.run(1 << n, &gates), &mut batch, &cancels);
         assert_eq!(cancelled, vec![(1, CancelCause::Requested)]);
 
         let mut reference = StateVector::<f64>::new(n);
@@ -359,10 +362,15 @@ mod tests {
         let sentinel = Cplx::new(7.0, -7.0);
         batch.state_mut(1).unwrap()[1 << (live + 1)] = sentinel;
 
-        let prepared = exec.prepare_run(1 << live, runs.iter().copied());
-        assert!(apply_run_gang(&prepared, &mut batch, &[]).is_empty());
+        let gates = prepare_run(&exec, 1 << live, &runs);
+        assert!(apply_run_gang(&exec.run(1 << live, &gates), &mut batch, &[]).is_empty());
         // The barrier gate on qubit `live` widens the prefix by one qubit.
-        apply_gate_gang(&mut batch, live + 1, &[live], &h_matrix());
+        let (h, wider) = (h_matrix(), [live]);
+        apply_gate_gang(
+            &mut batch,
+            live + 1,
+            &PreparedGate::dispatching(live + 1, &wider, &[], 0, &h),
+        );
 
         let slot1 = batch.state_mut(1).unwrap();
         assert_eq!(slot1[1 << (live + 1)], sentinel, "written above the live prefix");
@@ -388,13 +396,15 @@ mod tests {
         }
         let token = CancelToken::new();
         let cancels = vec![None, Some(token.clone()), None];
-        let narrow = exec.prepare_run(1 << live, runs.iter().copied());
-        assert!(apply_run_gang(&narrow, &mut batch, &cancels).is_empty());
-        apply_gate_gang(&mut batch, n, &[n - 1], &h_matrix());
+        let narrow = prepare_run(&exec, 1 << live, &runs);
+        assert!(apply_run_gang(&exec.run(1 << live, &narrow), &mut batch, &cancels).is_empty());
+        let (h, top) = (h_matrix(), [n - 1]);
+        apply_gate_gang(&mut batch, n, &PreparedGate::dispatching(n, &top, &[], 0, &h));
 
         token.cancel();
-        let wide = exec.prepare_run(1 << n, runs.iter().copied());
-        assert_eq!(apply_run_gang(&wide, &mut batch, &cancels), vec![(1, CancelCause::Requested)]);
+        let wide = prepare_run(&exec, 1 << n, &runs);
+        let cancelled = apply_run_gang(&exec.run(1 << n, &wide), &mut batch, &cancels);
+        assert_eq!(cancelled, vec![(1, CancelCause::Requested)]);
         assert_eq!(batch.take(1).map(|b| b.len()), Some(1 << n));
 
         let mut reference = StateVector::<f64>::new(n);
@@ -403,6 +413,198 @@ mod tests {
         exec.apply_run(reference.amplitudes_mut(), runs.iter().copied());
         for i in [0, 2] {
             assert_eq!(batch.state(i).unwrap(), reference.amplitudes(), "slot {i}");
+        }
+    }
+
+    // ---- Prepared once, applied on every walk ----------------------------
+
+    /// Where a gate's tile plan comes from: the portable lanes, or a host
+    /// tier.
+    type Tier = Option<crate::simd::Isa>;
+
+    fn tile_plan<F: Float>(
+        tier: Tier,
+        n: usize,
+        (qubits, controls, values): (&[usize], &[usize], usize),
+        matrix: &GateMatrix<F>,
+    ) -> Option<crate::simd::SimdPlan<F>> {
+        use crate::simd::SimdPlan;
+        match tier {
+            None => SimdPlan::new_portable(n, qubits, controls, values, matrix),
+            Some(isa) => SimdPlan::new_with_isa(isa, n, qubits, controls, values, matrix),
+        }
+    }
+
+    /// One gate at width `width` on tier `tier`; `per_lane` builds its
+    /// tables lane by lane, as every run prepared them before a plan kept
+    /// its gates.
+    fn gate_on<'g, F: Float>(
+        tier: Tier,
+        width: usize,
+        shape: (&'g [usize], &'g [usize], usize),
+        matrix: &'g GateMatrix<F>,
+        per_lane: bool,
+    ) -> PreparedGate<'g, F> {
+        crate::simd::plan::PER_LANE_TABLES.set(per_lane);
+        let tiles = tile_plan(tier, width, shape, matrix);
+        crate::simd::plan::PER_LANE_TABLES.set(false);
+        PreparedGate::with_tiles(width, shape.0, shape.1, shape.2, matrix, tiles)
+    }
+
+    /// Gate classes of [`prepared_once_equals_prepared_per_run`].
+    #[derive(Debug, Clone, Copy)]
+    enum Class {
+        Uniform,
+        Mixed,
+        Diagonal,
+        Controlled,
+    }
+
+    /// A gate of class `class` on `k` qubits of a `live`-qubit prefix,
+    /// its targets below `top` (a sweep block's width for a run gate).
+    fn draw_gate<F: Float>(
+        rng: &mut proptest::TestRng,
+        class: Class,
+        k: usize,
+        top: usize,
+    ) -> (Vec<usize>, Vec<usize>, usize, GateMatrix<F>) {
+        // Uniform gates sit above the widest lane boundary (16 lanes).
+        let low = if matches!(class, Class::Uniform) { 4 } else { 0 };
+        let mut pool: Vec<usize> = (low..top).collect();
+        let mut take =
+            |rng: &mut proptest::TestRng| pool.swap_remove(rng.below(pool.len() as u64) as usize);
+        let mut qubits: Vec<usize> = (0..k).map(|_| take(rng)).collect();
+        if matches!(class, Class::Mixed) && !qubits.contains(&0) {
+            qubits[0] = 0;
+        }
+        qubits.sort_unstable();
+        let controls: Vec<usize> = match class {
+            Class::Controlled => (0..2).map(|_| take(rng)).collect(),
+            _ => Vec::new(),
+        };
+        let values = rng.below(1 << controls.len()) as usize;
+        let dim = 1usize << k;
+        let scale = 1.0 / (dim as f64).sqrt();
+        let entries: Vec<Cplx<F>> = (0..dim * dim)
+            .map(|i| match class {
+                Class::Diagonal if i % (dim + 1) != 0 => Cplx::zero(),
+                _ => Cplx::from_f64(
+                    (rng.unit_f64() * 2.0 - 1.0) * scale,
+                    (rng.unit_f64() * 2.0 - 1.0) * scale,
+                ),
+            })
+            .collect();
+        (qubits, controls, values, GateMatrix::from_slice(dim, &entries))
+    }
+
+    /// The states of a gang, one per seed, each a random unit-ish vector.
+    fn gang_states<F: Float>(n: usize, members: usize, seed: u64) -> Vec<Vec<Cplx<F>>> {
+        let mut rng = proptest::TestRng::from_seed(seed);
+        let mut amp = || Cplx::from_f64(rng.unit_f64() - 0.5, rng.unit_f64() - 0.5);
+        (0..members).map(|_| (0..1usize << n).map(|_| amp()).collect()).collect()
+    }
+
+    type Outcomes = (Vec<(u64, u64)>, usize, Vec<u64>);
+
+    /// Amplitude bits of the `2^live` prefix, then a measurement and
+    /// samples drawn from it under one seed.
+    fn outcomes<F: Float>(amps: &mut [Cplx<F>], live: usize) -> Outcomes {
+        use rand::SeedableRng;
+        let bits =
+            (amps.iter()).map(|a| (a.re.to_f64().to_bits(), a.im.to_f64().to_bits())).collect();
+        let prefix = &mut amps[..1 << live];
+        let norm = crate::statespace::norm_sqr(prefix).sqrt();
+        let inv = Cplx::from_f64(1.0 / norm, 0.0);
+        prefix.iter_mut().for_each(|a| *a *= inv);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let measured = crate::statespace::measure(prefix, &[0, live - 1], &mut rng);
+        (bits, measured, crate::statespace::sample(prefix, 8, &mut rng))
+    }
+
+    /// Two walks over one gate, on a gang's `2^live` prefixes: the gate
+    /// prepared once (scalar uniform tables, owned) and shared by the
+    /// gang, against the gate prepared afresh — per-lane tables, borrowed
+    /// — for every state of every walk. As a barrier gate through
+    /// [`apply_gate_gang`], and, when the gate fits a sweep block, as a
+    /// one-gate run through [`apply_run_gang`].
+    fn check_prepared_once<F: Float>(
+        tier: Tier,
+        class: Class,
+        k: usize,
+        members: usize,
+        seed: u64,
+    ) {
+        let n = 12;
+        let mut rng = proptest::TestRng::from_seed(seed);
+        let live = if rng.below(2) == 0 { n } else { 10 };
+        let block = live - 1;
+        let as_run = !matches!(class, Class::Uniform) && rng.below(2) == 0;
+        let top = if as_run { block } else { live };
+        let (qubits, controls, values, matrix) = draw_gate::<F>(&mut rng, class, k, top);
+        let shape = (qubits.as_slice(), controls.as_slice(), values);
+        let width = if as_run { block } else { live };
+        let exec = SweepExecutor::new(SweepConfig::with_block_amps(1 << block));
+        let what = format!("{tier:?} {class:?} {qubits:?} {controls:?} live {live} run {as_run}");
+
+        let kept = gate_on(tier, width, shape, &matrix, false).into_owned();
+        let mut batch = StateBatch::<F>::new(n);
+        let states = gang_states::<F>(n, members, seed);
+        for state in &states {
+            let slot = batch.push_state(None).unwrap();
+            batch.state_mut(slot).unwrap().copy_from_slice(state);
+        }
+        let mut fresh = states;
+        for _walk in 0..2 {
+            if as_run {
+                let run = exec.run(1 << live, std::slice::from_ref(&kept));
+                assert!(apply_run_gang(&run, &mut batch, &[]).is_empty());
+            } else {
+                apply_gate_gang(&mut batch, live, &kept);
+            }
+            for state in &mut fresh {
+                let gate = gate_on(tier, width, shape, &matrix, true);
+                if as_run {
+                    let run = exec.run(1 << live, std::slice::from_ref(&gate));
+                    run.apply_to(&mut state[..1 << live], None).unwrap();
+                } else {
+                    gate.apply_par(&mut state[..1 << live]);
+                }
+            }
+        }
+        for (slot, state) in fresh.iter_mut().enumerate() {
+            let kept = outcomes(batch.state_mut(slot).unwrap(), live);
+            assert!(kept == outcomes(state, live), "member {slot}: {what}");
+        }
+    }
+
+    /// The portable lanes and every tier the host has.
+    fn tiers() -> Vec<Tier> {
+        use crate::simd::{detected_isa, Isa};
+        let host = [Isa::Avx2, Isa::Avx512].into_iter().filter(|&isa| isa <= detected_isa());
+        std::iter::once(None).chain(host.map(Some)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A gate prepared once and applied on every walk is the gate
+        /// prepared per run, bit for bit: amplitudes, a measurement and
+        /// samples, on every tier, at f32 and f64, for uniform, mixed,
+        /// diagonal and controlled gates of 1–6 qubits, on a live prefix
+        /// below and at full width, for a gang of 1 and of 4.
+        #[test]
+        fn prepared_once_equals_prepared_per_run(
+            seed in 0u64..u64::MAX,
+            class in 0usize..4,
+            k in 1usize..=6,
+            gang in 0usize..2,
+        ) {
+            let class = [Class::Uniform, Class::Mixed, Class::Diagonal, Class::Controlled][class];
+            let members = [1, 4][gang];
+            for tier in tiers() {
+                check_prepared_once::<f32>(tier, class, k, members, seed);
+                check_prepared_once::<f64>(tier, class, k, members, seed);
+            }
         }
     }
 }

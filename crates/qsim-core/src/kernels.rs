@@ -28,6 +28,8 @@
 //! `< 5` map to `ApplyGateL_Kernel` (intra-warp shuffles, extra work) —
 //! see [`classify_gate`].
 
+use std::borrow::Cow;
+
 use rayon::prelude::*;
 
 use crate::matrix::GateMatrix;
@@ -337,10 +339,12 @@ fn apply_groups<F: Float>(
 ///    slices too small to tile.
 ///
 /// A prepared gate applies to any number of `2^n` slices, sequentially or
-/// across cores: the cache-blocked sweep builds one per gate at block size
-/// and applies it sequentially to every block of every state of a gang;
+/// across cores: the cache-blocked sweep applies one prepared at block
+/// size sequentially to every block of every state of a gang;
 /// [`apply_controlled_gate_slice_par`] builds one at state size and applies
-/// it in parallel.
+/// it in parallel. The scalar rungs borrow the caller's qubits and matrix;
+/// [`PreparedGate::into_owned`] gives a gate that outlives them, which is
+/// how a plan keeps its gates prepared across runs.
 pub struct PreparedGate<'g, F: Float> {
     n: usize,
     rung: Rung<'g, F>,
@@ -348,8 +352,8 @@ pub struct PreparedGate<'g, F: Float> {
 
 enum Rung<'g, F: Float> {
     Tiles(SimdPlan<F>),
-    Diagonal { qubits: &'g [usize], diag: Vec<Cplx<F>> },
-    Groups { plan: GatePlan, matrix: &'g GateMatrix<F> },
+    Diagonal { qubits: Cow<'g, [usize]>, diag: Vec<Cplx<F>> },
+    Groups { plan: GatePlan, matrix: Cow<'g, GateMatrix<F>> },
 }
 
 impl<'g, F: Float> PreparedGate<'g, F> {
@@ -364,33 +368,90 @@ impl<'g, F: Float> PreparedGate<'g, F> {
         control_values: usize,
         matrix: &'g GateMatrix<F>,
     ) -> Self {
-        Self::build(n, qubits, controls, control_values, matrix, true)
+        let simd = SimdPlan::new(n, qubits, controls, control_values, matrix);
+        Self::with_tiles(n, qubits, controls, control_values, matrix, simd)
     }
 
-    /// [`PreparedGate::new`], with the tile rung optional: without it the
-    /// gate is the scalar reference.
-    fn build(
+    /// The gate as the dispatching entry
+    /// ([`apply_controlled_gate_slice_par`]) prepares it for a `2^n` slice:
+    /// below [`PAR_GRAIN_AMPS`] the scalar reference, else
+    /// [`PreparedGate::new`]. Applied with [`PreparedGate::apply_par`], it
+    /// is that entry bit for bit.
+    pub fn dispatching(
         n: usize,
         qubits: &'g [usize],
         controls: &[usize],
         control_values: usize,
         matrix: &'g GateMatrix<F>,
-        tiles: bool,
+    ) -> Self {
+        let simd = (1usize << n >= PAR_GRAIN_AMPS)
+            .then(|| SimdPlan::new(n, qubits, controls, control_values, matrix));
+        Self::with_tiles(n, qubits, controls, control_values, matrix, simd.flatten())
+    }
+
+    /// The ladder over a tile plan built by the caller; without one the
+    /// gate is the scalar reference.
+    pub(crate) fn with_tiles(
+        n: usize,
+        qubits: &'g [usize],
+        controls: &[usize],
+        control_values: usize,
+        matrix: &'g GateMatrix<F>,
+        simd: Option<SimdPlan<F>>,
     ) -> Self {
         validate_gate_args(n, qubits, controls, control_values, matrix.dim());
-        let simd =
-            if tiles { SimdPlan::new(n, qubits, controls, control_values, matrix) } else { None };
         let rung = match simd {
             Some(plan) => Rung::Tiles(plan),
             None if controls.is_empty() && is_diagonal(matrix) => Rung::Diagonal {
-                qubits,
+                qubits: Cow::Borrowed(qubits),
                 diag: (0..matrix.dim()).map(|m| matrix.get(m, m)).collect(),
             },
-            None => {
-                Rung::Groups { plan: GatePlan::new(n, qubits, controls, control_values), matrix }
-            }
+            None => Rung::Groups {
+                plan: GatePlan::new(n, qubits, controls, control_values),
+                matrix: Cow::Borrowed(matrix),
+            },
         };
         PreparedGate { n, rung }
+    }
+
+    /// The same gate, owning what its rung borrowed (the qubits of a
+    /// diagonal, the matrix of the scalar groups; a tile plan borrows
+    /// nothing).
+    pub fn into_owned(self) -> PreparedGate<'static, F> {
+        let rung = match self.rung {
+            Rung::Tiles(plan) => Rung::Tiles(plan),
+            Rung::Diagonal { qubits, diag } => {
+                Rung::Diagonal { qubits: Cow::Owned(qubits.into_owned()), diag }
+            }
+            Rung::Groups { plan, matrix } => {
+                Rung::Groups { plan, matrix: Cow::Owned(matrix.into_owned()) }
+            }
+        };
+        PreparedGate { n: self.n, rung }
+    }
+
+    /// The register size the gate was planned for: it applies to `2^n`
+    /// slices.
+    pub fn num_qubits(&self) -> usize {
+        self.n
+    }
+
+    /// Bytes the gate holds: itself, its tables, and what it owns.
+    pub fn heap_bytes(&self) -> usize {
+        let owned = |is_owned: bool, bytes: usize| if is_owned { bytes } else { 0 };
+        size_of::<Self>()
+            + match &self.rung {
+                Rung::Tiles(plan) => plan.heap_bytes(),
+                Rung::Diagonal { qubits, diag } => {
+                    owned(matches!(qubits, Cow::Owned(_)), size_of_val(&**qubits))
+                        + size_of_val(&diag[..])
+                }
+                Rung::Groups { plan, matrix } => {
+                    owned(matches!(matrix, Cow::Owned(_)), size_of_val(matrix.as_slice()))
+                        + size_of_val(&plan.strip[..])
+                        + size_of_val(&plan.offsets[..])
+                }
+            }
     }
 
     /// Apply to one `2^n` slice on the calling thread.
@@ -399,9 +460,10 @@ impl<'g, F: Float> PreparedGate<'g, F> {
     }
 
     /// Apply to one `2^n` slice across cores, in tasks of at least
-    /// [`PAR_GRAIN_AMPS`] amplitudes.
+    /// [`PAR_GRAIN_AMPS`] amplitudes (a shorter slice runs on the calling
+    /// thread).
     pub fn apply_par(&self, amps: &mut [Cplx<F>]) {
-        self.apply(amps, true);
+        self.apply(amps, amps.len() >= PAR_GRAIN_AMPS);
     }
 
     fn apply(&self, amps: &mut [Cplx<F>], parallel: bool) {
@@ -443,7 +505,7 @@ pub fn apply_controlled_gate_seq<F: Float>(
     matrix: &GateMatrix<F>,
 ) {
     let n = slice_qubits(amps);
-    PreparedGate::build(n, qubits, controls, control_values, matrix, false).apply_seq(amps);
+    PreparedGate::with_tiles(n, qubits, controls, control_values, matrix, None).apply_seq(amps);
 }
 
 /// Apply a `k`-qubit gate with the fastest kernels the host has, on all
@@ -463,11 +525,8 @@ pub fn apply_controlled_gate_slice_par<F: Float>(
     control_values: usize,
     matrix: &GateMatrix<F>,
 ) {
-    if amps.len() < PAR_GRAIN_AMPS {
-        return apply_controlled_gate_seq(amps, qubits, controls, control_values, matrix);
-    }
     let n = slice_qubits(amps);
-    PreparedGate::new(n, qubits, controls, control_values, matrix).apply_par(amps);
+    PreparedGate::dispatching(n, qubits, controls, control_values, matrix).apply_par(amps);
 }
 
 #[cfg(test)]

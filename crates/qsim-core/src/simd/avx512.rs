@@ -9,7 +9,8 @@ use std::arch::x86_64::{
     __m512, __m512d, __m512i, _mm512_fmadd_pd, _mm512_fmadd_ps, _mm512_fnmadd_pd, _mm512_fnmadd_ps,
     _mm512_load_si512, _mm512_loadu_pd, _mm512_loadu_ps, _mm512_mul_pd, _mm512_mul_ps,
     _mm512_permutex2var_pd, _mm512_permutex2var_ps, _mm512_permutexvar_pd, _mm512_permutexvar_ps,
-    _mm512_setzero_pd, _mm512_setzero_ps, _mm512_storeu_pd, _mm512_storeu_ps,
+    _mm512_set1_pd, _mm512_set1_ps, _mm512_setzero_pd, _mm512_setzero_ps, _mm512_storeu_pd,
+    _mm512_storeu_ps,
 };
 use std::ops::Range;
 
@@ -97,6 +98,12 @@ impl LaneVec<f32> for F32x16 {
     }
 
     #[inline(always)]
+    unsafe fn splat(x: f32) -> Self {
+        // SAFETY: AVX512F available per the caller's contract.
+        F32x16(unsafe { _mm512_set1_ps(x) })
+    }
+
+    #[inline(always)]
     unsafe fn load_re_im(ptr: *const Cplx<f32>) -> (Self, Self) {
         // SAFETY: caller guarantees 16 complex (32 float) reads; AVX512F
         // available. `vpermt2ps` gathers even/odd floats across both
@@ -178,6 +185,12 @@ impl LaneVec<f64> for F64x8 {
     fn zero() -> Self {
         // SAFETY: AVX512F available per dispatch.
         F64x8(unsafe { _mm512_setzero_pd() })
+    }
+
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        // SAFETY: AVX512F available per the caller's contract.
+        F64x8(unsafe { _mm512_set1_pd(x) })
     }
 
     #[inline(always)]

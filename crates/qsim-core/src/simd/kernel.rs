@@ -17,7 +17,7 @@ use std::ops::Range;
 use crate::kernels::insert_zero_bits;
 use crate::types::{Cplx, Float};
 
-use super::plan::{DiagPlan, MatPlan};
+use super::plan::{Coefs, DiagPlan, MatPlan};
 
 /// A vector of [`LaneVec::LANES`] scalars of type `F` — one SIMD register
 /// worth of either real or imaginary amplitude parts.
@@ -55,6 +55,13 @@ pub(crate) trait LaneVec<F: Float>: Copy + Send + Sync {
 
     /// All-zero vector.
     fn zero() -> Self;
+
+    /// The vector with `x` in every lane: a lane-uniform coefficient,
+    /// stored as one scalar, at load.
+    ///
+    /// # Safety
+    /// The ISA must be available.
+    unsafe fn splat(x: F) -> Self;
 
     /// Load `LANES` consecutive complex amplitudes and split them into
     /// `(re, im)` vectors in lane order.
@@ -133,16 +140,77 @@ pub(crate) unsafe fn apply_mat_range<F: Float, V: LaneVec<F>>(
     plan: &MatPlan<F, V>,
     groups: Range<usize>,
 ) {
+    // SAFETY: the caller's contract, forwarded.
+    unsafe {
+        match &plan.coefs {
+            Coefs::Lanes { re, im } => apply_shaped(amps, plan, (&re[..], &im[..]), groups),
+            Coefs::Splat { re, im } => apply_shaped(amps, plan, (Splat(re), Splat(im)), groups),
+        }
+    }
+}
+
+/// One row of a coefficient table, as the micro-kernel reads it: lane
+/// vectors as stored, or a lane-uniform table's scalars splatted.
+trait CoefRow<F: Float, V: LaneVec<F>>: Copy {
+    /// Entries `start..start + len`.
+    fn row(self, start: usize, len: usize) -> Self;
+
+    /// Entry `c` as a lane vector.
+    ///
+    /// # Safety
+    /// The ISA must be available.
+    unsafe fn lanes(self, c: usize) -> V;
+}
+
+impl<F: Float, V: LaneVec<F>> CoefRow<F, V> for &[V] {
+    #[inline(always)]
+    fn row(self, start: usize, len: usize) -> Self {
+        &self[start..][..len]
+    }
+
+    #[inline(always)]
+    unsafe fn lanes(self, c: usize) -> V {
+        self[c]
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Splat<'a, F>(&'a [F]);
+
+impl<F: Float, V: LaneVec<F>> CoefRow<F, V> for Splat<'_, F> {
+    #[inline(always)]
+    fn row(self, start: usize, len: usize) -> Self {
+        Splat(&self.0[start..][..len])
+    }
+
+    #[inline(always)]
+    unsafe fn lanes(self, c: usize) -> V {
+        // SAFETY: ISA availability per the caller's contract.
+        unsafe { V::splat(self.0[c]) }
+    }
+}
+
+/// Pick the block shape of the plan's gate and walk `groups` with it.
+///
+/// # Safety
+/// Per [`apply_mat_range`]; `coefs` are `plan`'s `(re, im)` tables.
+#[inline(always)]
+unsafe fn apply_shaped<F: Float, V: LaneVec<F>, C: CoefRow<F, V>>(
+    amps: *mut Cplx<F>,
+    plan: &MatPlan<F, V>,
+    coefs: (C, C),
+    groups: Range<usize>,
+) {
     let rows = (1usize << plan.kh).min(V::MAX_ROWS);
     // SAFETY: the caller's contract, forwarded; `rows` is a power of two
     // no larger than the plan's tiles per group, so it divides them.
     unsafe {
         match (rows, V::ACC_PAIRS / rows) {
-            (4, 2) => apply_blocks::<F, V, 4, 2>(amps, plan, groups),
-            (2, 4) => apply_blocks::<F, V, 2, 4>(amps, plan, groups),
-            (1, 8) => apply_blocks::<F, V, 1, 8>(amps, plan, groups),
-            (2, 2) => apply_blocks::<F, V, 2, 2>(amps, plan, groups),
-            (1, 4) => apply_blocks::<F, V, 1, 4>(amps, plan, groups),
+            (4, 2) => apply_blocks::<F, V, C, 4, 2>(amps, plan, coefs, groups),
+            (2, 4) => apply_blocks::<F, V, C, 2, 4>(amps, plan, coefs, groups),
+            (1, 8) => apply_blocks::<F, V, C, 1, 8>(amps, plan, coefs, groups),
+            (2, 2) => apply_blocks::<F, V, C, 2, 2>(amps, plan, coefs, groups),
+            (1, 4) => apply_blocks::<F, V, C, 1, 4>(amps, plan, coefs, groups),
             (r, g) => unreachable!("no micro-kernel instance for a {r}x{g} block"),
         }
     }
@@ -153,9 +221,16 @@ pub(crate) unsafe fn apply_mat_range<F: Float, V: LaneVec<F>>(
 /// # Safety
 /// Per [`apply_mat_range`]; `R` must divide the plan's tiles per group.
 #[inline(always)]
-unsafe fn apply_blocks<F: Float, V: LaneVec<F>, const R: usize, const G: usize>(
+unsafe fn apply_blocks<
+    F: Float,
+    V: LaneVec<F>,
+    C: CoefRow<F, V>,
+    const R: usize,
+    const G: usize,
+>(
     amps: *mut Cplx<F>,
     plan: &MatPlan<F, V>,
+    coefs: (C, C),
     groups: Range<usize>,
 ) {
     // The bound every scratch index below relies on.
@@ -164,12 +239,12 @@ unsafe fn apply_blocks<F: Float, V: LaneVec<F>, const R: usize, const G: usize>(
     let mut g = groups.start;
     while g + G <= groups.end {
         // SAFETY: groups `g..g + G` are inside the caller's range.
-        unsafe { apply_block::<F, V, R, G>(amps, plan, g, &mut scratch) };
+        unsafe { apply_block::<F, V, C, R, G>(amps, plan, coefs, g, &mut scratch) };
         g += G;
     }
     while g < groups.end {
         // SAFETY: as above, one group.
-        unsafe { apply_block::<F, V, R, 1>(amps, plan, g, &mut scratch) };
+        unsafe { apply_block::<F, V, C, R, 1>(amps, plan, coefs, g, &mut scratch) };
         g += 1;
     }
 }
@@ -180,9 +255,10 @@ unsafe fn apply_blocks<F: Float, V: LaneVec<F>, const R: usize, const G: usize>(
 /// Per [`apply_mat_range`] for the groups `g0..g0 + G`; `R` must divide
 /// the plan's tiles per group and `plan.dimk * G <= SCRATCH_VECS`.
 #[inline(always)]
-unsafe fn apply_block<F: Float, V: LaneVec<F>, const R: usize, const G: usize>(
+unsafe fn apply_block<F: Float, V: LaneVec<F>, C: CoefRow<F, V>, const R: usize, const G: usize>(
     amps: *mut Cplx<F>,
     plan: &MatPlan<F, V>,
+    (re, im): (C, C),
     g0: usize,
     scratch: &mut Scratch<V>,
 ) {
@@ -223,14 +299,14 @@ unsafe fn apply_block<F: Float, V: LaneVec<F>, const R: usize, const G: usize>(
 
     // Every source is staged, so rows may be stored as they finish.
     for r0 in (0..tiles).step_by(R) {
-        let coef_re: [&[V]; R] = std::array::from_fn(|r| &plan.coef_re[(r0 + r) * dimk..][..dimk]);
-        let coef_im: [&[V]; R] = std::array::from_fn(|r| &plan.coef_im[(r0 + r) * dimk..][..dimk]);
+        let coef_re: [C; R] = std::array::from_fn(|r| re.row((r0 + r) * dimk, dimk));
+        let coef_im: [C; R] = std::array::from_fn(|r| im.row((r0 + r) * dimk, dimk));
         let mut acc_re = [[V::zero(); G]; R];
         let mut acc_im = [[V::zero(); G]; R];
-        for c in 0..dimk {
-            let [sre, sim] = &src[c];
+        for (c, [sre, sim]) in src.iter().enumerate() {
             for r in 0..R {
-                let (cre, cim) = (coef_re[r][c], coef_im[r][c]);
+                // SAFETY: ISA availability per the caller contract.
+                let (cre, cim) = unsafe { (coef_re[r].lanes(c), coef_im[r].lanes(c)) };
                 for g in 0..G {
                     // Complex multiply-accumulate in split form:
                     //   acc += coef * src

@@ -48,17 +48,27 @@ pub(crate) struct MatPlan<F: Float, V: LaneVec<F>> {
     /// are `tile_cols[m * dimk / 2^kh..][..dimk / 2^kh]`, ascending.
     pub tile_cols: Vec<usize>,
     /// For each gate column, the lane permutation selecting the column's
-    /// low-target bits (identity when `has_low_targets` is false).
+    /// low-target bits (empty when `has_low_targets` is false: no lane
+    /// moves).
     pub perms: Vec<V::Perm>,
     pub has_low_targets: bool,
-    /// Split-complex coefficient tables, one lane vector per
-    /// `[r * dimk + c]` — a `Vec<V>` so every entry is a single aligned
-    /// load (a `Vec<F>` sits 16 bytes off a cache line and splits each).
-    pub coef_re: Vec<V>,
-    pub coef_im: Vec<V>,
+    /// Split-complex coefficient tables, one entry per `[r * dimk + c]`.
+    pub coefs: Coefs<F, V>,
     /// Number of tile groups: `1 << (n - λ - strip_t.len())`.
     pub num_groups: usize,
     marker: PhantomData<F>,
+}
+
+/// A [`MatPlan`]'s split-complex coefficient tables.
+pub(crate) enum Coefs<F: Float, V: LaneVec<F>> {
+    /// One lane vector per entry — a `Vec<V>` so every entry is a single
+    /// aligned load (a `Vec<F>` of lanes sits 16 bytes off a cache line
+    /// and splits each).
+    Lanes { re: Vec<V>, im: Vec<V> },
+    /// A lane-uniform table (no low target, no low control): every lane
+    /// of an entry is the same matrix entry, stored once and splatted at
+    /// load. A plan that stays resident holds `1 / LANES` of the bytes.
+    Splat { re: Vec<F>, im: Vec<F> },
 }
 
 /// Precomputed tile-level plan for an uncontrolled diagonal gate.
@@ -72,6 +82,23 @@ pub(crate) struct DiagPlan<F: Float, V: LaneVec<F>> {
     pub dre: Vec<V>,
     pub dim: Vec<V>,
     marker: PhantomData<F>,
+}
+
+impl<F: Float, V: LaneVec<F>> MatPlan<F, V> {
+    fn heap_bytes(&self) -> usize {
+        let coefs = match &self.coefs {
+            Coefs::Lanes { re, im } => size_of_val(&re[..]) + size_of_val(&im[..]),
+            Coefs::Splat { re, im } => size_of_val(&re[..]) + size_of_val(&im[..]),
+        };
+        let indices = self.strip_t.len() + self.tile_off.len() + self.tile_cols.len();
+        coefs + size_of_val(&self.perms[..]) + indices * size_of::<usize>()
+    }
+}
+
+impl<F: Float, V: LaneVec<F>> DiagPlan<F, V> {
+    fn heap_bytes(&self) -> usize {
+        size_of_val(&self.hq_t[..]) + size_of_val(&self.dre[..]) + size_of_val(&self.dim[..])
+    }
 }
 
 /// Build a [`MatPlan`] or report `None` when the state is too small to
@@ -144,7 +171,7 @@ pub(crate) fn build_mat<F: Float, V: LaneVec<F>>(
     let has_low_targets = !low_t.is_empty();
     let lmask: usize = low_t.iter().map(|&(_, p)| 1usize << p).sum();
     let mut idx = [0usize; MAX_LANES];
-    let perms: Vec<V::Perm> = (0..dimk)
+    let perms: Vec<V::Perm> = (0..if has_low_targets { dimk } else { 0 })
         .map(|c| {
             let dep: usize = low_t.iter().map(|&(j, p)| ((c >> j) & 1) << p).sum();
             for (l, i) in idx[..lanes].iter_mut().enumerate() {
@@ -157,33 +184,36 @@ pub(crate) fn build_mat<F: Float, V: LaneVec<F>>(
     // The matrix row of output lane `l` under high-row pattern `r` is
     // `high_row[r] | low_row[l]`.
     let (high_row, low_row) = row_bits(&high_t, &low_t, lanes);
-    let mut coef_re = Vec::with_capacity((1 << kh) * dimk);
-    let mut coef_im = Vec::with_capacity((1 << kh) * dimk);
-    let mut lane = [Cplx { re: F::ZERO, im: F::ZERO }; MAX_LANES];
     // With no low target and no low control every lane reads the same
-    // entry: read it once and splat it.
-    let uniform = !has_low_targets && lc_mask == 0;
-    for &high in &high_row {
-        for c in 0..dimk {
-            if uniform {
-                let z = matrix.get(high, c);
-                coef_re.push(V::from_fn(|_| z.re));
-                coef_im.push(V::from_fn(|_| z.im));
-                continue;
-            }
-            for (l, z) in lane[..lanes].iter_mut().enumerate() {
-                let row = high | low_row[l];
-                *z = if (l & lc_mask) == lc_val {
-                    matrix.get(row, c)
-                } else {
-                    // Lane fails a low control: identity pass-through.
-                    Cplx { re: if c == row { F::ONE } else { F::ZERO }, im: F::ZERO }
-                };
-            }
-            coef_re.push(V::from_fn(|l| lane[l].re));
-            coef_im.push(V::from_fn(|l| lane[l].im));
+    // entry: store it once.
+    let uniform = !has_low_targets && lc_mask == 0 && !(cfg!(test) && PER_LANE_TABLES.get());
+    let coefs = if uniform {
+        let entries = || high_row.iter().flat_map(|&high| (0..dimk).map(move |c| (high, c)));
+        Coefs::Splat {
+            re: entries().map(|(high, c)| matrix.get(high, c).re).collect(),
+            im: entries().map(|(high, c)| matrix.get(high, c).im).collect(),
         }
-    }
+    } else {
+        let mut re = Vec::with_capacity((1 << kh) * dimk);
+        let mut im = Vec::with_capacity((1 << kh) * dimk);
+        let mut lane = [Cplx { re: F::ZERO, im: F::ZERO }; MAX_LANES];
+        for &high in &high_row {
+            for c in 0..dimk {
+                for (l, z) in lane[..lanes].iter_mut().enumerate() {
+                    let row = high | low_row[l];
+                    *z = if (l & lc_mask) == lc_val {
+                        matrix.get(row, c)
+                    } else {
+                        // Lane fails a low control: identity pass-through.
+                        Cplx { re: if c == row { F::ONE } else { F::ZERO }, im: F::ZERO }
+                    };
+                }
+                re.push(V::from_fn(|l| lane[l].re));
+                im.push(V::from_fn(|l| lane[l].im));
+            }
+        }
+        Coefs::Lanes { re, im }
+    };
 
     let num_groups = 1usize << (n - lambda - strip_t.len());
     Some(MatPlan {
@@ -196,8 +226,7 @@ pub(crate) fn build_mat<F: Float, V: LaneVec<F>>(
         tile_cols,
         perms,
         has_low_targets,
-        coef_re,
-        coef_im,
+        coefs,
         num_groups,
         marker: PhantomData,
     })
@@ -231,6 +260,13 @@ pub(crate) fn build_diag<F: Float, V: LaneVec<F>>(
     let dre = (0..1usize << kh).map(|m| V::from_fn(|l| entry(m, l).re)).collect();
     let dim = (0..1usize << kh).map(|m| V::from_fn(|l| entry(m, l).im)).collect();
     Some(DiagPlan { n, hq_t, dre, dim, marker: PhantomData })
+}
+
+thread_local! {
+    /// Set by tests to build every table lane by lane, as a lane-uniform
+    /// table was built before it was stored one scalar per entry (read in
+    /// test builds only).
+    pub(crate) static PER_LANE_TABLES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Widest lane count of any backend (AVX-512 `f32`).
@@ -273,7 +309,8 @@ fn cast_matrix<F: Float, G: Float>(matrix: &GateMatrix<F>) -> Option<&GateMatrix
 /// any number of amplitude slices (full states or sweep blocks).
 pub struct SimdPlan<F: Float> {
     inner: Inner<F>,
-    isa: Isa,
+    /// Bytes the plan's tables hold.
+    bytes: usize,
 }
 
 enum Inner<F: Float> {
@@ -340,48 +377,52 @@ impl<F: Float> SimdPlan<F> {
             return None;
         }
         let diagonal = controls.is_empty() && crate::kernels::is_diagonal(matrix);
-        let inner = match (isa, F::PRECISION) {
+        let (bytes, inner) = match (isa, F::PRECISION) {
             (Isa::Scalar, _) => None,
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             (Isa::Avx2, Precision::Single) => {
                 let m = cast_matrix::<F, f32>(matrix)?;
                 if diagonal {
-                    build_diag(n, qubits, m).map(Inner::A2Diag32)
+                    build_diag(n, qubits, m).map(|p| (p.heap_bytes(), Inner::A2Diag32(p)))
                 } else {
-                    build_mat(n, qubits, controls, control_values, m).map(Inner::A2Mat32)
+                    build_mat(n, qubits, controls, control_values, m)
+                        .map(|p| (p.heap_bytes(), Inner::A2Mat32(p)))
                 }
             }
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             (Isa::Avx2, Precision::Double) => {
                 let m = cast_matrix::<F, f64>(matrix)?;
                 if diagonal {
-                    build_diag(n, qubits, m).map(Inner::A2Diag64)
+                    build_diag(n, qubits, m).map(|p| (p.heap_bytes(), Inner::A2Diag64(p)))
                 } else {
-                    build_mat(n, qubits, controls, control_values, m).map(Inner::A2Mat64)
+                    build_mat(n, qubits, controls, control_values, m)
+                        .map(|p| (p.heap_bytes(), Inner::A2Mat64(p)))
                 }
             }
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             (Isa::Avx512, Precision::Single) => {
                 let m = cast_matrix::<F, f32>(matrix)?;
                 if diagonal {
-                    build_diag(n, qubits, m).map(Inner::A5Diag32)
+                    build_diag(n, qubits, m).map(|p| (p.heap_bytes(), Inner::A5Diag32(p)))
                 } else {
-                    build_mat(n, qubits, controls, control_values, m).map(Inner::A5Mat32)
+                    build_mat(n, qubits, controls, control_values, m)
+                        .map(|p| (p.heap_bytes(), Inner::A5Mat32(p)))
                 }
             }
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             (Isa::Avx512, Precision::Double) => {
                 let m = cast_matrix::<F, f64>(matrix)?;
                 if diagonal {
-                    build_diag(n, qubits, m).map(Inner::A5Diag64)
+                    build_diag(n, qubits, m).map(|p| (p.heap_bytes(), Inner::A5Diag64(p)))
                 } else {
-                    build_mat(n, qubits, controls, control_values, m).map(Inner::A5Mat64)
+                    build_mat(n, qubits, controls, control_values, m)
+                        .map(|p| (p.heap_bytes(), Inner::A5Mat64(p)))
                 }
             }
             #[cfg(not(all(target_arch = "x86_64", not(miri))))]
             (_, _) => None,
         }?;
-        Some(SimdPlan { inner, isa })
+        Some(SimdPlan { inner, bytes })
     }
 
     /// Plan with the portable 4-lane reference backend regardless of the
@@ -395,19 +436,19 @@ impl<F: Float> SimdPlan<F> {
         matrix: &GateMatrix<F>,
     ) -> Option<Self> {
         let diagonal = controls.is_empty() && crate::kernels::is_diagonal(matrix);
-        let inner = if diagonal {
+        let (bytes, inner) = if diagonal {
             build_diag(n, qubits, matrix)
-                .map(|p| Inner::PortableDiag(p, super::kernel::apply_diag_range::<F, P4<F>>))
+                .map(|p| (p.heap_bytes(), Inner::PortableDiag(p, super::kernel::apply_diag_range)))
         } else {
             build_mat(n, qubits, controls, control_values, matrix)
-                .map(|p| Inner::PortableMat(p, super::kernel::apply_mat_range::<F, P4<F>>))
+                .map(|p| (p.heap_bytes(), Inner::PortableMat(p, super::kernel::apply_mat_range)))
         }?;
-        Some(SimdPlan { inner, isa: Isa::Scalar })
+        Some(SimdPlan { inner, bytes })
     }
 
-    /// The ISA this plan's kernels were compiled for.
-    pub fn isa(&self) -> Isa {
-        self.isa
+    /// Bytes the plan's tables hold on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.bytes
     }
 
     /// Apply to a full state or block slice, single-threaded.
@@ -850,7 +891,10 @@ mod tests {
         (re, im)
     }
 
-    /// `build_mat`'s tables on lane backend `V` against [`per_lane_tables`].
+    /// `build_mat`'s tables on lane backend `V` against [`per_lane_tables`]:
+    /// stored one scalar per entry (the gate is lane-uniform), and each
+    /// scalar splatted as the kernel loads it. The caller has checked that
+    /// the host runs `V`.
     fn tables_match_per_lane<F: Float, V: LaneVec<F>>(
         n: usize,
         qubits: &[usize],
@@ -860,11 +904,17 @@ mod tests {
     ) -> bool {
         let plan =
             build_mat::<F, V>(n, qubits, controls, control_values, matrix).expect("sized to tile");
-        let flat = |table: &[V]| -> Vec<u64> {
-            table.iter().flat_map(lanes_of::<F, V>).map(|x| x.to_f64().to_bits()).collect()
+        let Coefs::Splat { re, im } = &plan.coefs else { return false };
+        let flat = |table: &[F]| -> Vec<u64> {
+            table
+                .iter()
+                // SAFETY: the caller runs this only for lanes the host has.
+                .flat_map(|&x| lanes_of::<F, V>(&unsafe { V::splat(x) }))
+                .map(|x| x.to_f64().to_bits())
+                .collect()
         };
         let want = per_lane_tables(V::LANES, qubits, controls, control_values, matrix);
-        (flat(&plan.coef_re), flat(&plan.coef_im)) == want
+        (flat(re), flat(im)) == want
     }
 
     /// Every lane backend the host has, plus the portable one, in `F`.
@@ -899,8 +949,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         /// A gate with every target and control above the widest lane
-        /// boundary (16 lanes) splats one matrix entry per table entry;
-        /// the tables equal the per-lane construction bit for bit.
+        /// boundary (16 lanes) stores one matrix entry per table entry;
+        /// splatted, the tables equal the per-lane construction bit for
+        /// bit.
         #[test]
         fn uniform_tables_equal_the_per_lane_construction(
             seed in 0u64..u64::MAX,

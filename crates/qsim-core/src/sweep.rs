@@ -191,8 +191,9 @@ where
 }
 
 /// The cache-blocked executor: a [`SweepConfig`] and the run walker over
-/// it. It holds no other state — every gate of a run is planned when the
-/// run is prepared ([`SweepExecutor::prepare_run`]).
+/// it. It holds no other state — a run's gates are prepared by the caller
+/// (by [`SweepExecutor::apply_run`] for a one-shot run) and
+/// [`SweepExecutor::run`] sweeps them.
 pub struct SweepExecutor {
     config: SweepConfig,
 }
@@ -217,29 +218,8 @@ impl SweepExecutor {
         F: Float + 'g,
         I: IntoIterator<Item = (&'g [usize], &'g GateMatrix<F>)>,
     {
-        // Without a token the run cannot be interrupted.
-        let done = self.prepare_run(amps.len(), gates).apply_to(amps, None);
-        debug_assert!(done.is_ok());
-    }
-
-    /// Build the per-run execution plan for a run of block-local gates on
-    /// a `state_len`-amplitude register, without applying it: one
-    /// [`PreparedGate`] per gate, planned at block size. The returned
-    /// [`PreparedRun`] can be applied to any number of `state_len`-sized
-    /// states — the batched gang executor in [`crate::batch`] builds it
-    /// once and sweeps it across every state vector of a gang, which is
-    /// the whole point of batched multi-state execution.
-    pub fn prepare_run<'g, F, I>(&self, state_len: usize, gates: I) -> PreparedRun<'g, F>
-    where
-        F: Float + 'g,
-        I: IntoIterator<Item = (&'g [usize], &'g GateMatrix<F>)>,
-    {
-        assert!(state_len.is_power_of_two() && state_len >= 2, "state length must be 2^n");
-        let block = self.config.block_amps.min(state_len);
-        let block_qubits = block.trailing_zeros() as usize;
-
-        let gates: Vec<PreparedGate<'g, F>> = gates
-            .into_iter()
+        let block_qubits = self.block_qubits(amps.len());
+        let gates: Vec<_> = (gates.into_iter())
             .map(|(qubits, matrix)| {
                 debug_assert!(
                     is_block_local(qubits, block_qubits),
@@ -248,7 +228,34 @@ impl SweepExecutor {
                 PreparedGate::new(block_qubits, qubits, &[], 0, matrix)
             })
             .collect();
-        PreparedRun { state_len, block, gates }
+        // Without a token the run cannot be interrupted.
+        let done = self.run(amps.len(), &gates).apply_to(amps, None);
+        debug_assert!(done.is_ok());
+    }
+
+    /// Qubits of one sweep block of a `state_len`-amplitude register: the
+    /// width a run's gates are prepared at.
+    pub fn block_qubits(&self, state_len: usize) -> usize {
+        assert!(state_len.is_power_of_two() && state_len >= 2, "state length must be 2^n");
+        self.config.block_amps.min(state_len).trailing_zeros() as usize
+    }
+
+    /// The run of `gates` — prepared at block size
+    /// ([`SweepExecutor::block_qubits`]) for a `state_len`-amplitude
+    /// register — ready to sweep over any number of states. It
+    /// borrows the gates, so a gang of states, and every run of a plan
+    /// that keeps its gates prepared, shares one set of them.
+    pub fn run<'a, F: Float>(
+        &self,
+        state_len: usize,
+        gates: &'a [PreparedGate<'a, F>],
+    ) -> PreparedRun<'a, F> {
+        let block_qubits = self.block_qubits(state_len);
+        assert!(
+            gates.iter().all(|g| g.num_qubits() == block_qubits),
+            "a run's gates must be prepared for 2^{block_qubits}-amplitude blocks"
+        );
+        PreparedRun { state_len, block: 1 << block_qubits, gates }
     }
 
     /// Execute a full fused-gate sequence over `amps`: block-local gates
@@ -291,24 +298,20 @@ impl SweepExecutor {
 }
 
 /// A run of block-local gates, fully planned and ready to sweep over any
-/// state of the length it was prepared for. Built by
-/// [`SweepExecutor::prepare_run`]; reusable across states, which is what
-/// lets a gang of state vectors share one set of [`PreparedGate`]s per run.
-pub struct PreparedRun<'g, F: Float> {
+/// state of the length it was prepared for: a slice of [`PreparedGate`]s
+/// and the blocking. Built by [`SweepExecutor::run`]; reusable across
+/// states, which is what lets a gang of state vectors share one set of
+/// prepared gates.
+pub struct PreparedRun<'a, F: Float> {
     state_len: usize,
     block: usize,
-    gates: Vec<PreparedGate<'g, F>>,
+    gates: &'a [PreparedGate<'a, F>],
 }
 
-impl<'g, F: Float> PreparedRun<'g, F> {
+impl<F: Float> PreparedRun<'_, F> {
     /// Whether the run contains no gates (applying it is a no-op).
     pub fn is_empty(&self) -> bool {
         self.gates.is_empty()
-    }
-
-    /// Number of gates in the run.
-    pub fn len(&self) -> usize {
-        self.gates.len()
     }
 
     /// The state length this run was prepared for.
@@ -347,7 +350,7 @@ impl<'g, F: Float> PreparedRun<'g, F> {
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 return;
             }
-            for g in &self.gates {
+            for g in self.gates {
                 g.apply_seq(chunk);
             }
         };
@@ -366,7 +369,7 @@ impl<'g, F: Float> PreparedRun<'g, F> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::kernels::apply_gate_seq;
     use crate::statespace;
@@ -398,6 +401,16 @@ mod tests {
             gates.push((vec![q], h_matrix()));
         }
         gates
+    }
+
+    /// One prepared gate per gate of a run, at `exec`'s block size.
+    pub(crate) fn prepare_run<'g>(
+        exec: &SweepExecutor,
+        state_len: usize,
+        gates: &[(&'g [usize], &'g GateMatrix<f64>)],
+    ) -> Vec<PreparedGate<'g, f64>> {
+        let block_qubits = exec.block_qubits(state_len);
+        gates.iter().map(|&(q, m)| PreparedGate::new(block_qubits, q, &[], 0, m)).collect()
     }
 
     fn reference_state(n: usize, gates: &[(Vec<usize>, GateMatrix<f64>)]) -> StateVector<f64> {
@@ -447,7 +460,8 @@ mod tests {
         // A live token does not perturb the result.
         let token = CancelToken::new();
         let mut sv = StateVector::<f64>::new(n);
-        exec.prepare_run(1 << n, runs.iter().copied())
+        let prepared = prepare_run(&exec, 1 << n, &runs);
+        exec.run(1 << n, &prepared)
             .apply_to(sv.amplitudes_mut(), Some(&token))
             .expect("live token must not cancel");
         let reference = reference_state(n, &gates);
@@ -456,10 +470,8 @@ mod tests {
         // A pre-cancelled token skips every block and reports why.
         token.cancel();
         let mut sv = StateVector::<f64>::new(n);
-        let err = exec
-            .prepare_run(1 << n, runs.iter().copied())
-            .apply_to(sv.amplitudes_mut(), Some(&token))
-            .unwrap_err();
+        let err =
+            exec.run(1 << n, &prepared).apply_to(sv.amplitudes_mut(), Some(&token)).unwrap_err();
         assert_eq!(err, CancelCause::Requested);
         // No block was touched: still |0…0⟩.
         assert!((sv.amplitude(0).re - 1.0).abs() < 1e-15);

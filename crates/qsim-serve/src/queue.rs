@@ -103,16 +103,18 @@ pub struct QueuedJob {
 }
 
 impl QueuedJob {
-    /// Plan a spec's circuit for its backend — the per-unique-circuit
-    /// work the service caches by circuit content hash across hash-equal
-    /// submissions.
+    /// Plan a spec's circuit for its backend, and prepare the plan's gates
+    /// for a worker's walks — the per-unique-circuit work the service
+    /// caches by circuit content hash across hash-equal submissions.
     pub fn plan_spec(spec: &JobSpec) -> FusionPlan {
         let backend = SimBackend::new(spec.flavor);
         let opts = qsim_backends::PlanOptions {
             strategy: spec.strategy,
             max_fused_qubits: spec.max_fused,
         };
-        backend.plan_circuit(&spec.circuit, &opts, spec.precision)
+        let plan = backend.plan_circuit(&spec.circuit, &opts, spec.precision);
+        backend.prepare(&plan, spec.precision);
+        plan
     }
 
     /// Build a single-device queued job around its plan and the plan's

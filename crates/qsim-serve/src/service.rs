@@ -398,7 +398,9 @@ pub(crate) struct ServiceInner {
     circuits: CircuitTable,
     /// Checked fusion plans keyed by circuit content and plan settings;
     /// shared across hash-equal submissions so each unique circuit is
-    /// planned and analysed once, not once per job. Byte-budgeted with
+    /// planned, analysed and prepared once, not once per job. Each entry
+    /// is charged its [`FusionPlan::resident_bytes`]: the fused matrices
+    /// and the prepared gates the workers' walks apply. Byte-budgeted with
     /// per-entry CLOCK eviction: a hot circuit's plan survives a parade
     /// of cold one-shot circuits (the old fixed-cap map wholesale-reset
     /// at capacity, dropping every hot plan with the cold ones).
@@ -459,12 +461,6 @@ fn result_cache_key(spec: &JobSpec, circuit_hash: u64) -> Option<ResultKey> {
     ))
 }
 
-/// Modeled resident weight of one plan-cache entry: fixed overhead plus
-/// the fused circuit's op list (matrices dominate each fused op).
-fn plan_entry_bytes(plan: &FusionPlan) -> u64 {
-    256 + plan.fused.ops.len() as u64 * 128
-}
-
 /// Modeled resident weight of one result-cache entry: fixed report
 /// overhead plus the variable-length vectors a sampling or
 /// measurement-heavy run carries.
@@ -507,7 +503,7 @@ impl ServiceInner {
         // writer wins, the loser's `Arc` lives on in its own job).
         let plan = Arc::new(QueuedJob::plan_spec(spec));
         let fused_hash = plan.fused.content_hash();
-        let bytes = plan_entry_bytes(&plan);
+        let bytes = plan.resident_bytes();
         let entry = (plan, fused_hash);
         self.plans.insert(key, entry.clone(), bytes);
         entry

@@ -13,6 +13,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
+use qsim_circuit::circuit::Circuit;
+use qsim_circuit::gates::GateKind;
 use qsim_circuit::library;
 use qsim_circuit::parser::{parse_circuit, write_circuit};
 use qsim_serve::protocol::handle_line;
@@ -140,12 +142,22 @@ fn refused_texts_are_refused_every_time_and_never_stored() {
     assert_eq!((m.circuit_cache.misses, m.circuit_cache.hits, m.submitted), (12, 0, 0));
 }
 
+/// A one-qubit chain of `len` gates: a long text whose plan is one small
+/// fused gate, so a budget that holds one table entry also holds a plan.
+fn chain(len: usize, angle: f64) -> Circuit {
+    let mut c = Circuit::new(1);
+    for t in 0..len {
+        c.add(t, if t % 2 == 0 { GateKind::H } else { GateKind::Rz(angle) }, &[0]);
+    }
+    c
+}
+
 /// Under a budget that holds one table entry, the table evicts, the plan
 /// cache keeps its own budget, and every result stays what an unpressed
 /// service computes.
 #[test]
 fn a_one_entry_budget_evicts_and_keeps_results_correct() {
-    let texts: Vec<String> = [library::ghz(6), library::qft(5)].iter().map(write_circuit).collect();
+    let texts: Vec<String> = [chain(16, 0.3), chain(18, -1.1)].iter().map(write_circuit).collect();
     let probe = small_service();
     let sizes: Vec<u64> = texts
         .iter()

@@ -4,7 +4,8 @@
 //! Plus the two budget behaviours the design leans on: a full cache
 //! sheds back to the admission ledger before live work is bounced, and
 //! a hot plan survives a parade of cold circuits (the regression the
-//! per-entry-eviction cache fixes).
+//! per-entry-eviction cache fixes). The plan cache charges each plan
+//! what it keeps resident.
 
 use std::time::Duration;
 
@@ -13,7 +14,9 @@ use qsim_backends::Flavor;
 use qsim_circuit::circuit::Circuit;
 use qsim_circuit::gates::GateKind;
 use qsim_circuit::library;
+use qsim_circuit::{generate_rqc, RqcOptions};
 use qsim_core::types::Precision;
+use qsim_serve::queue::QueuedJob;
 use qsim_serve::{JobSpec, JobState, Service, ServiceConfig};
 
 const WAIT: Duration = Duration::from_secs(120);
@@ -220,13 +223,19 @@ fn full_result_cache_sheds_before_starving_the_state_pool() {
 /// exercises the planner path; seeds vary so jobs are distinct anyway.)
 #[test]
 fn hot_plan_survives_a_cold_circuit_parade() {
+    let hot = library::ghz(8);
+    let cold = |i: u64| random_circuit(6, 8, 100 + i);
+    // Room for about four plans of the parade.
+    let widest = (0..12)
+        .map(cold)
+        .chain([hot.clone()])
+        .map(|circuit| QueuedJob::plan_spec(&JobSpec::new(circuit)).resident_bytes());
     let service = Service::start(ServiceConfig {
         workers: 1,
-        plan_cache_budget_bytes: 4 << 10, // ~4 small plans
+        plan_cache_budget_bytes: 4 * widest.max().expect("plans"),
         result_cache_budget_bytes: 0,
         ..ServiceConfig::default()
     });
-    let hot = library::ghz(8);
     let mut seed = 0u64;
     let mut submit = |circuit: &Circuit| {
         seed += 1;
@@ -244,7 +253,7 @@ fn hot_plan_survives_a_cold_circuit_parade() {
     // hot traffic interleaved the way a steady tenant's would be.
     for wave in 0..4u64 {
         for i in 0..3u64 {
-            submit(&random_circuit(6, 8, 100 + wave * 3 + i));
+            submit(&cold(wave * 3 + i));
         }
         let before = service.metrics().plan_cache;
         submit(&hot);
@@ -255,5 +264,36 @@ fn hot_plan_survives_a_cold_circuit_parade() {
     assert_eq!(hot_hits, 5);
     let stats = service.metrics().plan_cache;
     assert!(stats.evictions > 0, "the parade did apply pressure: {stats:?}");
+    service.shutdown();
+}
+
+/// The five shapes of the open-loop service mix — QFT on 10 and 14
+/// qubits, 14-cycle random circuits on 12, 14 and 16 — as planned jobs.
+fn mix_specs() -> Vec<JobSpec> {
+    let rqc = |n| generate_rqc(&RqcOptions::for_qubits(n, 14, 2023));
+    [library::qft(10), rqc(12), library::qft(14), rqc(14), rqc(16)]
+        .into_iter()
+        .enumerate()
+        .map(|(i, circuit)| {
+            let mut spec = JobSpec::new(circuit);
+            (spec.seed, spec.sample_count) = (i as u64, 32);
+            spec
+        })
+        .collect()
+}
+
+/// Each cached plan is charged what it keeps resident — its fused `f64`
+/// matrices and the prepared gates the workers apply — and the jobs that
+/// ran on it left that charge as it was (the form was built at insert).
+#[test]
+fn plan_cache_charges_the_resident_bytes_of_its_plans() {
+    let service = Service::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+    let specs = mix_specs();
+    for spec in &specs {
+        run_to_done(&service, spec.clone());
+    }
+    let want: u64 = specs.iter().map(|spec| QueuedJob::plan_spec(spec).resident_bytes()).sum();
+    let stats = service.metrics().plan_cache;
+    assert_eq!((stats.entries, stats.occupancy_bytes), (5, want), "{stats:?}");
     service.shutdown();
 }
