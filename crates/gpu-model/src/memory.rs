@@ -1,11 +1,10 @@
 //! Device memory: typed buffers drawn from a capacity-tracked pool.
 //!
-//! A [`DeviceBuffer`] holds no data (the simulated GPU's kernels run on
-//! host buffers), but allocation goes through the device's [`MemoryPool`]
-//! so capacity limits behave like `hipMalloc`: a 31-qubit
+//! Functionally a [`DeviceBuffer`] is host memory (the simulated GPU's
+//! kernels run on the host), but allocation goes through the device's
+//! [`MemoryPool`] so capacity limits behave like `hipMalloc`: a 31-qubit
 //! double-precision state vector genuinely does not fit the modeled A100.
 
-use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::error::GpuError;
@@ -79,26 +78,48 @@ impl MemoryPool {
     }
 }
 
-/// A typed device allocation (`hipMalloc` result): its bytes stay charged
-/// to the pool until drop. The model moves no data, so it holds none.
+/// A typed device allocation (`hipMalloc` result). Freed on drop.
 #[derive(Debug)]
 pub struct DeviceBuffer<T> {
+    data: Vec<T>,
     bytes: u64,
     pool: Arc<Mutex<MemoryPool>>,
-    marker: PhantomData<T>,
 }
 
-impl<T> DeviceBuffer<T> {
-    /// Allocate `len` elements (the simulated runtime's `hipMalloc`).
+impl<T: Default + Clone> DeviceBuffer<T> {
+    /// Allocate `len` elements, zero-initialised (the simulated runtime's
+    /// `hipMalloc` + `hipMemset`).
     pub(crate) fn new(len: usize, pool: Arc<Mutex<MemoryPool>>) -> Result<Self, GpuError> {
         let bytes = (len * std::mem::size_of::<T>()) as u64;
         lock(&pool).reserve(bytes)?;
-        Ok(DeviceBuffer { bytes, pool, marker: PhantomData })
+        Ok(DeviceBuffer { data: vec![T::default(); len], bytes, pool })
+    }
+}
+
+impl<T> DeviceBuffer<T> {
+    /// Element count.
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Whether the buffer has zero elements.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
     }
 
     /// Allocation size in bytes.
     pub fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// Read access for kernels.
+    pub fn as_slice(&self) -> &[T] {
+        &self.data
+    }
+
+    /// Write access for kernels.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.data
     }
 }
 
@@ -132,6 +153,7 @@ mod tests {
         let p = pool(1024);
         {
             let b = DeviceBuffer::<u64>::new(64, p.clone()).unwrap();
+            assert_eq!(b.len(), 64);
             assert_eq!(b.bytes(), 512);
             assert_eq!(lock(&p).allocated(), 512);
             assert_eq!(lock(&p).free(), 512);
@@ -154,6 +176,13 @@ mod tests {
         }
         // Failed allocation must not leak accounting.
         assert_eq!(lock(&p).allocated(), 0);
+    }
+
+    #[test]
+    fn buffers_are_zeroed() {
+        let p = pool(1024);
+        let b = DeviceBuffer::<f32>::new(8, p).unwrap();
+        assert!(b.as_slice().iter().all(|&x| x == 0.0));
     }
 
     #[test]

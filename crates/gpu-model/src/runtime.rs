@@ -99,10 +99,10 @@ impl Gpu {
         lock(&self.timeline).create_stream()
     }
 
-    /// Allocate a buffer of `len` elements
+    /// Allocate a zero-initialised buffer of `len` elements
     /// (`hipMalloc`). Fails with [`GpuError::OutOfMemory`] when the
     /// modeled capacity is exhausted.
-    pub fn malloc<T>(&self, len: usize) -> Result<DeviceBuffer<T>, GpuError> {
+    pub fn malloc<T: Default + Clone>(&self, len: usize) -> Result<DeviceBuffer<T>, GpuError> {
         DeviceBuffer::new(len, self.pool.clone())
     }
 
@@ -159,6 +159,26 @@ impl Gpu {
     ) -> Result<(f64, f64), GpuError> {
         let (s, e, _) = self.launch_inner(desc, stream, None::<fn()>)?;
         Ok((s, e))
+    }
+
+    /// Asynchronous host→device copy (`hipMemcpyAsync`).
+    pub fn memcpy_h2d_async<T: Copy>(
+        &self,
+        dst: &mut DeviceBuffer<T>,
+        src: &[T],
+        stream: StreamId,
+    ) -> Result<(), GpuError> {
+        if dst.len() != src.len() {
+            return Err(GpuError::InvalidValue(format!(
+                "memcpy H2D size mismatch: dst {} elements, src {}",
+                dst.len(),
+                src.len()
+            )));
+        }
+        let bytes = dst.bytes();
+        dst.as_mut_slice().copy_from_slice(src);
+        self.charge_memcpy(SpanKind::MemcpyH2D, bytes, stream)?;
+        Ok(())
     }
 
     /// Launch a kernel: validates geometry against the device, charges the
@@ -284,7 +304,7 @@ mod tests {
     fn malloc_and_oom() {
         let gpu = small_gpu();
         let buf = gpu.malloc::<f32>(1024).unwrap();
-        assert_eq!(buf.bytes(), 4096);
+        assert_eq!(buf.len(), 1024);
         assert_eq!(gpu.memory_usage().0, 4096);
         assert!(matches!(gpu.malloc::<f32>(1 << 20), Err(GpuError::OutOfMemory { .. })));
     }
@@ -325,6 +345,23 @@ mod tests {
     }
 
     #[test]
+    fn memcpy_h2d_copies_and_charges() {
+        let gpu = small_gpu();
+        let src = vec![1.0f32, 2.0, 3.0, 4.0];
+        let mut buf = gpu.malloc::<f32>(4).unwrap();
+        gpu.memcpy_h2d_async(&mut buf, &src, StreamId::DEFAULT).unwrap();
+        assert_eq!(src, buf.as_slice());
+        assert!(gpu.synchronize() > 0.0);
+    }
+
+    #[test]
+    fn memcpy_size_mismatch() {
+        let gpu = small_gpu();
+        let mut buf = gpu.malloc::<f32>(4).unwrap();
+        assert!(gpu.memcpy_h2d_async(&mut buf, &[1.0f32; 3], StreamId::DEFAULT).is_err());
+    }
+
+    #[test]
     fn streams_overlap_kernels() {
         let gpu = small_gpu();
         let s2 = gpu.create_stream();
@@ -349,7 +386,8 @@ mod tests {
         let mut spec = DeviceSpec::mi250x_gcd();
         spec.memory_bytes = 1 << 20;
         let gpu = Gpu::with_trace(spec, sink.clone());
-        gpu.charge_memcpy(SpanKind::MemcpyH2D, 16, StreamId::DEFAULT).unwrap();
+        let mut buf = gpu.malloc::<f32>(4).unwrap();
+        gpu.memcpy_h2d_async(&mut buf, &[0.0; 4], StreamId::DEFAULT).unwrap();
         gpu.launch(&desc("ApplyGateH_Kernel", 64, 64), StreamId::DEFAULT, || ()).unwrap();
         let names = sink.0.lock().unwrap().clone();
         assert_eq!(names.len(), 2);

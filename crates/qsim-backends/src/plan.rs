@@ -26,7 +26,8 @@ use crate::sim_backend::BackendError;
 /// The plan also keeps its **prepared form** once a functional walk (or
 /// [`crate::SimBackend::prepare`]) has built it: per unitary op, the
 /// [`PreparedGate`] the single-device walk applies, under the key it was
-/// built for (precision × active ISA × sweep). Later walks under that key
+/// built for (precision × active ISA × sweep: the
+/// precision is the gates' type). Later walks under that key
 /// apply it instead of preparing; a walk under another key prepares a
 /// transient form and leaves the kept one alone. Clones share the form.
 #[derive(Debug, Clone)]
@@ -37,20 +38,12 @@ pub struct FusionPlan {
     prepared: OnceLock<Arc<Prepared>>,
 }
 
-/// What a prepared form was built for: the walk's precision, the ISA its
-/// tile plans dispatch to, and the sweep that decides each gate's width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PrepareKey {
-    pub precision: Precision,
-    pub isa: Isa,
-    pub sweep: SweepConfig,
-}
-
-/// A plan's prepared gates under one key; their precision is the key's.
+/// A plan's prepared gates, under the ISA their tile plans dispatch to and
+/// the sweep that decided each gate's width.
 #[derive(Debug)]
 struct Prepared {
-    key: PrepareKey,
-    /// A `Vec<PreparedGate<'static, F>>` at the key's precision.
+    key: (Isa, SweepConfig),
+    /// A `Vec<PreparedGate<'static, F>>` at the walk's precision `F`.
     gates: Box<dyn Any + Send + Sync>,
     bytes: u64,
 }
@@ -76,10 +69,10 @@ impl FusionPlan {
 
     /// The prepared gates for a walk at `F` under `key`: the kept form,
     /// built by `build` and kept if the plan has none, or `None` when the
-    /// kept form has another key.
+    /// kept form has another precision or key.
     pub(crate) fn prepared<F: Float>(
         &self,
-        key: PrepareKey,
+        key: (Isa, SweepConfig),
         build: impl FnOnce() -> Vec<PreparedGate<'static, F>>,
     ) -> Option<&[PreparedGate<'static, F>]> {
         let form = self.prepared.get_or_init(|| {

@@ -258,8 +258,8 @@ impl SimBackend {
     /// nothing.
     pub fn prepare(&self, plan: &FusionPlan, precision: Precision) {
         match precision {
-            Precision::Single => self.keep_prepared::<f32>(plan),
-            Precision::Double => self.keep_prepared::<f64>(plan),
+            Precision::Single => _ = self.kept_form::<f32>(plan),
+            Precision::Double => _ = self.kept_form::<f64>(plan),
         }
     }
 

@@ -74,7 +74,7 @@ use qsim_fusion::{FusedCircuit, FusedGate, FusedOp};
 
 use crate::batch_run::{BatchResult, SubIn};
 use crate::placement::{swap_index_bits, Placement, Placer, QubitLayout, EXCHANGE_KERNEL};
-use crate::plan::{gate_kernel_desc, init_kernel_desc, sample_kernel_desc, FusionPlan, PrepareKey};
+use crate::plan::{gate_kernel_desc, init_kernel_desc, sample_kernel_desc, FusionPlan};
 use crate::report::{GateClassCount, KernelStat, RunOptions, RunReport};
 use crate::sim_backend::{BackendError, RunFailure, SimBackend};
 
@@ -137,11 +137,6 @@ impl Schedule {
     }
 }
 
-thread_local! {
-    /// Gates the walker prepared on this thread (counted in test builds).
-    static GATES_PREPARED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 /// The gate `step` applies: a run's at the sweep block, a barrier's as the
 /// dispatching entry builds it.
 fn prepare_gate<'g, F: Float>(
@@ -149,9 +144,7 @@ fn prepare_gate<'g, F: Float>(
     slots: &'g [usize],
     matrix: &'g GateMatrix<F>,
 ) -> PreparedGate<'g, F> {
-    if cfg!(test) {
-        GATES_PREPARED.set(GATES_PREPARED.get() + 1);
-    }
+    count_prepared();
     match step.flush_at {
         None => PreparedGate::new(step.width, slots, &[], 0, matrix),
         Some(_) => PreparedGate::dispatching(step.width, slots, &[], 0, matrix),
@@ -438,12 +431,15 @@ fn chunk_desc(desc: &KernelDesc, i: usize, chunks: usize) -> KernelDesc {
 }
 
 impl SimBackend {
-    /// Keep `plan`'s prepared form for this backend's single-device walks
-    /// at `F` (see [`SimBackend::prepare`]).
-    pub(crate) fn keep_prepared<F: Float>(&self, plan: &FusionPlan) {
+    /// `plan`'s prepared form for this backend's single-device walks at
+    /// `F`: the kept one, built and kept if the plan has none, or `None`
+    /// when the plan keeps one built under another ISA or sweep.
+    pub(crate) fn kept_form<'p, F: Float>(
+        &self,
+        plan: &'p FusionPlan,
+    ) -> Option<&'p [PreparedGate<'static, F>]> {
         let sweep = self.launch_policy(F::PRECISION).sweep;
-        let key = PrepareKey { precision: F::PRECISION, isa: qsim_core::simd::active_isa(), sweep };
-        plan.prepared::<F>(key, || prepare_gates(&plan.fused, &sweep));
+        plan.prepared((qsim_core::simd::active_isa(), sweep), || prepare_gates(&plan.fused, &sweep))
     }
 
     /// Walk `plan` at precision `F`: over the states of `subs_in` when
@@ -571,18 +567,15 @@ impl SimBackend {
         // one prepared for this walk alone. A placed walk prepares each gate
         // at its slots as it meets it.
         let transient;
-        let form: &[PreparedGate<'static, F>] = if gang.is_some() && placement.is_none() {
-            let key = PrepareKey { precision: F::PRECISION, isa, sweep: policy.sweep };
-            match plan.prepared(key, || prepare_gates(fused, &policy.sweep)) {
-                Some(gates) => gates,
-                None => {
+        let form: &[PreparedGate<'static, F>] =
+            match (gang.is_some() && placement.is_none()).then(|| self.kept_form(plan)) {
+                None => &[],
+                Some(Some(gates)) => gates,
+                Some(None) => {
                     transient = prepare_gates(fused, &policy.sweep);
                     &transient
                 }
-            }
-        } else {
-            &[]
-        };
+            };
         // The open run, as indices into `form`, and the next unitary's.
         let mut pending = 0..0;
         let mut unitary = 0;
@@ -630,35 +623,28 @@ impl SimBackend {
                     let mut desc =
                         gate_kernel_desc(self.flavor, &policy, m, &slots, F::PRECISION, opens_pass);
                     scale_for_gang(&mut desc, width(gang));
-                    // A barrier gate flushes the open run at the width it
-                    // was met at, then goes through the ordinary strided
-                    // kernel at the widened live width.
-                    if let (Some(gang), Some(at)) = (gang.as_mut(), step.flush_at) {
-                        gang.flush(&self.sweep, take_run(form, &mut pending), at, op_index);
-                    }
                     // Like the launch, the exchange moves every state's
                     // shard.
                     let exchange_us = exchange_us * width(gang) as f64;
                     let overlap = placement.as_ref().and_then(|p| p.overlap);
                     self.charge_gate(&desc, exchange_us, overlap, &mut kernel_stats)?;
-                    // Prepared once, applied to every state of the gang. A
-                    // run gate waits for its run to flush; a placed walk
-                    // (whose policy does not sweep) applies one at once.
-                    if let Some(gang) = gang.as_mut() {
-                        let placed = matrix.as_ref().map(|m| prepare_gate(&step, &slots, m));
-                        let gate = placed.as_ref().unwrap_or_else(|| &form[unitary]);
-                        match (step.flush_at, &placed) {
-                            (Some(_), _) => {
-                                apply_gate_gang(&mut gang.batch, step.width, gate);
-                                gang.debug_assert_norms(step.width, &desc.name);
-                            }
-                            (None, None) if pending.is_empty() => pending = unitary..unitary + 1,
-                            (None, None) => pending.end = unitary + 1,
-                            (None, Some(_)) => {
-                                let run = std::slice::from_ref(gate);
-                                gang.flush(&self.sweep, run, schedule.live, op_index);
-                            }
+                    // A barrier gate flushes the open run at the width it
+                    // was met at, then goes through the ordinary strided
+                    // kernel at the widened live width, prepared once for
+                    // the gang (a placed walk, which does not sweep, meets
+                    // only barriers and prepares each at its slots). A run
+                    // gate waits for its run to flush.
+                    match (gang.as_mut(), step.flush_at) {
+                        (Some(gang), Some(at)) => {
+                            gang.flush(&self.sweep, take_run(form, &mut pending), at, op_index);
+                            let placed = matrix.as_ref().map(|m| prepare_gate(&step, &slots, m));
+                            let gate = placed.as_ref().unwrap_or_else(|| &form[unitary]);
+                            apply_gate_gang(&mut gang.batch, step.width, gate);
+                            gang.debug_assert_norms(step.width, &desc.name);
                         }
+                        (Some(_), None) if pending.is_empty() => pending = unitary..unitary + 1,
+                        (Some(_), None) => pending.end = unitary + 1,
+                        (None, _) => {}
                     }
                     unitary += 1;
                     amp_updates += 1 << schedule.live;
@@ -820,6 +806,12 @@ impl SimBackend {
     }
 }
 
+/// Counts a prepared gate in test builds ([`tests::count_prepared`]).
+#[cfg(not(test))]
+fn count_prepared() {}
+#[cfg(test)]
+use tests::count_prepared;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -827,6 +819,15 @@ mod tests {
     use crate::{Flavor, RunContext};
     use qsim_circuit::gates::GateKind;
     use qsim_circuit::{generate_rqc, Circuit, RqcOptions};
+
+    thread_local! {
+        /// Gates the walker prepared on this thread.
+        static GATES_PREPARED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    pub(super) fn count_prepared() {
+        GATES_PREPARED.set(GATES_PREPARED.get() + 1);
+    }
 
     /// Gates the walker prepared on this thread while `f` ran.
     fn prepared_by<R>(f: impl FnOnce() -> R) -> (usize, R) {

@@ -445,9 +445,11 @@ mod tests {
         matrix: &'g GateMatrix<F>,
         per_lane: bool,
     ) -> PreparedGate<'g, F> {
-        crate::simd::plan::PER_LANE_TABLES.set(per_lane);
         let tiles = tile_plan(tier, width, shape, matrix);
-        crate::simd::plan::PER_LANE_TABLES.set(false);
+        let tiles = tiles.map(|t| match per_lane {
+            true => t.with_per_lane_tables(shape.0, shape.1, shape.2, matrix),
+            false => t,
+        });
         PreparedGate::with_tiles(width, shape.0, shape.1, shape.2, matrix, tiles)
     }
 

@@ -25,7 +25,7 @@ mod avx2;
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod avx512;
 mod kernel;
-pub(crate) mod plan;
+mod plan;
 mod portable;
 
 pub use plan::SimdPlan;

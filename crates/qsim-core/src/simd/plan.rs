@@ -186,8 +186,7 @@ pub(crate) fn build_mat<F: Float, V: LaneVec<F>>(
     let (high_row, low_row) = row_bits(&high_t, &low_t, lanes);
     // With no low target and no low control every lane reads the same
     // entry: store it once.
-    let uniform = !has_low_targets && lc_mask == 0 && !(cfg!(test) && PER_LANE_TABLES.get());
-    let coefs = if uniform {
+    let coefs = if !has_low_targets && lc_mask == 0 {
         let entries = || high_row.iter().flat_map(|&high| (0..dimk).map(move |c| (high, c)));
         Coefs::Splat {
             re: entries().map(|(high, c)| matrix.get(high, c).re).collect(),
@@ -262,13 +261,6 @@ pub(crate) fn build_diag<F: Float, V: LaneVec<F>>(
     Some(DiagPlan { n, hq_t, dre, dim, marker: PhantomData })
 }
 
-thread_local! {
-    /// Set by tests to build every table lane by lane, as a lane-uniform
-    /// table was built before it was stored one scalar per entry (read in
-    /// test builds only).
-    pub(crate) static PER_LANE_TABLES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
 /// Widest lane count of any backend (AVX-512 `f32`).
 const MAX_LANES: usize = 16;
 
@@ -309,8 +301,6 @@ fn cast_matrix<F: Float, G: Float>(matrix: &GateMatrix<F>) -> Option<&GateMatrix
 /// any number of amplitude slices (full states or sweep blocks).
 pub struct SimdPlan<F: Float> {
     inner: Inner<F>,
-    /// Bytes the plan's tables hold.
-    bytes: usize,
 }
 
 enum Inner<F: Float> {
@@ -377,52 +367,48 @@ impl<F: Float> SimdPlan<F> {
             return None;
         }
         let diagonal = controls.is_empty() && crate::kernels::is_diagonal(matrix);
-        let (bytes, inner) = match (isa, F::PRECISION) {
+        let inner = match (isa, F::PRECISION) {
             (Isa::Scalar, _) => None,
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             (Isa::Avx2, Precision::Single) => {
                 let m = cast_matrix::<F, f32>(matrix)?;
                 if diagonal {
-                    build_diag(n, qubits, m).map(|p| (p.heap_bytes(), Inner::A2Diag32(p)))
+                    build_diag(n, qubits, m).map(Inner::A2Diag32)
                 } else {
-                    build_mat(n, qubits, controls, control_values, m)
-                        .map(|p| (p.heap_bytes(), Inner::A2Mat32(p)))
+                    build_mat(n, qubits, controls, control_values, m).map(Inner::A2Mat32)
                 }
             }
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             (Isa::Avx2, Precision::Double) => {
                 let m = cast_matrix::<F, f64>(matrix)?;
                 if diagonal {
-                    build_diag(n, qubits, m).map(|p| (p.heap_bytes(), Inner::A2Diag64(p)))
+                    build_diag(n, qubits, m).map(Inner::A2Diag64)
                 } else {
-                    build_mat(n, qubits, controls, control_values, m)
-                        .map(|p| (p.heap_bytes(), Inner::A2Mat64(p)))
+                    build_mat(n, qubits, controls, control_values, m).map(Inner::A2Mat64)
                 }
             }
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             (Isa::Avx512, Precision::Single) => {
                 let m = cast_matrix::<F, f32>(matrix)?;
                 if diagonal {
-                    build_diag(n, qubits, m).map(|p| (p.heap_bytes(), Inner::A5Diag32(p)))
+                    build_diag(n, qubits, m).map(Inner::A5Diag32)
                 } else {
-                    build_mat(n, qubits, controls, control_values, m)
-                        .map(|p| (p.heap_bytes(), Inner::A5Mat32(p)))
+                    build_mat(n, qubits, controls, control_values, m).map(Inner::A5Mat32)
                 }
             }
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             (Isa::Avx512, Precision::Double) => {
                 let m = cast_matrix::<F, f64>(matrix)?;
                 if diagonal {
-                    build_diag(n, qubits, m).map(|p| (p.heap_bytes(), Inner::A5Diag64(p)))
+                    build_diag(n, qubits, m).map(Inner::A5Diag64)
                 } else {
-                    build_mat(n, qubits, controls, control_values, m)
-                        .map(|p| (p.heap_bytes(), Inner::A5Mat64(p)))
+                    build_mat(n, qubits, controls, control_values, m).map(Inner::A5Mat64)
                 }
             }
             #[cfg(not(all(target_arch = "x86_64", not(miri))))]
             (_, _) => None,
         }?;
-        Some(SimdPlan { inner, bytes })
+        Some(SimdPlan { inner })
     }
 
     /// Plan with the portable 4-lane reference backend regardless of the
@@ -436,19 +422,38 @@ impl<F: Float> SimdPlan<F> {
         matrix: &GateMatrix<F>,
     ) -> Option<Self> {
         let diagonal = controls.is_empty() && crate::kernels::is_diagonal(matrix);
-        let (bytes, inner) = if diagonal {
+        let inner = if diagonal {
             build_diag(n, qubits, matrix)
-                .map(|p| (p.heap_bytes(), Inner::PortableDiag(p, super::kernel::apply_diag_range)))
+                .map(|p| Inner::PortableDiag(p, super::kernel::apply_diag_range::<F, P4<F>>))
         } else {
             build_mat(n, qubits, controls, control_values, matrix)
-                .map(|p| (p.heap_bytes(), Inner::PortableMat(p, super::kernel::apply_mat_range)))
+                .map(|p| Inner::PortableMat(p, super::kernel::apply_mat_range::<F, P4<F>>))
         }?;
-        Some(SimdPlan { inner, bytes })
+        Some(SimdPlan { inner })
     }
 
     /// Bytes the plan's tables hold on the heap.
     pub fn heap_bytes(&self) -> usize {
-        self.bytes
+        match &self.inner {
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            Inner::A2Mat32(p) => p.heap_bytes(),
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            Inner::A2Mat64(p) => p.heap_bytes(),
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            Inner::A5Mat32(p) => p.heap_bytes(),
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            Inner::A5Mat64(p) => p.heap_bytes(),
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            Inner::A2Diag32(p) => p.heap_bytes(),
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            Inner::A2Diag64(p) => p.heap_bytes(),
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            Inner::A5Diag32(p) => p.heap_bytes(),
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            Inner::A5Diag64(p) => p.heap_bytes(),
+            Inner::PortableMat(p, _) => p.heap_bytes(),
+            Inner::PortableDiag(p, _) => p.heap_bytes(),
+        }
     }
 
     /// Apply to a full state or block slice, single-threaded.
@@ -586,6 +591,52 @@ impl<F: Float> SimdPlan<F> {
                 unsafe { kernel(amps, p, groups) }
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl<F: Float> SimdPlan<F> {
+    /// The plan with a lane-uniform table rebuilt lane by lane from
+    /// `matrix` ([`tests::per_lane_tables`]), as every run built it before
+    /// such tables were stored one scalar per entry.
+    pub(crate) fn with_per_lane_tables(
+        mut self,
+        qubits: &[usize],
+        controls: &[usize],
+        control_values: usize,
+        matrix: &GateMatrix<F>,
+    ) -> Self {
+        fn rebuild<G: Float, V: LaneVec<G>>(
+            plan: &mut MatPlan<G, V>,
+            (qubits, controls, control_values): (&[usize], &[usize], usize),
+            matrix: Option<&GateMatrix<G>>,
+        ) {
+            if let (Coefs::Splat { .. }, Some(matrix)) = (&plan.coefs, matrix) {
+                let (re, im) =
+                    tests::per_lane_tables(V::LANES, qubits, controls, control_values, matrix);
+                let lanes = |bits: Vec<u64>| -> Vec<V> {
+                    let at = |i: usize| G::from_f64(f64::from_bits(bits[i]));
+                    (0..bits.len() / V::LANES)
+                        .map(|e| V::from_fn(|l| at(e * V::LANES + l)))
+                        .collect()
+                };
+                plan.coefs = Coefs::Lanes { re: lanes(re), im: lanes(im) };
+            }
+        }
+        let shape = (qubits, controls, control_values);
+        match &mut self.inner {
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            Inner::A2Mat32(p) => rebuild(p, shape, cast_matrix(matrix)),
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            Inner::A2Mat64(p) => rebuild(p, shape, cast_matrix(matrix)),
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            Inner::A5Mat32(p) => rebuild(p, shape, cast_matrix(matrix)),
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            Inner::A5Mat64(p) => rebuild(p, shape, cast_matrix(matrix)),
+            Inner::PortableMat(p, _) => rebuild(p, shape, Some(matrix)),
+            _ => {}
+        }
+        self
     }
 }
 
@@ -856,7 +907,7 @@ mod tests {
     /// The coefficient tables as the module doc defines them, one lane at
     /// a time: lane `l` of entry `r·dimk + c` is `M[row(l, r), c]`, or the
     /// identity's entry when `l` fails a low control. Lanes as `f64` bits.
-    fn per_lane_tables<F: Float>(
+    pub(super) fn per_lane_tables<F: Float>(
         lanes: usize,
         qubits: &[usize],
         controls: &[usize],

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
+use qsim_cache::CacheStats;
 use qsim_circuit::circuit::Circuit;
 use qsim_circuit::gates::GateKind;
 use qsim_circuit::library;
@@ -152,12 +153,13 @@ fn chain(len: usize, angle: f64) -> Circuit {
     c
 }
 
-/// Under a budget that holds one table entry, the table evicts, the plan
-/// cache keeps its own budget, and every result stays what an unpressed
-/// service computes.
-#[test]
-fn a_one_entry_budget_evicts_and_keeps_results_correct() {
-    let texts: Vec<String> = [chain(16, 0.3), chain(18, -1.1)].iter().map(write_circuit).collect();
+/// Submits `circuits` for three rounds to a one-worker service whose
+/// budgets hold the larger of their table entries only, checks every
+/// result against an unpressed service's and that the table evicts down
+/// to one entry inside its budget, and returns the budget and the plan
+/// cache's statistics.
+fn under_a_one_entry_budget(circuits: &[Circuit]) -> (u64, CacheStats) {
+    let texts: Vec<String> = circuits.iter().map(write_circuit).collect();
     let probe = small_service();
     let sizes: Vec<u64> = texts
         .iter()
@@ -186,13 +188,31 @@ fn a_one_entry_budget_evicts_and_keeps_results_correct() {
             assert_eq!(run(&tight, &line), run(&probe, &line), "round {round}");
         }
     }
-    let (table, plans) = (tight.metrics().circuit_cache, tight.metrics().plan_cache);
+    let table = tight.metrics().circuit_cache;
     assert!(table.evictions > 0 && table.entries == 1, "{table:?}");
-    assert!(table.occupancy_bytes <= budget, "{table:?}");
-    // Neither cache holds the other out: each ends holding an entry, and
-    // neither sheds an insert it has room for.
+    assert!(table.occupancy_bytes <= budget && table.shed_inserts == 0, "{table:?}");
+    (budget, tight.metrics().plan_cache)
+}
+
+/// Under a budget that holds one table entry of multi-qubit circuits, the
+/// table evicts and every result stays what an unpressed service
+/// computes. Each plan (its matrices and prepared gates) outweighs a
+/// circuit text, so the plan cache sheds every insert and holds nothing.
+#[test]
+fn a_one_entry_budget_evicts_and_keeps_results_correct() {
+    let (_, plans) = under_a_one_entry_budget(&[library::ghz(6), library::qft(5)]);
+    assert_eq!(plans.entries, 0, "{plans:?}");
+    assert!(plans.shed_inserts > 0, "{plans:?}");
+}
+
+/// With circuits whose plans fit the same budget, neither cache holds the
+/// other out: each ends holding an entry, and neither sheds an insert it
+/// has room for.
+#[test]
+fn a_one_entry_budget_keeps_a_plan_that_fits() {
+    let (budget, plans) = under_a_one_entry_budget(&[chain(16, 0.3), chain(18, -1.1)]);
     assert!(plans.entries >= 1 && plans.occupancy_bytes <= budget, "{plans:?}");
-    assert_eq!((table.shed_inserts, plans.shed_inserts), (0, 0), "{table:?} {plans:?}");
+    assert_eq!(plans.shed_inserts, 0, "{plans:?}");
 }
 
 /// A qsim text assembled from generated tokens (a time of `i` is the
