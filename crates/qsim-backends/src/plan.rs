@@ -11,7 +11,7 @@ use qsim_core::kernels::{classify_gate, PreparedGate};
 use qsim_core::simd::Isa;
 use qsim_core::sweep::SweepConfig;
 use qsim_core::types::{Float, Precision};
-use qsim_fusion::{FusedOp, LaunchPolicy};
+use qsim_fusion::LaunchPolicy;
 
 use crate::flavor::Flavor;
 use crate::sim_backend::BackendError;
@@ -23,13 +23,9 @@ use crate::sim_backend::BackendError;
 /// plan derefs read-only to the [`qsim_fusion::FusionPlan`] it wraps and
 /// has no public field, so its verdict cannot go stale.
 ///
-/// The plan also keeps its **prepared form** once a functional walk (or
-/// [`crate::SimBackend::prepare`]) has built it: per unitary op, the
-/// [`PreparedGate`] the single-device walk applies, under the key it was
-/// built for (precision × active ISA × sweep: the
-/// precision is the gates' type). Later walks under that key
-/// apply it instead of preparing; a walk under another key prepares a
-/// transient form and leaves the kept one alone. Clones share the form.
+/// The first functional walk (or [`crate::SimBackend::prepare`]) keeps its
+/// **prepared form**, keyed by precision × active ISA × sweep: per unitary
+/// op, the [`PreparedGate`] a single-device walk applies. Clones share it.
 #[derive(Debug, Clone)]
 pub struct FusionPlan {
     plan: qsim_fusion::FusionPlan,
@@ -38,12 +34,11 @@ pub struct FusionPlan {
     prepared: OnceLock<Arc<Prepared>>,
 }
 
-/// A plan's prepared gates, under the ISA their tile plans dispatch to and
-/// the sweep that decided each gate's width.
+/// A plan's prepared gates and the ISA and sweep they were prepared for.
 #[derive(Debug)]
 struct Prepared {
     key: (Isa, SweepConfig),
-    /// A `Vec<PreparedGate<'static, F>>` at the walk's precision `F`.
+    /// A `Vec<PreparedGate<'static, F>>`, `F` the walk's precision.
     gates: Box<dyn Any + Send + Sync>,
     bytes: u64,
 }
@@ -58,25 +53,20 @@ impl FusionPlan {
     /// Bytes the plan keeps resident: every fused gate's `f64` matrix, plus
     /// the prepared form once one is kept.
     pub fn resident_bytes(&self) -> u64 {
-        let matrices: usize = (self.plan.fused.ops.iter())
-            .map(|op| match op {
-                FusedOp::Unitary(g) => size_of_val(g.matrix().as_slice()),
-                FusedOp::Measurement { .. } => 0,
-            })
-            .sum();
+        let matrices: usize =
+            self.plan.fused.unitaries().map(|g| size_of_val(g.matrix().as_slice())).sum();
         matrices as u64 + self.prepared.get().map_or(0, |p| p.bytes)
     }
 
-    /// The prepared gates for a walk at `F` under `key`: the kept form,
-    /// built by `build` and kept if the plan has none, or `None` when the
-    /// kept form has another precision or key.
+    /// The kept form for a walk at `F` under `sweep` on the active ISA —
+    /// built and kept if the plan has none — or `None` under another key.
     pub(crate) fn prepared<F: Float>(
         &self,
-        key: (Isa, SweepConfig),
-        build: impl FnOnce() -> Vec<PreparedGate<'static, F>>,
+        sweep: SweepConfig,
     ) -> Option<&[PreparedGate<'static, F>]> {
+        let key = (qsim_core::simd::active_isa(), sweep);
         let form = self.prepared.get_or_init(|| {
-            let gates = build();
+            let gates = crate::walker::prepare_gates::<F>(&self.plan.fused, &sweep);
             let bytes = gates.iter().map(PreparedGate::heap_bytes).sum::<usize>() as u64;
             Arc::new(Prepared { key, gates: Box::new(gates), bytes })
         });

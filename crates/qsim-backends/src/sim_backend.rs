@@ -251,15 +251,13 @@ impl SimBackend {
         FusionPlan::check(fused.clone().into(), self.launch_policy(precision).sweep)
     }
 
-    /// Build and keep `plan`'s prepared form for this backend's functional
-    /// walks at `precision`: the form its first such walk would build. A
-    /// plan that keeps a form already is left as it is. A service calls
-    /// this when it caches a plan, so the jobs that hit the cache prepare
-    /// nothing.
+    /// Keep `plan`'s prepared form for this backend's walks at `precision`,
+    /// as its first functional walk would (serve does so as it caches it).
     pub fn prepare(&self, plan: &FusionPlan, precision: Precision) {
+        let sweep = self.launch_policy(precision).sweep;
         match precision {
-            Precision::Single => _ = self.kept_form::<f32>(plan),
-            Precision::Double => _ = self.kept_form::<f64>(plan),
+            Precision::Single => _ = plan.prepared::<f32>(sweep),
+            Precision::Double => _ = plan.prepared::<f64>(sweep),
         }
     }
 

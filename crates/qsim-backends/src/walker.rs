@@ -20,10 +20,9 @@
 //! sub-jobs — the cuQuantum-style batched gate application, where
 //! analysis runs once, each gate's matrix is uploaded once, and one
 //! [`qsim_core::sweep::PreparedRun`] per cache-blocked run is swept across
-//! every state. The gates come prepared from the plan ([`prepare_gates`],
-//! kept by [`FusionPlan`] per precision, ISA and sweep). A launch over `k`
-//! states is charged `k` states' bytes and flops; the dry walk is charged
-//! as one state.
+//! every state, its gates prepared once per plan ([`prepare_gates`]). A
+//! launch over `k` states is charged `k` states' bytes and flops; the dry
+//! walk is charged as one state.
 //!
 //! Kernel bodies run on the **live prefix** of each state: a state born
 //! `|0…0⟩` is exact `+0` above its highest touched qubit, so the walk
@@ -79,29 +78,17 @@ use crate::report::{GateClassCount, KernelStat, RunOptions, RunReport};
 use crate::sim_backend::{BackendError, RunFailure, SimBackend};
 
 /// A walk's schedule: the sweep's run formation and the live width. The
-/// walker steps it gate by gate and [`prepare_gates`] ahead of time, so a
-/// gate is prepared at the width the walk applies it at.
+/// walk and [`prepare_gates`] both step it, so a gate is prepared at the
+/// width it is applied at.
 struct Schedule {
     tracker: PassTracker,
     block_qubits: usize,
-    /// Live width: every amplitude with a bit set at or above it is still
-    /// the `+0` acquisition wrote, so kernel bodies run on
-    /// `amps[..1 << live]` only. Its floor keeps a prefix on the same
-    /// ladder rung and sweep block as the full state (below
-    /// `PAR_GRAIN_AMPS` the dispatching entry takes the scalar reference,
-    /// which rounds differently), so results are the full-width run's bit
-    /// for bit; it covers every block-local gate, so only barrier gates,
-    /// exchanges and measurements widen it.
+    /// Live width: amplitudes at or above bit `live` are still the `+0`
+    /// acquisition wrote, so kernel bodies run on `amps[..1 << live]`. Its
+    /// floor keeps the full state's ladder rung and sweep block (below
+    /// `PAR_GRAIN_AMPS` the dispatching entry takes the scalar reference),
+    /// so results are the full-width run's bit for bit.
     live: usize,
-}
-
-/// Where one gate lands: whether it opens a pass, the live width the
-/// open run flushes at first (a barrier gate), and the width its kernel
-/// runs at (the sweep block in a run, else the widened live width).
-struct GateStep {
-    opens_pass: bool,
-    flush_at: Option<usize>,
-    width: usize,
 }
 
 impl Schedule {
@@ -111,20 +98,20 @@ impl Schedule {
         Schedule { tracker: PassTracker::new(sweep, n), block_qubits, live: floor.min(n) }
     }
 
-    /// Step over a gate on sorted `slots`.
-    fn gate(&mut self, slots: &[usize]) -> GateStep {
+    /// Step over a gate on sorted `slots`: whether it opens a pass and, for
+    /// a barrier gate, the width the open run flushes at before it widens.
+    fn gate(&mut self, slots: &[usize]) -> (bool, Option<usize>) {
         let opens_pass = self.tracker.on_gate(slots);
         if self.tracker.in_run() {
-            return GateStep { opens_pass, flush_at: None, width: self.block_qubits };
+            return (opens_pass, None);
         }
-        let flush_at = Some(self.live);
+        let flush_at = self.live;
         self.widen(slots);
-        GateStep { opens_pass, flush_at, width: self.live }
+        (opens_pass, Some(flush_at))
     }
 
     /// Step over a measurement of `slots` (none: the end of the walk): the
-    /// open run flushes at the returned width, then the measured qubits
-    /// widen it (collapse never widens the support).
+    /// open run flushes at the returned width, then the slots widen it.
     fn barrier(&mut self, slots: &[usize]) -> usize {
         self.tracker.on_barrier();
         let at = self.live;
@@ -137,22 +124,22 @@ impl Schedule {
     }
 }
 
-/// The gate `step` applies: a run's at the sweep block, a barrier's as the
-/// dispatching entry builds it.
+/// The gate `schedule` just stepped over: a run's at the sweep block, a
+/// barrier's at the live width, as the dispatching entry builds it.
 fn prepare_gate<'g, F: Float>(
-    step: &GateStep,
+    schedule: &Schedule,
+    barrier: bool,
     slots: &'g [usize],
     matrix: &'g GateMatrix<F>,
 ) -> PreparedGate<'g, F> {
     count_prepared();
-    match step.flush_at {
-        None => PreparedGate::new(step.width, slots, &[], 0, matrix),
-        Some(_) => PreparedGate::dispatching(step.width, slots, &[], 0, matrix),
+    match barrier {
+        false => PreparedGate::new(schedule.block_qubits, slots, &[], 0, matrix),
+        true => PreparedGate::dispatching(schedule.live, slots, &[], 0, matrix),
     }
 }
 
-/// A plan's prepared form for single-device walks under `sweep`: per
-/// unitary op, in op order, the gate the walk applies.
+/// Per unitary op, the gate a single-device walk under `sweep` applies.
 pub(crate) fn prepare_gates<F: Float>(
     fused: &FusedCircuit,
     sweep: &SweepConfig,
@@ -161,8 +148,8 @@ pub(crate) fn prepare_gates<F: Float>(
     (fused.ops.iter())
         .filter_map(|op| match op {
             FusedOp::Unitary(g) => {
-                let step = schedule.gate(&g.qubits);
-                Some(prepare_gate(&step, &g.qubits, &g.matrix_as::<F>()).into_owned())
+                let barrier = schedule.gate(&g.qubits).1.is_some();
+                Some(prepare_gate(&schedule, barrier, &g.qubits, &g.matrix_as::<F>()).into_owned())
             }
             FusedOp::Measurement { qubits, .. } => {
                 schedule.barrier(qubits);
@@ -170,13 +157,6 @@ pub(crate) fn prepare_gates<F: Float>(
             }
         })
         .collect()
-}
-
-/// The open run's gates, leaving it empty.
-fn take_run<'f, T>(form: &'f [T], pending: &mut Range<usize>) -> &'f [T] {
-    let run = &form[pending.clone()];
-    pending.start = pending.end;
-    run
 }
 
 /// What a walk produced.
@@ -287,18 +267,20 @@ impl<F: Float> Gang<F> {
         }
     }
 
-    /// Apply a run of block-local gates, prepared at block size, across
-    /// the `2^live`-amplitude prefix of the whole gang: one
+    /// Apply and clear the open run of block-local gates, `pending` of the
+    /// `form`, across the `2^live`-amplitude prefix of the whole gang: one
     /// [`SweepExecutor::run`] swept over every live state. Each state's
     /// token is polled at every sweep cache block; a state cancelled
     /// mid-run fails with `at_op`.
     fn flush(
         &mut self,
         sweep: &SweepExecutor,
-        gates: &[PreparedGate<'_, F>],
+        (form, pending): (&[PreparedGate<'_, F>], &mut Range<usize>),
         live: usize,
         at_op: usize,
     ) {
+        let gates = &form[pending.clone()];
+        pending.start = pending.end;
         if gates.is_empty() {
             return;
         }
@@ -384,8 +366,7 @@ fn bump(stats: &mut BTreeMap<String, (u64, f64)>, name: &str, dur_us: f64) {
 
 /// A gate's sorted physical slots under `layout` and, for a functional
 /// walk, its matrix at `F` re-expressed over them. Without a layout the
-/// slots are the gate's own qubits, borrowed, and the matrix is left to
-/// the plan's prepared form.
+/// slots are the gate's own qubits, borrowed (the form has the matrix).
 fn physical_gate<'a, F: Float>(
     g: &'a FusedGate,
     layout: Option<&QubitLayout>,
@@ -431,17 +412,6 @@ fn chunk_desc(desc: &KernelDesc, i: usize, chunks: usize) -> KernelDesc {
 }
 
 impl SimBackend {
-    /// `plan`'s prepared form for this backend's single-device walks at
-    /// `F`: the kept one, built and kept if the plan has none, or `None`
-    /// when the plan keeps one built under another ISA or sweep.
-    pub(crate) fn kept_form<'p, F: Float>(
-        &self,
-        plan: &'p FusionPlan,
-    ) -> Option<&'p [PreparedGate<'static, F>]> {
-        let sweep = self.launch_policy(F::PRECISION).sweep;
-        plan.prepared((qsim_core::simd::active_isa(), sweep), || prepare_gates(&plan.fused, &sweep))
-    }
-
     /// Walk `plan` at precision `F`: over the states of `subs_in` when
     /// given, as a dry run otherwise, and over the placement `placer`
     /// builds when given, on this one device otherwise. `batch` is the
@@ -553,29 +523,24 @@ impl SimBackend {
         let copy_stream =
             (policy.uploads_matrices && placement.is_none()).then_some(self.copy_stream);
 
-        // Cache-blocked sweep state: block-local gates are charged to the
-        // modeled timeline as usual but their functional application is
-        // deferred so a whole run applies to each cache block in one pass
-        // (no sweeping on GPU flavors or under a placement — their policy
-        // disables it, the schedule then marks every gate a barrier and
-        // `pending` stays empty, also across exchanges).
+        // Block-local gates are charged as met and applied when their run
+        // flushes, each cache block in one pass (GPU flavors and placements
+        // do not sweep: every gate is a barrier, `pending` stays empty).
         let mut schedule = Schedule::new(&policy.sweep, n);
         let mut amp_updates = 0u64;
 
-        // A functional single-device walk applies the plan's prepared form:
-        // the kept one, or — when the plan keeps a form under another key —
-        // one prepared for this walk alone. A placed walk prepares each gate
-        // at its slots as it meets it.
+        // A functional single-device walk applies the plan's prepared form
+        // (this walk's own under another key); a placed walk prepares each
+        // gate at its slots.
         let transient;
-        let form: &[PreparedGate<'static, F>] =
-            match (gang.is_some() && placement.is_none()).then(|| self.kept_form(plan)) {
-                None => &[],
-                Some(Some(gates)) => gates,
-                Some(None) => {
-                    transient = prepare_gates(fused, &policy.sweep);
-                    &transient
-                }
-            };
+        let kept = (gang.is_some() && placement.is_none()).then(|| plan.prepared(policy.sweep));
+        let form: &[PreparedGate<'static, F>] = match kept {
+            Some(None) => {
+                transient = prepare_gates(fused, &policy.sweep);
+                &transient
+            }
+            kept => kept.flatten().unwrap_or_default(),
+        };
         // The open run, as indices into `form`, and the next unitary's.
         let mut pending = 0..0;
         let mut unitary = 0;
@@ -607,9 +572,7 @@ impl SimBackend {
                     let (slots, matrix) = physical_gate::<F>(g, layout, gang.is_some());
                     if let Some(cs) = copy_stream {
                         // Ship the fused matrix to the device, once for the
-                        // gang: a functional walk allocates its device
-                        // buffer; a dry walk has no matrix to move and
-                        // charges the same copy.
+                        // gang (a dry walk allocates no buffer).
                         let dim = 1usize << g.qubits.len();
                         if gang.is_some() {
                             self.gpu.malloc::<Cplx<F>>(dim * dim)?;
@@ -618,8 +581,7 @@ impl SimBackend {
                         self.gpu.charge_memcpy(SpanKind::MemcpyH2D, bytes, cs)?;
                         self.gpu.stream_wait_stream(StreamId::DEFAULT, cs)?;
                     }
-                    let step = schedule.gate(&slots);
-                    let opens_pass = step.opens_pass;
+                    let (opens_pass, flush_at) = schedule.gate(&slots);
                     let mut desc =
                         gate_kernel_desc(self.flavor, &policy, m, &slots, F::PRECISION, opens_pass);
                     scale_for_gang(&mut desc, width(gang));
@@ -628,19 +590,17 @@ impl SimBackend {
                     let exchange_us = exchange_us * width(gang) as f64;
                     let overlap = placement.as_ref().and_then(|p| p.overlap);
                     self.charge_gate(&desc, exchange_us, overlap, &mut kernel_stats)?;
-                    // A barrier gate flushes the open run at the width it
-                    // was met at, then goes through the ordinary strided
-                    // kernel at the widened live width, prepared once for
-                    // the gang (a placed walk, which does not sweep, meets
-                    // only barriers and prepares each at its slots). A run
-                    // gate waits for its run to flush.
-                    match (gang.as_mut(), step.flush_at) {
+                    // A barrier gate flushes the open run, then goes
+                    // through the strided kernel at the widened live width,
+                    // once for the gang. A run gate waits for its flush.
+                    match (gang.as_mut(), flush_at) {
                         (Some(gang), Some(at)) => {
-                            gang.flush(&self.sweep, take_run(form, &mut pending), at, op_index);
-                            let placed = matrix.as_ref().map(|m| prepare_gate(&step, &slots, m));
+                            gang.flush(&self.sweep, (form, &mut pending), at, op_index);
+                            let placed =
+                                matrix.as_ref().map(|m| prepare_gate(&schedule, true, &slots, m));
                             let gate = placed.as_ref().unwrap_or_else(|| &form[unitary]);
-                            apply_gate_gang(&mut gang.batch, step.width, gate);
-                            gang.debug_assert_norms(step.width, &desc.name);
+                            apply_gate_gang(&mut gang.batch, schedule.live, gate);
+                            gang.debug_assert_norms(schedule.live, &desc.name);
                         }
                         (Some(_), None) if pending.is_empty() => pending = unitary..unitary + 1,
                         (Some(_), None) => pending.end = unitary + 1,
@@ -660,9 +620,8 @@ impl SimBackend {
                     };
                     let at = schedule.barrier(&slots);
                     if let Some(gang) = gang.as_mut() {
-                        gang.flush(&self.sweep, take_run(form, &mut pending), at, op_index);
+                        gang.flush(&self.sweep, (form, &mut pending), at, op_index);
                     }
-                    let live = schedule.live;
                     // qsim measures on-device; we model the equivalent
                     // traffic as a D2H + H2D round trip, once per gang at
                     // the aggregate size, with the host waiting on the
@@ -674,7 +633,8 @@ impl SimBackend {
                     if let Some(gang) = gang.as_mut() {
                         for (slot, sub) in gang.subs.iter_mut().enumerate() {
                             if let Some(amps) = gang.batch.state_mut(slot) {
-                                let outcome = measure(&mut amps[..1 << live], &slots, &mut sub.rng);
+                                let outcome =
+                                    measure(&mut amps[..1 << schedule.live], &slots, &mut sub.rng);
                                 sub.measurements.push((qubits.clone(), outcome));
                             }
                         }
@@ -686,7 +646,7 @@ impl SimBackend {
         }
         let at = schedule.barrier(&[]);
         if let Some(gang) = gang.as_mut() {
-            gang.flush(&self.sweep, take_run(form, &mut pending), at, fused.ops.len());
+            gang.flush(&self.sweep, (form, &mut pending), at, fused.ops.len());
         }
         // Undo the layout in place, so sampling and the returned states
         // are in logical order: step `q` brings logical qubit `q` home.
@@ -806,7 +766,6 @@ impl SimBackend {
     }
 }
 
-/// Counts a prepared gate in test builds ([`tests::count_prepared`]).
 #[cfg(not(test))]
 fn count_prepared() {}
 #[cfg(test)]

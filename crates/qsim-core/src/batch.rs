@@ -447,7 +447,7 @@ mod tests {
     ) -> PreparedGate<'g, F> {
         let tiles = tile_plan(tier, width, shape, matrix);
         let tiles = tiles.map(|t| match per_lane {
-            true => t.with_per_lane_tables(shape.0, shape.1, shape.2, matrix),
+            true => t.with_per_lane_tables(tier, shape.0, shape.1, shape.2, matrix),
             false => t,
         });
         PreparedGate::with_tiles(width, shape.0, shape.1, shape.2, matrix, tiles)

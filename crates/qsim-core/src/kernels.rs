@@ -342,9 +342,7 @@ fn apply_groups<F: Float>(
 /// across cores: the cache-blocked sweep applies one prepared at block
 /// size sequentially to every block of every state of a gang;
 /// [`apply_controlled_gate_slice_par`] builds one at state size and applies
-/// it in parallel. The scalar rungs borrow the caller's qubits and matrix;
-/// [`PreparedGate::into_owned`] gives a gate that outlives them, which is
-/// how a plan keeps its gates prepared across runs.
+/// it in parallel. [`PreparedGate::into_owned`] stops borrowing.
 pub struct PreparedGate<'g, F: Float> {
     n: usize,
     rung: Rung<'g, F>,
@@ -372,11 +370,9 @@ impl<'g, F: Float> PreparedGate<'g, F> {
         Self::with_tiles(n, qubits, controls, control_values, matrix, simd)
     }
 
-    /// The gate as the dispatching entry
-    /// ([`apply_controlled_gate_slice_par`]) prepares it for a `2^n` slice:
-    /// below [`PAR_GRAIN_AMPS`] the scalar reference, else
-    /// [`PreparedGate::new`]. Applied with [`PreparedGate::apply_par`], it
-    /// is that entry bit for bit.
+    /// The gate [`apply_controlled_gate_slice_par`] applies to a `2^n`
+    /// slice: below [`PAR_GRAIN_AMPS`] the scalar reference, else
+    /// [`PreparedGate::new`].
     pub fn dispatching(
         n: usize,
         qubits: &'g [usize],
@@ -414,9 +410,7 @@ impl<'g, F: Float> PreparedGate<'g, F> {
         PreparedGate { n, rung }
     }
 
-    /// The same gate, owning what its rung borrowed (the qubits of a
-    /// diagonal, the matrix of the scalar groups; a tile plan borrows
-    /// nothing).
+    /// The same gate, owning what its rung borrowed.
     pub fn into_owned(self) -> PreparedGate<'static, F> {
         let rung = match self.rung {
             Rung::Tiles(plan) => Rung::Tiles(plan),
@@ -430,24 +424,14 @@ impl<'g, F: Float> PreparedGate<'g, F> {
         PreparedGate { n: self.n, rung }
     }
 
-    /// The register size the gate was planned for: it applies to `2^n`
-    /// slices.
-    pub fn num_qubits(&self) -> usize {
-        self.n
-    }
-
-    /// Bytes the gate holds: itself, its tables, and what it owns.
+    /// Bytes the gate holds once owned.
     pub fn heap_bytes(&self) -> usize {
-        let owned = |is_owned: bool, bytes: usize| if is_owned { bytes } else { 0 };
         size_of::<Self>()
             + match &self.rung {
                 Rung::Tiles(plan) => plan.heap_bytes(),
-                Rung::Diagonal { qubits, diag } => {
-                    owned(matches!(qubits, Cow::Owned(_)), size_of_val(&**qubits))
-                        + size_of_val(&diag[..])
-                }
+                Rung::Diagonal { qubits, diag } => size_of_val(&**qubits) + size_of_val(&diag[..]),
                 Rung::Groups { plan, matrix } => {
-                    owned(matches!(matrix, Cow::Owned(_)), size_of_val(matrix.as_slice()))
+                    size_of_val(matrix.as_slice())
                         + size_of_val(&plan.strip[..])
                         + size_of_val(&plan.offsets[..])
                 }

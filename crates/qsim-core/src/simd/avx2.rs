@@ -7,10 +7,9 @@
 use std::arch::x86_64::{
     __m256, __m256d, __m256i, _mm256_castpd_ps, _mm256_castps_pd, _mm256_fmadd_pd, _mm256_fmadd_ps,
     _mm256_fnmadd_pd, _mm256_fnmadd_ps, _mm256_load_si256, _mm256_loadu_pd, _mm256_loadu_ps,
-    _mm256_mul_pd, _mm256_mul_ps, _mm256_permute4x64_pd, _mm256_permutevar8x32_ps, _mm256_set1_pd,
-    _mm256_set1_ps, _mm256_setzero_pd, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_pd,
-    _mm256_storeu_ps, _mm256_unpackhi_pd, _mm256_unpackhi_ps, _mm256_unpacklo_pd,
-    _mm256_unpacklo_ps,
+    _mm256_mul_pd, _mm256_mul_ps, _mm256_permute4x64_pd, _mm256_permutevar8x32_ps,
+    _mm256_setzero_pd, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_pd, _mm256_storeu_ps,
+    _mm256_unpackhi_pd, _mm256_unpackhi_ps, _mm256_unpacklo_pd, _mm256_unpacklo_ps,
 };
 use std::ops::Range;
 
@@ -64,6 +63,7 @@ impl LaneVec<f32> for F32x8 {
         PermBits8(p)
     }
 
+    #[inline(always)]
     fn from_fn(lane: impl FnMut(usize) -> f32) -> Self {
         let lanes: [f32; 8] = std::array::from_fn(lane);
         // SAFETY: same size, and every bit pattern is a valid `__m256`.
@@ -74,12 +74,6 @@ impl LaneVec<f32> for F32x8 {
     fn zero() -> Self {
         // SAFETY: `vxorps` needs only AVX, available per dispatch.
         F32x8(unsafe { _mm256_setzero_ps() })
-    }
-
-    #[inline(always)]
-    unsafe fn splat(x: f32) -> Self {
-        // SAFETY: AVX available per the caller's contract.
-        F32x8(unsafe { _mm256_set1_ps(x) })
     }
 
     #[inline(always)]
@@ -159,6 +153,7 @@ impl LaneVec<f64> for F64x4 {
         PermBits8(p)
     }
 
+    #[inline(always)]
     fn from_fn(lane: impl FnMut(usize) -> f64) -> Self {
         let lanes: [f64; 4] = std::array::from_fn(lane);
         // SAFETY: same size, and every bit pattern is a valid `__m256d`.
@@ -169,12 +164,6 @@ impl LaneVec<f64> for F64x4 {
     fn zero() -> Self {
         // SAFETY: `vxorpd` needs only AVX, available per dispatch.
         F64x4(unsafe { _mm256_setzero_pd() })
-    }
-
-    #[inline(always)]
-    unsafe fn splat(x: f64) -> Self {
-        // SAFETY: AVX available per the caller's contract.
-        F64x4(unsafe { _mm256_set1_pd(x) })
     }
 
     #[inline(always)]

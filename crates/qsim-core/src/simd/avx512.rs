@@ -9,8 +9,7 @@ use std::arch::x86_64::{
     __m512, __m512d, __m512i, _mm512_fmadd_pd, _mm512_fmadd_ps, _mm512_fnmadd_pd, _mm512_fnmadd_ps,
     _mm512_load_si512, _mm512_loadu_pd, _mm512_loadu_ps, _mm512_mul_pd, _mm512_mul_ps,
     _mm512_permutex2var_pd, _mm512_permutex2var_ps, _mm512_permutexvar_pd, _mm512_permutexvar_ps,
-    _mm512_set1_pd, _mm512_set1_ps, _mm512_setzero_pd, _mm512_setzero_ps, _mm512_storeu_pd,
-    _mm512_storeu_ps,
+    _mm512_setzero_pd, _mm512_setzero_ps, _mm512_storeu_pd, _mm512_storeu_ps,
 };
 use std::ops::Range;
 
@@ -85,6 +84,7 @@ impl LaneVec<f32> for F32x16 {
         Idx16(p)
     }
 
+    #[inline(always)]
     fn from_fn(lane: impl FnMut(usize) -> f32) -> Self {
         let lanes: [f32; 16] = std::array::from_fn(lane);
         // SAFETY: same size, and every bit pattern is a valid `__m512`.
@@ -95,12 +95,6 @@ impl LaneVec<f32> for F32x16 {
     fn zero() -> Self {
         // SAFETY: AVX512F available per dispatch.
         F32x16(unsafe { _mm512_setzero_ps() })
-    }
-
-    #[inline(always)]
-    unsafe fn splat(x: f32) -> Self {
-        // SAFETY: AVX512F available per the caller's contract.
-        F32x16(unsafe { _mm512_set1_ps(x) })
     }
 
     #[inline(always)]
@@ -175,6 +169,7 @@ impl LaneVec<f64> for F64x8 {
         Idx8(p)
     }
 
+    #[inline(always)]
     fn from_fn(lane: impl FnMut(usize) -> f64) -> Self {
         let lanes: [f64; 8] = std::array::from_fn(lane);
         // SAFETY: same size, and every bit pattern is a valid `__m512d`.
@@ -185,12 +180,6 @@ impl LaneVec<f64> for F64x8 {
     fn zero() -> Self {
         // SAFETY: AVX512F available per dispatch.
         F64x8(unsafe { _mm512_setzero_pd() })
-    }
-
-    #[inline(always)]
-    unsafe fn splat(x: f64) -> Self {
-        // SAFETY: AVX512F available per the caller's contract.
-        F64x8(unsafe { _mm512_set1_pd(x) })
     }
 
     #[inline(always)]

@@ -56,12 +56,11 @@ pub(crate) trait LaneVec<F: Float>: Copy + Send + Sync {
     /// All-zero vector.
     fn zero() -> Self;
 
-    /// The vector with `x` in every lane: a lane-uniform coefficient,
-    /// stored as one scalar, at load.
-    ///
-    /// # Safety
-    /// The ISA must be available.
-    unsafe fn splat(x: F) -> Self;
+    /// The vector with `x` in every lane.
+    #[inline(always)]
+    fn splat(x: F) -> Self {
+        Self::from_fn(|_| x)
+    }
 
     /// Load `LANES` consecutive complex amplitudes and split them into
     /// `(re, im)` vectors in lane order.
@@ -143,50 +142,37 @@ pub(crate) unsafe fn apply_mat_range<F: Float, V: LaneVec<F>>(
     // SAFETY: the caller's contract, forwarded.
     unsafe {
         match &plan.coefs {
-            Coefs::Lanes { re, im } => apply_shaped(amps, plan, (&re[..], &im[..]), groups),
-            Coefs::Splat { re, im } => apply_shaped(amps, plan, (Splat(re), Splat(im)), groups),
+            Coefs::Lanes { re, im } => apply_shaped(amps, plan, (re, im), groups),
+            Coefs::Splat { re, im } => apply_shaped(amps, plan, (re, im), groups),
         }
     }
 }
 
-/// One row of a coefficient table, as the micro-kernel reads it: lane
-/// vectors as stored, or a lane-uniform table's scalars splatted.
-trait CoefRow<F: Float, V: LaneVec<F>>: Copy {
-    /// Entries `start..start + len`.
-    fn row(self, start: usize, len: usize) -> Self;
-
-    /// Entry `c` as a lane vector.
-    ///
-    /// # Safety
-    /// The ISA must be available.
-    unsafe fn lanes(self, c: usize) -> V;
+/// A coefficient-table entry as the micro-kernel reads it.
+pub(crate) trait Coef<V>: Copy {
+    fn lanes(self) -> V;
 }
 
-impl<F: Float, V: LaneVec<F>> CoefRow<F, V> for &[V] {
-    #[inline(always)]
-    fn row(self, start: usize, len: usize) -> Self {
-        &self[start..][..len]
-    }
-
-    #[inline(always)]
-    unsafe fn lanes(self, c: usize) -> V {
-        self[c]
-    }
-}
-
+/// An entry of [`Coefs::Lanes`]: one lane vector.
 #[derive(Clone, Copy)]
-struct Splat<'a, F>(&'a [F]);
+#[repr(transparent)]
+pub(crate) struct Lane<V>(pub V);
 
-impl<F: Float, V: LaneVec<F>> CoefRow<F, V> for Splat<'_, F> {
+/// An entry of [`Coefs::Splat`]: the scalar every lane holds.
+#[derive(Clone, Copy)]
+pub(crate) struct Splat<F>(pub F);
+
+impl<V: Copy> Coef<V> for Lane<V> {
     #[inline(always)]
-    fn row(self, start: usize, len: usize) -> Self {
-        Splat(&self.0[start..][..len])
+    fn lanes(self) -> V {
+        self.0
     }
+}
 
+impl<F: Float, V: LaneVec<F>> Coef<V> for Splat<F> {
     #[inline(always)]
-    unsafe fn lanes(self, c: usize) -> V {
-        // SAFETY: ISA availability per the caller's contract.
-        unsafe { V::splat(self.0[c]) }
+    fn lanes(self) -> V {
+        V::splat(self.0)
     }
 }
 
@@ -195,10 +181,10 @@ impl<F: Float, V: LaneVec<F>> CoefRow<F, V> for Splat<'_, F> {
 /// # Safety
 /// Per [`apply_mat_range`]; `coefs` are `plan`'s `(re, im)` tables.
 #[inline(always)]
-unsafe fn apply_shaped<F: Float, V: LaneVec<F>, C: CoefRow<F, V>>(
+unsafe fn apply_shaped<F: Float, V: LaneVec<F>, C: Coef<V>>(
     amps: *mut Cplx<F>,
     plan: &MatPlan<F, V>,
-    coefs: (C, C),
+    coefs: (&[C], &[C]),
     groups: Range<usize>,
 ) {
     let rows = (1usize << plan.kh).min(V::MAX_ROWS);
@@ -221,16 +207,10 @@ unsafe fn apply_shaped<F: Float, V: LaneVec<F>, C: CoefRow<F, V>>(
 /// # Safety
 /// Per [`apply_mat_range`]; `R` must divide the plan's tiles per group.
 #[inline(always)]
-unsafe fn apply_blocks<
-    F: Float,
-    V: LaneVec<F>,
-    C: CoefRow<F, V>,
-    const R: usize,
-    const G: usize,
->(
+unsafe fn apply_blocks<F: Float, V: LaneVec<F>, C: Coef<V>, const R: usize, const G: usize>(
     amps: *mut Cplx<F>,
     plan: &MatPlan<F, V>,
-    coefs: (C, C),
+    coefs: (&[C], &[C]),
     groups: Range<usize>,
 ) {
     // The bound every scratch index below relies on.
@@ -255,10 +235,10 @@ unsafe fn apply_blocks<
 /// Per [`apply_mat_range`] for the groups `g0..g0 + G`; `R` must divide
 /// the plan's tiles per group and `plan.dimk * G <= SCRATCH_VECS`.
 #[inline(always)]
-unsafe fn apply_block<F: Float, V: LaneVec<F>, C: CoefRow<F, V>, const R: usize, const G: usize>(
+unsafe fn apply_block<F: Float, V: LaneVec<F>, C: Coef<V>, const R: usize, const G: usize>(
     amps: *mut Cplx<F>,
     plan: &MatPlan<F, V>,
-    (re, im): (C, C),
+    (re, im): (&[C], &[C]),
     g0: usize,
     scratch: &mut Scratch<V>,
 ) {
@@ -299,14 +279,13 @@ unsafe fn apply_block<F: Float, V: LaneVec<F>, C: CoefRow<F, V>, const R: usize,
 
     // Every source is staged, so rows may be stored as they finish.
     for r0 in (0..tiles).step_by(R) {
-        let coef_re: [C; R] = std::array::from_fn(|r| re.row((r0 + r) * dimk, dimk));
-        let coef_im: [C; R] = std::array::from_fn(|r| im.row((r0 + r) * dimk, dimk));
+        let coef_re: [&[C]; R] = std::array::from_fn(|r| &re[(r0 + r) * dimk..][..dimk]);
+        let coef_im: [&[C]; R] = std::array::from_fn(|r| &im[(r0 + r) * dimk..][..dimk]);
         let mut acc_re = [[V::zero(); G]; R];
         let mut acc_im = [[V::zero(); G]; R];
         for (c, [sre, sim]) in src.iter().enumerate() {
             for r in 0..R {
-                // SAFETY: ISA availability per the caller contract.
-                let (cre, cim) = unsafe { (coef_re[r].lanes(c), coef_im[r].lanes(c)) };
+                let (cre, cim) = (coef_re[r][c].lanes(), coef_im[r][c].lanes());
                 for g in 0..G {
                     // Complex multiply-accumulate in split form:
                     //   acc += coef * src

@@ -25,7 +25,7 @@ use crate::kernels::{validate_gate_args, PAR_GRAIN_AMPS};
 use crate::matrix::GateMatrix;
 use crate::types::{Cplx, Float, Precision};
 
-use super::kernel::LaneVec;
+use super::kernel::{Lane, LaneVec, Splat};
 use super::portable::P4;
 use super::Isa;
 
@@ -48,8 +48,7 @@ pub(crate) struct MatPlan<F: Float, V: LaneVec<F>> {
     /// are `tile_cols[m * dimk / 2^kh..][..dimk / 2^kh]`, ascending.
     pub tile_cols: Vec<usize>,
     /// For each gate column, the lane permutation selecting the column's
-    /// low-target bits (empty when `has_low_targets` is false: no lane
-    /// moves).
+    /// low-target bits (none without low targets).
     pub perms: Vec<V::Perm>,
     pub has_low_targets: bool,
     /// Split-complex coefficient tables, one entry per `[r * dimk + c]`.
@@ -61,14 +60,14 @@ pub(crate) struct MatPlan<F: Float, V: LaneVec<F>> {
 
 /// A [`MatPlan`]'s split-complex coefficient tables.
 pub(crate) enum Coefs<F: Float, V: LaneVec<F>> {
-    /// One lane vector per entry — a `Vec<V>` so every entry is a single
-    /// aligned load (a `Vec<F>` of lanes sits 16 bytes off a cache line
+    /// One lane vector per entry — aligned as `V`, so every entry is a
+    /// single aligned load (a `Vec<F>` of lanes sits 16 bytes off a cache line
     /// and splits each).
-    Lanes { re: Vec<V>, im: Vec<V> },
+    Lanes { re: Vec<Lane<V>>, im: Vec<Lane<V>> },
     /// A lane-uniform table (no low target, no low control): every lane
     /// of an entry is the same matrix entry, stored once and splatted at
-    /// load. A plan that stays resident holds `1 / LANES` of the bytes.
-    Splat { re: Vec<F>, im: Vec<F> },
+    /// load, in `1 / LANES` of the bytes.
+    Splat { re: Vec<Splat<F>>, im: Vec<Splat<F>> },
 }
 
 /// Precomputed tile-level plan for an uncontrolled diagonal gate.
@@ -84,7 +83,19 @@ pub(crate) struct DiagPlan<F: Float, V: LaneVec<F>> {
     marker: PhantomData<F>,
 }
 
-impl<F: Float, V: LaneVec<F>> MatPlan<F, V> {
+/// The geometry and size of a tile plan.
+trait Shape {
+    /// `(n, group_count, amps_per_group)` of the plan's `2^n` amplitudes.
+    fn shape(&self) -> (usize, usize, usize);
+    /// Bytes the plan holds on the heap.
+    fn heap_bytes(&self) -> usize;
+}
+
+impl<F: Float, V: LaneVec<F>> Shape for MatPlan<F, V> {
+    fn shape(&self) -> (usize, usize, usize) {
+        (self.n, self.num_groups, (1 << self.kh) * V::LANES)
+    }
+
     fn heap_bytes(&self) -> usize {
         let coefs = match &self.coefs {
             Coefs::Lanes { re, im } => size_of_val(&re[..]) + size_of_val(&im[..]),
@@ -95,7 +106,11 @@ impl<F: Float, V: LaneVec<F>> MatPlan<F, V> {
     }
 }
 
-impl<F: Float, V: LaneVec<F>> DiagPlan<F, V> {
+impl<F: Float, V: LaneVec<F>> Shape for DiagPlan<F, V> {
+    fn shape(&self) -> (usize, usize, usize) {
+        (self.n, (1 << self.n) / V::LANES, V::LANES)
+    }
+
     fn heap_bytes(&self) -> usize {
         size_of_val(&self.hq_t[..]) + size_of_val(&self.dre[..]) + size_of_val(&self.dim[..])
     }
@@ -189,8 +204,8 @@ pub(crate) fn build_mat<F: Float, V: LaneVec<F>>(
     let coefs = if !has_low_targets && lc_mask == 0 {
         let entries = || high_row.iter().flat_map(|&high| (0..dimk).map(move |c| (high, c)));
         Coefs::Splat {
-            re: entries().map(|(high, c)| matrix.get(high, c).re).collect(),
-            im: entries().map(|(high, c)| matrix.get(high, c).im).collect(),
+            re: entries().map(|(high, c)| Splat(matrix.get(high, c).re)).collect(),
+            im: entries().map(|(high, c)| Splat(matrix.get(high, c).im)).collect(),
         }
     } else {
         let mut re = Vec::with_capacity((1 << kh) * dimk);
@@ -207,8 +222,8 @@ pub(crate) fn build_mat<F: Float, V: LaneVec<F>>(
                         Cplx { re: if c == row { F::ONE } else { F::ZERO }, im: F::ZERO }
                     };
                 }
-                re.push(V::from_fn(|l| lane[l].re));
-                im.push(V::from_fn(|l| lane[l].im));
+                re.push(Lane(V::from_fn(|l| lane[l].re)));
+                im.push(Lane(V::from_fn(|l| lane[l].im)));
             }
         }
         Coefs::Lanes { re, im }
@@ -285,8 +300,7 @@ fn row_bits(
 
 /// Reinterpret a generic `F` gate matrix as a concrete precision.
 /// Returns `None` when `F` is not `G` (precision mismatch). A `Some`
-/// result proves `F == G`, which also licenses the amplitude-pointer
-/// casts in [`SimdPlan::apply_range_ptr`] for the variant being built.
+/// result proves `F == G`.
 fn cast_matrix<F: Float, G: Float>(matrix: &GateMatrix<F>) -> Option<&GateMatrix<G>> {
     if TypeId::of::<F>() == TypeId::of::<G>() {
         // SAFETY: `F` and `G` are the same type (TypeId equality above),
@@ -297,41 +311,63 @@ fn cast_matrix<F: Float, G: Float>(matrix: &GateMatrix<F>) -> Option<&GateMatrix
     }
 }
 
+/// A kernel over tile plan `P` at precision `G`: an ISA entry point, or
+/// the generic kernel on [`P4`] lanes.
+type Kernel<G, P> = unsafe fn(*mut Cplx<G>, &P, Range<usize>);
+
+/// A tile plan and the kernel that applies it.
+struct Planned<G, P> {
+    plan: P,
+    kernel: Kernel<G, P>,
+}
+
+/// A [`Planned`] with its precision erased to its [`SimdPlan`]'s `F`.
+trait Tiles<F>: Send + Sync {
+    fn plan(&self) -> &dyn Shape;
+
+    /// # Safety
+    /// `amps` must point to the plan's `2^n` amplitudes, with exclusive
+    /// access to the tiles of `groups`, and the kernel's ISA must be
+    /// available.
+    unsafe fn apply(&self, amps: *mut Cplx<F>, groups: Range<usize>);
+}
+
+impl<F: Float, G: Float, P: Shape + Send + Sync> Tiles<F> for Planned<G, P> {
+    fn plan(&self) -> &dyn Shape {
+        &self.plan
+    }
+
+    unsafe fn apply(&self, amps: *mut Cplx<F>, groups: Range<usize>) {
+        // SAFETY: [`build_tiles`] erases only `G == F`, so the cast is the
+        // identity; the rest is the caller's contract.
+        unsafe { (self.kernel)(amps.cast(), &self.plan, groups) }
+    }
+}
+
+/// A gate's tile plan on lanes `V` — a [`DiagPlan`] for an uncontrolled
+/// diagonal matrix, else a [`MatPlan`] — with the kernel that applies it,
+/// as `F`'s tiles. Panics unless `G` is `F`.
+fn build_tiles<F: Float, G: Float, V: LaneVec<G> + 'static>(
+    (n, qubits, controls, control_values): (usize, &[usize], &[usize], usize),
+    matrix: &GateMatrix<G>,
+    mat: Kernel<G, MatPlan<G, V>>,
+    diag: Kernel<G, DiagPlan<G, V>>,
+) -> Option<Box<dyn Tiles<F>>> {
+    assert_eq!(TypeId::of::<F>(), TypeId::of::<G>(), "tiles of another precision");
+    if controls.is_empty() && crate::kernels::is_diagonal(matrix) {
+        let plan = build_diag(n, qubits, matrix)?;
+        Some(Box::new(Planned { plan, kernel: diag }))
+    } else {
+        let plan = build_mat(n, qubits, controls, control_values, matrix)?;
+        Some(Box::new(Planned { plan, kernel: mat }))
+    }
+}
+
 /// ISA- and shape-erased plan: build once per (gate, state-size), apply to
 /// any number of amplitude slices (full states or sweep blocks).
 pub struct SimdPlan<F: Float> {
-    inner: Inner<F>,
+    tiles: Box<dyn Tiles<F>>,
 }
-
-enum Inner<F: Float> {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    A2Mat32(MatPlan<f32, super::avx2::F32x8>),
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    A2Diag32(DiagPlan<f32, super::avx2::F32x8>),
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    A2Mat64(MatPlan<f64, super::avx2::F64x4>),
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    A2Diag64(DiagPlan<f64, super::avx2::F64x4>),
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    A5Mat32(MatPlan<f32, super::avx512::F32x16>),
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    A5Diag32(DiagPlan<f32, super::avx512::F32x16>),
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    A5Mat64(MatPlan<f64, super::avx512::F64x8>),
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    A5Diag64(DiagPlan<f64, super::avx512::F64x8>),
-    /// Portable 4-lane reference backend: exercises the identical tile
-    /// machinery in safe-by-construction arithmetic. Used by the
-    /// equivalence tests and under miri; never selected by dispatch. The
-    /// kernel is a pointer taken in [`SimdPlan::new_portable`], so only a
-    /// binary that calls it carries the emulated-lane instances (every
-    /// crate that applies a `SimdPlan<F>` would otherwise compile its own).
-    PortableMat(MatPlan<F, P4<F>>, PortableKernel<F, MatPlan<F, P4<F>>>),
-    PortableDiag(DiagPlan<F, P4<F>>, PortableKernel<F, DiagPlan<F, P4<F>>>),
-}
-
-/// `kernel::apply_mat_range` or `kernel::apply_diag_range` on [`P4`] lanes.
-type PortableKernel<F, P> = unsafe fn(*mut Cplx<F>, &P, Range<usize>);
 
 impl<F: Float> SimdPlan<F> {
     /// Plan a (controlled) gate for the active ISA. `None` means the
@@ -366,54 +402,39 @@ impl<F: Float> SimdPlan<F> {
         if isa > super::detected_isa() {
             return None;
         }
-        let diagonal = controls.is_empty() && crate::kernels::is_diagonal(matrix);
-        let inner = match (isa, F::PRECISION) {
+        let gate = (n, qubits, controls, control_values);
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        use super::{avx2, avx512};
+        let tiles = match (isa, F::PRECISION) {
             (Isa::Scalar, _) => None,
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             (Isa::Avx2, Precision::Single) => {
-                let m = cast_matrix::<F, f32>(matrix)?;
-                if diagonal {
-                    build_diag(n, qubits, m).map(Inner::A2Diag32)
-                } else {
-                    build_mat(n, qubits, controls, control_values, m).map(Inner::A2Mat32)
-                }
+                build_tiles(gate, cast_matrix::<F, f32>(matrix)?, avx2::mat_f32, avx2::diag_f32)
             }
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             (Isa::Avx2, Precision::Double) => {
-                let m = cast_matrix::<F, f64>(matrix)?;
-                if diagonal {
-                    build_diag(n, qubits, m).map(Inner::A2Diag64)
-                } else {
-                    build_mat(n, qubits, controls, control_values, m).map(Inner::A2Mat64)
-                }
+                build_tiles(gate, cast_matrix::<F, f64>(matrix)?, avx2::mat_f64, avx2::diag_f64)
             }
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             (Isa::Avx512, Precision::Single) => {
-                let m = cast_matrix::<F, f32>(matrix)?;
-                if diagonal {
-                    build_diag(n, qubits, m).map(Inner::A5Diag32)
-                } else {
-                    build_mat(n, qubits, controls, control_values, m).map(Inner::A5Mat32)
-                }
+                build_tiles(gate, cast_matrix::<F, f32>(matrix)?, avx512::mat_f32, avx512::diag_f32)
             }
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             (Isa::Avx512, Precision::Double) => {
-                let m = cast_matrix::<F, f64>(matrix)?;
-                if diagonal {
-                    build_diag(n, qubits, m).map(Inner::A5Diag64)
-                } else {
-                    build_mat(n, qubits, controls, control_values, m).map(Inner::A5Mat64)
-                }
+                build_tiles(gate, cast_matrix::<F, f64>(matrix)?, avx512::mat_f64, avx512::diag_f64)
             }
             #[cfg(not(all(target_arch = "x86_64", not(miri))))]
             (_, _) => None,
         }?;
-        Some(SimdPlan { inner })
+        Some(SimdPlan { tiles })
     }
 
     /// Plan with the portable 4-lane reference backend regardless of the
-    /// detected ISA. Intended for tests (including miri) that need to
-    /// exercise the lane-level Low path without x86 intrinsics.
+    /// detected ISA: the identical tile machinery in safe-by-construction
+    /// arithmetic, for tests (including miri) of the lane-level Low path
+    /// without x86 intrinsics. Dispatch never selects it; its kernels are
+    /// pointers taken here, so only a binary that calls it carries the
+    /// emulated-lane instances.
     pub fn new_portable(
         n: usize,
         qubits: &[usize],
@@ -421,39 +442,18 @@ impl<F: Float> SimdPlan<F> {
         control_values: usize,
         matrix: &GateMatrix<F>,
     ) -> Option<Self> {
-        let diagonal = controls.is_empty() && crate::kernels::is_diagonal(matrix);
-        let inner = if diagonal {
-            build_diag(n, qubits, matrix)
-                .map(|p| Inner::PortableDiag(p, super::kernel::apply_diag_range::<F, P4<F>>))
-        } else {
-            build_mat(n, qubits, controls, control_values, matrix)
-                .map(|p| Inner::PortableMat(p, super::kernel::apply_mat_range::<F, P4<F>>))
-        }?;
-        Some(SimdPlan { inner })
+        let tiles = build_tiles(
+            (n, qubits, controls, control_values),
+            matrix,
+            super::kernel::apply_mat_range::<F, P4<F>>,
+            super::kernel::apply_diag_range::<F, P4<F>>,
+        )?;
+        Some(SimdPlan { tiles })
     }
 
-    /// Bytes the plan's tables hold on the heap.
+    /// Bytes the plan holds on the heap: its tables and the plan itself.
     pub fn heap_bytes(&self) -> usize {
-        match &self.inner {
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A2Mat32(p) => p.heap_bytes(),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A2Mat64(p) => p.heap_bytes(),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A5Mat32(p) => p.heap_bytes(),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A5Mat64(p) => p.heap_bytes(),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A2Diag32(p) => p.heap_bytes(),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A2Diag64(p) => p.heap_bytes(),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A5Diag32(p) => p.heap_bytes(),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A5Diag64(p) => p.heap_bytes(),
-            Inner::PortableMat(p, _) => p.heap_bytes(),
-            Inner::PortableDiag(p, _) => p.heap_bytes(),
-        }
+        size_of_val(&*self.tiles) + self.tiles.plan().heap_bytes()
     }
 
     /// Apply to a full state or block slice, single-threaded.
@@ -485,158 +485,92 @@ impl<F: Float> SimdPlan<F> {
             let start = ci * grain;
             let end = ((ci + 1) * grain).min(num_groups);
             let p = &ptr;
-            self.apply_range_ptr(p.0, amps.len(), start..end);
+            // SAFETY: the slice holds the plan's `2^n` amplitudes (checked
+            // by `group_shape`), each task's groups address its own tiles,
+            // and a plan exists only for a detected ISA.
+            unsafe { self.tiles.apply(p.0, start..end) };
         });
     }
 
-    /// `(group_count, amps_per_group)` for the given slice length.
+    /// `(group_count, amps_per_group)` of the plan, which must be applied
+    /// to `len` amplitudes.
     fn group_shape(&self, len: usize) -> (usize, usize) {
-        match &self.inner {
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A2Mat32(p) => (p.num_groups, (1 << p.kh) * 8),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A2Mat64(p) => (p.num_groups, (1 << p.kh) * 4),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A5Mat32(p) => (p.num_groups, (1 << p.kh) * 16),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A5Mat64(p) => (p.num_groups, (1 << p.kh) * 8),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A2Diag32(_) => (len / 8, 8),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A2Diag64(_) => (len / 4, 4),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A5Diag32(_) => (len / 16, 16),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A5Diag64(_) => (len / 8, 8),
-            Inner::PortableMat(p, _) => (p.num_groups, (1 << p.kh) * P4::<F>::LANES),
-            Inner::PortableDiag(..) => (len / P4::<F>::LANES, P4::<F>::LANES),
-        }
+        let (n, groups, amps_per_group) = self.tiles.plan().shape();
+        assert_eq!(len, 1 << n, "SimdPlan applied to mismatched state size");
+        (groups, amps_per_group)
     }
 
     fn apply_range(&self, amps: &mut [Cplx<F>], groups: Option<Range<usize>>) {
         let (num_groups, _) = self.group_shape(amps.len());
         let groups = groups.unwrap_or(0..num_groups);
-        self.apply_range_ptr(amps.as_mut_ptr(), amps.len(), groups);
-    }
-
-    /// Shared dispatcher over the plan variants.
-    ///
-    /// The `len` argument is asserted against the plan's state size so a
-    /// plan is never applied to a mismatched slice. The pointer casts to
-    /// concrete precisions are identities: each precision-specific variant
-    /// is only ever constructed when `F` matched that precision by
-    /// `TypeId` (see [`cast_matrix`]).
-    fn apply_range_ptr(&self, amps: *mut Cplx<F>, len: usize, groups: Range<usize>) {
-        match &self.inner {
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A2Mat32(p) => {
-                assert_eq!(len, 1 << p.n, "SimdPlan applied to mismatched state size");
-                // SAFETY: Avx2 plans exist only after runtime detection;
-                // the pointer covers `2^n` amps (assert above), groups
-                // address disjoint tiles within it, and `F == f32` for
-                // this variant.
-                unsafe { super::avx2::mat_f32(amps as *mut Cplx<f32>, p, groups) }
-            }
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A2Mat64(p) => {
-                assert_eq!(len, 1 << p.n, "SimdPlan applied to mismatched state size");
-                // SAFETY: as above, with `F == f64`.
-                unsafe { super::avx2::mat_f64(amps as *mut Cplx<f64>, p, groups) }
-            }
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A2Diag32(p) => {
-                assert_eq!(len, 1 << p.n, "SimdPlan applied to mismatched state size");
-                // SAFETY: as above; groups are whole tiles of the slice.
-                unsafe { super::avx2::diag_f32(amps as *mut Cplx<f32>, p, groups) }
-            }
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A2Diag64(p) => {
-                assert_eq!(len, 1 << p.n, "SimdPlan applied to mismatched state size");
-                // SAFETY: as above, with `F == f64`.
-                unsafe { super::avx2::diag_f64(amps as *mut Cplx<f64>, p, groups) }
-            }
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A5Mat32(p) => {
-                assert_eq!(len, 1 << p.n, "SimdPlan applied to mismatched state size");
-                // SAFETY: Avx512 plans exist only after runtime detection;
-                // bounds as above, `F == f32` for this variant.
-                unsafe { super::avx512::mat_f32(amps as *mut Cplx<f32>, p, groups) }
-            }
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A5Mat64(p) => {
-                assert_eq!(len, 1 << p.n, "SimdPlan applied to mismatched state size");
-                // SAFETY: as above, with `F == f64`.
-                unsafe { super::avx512::mat_f64(amps as *mut Cplx<f64>, p, groups) }
-            }
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A5Diag32(p) => {
-                assert_eq!(len, 1 << p.n, "SimdPlan applied to mismatched state size");
-                // SAFETY: as above, with `F == f32`.
-                unsafe { super::avx512::diag_f32(amps as *mut Cplx<f32>, p, groups) }
-            }
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A5Diag64(p) => {
-                assert_eq!(len, 1 << p.n, "SimdPlan applied to mismatched state size");
-                // SAFETY: as above, with `F == f64`.
-                unsafe { super::avx512::diag_f64(amps as *mut Cplx<f64>, p, groups) }
-            }
-            Inner::PortableMat(p, kernel) => {
-                assert_eq!(len, 1 << p.n, "SimdPlan applied to mismatched state size");
-                // SAFETY: P4 uses no ISA extensions; bounds as above.
-                unsafe { kernel(amps, p, groups) }
-            }
-            Inner::PortableDiag(p, kernel) => {
-                assert_eq!(len, 1 << p.n, "SimdPlan applied to mismatched state size");
-                // SAFETY: P4 uses no ISA extensions; tiles stay in bounds.
-                unsafe { kernel(amps, p, groups) }
-            }
-        }
+        // SAFETY: as in `apply_par`, on the calling thread.
+        unsafe { self.tiles.apply(amps.as_mut_ptr(), groups) }
     }
 }
 
 #[cfg(test)]
 impl<F: Float> SimdPlan<F> {
-    /// The plan with a lane-uniform table rebuilt lane by lane from
-    /// `matrix` ([`tests::per_lane_tables`]), as every run built it before
-    /// such tables were stored one scalar per entry.
+    /// The plan, built on `tier` (the portable lanes when `None`), with a
+    /// lane-uniform table rebuilt lane by lane from `matrix`
+    /// ([`tests::per_lane_tables`]), as every run built it before such
+    /// tables were stored one scalar per entry.
     pub(crate) fn with_per_lane_tables(
-        mut self,
+        self,
+        tier: Option<Isa>,
         qubits: &[usize],
         controls: &[usize],
         control_values: usize,
         matrix: &GateMatrix<F>,
     ) -> Self {
-        fn rebuild<G: Float, V: LaneVec<G>>(
-            plan: &mut MatPlan<G, V>,
-            (qubits, controls, control_values): (&[usize], &[usize], usize),
+        fn rebuild<F: Float, G: Float, V: LaneVec<G> + 'static>(
+            (n, qubits, controls, control_values): (usize, &[usize], &[usize], usize),
             matrix: Option<&GateMatrix<G>>,
-        ) {
-            if let (Coefs::Splat { .. }, Some(matrix)) = (&plan.coefs, matrix) {
+            kernel: Kernel<G, MatPlan<G, V>>,
+        ) -> Box<dyn Tiles<F>> {
+            assert_eq!(TypeId::of::<F>(), TypeId::of::<G>());
+            let matrix = matrix.expect("the plan's precision");
+            let mut plan =
+                build_mat::<G, V>(n, qubits, controls, control_values, matrix).expect("tiled");
+            if let Coefs::Splat { .. } = plan.coefs {
                 let (re, im) =
                     tests::per_lane_tables(V::LANES, qubits, controls, control_values, matrix);
-                let lanes = |bits: Vec<u64>| -> Vec<V> {
+                let lanes = |bits: Vec<u64>| -> Vec<Lane<V>> {
                     let at = |i: usize| G::from_f64(f64::from_bits(bits[i]));
                     (0..bits.len() / V::LANES)
-                        .map(|e| V::from_fn(|l| at(e * V::LANES + l)))
+                        .map(|e| Lane(V::from_fn(|l| at(e * V::LANES + l))))
                         .collect()
                 };
                 plan.coefs = Coefs::Lanes { re: lanes(re), im: lanes(im) };
             }
+            Box::new(Planned { plan, kernel })
         }
-        let shape = (qubits, controls, control_values);
-        match &mut self.inner {
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A2Mat32(p) => rebuild(p, shape, cast_matrix(matrix)),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A2Mat64(p) => rebuild(p, shape, cast_matrix(matrix)),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A5Mat32(p) => rebuild(p, shape, cast_matrix(matrix)),
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            Inner::A5Mat64(p) => rebuild(p, shape, cast_matrix(matrix)),
-            Inner::PortableMat(p, _) => rebuild(p, shape, Some(matrix)),
-            _ => {}
+        if controls.is_empty() && crate::kernels::is_diagonal(matrix) {
+            return self;
         }
-        self
+        let gate = (self.tiles.plan().shape().0, qubits, controls, control_values);
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        use super::{avx2, avx512};
+        let tiles = match (tier, F::PRECISION) {
+            (None, _) => rebuild(gate, Some(matrix), super::kernel::apply_mat_range::<F, P4<F>>),
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            (Some(Isa::Avx2), Precision::Single) => {
+                rebuild(gate, cast_matrix(matrix), avx2::mat_f32)
+            }
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            (Some(Isa::Avx2), Precision::Double) => {
+                rebuild(gate, cast_matrix(matrix), avx2::mat_f64)
+            }
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            (Some(Isa::Avx512), Precision::Single) => {
+                rebuild(gate, cast_matrix(matrix), avx512::mat_f32)
+            }
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            (Some(Isa::Avx512), Precision::Double) => {
+                rebuild(gate, cast_matrix(matrix), avx512::mat_f64)
+            }
+            (Some(isa), _) => unreachable!("no tile plan on {isa:?}"),
+        };
+        SimdPlan { tiles }
     }
 }
 
@@ -956,11 +890,10 @@ mod tests {
         let plan =
             build_mat::<F, V>(n, qubits, controls, control_values, matrix).expect("sized to tile");
         let Coefs::Splat { re, im } = &plan.coefs else { return false };
-        let flat = |table: &[F]| -> Vec<u64> {
+        let flat = |table: &[Splat<F>]| -> Vec<u64> {
             table
                 .iter()
-                // SAFETY: the caller runs this only for lanes the host has.
-                .flat_map(|&x| lanes_of::<F, V>(&unsafe { V::splat(x) }))
+                .flat_map(|&Splat(x)| lanes_of::<F, V>(&V::splat(x)))
                 .map(|x| x.to_f64().to_bits())
                 .collect()
         };

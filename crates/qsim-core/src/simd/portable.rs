@@ -40,10 +40,6 @@ impl<F: Float> LaneVec<F> for P4<F> {
         P4([F::ZERO; 4])
     }
 
-    unsafe fn splat(x: F) -> Self {
-        P4([x; 4])
-    }
-
     unsafe fn load_re_im(ptr: *const Cplx<F>) -> (Self, Self) {
         let mut re = [F::ZERO; 4];
         let mut im = [F::ZERO; 4];

@@ -240,22 +240,16 @@ impl SweepExecutor {
         self.config.block_amps.min(state_len).trailing_zeros() as usize
     }
 
-    /// The run of `gates` — prepared at block size
+    /// The run of `gates`, prepared at block size
     /// ([`SweepExecutor::block_qubits`]) for a `state_len`-amplitude
-    /// register — ready to sweep over any number of states. It
-    /// borrows the gates, so a gang of states, and every run of a plan
-    /// that keeps its gates prepared, shares one set of them.
+    /// register, ready to sweep over any number of states: a gang, and
+    /// every walk of a plan that keeps its gates, shares one set of them.
     pub fn run<'a, F: Float>(
         &self,
         state_len: usize,
         gates: &'a [PreparedGate<'a, F>],
     ) -> PreparedRun<'a, F> {
-        let block_qubits = self.block_qubits(state_len);
-        assert!(
-            gates.iter().all(|g| g.num_qubits() == block_qubits),
-            "a run's gates must be prepared for 2^{block_qubits}-amplitude blocks"
-        );
-        PreparedRun { state_len, block: 1 << block_qubits, gates }
+        PreparedRun { state_len, block: 1 << self.block_qubits(state_len), gates }
     }
 
     /// Execute a full fused-gate sequence over `amps`: block-local gates
