@@ -315,7 +315,7 @@ fn cast_matrix<F: Float, G: Float>(matrix: &GateMatrix<F>) -> Option<&GateMatrix
 /// the generic kernel on [`P4`] lanes.
 type Kernel<G, P> = unsafe fn(*mut Cplx<G>, &P, Range<usize>);
 
-/// A tile plan and the kernel that applies it.
+/// A tile plan and its kernel, boxed as `Tiles<F>` only for `G == F`.
 struct Planned<G, P> {
     plan: P,
     kernel: Kernel<G, P>,
@@ -338,8 +338,8 @@ impl<F: Float, G: Float, P: Shape + Send + Sync> Tiles<F> for Planned<G, P> {
     }
 
     unsafe fn apply(&self, amps: *mut Cplx<F>, groups: Range<usize>) {
-        // SAFETY: [`build_tiles`] erases only `G == F`, so the cast is the
-        // identity; the rest is the caller's contract.
+        // SAFETY: a `Planned` is erased only at `G == F` (asserted where it
+        // is built), so the cast is the identity; the rest is the caller's.
         unsafe { (self.kernel)(amps.cast(), &self.plan, groups) }
     }
 }
