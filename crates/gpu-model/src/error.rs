@@ -17,8 +17,6 @@ pub enum GpuError {
     /// An operation referenced an unknown stream
     /// (`hipErrorInvalidHandle`).
     InvalidHandle(String),
-    /// Host/device copy size mismatch (`hipErrorInvalidValue`).
-    InvalidValue(String),
 }
 
 impl fmt::Display for GpuError {
@@ -30,7 +28,6 @@ impl fmt::Display for GpuError {
             ),
             GpuError::InvalidLaunch(m) => write!(f, "invalid kernel launch: {m}"),
             GpuError::InvalidHandle(m) => write!(f, "invalid handle: {m}"),
-            GpuError::InvalidValue(m) => write!(f, "invalid value: {m}"),
         }
     }
 }

@@ -21,7 +21,7 @@
 //! * [`memory`] — device memory arena with capacity accounting and OOM
 //!   errors;
 //! * [`runtime`] — the `Gpu` handle tying it together: `malloc`,
-//!   `memcpy_*_async`, `launch`, `synchronize`, mirroring the HIP runtime
+//!   `charge_memcpy`, `launch`, `synchronize`, mirroring the HIP runtime
 //!   API (`hipMalloc`, `hipMemcpyAsync`, kernel launch, …);
 //! * [`trace`] — span hooks that a rocprof-equivalent tracer (the
 //!   `qsim-trace` crate) subscribes to.

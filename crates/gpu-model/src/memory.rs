@@ -1,9 +1,9 @@
-//! Device memory: typed buffers drawn from a capacity-tracked pool.
+//! Device memory: byte reservations drawn from a capacity-tracked pool.
 //!
-//! Functionally a [`DeviceBuffer`] is host memory (the simulated GPU's
-//! kernels run on the host), but allocation goes through the device's
-//! [`MemoryPool`] so capacity limits behave like `hipMalloc`: a 31-qubit
-//! double-precision state vector genuinely does not fit the modeled A100.
+//! The simulated GPU's kernels run on host memory, so a [`DeviceBuffer`]
+//! holds no data; its reservation goes through the device's
+//! [`MemoryPool`] so capacity limits and peak memory behave like
+//! `hipMalloc`.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -78,52 +78,29 @@ impl MemoryPool {
     }
 }
 
-/// A typed device allocation (`hipMalloc` result). Freed on drop.
+/// A device allocation (`hipMalloc` result): bytes reserved in the pool,
+/// released on drop. It holds no data — kernels run on host buffers —
+/// only the accounting capacity limits and peak memory need.
 #[derive(Debug)]
-pub struct DeviceBuffer<T> {
-    data: Vec<T>,
+pub struct DeviceBuffer {
     bytes: u64,
     pool: Arc<Mutex<MemoryPool>>,
 }
 
-impl<T: Default + Clone> DeviceBuffer<T> {
-    /// Allocate `len` elements, zero-initialised (the simulated runtime's
-    /// `hipMalloc` + `hipMemset`).
-    pub(crate) fn new(len: usize, pool: Arc<Mutex<MemoryPool>>) -> Result<Self, GpuError> {
-        let bytes = (len * std::mem::size_of::<T>()) as u64;
+impl DeviceBuffer {
+    /// Reserve `bytes`, or fail with [`GpuError::OutOfMemory`].
+    pub(crate) fn new(bytes: u64, pool: Arc<Mutex<MemoryPool>>) -> Result<Self, GpuError> {
         lock(&pool).reserve(bytes)?;
-        Ok(DeviceBuffer { data: vec![T::default(); len], bytes, pool })
-    }
-}
-
-impl<T> DeviceBuffer<T> {
-    /// Element count.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer has zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        Ok(DeviceBuffer { bytes, pool })
     }
 
     /// Allocation size in bytes.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
-
-    /// Read access for kernels.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Write access for kernels.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
 }
 
-impl<T> Drop for DeviceBuffer<T> {
+impl Drop for DeviceBuffer {
     fn drop(&mut self) {
         lock(&self.pool).release(self.bytes);
     }
@@ -140,11 +117,11 @@ mod tests {
     #[test]
     fn peak_reset_restarts_high_water_mark() {
         let p = pool(1024);
-        drop(DeviceBuffer::<u64>::new(64, p.clone()).unwrap());
+        drop(DeviceBuffer::new(512, p.clone()).unwrap());
         assert_eq!(lock(&p).peak(), 512);
         lock(&p).reset_peak();
         assert_eq!(lock(&p).peak(), 0);
-        drop(DeviceBuffer::<u64>::new(16, p.clone()).unwrap());
+        drop(DeviceBuffer::new(128, p.clone()).unwrap());
         assert_eq!(lock(&p).peak(), 128);
     }
 
@@ -152,8 +129,7 @@ mod tests {
     fn alloc_and_free_accounting() {
         let p = pool(1024);
         {
-            let b = DeviceBuffer::<u64>::new(64, p.clone()).unwrap();
-            assert_eq!(b.len(), 64);
+            let b = DeviceBuffer::new(512, p.clone()).unwrap();
             assert_eq!(b.bytes(), 512);
             assert_eq!(lock(&p).allocated(), 512);
             assert_eq!(lock(&p).free(), 512);
@@ -166,7 +142,7 @@ mod tests {
     #[test]
     fn oom_is_reported_with_sizes() {
         let p = pool(100);
-        let err = DeviceBuffer::<u64>::new(64, p.clone()).unwrap_err();
+        let err = DeviceBuffer::new(512, p.clone()).unwrap_err();
         match err {
             GpuError::OutOfMemory { requested_bytes, free_bytes } => {
                 assert_eq!(requested_bytes, 512);
@@ -179,16 +155,9 @@ mod tests {
     }
 
     #[test]
-    fn buffers_are_zeroed() {
-        let p = pool(1024);
-        let b = DeviceBuffer::<f32>::new(8, p).unwrap();
-        assert!(b.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
     fn exact_fit_succeeds() {
         let p = pool(512);
-        let b = DeviceBuffer::<u8>::new(512, p.clone()).unwrap();
+        let b = DeviceBuffer::new(512, p.clone()).unwrap();
         assert_eq!(lock(&p).free(), 0);
         drop(b);
         assert_eq!(lock(&p).free(), 512);

@@ -99,24 +99,41 @@ impl Gpu {
         lock(&self.timeline).create_stream()
     }
 
-    /// Allocate a zero-initialised buffer of `len` elements
-    /// (`hipMalloc`). Fails with [`GpuError::OutOfMemory`] when the
+    /// Reserve `bytes` of device memory (`hipMalloc`), released when the
+    /// buffer drops. Fails with [`GpuError::OutOfMemory`] when the
     /// modeled capacity is exhausted.
-    pub fn malloc<T: Default + Clone>(&self, len: usize) -> Result<DeviceBuffer<T>, GpuError> {
-        DeviceBuffer::new(len, self.pool.clone())
+    pub fn malloc(&self, bytes: u64) -> Result<DeviceBuffer, GpuError> {
+        DeviceBuffer::new(bytes, self.pool.clone())
     }
 
-    fn emit(&self, name: &str, kind: SpanKind, stream: StreamId, start: f64, end: f64) {
+    /// Enqueue `dur_us` on `stream`, run `body`, and report the activity
+    /// to the trace sink as `name`: its `(start, end)` on the run's clock;
+    /// the sink gets it on the device's whole timeline.
+    fn schedule<R>(
+        &self,
+        name: &str,
+        kind: SpanKind,
+        stream: StreamId,
+        dur_us: f64,
+        body: impl FnOnce() -> R,
+    ) -> Result<(f64, f64, R), GpuError> {
+        let (start, end, base) = {
+            let mut timeline = lock(&self.timeline);
+            let (start, end) = timeline.schedule(stream, dur_us)?;
+            (start, end, timeline.base_us())
+        };
+        let result = body();
         if let Some(sink) = &self.sink {
             sink.record(TraceSpan {
                 name: name.to_string(),
                 kind,
                 stream: stream.index(),
-                start_us: start,
+                start_us: base + start,
                 dur_us: end - start,
                 device: self.spec.name.clone(),
             });
         }
+        Ok((start, end, result))
     }
 
     /// Charge an externally-modeled activity (e.g. a device-to-device
@@ -129,8 +146,7 @@ impl Gpu {
         stream: StreamId,
         dur_us: f64,
     ) -> Result<(f64, f64), GpuError> {
-        let (start, end) = lock(&self.timeline).schedule(stream, dur_us)?;
-        self.emit(name, kind, stream, start, end);
+        let (start, end, ()) = self.schedule(name, kind, stream, dur_us, || ())?;
         Ok((start, end))
     }
 
@@ -144,8 +160,7 @@ impl Gpu {
         stream: StreamId,
     ) -> Result<(f64, f64), GpuError> {
         let dur_us = memcpy_time(&self.spec, bytes) * 1e6;
-        let (start, end) = lock(&self.timeline).schedule(stream, dur_us)?;
-        self.emit(kind.label(), kind, stream, start, end);
+        let (start, end, ()) = self.schedule(kind.label(), kind, stream, dur_us, || ())?;
         Ok((start, end))
     }
 
@@ -159,26 +174,6 @@ impl Gpu {
     ) -> Result<(f64, f64), GpuError> {
         let (s, e, _) = self.launch_inner(desc, stream, None::<fn()>)?;
         Ok((s, e))
-    }
-
-    /// Asynchronous host→device copy (`hipMemcpyAsync`).
-    pub fn memcpy_h2d_async<T: Copy>(
-        &self,
-        dst: &mut DeviceBuffer<T>,
-        src: &[T],
-        stream: StreamId,
-    ) -> Result<(), GpuError> {
-        if dst.len() != src.len() {
-            return Err(GpuError::InvalidValue(format!(
-                "memcpy H2D size mismatch: dst {} elements, src {}",
-                dst.len(),
-                src.len()
-            )));
-        }
-        let bytes = dst.bytes();
-        dst.as_mut_slice().copy_from_slice(src);
-        self.charge_memcpy(SpanKind::MemcpyH2D, bytes, stream)?;
-        Ok(())
     }
 
     /// Launch a kernel: validates geometry against the device, charges the
@@ -228,11 +223,8 @@ impl Gpu {
             double_precision: desc.double_precision,
         };
         let dur_us = kernel_time(&self.spec, &profile) * 1e6;
-        let (start, end) = lock(&self.timeline).schedule(stream, dur_us)?;
         *lock(&self.state_passes) += desc.work.passes;
-        let result = body.map(|b| b());
-        self.emit(&desc.name, SpanKind::Kernel, stream, start, end);
-        Ok((start, end, result))
+        self.schedule(&desc.name, SpanKind::Kernel, stream, dur_us, || body.map(|b| b()))
     }
 
     /// Accumulated full passes over the state vector, summed from the
@@ -272,10 +264,14 @@ impl Gpu {
         (p.allocated(), p.peak(), p.free())
     }
 
-    /// Restart peak-memory tracking from the current allocation level, so
-    /// a long-lived device serving many runs can report a per-run peak.
-    pub fn reset_peak_memory(&self) {
+    /// Start a run's accounting on a device that may be long-lived: peak
+    /// memory from the current allocation level and the clock from an
+    /// idle origin at 0 ([`Timeline::rebase`]), so a run's report does not
+    /// depend on what the device ran before. Trace spans keep their place
+    /// on the device's whole timeline.
+    pub fn start_run(&self) {
         lock(&self.pool).reset_peak();
+        lock(&self.timeline).rebase();
     }
 }
 
@@ -303,10 +299,10 @@ mod tests {
     #[test]
     fn malloc_and_oom() {
         let gpu = small_gpu();
-        let buf = gpu.malloc::<f32>(1024).unwrap();
-        assert_eq!(buf.len(), 1024);
+        let buf = gpu.malloc(4096).unwrap();
+        assert_eq!(buf.bytes(), 4096);
         assert_eq!(gpu.memory_usage().0, 4096);
-        assert!(matches!(gpu.malloc::<f32>(1 << 20), Err(GpuError::OutOfMemory { .. })));
+        assert!(matches!(gpu.malloc(4 << 20), Err(GpuError::OutOfMemory { .. })));
     }
 
     #[test]
@@ -345,23 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn memcpy_h2d_copies_and_charges() {
-        let gpu = small_gpu();
-        let src = vec![1.0f32, 2.0, 3.0, 4.0];
-        let mut buf = gpu.malloc::<f32>(4).unwrap();
-        gpu.memcpy_h2d_async(&mut buf, &src, StreamId::DEFAULT).unwrap();
-        assert_eq!(src, buf.as_slice());
-        assert!(gpu.synchronize() > 0.0);
-    }
-
-    #[test]
-    fn memcpy_size_mismatch() {
-        let gpu = small_gpu();
-        let mut buf = gpu.malloc::<f32>(4).unwrap();
-        assert!(gpu.memcpy_h2d_async(&mut buf, &[1.0f32; 3], StreamId::DEFAULT).is_err());
-    }
-
-    #[test]
     fn streams_overlap_kernels() {
         let gpu = small_gpu();
         let s2 = gpu.create_stream();
@@ -386,8 +365,7 @@ mod tests {
         let mut spec = DeviceSpec::mi250x_gcd();
         spec.memory_bytes = 1 << 20;
         let gpu = Gpu::with_trace(spec, sink.clone());
-        let mut buf = gpu.malloc::<f32>(4).unwrap();
-        gpu.memcpy_h2d_async(&mut buf, &[0.0; 4], StreamId::DEFAULT).unwrap();
+        gpu.charge_memcpy(SpanKind::MemcpyH2D, 16, StreamId::DEFAULT).unwrap();
         gpu.launch(&desc("ApplyGateH_Kernel", 64, 64), StreamId::DEFAULT, || ()).unwrap();
         let names = sink.0.lock().unwrap().clone();
         assert_eq!(names.len(), 2);

@@ -31,6 +31,9 @@ pub struct Timeline {
     host_now_us: f64,
     /// Completion time of the last item per stream, µs.
     streams: Vec<f64>,
+    /// Where the clock's origin lies on the device's whole timeline, µs:
+    /// the sum of the spans [`Timeline::rebase`] cut off.
+    base_us: f64,
 }
 
 impl Default for Timeline {
@@ -42,7 +45,7 @@ impl Default for Timeline {
 impl Timeline {
     /// Fresh timeline with only the default stream, at t = 0.
     pub fn new() -> Self {
-        Timeline { host_now_us: 0.0, streams: vec![0.0] }
+        Timeline { host_now_us: 0.0, streams: vec![0.0], base_us: 0.0 }
     }
 
     /// Create an additional stream.
@@ -107,6 +110,22 @@ impl Timeline {
         assert!(us >= 0.0);
         self.host_now_us += us;
     }
+
+    /// Drain the device and move the origin there: every stream and the
+    /// host cursor read 0 again, so what is timed next does not depend on
+    /// how long the device ran before. [`Timeline::base_us`] keeps the
+    /// origin's place on the whole timeline.
+    pub fn rebase(&mut self) {
+        self.base_us += self.synchronize();
+        self.host_now_us = 0.0;
+        self.streams.fill(0.0);
+    }
+
+    /// The origin's place on the device's whole timeline, µs: add it to a
+    /// time this clock reports for the absolute one.
+    pub fn base_us(&self) -> f64 {
+        self.base_us
+    }
 }
 
 #[cfg(test)]
@@ -166,6 +185,21 @@ mod tests {
         tl.schedule(s, 10.0).unwrap();
         assert_eq!(tl.sync_stream(s).unwrap(), 10.0);
         assert_eq!(tl.synchronize(), 100.0);
+    }
+
+    #[test]
+    fn rebase_restarts_every_clock_at_an_idle_origin() {
+        let mut tl = Timeline::new();
+        let s = tl.create_stream();
+        tl.schedule(StreamId::DEFAULT, 10.0).unwrap();
+        tl.schedule(s, 25.0).unwrap();
+        tl.advance_host(3.0);
+        tl.rebase();
+        assert_eq!(tl.base_us(), 25.0);
+        assert_eq!(tl.schedule(s, 1.0).unwrap(), (0.0, 1.0));
+        assert_eq!(tl.schedule(StreamId::DEFAULT, 2.0).unwrap(), (0.0, 2.0));
+        tl.rebase();
+        assert_eq!((tl.base_us(), tl.synchronize()), (27.0, 0.0));
     }
 
     #[test]

@@ -180,7 +180,7 @@ pub const RULES: &[RuleInfo] = &[
         code: crate::codes::PLAN_IDENTITY_PASS,
         name: "plan-identity-pass",
         severity: "warning",
-        summary: "A fused product collapsed to the identity: a full state pass doing nothing.",
+        summary: "A fused product collapsed to the identity: a full state pass doing nothing. Read off the composed matrix, which composes only when a probe vector, within a stated rounding bound, cannot rule the identity out (DESIGN.md §7.1).",
     },
 ];
 

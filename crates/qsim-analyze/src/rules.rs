@@ -66,7 +66,7 @@ impl CircuitRule for Unitarity {
                     )
                     .with_help("a non-unitary gate does not preserve the state norm; check the matrix entries"),
                 ),
-                Some(dev) if !f32_unitary(&m, dev) => out.push(
+                Some(dev) if !f32_unitary(m.dim(), dev, || m.cast()) => out.push(
                     Diagnostic::warning(
                         codes::UNITARITY_F32_LOSS,
                         span,
@@ -236,7 +236,7 @@ impl PlanRule for PlanShape {
                 );
                 continue; // width/dim checks would only repeat the confusion
             }
-            let (dim, expected) = (g.matrix().dim(), dim_of(w));
+            let (dim, expected) = (g.dim(), dim_of(w));
             if expected != Some(dim) {
                 let expected = expected.map_or(format!("2^{w}×2^{w}"), |e| format!("{e}×{e}"));
                 out.push(Diagnostic::error(
@@ -295,7 +295,7 @@ impl PlanRule for PlanUnitarity {
     fn check(&self, ctx: &PlanCtx<'_>, out: &mut Vec<Diagnostic>) {
         for (i, op) in ctx.plan.ops.iter().enumerate() {
             let FusedOp::Unitary(g) = op else { continue };
-            if dim_of(g.width()) != Some(g.matrix().dim()) {
+            if dim_of(g.width()) != Some(g.dim()) {
                 continue; // PlanShape reports the dimension mismatch
             }
             let span = Span::op(i, g.time_range.0);
@@ -313,7 +313,7 @@ impl PlanRule for PlanUnitarity {
                     )
                     .with_help("the plan would not preserve the state norm; refuse to execute it"),
                 ),
-                Some(dev) if !f32_unitary(g.matrix(), dev) => out.push(
+                Some(dev) if !f32_unitary(g.dim(), dev, || g.matrix_as()) => out.push(
                     Diagnostic::warning(
                         codes::PLAN_UNITARITY_F32_LOSS,
                         span,
@@ -325,7 +325,7 @@ impl PlanRule for PlanUnitarity {
                     .with_help("run in double precision or lower max_fused_qubits"),
                 ),
                 // Unitary, but trivially so: the folded gates cancelled.
-                Some(_) if g.matrix().is_identity(1e-12) => out.push(
+                Some(_) if g.is_identity(1e-12) => out.push(
                     Diagnostic::warning(
                         codes::PLAN_IDENTITY_PASS,
                         span,
@@ -593,7 +593,7 @@ fn well_formed(n: usize) -> impl Fn(&FusedGate) -> bool {
             && g.qubits.windows(2).all(|p| p[0] < p[1])
             && g.qubits.iter().all(|&q| q < n)
             && g.width() <= MAX_GATE_QUBITS
-            && dim_of(g.width()) == Some(g.matrix().dim())
+            && dim_of(g.width()) == Some(g.dim())
     }
 }
 
@@ -667,27 +667,19 @@ fn f32_deviation_bound(f64_dev: f64, dim: usize) -> f64 {
 /// `PLAN_UNITARY_TOL_F64 / 2` measures within it plus `gram_rounding`,
 /// inside the tolerance. `f32_deviation_bound` takes the certificate as
 /// its `f64_dev`: it bounds the exact entries and `ρ − 1`, and carries no
-/// rounding of its own. Debug builds measure the Gram matrix anyway and
-/// assert it against the certificate, so every test run checks the proof.
+/// rounding of its own. Debug builds measure each product's Gram matrix
+/// against its certificate when the product is composed
+/// ([`FusedGate::matrix`]), so every test run that composes one checks the
+/// proof, and an estimate that composes none stays matrix-free.
 fn certified_deviation(g: &FusedGate) -> Option<f64> {
-    let cert = g.certificate().filter(|&cert| cert <= PLAN_UNITARY_TOL_F64 / 2.0)?;
-    if cfg!(debug_assertions) {
-        let d = g.matrix().dim();
-        let measured = g.matrix().unitarity_deviation(f64::INFINITY);
-        assert!(
-            measured.is_some_and(|m| m <= cert + qsim_fusion::gram_rounding(d, cert)),
-            "a {d}×{d} product certified within {cert:e} measures {measured:?}"
-        );
-    }
-    Some(cert)
+    g.certificate().filter(|&cert| cert <= PLAN_UNITARY_TOL_F64 / 2.0)
 }
 
-/// Whether `m`, within `dev` of unitary in `f64`, stays within
-/// [`UNITARY_TOL_F32`] in `f32`: by the bound up to `dim = 256`, by the
-/// `f32` product past it.
-fn f32_unitary(m: &GateMatrix<f64>, dev: f64) -> bool {
-    f32_deviation_bound(dev, m.dim()) <= UNITARY_TOL_F32
-        || m.cast::<f32>().is_unitary(UNITARY_TOL_F32)
+/// Whether a `dim × dim` matrix, within `dev` of unitary in `f64`, stays
+/// within [`UNITARY_TOL_F32`] in `f32`: by the bound up to `dim = 256`, by
+/// the `f32` product (`cast`, formed only then) past it.
+fn f32_unitary(dim: usize, dev: f64, cast: impl FnOnce() -> GateMatrix<f32>) -> bool {
+    f32_deviation_bound(dev, dim) <= UNITARY_TOL_F32 || cast().is_unitary(UNITARY_TOL_F32)
 }
 
 #[cfg(test)]
@@ -782,10 +774,10 @@ mod tests {
         assert!(f32_deviation_bound(0.0, 2048) > UNITARY_TOL_F32);
         assert!(f32_deviation_bound(UNITARY_TOL_F32, 2) > UNITARY_TOL_F32);
         // Where it refuses, the product is formed and decides.
-        assert!(f32_unitary(&GateMatrix::identity(4), UNITARY_TOL_F32));
+        assert!(f32_unitary(4, UNITARY_TOL_F32, || GateMatrix::identity(4)));
         let mut stretched = GateMatrix::<f64>::identity(4);
         stretched.set(1, 1, Cplx::new(1.0 + 2.0 * UNITARY_TOL_F32, 0.0));
-        assert!(!f32_unitary(&stretched, UNITARY_TOL_F32));
+        assert!(!f32_unitary(4, UNITARY_TOL_F32, || stretched.cast()));
     }
 
     proptest! {
@@ -817,8 +809,8 @@ mod tests {
                 let bound = f32_deviation_bound(dev, m.dim());
                 prop_assert!(dev32 <= bound, "f32 deviation {dev32:e} above the bound {bound:e}");
                 let computed = m32.is_unitary(UNITARY_TOL_F32);
-                prop_assert_eq!(f32_unitary(&m, dev), computed);
-                prop_assert_eq!(f32_unitary(&m, UNITARY_TOL_F32), computed);
+                prop_assert_eq!(f32_unitary(m.dim(), dev, || m32.clone()), computed);
+                prop_assert_eq!(f32_unitary(m.dim(), UNITARY_TOL_F32, || m32.clone()), computed);
             }
         }
     }

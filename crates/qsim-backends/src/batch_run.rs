@@ -5,7 +5,7 @@
 //! SIMD/gate-plan construction, matrix uploads — not by amplitude
 //! arithmetic. `run_batch` takes a gang of sub-jobs, groups them by
 //! [`FusedCircuit::content_hash`], and hands each hash-equal group to the
-//! plan walker ([`crate::walker`]) as one gang of states, so those costs
+//! plan walker (`walker.rs`) as one gang of states, so those costs
 //! land once per gang. Results are bit-for-bit identical to N sequential
 //! [`SimBackend::run_with`] calls (proven by `tests/batch_equivalence.rs`).
 

@@ -26,6 +26,10 @@ use crate::sim_backend::BackendError;
 /// The first functional walk (or [`crate::SimBackend::prepare`]) keeps its
 /// **prepared form**, keyed by precision × active ISA × sweep: per unitary
 /// op, the [`PreparedGate`] a single-device walk applies. Clones share it.
+/// Preparing is where a fused matrix is first read, so it composes each
+/// product ([`qsim_fusion::FusedGate::matrix`]). Checking composes only
+/// a product the identity lint cannot rule out by its probe; estimating
+/// composes none.
 #[derive(Debug, Clone)]
 pub struct FusionPlan {
     plan: qsim_fusion::FusionPlan,
@@ -50,12 +54,12 @@ impl FusionPlan {
         FusionPlan { plan, verdict, sweep, prepared: OnceLock::new() }
     }
 
-    /// Bytes the plan keeps resident: every fused gate's `f64` matrix, plus
-    /// the prepared form once one is kept.
+    /// Bytes the plan keeps resident: each product's source gates until it
+    /// composes, its `f64` matrix after
+    /// ([`qsim_fusion::FusedCircuit::heap_bytes`]), plus the prepared form
+    /// once one is kept.
     pub fn resident_bytes(&self) -> u64 {
-        let matrices: usize =
-            self.plan.fused.unitaries().map(|g| size_of_val(g.matrix().as_slice())).sum();
-        matrices as u64 + self.prepared.get().map_or(0, |p| p.bytes)
+        self.plan.fused.heap_bytes() as u64 + self.prepared.get().map_or(0, |p| p.bytes)
     }
 
     /// The kept form for a walk at `F` under `sweep` on the active ISA —

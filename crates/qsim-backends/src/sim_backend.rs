@@ -2,7 +2,7 @@
 //! device, how circuits are planned for it, and the entry points —
 //! [`SimBackend::estimate`], [`SimBackend::run_with`] and
 //! [`SimBackend::run_batch`](crate::batch_run) — into the one traversal
-//! that executes a fused circuit on it ([`crate::walker`]).
+//! that executes a fused circuit on it (`walker.rs`).
 
 use gpu_model::runtime::{Gpu, StreamId};
 use gpu_model::specs::DeviceSpec;

@@ -67,7 +67,7 @@ use qsim_core::cancel::CancelToken;
 use qsim_core::kernels::{PreparedGate, PAR_GRAIN_AMPS};
 use qsim_core::statespace::{measure, norm_sqr, sample};
 use qsim_core::sweep::{PassTracker, SweepConfig, SweepExecutor};
-use qsim_core::types::{Cplx, Float, Precision};
+use qsim_core::types::{Float, Precision};
 use qsim_core::{GateMatrix, StateVector};
 use qsim_fusion::{FusedCircuit, FusedGate, FusedOp};
 
@@ -500,9 +500,8 @@ impl SimBackend {
         let policy = self.launch_policy(F::PRECISION);
         let mut kernel_stats: BTreeMap<String, (u64, f64)> = BTreeMap::new();
         let isa = qsim_core::simd::active_isa();
-        // Per-walk peak-memory accounting (the device may be long-lived).
-        self.gpu.reset_peak_memory();
-        let t0 = self.gpu.synchronize();
+        // Per-walk peak memory and clock (the device may be long-lived).
+        self.gpu.start_run();
         let fusion_stats = fused.stats();
         // ROADMAP 8(iii): a sharded walk charges no modeled fusion time,
         // though its cost model's single-device sibling does.
@@ -572,12 +571,13 @@ impl SimBackend {
                     let (slots, matrix) = physical_gate::<F>(g, layout, gang.is_some());
                     if let Some(cs) = copy_stream {
                         // Ship the fused matrix to the device, once for the
-                        // gang (a dry walk allocates no buffer).
+                        // gang: its buffer is reserved and freed (a dry walk
+                        // reserves none).
                         let dim = 1usize << g.qubits.len();
-                        if gang.is_some() {
-                            self.gpu.malloc::<Cplx<F>>(dim * dim)?;
-                        }
                         let bytes = (dim * dim * amp_bytes) as u64;
+                        if gang.is_some() {
+                            self.gpu.malloc(bytes)?;
+                        }
                         self.gpu.charge_memcpy(SpanKind::MemcpyH2D, bytes, cs)?;
                         self.gpu.stream_wait_stream(StreamId::DEFAULT, cs)?;
                     }
@@ -704,7 +704,7 @@ impl SimBackend {
             fusion_strategy: plan.strategy.label().into(),
             predicted_cost_seconds: plan.predicted_cost_seconds,
             fusion_stats,
-            simulated_seconds: (t_end - t0) * 1e-6 / completed,
+            simulated_seconds: t_end * 1e-6 / completed,
             fusion_seconds: fusion_us * 1e-6 / completed,
             wall_seconds: wall_start.elapsed().as_secs_f64() / completed,
             setup_seconds: setup_seconds / completed,
@@ -832,23 +832,33 @@ mod tests {
         backend.run_gang::<f32>(plan, subs).into_iter().map(outcome).collect()
     }
 
-    /// A dry walk prepares nothing; the first functional walk prepares
-    /// each gate once and keeps the form; the next walk prepares nothing
-    /// and computes the same bits.
+    /// The plan's composed products, by address.
+    fn composed(plan: &FusionPlan) -> Vec<*const GateMatrix<f64>> {
+        plan.fused.unitaries().filter(|g| g.is_composed()).map(|g| g.matrix() as *const _).collect()
+    }
+
+    /// Checking a plan and a dry walk compose and prepare nothing; the
+    /// first functional walk composes and prepares each gate once and
+    /// keeps the form; the next walk composes and prepares nothing and
+    /// computes the same bits.
     #[test]
     fn the_second_walk_of_a_plan_prepares_no_gate() {
         let backend = SimBackend::new(Flavor::CpuAvx);
         let plan = plan(&backend, &measured_rqc(12, 8));
-        let matrices = plan.resident_bytes();
+        let sources = plan.resident_bytes();
         let (built, report) = prepared_by(|| backend.estimate_plan(&plan, Precision::Single));
         assert!(report.is_ok());
-        assert_eq!((built, plan.resident_bytes()), (0, matrices), "a dry walk prepares nothing");
+        assert_eq!((built, plan.resident_bytes()), (0, sources), "a dry walk prepares nothing");
+        assert!(composed(&plan).is_empty(), "checking and a dry walk compose nothing");
 
         let (built, first) = prepared_by(|| run(&backend, &plan, &[3]));
         assert_eq!(built, plan.fused.num_unitaries());
-        assert!(plan.resident_bytes() > matrices, "the form is kept");
+        let products = composed(&plan);
+        assert_eq!(products.len(), plan.fused.num_unitaries(), "the walk composes every product");
+        assert!(plan.resident_bytes() > sources, "the products and the form are kept");
         let (built, second) = prepared_by(|| run(&backend, &plan, &[3]));
         assert_eq!(built, 0);
+        assert_eq!(composed(&plan), products, "the second walk composes nothing");
         assert_eq!(first, second);
         assert!(!first[0].1.is_empty(), "the circuit measures");
     }

@@ -1,7 +1,9 @@
 //! Unitarity certificates: what [`crate::build`] knows about each product
-//! it composes. A certificate is an upper bound on the spectral norm
-//! `‖M·M† − I‖₂`. The bound is derived beside `f32_deviation_bound` in
-//! `qsim-analyze`'s `rules.rs`, where `PlanUnitarity` reads it.
+//! without composing it. A certificate is an upper bound on the spectral
+//! norm `‖M·M† − I‖₂`. The bound is derived beside `f32_deviation_bound`
+//! in `qsim-analyze`'s `rules.rs`, where `PlanUnitarity` reads it. The
+//! identity probe's rounding bound ([`ProbeRounding`]) rests on the same
+//! merge bound.
 
 use qsim_core::matrix::GateMatrix;
 use qsim_core::types::Cplx;
@@ -66,6 +68,58 @@ pub(crate) fn of_product(gate: f64, product: f64, gate_dim: usize, dim: usize) -
     let scale = (1.0 + gate) * (1.0 + product);
     let eta = ((2 * gate_dim * dim) as f64).sqrt() * gamma(gate_dim + 2);
     gate + (1.0 + gate) * product + scale * eta * (2.0 + eta)
+}
+
+/// How far `FusedGate::is_identity`'s probe `w = fl(G_m ⋯ fl(G_1·v))` may
+/// lie from `M·v`, `M` the product `build`'s factors compose to, per unit
+/// of `‖v‖₂`, added up factor by factor: each factor's certificate and
+/// the dimension of its matrix, on a product of dimension `dim`.
+///
+/// With `u = 2⁻⁵³`, `γₙ` as above and each factor `G` expanded onto `dim`
+/// (`‖G‖ ≤ ρ = √(1 + δ(G))`, its certificate `δ`, ≤ `n` non-zeros a row
+/// and a column):
+/// - one probe step `fl(G·x)` sums `≤ n` complex terms a row, so its
+///   error is at most `η·‖G‖‖x‖₂` with `η = √(2n)·γ_{n+2}` (the merge
+///   bound of [`of_product`] with one column);
+/// - the composed product, `P₁ = G₁` exactly and `Pᵢ = fl(Gᵢ·Pᵢ₋₁)`,
+///   errs by `Eᵢ` with `‖Eᵢ‖₂ ≤ η̂·‖Gᵢ‖‖Pᵢ₋₁‖`, `η̂ = √(2n·dim)·γ_{n+2}`
+///   ([`of_product`]).
+///
+/// Every partial product, exact or formed, and every probe vector is then
+/// within `Γ = Πᵢ ρᵢ(1 + η̂ᵢ)` of the norm it started from, and each
+/// step's error reaches the end through the remaining factors, of norm
+/// `≤ Πⱼ₍>ᵢ₎ ρⱼ`. So `‖w − M_exact·v‖ ≤ Γ·Σ ηᵢ·‖v‖` and
+/// `‖(M − M_exact)·v‖ ≤ Γ·Σ η̂ᵢ·‖v‖`: the bound is `Γ·Σ (ηᵢ + η̂ᵢ)`. Like
+/// the certificates it ignores underflow, which a factor of two where it
+/// is read covers (`≤ dim·2⁻¹⁰⁷⁴` an entry).
+pub(crate) struct ProbeRounding {
+    root_dim: f64,
+    growth: f64,
+    sum: f64,
+    /// The last factor dimension seen and its `η`.
+    eta: (usize, f64),
+}
+
+impl ProbeRounding {
+    pub(crate) fn new(dim: usize) -> Self {
+        ProbeRounding { root_dim: (dim as f64).sqrt(), growth: 1.0, sum: 0.0, eta: (0, 0.0) }
+    }
+
+    /// One more factor, certified within `cert`, of `n` columns.
+    pub(crate) fn add(&mut self, cert: f64, n: usize) {
+        if self.eta.0 != n {
+            self.eta = (n, ((2 * n) as f64).sqrt() * gamma(n + 2));
+        }
+        // `√(1 + δ) ≤ 1 + δ/2`, and `η̂ = η·√dim`.
+        let eta = self.eta.1;
+        self.growth *= (1.0 + cert / 2.0) * (1.0 + eta * self.root_dim);
+        self.sum += eta * (1.0 + self.root_dim);
+    }
+
+    /// `Γ·Σ (ηᵢ + η̂ᵢ)` over the factors added.
+    pub(crate) fn bound(&self) -> f64 {
+        self.growth * self.sum
+    }
 }
 
 #[cfg(test)]

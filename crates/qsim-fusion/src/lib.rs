@@ -22,17 +22,22 @@
 //! merged qubit set still fits in `max_fused_qubits`; measurements are
 //! fusion barriers. The default policy takes every such merge; the
 //! cost-model-driven strategies price each one with a per-backend
-//! [`cost::FusionCostModel`] first. [`build`] then composes the matrices
-//! of the one layout that was chosen.
+//! [`cost::FusionCostModel`] first. `build` then records, for the one
+//! layout that was chosen, each fused gate's site, source gates and
+//! unitarity certificate; a gate composes its matrix when it is first
+//! read ([`FusedGate::matrix`]), so a plan that is only estimated never
+//! forms a product.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::mem::Discriminant;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use qsim_circuit::circuit::{Circuit, GateOp};
 use qsim_circuit::gates::GateKind;
 use qsim_core::kernels::MAX_GATE_QUBITS;
 use qsim_core::matrix::{GateMatrix, SplitMatrix};
-use qsim_core::types::Float;
+use qsim_core::types::{Cplx, Float};
 
 mod certificate;
 pub mod cost;
@@ -45,17 +50,17 @@ pub use planner::{plan, FusionPlan, FusionStrategy};
 /// A fused unitary acting on a sorted set of qubits.
 ///
 /// Sealed: its fields are private and nothing changes a gate once it is
-/// made, so the unitarity certificate `build` composes beside a product
-/// always speaks of the matrix it sits next to. Where the gate acts and
+/// made, so the unitarity certificate `build` derives beside a product
+/// always speaks of the matrix it stands for. Where the gate acts and
 /// what it folds read through `Deref` to its [`GateSite`]; the matrix
-/// through [`FusedGate::matrix`].
+/// through [`FusedGate::matrix`], which composes it on the first read.
+/// Clones share the product, so a plan and its copies compose each
+/// matrix at most once.
 #[derive(Debug, Clone)]
 pub struct FusedGate {
     site: GateSite,
-    /// The fused unitary, always composed in `f64`; backends cast to
-    /// their working precision at application time.
-    matrix: GateMatrix<f64>,
-    /// An upper bound on `‖M·M† − I‖₂` for `matrix`, from `build`.
+    product: Arc<Product>,
+    /// An upper bound on `‖M·M† − I‖₂` for the matrix, from `build`.
     certificate: Option<f64>,
 }
 
@@ -70,6 +75,31 @@ pub struct GateSite {
     pub time_range: (usize, usize),
 }
 
+/// A fused gate's matrix: its source gates in merge order, and the
+/// product once it is composed, always in `f64` (backends cast to their
+/// working precision at application time).
+#[derive(Debug)]
+struct Product {
+    /// Empty for a gate made by hand, whose matrix is given, and once the
+    /// product is composed: the composition takes them.
+    factors: Mutex<Vec<Factor>>,
+    matrix: OnceLock<GateMatrix<f64>>,
+    /// The identity probe's outcome, once run: the largest `|wᵢ − vᵢ|`
+    /// and the rounding bound per unit of `‖v‖₂`; `None` for a product
+    /// the probe does not run on.
+    probe: OnceLock<Option<(f64, f64)>>,
+}
+
+/// One source gate of a product: its matrix over its sorted targets and
+/// the controls that embed it, as qubit masks (a plan has at most 64
+/// qubits).
+#[derive(Debug, Clone)]
+struct Factor {
+    source: Arc<Source>,
+    targets: u64,
+    controls: u64,
+}
+
 impl std::ops::Deref for FusedGate {
     type Target = GateSite;
 
@@ -82,7 +112,7 @@ impl std::ops::Deref for FusedGate {
 /// made, not what it is.
 impl PartialEq for FusedGate {
     fn eq(&self, other: &FusedGate) -> bool {
-        self.site == other.site && self.matrix == other.matrix
+        self.site == other.site && self.matrix() == other.matrix()
     }
 }
 
@@ -95,16 +125,37 @@ impl FusedGate {
         source_gates: usize,
         time_range: (usize, usize),
     ) -> FusedGate {
-        FusedGate { site: GateSite { qubits, source_gates, time_range }, matrix, certificate: None }
+        let product = Product {
+            factors: Mutex::default(),
+            matrix: OnceLock::from(matrix),
+            probe: OnceLock::new(),
+        };
+        FusedGate {
+            site: GateSite { qubits, source_gates, time_range },
+            product: Arc::new(product),
+            certificate: None,
+        }
     }
 
-    /// The fused unitary in `f64`.
+    /// The fused unitary in `f64`, composed from the source gates on the
+    /// first read of this gate or any of its clones.
     pub fn matrix(&self) -> &GateMatrix<f64> {
-        &self.matrix
+        self.product.matrix.get_or_init(|| self.product.compose(self.certificate))
+    }
+
+    /// Whether [`FusedGate::matrix`] has been composed (or was given).
+    pub fn is_composed(&self) -> bool {
+        self.product.matrix.get().is_some()
+    }
+
+    /// The matrix dimension, without composing it: `2^width` for a built
+    /// gate, the given matrix's for one made by hand.
+    pub fn dim(&self) -> usize {
+        self.product.matrix.get().map_or_else(|| 1 << self.width(), GateMatrix::dim)
     }
 
     /// An upper bound on the spectral norm `‖M·M† − I‖₂` of
-    /// [`FusedGate::matrix`], composed by `build` from its source gates
+    /// [`FusedGate::matrix`], derived by `build` from its source gates
     /// and the rounding of each merge; `None` for a gate made by
     /// [`FusedGate::new`] or with a non-finite factor.
     pub fn certificate(&self) -> Option<f64> {
@@ -113,7 +164,34 @@ impl FusedGate {
 
     /// The fused matrix cast to the backend's working precision.
     pub fn matrix_as<F: Float>(&self) -> GateMatrix<F> {
-        self.matrix.cast()
+        self.matrix().cast()
+    }
+
+    /// `self.matrix().is_identity(tol)`, composing the matrix only when a
+    /// probe of the source gates cannot rule the identity out.
+    ///
+    /// The probe applies the factors, one after the other, to a fixed
+    /// vector `v` of `2^k` unit-modulus entries: `2^k` work per factor
+    /// column where composing costs `4^k`, once per product (clones share
+    /// it). If the composed `M` passed, every `|Mᵢⱼ − δᵢⱼ|` would be below
+    /// `tol` (to a few `u`, `u = 2⁻⁵³`), so `|(Mv − v)ᵢ| ≤ tol·‖v‖₁`; the
+    /// probe `w` differs from the composed `Mv` by at most
+    /// `certificate::ProbeRounding`'s bound times `‖v‖₂`. A probe with
+    /// some `|wᵢ − vᵢ|` above twice their sum (the factor two covers the
+    /// rounding of the figures themselves) proves `M` is not the identity
+    /// within `tol`; any other composes `M` and decides as `is_identity`
+    /// does. The verdict is `is_identity`'s either way.
+    ///
+    /// A product of one source gate is that gate's matrix, or its
+    /// controlled expansion, whose other entries are exact zeros and
+    /// ones: the gate's own `is_identity` is the verdict.
+    pub fn is_identity(&self, tol: f64) -> bool {
+        let verdict = if self.is_composed() {
+            None
+        } else {
+            self.product.identity_verdict(&self.qubits, tol)
+        };
+        verdict.unwrap_or_else(|| self.matrix().is_identity(tol))
     }
 
     /// Number of target qubits (the fused gate's width `k`).
@@ -132,6 +210,209 @@ impl FusedGate {
     pub fn is_block_local(&self, block_qubits: usize) -> bool {
         qsim_core::sweep::is_block_local(&self.qubits, block_qubits)
     }
+
+    /// Heap bytes the gate's product holds of its own: the product, its
+    /// factor list and, once composed, the matrix. The source gates the
+    /// factors share are counted by [`FusedCircuit::heap_bytes`].
+    fn product_bytes(&self) -> usize {
+        let factors = self.product.factors().capacity() * size_of::<Factor>();
+        let matrix = self.product.matrix.get().map_or(0, |m| size_of_val(m.as_slice()));
+        size_of::<Product>() + factors + matrix
+    }
+}
+
+impl Product {
+    /// The factors not yet composed.
+    fn factors(&self) -> MutexGuard<'_, Vec<Factor>> {
+        // Nothing panics while holding the lock but the allocator; the
+        // list is whole either way.
+        self.factors.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Compose the factors in merge order: the first enters as it is,
+    /// each next one multiplies in through [`SplitMatrix::set_product`] on
+    /// the union of the qubits so far, the product widened in place, and
+    /// the split planes interleave once at the end; the factors are freed.
+    /// Debug builds measure the product's Gram matrix against its
+    /// certificate, so every test run that reads a product checks the
+    /// proof.
+    fn compose(&self, certificate: Option<f64>) -> GateMatrix<f64> {
+        count_composed();
+        let factors = std::mem::take(&mut *self.factors());
+        let (first, rest) = factors.split_first().expect("a built product has a factor");
+        let (mut qubits, first) = first.operand();
+        let mut product = SplitMatrix::default();
+        let mut next = SplitMatrix::default();
+        for (i, factor) in rest.iter().enumerate() {
+            let (gate_qubits, gate) = factor.operand();
+            let union = union_sorted(&qubits, &gate_qubits);
+            match i {
+                0 => product.set_expanded(&first, &qubits, &union),
+                _ => product.widen(&qubits, &union),
+            }
+            next.set_product(&gate, &gate_qubits, &union, &product);
+            std::mem::swap(&mut product, &mut next);
+            qubits = union;
+        }
+        let matrix = if rest.is_empty() { first.into_owned() } else { product.to_matrix() };
+        if let (true, Some(cert)) = (cfg!(debug_assertions), certificate) {
+            let (d, measured) = (matrix.dim(), matrix.unitarity_deviation(f64::INFINITY));
+            assert!(
+                measured.is_some_and(|m| m <= cert + gram_rounding(d, cert)),
+                "a {d}×{d} product certified within {cert:e} measures {measured:?}"
+            );
+        }
+        matrix
+    }
+
+    /// [`FusedGate::is_identity`]'s verdict on the product on the sorted
+    /// `qubits` where it needs no composing: a lone source gate's own, or
+    /// `false` where the probe rules the identity out; `None` otherwise.
+    /// The probe runs once per product, whatever the `tol`.
+    fn identity_verdict(&self, qubits: &[usize], tol: f64) -> Option<bool> {
+        let probe = match self.probe.get() {
+            Some(probe) => *probe,
+            None => {
+                let factors = self.factors();
+                if let [only] = factors.as_slice() {
+                    return Some(only.source.matrix.is_identity(tol));
+                }
+                *self.probe.get_or_init(|| probe(&factors, qubits))
+            }
+        };
+        let d = (1usize << qubits.len()) as f64;
+        let (gap, rounding) = probe?;
+        // |vⱼ| = 1 to within 2u, which the factor two covers; NaN composes.
+        (gap > 2.0 * (tol * d + rounding * d.sqrt())).then_some(false)
+    }
+}
+
+/// Apply `factors` to the probe vector `v`: the largest `|wᵢ − vᵢ|`
+/// of the result `w`, and the rounding bound. `None` for a
+/// factor without a certificate, one on more than two targets, or a
+/// product wider than the kernels (a controlled gate that passes
+/// unfused).
+fn probe(factors: &[Factor], qubits: &[usize]) -> Option<(f64, f64)> {
+    let site = qubits.iter().fold(0u64, |mask, &q| mask | 1 << q);
+    match 1usize << qubits.len() {
+        d @ ..=4 => probe_in::<4>(factors, site, d),
+        d @ ..=16 => probe_in::<16>(factors, site, d),
+        d @ ..=PROBE_DIM => probe_in::<PROBE_DIM>(factors, site, d),
+        _ => None,
+    }
+}
+
+/// [`probe`] over the first `d ≤ D` entries.
+fn probe_in<const D: usize>(factors: &[Factor], site: u64, d: usize) -> Option<(f64, f64)> {
+    let v: &[Cplx<f64>; D] = probe_vector()[..D].try_into().expect("D ≤ PROBE_DIM");
+    let mut buffers = (*v, *v);
+    let (mut w, mut out) = (&mut buffers.0, &mut buffers.1);
+    let mut rounding = certificate::ProbeRounding::new(d);
+    for f in factors {
+        let (t, c) = (positions(f.targets, site), positions(f.controls, site));
+        rounding.add(f.source.certificate?, 1 << (t | c).count_ones());
+        match t.count_ones() {
+            1 => f.apply::<2, D>(t, c, d, w, out),
+            2 => f.apply::<4, D>(t, c, d, w, out),
+            _ => return None,
+        }
+        std::mem::swap(&mut w, &mut out);
+    }
+    let gap = w[..d].iter().zip(v).map(|(w, v)| (*w - *v).norm_sqr()).fold(0.0, f64::max);
+    Some((gap.sqrt(), rounding.bound()))
+}
+
+/// The widest product the identity probe runs on: the kernels' widest.
+const PROBE_DIM: usize = 1 << MAX_GATE_QUBITS;
+
+/// The identity probe's vector: unit-modulus entries whose phases step by
+/// the golden angle, so no two entries line up with a small gate's
+/// symmetries.
+fn probe_vector() -> &'static [Cplx<f64>; PROBE_DIM] {
+    static PROBE: OnceLock<[Cplx<f64>; PROBE_DIM]> = OnceLock::new();
+    PROBE.get_or_init(|| {
+        std::array::from_fn(|j| {
+            let phase = j as f64 * 2.399_963_229_728_653 + 0.5;
+            Cplx::new(phase.cos(), phase.sin())
+        })
+    })
+}
+
+impl Factor {
+    /// The factor as it multiplies in: its matrix over its sorted qubits,
+    /// a controlled gate expanded over its targets and controls.
+    fn operand(&self) -> (Vec<usize>, Cow<'_, GateMatrix<f64>>) {
+        let targets: Vec<usize> = bits(self.targets).collect();
+        if self.controls == 0 {
+            return (targets, Cow::Borrowed(&self.source.matrix));
+        }
+        let controls: Vec<usize> = bits(self.controls).collect();
+        let (qubits, matrix) = expand_controlled(&targets, &controls, &self.source.matrix);
+        (qubits, Cow::Owned(matrix))
+    }
+
+    /// `out = G·w` over the first `d` entries, `G` the factor, of `N`
+    /// columns, on the index bits `t` under the controls `c`: a row whose
+    /// controls are not all set keeps its entry, every other sums its
+    /// gate row.
+    fn apply<const N: usize, const D: usize>(
+        &self,
+        t: usize,
+        c: usize,
+        d: usize,
+        w: &[Cplx<f64>; D],
+        out: &mut [Cplx<f64>; D],
+    ) {
+        let at = D - 1;
+        // The gate by columns, in split planes: `g[j][r]` is `m[r][j]`.
+        let m = self.source.matrix.as_slice();
+        let g_re: [[f64; N]; N] = std::array::from_fn(|j| std::array::from_fn(|r| m[r * N + j].re));
+        let g_im: [[f64; N]; N] = std::array::from_fn(|j| std::array::from_fn(|r| m[r * N + j].im));
+        let mut offsets = [0; N];
+        for j in 1..N {
+            offsets[j] = next_submask(offsets[j - 1], t);
+        }
+        let rest = (d - 1) & !t;
+        let mut base = 0;
+        loop {
+            let x: [Cplx<f64>; N] = std::array::from_fn(|j| w[(base | offsets[j]) & at]);
+            let (mut re, mut im) = ([0.0; N], [0.0; N]);
+            for j in 0..N {
+                for r in 0..N {
+                    re[r] += g_re[j][r] * x[j].re - g_im[j][r] * x[j].im;
+                    im[r] += g_re[j][r] * x[j].im + g_im[j][r] * x[j].re;
+                }
+            }
+            let active = base & c == c;
+            for r in 0..N {
+                let z = if active { Cplx::new(re[r], im[r]) } else { x[r] };
+                out[(base | offsets[r]) & at] = z;
+            }
+            base = next_submask(base, rest);
+            if base == 0 {
+                break;
+            }
+        }
+    }
+}
+
+/// The qubits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let q = (mask != 0).then(|| mask.trailing_zeros() as usize);
+        mask &= mask.wrapping_sub(1);
+        q
+    })
+}
+
+/// The index bits of the qubits `mask` within the sorted set `site`.
+fn positions(mask: u64, site: u64) -> usize {
+    bits(mask).map(|q| 1 << (site & ((1 << q) - 1)).count_ones()).sum()
+}
+
+/// The next submask of `mask` after `x`, ascending; `0` after the last.
+fn next_submask(x: usize, mask: usize) -> usize {
+    (x | !mask).wrapping_add(1) & mask
 }
 
 /// One operation of a fused circuit.
@@ -227,6 +508,26 @@ impl FusedCircuit {
             .collect()
     }
 
+    /// Heap bytes the plan's products hold: each gate's product, its
+    /// factor list until it composes and its `f64` matrix after, and each
+    /// distinct source gate the remaining factors share, once.
+    pub fn heap_bytes(&self) -> usize {
+        // Each source gate by address, with its bytes.
+        let mut sources: Vec<(*const Source, usize)> = Vec::new();
+        for g in self.unitaries() {
+            sources.extend(g.product.factors().iter().map(|f| {
+                (
+                    Arc::as_ptr(&f.source),
+                    size_of::<Source>() + size_of_val(f.source.matrix.as_slice()),
+                )
+            }));
+        }
+        sources.sort_unstable();
+        sources.dedup();
+        let source_bytes: usize = sources.iter().map(|&(_, bytes)| bytes).sum();
+        self.unitaries().map(FusedGate::product_bytes).sum::<usize>() + source_bytes
+    }
+
     /// Order-sensitive hash of the plan's *functional* content: qubit
     /// count, op sequence, target sets, and bit-exact matrix entries —
     /// ignoring provenance (`source_gates`, `time_range`). Two plans with
@@ -310,37 +611,29 @@ pub fn fuse(circuit: &Circuit, max_fused_qubits: usize) -> FusedCircuit {
     build(circuit, &planner::decide(circuit, max_fused_qubits, planner::Policy::Greedy))
 }
 
-/// Replay a decided `layout` over `circuit`, composing each output slot's
-/// matrix in source-op order — the only place fused matrices are built,
-/// whatever strategy chose the layout.
+/// Replay a decided `layout` over `circuit`: each output slot's qubits,
+/// source count and time range, its source gates in order, and its
+/// [`FusedGate::certificate`] — everything but the product, which the
+/// gate composes from those source gates when it is first read.
 ///
-/// From its first merge on, a slot's product lives in split planes
-/// ([`SplitMatrix`]): each merge writes `expand(gate) · product` into a
-/// spare pair of planes and returns the old pair to the spares. The slot's
-/// first gate enters as it is and a widening union widens the product in
-/// place, both read through the expansion by `set_product`, so no
-/// expansion is ever formed; the interleaved [`FusedGate::matrix`] is
-/// written once, at the slot's last merge. Each source gate's matrix and
-/// certificate come from [`Sources`], once per distinct gate.
-///
-/// Beside each product runs its [`FusedGate::certificate`]: a slot opens
-/// with its first gate's measured deviation, and every merge adds the
-/// next gate's and a bound on the merge's rounding (`certificate.rs`), so
-/// the pre-run check need not form the product's Gram matrix again.
+/// Each source gate's matrix and certificate come from [`Sources`], once
+/// per distinct gate, shared by every slot that folds it. Beside each
+/// slot runs its certificate: a slot opens with its first gate's measured
+/// deviation, and every merge adds the next gate's and a bound on the
+/// merge's rounding (`certificate.rs`), from dimensions alone, so neither
+/// the pre-run check nor `build` forms the product to certify it.
 fn build(circuit: &Circuit, layout: &planner::Layout) -> FusedCircuit {
-    // The source op after which each output slot takes no more merges.
-    let mut last_merge: Vec<usize> = Vec::with_capacity(layout.slots.len());
-    for (i, action) in layout.actions.iter().enumerate() {
+    // How many source gates each output slot folds.
+    let mut folds: Vec<usize> = Vec::with_capacity(layout.slots.len());
+    for action in &layout.actions {
         match *action {
-            planner::Action::Merge(t) => last_merge[t] = i,
-            planner::Action::New => last_merge.push(i),
+            planner::Action::Merge(t) => folds[t] += 1,
+            planner::Action::New => folds.push(1),
         }
     }
-    let mut open: Vec<Option<SplitMatrix<f64>>> = vec![None; last_merge.len()];
-    let mut spares = Spares::default();
     let mut sources = Sources::default();
-    let mut ops: Vec<FusedOp> = Vec::with_capacity(last_merge.len());
-    for (i, (op, action)) in circuit.ops.iter().zip(&layout.actions).enumerate() {
+    let mut ops: Vec<FusedOp> = Vec::with_capacity(folds.len());
+    for (op, action) in circuit.ops.iter().zip(&layout.actions) {
         if op.is_measurement() {
             let mut qs = op.qubits.clone();
             qs.sort_unstable();
@@ -348,68 +641,58 @@ fn build(circuit: &Circuit, layout: &planner::Layout) -> FusedCircuit {
             continue;
         }
 
-        let source = sources.get(op);
-        let mut targets = [0; MAX_GATE_QUBITS];
-        let targets = &mut targets[..op.qubits.len()];
-        targets.copy_from_slice(&op.qubits);
-        targets.sort_unstable();
         // Extra controls make a gate opaque to the fuser: it enters as a
         // plain unitary over targets+controls with the expanded matrix.
         // They embed the gate as `I ⊕ matrix`, which leaves `‖M·M† − I‖₂`
         // as it was: the certificate is the bare gate's.
-        let controlled;
-        let (qubits, matrix) = if op.controls.is_empty() {
-            (&*targets, &source.matrix)
-        } else {
-            controlled = expand_controlled(targets, &op.controls, &source.matrix);
-            (&controlled.0[..], &controlled.1)
+        let mask = |qubits: &[usize]| qubits.iter().fold(0u64, |mask, &q| mask | 1 << q);
+        let factor = Factor {
+            source: sources.get(op).clone(),
+            targets: mask(&op.qubits),
+            controls: mask(&op.controls),
         };
+        let (mut buf, mut n) = ([0; 64], 0);
+        for q in bits(factor.targets | factor.controls) {
+            (buf[n], n) = (q, n + 1);
+        }
+        let qubits = &buf[..n];
+        let certificate = factor.source.certificate;
 
         match *action {
             planner::Action::Merge(t) => {
                 let FusedOp::Unitary(b) = &mut ops[t] else {
                     unreachable!("merge target is a gate slot")
                 };
-                // matrix_new = expand(gate) · expand(existing)
                 let mut union = [0; MAX_GATE_QUBITS];
                 let n = union_into(&b.qubits, qubits, &mut union);
-                let union = &union[..n];
-                let width = b.width();
-                let product = match open[t].take() {
-                    Some(mut planes) => {
-                        planes.widen(&b.qubits, union);
-                        planes
-                    }
-                    None => {
-                        let mut planes = spares.take(width);
-                        planes.set_expanded(&b.matrix, &b.qubits, union);
-                        planes
-                    }
-                };
-                let mut next = spares.take(union.len());
-                next.set_product(matrix, qubits, union, &product);
-                spares.put(width, product);
-                if last_merge[t] == i {
-                    b.matrix = next.to_matrix();
-                    spares.put(union.len(), next);
-                } else {
-                    open[t] = Some(next);
-                }
-                b.certificate = source.certificate.zip(b.certificate).map(|(gate, product)| {
-                    certificate::of_product(gate, product, matrix.dim(), 1 << union.len())
+                b.certificate = certificate.zip(b.certificate).map(|(gate, product)| {
+                    certificate::of_product(gate, product, 1 << qubits.len(), 1 << n)
                 });
+                let product = Arc::get_mut(&mut b.product).expect("build owns its products");
+                product.factors.get_mut().unwrap_or_else(PoisonError::into_inner).push(factor);
                 b.site.qubits.clear();
-                b.site.qubits.extend_from_slice(union);
+                b.site.qubits.extend_from_slice(&union[..n]);
                 b.site.source_gates += 1;
                 b.site.time_range.1 = op.time;
             }
             planner::Action::New => {
-                let mut site =
-                    Vec::with_capacity(layout.slots[ops.len()].as_ref().map_or(0, Vec::len));
+                let slot = ops.len();
+                let mut site = Vec::with_capacity(layout.slots[slot].as_ref().map_or(0, Vec::len));
                 site.extend_from_slice(qubits);
+                let mut factors = Vec::with_capacity(folds[slot]);
+                factors.push(factor);
                 ops.push(FusedOp::Unitary(FusedGate {
-                    certificate: source.certificate,
-                    ..FusedGate::new(site, matrix.clone(), 1, (op.time, op.time))
+                    site: GateSite {
+                        qubits: site,
+                        source_gates: 1,
+                        time_range: (op.time, op.time),
+                    },
+                    product: Arc::new(Product {
+                        factors: Mutex::new(factors),
+                        matrix: OnceLock::new(),
+                        probe: OnceLock::new(),
+                    }),
+                    certificate,
                 }));
             }
         }
@@ -417,14 +700,15 @@ fn build(circuit: &Circuit, layout: &planner::Layout) -> FusedCircuit {
     FusedCircuit { num_qubits: circuit.num_qubits, ops, max_fused_qubits: layout.max_fused_qubits }
 }
 
-/// A source gate as [`build`] composes it: its matrix over its sorted
+/// A source gate as a product folds it: its matrix over its sorted
 /// targets, and that matrix's certificate.
+#[derive(Debug)]
 struct Source {
     matrix: GateMatrix<f64>,
     certificate: Option<f64>,
 }
 
-/// The source gates one [`build`] has composed, each once: keyed by kind,
+/// The source gates one [`build`] has met, each once: keyed by kind,
 /// the bits of its parameters (`Rz(0.0) == Rz(-0.0)`, but their matrices
 /// differ in the sign of a zero) and the order of its operands (the
 /// permutation `sorted_matrix` applies). A controlled gate keys on its
@@ -434,7 +718,7 @@ struct Source {
 /// hashed: a circuit of a handful of gate kinds never hashes a hit.
 #[derive(Default)]
 struct Sources {
-    list: Vec<Source>,
+    list: Vec<Arc<Source>>,
     index: HashMap<SourceKey, usize>,
     recent: [Option<(SourceKey, usize)>; 4],
 }
@@ -442,7 +726,7 @@ struct Sources {
 type SourceKey = (Discriminant<GateKind>, u64, u64, usize);
 
 impl Sources {
-    fn get(&mut self, op: &GateOp) -> &Source {
+    fn get(&mut self, op: &GateOp) -> &Arc<Source> {
         let ([p0, p1], _) = op.kind.params_fixed();
         let order = op
             .qubits
@@ -456,37 +740,12 @@ impl Sources {
         let i = *self.index.entry(key).or_insert_with(|| {
             let (_, matrix) =
                 op.sorted_matrix::<f64>().expect("non-measurement gates have matrices");
-            list.push(Source { certificate: certificate::of_source(&matrix), matrix });
+            list.push(Arc::new(Source { certificate: certificate::of_source(&matrix), matrix }));
             list.len() - 1
         });
         self.recent.rotate_right(1);
         self.recent[0] = Some((key, i));
         &self.list[i]
-    }
-}
-
-/// Planes no slot holds, by the width of the matrix they held, so a pair
-/// is reused only at its own size and never reallocated. They are kept
-/// while they weigh at most 256 KiB (four 64 × 64 pairs of `f64` planes);
-/// a pair returned past that is freed.
-#[derive(Default)]
-struct Spares {
-    by_width: [Vec<SplitMatrix<f64>>; MAX_GATE_QUBITS + 1],
-    bytes: usize,
-}
-
-impl Spares {
-    fn take(&mut self, width: usize) -> SplitMatrix<f64> {
-        let planes = self.by_width[width].pop();
-        self.bytes -= planes.as_ref().map_or(0, |_| 16 << (2 * width));
-        planes.unwrap_or_default()
-    }
-
-    fn put(&mut self, width: usize, planes: SplitMatrix<f64>) {
-        if self.bytes + (16 << (2 * width)) <= 256 << 10 {
-            self.bytes += 16 << (2 * width);
-            self.by_width[width].push(planes);
-        }
     }
 }
 
@@ -548,7 +807,6 @@ fn union_into(a: &[usize], b: &[usize], out: &mut [usize]) -> usize {
 }
 
 /// [`union_into`] as a new list.
-#[cfg(test)]
 fn union_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
     let mut out = vec![0; a.len() + b.len()];
     let n = union_into(a, b, &mut out);
@@ -556,11 +814,154 @@ fn union_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
     out
 }
 
+#[cfg(not(test))]
+fn count_composed() {}
+#[cfg(test)]
+use tests::count_composed;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qsim_circuit::gates::GateKind;
     use qsim_circuit::library;
+
+    thread_local! {
+        /// Products composed on this thread.
+        static COMPOSED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    pub(super) fn count_composed() {
+        COMPOSED.set(COMPOSED.get() + 1);
+    }
+
+    /// Products composed on this thread while `f` ran.
+    fn composed_by<R>(f: impl FnOnce() -> R) -> (usize, R) {
+        let before = COMPOSED.get();
+        let out = f();
+        (COMPOSED.get() - before, out)
+    }
+
+    /// A random circuit on `n` qubits with cancelling pairs (`H·H`,
+    /// `X·X`, `CZ·CZ`) spliced in at random places, each op at its own
+    /// time.
+    fn with_cancelling_pairs(n: usize, gates: usize, seed: u64) -> Circuit {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut c = Circuit::new(n);
+        for op in library::random_dense(n, gates, seed).ops {
+            if rng.gen_range(0..3) == 0 {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(1..n));
+                let (kind, qubits) = match rng.gen_range(0..3) {
+                    0 => (GateKind::H, vec![a]),
+                    1 => (GateKind::X, vec![a]),
+                    _ => (GateKind::Cz, vec![a, (a + b) % n]),
+                };
+                for _ in 0..2 {
+                    c.add(c.ops.len(), kind, &qubits);
+                }
+            }
+            c.add(c.ops.len(), op.kind, &op.qubits);
+        }
+        c
+    }
+
+    /// A cancelling pair opens every slot: `H·H` on 0, `X·X` then
+    /// `CZ·CZ` on 1 and 0 (one slot from `-f 2` on), then a gate that
+    /// does not cancel.
+    fn pairs_first() -> Circuit {
+        let mut c = Circuit::new(3);
+        for (kind, qubits) in [
+            (GateKind::H, &[0][..]),
+            (GateKind::H, &[0]),
+            (GateKind::X, &[1]),
+            (GateKind::X, &[1]),
+            (GateKind::Cz, &[1, 0]),
+            (GateKind::Cz, &[0, 1]),
+            (GateKind::T, &[2]),
+        ] {
+            c.add(c.ops.len(), kind, qubits);
+        }
+        c
+    }
+
+    /// A product composes on its first read, once for the gate and every
+    /// clone, and frees its factors; `fuse` and `is_identity` on a
+    /// product its probe rules out compose nothing, and the verdicts are
+    /// the composed matrices'.
+    #[test]
+    fn products_compose_once_on_first_read() {
+        for f in 1..=3 {
+            let (built, fused) = composed_by(|| fuse(&pairs_first(), f));
+            assert_eq!(built, 0, "f={f}: build composes nothing");
+            let copy = fused.clone();
+            let (probed, verdicts) =
+                composed_by(|| copy.unitaries().map(|g| g.is_identity(1e-12)).collect::<Vec<_>>());
+            let identities = verdicts.iter().filter(|&&v| v).count();
+            assert!(identities >= 2, "f={f}: {verdicts:?}");
+            assert_eq!(probed, identities, "f={f}: only identity candidates compose");
+            let (read, matrices) = composed_by(|| {
+                fused.unitaries().map(|g| g.matrix().is_identity(1e-12)).collect::<Vec<_>>()
+            });
+            assert_eq!(matrices, verdicts, "f={f}");
+            assert_eq!(read, fused.num_unitaries() - identities, "f={f}: the rest compose once");
+            let (again, _) = composed_by(|| copy.unitaries().map(FusedGate::matrix).count());
+            assert_eq!(again, 0, "f={f}: a clone shares its products");
+            let held = |g: &FusedGate| size_of::<Product>() + size_of_val(g.matrix().as_slice());
+            let composed: usize = fused.unitaries().map(held).sum();
+            assert_eq!(fused.heap_bytes(), composed, "f={f}: a composed product frees its factors");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// For every strategy and budget, each lazily composed product is
+        /// the eager per-gate replay of its layout bit for bit, its
+        /// certificate too, and `is_identity` — probe first — gives the
+        /// composed matrix's verdict.
+        #[test]
+        fn lazy_products_are_the_eager_replay_and_the_identity_verdict_is_exact(
+            seed in 0u64..u64::MAX,
+            n in 3usize..=7,
+        ) {
+            let circuit = with_cancelling_pairs(n, 40, seed);
+            let model = LaunchCostModel {
+                spec: gpu_model::specs::DeviceSpec::mi250x_gcd(),
+                policy: LaunchPolicy {
+                    tpb_high: 64,
+                    tpb_low: 32,
+                    low_qubit_byte_overhead: 2.0,
+                    shuffle_flops_per_low_qubit: 4.0,
+                    uploads_matrices: true,
+                    lane_qubits: 0,
+                    sweep: qsim_core::sweep::SweepConfig::disabled(),
+                },
+                precision: qsim_core::types::Precision::Single,
+            };
+            for strategy in FusionStrategy::ALL {
+                for f in 1..=6 {
+                    let (layout, _) = planner::decide_strategy(&circuit, strategy, f, &model);
+                    let replay = per_gate_replay(&circuit, &layout);
+                    let (verdicts, lazy) = (build(&circuit, &layout), build(&circuit, &layout));
+                    for ((probed, op), reference) in verdicts.ops.iter().zip(&lazy.ops).zip(&replay) {
+                        let (FusedOp::Unitary(probed), FusedOp::Unitary(g), Some((_, matrix, cert))) =
+                            (probed, op, reference)
+                        else {
+                            continue;
+                        };
+                        prop_assert!(bits(g.matrix()) == bits(matrix), "{strategy} f={f}");
+                        prop_assert_eq!(g.certificate().map(f64::to_bits), cert.map(f64::to_bits));
+                        prop_assert_eq!(probed.is_identity(1e-12), matrix.is_identity(1e-12));
+                    }
+                }
+            }
+        }
+    }
+
+    fn bits(m: &GateMatrix<f64>) -> Vec<(u64, u64)> {
+        m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
 
     /// Apply a circuit (unfused reference) and a fused circuit to fresh
     /// states and compare.
@@ -674,8 +1075,8 @@ mod tests {
         }
     }
 
-    /// `build` composes in place; replaying the same layout through the
-    /// two expansions and the dense product must give the same bits,
+    /// A product composes in split planes; replaying the same layout
+    /// through the two expansions and the dense product must give the same bits,
     /// controls, barriers and slots that never widen included.
     #[test]
     fn fused_matrix_bits_match_the_dense_replay() {

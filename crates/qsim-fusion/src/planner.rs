@@ -1,29 +1,30 @@
 //! Fusion planning: decide on qubit sets, then build one plan.
 //!
 //! Fusing is one order-preserving frontier scan over the source gates
-//! ([`decide`]). A gate may only merge into the *latest* output op among
+//! (`decide`). A gate may only merge into the *latest* output op among
 //! its qubits' frontiers, so each gate poses a binary choice — take that
 //! unique legal merge or open a fresh slot — and the scan never needs a
-//! matrix to make it: it tracks qubit sets only, as [`Mask`] words
-//! ([`Shadow`]), and records a [`Layout`]. [`crate::build`] then replays
-//! the layout over the circuit, the only place matrices are composed.
+//! matrix to make it: it tracks qubit sets only, as `Mask` words
+//! (`Shadow`), and records a `Layout`. `build` then replays the layout
+//! over the circuit, and each fused gate composes its matrix from the
+//! source gates it records when it is first read.
 //! Cost models price layouts from the same qubit sets, so however many
 //! candidate layouts a strategy weighs, planning builds exactly one plan.
 //!
-//! The [`Policy`] is what differs between strategies. `Greedy` takes
+//! The `Policy` is what differs between strategies. `Greedy` takes
 //! every legal merge. That is blind to what the merge costs downstream:
 //! absorbing a gate can push a fused gate from the cheap Low-kernel /
 //! SIMD-lane class into the strided High path, or (on a HIP-like device)
 //! widen a low-qubit gate whose `ApplyGateL_Kernel`-style pass pays a
 //! steep per-low-qubit traffic overhead. `Lookahead` prices the merge
 //! against a fresh pass with a [`FusionCostModel`]: it plays both
-//! branches forward on the one shadow for the next [`DEFAULT_LOOKAHEAD`]
+//! branches forward on the one shadow for the next `DEFAULT_LOOKAHEAD`
 //! source gates (an undo journal takes each back), accounting each step
 //! incrementally — in `gate_price` seconds, a merge costs `price(union) −
 //! price(existing)`, a fresh slot costs `price(gate)`. These deltas
 //! telescope, so the branch sums compare exactly the model's context-free
 //! price of the two futures restricted to the window, and one scan asks
-//! the model for each distinct qubit set once ([`Prices`]).
+//! the model for each distinct qubit set once (`Prices`).
 //!
 //! [`FusionStrategy::Auto`] is the in-code analogue of the paper's
 //! fusion sweep (Figures 7 and 9): it decides at every
@@ -141,16 +142,26 @@ pub fn plan(
         circuit,
         if strategy == FusionStrategy::Auto { MAX_GATE_QUBITS } else { max_fused_qubits },
     );
-    let (layout, predicted_traffic) = match strategy {
-        FusionStrategy::Greedy => priced(circuit, max_fused_qubits, Policy::Greedy, model),
-        FusionStrategy::Cost => decide_with_model(circuit, max_fused_qubits, model),
-        FusionStrategy::Auto => decide_auto(circuit, model),
-    };
+    let (layout, predicted_traffic) = decide_strategy(circuit, strategy, max_fused_qubits, model);
     FusionPlan {
         fused: build(circuit, &layout),
         strategy,
         predicted_cost_seconds: predicted_traffic.seconds,
         predicted_traffic,
+    }
+}
+
+/// The layout `strategy` decides for a checked `circuit`, priced.
+pub(crate) fn decide_strategy(
+    circuit: &Circuit,
+    strategy: FusionStrategy,
+    max_fused_qubits: usize,
+    model: &dyn FusionCostModel,
+) -> Priced {
+    match strategy {
+        FusionStrategy::Greedy => priced(circuit, max_fused_qubits, Policy::Greedy, model),
+        FusionStrategy::Cost => decide_with_model(circuit, max_fused_qubits, model),
+        FusionStrategy::Auto => decide_auto(circuit, model),
     }
 }
 

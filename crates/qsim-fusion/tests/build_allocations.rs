@@ -3,12 +3,14 @@
 //! global allocator, per thread.
 //!
 //! - `qsim_fusion::fuse` allocates per fused product and per distinct
-//!   source gate, never per source gate: the source table composes each
-//!   distinct gate once, a merge runs on stack arrays and spare planes, and
-//!   a slot's qubit list is sized for its last merge when it opens. Before
-//!   that, `fuse` allocated 2 275 (`-f 1`) … 3 697 (`-f 4`) … 3 784
-//!   (`-f 6`) times, ≈ 3.6 to 6 a source gate; now 1 749 … 361 … 305
-//!   for 546 … 74 … 56 products.
+//!   source gate, never per source gate: the source table builds each
+//!   distinct gate once, a merge runs on stack arrays, and a slot's qubit
+//!   list and factor list are sized for its last merge when it opens.
+//!   Before that, `fuse` allocated 2 275 (`-f 1`) … 3 697 (`-f 4`) …
+//!   3 784 (`-f 6`) times, ≈ 3.6 to 6 a source gate; 1 749 … 361 … 305
+//!   for 546 … 74 … 56 products while `build` composed every product;
+//!   2 212 … 324 … 252 since products compose on first read (a slot's
+//!   two qubit lists, its factor list and its shared product).
 //! - `parse_circuit` allocates each gate's qubit list and little else:
 //!   tokens are read from the line's iterator and parameters into an
 //!   array. Before that it allocated 1 430 times (≈ 2.3 a gate); now 628.
@@ -80,9 +82,9 @@ fn fuse_allocations_are_linear_in_products_not_source_gates() {
     for f in 1..=6 {
         let (fused, count) = allocations(|| fuse(&circuit, f));
         let products = fused.ops.iter().filter(|op| matches!(op, FusedOp::Unitary(_))).count();
-        // Each product: its qubit list from the scan and from `build`, the
-        // matrix it opens with and the one it closes with. Each distinct
-        // gate: its matrix and qubits once, and room in the table.
+        // Each product: its qubit list from the scan and from `build`, its
+        // factor list and its shared product. Each distinct gate: its
+        // matrix and qubits once, and room in the table.
         let bound = 4 * products + 4 * DISTINCT_GATES + 96;
         assert!(
             count <= bound,

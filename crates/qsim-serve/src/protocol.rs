@@ -378,6 +378,49 @@ mod tests {
         assert_eq!((cache.entries, cache.hits), (2, 0), "{cache:?}");
     }
 
+    /// A report is a function of its plan and spec: one spec run in
+    /// process on a fresh backend, on a service worker after jobs of other
+    /// shapes, as a result-cache hit and on a second service reports the
+    /// same, host clocks and the pooled buffer aside.
+    #[test]
+    fn a_report_does_not_depend_on_what_its_worker_ran_before() {
+        use qsim_backends::{Flavor, PlanOptions, RunOptions, RunReport, SimBackend};
+        use qsim_circuit::parser::write_circuit;
+        use qsim_circuit::{generate_rqc, RqcOptions};
+
+        let json = |report: RunReport| {
+            let report =
+                RunReport { wall_seconds: 0.0, setup_seconds: 0.0, buffer_reused: false, ..report };
+            serde_json::to_string(&report.to_json()).unwrap()
+        };
+        let circuit = generate_rqc(&RqcOptions::for_qubits(9, 6, 4));
+        let (text, fields) = (write_circuit(&circuit), r#","seed":5,"sample_count":40"#);
+        let cpu = SimBackend::new(Flavor::CpuAvx);
+        let opts =
+            PlanOptions { strategy: qsim_fusion::FusionStrategy::Greedy, max_fused_qubits: 3 };
+        let plan = cpu.plan_circuit(&circuit, &opts, qsim_core::types::Precision::Single);
+        let run = RunOptions { seed: 5, sample_count: 40 };
+        let want = json(cpu.run_plan::<f32>(&plan, &run).unwrap().1);
+
+        let busy = Service::start(ServiceConfig {
+            workers: 1,
+            memory_budget_bytes: 1 << 20,
+            ..ServiceConfig::default()
+        });
+        for (n, seed) in [(7, 1), (10, 2), (8, 3)] {
+            let other = write_circuit(&generate_rqc(&RqcOptions::for_qubits(n, 5, seed)));
+            run_line(&busy, &other, r#","sample_count":4"#);
+        }
+        let after = run_line(&busy, &text, fields);
+        assert_eq!(json(busy.report(after).unwrap()), want, "on a worker after other jobs");
+        let hit = run_line(&busy, &text, fields);
+        assert_eq!(busy.metrics().result_cache.hits, 1);
+        assert_eq!(json(busy.report(hit).unwrap()), want, "as a result-cache hit");
+        let second = small_service();
+        let first = run_line(&second, &text, fields);
+        assert_eq!(json(second.report(first).unwrap()), want, "on a second service");
+    }
+
     /// Seeds a float cannot tell apart are two jobs with two results.
     #[test]
     fn seeds_past_2_pow_53_are_distinct_jobs() {
